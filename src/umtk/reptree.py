@@ -2,12 +2,22 @@
 
 A representing tree is a rooted tree whose leaves carry the points and whose
 internal nodes carry positive rational labels that strictly decrease from
-parent to child. ``build_tree`` constructs it recursively: the root is labeled
-with the diameter and its children are the parts of the diametrical graph's
-multipartite decomposition (one-point parts become leaves labeled 0). The
-distance between two points equals the label of their lowest common ancestor,
-which for strictly decreasing labels is also the maximum label on the
-connecting path; ``tree_distance`` computes the former and asserts the latter.
+parent to child. The distance between two points equals the label of their
+lowest common ancestor, which for strictly decreasing labels is also the
+maximum label on the connecting path; ``tree_distance`` computes the former
+and asserts the latter.
+
+``build_tree`` reads the tree off the minimum spanning tree that certifies
+ultrametricity (``spaces.ultrametric_mst``): the representing tree is the
+single-linkage dendrogram of the space (Gower & Ross 1969). The spanning
+tree's edges are merged in order of weight with union-find, and all
+components joined at one weight w become the children of one internal node
+labeled w -- the ball of radius w they span, whose diameter is w. Points are
+leaves labeled 0. Each node's canonical code, which orders it among its
+siblings, is built once from its children's codes, so building costs O(n^2)
+like the certificate. The paper's construction, which
+splits a ball into the parts of its diametrical graph, gives the same tree;
+``diametrical`` keeps it for the ``diametric`` command and the property suite.
 """
 from __future__ import annotations
 
@@ -15,15 +25,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import FormatError, InvalidTreeError, NotUltrametricError, UnknownPointError
 from .spaces import (
     FiniteSemimetricSpace,
-    diameter,
     format_rational,
     parse_rational,
-    ultrametric_violation,
+    ultrametric_mst,
     validate_semimetric,
 )
 
@@ -122,36 +133,42 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
     Children are ordered by the labeled canonical code of their subtree (ties
     broken by leaf point names), so equal spaces yield identical trees.
     """
-    violation = ultrametric_violation(space)
+    violation, edges = ultrametric_mst(space)
     if violation is not None:
         raise NotUltrametricError(violation)
-    from .treecanon import _node_code  # local import: treecanon works on RepNode
+    from .treecanon import node_code  # local import: treecanon works on RepNode
 
-    def build(sub: FiniteSemimetricSpace) -> RepNode:
-        if len(sub) == 1:
-            return leaf(sub.points[0])
-        from .diametrical import diametrical_graph, multipartite_parts
+    # Each component, keyed by its union-find root, carries the sort key of
+    # its subtree -- (labeled code, smallest leaf point) -- and the subtree.
+    # Leaf sets are disjoint, so comparing smallest points is the same as
+    # comparing sorted leaf point tuples.
+    comps = {i: (node_code(Fraction(0), ()), p, leaf(p)) for i, p in enumerate(space.points)}
+    parent = list(range(len(space)))
 
-        parts = multipartite_parts(diametrical_graph(sub)).parts
-        children = []
-        for part in parts:
-            if len(part) == 1:
-                children.append(leaf(part[0]))
-            else:
-                children.append(build(sub.restrict(part)))
-        children.sort(key=lambda c: (_node_code(c, True), _sorted_leaf_points(c)))
-        return RepNode(diameter(sub), tuple(children))
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-    return RepTree(build(space))
-
-
-def _sorted_leaf_points(node: RepNode) -> tuple[str, ...]:
-    if node.is_leaf:
-        return (node.point,)  # type: ignore[return-value]
-    out: list[str] = []
-    for child in node.children:
-        out.extend(_sorted_leaf_points(child))
-    return tuple(sorted(out))
+    weight = itemgetter(2)
+    for label, group in groupby(sorted(edges, key=weight), key=weight):
+        pairs = [(a, b) for a, b, _ in group]
+        joined = {find(i) for pair in pairs for i in pair}
+        for a, b in pairs:
+            parent[find(a)] = find(b)
+        merged: dict[int, list[int]] = {}
+        for r in joined:
+            merged.setdefault(find(r), []).append(r)
+        for root, members in merged.items():
+            kids = sorted((comps.pop(r) for r in members), key=lambda c: c[:2])
+            comps[root] = (
+                node_code(label, [code for code, _, _ in kids]),
+                min(first for _, first, _ in kids),
+                RepNode(label, tuple(node for _, _, node in kids)),
+            )
+    [(_, _, root)] = comps.values()
+    return RepTree(root)
 
 
 def _paths_to_leaves(tree: RepTree) -> dict[str, tuple[RepNode, ...]]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import (
     FormatError,
@@ -65,6 +66,22 @@ def forced_scaling(
     return tuple(zip(sx, sy))
 
 
+def _paired_distances(
+    x: FiniteSemimetricSpace, y: FiniteSemimetricSpace, phi: dict[str, str]
+) -> Iterator[tuple[Fraction, Fraction]]:
+    """(d(x1, x2), rho(phi(x1), phi(x2))) for every pair of X's points.
+
+    phi must map X's points into Y's. Y's point indices are looked up once,
+    so walking all pairs costs O(n^2).
+    """
+    index = {p: k for k, p in enumerate(y.points)}
+    image = [index[phi[p]] for p in x.points]
+    for i, yi in enumerate(image):
+        row_x, row_y = x.dist[i], y.dist[yi]
+        for j in range(i + 1, len(image)):
+            yield row_x[j], row_y[image[j]]
+
+
 def verify_isometry(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace, phi: dict[str, str]
 ) -> bool:
@@ -73,12 +90,7 @@ def verify_isometry(
         return False
     if set(phi.values()) != set(y.points):
         return False
-    pts = x.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if x.dist[i][j] != y.distance(phi[pts[i]], phi[pts[j]]):
-                return False
-    return True
+    return all(d == rho for d, rho in _paired_distances(x, y, phi))
 
 
 def verify_weak_similarity(
@@ -101,12 +113,7 @@ def verify_weak_similarity(
         return False
     if len(set(phi.values())) != len(phi):
         return False
-    pts = x.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if f[x.dist[i][j]] != y.distance(phi[pts[i]], phi[pts[j]]):
-                return False
-    return True
+    return all(f[d] == rho for d, rho in _paired_distances(x, y, phi))
 
 
 def _leaf_map(psi: dict, tx: RepTree) -> dict[str, str]:

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -32,20 +33,30 @@ from .errors import (
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+# ASCII digits only: ``\d`` would admit every Unicode decimal digit.
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational literal of the form ``"a"`` or ``"a/b"`` (b > 0)."""
+    """Parse an exact rational literal of the form ``"a"`` or ``"a/b"`` (b > 0).
+
+    The whole string must match: no whitespace, no trailing newline, ASCII
+    digits only. A literal longer than Python's int-string limit is a
+    FormatError like any other malformed literal.
+    """
     if not isinstance(text, str):
         raise FormatError(f"rational literal must be a string, got {type(text).__name__}")
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise FormatError(f"not a rational literal: {text!r}")
-    den = int(m.group(2)) if m.group(2) else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+    except ValueError:
+        raise FormatError(f"rational literal too long ({len(text)} characters)") from None
     if den == 0:
         raise FormatError(f"zero denominator in {text!r}")
-    return Fraction(int(m.group(1)), den)
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
@@ -70,6 +81,15 @@ class FiniteSemimetricSpace:
 
     points: tuple[str, ...]
     dist: tuple[tuple[Fraction, ...], ...]
+
+    def __hash__(self) -> int:
+        # Every cache lookup hashes the space; hash its n^2 entries only once.
+        # The value lives outside the fields, so == and repr are unchanged.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.points, self.dist))
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     def __len__(self) -> int:
         return len(self.points)
@@ -162,14 +182,11 @@ def diameter(space: FiniteSemimetricSpace) -> Fraction:
     return spectrum(space)[-1]
 
 
-@lru_cache(maxsize=None)
-def ultrametric_violation(
-    space: FiniteSemimetricSpace,
-) -> tuple[str, str, str] | None:
-    """First triple (x, y, z) with d(x,y) > max(d(x,z), d(z,y)), or None.
+Violation = tuple[str, str, str]
+MstEdge = tuple[int, int, Fraction]
 
-    Scanned in point order (pairs i<j, then z), so the witness is deterministic.
-    """
+
+def _first_violating_triple(space: FiniteSemimetricSpace) -> Violation | None:
     d = space.dist
     pts = space.points
     n = len(pts)
@@ -182,6 +199,72 @@ def ultrametric_violation(
                 if dij > max(d[i][k], d[k][j]):
                     return (pts[i], pts[j], pts[k])
     return None
+
+
+@lru_cache(maxsize=None)
+def ultrametric_mst(
+    space: FiniteSemimetricSpace,
+) -> tuple[Violation | None, tuple[MstEdge, ...]]:
+    """One pass of Prim's algorithm that certifies ultrametricity.
+
+    Returns ``(None, edges)`` for an ultrametric space, where ``edges`` are
+    the minimum spanning tree's ``(parent, child, weight)`` index triples in
+    the order Prim added them, and ``(violation, ())`` otherwise, with the
+    triple ``ultrametric_violation`` documents.
+
+    Prim adds each vertex v through its tree parent p at weight w. Before v
+    is added, d(v, u) = max(w, d(p, u)) is checked for every vertex u added
+    so far. By induction these equalities say that d(v, u) is the largest
+    weight on the tree path from v to u, i.e. that d is the minimax distance
+    of its own minimum spanning tree -- its subdominant ultrametric -- and a
+    space is ultrametric iff it equals its subdominant ultrametric. Both the
+    pass and the check cost O(n^2).
+    """
+    d = space.dist
+    n = len(d)
+    # Fractions compare about 30 times slower than ints, so the pass compares
+    # numerators over one common denominator. Only the denominators are read
+    # up front; a row is converted when its vertex joins the tree, so a pass
+    # that fails early converts few rows.
+    scale = lcm(*{v.denominator for row in d for v in row})
+
+    def scaled(i: int) -> list[int]:
+        return [v.numerator * (scale // v.denominator) for v in d[i]]
+
+    rows = [scaled(0)] + [None] * (n - 1)
+    best = list(rows[0])  # distance from each vertex to the tree built so far
+    via = [0] * n  # the tree vertex realizing it
+    added = [0]
+    rest = list(range(1, n))
+    edges = []
+    while rest:
+        v = min(rest, key=best.__getitem__)
+        w, p = best[v], via[v]
+        rows[v] = dv = scaled(v)
+        dp = rows[p]
+        for u in added:
+            dpu = dp[u]
+            if dv[u] != (dpu if dpu > w else w):
+                return _first_violating_triple(space), ()
+        added.append(v)
+        rest.remove(v)
+        edges.append((p, v, d[p][v]))
+        for u in rest:
+            if dv[u] < best[u]:
+                best[u] = dv[u]
+                via[u] = v
+    return None, tuple(edges)
+
+
+def ultrametric_violation(space: FiniteSemimetricSpace) -> Violation | None:
+    """First triple (x, y, z) with d(x,y) > max(d(x,z), d(z,y)), or None.
+
+    Ultrametricity is certified in O(n^2) by the Prim pass of
+    ``ultrametric_mst``. Only when that pass fails is the triple searched for,
+    in point order (pairs i<j, then z), so the witness is deterministic; that
+    scan stops at the first violating triple and costs O(n^3) at worst.
+    """
+    return ultrametric_mst(space)[0]
 
 
 def is_ultrametric(space: FiniteSemimetricSpace) -> bool:

@@ -9,19 +9,28 @@ sorting, so identical trees give bitwise-identical codes on every run.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Iterable
+
 from .errors import InvalidTreeError, NotIsomorphicError
 from .reptree import RepNode, RepTree
 from .spaces import format_rational
 
 
+def node_code(label: Fraction | None, kid_codes: Iterable[bytes]) -> bytes:
+    """Code of a node from its children's codes: the labeled code when a
+    label is given, the shape-only code for None."""
+    kids = b"".join(sorted(kid_codes))
+    if label is None:
+        return b"(" + kids + b")"
+    return b"(" + format_rational(label).encode() + b"|" + kids + b")"
+
+
 def _node_code(node: RepNode, labeled: bool) -> bytes:
-    kids = sorted(_node_code(c, labeled) for c in node.children)
-    if labeled:
-        if node.label is None:
-            raise InvalidTreeError("labeled code requested on an unlabeled node")
-        head = format_rational(node.label).encode()
-        return b"(" + head + b"|" + b"".join(kids) + b")"
-    return b"(" + b"".join(kids) + b")"
+    kids = [_node_code(c, labeled) for c in node.children]
+    if labeled and node.label is None:
+        raise InvalidTreeError("labeled code requested on an unlabeled node")
+    return node_code(node.label if labeled else None, kids)
 
 
 def canon_code_unlabeled(tree: RepTree) -> bytes:

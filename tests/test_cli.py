@@ -214,3 +214,10 @@ def test_usage_errors(tmp_path, capsys):
 
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_overlong_distance_literal_is_an_input_error(tmp_path, capsys):
+    doc = tmp_path / "long.json"
+    doc.write_text(json.dumps({"points": ["p", "q"], "dist": [["0", "9" * 5000], ["9" * 5000, "0"]]}))
+    assert main(["validate", str(doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: FormatError")

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +15,8 @@ from umtk import (
     tree_distance,
     tree_from_json,
     tree_to_json,
+    ultrametric_violation,
+    validate_semimetric,
     validate_tree,
 )
 from umtk.errors import (
@@ -21,7 +25,9 @@ from umtk.errors import (
     NotUltrametricError,
     UnknownPointError,
 )
-from umtk.reptree import RepTree, internal, leaf, tree_to_dot
+from umtk.reptree import RepTree, internal, leaf, tree_to_dot, tree_to_text
+
+from diametrical_oracle import diametrical_tree
 
 
 def test_tree_of_ultra3(ultra3):
@@ -144,3 +150,37 @@ def test_random_round_trips():
         space = random_ultrametric(GenConfig(seed=seed, n=1 + seed % 9))
         back = space_from_tree(build_tree(space))
         assert back.restrict(space.points) == space
+
+
+@pytest.mark.parametrize("shape", [None, "R", "Rtilde", "D", "T"])
+def test_tree_matches_diametrical_oracle(shape):
+    # A small pool repeats labels across branches; a large one allows long
+    # binary chains (class R needs n - 1 distinct labels).
+    for pool in (tuple(F(k) for k in range(1, 7)), tuple(F(k, 3) for k in range(1, 41))):
+        for seed in range(8):
+            n = min(1 + seed * 3, len(pool) + 1)
+            space = random_ultrametric(
+                GenConfig(seed=seed, n=n, spectrum_pool=pool, force_class=shape)
+            )
+            order = list(space.points)
+            random.Random(seed).shuffle(order)
+            for sample in (space, space.restrict(order)):
+                tree, expected = build_tree(sample), diametrical_tree(sample)
+                assert tree_to_text(tree) == tree_to_text(expected)
+                assert tree_to_dot(tree) == tree_to_dot(expected)
+
+
+def test_binary_chain_checks_and_builds_fast():
+    # p_k hangs off chain level k, so d(p_i, p_j) = n - min(i, j); points in
+    # shuffled order.
+    n = 401
+    ks = list(range(n))
+    random.Random(3).shuffle(ks)
+    rows = [[F(0) if a == b else F(n - min(a, b)) for b in ks] for a in ks]
+    space = validate_semimetric(tuple(f"p{k}" for k in ks), rows)
+    start = time.perf_counter()
+    assert ultrametric_violation(space) is None
+    tree = build_tree(space)
+    assert time.perf_counter() - start < 10
+    internal_labels = [node.label for node in tree.nodes() if not node.is_leaf]
+    assert internal_labels == [F(n - k) for k in range(n - 1)]

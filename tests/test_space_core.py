@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,10 +7,13 @@ from hypothesis import strategies as st
 
 from umtk import (
     FiniteSemimetricSpace,
+    GenConfig,
     diameter,
     format_rational,
     is_ultrametric,
     parse_rational,
+    random_semimetric,
+    random_ultrametric,
     rank_relabel,
     space_from_json,
     space_from_pairs,
@@ -33,6 +37,8 @@ from umtk.errors import (
     ZeroOffDiagonalError,
 )
 from umtk.spaces import space_from_text, space_to_text
+
+from diametrical_oracle import first_violating_triple
 
 
 def test_one_point_space():
@@ -169,3 +175,33 @@ def test_spaces_are_hashable_values(ultra3):
     assert again == ultra3
     assert hash(again) == hash(ultra3)
     assert isinstance(again, FiniteSemimetricSpace)
+
+
+def test_violation_matches_triple_scan():
+    rng = random.Random(11)
+    for seed in range(60):
+        n = 2 + seed % 11
+        cases = [random_semimetric(GenConfig(seed=seed, n=n))]
+        # an ultrametric with one entry moved, in a shuffled point order
+        ultra = random_ultrametric(GenConfig(seed=seed, n=n))
+        rows = [list(row) for row in ultra.dist]
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[j][i] = rows[i][j] + rng.choice((F(-1, 2), F(1, 2), F(1)))
+        order = list(ultra.points)
+        rng.shuffle(order)
+        cases.append(validate_semimetric(ultra.points, rows).restrict(order))
+        for space in cases:
+            assert ultrametric_violation(space) == first_violating_triple(space)
+
+
+@pytest.mark.parametrize("bad", ["1\n", "1/2\n", "٣", "١/٢", "1/٢"])
+def test_parse_rational_is_ascii_and_anchored(bad):
+    with pytest.raises(FormatError):
+        parse_rational(bad)
+
+
+def test_parse_rational_rejects_overlong_literals():
+    with pytest.raises(FormatError):
+        parse_rational("7" * 5000)
+    with pytest.raises(FormatError):
+        parse_rational("1/" + "7" * 5000)
