@@ -121,8 +121,9 @@ def reversed_is_rooted_tree(diagram: HasseDiagram) -> bool:
     return roots == 1 and all(d in (0, 1) for d in degs)
 
 
-def _shape_tree(diagram: HasseDiagram) -> tuple[RepTree, dict[RepNode, frozenset[str]]]:
-    """Unlabeled tree view of a reversed-tree diagram, leaves = singletons."""
+def _shape_tree(diagram: HasseDiagram) -> tuple[RepTree, dict[RepNode, int]]:
+    """Unlabeled tree view of a reversed-tree diagram, leaves = singletons,
+    with each node's vertex index."""
     children_of: dict[int, list[int]] = {i: [] for i in range(len(diagram.vertices))}
     root = None
     degs = diagram.out_degrees()
@@ -132,7 +133,7 @@ def _shape_tree(diagram: HasseDiagram) -> tuple[RepTree, dict[RepNode, frozenset
         if d == 0:
             root = i
     assert root is not None
-    node_to_set: dict[RepNode, frozenset[str]] = {}
+    node_to_vertex: dict[RepNode, int] = {}
 
     def build(i: int) -> RepNode:
         members = diagram.vertices[i]
@@ -142,10 +143,10 @@ def _shape_tree(diagram: HasseDiagram) -> tuple[RepTree, dict[RepNode, frozenset
             node = RepNode(None, (), next(iter(members)))
         else:
             node = RepNode(None, tuple(build(k) for k in sorted(kids)), None)
-        node_to_set[node] = members
+        node_to_vertex[node] = i
         return node
 
-    return RepTree(build(root)), node_to_set
+    return RepTree(build(root)), node_to_vertex
 
 
 def _joint_refine(h1: HasseDiagram, h2: HasseDiagram) -> tuple[list[int], list[int]] | None:
@@ -233,16 +234,30 @@ def hasse_digraph_iso(
     if t1 != t2:
         return None
     if t1:
-        shape1, map1 = _shape_tree(h1)
-        shape2, map2 = _shape_tree(h2)
+        shape1, index1 = _shape_tree(h1)
+        shape2, index2 = _shape_tree(h2)
         if canon_code_unlabeled(shape1) != canon_code_unlabeled(shape2):
             return None
         try:
             psi = rooted_tree_iso_map(shape1, shape2, respect_labels=False)
         except NotIsomorphicError:  # pragma: no cover - codes already matched
             return None
-        return {map1[a]: map2[b] for a, b in psi.items()}
+        assignment = {index1[a]: index2[b] for a, b in psi.items()}
+    else:
+        assignment = _search_assignment(h1, h2)
+        if assignment is None:
+            return None
+    if len(assignment) != len(h1.vertices) or len(set(assignment.values())) != len(assignment):
+        raise VerificationFailedError("digraph iso is not a vertex bijection")
+    for a, b in h1.arcs:
+        if (assignment[a], assignment[b]) not in h2.arcs:
+            raise VerificationFailedError("digraph iso failed arc re-check")
+    return {h1.vertices[i]: h2.vertices[j] for i, j in assignment.items()}
 
+
+def _search_assignment(h1: HasseDiagram, h2: HasseDiagram) -> dict[int, int] | None:
+    """Vertex map of two general diagrams found by color refinement plus
+    backtracking within color classes, or None."""
     refined = _joint_refine(h1, h2)
     if refined is None:
         return None
@@ -286,12 +301,7 @@ def hasse_digraph_iso(
             used[j] = False
         return False
 
-    if not extend(0):
-        return None
-    for a, b in arcs1:
-        if (assignment[a], assignment[b]) not in arcs2:
-            raise VerificationFailedError("digraph iso failed arc re-check")
-    return {h1.vertices[i]: h2.vertices[j] for i, j in assignment.items()}
+    return assignment if extend(0) else None
 
 
 def verify_ball_preserving(

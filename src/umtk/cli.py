@@ -63,7 +63,7 @@ from .spaces import (
     spectrum,
 )
 from .suites import run_all
-from .treecanon import rooted_tree_iso_map
+from .treecanon import check_iso_map, rooted_tree_iso_map
 
 
 def _use_color() -> bool:
@@ -92,7 +92,10 @@ def _emit_json(doc: object, out: str | None) -> None:
 
 def _load_json(path: str) -> object:
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise FormatError("JSON nested too deeply") from None
 
 
 def _load_space(path: str) -> FiniteSemimetricSpace:
@@ -178,6 +181,8 @@ def _cmd_tree_iso(args) -> int:
     except NotIsomorphicError:
         _diag("trees are not isomorphic")
         return 1
+    if not check_iso_map(t1, t2, psi, respect_labels=args.labeled):
+        raise VerificationFailedError("tree isomorphism failed re-check")
     p1 = _node_paths(t1)
     p2 = _node_paths(t2)
     _emit_json(

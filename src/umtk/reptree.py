@@ -39,12 +39,14 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepNode:
     """Tree node: internal nodes have a label and children, leaves a point.
 
     ``label`` is None on shape-only trees produced by ``strip_labels`` or read
-    from unlabeled documents.
+    from unlabeled documents. Nodes compare and hash by identity, so keying a
+    dict by a node costs O(1) whatever the size of its subtree; trees are
+    compared by their canonical codes or wire formats, not by ``==``.
     """
 
     label: Fraction | None

@@ -17,11 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import (
-    FormatError,
-    NotUltrametricError,
-    VerificationFailedError,
-)
+from .errors import FormatError, VerificationFailedError
 from .reptree import RepTree, build_tree
 from .spaces import (
     FiniteSemimetricSpace,
@@ -30,7 +26,6 @@ from .spaces import (
     parse_rational,
     rank_relabel,
     spectrum,
-    ultrametric_violation,
 )
 from .treecanon import canon_code_labeled, rooted_tree_iso_map
 
@@ -222,32 +217,6 @@ def decide_weak_similarity(
     witness = WeakSimWitness(scaling, iso.phi)
     if not verify_weak_similarity(x, y, witness):
         raise VerificationFailedError("weak-similarity witness failed re-check")
-    return witness
-
-
-def weak_sim_ultrametric_fast(
-    x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
-) -> WeakSimWitness | None:
-    """Weak similarity for ultrametric inputs via labeled tree codes only.
-
-    Same contract as ``decide_weak_similarity`` restricted to ultrametric
-    spaces; never backtracks. Raises NotUltrametricError on other inputs.
-    """
-    for s in (x, y):
-        violation = ultrametric_violation(s)
-        if violation is not None:
-            raise NotUltrametricError(violation)
-    sx, sy = spectrum(x), spectrum(y)
-    if len(sx) != len(sy):
-        return None
-    tx = build_tree(rank_relabel(x, sy))
-    ty = build_tree(y)
-    if canon_code_labeled(tx) != canon_code_labeled(ty):
-        return None
-    phi = _leaf_map(rooted_tree_iso_map(tx, ty, respect_labels=True), tx)
-    witness = WeakSimWitness(tuple(zip(sx, sy)), phi)
-    if not verify_weak_similarity(x, y, witness):
-        raise VerificationFailedError("fast-path witness failed re-check")
     return witness
 
 

@@ -133,15 +133,19 @@ def validate_semimetric(
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise MatrixShapeError(f"distance matrix must be {n}x{n}")
     rows = tuple(tuple(_as_rational(v) for v in row) for row in matrix)
+    # Each unordered pair is tested once, from row i at column j > i. An
+    # entry below the diagonal that breaks an axiom breaks one at its mirror
+    # too, which the scan reaches first, so the reported error is the same as
+    # from a scan over every ordered pair.
     for i in range(n):
         if rows[i][i] != 0:
             raise NonZeroDiagonalError(i)
-        for j in range(n):
+        for j in range(i + 1, n):
             if rows[i][j] < 0:
                 raise NegativeDistanceError(i, j)
             if rows[i][j] != rows[j][i]:
                 raise NonSymmetricError(i, j)
-            if i != j and rows[i][j] == 0:
+            if rows[i][j] == 0:
                 raise ZeroOffDiagonalError(i, j)
     return FiniteSemimetricSpace(pts, rows)
 

@@ -26,21 +26,30 @@ def node_code(label: Fraction | None, kid_codes: Iterable[bytes]) -> bytes:
     return b"(" + format_rational(label).encode() + b"|" + kids + b")"
 
 
-def _node_code(node: RepNode, labeled: bool) -> bytes:
-    kids = [_node_code(c, labeled) for c in node.children]
-    if labeled and node.label is None:
-        raise InvalidTreeError("labeled code requested on an unlabeled node")
-    return node_code(node.label if labeled else None, kids)
+def _codes(tree: RepTree, labeled: bool) -> dict[int, bytes]:
+    """Code of every node of the tree, keyed by ``id(node)``.
+
+    One pass over the nodes in reverse depth-first order, which puts every
+    node after all of its descendants, so each code is built once from its
+    children's codes and no Python recursion is needed at any depth.
+    """
+    codes: dict[int, bytes] = {}
+    for node in reversed(list(tree.nodes())):
+        if labeled and node.label is None:
+            raise InvalidTreeError("labeled code requested on an unlabeled node")
+        kids = [codes[id(c)] for c in node.children]
+        codes[id(node)] = node_code(node.label if labeled else None, kids)
+    return codes
 
 
 def canon_code_unlabeled(tree: RepTree) -> bytes:
     """Shape-only canonical code; equal bytes iff rooted-tree isomorphic."""
-    return _node_code(tree.root, False)
+    return _codes(tree, False)[id(tree.root)]
 
 
 def canon_code_labeled(tree: RepTree) -> bytes:
     """Shape+label canonical code; leaf points never enter the code."""
-    return _node_code(tree.root, True)
+    return _codes(tree, True)[id(tree.root)]
 
 
 def rooted_tree_iso_map(
@@ -49,30 +58,24 @@ def rooted_tree_iso_map(
     """Explicit node bijection between isomorphic rooted trees.
 
     Children with equal canonical codes are paired in child-index order, so
-    the map is deterministic. Raises NotIsomorphicError when the codes differ.
-    Within one valid tree all subtrees are structurally distinct (leaf point
-    sets differ), so RepNode keys are unambiguous.
+    the map is deterministic. Its keys run depth first: a node, then its
+    children in code order. Raises NotIsomorphicError when the codes differ.
     """
-    code1 = _node_code(tree1.root, respect_labels)
-    code2 = _node_code(tree2.root, respect_labels)
-    if code1 != code2:
+    codes1 = _codes(tree1, respect_labels)
+    codes2 = _codes(tree2, respect_labels)
+    if codes1[id(tree1.root)] != codes2[id(tree2.root)]:
         raise NotIsomorphicError(
             "labeled codes differ" if respect_labels else "shape codes differ"
         )
     mapping: dict[RepNode, RepNode] = {}
-
-    def pair(a: RepNode, b: RepNode) -> None:
+    stack = [(tree1.root, tree2.root)]
+    while stack:
+        a, b = stack.pop()
         mapping[a] = b
-        ka = sorted(
-            range(len(a.children)), key=lambda i: _node_code(a.children[i], respect_labels)
-        )
-        kb = sorted(
-            range(len(b.children)), key=lambda i: _node_code(b.children[i], respect_labels)
-        )
-        for ia, ib in zip(ka, kb):
-            pair(a.children[ia], b.children[ib])
-
-    pair(tree1.root, tree2.root)
+        kids_a = sorted(a.children, key=lambda c: codes1[id(c)])
+        kids_b = sorted(b.children, key=lambda c: codes2[id(c)])
+        # reversed, so the first pair in code order is popped first
+        stack.extend(reversed(list(zip(kids_a, kids_b))))
     return mapping
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from umtk import rank_relabel, space_from_pairs
+from umtk.treecanon import rooted_tree_iso_map
 
 
 @pytest.fixture
@@ -71,3 +72,20 @@ def blocks4_swapped():
 def blocks5():
     # {a,b} at 1, {c,d,e} at 2, cross 3 -- uneven fan sizes
     return _two_blocks((2, 3), (F(1), F(2)), F(3))
+
+
+@pytest.fixture
+def leaf_swapping_iso_map():
+    """A broken ``rooted_tree_iso_map``: the real map, with the images of the
+    first leaf and of the first leaf under another parent swapped."""
+
+    def swapped(tree1, tree2, respect_labels=False):
+        psi = rooted_tree_iso_map(tree1, tree2, respect_labels)
+        parent = {c: node for node in tree1.nodes() for c in node.children}
+        leaves = [node for node in tree1.nodes() if node.is_leaf]
+        a = leaves[0]
+        b = next(node for node in leaves if parent[node] is not parent[a])
+        psi[a], psi[b] = psi[b], psi[a]
+        return psi
+
+    return swapped

@@ -6,6 +6,7 @@ from umtk import (
     GenConfig,
     ball_preserving_bijection,
     ballean_to_json,
+    balls,
     decide_weak_similarity,
     enumerate_balls,
     hasse_diagram,
@@ -19,7 +20,7 @@ from umtk import (
     space_from_pairs,
     verify_ball_preserving,
 )
-from umtk.errors import NotABijectionError
+from umtk.errors import NotABijectionError, VerificationFailedError
 
 
 def test_ball_enumeration(ultra3, semi3):
@@ -147,3 +148,11 @@ def test_ball_radii_range_over_spectrum(blocks4):
     assert frozenset(blocks4.points) in ballean.member_sets()
     for p in blocks4.points:
         assert frozenset({p}) in ballean.member_sets()
+
+
+def test_tree_branch_re_checks_the_tree_map(blocks4, leaf_swapping_iso_map, monkeypatch):
+    diagram = hasse_diagram(enumerate_balls(blocks4))
+    assert reversed_is_rooted_tree(diagram)
+    monkeypatch.setattr(balls, "rooted_tree_iso_map", leaf_swapping_iso_map)
+    with pytest.raises(VerificationFailedError):
+        hasse_digraph_iso(diagram, diagram)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from umtk import space_to_text
+from umtk import cli, space_to_text
 from umtk.cli import main
 
 
@@ -102,6 +102,50 @@ def test_tree_iso(paths, tmp_path, capsys):
     capsys.readouterr()
     assert main(["tree-iso", "--labeled", str(bare), paths["ultra3"]]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# Two-level trees whose children are not in code order, so the map's key
+# order shows the pairing order: a node, then its children in code order.
+GOLDEN_A = {"label": "5", "children": [
+    {"label": "2", "children": [{"point": "a"}, {"point": "b"}, {"point": "c"}]},
+    {"point": "d"},
+    {"label": "1", "children": [{"point": "e"}, {"point": "f"}]},
+]}
+GOLDEN_B = {"label": "5", "children": [
+    {"label": "1", "children": [{"point": "u"}, {"point": "v"}]},
+    {"label": "2", "children": [{"point": "w"}, {"point": "x"}, {"point": "y"}]},
+    {"point": "z"},
+]}
+GOLDEN_SHAPE_MAP = (
+    '{\n  "isomorphic": true,\n  "labeled": false,\n  "map": {\n'
+    '    "": "",\n    "0": "1",\n    "0.0": "1.0",\n    "0.1": "1.1",\n'
+    '    "0.2": "1.2",\n    "2": "0",\n    "2.0": "0.0",\n    "2.1": "0.1",\n'
+    '    "1": "2"\n  }\n}\n'
+)
+GOLDEN_LABELED_MAP = (
+    '{\n  "isomorphic": true,\n  "labeled": true,\n  "map": {\n'
+    '    "": "",\n    "1": "2",\n    "2": "0",\n    "2.0": "0.0",\n'
+    '    "2.1": "0.1",\n    "0": "1",\n    "0.0": "1.0",\n    "0.1": "1.1",\n'
+    '    "0.2": "1.2"\n  }\n}\n'
+)
+
+
+def test_tree_iso_output_bytes(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(GOLDEN_A))
+    b.write_text(json.dumps(GOLDEN_B))
+    assert main(["tree-iso", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == GOLDEN_SHAPE_MAP
+    assert main(["tree-iso", "--labeled", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == GOLDEN_LABELED_MAP
+
+
+def test_tree_iso_re_checks_the_map(paths, leaf_swapping_iso_map, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "rooted_tree_iso_map", leaf_swapping_iso_map)
+    assert main(["tree-iso", paths["blocks4"], paths["blocks4"]]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: VerificationFailed")
 
 
 def test_isometric(paths, capsys):
@@ -221,3 +265,10 @@ def test_overlong_distance_literal_is_an_input_error(tmp_path, capsys):
     doc.write_text(json.dumps({"points": ["p", "q"], "dist": [["0", "9" * 5000], ["9" * 5000, "0"]]}))
     assert main(["validate", str(doc)]) == 2
     assert capsys.readouterr().err.startswith("error: FormatError")
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100000)
+    assert main(["validate", str(doc)]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -1,7 +1,6 @@
 import json
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,14 +15,13 @@ from umtk import (
     random_ultrametric,
     rank_relabel,
     renamed_copy,
+    space_from_pairs,
     spectrum,
     verify_isometry,
     verify_weak_similarity,
-    weak_sim_ultrametric_fast,
     weak_sim_witness_from_json,
     weak_sim_witness_to_json,
 )
-from umtk.errors import NotUltrametricError
 
 
 def test_forced_scaling_is_the_rank_map(ultra3, ultra3_scaled, blocks4):
@@ -74,16 +72,16 @@ def test_weak_similarity_negative_and_reflexive(ultra3, blocks4):
     assert witness.scaling_map() == {F(0): F(0), F(1): F(1), F(2): F(2)}
 
 
-def test_fast_path_agrees(ultra3, ultra3_scaled, blocks4):
-    fast = weak_sim_ultrametric_fast(ultra3, ultra3_scaled)
-    slow = decide_weak_similarity(ultra3, ultra3_scaled)
-    assert fast is not None and slow is not None
-    assert fast.scaling == slow.scaling
-    assert weak_sim_ultrametric_fast(ultra3, blocks4) is None
+def test_ultrametric_route_agrees_with_oracle(ultra3, ultra3_scaled, blocks4):
+    witness = decide_weak_similarity(ultra3, ultra3_scaled)
+    oracle = oracle_weak_similarity(ultra3, ultra3_scaled)
+    assert witness is not None and oracle is not None
+    assert witness.scaling == oracle.scaling
+    assert decide_weak_similarity(ultra3, blocks4) is None
 
 
-def test_fast_path_on_swapped_blocks(blocks4, blocks4_swapped):
-    witness = weak_sim_ultrametric_fast(blocks4, blocks4_swapped)
+def test_weak_similarity_on_swapped_blocks(blocks4, blocks4_swapped):
+    witness = decide_weak_similarity(blocks4, blocks4_swapped)
     assert witness is not None
     # the small-distance pair of one space must land on the small-distance
     # pair of the other: {a, b} -> {c, d}
@@ -91,11 +89,19 @@ def test_fast_path_on_swapped_blocks(blocks4, blocks4_swapped):
     assert verify_weak_similarity(blocks4, blocks4_swapped, witness)
 
 
-def test_fast_path_rejects_non_ultrametric(semi3, ultra3):
-    with pytest.raises(NotUltrametricError):
-        weak_sim_ultrametric_fast(semi3, ultra3)
-    with pytest.raises(NotUltrametricError):
-        weak_sim_ultrametric_fast(ultra3, semi3)
+def test_mixed_ultrametric_pairs_are_not_weakly_similar(semi3, ultra3, blocks4):
+    assert decide_weak_similarity(semi3, ultra3) is None
+    assert decide_weak_similarity(ultra3, semi3) is None
+    # same spectrum and same distance multiset as blocks4, but a, b, c form
+    # a 1, 2, 3 triangle, so the ultrametric test is what tells them apart
+    path = space_from_pairs(
+        ("a", "b", "c", "d"),
+        {("a", "b"): F(1), ("b", "c"): F(2), ("a", "c"): F(3),
+         ("a", "d"): F(3), ("b", "d"): F(3), ("c", "d"): F(3)},
+    )
+    assert spectrum(path) == spectrum(blocks4)
+    assert decide_weak_similarity(path, blocks4) is None
+    assert decide_weak_similarity(blocks4, path) is None
 
 
 def test_verify_rejects_tampering(ultra3, ultra3_scaled):

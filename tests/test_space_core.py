@@ -66,6 +66,30 @@ def test_validation_rejects_bad_matrices():
         validate_semimetric(("p", "q"), ((F(0), F(1)),))
 
 
+@pytest.mark.parametrize(
+    "rows, error, indices",
+    [
+        # below the diagonal: -1 at (2, 0) against 1 at (0, 2)
+        (((0, 1, 1), (1, 0, 1), (-1, 1, 0)), NonSymmetricError, (0, 2)),
+        # zero at (0, 1) and its mirror, negative pair at (1, 2) and (2, 1)
+        (((0, 0, 1), (0, 0, -1), (1, -1, 0)), ZeroOffDiagonalError, (0, 1)),
+        # asymmetric (1, 0) is reached before the bad diagonal entry (2, 2)
+        (((0, 3, 1), (5, 0, 1), (1, 1, 1)), NonSymmetricError, (0, 1)),
+        # bad diagonal entry (1, 1) before the asymmetric (2, 1) / (1, 2)
+        (((0, 1, 1), (1, 7, 1), (1, -1, 0)), NonZeroDiagonalError, (1,)),
+        (((0, -1, 1), (-1, 0, 1), (1, 1, 0)), NegativeDistanceError, (0, 1)),
+        # zero pair (1, 2) / (2, 1) after an asymmetric pair (0, 2) / (2, 0)
+        (((0, 1, 2), (1, 0, 0), (4, 0, 0)), NonSymmetricError, (0, 2)),
+    ],
+)
+def test_validation_reports_the_first_defect(rows, error, indices):
+    matrix = tuple(tuple(F(v) for v in row) for row in rows)
+    with pytest.raises(error) as caught:
+        validate_semimetric(("p", "q", "r"), matrix)
+    got = (caught.value.i,) if error is NonZeroDiagonalError else (caught.value.i, caught.value.j)
+    assert got == indices
+
+
 def test_floats_are_rejected():
     with pytest.raises(FormatError):
         validate_semimetric(("p", "q"), ((0, 0.5), (0.5, 0)))

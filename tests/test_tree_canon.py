@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,7 @@ from umtk import (
     space_from_pairs,
 )
 from umtk.errors import NotIsomorphicError
-from umtk.reptree import RepTree, leaf
+from umtk.reptree import RepTree, internal, leaf
 
 
 def test_point_order_does_not_affect_codes(ultra3):
@@ -112,3 +113,19 @@ def test_codes_agree_with_iso_maps():
             except NotIsomorphicError:
                 found = False
             assert equal == found
+
+
+def test_deep_chain_codes_and_map_without_recursion():
+    def chain(depth, prefix, leaf_first):
+        node = leaf(f"{prefix}0")
+        for k in range(1, depth + 1):
+            kids = [leaf(f"{prefix}{k}"), node]
+            node = internal(k, kids if leaf_first else kids[::-1])
+        return RepTree(node)
+
+    t1, t2 = chain(2000, "x", True), chain(2000, "y", False)
+    start = time.perf_counter()
+    assert canon_code_labeled(t1) == canon_code_labeled(t2)
+    psi = rooted_tree_iso_map(t1, t2, respect_labels=True)
+    assert check_iso_map(t1, t2, psi, respect_labels=True)
+    assert time.perf_counter() - start < 1.0
