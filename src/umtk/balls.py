@@ -1,16 +1,18 @@
 """Balls, balleans, Hasse diagrams of inclusion, and ball-preserving maps.
 
-A ball B_r(t) is {x : d(x, t) <= r}. Radii range over the spectrum only: as r
-grows, the member set changes exactly at spectrum values, so this enumerates
-every ball. Balls are identified by member set; the recorded (center, radius)
+A ball B_r(t) is {x : d(x, t) <= r}. Sorting the points by their distance to
+t lists every ball around t as a prefix that ends where the distance changes,
+with that prefix's last distance as its radius (the smallest r that gives
+it). Balls are identified by member set; the recorded (center, radius)
 witness never participates in equality. The Hasse diagram has an arc for each
-cover pair of the inclusion order (arcs point small -> large). Deciding
-whether two balleans are order-isomorphic is a digraph isomorphism problem;
-for ball structures of ultrametric spaces the reversed diagram is a rooted
-tree and tree canonization decides it, otherwise an invariant-refinement
-backtracking search runs. A Hasse isomorphism restricted to the zero-indegree
-vertices (the one-point balls) always yields a ball-preserving point
-bijection, which is re-verified before being returned.
+cover pair of the inclusion order (arcs point small -> large), read off
+bitsets of the balls through each point. Deciding whether two balleans are
+order-isomorphic is a digraph isomorphism problem; for ball structures of
+ultrametric spaces the reversed diagram is a rooted tree and tree
+canonization decides it, otherwise an invariant-refinement backtracking
+search runs. A Hasse isomorphism restricted to the zero-indegree vertices
+(the one-point balls) always yields a ball-preserving point bijection, which
+is re-verified before being returned.
 """
 from __future__ import annotations
 
@@ -58,15 +60,26 @@ def enumerate_balls(space: FiniteSemimetricSpace) -> Ballean:
     """Every ball of the space, deduplicated by member set.
 
     Always contains all singletons (r = 0) and the whole space (r = diam).
+    A member set's witness is its first (center, radius) in point order, then
+    radius order.
     """
     found: dict[frozenset[str], Ball] = {}
     pts = space.points
+    n = len(pts)
+    # rows are sorted by distance rank: ints compare far faster than Fractions
+    values = spectrum(space)
+    rank = {v: k for k, v in enumerate(values)}
     for ti, t in enumerate(pts):
-        row = space.dist[ti]
-        for r in spectrum(space):
-            members = frozenset(pts[i] for i in range(len(pts)) if row[i] <= r)
+        row = [rank[v] for v in space.dist[ti]]
+        order = sorted(range(n), key=row.__getitem__)
+        prefix: list[str] = []
+        for k, i in enumerate(order):
+            prefix.append(pts[i])
+            if k + 1 < n and row[order[k + 1]] == row[i]:
+                continue
+            members = frozenset(prefix)
             if members not in found:
-                found[members] = Ball(members, t, r)
+                found[members] = Ball(members, t, values[row[i]])
     ordered = sorted(found.values(), key=lambda b: _set_key(b.members))
     return Ballean(tuple(ordered))
 
@@ -95,17 +108,32 @@ class HasseDiagram:
 
 
 def hasse_diagram(ballean: Ballean) -> HasseDiagram:
-    """Cover pairs B1 < B2 with no ball strictly between (triple scan)."""
+    """Cover pairs B1 < B2 with no ball strictly between.
+
+    Bit j of ``through[p]`` is set iff ball j contains p, so the AND over a
+    ball's members gives its strict supersets. Balls are sorted by size, so
+    the lowest remaining superset is a cover; the supersets of that cover are
+    then not covers and are dropped. Each cover costs a few big-int
+    operations on B-bit masks.
+    """
     sets = tuple(b.members for b in ballean.balls)
-    n = len(sets)
+    through: dict[str, int] = {}
+    for j, members in enumerate(sets):
+        bit = 1 << j
+        for p in members:
+            through[p] = through.get(p, 0) | bit
+    above = []
+    for i, members in enumerate(sets):
+        mask = -1
+        for p in members:
+            mask &= through[p]
+        above.append(mask & ~(1 << i))
     arcs = set()
-    for i in range(n):
-        for j in range(n):
-            if i == j or not sets[i] < sets[j]:
-                continue
-            if any(k != i and k != j and sets[i] < sets[k] < sets[j] for k in range(n)):
-                continue
-            arcs.add((i, j))
+    for i, rest in enumerate(above):
+        while rest:
+            k = (rest & -rest).bit_length() - 1
+            arcs.add((i, k))
+            rest &= ~(above[k] | (1 << k))
     return HasseDiagram(sets, frozenset(arcs))
 
 
@@ -124,42 +152,37 @@ def reversed_is_rooted_tree(diagram: HasseDiagram) -> bool:
 def _shape_tree(diagram: HasseDiagram) -> tuple[RepTree, dict[RepNode, int]]:
     """Unlabeled tree view of a reversed-tree diagram, leaves = singletons,
     with each node's vertex index."""
-    children_of: dict[int, list[int]] = {i: [] for i in range(len(diagram.vertices))}
-    root = None
-    degs = diagram.out_degrees()
+    vertices = diagram.vertices
+    children_of: list[list[int]] = [[] for _ in vertices]
     for a, b in diagram.arcs:
         children_of[b].append(a)
-    for i, d in enumerate(degs):
-        if d == 0:
-            root = i
-    assert root is not None
-    node_to_vertex: dict[RepNode, int] = {}
-
-    def build(i: int) -> RepNode:
-        members = diagram.vertices[i]
+    # a child is a strict subset of its parent, so size order builds every
+    # child's node before its parent's
+    node_of: dict[int, RepNode] = {}
+    for i in sorted(range(len(vertices)), key=lambda v: len(vertices[v])):
         kids = children_of[i]
         if not kids:
-            assert len(members) == 1
-            node = RepNode(None, (), next(iter(members)))
+            assert len(vertices[i]) == 1
+            node_of[i] = RepNode(None, (), next(iter(vertices[i])))
         else:
-            node = RepNode(None, tuple(build(k) for k in sorted(kids)), None)
-        node_to_vertex[node] = i
-        return node
+            node_of[i] = RepNode(None, tuple(node_of[k] for k in sorted(kids)), None)
+    root = diagram.out_degrees().index(0)
+    return RepTree(node_of[root]), {node: i for i, node in node_of.items()}
 
-    return RepTree(build(root)), node_to_vertex
+
+def _neighbors(h: HasseDiagram) -> tuple[list[list[int]], list[list[int]]]:
+    """Predecessor and successor lists of every vertex."""
+    preds: list[list[int]] = [[] for _ in h.vertices]
+    succs: list[list[int]] = [[] for _ in h.vertices]
+    for a, b in h.arcs:
+        succs[a].append(b)
+        preds[b].append(a)
+    return preds, succs
 
 
 def _joint_refine(h1: HasseDiagram, h2: HasseDiagram) -> tuple[list[int], list[int]] | None:
     """Color vertices of both diagrams together by iterated neighborhood
     refinement; returns None early if the color histograms diverge."""
-
-    def neighbors(h: HasseDiagram) -> tuple[list[list[int]], list[list[int]]]:
-        preds: list[list[int]] = [[] for _ in h.vertices]
-        succs: list[list[int]] = [[] for _ in h.vertices]
-        for a, b in h.arcs:
-            succs[a].append(b)
-            preds[b].append(a)
-        return preds, succs
 
     def heights(h: HasseDiagram, preds: list[list[int]]) -> list[int]:
         # longest path from a minimal vertex; vertices sorted by size are
@@ -171,8 +194,8 @@ def _joint_refine(h1: HasseDiagram, h2: HasseDiagram) -> tuple[list[int], list[i
                 height[v] = max(height[v], height[p] + 1)
         return height
 
-    p1, s1 = neighbors(h1)
-    p2, s2 = neighbors(h2)
+    p1, s1 = _neighbors(h1)
+    p2, s2 = _neighbors(h2)
     hts1 = heights(h1, p1)
     hts2 = heights(h2, p2)
     colors1: list = [(len(p1[i]), len(s1[i]), hts1[i]) for i in range(len(h1.vertices))]
@@ -257,51 +280,67 @@ def hasse_digraph_iso(
 
 def _search_assignment(h1: HasseDiagram, h2: HasseDiagram) -> dict[int, int] | None:
     """Vertex map of two general diagrams found by color refinement plus
-    backtracking within color classes, or None."""
+    backtracking within color classes, or None.
+
+    Vertices are assigned in ``order``, each to its first fitting candidate
+    in ``_set_key`` order; a candidate is tested against the assigned
+    neighbours only. The search keeps its own stack, so its depth is not
+    bounded by the recursion limit.
+    """
     refined = _joint_refine(h1, h2)
     if refined is None:
         return None
     colors1, colors2 = refined
     n = len(h1.vertices)
-    arcs1, arcs2 = h1.arcs, h2.arcs
-    candidates: dict[int, list[int]] = {}
-    for i in range(n):
-        candidates[i] = sorted(
-            (j for j in range(n) if colors2[j] == colors1[i]),
-            key=lambda j: _set_key(h2.vertices[j]),
-        )
-        if not candidates[i]:
-            return None
+    by_color: dict[int, list[int]] = {}
+    for j in sorted(range(n), key=lambda j: _set_key(h2.vertices[j])):
+        by_color.setdefault(colors2[j], []).append(j)
+    candidates = [by_color.get(colors1[i], []) for i in range(n)]
+    if not all(candidates):
+        return None
     order = sorted(range(n), key=lambda i: (len(candidates[i]), _set_key(h1.vertices[i])))
-    assignment: dict[int, int] = {}
+    pred1, succ1 = _neighbors(h1)
+    pred2, succ2 = ([set(near) for near in lists] for lists in _neighbors(h2))
+    image = [-1] * n
     used = [False] * n
 
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for i2, j2 in assignment.items():
-                if ((i, i2) in arcs1) != ((j, j2) in arcs2):
-                    ok = False
-                    break
-                if ((i2, i) in arcs1) != ((j2, j) in arcs2):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assignment[i] = j
-            used[j] = True
-            if extend(k + 1):
-                return True
-            del assignment[i]
-            used[j] = False
-        return False
+    def fits(i: int, j: int) -> bool:
+        # The map is injective, so j's assigned neighbours are exactly the
+        # images of i's once i's all land among j's and the counts agree.
+        for near1, near2 in ((succ1[i], succ2[j]), (pred1[i], pred2[j])):
+            count = 0
+            for i2 in near1:
+                j2 = image[i2]
+                if j2 >= 0:
+                    if j2 not in near2:
+                        return False
+                    count += 1
+            if count != sum(used[j2] for j2 in near2):
+                return False
+        return True
 
-    return assignment if extend(0) else None
+    # Depth-first over ``order`` with an explicit cursor per level: level k
+    # resumes its candidate list at cursor[k] after a backtrack.
+    cursor = [0] * n
+    k = 0
+    while 0 <= k < n:
+        i = order[k]
+        if image[i] >= 0:
+            used[image[i]] = False
+            image[i] = -1
+        cands = candidates[i]
+        c = cursor[k]
+        while c < len(cands) and (used[cands[c]] or not fits(i, cands[c])):
+            c += 1
+        if c == len(cands):
+            cursor[k] = 0
+            k -= 1
+            continue
+        image[i] = cands[c]
+        used[cands[c]] = True
+        cursor[k] = c + 1
+        k += 1
+    return {i: image[i] for i in order} if k == n else None
 
 
 def verify_ball_preserving(

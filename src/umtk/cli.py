@@ -3,8 +3,10 @@
 Every subcommand reads JSON space/tree documents and writes JSON or DOT to
 stdout (or ``--out``). Decision subcommands put the verdict in the exit code
 so they compose in shell pipelines: 0 = positive / success, 1 = negative,
-2 = input or usage error, 3 = internal verification failure. Witness output
-goes to stdout only; diagnostics go to stderr.
+2 = input or usage error (including input too deep to process), 3 = internal
+verification failure or any other internal error. Only a negative decision
+exits 1, and no exit prints a traceback. Witness output goes to stdout only;
+diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -376,6 +378,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         _diag(str(exc))
         return 2
+    except RecursionError as exc:
+        _diag(f"input too deep to process: RecursionError: {exc}")
+        return 2
+    except Exception as exc:
+        _diag(f"internal error: {type(exc).__name__}: {exc}")
+        return 3
 
 
 def run() -> None:

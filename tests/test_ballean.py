@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -14,12 +15,14 @@ from umtk import (
     hasse_iso_to_json,
     hasse_to_dot,
     hasse_to_json,
+    random_semimetric,
     random_ultrametric,
     renamed_copy,
     reversed_is_rooted_tree,
     space_from_pairs,
     verify_ball_preserving,
 )
+from umtk.balls import HasseDiagram
 from umtk.errors import NotABijectionError, VerificationFailedError
 
 
@@ -156,3 +159,36 @@ def test_tree_branch_re_checks_the_tree_map(blocks4, leaf_swapping_iso_map, monk
     monkeypatch.setattr(balls, "rooted_tree_iso_map", leaf_swapping_iso_map)
     with pytest.raises(VerificationFailedError):
         hasse_digraph_iso(diagram, diagram)
+
+
+def test_ball_preserving_search_deeper_than_the_recursion_limit():
+    # the search assigns one diagram vertex per level, over 1000 of them
+    pool = tuple(F(v) for v in range(1, 49))
+    x = random_semimetric(GenConfig(seed=40, n=40, spectrum_pool=pool))
+    y, _ = renamed_copy(x, seed=3)
+    assert len(enumerate_balls(x).balls) > 1000
+    start = time.perf_counter()
+    phi = ball_preserving_bijection(x, y)
+    assert time.perf_counter() - start < 5
+    assert phi is not None
+    assert verify_ball_preserving(x, y, phi)[0]
+
+
+def test_deep_tree_diagram_without_recursion():
+    # nested sets {x0..xk} for k < 3000, each over the singleton {xk} too:
+    # the reversed diagram is a rooted tree 3000 levels deep
+    depth = 3000
+    points = [f"x{k}" for k in range(depth)]
+    singletons = [frozenset({p}) for p in points[1:]]
+    nested = [frozenset(points[: k + 1]) for k in range(depth)]
+    vertices = tuple(singletons + nested)
+    first = len(singletons)
+    arcs = set()
+    for k in range(1, depth):
+        arcs.add((first + k - 1, first + k))
+        arcs.add((k - 1, first + k))
+    diagram = HasseDiagram(vertices, frozenset(arcs))
+    assert reversed_is_rooted_tree(diagram)
+    iso = hasse_digraph_iso(diagram, diagram)
+    assert iso is not None
+    assert all(len(a) == len(b) for a, b in iso.items())

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +206,27 @@ def test_hasse_iso_and_ballpreserving(paths, capsys):
     assert "no ball-preserving bijection" in capsys.readouterr().err
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["ballean", "semi4_a.json"], "ballean.out"),
+        (["hasse", "semi4_a.json"], "hasse.out"),
+        (["hasse", "--dot", "semi4_a.json"], "hasse_dot.out"),
+        (["hasse-iso", "semi4_a.json", "semi4_b.json"], "hasse_iso.out"),
+        (["ballpreserving", "semi4_a.json", "semi4_b.json"], "ballpreserving.out"),
+    ],
+)
+def test_ballean_commands_output_bytes(argv, expected, capsys):
+    # semi4_b is semi4_a renamed, reordered and scaled by 10; its Hasse
+    # diagram is not a tree, so the maps come from the backtracking search
+    args = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (GOLDEN / expected).read_text()
+
+
 def test_gen_is_deterministic(capsys):
     assert main(["gen", "--seed", "7", "--n", "6"]) == 0
     first = capsys.readouterr().out
@@ -272,3 +294,22 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     doc.write_text("[" * 100000)
     assert main(["validate", str(doc)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (RecursionError("maximum recursion depth exceeded"), 2, "error: input too deep to process"),
+        (KeyError("p"), 3, "error: internal error: KeyError: 'p'"),
+    ],
+)
+def test_escaped_exceptions_get_an_exit_code(paths, monkeypatch, capsys, exc, code, prefix):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_spectrum", broken)
+    assert main(["spectrum", paths["ultra3"]]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(prefix)
+    assert "Traceback" not in out.err
