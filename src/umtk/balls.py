@@ -9,10 +9,10 @@ cover pair of the inclusion order (arcs point small -> large), read off
 bitsets of the balls through each point. Deciding whether two balleans are
 order-isomorphic is a digraph isomorphism problem; for ball structures of
 ultrametric spaces the reversed diagram is a rooted tree and tree
-canonization decides it, otherwise an invariant-refinement backtracking
-search runs. A Hasse isomorphism restricted to the zero-indegree vertices
-(the one-point balls) always yields a ball-preserving point bijection, which
-is re-verified before being returned.
+canonization decides it, otherwise color refinement and the matching search
+of ``search.match`` run. A Hasse isomorphism restricted to the zero-indegree
+vertices (the one-point balls) always yields a ball-preserving point
+bijection, which is re-verified before being returned.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from functools import lru_cache
 
 from .errors import NotABijectionError, NotIsomorphicError, VerificationFailedError
 from .reptree import RepNode, RepTree
+from .search import match
 from .spaces import FiniteSemimetricSpace, spectrum
 from .treecanon import canon_code_unlabeled, rooted_tree_iso_map
 
@@ -279,32 +280,16 @@ def hasse_digraph_iso(
 
 
 def _search_assignment(h1: HasseDiagram, h2: HasseDiagram) -> dict[int, int] | None:
-    """Vertex map of two general diagrams found by color refinement plus
-    backtracking within color classes, or None.
-
-    Vertices are assigned in ``order``, each to its first fitting candidate
-    in ``_set_key`` order; a candidate is tested against the assigned
-    neighbours only. The search keeps its own stack, so its depth is not
-    bounded by the recursion limit.
-    """
+    """Vertex map of two general diagrams, or None: ``search.match`` over
+    the refined colors, in ``_set_key`` order, testing a candidate against
+    the assigned neighbours only."""
     refined = _joint_refine(h1, h2)
     if refined is None:
         return None
-    colors1, colors2 = refined
-    n = len(h1.vertices)
-    by_color: dict[int, list[int]] = {}
-    for j in sorted(range(n), key=lambda j: _set_key(h2.vertices[j])):
-        by_color.setdefault(colors2[j], []).append(j)
-    candidates = [by_color.get(colors1[i], []) for i in range(n)]
-    if not all(candidates):
-        return None
-    order = sorted(range(n), key=lambda i: (len(candidates[i]), _set_key(h1.vertices[i])))
     pred1, succ1 = _neighbors(h1)
     pred2, succ2 = ([set(near) for near in lists] for lists in _neighbors(h2))
-    image = [-1] * n
-    used = [False] * n
 
-    def fits(i: int, j: int) -> bool:
+    def fits(i: int, j: int, image: list[int], used: list[bool]) -> bool:
         # The map is injective, so j's assigned neighbours are exactly the
         # images of i's once i's all land among j's and the counts agree.
         for near1, near2 in ((succ1[i], succ2[j]), (pred1[i], pred2[j])):
@@ -319,28 +304,10 @@ def _search_assignment(h1: HasseDiagram, h2: HasseDiagram) -> dict[int, int] | N
                 return False
         return True
 
-    # Depth-first over ``order`` with an explicit cursor per level: level k
-    # resumes its candidate list at cursor[k] after a backtrack.
-    cursor = [0] * n
-    k = 0
-    while 0 <= k < n:
-        i = order[k]
-        if image[i] >= 0:
-            used[image[i]] = False
-            image[i] = -1
-        cands = candidates[i]
-        c = cursor[k]
-        while c < len(cands) and (used[cands[c]] or not fits(i, cands[c])):
-            c += 1
-        if c == len(cands):
-            cursor[k] = 0
-            k -= 1
-            continue
-        image[i] = cands[c]
-        used[cands[c]] = True
-        cursor[k] = c + 1
-        k += 1
-    return {i: image[i] for i in order} if k == n else None
+    def by_key(h: HasseDiagram) -> list[int]:
+        return sorted(range(len(h.vertices)), key=lambda v: _set_key(h.vertices[v]))
+
+    return match(*refined, by_key(h1), by_key(h2), fits)
 
 
 def verify_ball_preserving(

@@ -118,13 +118,12 @@ def _load_tree(path: str, labeled: bool) -> RepTree:
 
 def _node_paths(tree: RepTree) -> dict[int, str]:
     paths: dict[int, str] = {}
-
-    def walk(node, path: str) -> None:
+    stack = [(tree.root, "")]
+    while stack:
+        node, path = stack.pop()
         paths[id(node)] = path
         for k, child in enumerate(node.children):
-            walk(child, f"{path}.{k}" if path else str(k))
-
-    walk(tree.root, "")
+            stack.append((child, f"{path}.{k}" if path else str(k)))
     return paths
 
 

@@ -58,8 +58,12 @@ class RepNode:
         return not self.children
 
 
+# every leaf shares one zero label; Fractions are immutable
+_ZERO = Fraction(0)
+
+
 def leaf(point: str) -> RepNode:
-    return RepNode(Fraction(0), (), point)
+    return RepNode(_ZERO, (), point)
 
 
 def internal(label: object, children: tuple[RepNode, ...] | list[RepNode]) -> RepNode:
@@ -144,7 +148,7 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
     # its subtree -- (labeled code, smallest leaf point) -- and the subtree.
     # Leaf sets are disjoint, so comparing smallest points is the same as
     # comparing sorted leaf point tuples.
-    comps = {i: (node_code(Fraction(0), ()), p, leaf(p)) for i, p in enumerate(space.points)}
+    comps = {i: (node_code(_ZERO, ()), p, leaf(p)) for i, p in enumerate(space.points)}
     parent = list(range(len(space)))
 
     def find(i: int) -> int:
@@ -301,26 +305,26 @@ def tree_from_text(text: str) -> RepTree:
 
 
 def tree_to_dot(tree: RepTree) -> str:
-    """Internal nodes show their label, leaves their point name (box shape)."""
+    """Internal nodes show their label, leaves their point name (box shape).
+    Nodes are numbered in preorder; a child's edge follows its subtree's."""
     lines = ["digraph tree {"]
-    counter = 0
-    edges: list[tuple[int, int]] = []
-
-    def walk(node: RepNode) -> int:
-        nonlocal counter
-        my_id = counter
-        counter += 1
+    edges: list[str] = []
+    # (node, parent id); an int in place of a node is a child whose subtree is done
+    stack: list[tuple[RepNode | int, int]] = [(tree.root, -1)]
+    while stack:
+        node, parent = stack.pop()
+        if isinstance(node, int):
+            edges.append(f"  n{parent} -> n{node};")
+            continue
+        my_id = len(lines) - 1  # one line per node so far
         if node.is_leaf:
             lines.append(f'  n{my_id} [label="{node.point}", shape=box];')
         else:
             text = "" if node.label is None else format_rational(node.label)
             lines.append(f'  n{my_id} [label="{text}"];')
-        for child in node.children:
-            edges.append((my_id, walk(child)))
-        return my_id
-
-    walk(tree.root)
-    for a, b in edges:
-        lines.append(f"  n{a} -> n{b};")
+        if parent >= 0:
+            stack.append((my_id, parent))
+        stack.extend((child, my_id) for child in reversed(node.children))
+    lines += edges
     lines.append("}")
     return "\n".join(lines) + "\n"

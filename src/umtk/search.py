@@ -1,0 +1,54 @@
+"""Depth-first matching search shared by point isometry and Hasse isomorphism.
+
+It keeps its own stack, so its depth is not bounded by the recursion limit.
+"""
+from __future__ import annotations
+
+from typing import Callable, Hashable, Sequence
+
+
+def match(
+    colors1: Sequence[Hashable],
+    colors2: Sequence[Hashable],
+    order1: Sequence[int],
+    order2: Sequence[int],
+    fits: Callable[[int, int, list[int], list[bool]], bool],
+) -> dict[int, int] | None:
+    """Color-preserving bijection between equal-sized vertex sets, or None.
+
+    A vertex's candidates are the targets of its color in ``order2`` order.
+    Vertices go rarest color first, ties in ``order1`` order, each to its
+    first unused candidate j with ``fits(i, j, image, used)``, where
+    ``image`` holds the target per source vertex (-1 while unassigned) and
+    ``used`` flags taken targets. The map is keyed in assignment order."""
+    n = len(colors1)
+    by_color: dict[Hashable, list[int]] = {}
+    for j in order2:
+        by_color.setdefault(colors2[j], []).append(j)
+    candidates = [by_color.get(color, []) for color in colors1]
+    if not all(candidates):
+        return None
+    order = sorted(order1, key=lambda i: len(candidates[i]))
+    image = [-1] * n
+    used = [False] * n
+    # level k resumes its candidate list at cursor[k] after a backtrack
+    cursor = [0] * n
+    k = 0
+    while 0 <= k < n:
+        i = order[k]
+        if image[i] >= 0:
+            used[image[i]] = False
+            image[i] = -1
+        cands = candidates[i]
+        c = cursor[k]
+        while c < len(cands) and (used[cands[c]] or not fits(i, cands[c], image, used)):
+            c += 1
+        if c == len(cands):
+            cursor[k] = 0
+            k -= 1
+            continue
+        image[i] = cands[c]
+        used[cands[c]] = True
+        cursor[k] = c + 1
+        k += 1
+    return {i: image[i] for i in order} if k == n else None

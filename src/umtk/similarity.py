@@ -6,9 +6,10 @@ f(d(x, y)) = rho(phi(x), phi(y)) for all pairs. Between finite spectra of
 equal size exactly one strictly increasing bijection exists (the rank map),
 so deciding weak similarity reduces to one isometry test after rank
 relabeling. For ultrametric inputs isometry itself reduces to equality of
-labeled canonical tree codes; for general semimetric inputs a backtracking
-search over point bijections is used, pruned by per-point distance multisets.
-Every witness returned by this module has been re-verified over all pairs.
+labeled canonical tree codes; for general semimetric inputs ``search.match``
+pairs points with equal sorted distance rows. No distance multisets are
+compared first. Every witness returned by this module has been re-verified
+over all pairs.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from typing import Iterator
 
 from .errors import FormatError, VerificationFailedError
 from .reptree import RepTree, build_tree
+from .search import match
 from .spaces import (
     FiniteSemimetricSpace,
     format_rational,
@@ -131,45 +133,19 @@ def _tree_isometry(
 def _backtrack_isometry(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
 ) -> IsometryWitness | None:
-    n = len(x)
-    dx, dy = x.dist, y.dist
+    """A point's color is its sorted distance row; a candidate must keep the
+    distances to the assigned points. Distances are compared as ranks in the
+    union of both spectra: ints compare far faster than Fractions."""
+    rank = {v: k for k, v in enumerate(sorted(set(spectrum(x)) | set(spectrum(y))))}
+    dx, dy = ([[rank[v] for v in row] for row in s.dist] for s in (x, y))
 
-    def sig(d: tuple[tuple[Fraction, ...], ...], i: int) -> tuple[Fraction, ...]:
-        return tuple(sorted(d[i][k] for k in range(n) if k != i))
+    def fits(i: int, j: int, image: list[int], used: list[bool]) -> bool:
+        row_y = dy[j]
+        return all(j2 < 0 or d == row_y[j2] for d, j2 in zip(dx[i], image))
 
-    sig_y: dict[tuple[Fraction, ...], list[int]] = {}
-    for j in range(n):
-        sig_y.setdefault(sig(dy, j), []).append(j)
-    pools = []
-    for i in range(n):
-        pool = sig_y.get(sig(dx, i))
-        if not pool:
-            return None
-        pools.append(pool)
-
-    # Rarest points first: fewer candidates means earlier pruning.
-    order = sorted(range(n), key=lambda i: len(pools[i]))
-    assignment: dict[int, int] = {}
-    used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        i = order[k]
-        for j in pools[i]:
-            if used[j]:
-                continue
-            if any(dx[i][i2] != dy[j][j2] for i2, j2 in assignment.items()):
-                continue
-            assignment[i] = j
-            used[j] = True
-            if extend(k + 1):
-                return True
-            del assignment[i]
-            used[j] = False
-        return False
-
-    if not extend(0):
+    colors1, colors2 = ([tuple(sorted(row)) for row in d] for d in (dx, dy))
+    assignment = match(colors1, colors2, range(len(x)), range(len(y)), fits)
+    if assignment is None:
         return None
     phi = {x.points[i]: y.points[j] for i, j in assignment.items()}
     if not verify_isometry(x, y, phi):
@@ -183,13 +159,12 @@ def decide_isometry(
     """Verified isometry witness, or None.
 
     Ultrametric pairs go through labeled tree canonization (polynomial);
-    everything else through multiset-pruned backtracking. Isometric spaces
-    share every metric property, so mixed ultrametric/non-ultrametric pairs
-    are rejected immediately.
+    everything else through the matching search. Isometric spaces share
+    every metric property, so mixed ultrametric/non-ultrametric pairs are
+    rejected immediately. Equal codes, like a complete distance-preserving
+    assignment, imply equal distance multisets, so these are not compared.
     """
     if len(x) != len(y):
-        return None
-    if sorted(v for row in x.dist for v in row) != sorted(v for row in y.dist for v in row):
         return None
     ux, uy = is_ultrametric(x), is_ultrametric(y)
     if ux != uy:

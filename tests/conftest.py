@@ -1,3 +1,5 @@
+import contextlib
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -89,3 +91,24 @@ def leaf_swapping_iso_map():
         return psi
 
     return swapped
+
+
+@pytest.fixture
+def recursion_headroom():
+    """``with recursion_headroom(k):`` lets the block go only about k frames
+    deeper than the caller; the old recursion limit is back afterwards."""
+
+    @contextlib.contextmanager
+    def lowered(frames):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + frames)
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(limit)
+
+    return lowered

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,53 @@ def test_ballean_commands_output_bytes(argv, expected, capsys):
     args = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     assert main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["tree", "--dot", "ultra8_a.json"], "tree_dot.out"),
+        (["tree-iso", "ultra8_a.json", "ultra8_b.json"], "tree_iso.out"),
+        (["weaksim", "semi4_a.json", "semi4_b.json"], "weaksim.out"),
+    ],
+)
+def test_tree_and_weaksim_output_bytes(argv, expected, capsys):
+    # ultra8_b is ultra8_a renamed and reordered; the weaksim witness comes
+    # from the matching search, since semi4 is not ultrametric
+    args = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (GOLDEN / expected).read_text()
+
+
+def _chain_doc(path, prefix, order):
+    """Binary-chain ultrametric space, d(p_i, p_j) = n - min(i, j), with its
+    points listed in ``order``: its representing tree is n - 1 levels deep."""
+    n = len(order)
+    dist = [["0" if a == b else str(n - min(a, b)) for b in order] for a in order]
+    path.write_text(json.dumps({"points": [f"{prefix}{a}" for a in order], "dist": dist}))
+    return str(path)
+
+
+def test_trees_deeper_than_the_recursion_limit(tmp_path, capsys, recursion_headroom):
+    n = 300
+    order = list(range(n))
+    random.Random(5).shuffle(order)
+    a = _chain_doc(tmp_path / "a.json", "a", list(range(n)))
+    b = _chain_doc(tmp_path / "b.json", "b", order)
+    outputs = []
+    with recursion_headroom(100):
+        for argv in (["tree-iso", a, b], ["tree-iso", "--labeled", a, b], ["tree", "--dot", a]):
+            outputs.append((main(argv), capsys.readouterr().out))
+    assert [code for code, _ in outputs] == [0, 0, 0]
+    shape, labeled = (json.loads(out) for _, out in outputs[:2])
+    dot = outputs[2][1]
+    assert len(shape["map"]) == len(labeled["map"]) == 2 * n - 1
+    deepest = ".".join(["1"] * (n - 2))
+    assert labeled["map"][deepest] == deepest
+    # the edge to each child is listed once its subtree is done, so the
+    # chain's edges run from the bottom up
+    assert dot.count(" -> ") == 2 * n - 2
+    assert dot.rstrip().splitlines()[-2:] == ["  n0 -> n2;", "}"]
 
 
 def test_gen_is_deterministic(capsys):
