@@ -23,7 +23,7 @@ from functools import lru_cache
 from .errors import NotABijectionError, NotIsomorphicError, VerificationFailedError
 from .reptree import RepNode, RepTree
 from .search import match
-from .spaces import FiniteSemimetricSpace, spectrum
+from .spaces import FiniteSemimetricSpace
 from .treecanon import canon_code_unlabeled, rooted_tree_iso_map
 
 
@@ -67,11 +67,8 @@ def enumerate_balls(space: FiniteSemimetricSpace) -> Ballean:
     found: dict[frozenset[str], Ball] = {}
     pts = space.points
     n = len(pts)
-    # rows are sorted by distance rank: ints compare far faster than Fractions
-    values = spectrum(space)
-    rank = {v: k for k, v in enumerate(values)}
-    for ti, t in enumerate(pts):
-        row = [rank[v] for v in space.dist[ti]]
+    values = space.spectrum
+    for t, row in zip(pts, space.ranks):
         order = sorted(range(n), key=row.__getitem__)
         prefix: list[str] = []
         for k, i in enumerate(order):

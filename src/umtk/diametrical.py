@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotMultipartiteError, SpaceTooSmallError
-from .spaces import FiniteSemimetricSpace, diameter
+from .spaces import FiniteSemimetricSpace
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,11 @@ def diametrical_graph(space: FiniteSemimetricSpace) -> DiametricalGraph:
     n = len(space)
     if n < 2:
         raise SpaceTooSmallError(n)
-    diam = diameter(space)
+    top = len(space.spectrum) - 1  # the rank of the diameter
     edges = set()
     for i in range(n):
         for j in range(i + 1, n):
-            if space.dist[i][j] == diam:
+            if space.ranks[i][j] == top:
                 edges.add(frozenset((space.points[i], space.points[j])))
     return DiametricalGraph(space.points, frozenset(edges))
 

@@ -274,11 +274,8 @@ def renamed_copy(
     rng.shuffle(order)
     names = {space.points[pi]: f"{prefix}{i}" for i, pi in enumerate(order)}
     pts = tuple(f"{prefix}{i}" for i in range(len(space)))
-    rows = tuple(
-        tuple(space.dist[order[i]][order[j]] for j in range(len(space)))
-        for i in range(len(space))
-    )
-    return validate_semimetric(pts, rows), names
+    rows = tuple(tuple(map(space.ranks[i].__getitem__, order)) for i in order)
+    return FiniteSemimetricSpace(pts, space.spectrum, rows), names
 
 
 def oracle_isometry(

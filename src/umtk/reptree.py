@@ -10,7 +10,7 @@ and asserts the latter.
 ``build_tree`` reads the tree off the minimum spanning tree that certifies
 ultrametricity (``spaces.ultrametric_mst``): the representing tree is the
 single-linkage dendrogram of the space (Gower & Ross 1969). The spanning
-tree's edges are merged in order of weight with union-find, and all
+tree's edges are merged in order of weight rank with union-find, and all
 components joined at one weight w become the children of one internal node
 labeled w -- the ball of radius w they span, whose diameter is w. Points are
 leaves labeled 0. Each node's canonical code, which orders it among its
@@ -158,7 +158,8 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
         return i
 
     weight = itemgetter(2)
-    for label, group in groupby(sorted(edges, key=weight), key=weight):
+    for rank, group in groupby(sorted(edges, key=weight), key=weight):
+        label = space.spectrum[rank]
         pairs = [(a, b) for a, b, _ in group]
         joined = {find(i) for pair in pairs for i in pair}
         for a, b in pairs:

@@ -5,18 +5,19 @@ increasing bijection f between the spectra such that
 f(d(x, y)) = rho(phi(x), phi(y)) for all pairs. Between finite spectra of
 equal size exactly one strictly increasing bijection exists (the rank map),
 so deciding weak similarity reduces to one isometry test after rank
-relabeling. For ultrametric inputs isometry itself reduces to equality of
-labeled canonical tree codes; for general semimetric inputs ``search.match``
-pairs points with equal sorted distance rows. No distance multisets are
-compared first. Every witness returned by this module has been re-verified
-over all pairs.
+relabeling, which swaps the spectrum and keeps the rank matrix. For
+ultrametric inputs isometry reduces to equality of labeled canonical tree
+codes; for general semimetric inputs ``search.match`` pairs points with
+equal sorted rank rows. No distance multisets are compared first. Every
+witness returned by this module has been re-verified over all pairs by the
+one rank verifier behind ``verify_isometry`` and ``verify_weak_similarity``.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from operator import itemgetter
 
 from .errors import FormatError, VerificationFailedError
 from .reptree import RepTree, build_tree
@@ -63,54 +64,39 @@ def forced_scaling(
     return tuple(zip(sx, sy))
 
 
-def _paired_distances(
+def _preserves_ranks(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace, phi: dict[str, str]
-) -> Iterator[tuple[Fraction, Fraction]]:
-    """(d(x1, x2), rho(phi(x1), phi(x2))) for every pair of X's points.
-
-    phi must map X's points into Y's. Y's point indices are looked up once,
-    so walking all pairs costs O(n^2).
-    """
+) -> bool:
+    """True iff phi is a bijection X -> Y that keeps the rank of every
+    distance. Each row is compared whole with its image's: O(n^2) in all."""
+    if set(phi) != set(x.points) or set(phi.values()) != set(y.points) or len(phi) != len(y):
+        return False
     index = {p: k for k, p in enumerate(y.points)}
     image = [index[phi[p]] for p in x.points]
-    for i, yi in enumerate(image):
-        row_x, row_y = x.dist[i], y.dist[yi]
-        for j in range(i + 1, len(image)):
-            yield row_x[j], row_y[image[j]]
+    pick = itemgetter(*image, image[0])  # one extra index: a tuple even for n = 1
+    return all(pick(y.ranks[yi])[:-1] == row_x for row_x, yi in zip(x.ranks, image))
 
 
 def verify_isometry(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace, phi: dict[str, str]
 ) -> bool:
-    """True iff phi is a distance-preserving bijection X -> Y."""
-    if set(phi) != set(x.points) or len(set(phi.values())) != len(phi):
-        return False
-    if set(phi.values()) != set(y.points):
-        return False
-    return all(d == rho for d, rho in _paired_distances(x, y, phi))
+    """True iff phi is a distance-preserving bijection X -> Y: equal spectra
+    and equal ranks at every pair."""
+    return x.spectrum == y.spectrum and _preserves_ranks(x, y, phi)
 
 
 def verify_weak_similarity(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace, witness: WeakSimWitness
 ) -> bool:
     """Check the scaling is the strictly increasing spectrum bijection with
-    f(0) = 0 and that f(d(x1, x2)) = rho(phi(x1), phi(x2)) for every pair."""
-    sx, sy = spectrum(x), spectrum(y)
-    firsts = tuple(a for a, _ in witness.scaling)
-    seconds = tuple(b for _, b in witness.scaling)
-    if firsts != sx or tuple(sorted(seconds)) != sy:
+    f(0) = 0 and that f(d(x1, x2)) = rho(phi(x1), phi(x2)) for every pair.
+    Spectra are sorted, so that bijection pairs their k-th values, and f
+    keeps ranks."""
+    if tuple(a for a, _ in witness.scaling) != x.spectrum:
         return False
-    if any(seconds[i] >= seconds[i + 1] for i in range(len(seconds) - 1)):
+    if tuple(b for _, b in witness.scaling) != y.spectrum:
         return False
-    if witness.scaling and witness.scaling[0] != (Fraction(0), Fraction(0)):
-        return False
-    f = dict(witness.scaling)
-    phi = witness.phi
-    if set(phi) != set(x.points) or set(phi.values()) != set(y.points):
-        return False
-    if len(set(phi.values())) != len(phi):
-        return False
-    return all(f[d] == rho for d, rho in _paired_distances(x, y, phi))
+    return _preserves_ranks(x, y, witness.phi)
 
 
 def _leaf_map(psi: dict, tx: RepTree) -> dict[str, str]:
@@ -133,11 +119,10 @@ def _tree_isometry(
 def _backtrack_isometry(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
 ) -> IsometryWitness | None:
-    """A point's color is its sorted distance row; a candidate must keep the
-    distances to the assigned points. Distances are compared as ranks in the
-    union of both spectra: ints compare far faster than Fractions."""
-    rank = {v: k for k, v in enumerate(sorted(set(spectrum(x)) | set(spectrum(y))))}
-    dx, dy = ([[rank[v] for v in row] for row in s.dist] for s in (x, y))
+    """A point's color is its sorted rank row; a candidate must keep the
+    distance ranks to the assigned points. The spectra are equal, so equal
+    ranks are equal distances."""
+    dx, dy = x.ranks, y.ranks
 
     def fits(i: int, j: int, image: list[int], used: list[bool]) -> bool:
         row_y = dy[j]
@@ -160,11 +145,12 @@ def decide_isometry(
 
     Ultrametric pairs go through labeled tree canonization (polynomial);
     everything else through the matching search. Isometric spaces share
-    every metric property, so mixed ultrametric/non-ultrametric pairs are
-    rejected immediately. Equal codes, like a complete distance-preserving
-    assignment, imply equal distance multisets, so these are not compared.
+    every metric property, so pairs with different spectra, and mixed
+    ultrametric/non-ultrametric pairs, are rejected immediately. Equal codes,
+    like a complete distance-preserving assignment, imply equal distance
+    multisets, so these are not compared.
     """
-    if len(x) != len(y):
+    if len(x) != len(y) or x.spectrum != y.spectrum:
         return None
     ux, uy = is_ultrametric(x), is_ultrametric(y)
     if ux != uy:
@@ -180,7 +166,7 @@ def decide_weak_similarity(
     """Verified weak-similarity witness, or None.
 
     The scaling is forced (rank map), so the decision is: relabel X's
-    spectrum onto Y's and test isometry.
+    spectrum onto Y's, which keeps X's rank matrix, and test isometry.
     """
     scaling = forced_scaling(x, y)
     if scaling is None:

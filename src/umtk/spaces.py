@@ -5,6 +5,12 @@ with zero diagonal and positive off-diagonal entries. No triangle inequality
 of any kind is assumed; the strong (ultrametric) inequality is a property one
 can test, not an axiom. Every distance is a ``fractions.Fraction`` and every
 comparison in the package is exact -- floats are rejected at the boundary.
+
+A space is stored as its spectrum (its distinct distances, increasing from
+0) plus the n x n matrix of distance ranks into it. Ranks keep equality and
+order, so all checks and searches compare small ints, and a strictly
+increasing relabeling of the distances swaps the spectrum and keeps the
+ranks: weak similarity is isometry of rank matrices.
 """
 from __future__ import annotations
 
@@ -12,8 +18,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -30,8 +36,6 @@ from .errors import (
     UnknownPointError,
     ZeroOffDiagonalError,
 )
-
-Rational = Fraction
 
 # ASCII digits only: ``\d`` would admit every Unicode decimal digit.
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -77,19 +81,30 @@ def _as_rational(value: object) -> Fraction:
 
 @dataclass(frozen=True)
 class FiniteSemimetricSpace:
-    """Immutable point tuple + exact distance matrix. Hashable, so cacheable."""
+    """Immutable point tuple, spectrum and rank matrix. Hashable, so cacheable.
+
+    ``ranks[i][j]`` is the index of d(points[i], points[j]) in ``spectrum``;
+    equality and the hash run over ints and the few spectrum values.
+    """
 
     points: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    spectrum: tuple[Fraction, ...]
+    ranks: tuple[tuple[int, ...], ...]
 
     def __hash__(self) -> int:
-        # Every cache lookup hashes the space; hash its n^2 entries only once.
+        # Every cache lookup hashes the space; hash its n^2 ranks only once.
         # The value lives outside the fields, so == and repr are unchanged.
         cached = self.__dict__.get("_hash")
         if cached is None:
-            cached = hash((self.points, self.dist))
+            cached = hash((self.points, self.spectrum, self.ranks))
             object.__setattr__(self, "_hash", cached)
         return cached
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distance matrix, read only; built on first use from the ranks."""
+        value = self.spectrum.__getitem__
+        return tuple(tuple(map(value, row)) for row in self.ranks)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -101,7 +116,7 @@ class FiniteSemimetricSpace:
             raise UnknownPointError(point) from None
 
     def distance(self, x: str, y: str) -> Fraction:
-        return self.dist[self.index(x)][self.index(y)]
+        return self.spectrum[self.ranks[self.index(x)][self.index(y)]]
 
     def restrict(self, subset: Sequence[str]) -> "FiniteSemimetricSpace":
         """Subspace on ``subset`` in the given order (also used to reorder points)."""
@@ -111,13 +126,23 @@ class FiniteSemimetricSpace:
 
 
 def validate_semimetric(
-    points: Sequence[str], matrix: Sequence[Sequence[object]]
+    points: Sequence[str],
+    matrix: Sequence[Sequence[object]],
+    literals: Mapping[str, Fraction] | None = None,
 ) -> FiniteSemimetricSpace:
     """Check all semimetric axioms and return the immutable space.
 
-    Raises EmptySpaceError, DuplicatePointNameError, MatrixShapeError,
-    NegativeDistanceError, NonZeroDiagonalError, NonSymmetricError or
-    ZeroOffDiagonalError. The input is never mutated.
+    Entries are Fractions or ints, or, when ``literals`` maps each entry to
+    its value, the literal strings of a document. Raises EmptySpaceError,
+    DuplicatePointNameError, MatrixShapeError, FormatError (the first entry
+    of another type, in row-major order), NegativeDistanceError,
+    NonZeroDiagonalError, NonSymmetricError or ZeroOffDiagonalError. The
+    input is never mutated.
+
+    The axioms are tested on ranks (with z the rank of 0, negative means a
+    rank below z). A valid matrix passes a few whole-matrix tests; otherwise
+    a scan tests each unordered pair once, from row i at column j > i, which
+    reports the same first defect as a scan over every ordered pair.
     """
     pts = tuple(points)
     if not pts:
@@ -132,22 +157,37 @@ def validate_semimetric(
     n = len(pts)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise MatrixShapeError(f"distance matrix must be {n}x{n}")
-    rows = tuple(tuple(_as_rational(v) for v in row) for row in matrix)
-    # Each unordered pair is tested once, from row i at column j > i. An
-    # entry below the diagonal that breaks an axiom breaks one at its mirror
-    # too, which the scan reaches first, so the reported error is the same as
-    # from a scan over every ordered pair.
-    for i in range(n):
-        if rows[i][i] != 0:
-            raise NonZeroDiagonalError(i)
-        for j in range(i + 1, n):
-            if rows[i][j] < 0:
-                raise NegativeDistanceError(i, j)
-            if rows[i][j] != rows[j][i]:
-                raise NonSymmetricError(i, j)
-            if rows[i][j] == 0:
-                raise ZeroOffDiagonalError(i, j)
-    return FiniteSemimetricSpace(pts, rows)
+    keys: Iterable[Iterable[object]] = matrix
+    if literals is None:
+        # Entries are keyed by identity (hand-built matrices share their
+        # Fractions, and ids hash fast); ``rows`` keeps them alive meanwhile.
+        rows = [tuple(row) for row in matrix]
+        firsts = dict(zip(map(id, chain.from_iterable(rows)), chain.from_iterable(rows)))
+        literals = {key: _as_rational(v) for key, v in firsts.items()}
+        keys = [map(id, row) for row in rows]
+    spectrum = tuple(sorted(set(literals.values())))
+    rank_of = {v: k for k, v in enumerate(spectrum)}
+    rank = {key: rank_of[v] for key, v in literals.items()}.__getitem__
+    ranks = tuple(tuple(map(rank, row)) for row in keys)
+    if not (
+        spectrum[0] == 0
+        and all(ranks[i][i] == 0 for i in range(n))
+        and all(row.count(0) == 1 for row in ranks)
+        and ranks == tuple(zip(*ranks))
+    ):
+        z = spectrum.index(0) if 0 in spectrum else -1  # -1: the diagonal fails at once
+        for i in range(n):
+            row = ranks[i]
+            if row[i] != z:
+                raise NonZeroDiagonalError(i)
+            for j in range(i + 1, n):
+                if row[j] < z:
+                    raise NegativeDistanceError(i, j)
+                if row[j] != ranks[j][i]:
+                    raise NonSymmetricError(i, j)
+                if row[j] == z:
+                    raise ZeroOffDiagonalError(i, j)
+    return FiniteSemimetricSpace(pts, spectrum, ranks)
 
 
 def space_from_pairs(
@@ -157,52 +197,27 @@ def space_from_pairs(
     pts = tuple(points)
     lut: dict[tuple[str, str], Fraction] = {}
     for (a, b), v in distances.items():
-        q = _as_rational(v)
-        lut[(a, b)] = q
-        lut[(b, a)] = q
-    rows = []
-    for a in pts:
-        row = []
-        for b in pts:
-            if a == b:
-                row.append(Fraction(0))
-            else:
-                try:
-                    row.append(lut[(a, b)])
-                except KeyError:
-                    raise MatrixShapeError(f"missing distance for ({a!r}, {b!r})") from None
-        rows.append(tuple(row))
-    return validate_semimetric(pts, tuple(rows))
+        lut[(a, b)] = lut[(b, a)] = _as_rational(v)
+    try:
+        rows = [[Fraction(0) if a == b else lut[(a, b)] for b in pts] for a in pts]
+    except KeyError as missing:
+        a, b = missing.args[0]
+        raise MatrixShapeError(f"missing distance for ({a!r}, {b!r})") from None
+    return validate_semimetric(pts, rows)
 
 
-@lru_cache(maxsize=None)
 def spectrum(space: FiniteSemimetricSpace) -> tuple[Fraction, ...]:
     """All distance values, strictly increasing, always starting at 0."""
-    return tuple(sorted({v for row in space.dist for v in row}))
+    return space.spectrum
 
 
 def diameter(space: FiniteSemimetricSpace) -> Fraction:
     """Largest distance; 0 exactly for the one-point space."""
-    return spectrum(space)[-1]
+    return space.spectrum[-1]
 
 
 Violation = tuple[str, str, str]
-MstEdge = tuple[int, int, Fraction]
-
-
-def _first_violating_triple(space: FiniteSemimetricSpace) -> Violation | None:
-    d = space.dist
-    pts = space.points
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = d[i][j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if dij > max(d[i][k], d[k][j]):
-                    return (pts[i], pts[j], pts[k])
-    return None
+MstEdge = tuple[int, int, int]
 
 
 @lru_cache(maxsize=None)
@@ -212,31 +227,23 @@ def ultrametric_mst(
     """One pass of Prim's algorithm that certifies ultrametricity.
 
     Returns ``(None, edges)`` for an ultrametric space, where ``edges`` are
-    the minimum spanning tree's ``(parent, child, weight)`` index triples in
-    the order Prim added them, and ``(violation, ())`` otherwise, with the
-    triple ``ultrametric_violation`` documents.
+    the minimum spanning tree's ``(parent, child, weight rank)`` index
+    triples in the order Prim added them, and ``(violation, ())`` otherwise,
+    with the triple ``ultrametric_violation`` documents.
 
-    Prim adds each vertex v through its tree parent p at weight w. Before v
-    is added, d(v, u) = max(w, d(p, u)) is checked for every vertex u added
-    so far. By induction these equalities say that d(v, u) is the largest
+    The pass starts at the first point. Each step adds the lowest-indexed
+    vertex v nearest to the tree, through its parent p, the first tree vertex
+    to reach that weight w. Before v is added, d(v, u) = max(w, d(p, u)) is
+    checked for every vertex u already in the tree, in the order they were
+    added. By induction these equalities say that d(v, u) is the largest
     weight on the tree path from v to u, i.e. that d is the minimax distance
     of its own minimum spanning tree -- its subdominant ultrametric -- and a
     space is ultrametric iff it equals its subdominant ultrametric. Both the
-    pass and the check cost O(n^2).
+    pass and the check cost O(n^2), over ranks.
     """
-    d = space.dist
+    d = space.ranks
     n = len(d)
-    # Fractions compare about 30 times slower than ints, so the pass compares
-    # numerators over one common denominator. Only the denominators are read
-    # up front; a row is converted when its vertex joins the tree, so a pass
-    # that fails early converts few rows.
-    scale = lcm(*{v.denominator for row in d for v in row})
-
-    def scaled(i: int) -> list[int]:
-        return [v.numerator * (scale // v.denominator) for v in d[i]]
-
-    rows = [scaled(0)] + [None] * (n - 1)
-    best = list(rows[0])  # distance from each vertex to the tree built so far
+    best = list(d[0])  # distance rank from each vertex to the tree built so far
     via = [0] * n  # the tree vertex realizing it
     added = [0]
     rest = list(range(1, n))
@@ -244,15 +251,16 @@ def ultrametric_mst(
     while rest:
         v = min(rest, key=best.__getitem__)
         w, p = best[v], via[v]
-        rows[v] = dv = scaled(v)
-        dp = rows[p]
+        dv, dp = d[v], d[p]
         for u in added:
             dpu = dp[u]
             if dv[u] != (dpu if dpu > w else w):
-                return _first_violating_triple(space), ()
+                # Prim's choice gives w <= d(v,u); see ultrametric_violation
+                triple = (v, u, p) if dv[u] > dpu else (p, u, v)
+                return tuple(space.points[k] for k in triple), ()
         added.append(v)
         rest.remove(v)
-        edges.append((p, v, d[p][v]))
+        edges.append((p, v, w))
         for u in rest:
             if dv[u] < best[u]:
                 best[u] = dv[u]
@@ -261,12 +269,15 @@ def ultrametric_mst(
 
 
 def ultrametric_violation(space: FiniteSemimetricSpace) -> Violation | None:
-    """First triple (x, y, z) with d(x,y) > max(d(x,z), d(z,y)), or None.
+    """A triple (x, y, z) with d(x,y) > max(d(x,z), d(z,y)), or None.
 
     Ultrametricity is certified in O(n^2) by the Prim pass of
-    ``ultrametric_mst``. Only when that pass fails is the triple searched for,
-    in point order (pairs i<j, then z), so the witness is deterministic; that
-    scan stops at the first violating triple and costs O(n^3) at worst.
+    ``ultrametric_mst``, and the triple comes from the check that fails
+    first: v joining through p at weight w, and u the first tree vertex with
+    d(v,u) != max(w, d(p,u)). Prim's choice gives d(v,u) >= w, so either
+    d(v,u) > max(w, d(p,u)) and the triple is (v, u, p), or
+    d(p,u) > max(w, d(v,u)) and it is (p, u, v). It is deterministic and
+    costs nothing beyond the failed pass.
     """
     return ultrametric_mst(space)[0]
 
@@ -283,19 +294,17 @@ def rank_relabel(
     ``target`` must be strictly increasing, start at 0 and have exactly
     ``len(spectrum(space))`` entries; the result has the same points and the
     order-isomorphic spectrum. A strictly increasing relabeling commutes with
-    max, so it preserves (and reflects) the ultrametric property.
+    max, so it preserves (and reflects) the ultrametric property. It swaps
+    the spectrum and shares the rank matrix.
     """
     tgt = tuple(_as_rational(v) for v in target)
     if not tgt or tgt[0] != 0:
         raise TargetNotStartingAtZeroError()
     if any(tgt[i] >= tgt[i + 1] for i in range(len(tgt) - 1)):
         raise TargetNotIncreasingError()
-    sp = spectrum(space)
-    if len(sp) != len(tgt):
-        raise SpectrumSizeMismatchError(len(sp), len(tgt))
-    f = dict(zip(sp, tgt))
-    rows = tuple(tuple(f[v] for v in row) for row in space.dist)
-    return FiniteSemimetricSpace(space.points, rows)
+    if len(space.spectrum) != len(tgt):
+        raise SpectrumSizeMismatchError(len(space.spectrum), len(tgt))
+    return FiniteSemimetricSpace(space.points, tgt, space.ranks)
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -305,9 +314,10 @@ def rank_relabel(
 
 
 def space_to_json(space: FiniteSemimetricSpace) -> dict:
+    text = [format_rational(v) for v in space.spectrum].__getitem__
     return {
         "points": list(space.points),
-        "dist": [[format_rational(v) for v in row] for row in space.dist],
+        "dist": [list(map(text, row)) for row in space.ranks],
     }
 
 
@@ -323,8 +333,14 @@ def space_from_json(doc: object) -> FiniteSemimetricSpace:
         raise FormatError('"points" must be a list of strings')
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise FormatError('"dist" must be a list of rows')
-    rows = tuple(tuple(parse_rational(v) for v in row) for row in dist)
-    return validate_semimetric(tuple(points), rows)
+    # Each distinct literal is parsed once, in row-major order of first
+    # occurrence; a list or dict entry cannot be a key, so then all are.
+    try:
+        entries: Iterable[object] = dict.fromkeys(chain.from_iterable(dist))
+    except TypeError:
+        entries = chain.from_iterable(dist)
+    literals = {lit: parse_rational(lit) for lit in entries}
+    return validate_semimetric(tuple(points), dist, literals)
 
 
 def space_to_text(space: FiniteSemimetricSpace) -> str:

@@ -3,8 +3,9 @@
 ``diametrical_tree`` is the paper's construction of the representing tree:
 the root is labeled with the diameter, and its children are the parts of the
 diametrical graph's multipartite decomposition, built recursively on each
-part. ``first_violating_triple`` scans every triple in point order. Both are
-cubic or worse and exist only to check the O(n^2) pass.
+part. ``first_violating_triple`` scans every triple in point order, and
+``prim_violating_triple`` replays the Prim pass on the distances themselves.
+All are cubic or worse and exist only to check the O(n^2) pass.
 """
 from __future__ import annotations
 
@@ -23,6 +24,28 @@ def first_violating_triple(space):
             for k in range(n):
                 if k not in (i, j) and d[i][j] > max(d[i][k], d[k][j]):
                     return (pts[i], pts[j], pts[k])
+    return None
+
+
+def prim_violating_triple(space):
+    """The triple ``ultrametric_violation`` reports, or None, from a plain
+    Prim pass over the Fraction matrix. The lowest-indexed vertex v nearest
+    to the tree joins through the first tree vertex p at that weight w; at
+    the first tree vertex u with d(v,u) != max(w, d(p,u)) the triple is
+    (v, u, p) if d(v,u) is the larger side, else (p, u, v)."""
+    d, pts = space.dist, space.points
+    tree = [0]
+    while len(tree) < len(pts):
+        out = [v for v in range(len(pts)) if v not in tree]
+        w = min(d[t][v] for t in tree for v in out)
+        v = min(v for v in out if min(d[t][v] for t in tree) == w)
+        p = next(t for t in tree if d[t][v] == w)
+        for u in tree:
+            if d[v][u] > max(w, d[p][u]):
+                return (pts[v], pts[u], pts[p])
+            if d[v][u] < max(w, d[p][u]):
+                return (pts[p], pts[u], pts[v])
+        tree.append(v)
     return None
 
 

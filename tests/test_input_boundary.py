@@ -1,0 +1,114 @@
+"""Any JSON document given as a space gets a verdict or exit 2, never exit 3
+and never a traceback; bad entries are reported as the Fraction-matrix
+parser reported them."""
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import validation_oracle as oracle
+from umtk.cli import main
+from umtk.errors import FormatError
+from umtk.spaces import space_from_json
+
+ZEROS = st.sampled_from(["0", "-0", "0/7"])
+POSITIVE = st.sampled_from(["1", "1/2", "2/4", "2", "3", "6/3"])
+LITERALS = ZEROS | POSITIVE | st.sampled_from(["-1", "1/0", "x", "", " 1", "1.5", "7" * 5000])
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4)
+    | LITERALS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def near_spaces(draw):
+    """A valid space document, often with a few entries, rows or names
+    replaced by arbitrary JSON."""
+    n = draw(st.integers(1, 4))
+    dist = [[None] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = draw(ZEROS)
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = draw(POSITIVE)
+    points = [f"p{k}" for k in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        where = draw(st.sampled_from(("entry", "row", "name")))
+        if where == "entry" and isinstance(dist[i], list) and j < len(dist[i]):
+            dist[i][j] = draw(JSON)
+        elif where == "row":
+            dist[i] = draw(JSON)
+        else:
+            points[i] = draw(JSON)
+    return {"points": points, "dist": dist}
+
+
+DOCUMENTS = JSON | st.fixed_dictionaries({"points": JSON, "dist": JSON}) | near_spaces()
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=DOCUMENTS, b=DOCUMENTS)
+def test_any_space_document_gets_a_verdict_or_an_input_error(a, b):
+    with tempfile.TemporaryDirectory() as tmp:
+        pa, pb = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        for path, doc in ((pa, a), (pb, b)):
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+        runs = [(["validate", pa], (0, 2))]
+        runs += [([cmd, pa, pb], (0, 1, 2)) for cmd in ("isometric", "weaksim", "ballpreserving")]
+        for argv, allowed in runs:
+            code, err = _run(argv)
+            assert code in allowed, (argv[0], code, err)
+            assert "Traceback" not in err
+            assert code != 2 or err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        [[[1]]],
+        [[{"a": "1"}]],
+        [["0", [1]], ["1", "0"]],
+        [["0", "x"], [[1], "0"]],
+        [["0", [1]], ["x", "0"]],
+        [["0", "1"], ["1", "0"], ["y"]],  # a bad literal before the shape error
+        [["0", "1"], ["1"]],
+        [["0", "1/0", "2"], ["1/0", "0"]],
+        [["0", "2/4", None], ["1/2", "0"]],
+    ],
+)
+def test_bad_entries_are_reported_like_the_fraction_parser(dist, tmp_path):
+    doc = {"points": ["p", "q"], "dist": dist}
+    with pytest.raises(Exception) as want:
+        oracle.space_from_json(doc)
+    with pytest.raises(type(want.value)) as got:
+        space_from_json(doc)
+    assert str(got.value) == str(want.value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run(["validate", str(path)])
+    assert code == 2
+    assert err == f"error: {type(want.value).__name__}: {want.value}\n"
+
+
+def test_unhashable_entries_are_format_errors():
+    with pytest.raises(FormatError, match="got list"):
+        space_from_json({"points": ["p"], "dist": [[[1]]]})

@@ -1,0 +1,130 @@
+"""Rank-based parsing and validation against the Fraction-matrix oracle.
+
+Random 1-5-point documents mix literal forms of equal values ("1/2" and
+"2/4", "0", "-0" and "0/7"), so a pair can be symmetric in value but not in
+text, and carry planted defects: negative, zero, asymmetric or nonzero
+diagonal entries, bad literals and non-string entries, ragged rows, and bad
+point lists. Both implementations must agree on the error class, message and
+indices, or on the distance matrix.
+"""
+import random
+from fractions import Fraction as F
+
+import validation_oracle as oracle
+from umtk.errors import UmtkError
+from umtk.spaces import space_from_json, validate_semimetric
+
+# the values, and the literal forms of each, by value index
+VALUES = (F(0), F(1, 2), F(1), F(2), F(3), F(-1))
+FORMS = (("0", "-0", "0/7"), ("1/2", "2/4"), ("1", "3/3"), ("2", "4/2", "6/3"), ("3",), ("-1", "-2/2"))
+VALUE_OF = {form: VALUES[k] for k, forms in enumerate(FORMS) for form in forms}
+POSITIVE = (1, 2, 3, 4)
+NOT_LITERALS = ("x", "1/0", "1.5", " 1", "", 1, 0.5, None, True, [1], {"a": "1"})
+
+
+def _outcome(build, *args):
+    try:
+        result = build(*args)
+    except UmtkError as exc:
+        return (type(exc), str(exc), getattr(exc, "i", None), getattr(exc, "j", None))
+    if isinstance(result, tuple):  # the oracle's (points, rows)
+        return result
+    return result.points, result.dist
+
+
+def _random_rows(rng, n):
+    """A matrix of value indices: symmetric and valid, then up to two
+    entries set to any value, half of them with their mirror."""
+    values = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i][j] = values[j][i] = rng.choice(POSITIVE)
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        i, j = rng.randrange(n), rng.randrange(n)
+        values[i][j] = rng.randrange(len(VALUES))
+        if rng.random() < 0.5:
+            values[j][i] = values[i][j]
+    return values
+
+
+def _literals(rng, values):
+    return [[rng.choice(FORMS[v]) for v in row] for row in values]
+
+
+def _document(rng, values):
+    dist = _literals(rng, values)
+    n = len(values)
+    roll = rng.random()
+    if roll < 0.08:
+        dist[rng.randrange(n)][rng.randrange(n)] = rng.choice(NOT_LITERALS)
+    elif roll < 0.11:
+        dist[rng.randrange(n)].append("1")
+    elif roll < 0.13:
+        dist.append(["0"] * n)
+    elif roll < 0.14:
+        dist.pop()
+    points = [f"p{k}" for k in range(n)]
+    roll = rng.random()
+    if roll < 0.02:
+        points[rng.randrange(n)] = points[rng.randrange(n)]
+    elif roll < 0.03:
+        points = []
+    return {"points": points, "dist": dist}
+
+
+def _hand_built(rng, doc):
+    """The document's matrix with Fraction or int entries, other entries kept."""
+    rows = []
+    for row in doc["dist"]:
+        out = []
+        for v in row:
+            if isinstance(v, str) and v in VALUE_OF:
+                q = VALUE_OF[v]
+                out.append(int(q) if q.denominator == 1 and rng.random() < 0.5 else q)
+            else:
+                out.append(v)
+        rows.append(out)
+    return rows
+
+
+def test_rank_validation_matches_the_fraction_scan():
+    rng = random.Random(2024)
+    kinds = {}
+    previous = None
+    for _ in range(100_000):
+        values = _random_rows(rng, rng.randint(1, 5))
+        doc = _document(rng, values)
+        want = _outcome(oracle.space_from_json, doc)
+        assert _outcome(space_from_json, doc) == want, doc
+        kind = "valid" if len(want) == 2 else want[0].__name__
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if rng.random() < 0.25:
+            rows = _hand_built(rng, doc)
+            assert _outcome(validate_semimetric, doc["points"], rows) == _outcome(
+                oracle.validate_semimetric, doc["points"], rows
+            ), rows
+        if kind != "valid":
+            continue
+        space = space_from_json(doc)
+        # the same values in other literal forms: an equal space
+        twin = space_from_json({"points": doc["points"], "dist": _literals(rng, values)})
+        assert twin.dist == space.dist and twin == space and hash(twin) == hash(space)
+        if previous is not None:
+            same = previous.points == space.points and previous.dist == space.dist
+            assert (previous == space) == same
+            if same:
+                assert hash(previous) == hash(space)
+        previous = space
+    # every outcome occurs often enough to be tested
+    for kind in (
+        "valid",
+        "FormatError",
+        "MatrixShapeError",
+        "NegativeDistanceError",
+        "NonSymmetricError",
+        "NonZeroDiagonalError",
+        "ZeroOffDiagonalError",
+        "DuplicatePointNameError",
+        "EmptySpaceError",
+    ):
+        assert kinds.get(kind, 0) >= 100, kinds

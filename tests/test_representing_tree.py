@@ -78,7 +78,8 @@ def test_space_from_hand_built_tree():
 def test_non_ultrametric_rejected(semi3):
     with pytest.raises(NotUltrametricError) as info:
         build_tree(semi3)
-    assert info.value.violation == ("a", "c", "b")
+    # the Prim pass adds b, then c through b; d(c, a) = 3 > max(1, d(b, a))
+    assert info.value.violation == ("c", "a", "b")
 
 
 def test_strip_labels(ultra3):

@@ -1,0 +1,49 @@
+"""Large inputs end to end, with generous time bounds.
+
+A Fraction-matrix implementation took about 19 s on the n = 1024 pair and
+O(n^3) to name a late violating triple; the rank core takes about 1 s and
+O(n^2) on a 2-vCPU machine.
+"""
+import time
+from fractions import Fraction as F
+
+from umtk import (
+    GenConfig,
+    decide_weak_similarity,
+    is_ultrametric,
+    random_ultrametric,
+    renamed_copy,
+    space_to_json,
+    ultrametric_violation,
+    verify_weak_similarity,
+)
+from umtk.spaces import space_from_json, space_from_text, space_to_text, ultrametric_mst
+
+POOL = tuple(F(k) for k in range(1, 1025))
+
+
+def test_large_ultrametric_pair_from_json():
+    x = random_ultrametric(GenConfig(seed=1, n=1024, spectrum_pool=POOL))
+    y, _ = renamed_copy(x, 1)
+    texts = [space_to_text(s) for s in (x, y)]
+    start = time.perf_counter()
+    a, b = (space_from_text(t) for t in texts)
+    witness = decide_weak_similarity(a, b)
+    assert time.perf_counter() - start < 10
+    assert witness is not None and verify_weak_similarity(a, b, witness)
+
+
+def test_late_violation_is_named_in_one_pass():
+    x = random_ultrametric(GenConfig(seed=1, n=2048, spectrum_pool=POOL))
+    # the last two vertices the Prim pass adds get a distance above the
+    # diameter, which breaks the strong triangle inequality with every point
+    _, edges = ultrametric_mst(x)
+    v, u = edges[-1][1], edges[-2][1]
+    doc = space_to_json(x)
+    doc["dist"][u][v] = doc["dist"][v][u] = str(x.spectrum[-1] + 1)
+    space = space_from_json(doc)
+    start = time.perf_counter()
+    assert not is_ultrametric(space)
+    assert time.perf_counter() - start < 10
+    a, b, c = ultrametric_violation(space)
+    assert space.distance(a, b) > max(space.distance(a, c), space.distance(c, b))

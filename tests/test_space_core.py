@@ -38,7 +38,7 @@ from umtk.errors import (
 )
 from umtk.spaces import space_from_text, space_to_text
 
-from diametrical_oracle import first_violating_triple
+from diametrical_oracle import first_violating_triple, prim_violating_triple
 
 
 def test_one_point_space():
@@ -106,7 +106,9 @@ def test_ultrametric_check(ultra3, semi3):
     assert is_ultrametric(ultra3)
     assert ultrametric_violation(ultra3) is None
     violation = ultrametric_violation(semi3)
-    assert violation == ("a", "c", "b")
+    # c joins the tree {a, b} through b at weight 1, and d(c, a) = 3 is
+    # larger than max(d(c, b), d(b, a)) = 1: the triple is (v, u, p)
+    assert violation == ("c", "a", "b")
     x, y, z = violation
     assert semi3.distance(x, y) > max(semi3.distance(x, z), semi3.distance(z, y))
 
@@ -215,7 +217,12 @@ def test_violation_matches_triple_scan():
         rng.shuffle(order)
         cases.append(validate_semimetric(ultra.points, rows).restrict(order))
         for space in cases:
-            assert ultrametric_violation(space) == first_violating_triple(space)
+            violation = ultrametric_violation(space)
+            assert (violation is None) == (first_violating_triple(space) is None)
+            assert violation == prim_violating_triple(space)
+            if violation is not None:
+                x, y, z = violation
+                assert space.distance(x, y) > max(space.distance(x, z), space.distance(z, y))
 
 
 @pytest.mark.parametrize("bad", ["1\n", "1/2\n", "٣", "١/٢", "1/٢"])
