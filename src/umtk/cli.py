@@ -46,7 +46,7 @@ from .reptree import (
     build_tree,
     tree_from_json,
     tree_to_dot,
-    tree_to_json,
+    tree_to_text,
     validate_tree,
 )
 from .similarity import (
@@ -170,7 +170,7 @@ def _cmd_tree(args) -> int:
     if args.dot:
         _emit(tree_to_dot(tree), args.out)
     else:
-        _emit_json(tree_to_json(tree), args.out)
+        _emit(tree_to_text(tree), args.out)
     return 0
 
 

@@ -4,8 +4,7 @@ A representing tree is a rooted tree whose leaves carry the points and whose
 internal nodes carry positive rational labels that strictly decrease from
 parent to child. The distance between two points equals the label of their
 lowest common ancestor, which for strictly decreasing labels is also the
-maximum label on the connecting path; ``tree_distance`` computes the former
-and asserts the latter.
+maximum label on the connecting path.
 
 ``build_tree`` reads the tree off the minimum spanning tree that certifies
 ultrametricity (``spaces.ultrametric_mst``): the representing tree is the
@@ -27,9 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterator
 
-from .errors import FormatError, InvalidTreeError, NotUltrametricError, UnknownPointError
+from .errors import FormatError, InvalidTreeError, NotUltrametricError
 from .spaces import (
     FiniteSemimetricSpace,
     format_rational,
@@ -39,19 +37,23 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class RepNode:
     """Tree node: internal nodes have a label and children, leaves a point.
 
-    ``label`` is None on shape-only trees produced by ``strip_labels`` or read
-    from unlabeled documents. Nodes compare and hash by identity, so keying a
-    dict by a node costs O(1) whatever the size of its subtree; trees are
-    compared by their canonical codes or wire formats, not by ``==``.
+    ``label`` is None on shape-only trees read from unlabeled documents.
+    Nodes compare and hash by identity, so keying a dict by a node costs O(1)
+    whatever the size of its subtree; trees are compared by their canonical
+    codes or wire formats, not by ``==``. A slotted class, not a dataclass:
+    a tree document builds one node per JSON object.
     """
 
-    label: Fraction | None
-    children: tuple["RepNode", ...] = ()
-    point: str | None = None
+    __slots__ = ("label", "children", "point")
+
+    def __init__(self, label: Fraction | None, children: tuple["RepNode", ...] = (),
+                 point: str | None = None) -> None:
+        self.label = label
+        self.children = children
+        self.point = point
 
     @property
     def is_leaf(self) -> bool:
@@ -75,12 +77,15 @@ def internal(label: object, children: tuple[RepNode, ...] | list[RepNode]) -> Re
 class RepTree:
     root: RepNode
 
-    def nodes(self) -> Iterator[RepNode]:
-        stack = [self.root]
+    def nodes(self) -> list[RepNode]:
+        """Every node in preorder: a node, then its children's subtrees in order."""
+        order, stack = [], [self.root]
         while stack:
             node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+            order.append(node)
+            if node.children:
+                stack.extend(node.children[::-1])
+        return order
 
     def leaves(self) -> tuple[RepNode, ...]:
         return tuple(n for n in self.nodes() if n.is_leaf)
@@ -97,39 +102,49 @@ def validate_tree(tree: RepTree, labeled: bool = True) -> None:
     With ``labeled=True`` the label invariants are enforced too: leaves are
     labeled 0 and internal labels are positive and strictly larger than every
     child label.
-    """
-    points: set[str] = set()
 
-    def walk(node: RepNode) -> None:
-        if node.is_leaf:
+    One pass in preorder reports the first defect in preorder. Labels are
+    compared by rank: the distinct label objects (a decoded document shares
+    one per literal) are sorted once, and equal values share a rank.
+    """
+    nodes = tree.nodes()
+    rank: dict[int, int] = {}
+    if labeled:
+        values = {id(n.label): n.label for n in nodes if n.label is not None}
+        values[id(_ZERO)] = _ZERO
+        level = {v: r for r, v in enumerate(sorted(set(values.values())))}
+        rank = {key: level[v] for key, v in values.items()}
+    zero, rank_of = rank.get(id(_ZERO)), rank.get
+    points: set[str] = set()
+    for node in nodes:
+        kids = node.children
+        if not kids:
             if node.point is None:
                 raise InvalidTreeError("leaf without a point")
             if node.point in points:
                 raise InvalidTreeError(f"duplicate leaf point {node.point!r}")
             points.add(node.point)
-            if labeled and node.label != 0:
+            if labeled and rank_of(id(node.label)) != zero:
                 raise InvalidTreeError(f"leaf {node.point!r} must be labeled 0")
-            return
+            continue
         if node.point is not None:
             raise InvalidTreeError("internal node carrying a point")
-        if len(node.children) < 2:
+        if len(kids) < 2:
             raise InvalidTreeError("internal node with fewer than 2 children")
         if labeled:
-            if node.label is None:
+            top = rank_of(id(node.label))
+            if top is None:
                 raise InvalidTreeError("internal node without a label")
-            if node.label <= 0:
+            if top <= zero:
                 raise InvalidTreeError("internal label must be positive")
-            for child in node.children:
-                if child.label is None:
+            for child in kids:
+                below = rank_of(id(child.label))
+                if below is None:
                     raise InvalidTreeError("internal node without a label")
-                if child.label >= node.label:
+                if below >= top:
                     raise InvalidTreeError(
                         "child label must be strictly smaller than parent label"
                     )
-        for child in node.children:
-            walk(child)
-
-    walk(tree.root)
 
 
 @lru_cache(maxsize=None)
@@ -142,13 +157,12 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
     violation, edges = ultrametric_mst(space)
     if violation is not None:
         raise NotUltrametricError(violation)
-    from .treecanon import node_code  # local import: treecanon works on RepNode
+    from .treecanon import _codes  # local import: treecanon works on RepNode
 
-    # Each component, keyed by its union-find root, carries the sort key of
-    # its subtree -- (labeled code, smallest leaf point) -- and the subtree.
-    # Leaf sets are disjoint, so comparing smallest points is the same as
-    # comparing sorted leaf point tuples.
-    comps = {i: (node_code(_ZERO, ()), p, leaf(p)) for i, p in enumerate(space.points)}
+    # Each component, keyed by its union-find root, carries its smallest leaf
+    # point and its subtree. Leaf sets are disjoint, so comparing smallest
+    # points is the same as comparing sorted leaf point tuples.
+    comps = {i: (p, leaf(p)) for i, p in enumerate(space.points)}
     parent = list(range(len(space)))
 
     def find(i: int) -> int:
@@ -168,49 +182,16 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
         for r in joined:
             merged.setdefault(find(r), []).append(r)
         for root, members in merged.items():
-            kids = sorted((comps.pop(r) for r in members), key=lambda c: c[:2])
-            comps[root] = (
-                node_code(label, [code for code, _, _ in kids]),
-                min(first for _, first, _ in kids),
-                RepNode(label, tuple(node for _, _, node in kids)),
-            )
-    [(_, _, root)] = comps.values()
-    return RepTree(root)
-
-
-def _paths_to_leaves(tree: RepTree) -> dict[str, tuple[RepNode, ...]]:
-    paths: dict[str, tuple[RepNode, ...]] = {}
-
-    def walk(node: RepNode, trail: tuple[RepNode, ...]) -> None:
-        trail = trail + (node,)
-        if node.is_leaf:
-            paths[node.point] = trail  # type: ignore[index]
-        for child in node.children:
-            walk(child, trail)
-
-    walk(tree.root, ())
-    return paths
-
-
-def tree_distance(tree: RepTree, x: str, y: str) -> Fraction:
-    """Label of the lowest common ancestor of the two leaves (0 if x == y)."""
-    paths = _paths_to_leaves(tree)
-    for name in (x, y):
-        if name not in paths:
-            raise UnknownPointError(name)
-    if x == y:
-        return Fraction(0)
-    px, py = paths[x], paths[y]
-    shared = 0
-    while shared < min(len(px), len(py)) and px[shared] is py[shared]:
-        shared += 1
-    lca = px[shared - 1]
-    assert lca.label is not None
-    # Strictly decreasing labels make the LCA label the maximum over the
-    # connecting path (LCA and everything below it on both sides).
-    between = list(px[shared - 1 :]) + list(py[shared:])
-    assert lca.label == max(n.label for n in between if not n.is_leaf)
-    return lca.label
+            kids = sorted(comps.pop(r) for r in members)
+            comps[root] = (kids[0][0], RepNode(label, tuple(node for _, node in kids)))
+    [(_, root)] = comps.values()
+    tree = RepTree(root)
+    # children are in smallest-point order, so code order breaks ties by it
+    ordered = _codes(tree, True)[1]
+    for node in tree.nodes():
+        if node.children:
+            node.children = tuple(ordered[id(node)])
+    return tree
 
 
 def space_from_tree(tree: RepTree) -> FiniteSemimetricSpace:
@@ -242,15 +223,6 @@ def space_from_tree(tree: RepTree) -> FiniteSemimetricSpace:
     return validate_semimetric(points, tuple(tuple(r) for r in rows))
 
 
-def strip_labels(tree: RepTree) -> RepTree:
-    """Same shape and leaf points, every label erased (None)."""
-
-    def strip(node: RepNode) -> RepNode:
-        return RepNode(None, tuple(strip(c) for c in node.children), node.point)
-
-    return RepTree(strip(tree.root))
-
-
 # --- JSON / DOT wire formats -------------------------------------------------
 #
 # internal node: {"label": "2", "children": [...]} (label optional on shape
@@ -271,7 +243,17 @@ def tree_to_json(tree: RepTree) -> dict:
 
 
 def tree_from_json(doc: object) -> RepTree:
-    def dec(obj: object) -> RepNode:
+    """Decode a tree document and check its structure (not its labels).
+
+    One preorder pass over the JSON objects raises the first FormatError in
+    preorder and parses each distinct label literal once; the nodes are built
+    bottom-up, then ``validate_tree`` checks them. Nothing recurses.
+    """
+    labels: dict[str, Fraction] = {}
+    decoded: list[tuple[Fraction | None, str | None, int]] = []  # preorder
+    stack = [doc]
+    while stack:
+        obj = stack.pop()
         if not isinstance(obj, dict):
             raise FormatError("tree node must be a JSON object")
         if "point" in obj:
@@ -279,30 +261,52 @@ def tree_from_json(doc: object) -> RepTree:
                 raise FormatError("leaf nodes carry only a point")
             if not isinstance(obj["point"], str):
                 raise FormatError("leaf point must be a string")
-            return leaf(obj["point"])
+            decoded.append((_ZERO, obj["point"], 0))
+            continue
         if "children" not in obj:
             raise FormatError('tree node needs "children" or "point"')
         kids = obj["children"]
         if not isinstance(kids, list) or not kids:
             raise FormatError('"children" must be a non-empty list')
-        label = parse_rational(obj["label"]) if "label" in obj else None
-        return RepNode(label, tuple(dec(k) for k in kids), None)
-
-    tree = RepTree(dec(doc))
+        text = obj.get("label")
+        label = labels.get(text) if isinstance(text, str) else None
+        if label is None and "label" in obj:
+            label = labels[text] = parse_rational(text)  # no string is ever a key: it raises
+        decoded.append((label, None, len(kids)))
+        stack.extend(kids[::-1])
+    # in reverse preorder a node's subtrees are done, its first child's on top
+    built: list[RepNode] = []
+    for label, point, count in reversed(decoded):
+        kids = tuple(built[: -count - 1 : -1]) if count else ()
+        del built[len(built) - count :]
+        built.append(RepNode(label, kids, point))
+    tree = RepTree(built[0])
     validate_tree(tree, labeled=False)
     return tree
 
 
 def tree_to_text(tree: RepTree) -> str:
-    return json.dumps(tree_to_json(tree), indent=2) + "\n"
-
-
-def tree_from_text(text: str) -> RepTree:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from None
-    return tree_from_json(doc)
+    """``json.dumps(tree_to_json(tree), indent=2) + "\\n"``, written without
+    recursion, so trees of any depth print."""
+    out: list[str] = []
+    stack: list = [(tree.root, "")]  # a node with its indent, or text to write
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, pad = item
+        if not node.children:
+            out.append(f'{{\n{pad}  "point": {json.dumps(node.point)}\n{pad}}}')
+            continue
+        label = "" if node.label is None else f'{pad}  "label": "{format_rational(node.label)}",\n'
+        inner = pad + "    "
+        out.append(f'{{\n{label}{pad}  "children": [\n{inner}')
+        stack.append(f"\n{pad}  ]\n{pad}}}")
+        for child in node.children[:0:-1]:
+            stack += [(child, inner), ",\n" + inner]
+        stack.append((node.children[0], inner))
+    return "".join(out) + "\n"
 
 
 def tree_to_dot(tree: RepTree) -> str:

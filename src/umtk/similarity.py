@@ -9,7 +9,7 @@ relabeling, which swaps the spectrum and keeps the rank matrix. For
 ultrametric inputs isometry reduces to equality of labeled canonical tree
 codes; for general semimetric inputs ``search.match`` pairs points with
 equal sorted rank rows. No distance multisets are compared first. Every
-witness returned by this module has been re-verified over all pairs by the
+witness returned by this module is verified once, over all pairs, by the
 one rank verifier behind ``verify_isometry`` and ``verify_weak_similarity``.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import FormatError, VerificationFailedError
-from .reptree import RepTree, build_tree
+from .reptree import build_tree
 from .search import match
 from .spaces import (
     FiniteSemimetricSpace,
@@ -99,29 +99,21 @@ def verify_weak_similarity(
     return _preserves_ranks(x, y, witness.phi)
 
 
-def _leaf_map(psi: dict, tx: RepTree) -> dict[str, str]:
-    return {n.point: psi[n].point for n in tx.nodes() if n.is_leaf}
-
-
-def _tree_isometry(
-    x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
-) -> IsometryWitness | None:
+def _tree_isometry(x: FiniteSemimetricSpace, y: FiniteSemimetricSpace) -> dict[str, str] | None:
+    """Unverified point map of an ultrametric pair from their labeled trees."""
     tx, ty = build_tree(x), build_tree(y)
     if canon_code_labeled(tx) != canon_code_labeled(ty):
         return None
     psi = rooted_tree_iso_map(tx, ty, respect_labels=True)
-    phi = _leaf_map(psi, tx)
-    if not verify_isometry(x, y, phi):
-        raise VerificationFailedError("tree-derived isometry failed re-check")
-    return IsometryWitness(phi)
+    return {n.point: psi[n].point for n in tx.nodes() if n.is_leaf}
 
 
 def _backtrack_isometry(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
-) -> IsometryWitness | None:
-    """A point's color is its sorted rank row; a candidate must keep the
-    distance ranks to the assigned points. The spectra are equal, so equal
-    ranks are equal distances."""
+) -> dict[str, str] | None:
+    """Unverified point map from the matching search. A point's color is its
+    sorted rank row; a candidate must keep the distance ranks to the assigned
+    points. The spectra are equal, so equal ranks are equal distances."""
     dx, dy = x.ranks, y.ranks
 
     def fits(i: int, j: int, image: list[int], used: list[bool]) -> bool:
@@ -132,16 +124,13 @@ def _backtrack_isometry(
     assignment = match(colors1, colors2, range(len(x)), range(len(y)), fits)
     if assignment is None:
         return None
-    phi = {x.points[i]: y.points[j] for i, j in assignment.items()}
-    if not verify_isometry(x, y, phi):
-        raise VerificationFailedError("backtracking isometry failed re-check")
-    return IsometryWitness(phi)
+    return {x.points[i]: y.points[j] for i, j in assignment.items()}
 
 
-def decide_isometry(
+def _isometry_map(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
-) -> IsometryWitness | None:
-    """Verified isometry witness, or None.
+) -> dict[str, str] | None:
+    """Unverified isometry X -> Y, or None.
 
     Ultrametric pairs go through labeled tree canonization (polynomial);
     everything else through the matching search. Isometric spaces share
@@ -155,9 +144,17 @@ def decide_isometry(
     ux, uy = is_ultrametric(x), is_ultrametric(y)
     if ux != uy:
         return None
-    if ux and uy:
-        return _tree_isometry(x, y)
-    return _backtrack_isometry(x, y)
+    return _tree_isometry(x, y) if ux else _backtrack_isometry(x, y)
+
+
+def decide_isometry(
+    x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
+) -> IsometryWitness | None:
+    """Verified isometry witness, or None."""
+    phi = _isometry_map(x, y)
+    if phi is not None and not verify_isometry(x, y, phi):
+        raise VerificationFailedError("isometry witness failed re-check")
+    return None if phi is None else IsometryWitness(phi)
 
 
 def decide_weak_similarity(
@@ -171,11 +168,10 @@ def decide_weak_similarity(
     scaling = forced_scaling(x, y)
     if scaling is None:
         return None
-    relabeled = rank_relabel(x, [b for _, b in scaling])
-    iso = decide_isometry(relabeled, y)
-    if iso is None:
+    phi = _isometry_map(rank_relabel(x, [b for _, b in scaling]), y)
+    if phi is None:
         return None
-    witness = WeakSimWitness(scaling, iso.phi)
+    witness = WeakSimWitness(scaling, phi)
     if not verify_weak_similarity(x, y, witness):
         raise VerificationFailedError("weak-similarity witness failed re-check")
     return witness

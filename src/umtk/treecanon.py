@@ -9,47 +9,47 @@ sorting, so identical trees give bitwise-identical codes on every run.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable
-
 from .errors import InvalidTreeError, NotIsomorphicError
 from .reptree import RepNode, RepTree
 from .spaces import format_rational
 
 
-def node_code(label: Fraction | None, kid_codes: Iterable[bytes]) -> bytes:
-    """Code of a node from its children's codes: the labeled code when a
-    label is given, the shape-only code for None."""
-    kids = b"".join(sorted(kid_codes))
-    if label is None:
-        return b"(" + kids + b")"
-    return b"(" + format_rational(label).encode() + b"|" + kids + b")"
+def _codes(tree: RepTree, labeled: bool) -> tuple[dict[int, bytes], dict[int, list[RepNode]]]:
+    """Code of every node and children of every internal node in code
+    order (ties in child-index order), both keyed by ``id(node)``.
 
-
-def _codes(tree: RepTree, labeled: bool) -> dict[int, bytes]:
-    """Code of every node of the tree, keyed by ``id(node)``.
-
-    One pass over the nodes in reverse depth-first order, which puts every
-    node after all of its descendants, so each code is built once from its
-    children's codes and no Python recursion is needed at any depth.
+    One pass over the nodes in reverse preorder, which puts every node after
+    all of its descendants, so each code is built once from its children's
+    codes and no Python recursion is needed at any depth. Each distinct
+    label object is formatted once.
     """
     codes: dict[int, bytes] = {}
-    for node in reversed(list(tree.nodes())):
-        if labeled and node.label is None:
-            raise InvalidTreeError("labeled code requested on an unlabeled node")
-        kids = [codes[id(c)] for c in node.children]
-        codes[id(node)] = node_code(node.label if labeled else None, kids)
-    return codes
+    ordered: dict[int, list[RepNode]] = {}
+    heads: dict[int, bytes] = {}  # id(label) -> b"(" + label + b"|"
+    for node in reversed(tree.nodes()):
+        head = heads.get(id(node.label)) if labeled else b"("
+        if head is None:
+            if node.label is None:
+                raise InvalidTreeError("labeled code requested on an unlabeled node")
+            head = heads[id(node.label)] = b"(" + format_rational(node.label).encode() + b"|"
+        kids = node.children
+        if not kids:
+            codes[id(node)] = head + b")"
+            continue
+        pairs = sorted([(codes[id(c)], k) for k, c in enumerate(kids)])
+        codes[id(node)] = head + b"".join([code for code, _ in pairs]) + b")"
+        ordered[id(node)] = [kids[k] for _, k in pairs]
+    return codes, ordered
 
 
 def canon_code_unlabeled(tree: RepTree) -> bytes:
     """Shape-only canonical code; equal bytes iff rooted-tree isomorphic."""
-    return _codes(tree, False)[id(tree.root)]
+    return _codes(tree, False)[0][id(tree.root)]
 
 
 def canon_code_labeled(tree: RepTree) -> bytes:
     """Shape+label canonical code; leaf points never enter the code."""
-    return _codes(tree, True)[id(tree.root)]
+    return _codes(tree, True)[0][id(tree.root)]
 
 
 def rooted_tree_iso_map(
@@ -61,8 +61,8 @@ def rooted_tree_iso_map(
     the map is deterministic. Its keys run depth first: a node, then its
     children in code order. Raises NotIsomorphicError when the codes differ.
     """
-    codes1 = _codes(tree1, respect_labels)
-    codes2 = _codes(tree2, respect_labels)
+    codes1, ordered1 = _codes(tree1, respect_labels)
+    codes2, ordered2 = _codes(tree2, respect_labels)
     if codes1[id(tree1.root)] != codes2[id(tree2.root)]:
         raise NotIsomorphicError(
             "labeled codes differ" if respect_labels else "shape codes differ"
@@ -72,10 +72,9 @@ def rooted_tree_iso_map(
     while stack:
         a, b = stack.pop()
         mapping[a] = b
-        kids_a = sorted(a.children, key=lambda c: codes1[id(c)])
-        kids_b = sorted(b.children, key=lambda c: codes2[id(c)])
-        # reversed, so the first pair in code order is popped first
-        stack.extend(reversed(list(zip(kids_a, kids_b))))
+        if a.children:
+            # reversed, so the first pair in code order is popped first
+            stack.extend(reversed(list(zip(ordered1[id(a)], ordered2[id(b)]))))
     return mapping
 
 
@@ -85,19 +84,23 @@ def check_iso_map(
     mapping: dict[RepNode, RepNode],
     respect_labels: bool = False,
 ) -> bool:
-    """Verify a node bijection edge-by-edge (and label-by-label if asked)."""
-    nodes1 = list(tree1.nodes())
-    nodes2 = list(tree2.nodes())
+    """Verify a node bijection that maps root to root and keeps every
+    parent (and, if asked, every label, compared as canonical text). For a
+    bijection that fixes the roots, keeping parents is the same as mapping
+    each node's children onto its image's children."""
+    nodes1 = tree1.nodes()
+    nodes2 = tree2.nodes()
     if len(mapping) != len(nodes1) or len(nodes1) != len(nodes2):
         return False
     if set(mapping.values()) != set(nodes2) or set(mapping) != set(nodes1):
         return False
-    if mapping[tree1.root] != tree2.root:
+    if mapping[tree1.root] is not tree2.root:
         return False
-    for node in nodes1:
-        image = mapping[node]
-        if respect_labels and node.label != image.label:
-            return False
-        if {mapping[c] for c in node.children} != set(image.children):
-            return False
-    return True
+    parent2 = {id(c): node for node in nodes2 for c in node.children}
+    if any(parent2.get(id(mapping[c])) is not mapping[p] for p in nodes1 for c in p.children):
+        return False
+    if not respect_labels:
+        return True
+    labels = {id(n.label): n.label for n in nodes1 + nodes2}  # each distinct label once
+    text = {key: None if v is None else format_rational(v) for key, v in labels.items()}
+    return all(text[id(a.label)] == text[id(b.label)] for a, b in mapping.items())

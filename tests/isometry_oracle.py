@@ -67,5 +67,6 @@ def decide_isometry(x, y) -> IsometryWitness | None:
     if ux != uy:
         return None
     if ux:
-        return _tree_isometry(x, y)
+        phi = _tree_isometry(x, y)
+        return None if phi is None else IsometryWitness(phi)
     return backtrack_isometry(x, y)

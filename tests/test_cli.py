@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from umtk import cli, space_to_text
+from umtk import cli, similarity, space_to_text
 from umtk.cli import main
 
 
@@ -145,6 +145,23 @@ def test_tree_iso_output_bytes(tmp_path, capsys):
 def test_tree_iso_re_checks_the_map(paths, leaf_swapping_iso_map, monkeypatch, capsys):
     monkeypatch.setattr(cli, "rooted_tree_iso_map", leaf_swapping_iso_map)
     assert main(["tree-iso", paths["blocks4"], paths["blocks4"]]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: VerificationFailed")
+
+
+def test_weaksim_re_checks_the_tree_map(
+    tmp_path, blocks4, blocks4_swapped, leaf_swapping_iso_map, monkeypatch, capsys
+):
+    # the weak-similarity check is the only one the tree-derived point map
+    # gets, so it must catch a bad one
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(space_to_text(blocks4))
+    b.write_text(space_to_text(blocks4_swapped))
+    assert main(["weaksim", str(a), str(b)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(similarity, "rooted_tree_iso_map", leaf_swapping_iso_map)
+    assert main(["weaksim", str(a), str(b)]) == 3
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: VerificationFailed")

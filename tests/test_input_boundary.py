@@ -1,6 +1,6 @@
-"""Any JSON document given as a space gets a verdict or exit 2, never exit 3
-and never a traceback; bad entries are reported as the Fraction-matrix
-parser reported them."""
+"""Any JSON document given as a space or a tree gets a verdict or exit 2,
+never exit 3 and never a traceback; bad entries are reported as the
+Fraction-matrix parser reported them."""
 import contextlib
 import io
 import json
@@ -56,6 +56,16 @@ def near_spaces(draw):
 
 DOCUMENTS = JSON | st.fixed_dictionaries({"points": JSON, "dist": JSON}) | near_spaces()
 
+# tree documents, often well formed, with arbitrary JSON in any place
+NEAR_TREES = st.recursive(
+    st.fixed_dictionaries({"point": st.sampled_from(["a", "b", "c", "d"])}) | JSON,
+    lambda inner: st.fixed_dictionaries(
+        {"children": st.lists(inner, max_size=4) | JSON},
+        optional={"label": POSITIVE | LITERALS | JSON, "point": JSON},
+    ),
+    max_leaves=10,
+)
+
 
 def _run(argv):
     err = io.StringIO()
@@ -73,12 +83,29 @@ def test_any_space_document_gets_a_verdict_or_an_input_error(a, b):
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(doc, handle)
         runs = [(["validate", pa], (0, 2))]
-        runs += [([cmd, pa, pb], (0, 1, 2)) for cmd in ("isometric", "weaksim", "ballpreserving")]
-        for argv, allowed in runs:
-            code, err = _run(argv)
-            assert code in allowed, (argv[0], code, err)
-            assert "Traceback" not in err
-            assert code != 2 or err.startswith("error: ")
+        decisions = ("isometric", "weaksim", "ballpreserving", "tree-iso")
+        runs += [([cmd, pa, pb], (0, 1, 2)) for cmd in decisions]
+        _check_runs(runs)
+
+
+def _check_runs(runs):
+    for argv, allowed in runs:
+        code, err = _run(argv)
+        assert code in allowed, (argv[0], code, err)
+        assert "Traceback" not in err
+        assert code != 2 or err.startswith("error: ")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=NEAR_TREES | near_spaces(), b=NEAR_TREES)
+def test_any_tree_document_gets_a_verdict_or_an_input_error(a, b):
+    with tempfile.TemporaryDirectory() as tmp:
+        pa, pb = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        for path, doc in ((pa, a), (pb, b)):
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+        _check_runs([(["tree-iso", *flag, x, y], (0, 1, 2)) for flag in ([], ["--labeled"])
+                     for x, y in ((pa, pb), (pb, pa), (pb, pb))])
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,6 @@ from umtk import (
     space_from_pairs,
     space_from_tree,
     spectrum,
-    strip_labels,
-    tree_distance,
     tree_from_json,
     tree_to_json,
     ultrametric_violation,
@@ -28,6 +26,7 @@ from umtk.errors import (
 from umtk.reptree import RepTree, internal, leaf, tree_to_dot, tree_to_text
 
 from diametrical_oracle import diametrical_tree
+from tree_oracle import strip_labels, tree_distance
 
 
 def test_tree_of_ultra3(ultra3):

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from umtk import (
     forced_scaling,
     oracle_isometry,
     oracle_weak_similarity,
+    random_semimetric,
     random_ultrametric,
     rank_relabel,
     renamed_copy,
@@ -22,6 +24,7 @@ from umtk import (
     weak_sim_witness_from_json,
     weak_sim_witness_to_json,
 )
+from umtk import similarity
 
 
 def test_forced_scaling_is_the_rank_map(ultra3, ultra3_scaled, blocks4):
@@ -139,6 +142,26 @@ def test_backtracking_handles_non_ultrametric(semi3):
     witness = decide_isometry(semi3, copy)
     assert witness is not None
     assert verify_isometry(semi3, copy, witness.phi)
+
+
+@pytest.mark.parametrize("ultrametric", [True, False])
+def test_each_decision_verifies_its_witness_once(ultrametric, monkeypatch):
+    make = random_ultrametric if ultrametric else random_semimetric
+    x = make(GenConfig(seed=7, n=9))
+    y, _ = renamed_copy(rank_relabel(x, tuple(v * 3 for v in spectrum(x))), seed=8)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return preserves_ranks(*args)
+
+    preserves_ranks = similarity._preserves_ranks
+    monkeypatch.setattr(similarity, "_preserves_ranks", counted)
+    assert decide_weak_similarity(x, y) is not None
+    assert len(calls) == 1 and calls[0][0] is x
+    calls.clear()
+    assert decide_isometry(x, x) is not None
+    assert len(calls) == 1
 
 
 def test_weak_similarity_is_transitive_here():

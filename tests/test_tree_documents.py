@@ -1,0 +1,335 @@
+"""The tree-document path against its recursive reference (tree_oracle):
+decoding, validation and the isomorphism re-check give the same errors,
+trees and verdicts, and none of them recurses."""
+import contextlib
+import io
+import json
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import tree_oracle as oracle
+from umtk import GenConfig, build_tree, random_relabeled, random_ultrametric
+from umtk.cli import main
+from umtk.errors import FormatError, InvalidTreeError
+from umtk.reptree import (
+    RepNode,
+    RepTree,
+    leaf,
+    tree_from_json,
+    tree_to_dot,
+    tree_to_json,
+    tree_to_text,
+    validate_tree,
+)
+from umtk.treecanon import (
+    canon_code_labeled,
+    canon_code_unlabeled,
+    check_iso_map,
+    rooted_tree_iso_map,
+)
+
+# label literals by tree level, largest at the root; equal values in two
+# spellings ("1/2" and "2/4") appear on one level
+LEVELS = [["5", "10/2"], ["3", "7/3"], ["2", "3/2", "6/4"], ["1", "1/2", "2/4"]]
+BAD_LABELS = ["x", "1.5", "1/0", " 2", "", "7" * 5000, 2, None, [1], {"a": "1"}, True]
+BAD_NODES = [42, "x", [], None, [{"point": "p"}]]
+
+
+def _random_doc(rng, level, names):
+    """A tree document whose labels mostly, not always, decrease downwards."""
+    if level == len(LEVELS) or rng.random() < 0.3:
+        return {"point": next(names)}
+    kids = [_random_doc(rng, level + 1, names) for _ in range(rng.randint(2, 4))]
+    doc = {"children": kids}
+    if rng.random() < 0.95:
+        doc["label"] = rng.choice(LEVELS[level] if rng.random() < 0.95 else rng.choice(LEVELS))
+    return doc
+
+
+def _objects(doc):
+    """Every dict of a document in preorder, with its parent's children list."""
+    found, stack = [], [(doc, None)]
+    while stack:
+        obj, siblings = stack.pop()
+        if isinstance(obj, dict):
+            found.append((obj, siblings))
+            kids = obj.get("children")
+            if isinstance(kids, list):
+                stack.extend((k, kids) for k in reversed(kids))
+    return found
+
+
+def _plant(rng, doc):
+    """One defect of a random kind at a random node."""
+    objects = _objects(doc)
+    obj, siblings = rng.choice(objects)
+    leaves = [o for o, _ in objects if "point" in o]
+    inner = [o for o, _ in objects if "children" in o]
+    kind = rng.choice(
+        ["node", "leaf_extra", "point_type", "no_children", "children_type", "label",
+         "duplicate", "single_child", "no_label", "nonpositive", "order"]
+    )
+    if kind == "node" and siblings is not None:
+        siblings[siblings.index(obj)] = rng.choice(BAD_NODES)
+    elif kind == "leaf_extra" and leaves:
+        rng.choice(leaves)[rng.choice(["children", "label"])] = rng.choice(["1", []])
+    elif kind == "point_type" and leaves:
+        rng.choice(leaves)["point"] = rng.choice([3, None, ["p"]])
+    elif kind == "no_children" and inner:
+        del rng.choice(inner)["children"]
+    elif kind == "children_type" and inner:
+        rng.choice(inner)["children"] = rng.choice([{}, "x", [], 5])
+    elif kind == "label" and inner:
+        rng.choice(inner)["label"] = rng.choice(BAD_LABELS)
+    elif kind == "duplicate" and len(leaves) > 1:
+        a, b = rng.sample(leaves, 2)
+        a["point"] = b.get("point")
+    elif kind == "single_child" and inner:
+        node = rng.choice(inner)
+        if isinstance(node.get("children"), list):
+            del node["children"][1:]
+    elif kind == "no_label" and inner:
+        rng.choice(inner).pop("label", None)
+    elif kind == "nonpositive" and inner:
+        rng.choice(inner)["label"] = rng.choice(["0", "-1", "0/3"])
+    elif kind == "order" and inner:
+        node = rng.choice(inner)
+        kids = node.get("children")
+        if isinstance(kids, list) and "label" in node:
+            for kid in kids:
+                if isinstance(kid, dict) and "children" in kid:
+                    kid["label"] = node["label"]  # equal, so not strictly smaller
+
+
+def _error(exc):
+    return (type(exc).__name__, str(exc))
+
+
+def _outcome(decode, validate, doc):
+    """What a decoder and a validator make of a document: the first error,
+    or the decoded tree (as DOT text and codes) and the labeled verdict."""
+    try:
+        tree = decode(doc)
+    except (FormatError, InvalidTreeError) as exc:
+        return _error(exc)
+    shape = (tree_to_dot(tree), canon_code_unlabeled(tree), tree.leaf_points())
+    try:
+        validate(tree, labeled=True)
+    except InvalidTreeError as exc:
+        return shape + (_error(exc),)
+    return shape + (canon_code_labeled(tree),)
+
+
+def _kind(outcome):
+    if len(outcome) == 2:
+        return outcome[0]
+    return "labels invalid" if isinstance(outcome[-1], tuple) else "valid"
+
+
+def test_random_documents_decode_and_validate_like_the_reference():
+    kinds = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        doc = _random_doc(rng, rng.randint(0, 3), (f"p{k}" for k in range(10**6)))
+        for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+            _plant(rng, doc)
+        want = _outcome(oracle.tree_from_json, oracle.validate_tree, doc)
+        assert _outcome(tree_from_json, validate_tree, doc) == want, seed
+        kinds.add(_kind(want))
+    assert kinds == {"FormatError", "InvalidTreeError", "labels invalid", "valid"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # an invalid tree early in preorder, a format error later
+        {"children": [{"point": "u"}, {"point": "u"}, {"children": 5}]},
+        {"children": [{"children": [{"point": "u"}]}, {"point": "v", "label": "1"}]},
+        {"label": "1", "children": [{"point": "u"}, {"label": "1", "children": [{"point": "v"}]},
+                                    {"label": "x", "children": [{"point": "w"}]}]},
+        {"children": [{"point": "a"}, {"point": "a"}, {"label": [1], "children": []}]},
+        # a format error deep down, an invalid tree afterwards
+        {"children": [{"children": [{"point": "a"}, {"point": 1}]}, {"point": "a"}]},
+        # the first of two format errors in preorder wins
+        {"children": [{"label": "1/0", "children": [{"point": "a"}]}, 7]},
+        {"children": [{"point": "a", "children": []}, {"label": "x"}]},
+    ],
+)
+def test_format_errors_come_before_invalid_trees(doc):
+    with pytest.raises(Exception) as want:
+        oracle.tree_from_json(doc)
+    assert type(want.value) is FormatError
+    with pytest.raises(FormatError) as got:
+        tree_from_json(doc)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("label", BAD_LABELS)
+def test_bad_labels_are_reported_like_the_reference(label):
+    doc = {"label": label, "children": [{"point": "u"}, {"point": "v"}]}
+    with pytest.raises(FormatError) as want:
+        oracle.tree_from_json(doc)
+    with pytest.raises(FormatError) as got:
+        tree_from_json(doc)
+    assert str(got.value) == str(want.value)
+
+
+def test_equal_values_in_different_literals():
+    def doc(top, low):
+        return {"label": top, "children": [
+            {"point": "u"}, {"label": low, "children": [{"point": "v"}, {"point": "w"}]}]}
+
+    a, b = tree_from_json(doc("1", "1/2")), tree_from_json(doc("1", "2/4"))
+    assert canon_code_labeled(a) == canon_code_labeled(b)
+    assert tree_to_text(b) == tree_to_text(a)
+    psi = rooted_tree_iso_map(a, b, respect_labels=True)
+    assert check_iso_map(a, b, psi, respect_labels=True)
+    # "2/4" under "1/2" is not strictly smaller
+    bad = tree_from_json(doc("1/2", "2/4"))
+    for validate in (validate_tree, oracle.validate_tree):
+        with pytest.raises(InvalidTreeError, match="strictly smaller"):
+            validate(bad, labeled=True)
+
+
+@pytest.mark.parametrize(
+    "root",
+    [
+        RepNode(3, (leaf("u"), RepNode(2, (leaf("v"), leaf("w"))))),
+        RepNode(F(2), (leaf("u"), RepNode(2, (leaf("v"), leaf("w"))))),  # 2 == F(2)
+        RepNode(None, (leaf("u"), RepNode(1, (leaf("v"), leaf("w"))))),
+        RepNode(2, (leaf("u"), RepNode(None, (leaf("v"), leaf("w"))))),
+        RepNode(2, (RepNode(0, (), "u"), RepNode(1, (), "v"))),  # int leaf labels
+        RepNode(2, (RepNode(None, (), "u"), leaf("v"))),
+        RepNode(0, (leaf("u"), leaf("v"))),
+        RepNode(-1, (leaf("u"), leaf("v"))),
+        RepNode(2, (leaf("u"),)),
+        RepNode(2, (leaf("u"), RepNode(1, (leaf("v"), leaf("w")), "x"))),
+        RepNode(2, (leaf("u"), RepNode(None, (), None))),
+        RepNode(F(1, 2), (leaf("u"), leaf("u"))),
+    ],
+)
+def test_hand_built_trees_validate_like_the_reference(root):
+    tree = RepTree(root)
+    for labeled in (False, True):
+        want = got = None
+        try:
+            oracle.validate_tree(tree, labeled)
+        except InvalidTreeError as exc:
+            want = str(exc)
+        try:
+            validate_tree(tree, labeled)
+        except InvalidTreeError as exc:
+            got = str(exc)
+        assert got == want
+
+
+def _pairs():
+    for seed in range(30):
+        x = random_ultrametric(GenConfig(seed=seed, n=3 + seed % 9))
+        yield build_tree(x), build_tree(random_relabeled(x, seed + 7))
+
+
+def _copy(tree, relabel=None):
+    """A node-for-node copy of a tree and the map onto it; ``relabel`` maps
+    an original node to its copy's label."""
+    copies = {}
+    for node in reversed(tree.nodes()):
+        label = node.label if relabel is None else relabel(node)
+        kids = tuple(copies[id(c)] for c in node.children)
+        copies[id(node)] = RepNode(label, kids, node.point)
+    return RepTree(copies[id(tree.root)]), {n: copies[id(n)] for n in tree.nodes()}
+
+
+def test_check_agrees_with_the_reference_on_true_maps_and_mutations():
+    seen = 0
+    for t1, t2 in _pairs():
+        psi = rooted_tree_iso_map(t1, t2)
+        for labeled in (False, True):
+            assert check_iso_map(t1, t2, psi, labeled) == oracle.check_iso_map(t1, t2, psi, labeled)
+        assert check_iso_map(t1, t2, psi)
+
+        parent = {c: node for node in t1.nodes() for c in node.children}
+        leaves = [n for n in t1.nodes() if n.is_leaf]
+        mutants = []
+        far = [b for b in leaves if parent[b] is not parent[leaves[0]]]
+        if far:  # a leaf swapped across parents
+            swapped = dict(psi)
+            swapped[leaves[0]], swapped[far[0]] = psi[far[0]], psi[leaves[0]]
+            mutants.append(swapped)
+        doubled = dict(psi)  # not a bijection
+        doubled[leaves[1]] = psi[leaves[0]]
+        mutants.append(doubled)
+        rootless = dict(psi)  # root not mapped to root
+        child = t1.root.children[0]
+        rootless[t1.root], rootless[child] = psi[child], psi[t1.root]
+        mutants.append(rootless)
+        shorter = dict(psi)
+        del shorter[leaves[-1]]
+        mutants.append(shorter)
+        for bad in mutants:
+            assert not oracle.check_iso_map(t1, t2, bad)
+            assert not check_iso_map(t1, t2, bad)
+            seen += 1
+    assert seen > 100
+
+
+def test_one_label_off_fails_only_the_labeled_check():
+    for t1, _ in _pairs():
+        inner = [n for n in t1.nodes() if n.children]
+        off = inner[len(inner) // 2]
+        same, psi = _copy(t1, lambda n: int(n.label) if n.label.denominator == 1 else n.label)
+        assert check_iso_map(t1, same, psi, True) and oracle.check_iso_map(t1, same, psi, True)
+        moved, psi = _copy(t1, lambda n: n.label + F(1, 7) if n is off else n.label)
+        for check in (check_iso_map, oracle.check_iso_map):
+            assert check(t1, moved, psi, False)
+            assert not check(t1, moved, psi, True)
+
+
+def _chain_doc(depth, leaf_first):
+    node = {"point": "p0"}
+    for k in range(1, depth + 1):
+        kids = [{"point": f"p{k}"}, node]
+        node = {"label": str(k), "children": kids if leaf_first else kids[::-1]}
+    return node
+
+
+def test_ten_thousand_levels_without_recursion(recursion_headroom):
+    d1, d2 = _chain_doc(10_000, True), _chain_doc(10_000, False)
+    with recursion_headroom(40):
+        t1, t2 = tree_from_json(d1), tree_from_json(d2)
+        validate_tree(t1, labeled=True)
+        psi = rooted_tree_iso_map(t1, t2, respect_labels=True)
+        assert check_iso_map(t1, t2, psi, respect_labels=True)
+        text = tree_to_text(t1)
+    assert len(psi) == 20_001
+    assert text.count('"point"') == 10_001
+
+
+def _text_trees():
+    for seed in range(40):
+        space = random_ultrametric(GenConfig(seed=seed, n=1 + seed % 12))
+        yield build_tree(space)
+    yield tree_from_json({"children": [{"point": "ü"}, {"children": [{"point": 'a"b'}, {"point": "c"}]}]})
+    yield RepTree(leaf("solo"))
+    yield RepTree(RepNode(F(3, 2), (leaf("u"), RepNode(None, (), None))))
+
+
+def test_text_writer_matches_json_dumps():
+    for tree in _text_trees():
+        assert tree_to_text(tree) == json.dumps(tree_to_json(tree), indent=2) + "\n"
+
+
+def test_tree_prints_a_deep_chain(tmp_path):
+    n = 1100
+    rows = [["0" if a == b else str(n - min(a, b)) for b in range(n)] for a in range(n)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"points": [f"p{k}" for k in range(n)], "dist": rows}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["tree", str(path)]) == 0
+    assert err.getvalue() == ""
+    text = out.getvalue()
+    assert text.startswith('{\n  "label": "1100",\n  "children": [\n')
+    assert text.count('"point"') == n and text.endswith("}\n")

@@ -1,0 +1,138 @@
+"""Reference implementations that the tree-document path is tested against.
+
+``tree_from_json``, ``validate_tree`` and ``check_iso_map`` are the
+recursive versions as they stood before the decoder went iterative: each
+JSON object is decoded by one recursive call that parses its own label, each
+node is validated by comparing Fraction labels, and a map is re-checked by
+comparing each node's mapped children with its image's children as sets.
+``tree_distance`` and ``strip_labels`` are recursive helpers used only by
+tests. All of them recurse once per tree level, so callers keep the trees
+shallow or raise the recursion limit.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from umtk.errors import FormatError, InvalidTreeError, UnknownPointError
+from umtk.reptree import RepNode, RepTree, leaf
+from umtk.spaces import parse_rational
+
+
+def validate_tree(tree: RepTree, labeled: bool = True) -> None:
+    points: set[str] = set()
+
+    def walk(node: RepNode) -> None:
+        if node.is_leaf:
+            if node.point is None:
+                raise InvalidTreeError("leaf without a point")
+            if node.point in points:
+                raise InvalidTreeError(f"duplicate leaf point {node.point!r}")
+            points.add(node.point)
+            if labeled and node.label != 0:
+                raise InvalidTreeError(f"leaf {node.point!r} must be labeled 0")
+            return
+        if node.point is not None:
+            raise InvalidTreeError("internal node carrying a point")
+        if len(node.children) < 2:
+            raise InvalidTreeError("internal node with fewer than 2 children")
+        if labeled:
+            if node.label is None:
+                raise InvalidTreeError("internal node without a label")
+            if node.label <= 0:
+                raise InvalidTreeError("internal label must be positive")
+            for child in node.children:
+                if child.label is None:
+                    raise InvalidTreeError("internal node without a label")
+                if child.label >= node.label:
+                    raise InvalidTreeError(
+                        "child label must be strictly smaller than parent label"
+                    )
+        for child in node.children:
+            walk(child)
+
+    walk(tree.root)
+
+
+def tree_from_json(doc: object) -> RepTree:
+    def dec(obj: object) -> RepNode:
+        if not isinstance(obj, dict):
+            raise FormatError("tree node must be a JSON object")
+        if "point" in obj:
+            if "children" in obj or "label" in obj:
+                raise FormatError("leaf nodes carry only a point")
+            if not isinstance(obj["point"], str):
+                raise FormatError("leaf point must be a string")
+            return leaf(obj["point"])
+        if "children" not in obj:
+            raise FormatError('tree node needs "children" or "point"')
+        kids = obj["children"]
+        if not isinstance(kids, list) or not kids:
+            raise FormatError('"children" must be a non-empty list')
+        label = parse_rational(obj["label"]) if "label" in obj else None
+        return RepNode(label, tuple(dec(k) for k in kids), None)
+
+    tree = RepTree(dec(doc))
+    validate_tree(tree, labeled=False)
+    return tree
+
+
+def check_iso_map(tree1, tree2, mapping, respect_labels=False) -> bool:
+    nodes1 = list(tree1.nodes())
+    nodes2 = list(tree2.nodes())
+    if len(mapping) != len(nodes1) or len(nodes1) != len(nodes2):
+        return False
+    if set(mapping.values()) != set(nodes2) or set(mapping) != set(nodes1):
+        return False
+    if mapping[tree1.root] != tree2.root:
+        return False
+    for node in nodes1:
+        image = mapping[node]
+        if respect_labels and node.label != image.label:
+            return False
+        if {mapping[c] for c in node.children} != set(image.children):
+            return False
+    return True
+
+
+def _paths_to_leaves(tree: RepTree) -> dict[str, tuple[RepNode, ...]]:
+    paths: dict[str, tuple[RepNode, ...]] = {}
+
+    def walk(node: RepNode, trail: tuple[RepNode, ...]) -> None:
+        trail = trail + (node,)
+        if node.is_leaf:
+            paths[node.point] = trail  # type: ignore[index]
+        for child in node.children:
+            walk(child, trail)
+
+    walk(tree.root, ())
+    return paths
+
+
+def tree_distance(tree: RepTree, x: str, y: str) -> Fraction:
+    """Label of the lowest common ancestor of the two leaves (0 if x == y)."""
+    paths = _paths_to_leaves(tree)
+    for name in (x, y):
+        if name not in paths:
+            raise UnknownPointError(name)
+    if x == y:
+        return Fraction(0)
+    px, py = paths[x], paths[y]
+    shared = 0
+    while shared < min(len(px), len(py)) and px[shared] is py[shared]:
+        shared += 1
+    lca = px[shared - 1]
+    assert lca.label is not None
+    # Strictly decreasing labels make the LCA label the maximum over the
+    # connecting path (LCA and everything below it on both sides).
+    between = list(px[shared - 1 :]) + list(py[shared:])
+    assert lca.label == max(n.label for n in between if not n.is_leaf)
+    return lca.label
+
+
+def strip_labels(tree: RepTree) -> RepTree:
+    """Same shape and leaf points, every label erased (None)."""
+
+    def strip(node: RepNode) -> RepNode:
+        return RepNode(None, tuple(strip(c) for c in node.children), node.point)
+
+    return RepTree(strip(tree.root))
