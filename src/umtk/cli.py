@@ -47,7 +47,6 @@ from .reptree import (
     tree_from_json,
     tree_to_dot,
     tree_to_text,
-    validate_tree,
 )
 from .similarity import (
     decide_isometry,
@@ -110,10 +109,7 @@ def _load_tree(path: str, labeled: bool) -> RepTree:
     doc = _load_json(path)
     if isinstance(doc, dict) and "points" in doc:
         return build_tree(space_from_json(doc))
-    tree = tree_from_json(doc)
-    if labeled:
-        validate_tree(tree, labeled=True)
-    return tree
+    return tree_from_json(doc, labeled)
 
 
 def _node_paths(tree: RepTree) -> dict[int, str]:
@@ -303,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, *, spaces=0, dot=False):
+    def add(name, help_text, *, spaces=0, dot=False):
         sub = subs.add_parser(name, help=help_text)
         if spaces == 1:
             sub.add_argument("space", help="space document (JSON)")
@@ -313,24 +309,23 @@ def _build_parser() -> argparse.ArgumentParser:
         if dot:
             sub.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
         sub.add_argument("--out", help="write output to this file instead of stdout")
-        sub.set_defaults(handler=handler)
         return sub
 
-    add("validate", _cmd_validate, "check a space document and report basic facts", spaces=1)
-    add("spectrum", _cmd_spectrum, "list the distance values of a space", spaces=1)
-    add("diametric", _cmd_diametric, "multipartite parts of the diametrical graph", spaces=1, dot=True)
-    add("tree", _cmd_tree, "representing tree of an ultrametric space", spaces=1, dot=True)
-    tree_iso = add("tree-iso", _cmd_tree_iso, "rooted tree isomorphism (accepts space or tree documents)", spaces=2)
+    add("validate", "check a space document and report basic facts", spaces=1)
+    add("spectrum", "list the distance values of a space", spaces=1)
+    add("diametric", "multipartite parts of the diametrical graph", spaces=1, dot=True)
+    add("tree", "representing tree of an ultrametric space", spaces=1, dot=True)
+    tree_iso = add("tree-iso", "rooted tree isomorphism (accepts space or tree documents)", spaces=2)
     tree_iso.add_argument("--labeled", action="store_true", help="labels must match exactly")
-    add("isometric", _cmd_isometric, "decide isometry of two spaces", spaces=2)
-    add("weaksim", _cmd_weaksim, "decide weak similarity of two spaces", spaces=2)
-    add("classify", _cmd_classify, "tree-structural class report of an ultrametric space", spaces=1)
-    add("ballean", _cmd_ballean, "list all balls of a space", spaces=1)
-    add("hasse", _cmd_hasse, "Hasse diagram of the ballean under inclusion", spaces=1, dot=True)
-    add("hasse-iso", _cmd_hasse_iso, "decide Hasse diagram isomorphism", spaces=2)
-    add("ballpreserving", _cmd_ballpreserving, "decide existence of a ball-preserving bijection", spaces=2)
+    add("isometric", "decide isometry of two spaces", spaces=2)
+    add("weaksim", "decide weak similarity of two spaces", spaces=2)
+    add("classify", "tree-structural class report of an ultrametric space", spaces=1)
+    add("ballean", "list all balls of a space", spaces=1)
+    add("hasse", "Hasse diagram of the ballean under inclusion", spaces=1, dot=True)
+    add("hasse-iso", "decide Hasse diagram isomorphism", spaces=2)
+    add("ballpreserving", "decide existence of a ball-preserving bijection", spaces=2)
 
-    gen = add("gen", _cmd_gen, "generate a random space document")
+    gen = add("gen", "generate a random space document")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--n", type=int, default=5, help="number of points")
     gen.add_argument("--pool", default="1,2,3,4,5,6", help="comma-separated distance pool")
@@ -347,21 +342,24 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--trials", default="default", help="trials per suite, or 'default'")
     check.add_argument("--max-n", type=int, default=None, help="cap the point count")
     check.add_argument("--seed", type=int, default=0)
-    check.set_defaults(handler=_cmd_check)
     return parser
 
 
+# Built once per process; each command runs the handler named
+# ``_cmd_<command>`` as it is bound when ``main`` runs.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code in (None, 0):
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except NotUltrametricError as exc:
         _diag(f"NotUltrametric: {exc}")
         return 2

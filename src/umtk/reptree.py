@@ -94,7 +94,7 @@ class RepTree:
         return tuple(n.point for n in self.leaves())  # type: ignore[misc]
 
 
-def validate_tree(tree: RepTree, labeled: bool = True) -> None:
+def validate_tree(tree: RepTree, labeled: bool = True, *, structure_first: bool = False) -> None:
     """Raise InvalidTreeError unless the tree satisfies the node invariants.
 
     Structural invariants always hold: leaves carry a point, internal nodes
@@ -103,9 +103,11 @@ def validate_tree(tree: RepTree, labeled: bool = True) -> None:
     labeled 0 and internal labels are positive and strictly larger than every
     child label.
 
-    One pass in preorder reports the first defect in preorder. Labels are
-    compared by rank: the distinct label objects (a decoded document shares
-    one per literal) are sorted once, and equal values share a rank.
+    One pass in preorder reports the first defect in preorder; with
+    ``structure_first`` it reports the first structural defect, and the first
+    label defect only if there is none. Labels are compared by rank: the
+    distinct label objects (a decoded document shares one per literal) are
+    sorted once, and equal values share a rank.
     """
     nodes = tree.nodes()
     rank: dict[int, int] = {}
@@ -116,6 +118,7 @@ def validate_tree(tree: RepTree, labeled: bool = True) -> None:
         rank = {key: level[v] for key, v in values.items()}
     zero, rank_of = rank.get(id(_ZERO)), rank.get
     points: set[str] = set()
+    defect = None  # the first label defect
     for node in nodes:
         kids = node.children
         if not kids:
@@ -124,27 +127,32 @@ def validate_tree(tree: RepTree, labeled: bool = True) -> None:
             if node.point in points:
                 raise InvalidTreeError(f"duplicate leaf point {node.point!r}")
             points.add(node.point)
-            if labeled and rank_of(id(node.label)) != zero:
-                raise InvalidTreeError(f"leaf {node.point!r} must be labeled 0")
-            continue
-        if node.point is not None:
-            raise InvalidTreeError("internal node carrying a point")
-        if len(kids) < 2:
-            raise InvalidTreeError("internal node with fewer than 2 children")
-        if labeled:
-            top = rank_of(id(node.label))
-            if top is None:
-                raise InvalidTreeError("internal node without a label")
-            if top <= zero:
-                raise InvalidTreeError("internal label must be positive")
-            for child in kids:
-                below = rank_of(id(child.label))
-                if below is None:
-                    raise InvalidTreeError("internal node without a label")
-                if below >= top:
-                    raise InvalidTreeError(
-                        "child label must be strictly smaller than parent label"
-                    )
+            if labeled and defect is None and rank_of(id(node.label)) != zero:
+                defect = f"leaf {node.point!r} must be labeled 0"
+        else:
+            if node.point is not None:
+                raise InvalidTreeError("internal node carrying a point")
+            if len(kids) < 2:
+                raise InvalidTreeError("internal node with fewer than 2 children")
+            if labeled and defect is None:
+                top = rank_of(id(node.label))
+                if top is None:
+                    defect = "internal node without a label"
+                elif top <= zero:
+                    defect = "internal label must be positive"
+                else:
+                    for child in kids:
+                        below = rank_of(id(child.label))
+                        if below is None:
+                            defect = "internal node without a label"
+                            break
+                        if below >= top:
+                            defect = "child label must be strictly smaller than parent label"
+                            break
+        if defect is not None and not structure_first:
+            raise InvalidTreeError(defect)
+    if defect is not None:
+        raise InvalidTreeError(defect)
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +195,8 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
     [(_, root)] = comps.values()
     tree = RepTree(root)
     # children are in smallest-point order, so code order breaks ties by it
-    ordered = _codes(tree, True)[1]
+    ordered: dict[int, list[RepNode]] = {}
+    _codes(tree, True, ordered)
     for node in tree.nodes():
         if node.children:
             node.children = tuple(ordered[id(node)])
@@ -242,12 +251,14 @@ def tree_to_json(tree: RepTree) -> dict:
     return enc(tree.root)
 
 
-def tree_from_json(doc: object) -> RepTree:
-    """Decode a tree document and check its structure (not its labels).
+def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
+    """Decode a tree document and check its structure, and its labels too
+    when ``labeled``.
 
     One preorder pass over the JSON objects raises the first FormatError in
     preorder and parses each distinct label literal once; the nodes are built
-    bottom-up, then ``validate_tree`` checks them. Nothing recurses.
+    bottom-up, then one ``validate_tree`` pass checks them, reporting the
+    first structural defect before any label defect. Nothing recurses.
     """
     labels: dict[str, Fraction] = {}
     decoded: list[tuple[Fraction | None, str | None, int]] = []  # preorder
@@ -281,7 +292,7 @@ def tree_from_json(doc: object) -> RepTree:
         del built[len(built) - count :]
         built.append(RepNode(label, kids, point))
     tree = RepTree(built[0])
-    validate_tree(tree, labeled=False)
+    validate_tree(tree, labeled, structure_first=True)
     return tree
 
 

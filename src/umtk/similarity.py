@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import FormatError, VerificationFailedError
+from .errors import FormatError, NotIsomorphicError, VerificationFailedError
 from .reptree import build_tree
 from .search import match
 from .spaces import (
@@ -30,7 +30,7 @@ from .spaces import (
     rank_relabel,
     spectrum,
 )
-from .treecanon import canon_code_labeled, rooted_tree_iso_map
+from .treecanon import rooted_tree_iso_map
 
 Scaling = tuple[tuple[Fraction, Fraction], ...]
 
@@ -102,9 +102,10 @@ def verify_weak_similarity(
 def _tree_isometry(x: FiniteSemimetricSpace, y: FiniteSemimetricSpace) -> dict[str, str] | None:
     """Unverified point map of an ultrametric pair from their labeled trees."""
     tx, ty = build_tree(x), build_tree(y)
-    if canon_code_labeled(tx) != canon_code_labeled(ty):
+    try:
+        psi = rooted_tree_iso_map(tx, ty, respect_labels=True)
+    except NotIsomorphicError:
         return None
-    psi = rooted_tree_iso_map(tx, ty, respect_labels=True)
     return {n.point: psi[n].point for n in tx.nodes() if n.is_leaf}
 
 

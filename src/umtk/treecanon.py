@@ -14,9 +14,9 @@ from .reptree import RepNode, RepTree
 from .spaces import format_rational
 
 
-def _codes(tree: RepTree, labeled: bool) -> tuple[dict[int, bytes], dict[int, list[RepNode]]]:
-    """Code of every node and children of every internal node in code
-    order (ties in child-index order), both keyed by ``id(node)``.
+def _codes(tree: RepTree, labeled: bool, ordered: dict[int, list[RepNode]]) -> dict[int, bytes]:
+    """Code of every node, keyed by ``id(node)``; ``ordered`` receives the
+    children of every internal node in code order (ties in child-index order).
 
     One pass over the nodes in reverse preorder, which puts every node after
     all of its descendants, so each code is built once from its children's
@@ -24,7 +24,6 @@ def _codes(tree: RepTree, labeled: bool) -> tuple[dict[int, bytes], dict[int, li
     label object is formatted once.
     """
     codes: dict[int, bytes] = {}
-    ordered: dict[int, list[RepNode]] = {}
     heads: dict[int, bytes] = {}  # id(label) -> b"(" + label + b"|"
     for node in reversed(tree.nodes()):
         head = heads.get(id(node.label)) if labeled else b"("
@@ -39,17 +38,19 @@ def _codes(tree: RepTree, labeled: bool) -> tuple[dict[int, bytes], dict[int, li
         pairs = sorted([(codes[id(c)], k) for k, c in enumerate(kids)])
         codes[id(node)] = head + b"".join([code for code, _ in pairs]) + b")"
         ordered[id(node)] = [kids[k] for _, k in pairs]
-    return codes, ordered
+    return codes
 
 
-def canon_code_unlabeled(tree: RepTree) -> bytes:
-    """Shape-only canonical code; equal bytes iff rooted-tree isomorphic."""
-    return _codes(tree, False)[0][id(tree.root)]
+def canon_code_unlabeled(tree: RepTree, ordered: dict[int, list[RepNode]] | None = None) -> bytes:
+    """Shape-only canonical code; equal bytes iff rooted-tree isomorphic.
+    A given ``ordered`` receives each internal node's children in code order."""
+    return _codes(tree, False, {} if ordered is None else ordered)[id(tree.root)]
 
 
-def canon_code_labeled(tree: RepTree) -> bytes:
-    """Shape+label canonical code; leaf points never enter the code."""
-    return _codes(tree, True)[0][id(tree.root)]
+def canon_code_labeled(tree: RepTree, ordered: dict[int, list[RepNode]] | None = None) -> bytes:
+    """Shape+label canonical code; leaf points never enter the code.
+    A given ``ordered`` receives each internal node's children in code order."""
+    return _codes(tree, True, {} if ordered is None else ordered)[id(tree.root)]
 
 
 def rooted_tree_iso_map(
@@ -59,11 +60,14 @@ def rooted_tree_iso_map(
 
     Children with equal canonical codes are paired in child-index order, so
     the map is deterministic. Its keys run depth first: a node, then its
-    children in code order. Raises NotIsomorphicError when the codes differ.
+    children in code order. Each tree's code is computed once, and the map
+    walks the child orders it leaves. Raises NotIsomorphicError when the
+    codes differ.
     """
-    codes1, ordered1 = _codes(tree1, respect_labels)
-    codes2, ordered2 = _codes(tree2, respect_labels)
-    if codes1[id(tree1.root)] != codes2[id(tree2.root)]:
+    code = canon_code_labeled if respect_labels else canon_code_unlabeled
+    ordered1: dict[int, list[RepNode]] = {}
+    ordered2: dict[int, list[RepNode]] = {}
+    if code(tree1, ordered1) != code(tree2, ordered2):
         raise NotIsomorphicError(
             "labeled codes differ" if respect_labels else "shape codes differ"
         )

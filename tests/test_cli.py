@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -378,3 +381,49 @@ def test_escaped_exceptions_get_an_exit_code(paths, monkeypatch, capsys, exc, co
     assert out.out == ""
     assert out.err.startswith(prefix)
     assert "Traceback" not in out.err
+
+
+# `umtk spectrum` with its document missing, as the parser has always
+# reported it
+MISSING_SPACE_USAGE = (
+    "usage: umtk spectrum [-h] [--out OUT] space\n"
+    "umtk spectrum: error: the following arguments are required: space\n"
+)
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    # main reuses one parser for the life of the process: no call may see
+    # flags, defaults or output left by an earlier one
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps alike on both sides
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(GOLDEN_A))
+    b.write_text(json.dumps(GOLDEN_B))
+    ultra, semi_a, semi_b = (str(GOLDEN / name) for name in ("ultra8_a.json", "semi4_a.json", "semi4_b.json"))
+    calls = [
+        ["spectrum"],
+        ["--help"],
+        ["tree-iso", "--labeled", str(a), str(b)],
+        ["tree-iso", str(a), str(b)],
+        ["tree", "--dot", ultra],
+        ["tree", ultra],
+        ["weaksim", semi_a, semi_b],
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = []
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-m", "umtk.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert in_process == fresh
+    assert in_process[0] == (2, "", MISSING_SPACE_USAGE)
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 0, 0, 0, 0]
+    assert in_process[2][1] == GOLDEN_LABELED_MAP and in_process[3][1] == GOLDEN_SHAPE_MAP
+    assert in_process[4][1] == (GOLDEN / "tree_dot.out").read_text()
+    assert in_process[6][1] == (GOLDEN / "weaksim.out").read_text()

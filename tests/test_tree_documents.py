@@ -141,6 +141,56 @@ def test_random_documents_decode_and_validate_like_the_reference():
     assert kinds == {"FormatError", "InvalidTreeError", "labels invalid", "valid"}
 
 
+def _labeled_reference(doc):
+    """The structural decode, then a labeled validation of its tree."""
+    tree = oracle.tree_from_json(doc)
+    oracle.validate_tree(tree, labeled=True)
+    return tree
+
+
+def _labeled_outcome(decode, doc):
+    try:
+        tree = decode(doc)
+    except (FormatError, InvalidTreeError) as exc:
+        return _error(exc)
+    return tree_to_dot(tree), canon_code_labeled(tree)
+
+
+def test_labeled_decoding_matches_decode_then_validate():
+    kinds = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        doc = _random_doc(rng, rng.randint(0, 3), (f"p{k}" for k in range(10**6)))
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            _plant(rng, doc)
+        want = _labeled_outcome(_labeled_reference, doc)
+        assert _labeled_outcome(lambda d: tree_from_json(d, labeled=True), doc) == want, seed
+        kinds.add("valid" if isinstance(want[1], bytes) else want[0])
+    assert kinds == {"FormatError", "InvalidTreeError", "valid"}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # a label defect at the root, a duplicate leaf further down
+        ({"label": "1", "children": [{"label": "2", "children": [{"point": "u"}, {"point": "v"}]},
+                                     {"point": "u"}]}, "duplicate leaf point 'u'"),
+        # an unlabeled root, a single-child node further down
+        ({"children": [{"point": "u"}, {"label": "1", "children": [{"point": "v"}]}]},
+         "internal node with fewer than 2 children"),
+    ],
+)
+def test_labeled_tree_iso_reports_structure_before_labels(tmp_path, capsys, doc, message):
+    with pytest.raises(InvalidTreeError, match=message):
+        _labeled_reference(doc)
+    with pytest.raises(InvalidTreeError, match=message):
+        tree_from_json(doc, labeled=True)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    assert main(["tree-iso", "--labeled", str(path), str(path)]) == 2
+    assert capsys.readouterr().err.endswith(f"InvalidTreeError: {message}\n")
+
+
 @pytest.mark.parametrize(
     "doc",
     [
