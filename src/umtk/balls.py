@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotABijectionError, NotIsomorphicError, VerificationFailedError
-from .reptree import RepNode, RepTree
+from .reptree import RepTree, flatten
 from .search import match
 from .spaces import FiniteSemimetricSpace
 from .treecanon import rooted_tree_iso_map
@@ -147,25 +147,24 @@ def reversed_is_rooted_tree(diagram: HasseDiagram) -> bool:
     return roots == 1 and all(d in (0, 1) for d in degs)
 
 
-def _shape_tree(diagram: HasseDiagram) -> tuple[RepTree, dict[RepNode, int]]:
-    """Unlabeled tree view of a reversed-tree diagram, leaves = singletons,
-    with each node's vertex index."""
+def _shape_tree(diagram: HasseDiagram) -> tuple[RepTree, list[int]]:
+    """Unlabeled tree of a reversed-tree diagram, leaves = singletons, with
+    the vertex index of each position; children in vertex-index order."""
     vertices = diagram.vertices
     children_of: list[list[int]] = [[] for _ in vertices]
     for a, b in diagram.arcs:
         children_of[b].append(a)
-    # a child is a strict subset of its parent, so size order builds every
-    # child's node before its parent's
-    node_of: dict[int, RepNode] = {}
-    for i in sorted(range(len(vertices)), key=lambda v: len(vertices[v])):
-        kids = children_of[i]
-        if not kids:
-            assert len(vertices[i]) == 1
-            node_of[i] = RepNode(None, (), next(iter(vertices[i])))
-        else:
-            node_of[i] = RepNode(None, tuple(node_of[k] for k in sorted(kids)), None)
+
+    def point(i: int) -> str | None:
+        if children_of[i]:
+            return None
+        [member] = vertices[i]  # a leaf is a one-point ball
+        return member
+
     root = diagram.out_degrees().index(0)
-    return RepTree(node_of[root]), {node: i for i, node in node_of.items()}
+    labels, points, children, vertex = flatten(
+        root, lambda i: None, point, lambda i: sorted(children_of[i]))
+    return RepTree.from_arrays(labels, points, children), vertex
 
 
 def _neighbors(h: HasseDiagram) -> tuple[list[list[int]], list[list[int]]]:
@@ -261,7 +260,7 @@ def hasse_digraph_iso(
             psi = rooted_tree_iso_map(shape1, shape2, respect_labels=False)
         except NotIsomorphicError:
             return None
-        assignment = {index1[a]: index2[b] for a, b in psi.items()}
+        assignment = {index1[a]: index2[b] for a, b in enumerate(psi)}
     else:
         assignment = _search_assignment(h1, h2)
         if assignment is None:

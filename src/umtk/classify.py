@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InapplicableError, VerificationFailedError
-from .reptree import RepNode, RepTree, build_tree, space_from_tree
+from .reptree import RepTree, build_tree, space_from_tree
 from .similarity import WeakSimWitness, forced_scaling, verify_weak_similarity
 from .spaces import FiniteSemimetricSpace, format_rational, spectrum
 from .treecanon import canon_code_unlabeled
@@ -68,34 +68,36 @@ class ClassReport:
         }
 
 
-def _levels(tree: RepTree) -> list[list[RepNode]]:
-    levels: list[list[RepNode]] = []
-    current = [tree.root]
+def _levels(tree: RepTree) -> list[list[int]]:
+    """The positions of each level, top down, in preorder."""
+    levels: list[list[int]] = []
+    current = [0]
     while current:
         levels.append(current)
-        current = [c for node in current for c in node.children]
+        current = [c for v in current for c in tree.children[v]]
     return levels
 
 
 def classify_space(space: FiniteSemimetricSpace) -> ClassReport:
     """Class membership report for an ultrametric space (via its tree)."""
     tree = build_tree(space)
+    children = tree.children
     levels = _levels(tree)
-    inner = [[n for n in level if not n.is_leaf] for level in levels]
+    inner = [[v for v in level if children[v]] for level in levels]
     counts = tuple(len(group) for group in inner)
-    labels = sorted(n.label for group in inner for n in group)  # type: ignore[type-var]
+    labels = sorted(tree.labels[v] for group in inner for v in group)
     depth = len(levels) - 1
 
     inner_chain = all(c <= 1 for c in counts)
     binary_chain = inner_chain and all(
-        len(n.children) == 2 for group in inner for n in group
+        len(children[v]) == 2 for group in inner for v in group
     )
     distinct = len(set(labels)) == len(labels)
     if depth == 0:
         uniform = True
     else:
         chain_above = all(counts[k] == 1 for k in range(depth - 1))
-        fan_sizes = {len(n.children) for n in inner[depth - 1]}
+        fan_sizes = {len(children[v]) for v in inner[depth - 1]}
         uniform = chain_above and len(fan_sizes) <= 1
     return ClassReport(binary_chain, inner_chain, distinct, uniform, counts, tuple(labels))
 
@@ -123,27 +125,25 @@ def _rank_aligned_pairing(
     """
     phi: dict[str, str] = {}
     scale_pairs: list[tuple[Fraction, Fraction]] = []
-
-    def pair(a: RepNode, b: RepNode) -> None:
-        if a.is_leaf != b.is_leaf:
+    stack = [(0, 0)]  # position pairs, depth first
+    while stack:
+        a, b = stack.pop()
+        a_kids, b_kids = tx.children[a], ty.children[b]
+        if bool(a_kids) != bool(b_kids):
             raise VerificationFailedError("shape pairing mismatch: leaf vs internal")
-        if a.is_leaf:
-            phi[a.point] = b.point  # type: ignore[index]
-            return
-        assert a.label is not None and b.label is not None
-        scale_pairs.append((a.label, b.label))
-        a_leaves = sorted((c for c in a.children if c.is_leaf), key=lambda c: c.point)  # type: ignore[arg-type, return-value]
-        b_leaves = sorted((c for c in b.children if c.is_leaf), key=lambda c: c.point)  # type: ignore[arg-type, return-value]
-        a_inner = sorted((c for c in a.children if not c.is_leaf), key=lambda c: c.label, reverse=True)  # type: ignore[arg-type, return-value]
-        b_inner = sorted((c for c in b.children if not c.is_leaf), key=lambda c: c.label, reverse=True)  # type: ignore[arg-type, return-value]
+        if not a_kids:
+            phi[tx.points[a]] = ty.points[b]  # type: ignore[index]
+            continue
+        scale_pairs.append((tx.labels[a], ty.labels[b]))
+        a_leaves = sorted((c for c in a_kids if not tx.children[c]), key=tx.points.__getitem__)  # type: ignore[arg-type]
+        b_leaves = sorted((c for c in b_kids if not ty.children[c]), key=ty.points.__getitem__)  # type: ignore[arg-type]
+        a_inner = sorted((c for c in a_kids if tx.children[c]), key=tx.labels.__getitem__, reverse=True)
+        b_inner = sorted((c for c in b_kids if ty.children[c]), key=ty.labels.__getitem__, reverse=True)
         if len(a_leaves) != len(b_leaves) or len(a_inner) != len(b_inner):
             raise VerificationFailedError("shape pairing mismatch: child profiles differ")
         for ca, cb in zip(a_leaves, b_leaves):
-            phi[ca.point] = cb.point  # type: ignore[index]
-        for ca, cb in zip(a_inner, b_inner):
-            pair(ca, cb)
-
-    pair(tx.root, ty.root)
+            phi[tx.points[ca]] = ty.points[cb]  # type: ignore[index]
+        stack.extend(zip(a_inner[::-1], b_inner[::-1]))
     return phi, scale_pairs
 
 
@@ -183,32 +183,25 @@ def witness_from_unlabeled_iso(
     return witness
 
 
-def _node_records(tree: RepTree):
-    """(path, node, level, parent_label) for every internal node, DFS order."""
-    records: list[tuple[tuple[int, ...], RepNode, int, Fraction | None]] = []
-
-    def walk(node: RepNode, path: tuple[int, ...], level: int, parent: Fraction | None) -> None:
-        if node.is_leaf:
-            return
-        records.append((path, node, level, parent))
-        for i, child in enumerate(node.children):
-            walk(child, path + (i,), level + 1, node.label)
-
-    walk(tree.root, (), 0, None)
+def _node_records(tree: RepTree) -> list[tuple[int, int, Fraction | None]]:
+    """(position, level, parent_label) for every internal node, in preorder."""
+    labels = tree.labels
+    level = [0] * len(tree)
+    above: list[Fraction | None] = [None] * len(tree)
+    records = []
+    for v, kids in enumerate(tree.children):
+        if kids:
+            records.append((v, level[v], above[v]))
+            for c in kids:
+                level[c] = level[v] + 1
+                above[c] = labels[v]
     return records
 
 
-def _replace_label(tree: RepTree, path: tuple[int, ...], new_label: Fraction) -> RepTree:
-    def rebuild(node: RepNode, remaining: tuple[int, ...]) -> RepNode:
-        if not remaining:
-            return RepNode(new_label, node.children, node.point)
-        i = remaining[0]
-        kids = tuple(
-            rebuild(c, remaining[1:]) if j == i else c for j, c in enumerate(node.children)
-        )
-        return RepNode(node.label, kids, node.point)
-
-    return RepTree(rebuild(tree.root, path))
+def _replace_label(tree: RepTree, position: int, new_label: Fraction) -> RepTree:
+    labels = list(tree.labels)
+    labels[position] = new_label
+    return RepTree.from_arrays(labels, tree.points, tree.children)
 
 
 def _fresh_between(lo: Fraction, hi: Fraction, avoid: set[Fraction]) -> Fraction:
@@ -219,10 +212,10 @@ def _fresh_between(lo: Fraction, hi: Fraction, avoid: set[Fraction]) -> Fraction
     return value
 
 
-def _band(node: RepNode, parent_label: Fraction) -> tuple[Fraction, Fraction]:
+def _band(tree: RepTree, v: int, parent_label: Fraction) -> tuple[Fraction, Fraction]:
     # Any replacement label must stay strictly between the largest child
     # label and the parent label.
-    lo = max(c.label for c in node.children)  # type: ignore[type-var]
+    lo = max(tree.labels[c] for c in tree.children[v])
     return lo, parent_label
 
 
@@ -250,16 +243,16 @@ def adversarial_relabeling(x: FiniteSemimetricSpace) -> FiniteSemimetricSpace:
     records = _node_records(tree)
     by_level: dict[int, list] = {}
     for rec in records:
-        by_level.setdefault(rec[2], []).append(rec)
+        by_level.setdefault(rec[1], []).append(rec)
     if all(len(group) <= 1 for group in by_level.values()):
         raise InapplicableError("every level has at most one internal node")
 
-    labels = [rec[1].label for rec in records]
+    labels = [tree.labels[rec[0]] for rec in records]
     counts = Counter(labels)
     label_set = set(labels)
 
-    def finish(path: tuple[int, ...], new_label: Fraction) -> FiniteSemimetricSpace:
-        relabeled = _replace_label(tree, path, new_label)
+    def finish(position: int, new_label: Fraction) -> FiniteSemimetricSpace:
+        relabeled = _replace_label(tree, position, new_label)
         y = space_from_tree(relabeled)
         assert canon_code_unlabeled(build_tree(y)) == canon_code_unlabeled(tree)
         assert len(spectrum(y)) != len(spectrum(x))
@@ -270,25 +263,25 @@ def adversarial_relabeling(x: FiniteSemimetricSpace) -> FiniteSemimetricSpace:
         group = by_level[level]
         # pair order prefers copying an earlier sibling's label onto a later
         # node, so e.g. labels (1, 2) collapse to (1, 1) rather than (2, 2)
-        for _, node1, _, _ in group:
-            for path2, node2, _, parent2 in group:
-                v1, v2 = node1.label, node2.label
+        for node1, _, _ in group:
+            for node2, _, parent2 in group:
+                v1, v2 = tree.labels[node1], tree.labels[node2]
                 if v1 == v2 or counts[v2] != 1:
                     continue
-                lo, hi = _band(node2, parent2)
+                lo, hi = _band(tree, node2, parent2)
                 if lo < v1 < hi:
-                    return finish(path2, v1)
+                    return finish(node2, v1)
     for level in multi_levels:
         group = by_level[level]
-        for i, (path2, node2, _, parent2) in enumerate(group):
-            for _, node1, _, _ in group[:i] + group[i + 1 :]:
-                if node1.label != node2.label:
+        for i, (node2, _, parent2) in enumerate(group):
+            for node1, _, _ in group[:i] + group[i + 1 :]:
+                if tree.labels[node1] != tree.labels[node2]:
                     continue
-                lo, hi = _band(node2, parent2)
-                return finish(path2, _fresh_between(lo, hi, label_set))
-    for path2, node2, _, parent2 in records:
-        if parent2 is None or counts[node2.label] < 2:
+                lo, hi = _band(tree, node2, parent2)
+                return finish(node2, _fresh_between(lo, hi, label_set))
+    for node2, _, parent2 in records:
+        if parent2 is None or counts[tree.labels[node2]] < 2:
             continue
-        lo, hi = _band(node2, parent2)
-        return finish(path2, _fresh_between(lo, hi, label_set))
+        lo, hi = _band(tree, node2, parent2)
+        return finish(node2, _fresh_between(lo, hi, label_set))
     raise VerificationFailedError("no admissible relabeling found")

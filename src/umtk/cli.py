@@ -112,14 +112,13 @@ def _load_tree(path: str, labeled: bool) -> RepTree:
     return tree_from_json(doc, labeled)
 
 
-def _node_paths(tree: RepTree) -> dict[int, str]:
-    paths: dict[int, str] = {}
-    stack = [(tree.root, "")]
-    while stack:
-        node, path = stack.pop()
-        paths[id(node)] = path
-        for k, child in enumerate(node.children):
-            stack.append((child, f"{path}.{k}" if path else str(k)))
+def _node_paths(tree: RepTree) -> list[str]:
+    """Dotted child-index path of every position ("" is the root)."""
+    paths = [""] * len(tree)
+    for v, kids in enumerate(tree.children):
+        prefix = paths[v] + "." if v else ""
+        for k, c in enumerate(kids):
+            paths[c] = f"{prefix}{k}"
     return paths
 
 
@@ -173,8 +172,9 @@ def _cmd_tree(args) -> int:
 def _cmd_tree_iso(args) -> int:
     t1 = _load_tree(args.a, args.labeled)
     t2 = _load_tree(args.b, args.labeled)
+    walk: list[int] = []  # the map's pairing order, which the output keeps
     try:
-        psi = rooted_tree_iso_map(t1, t2, respect_labels=args.labeled)
+        psi = rooted_tree_iso_map(t1, t2, respect_labels=args.labeled, walk=walk)
     except NotIsomorphicError:
         _diag("trees are not isomorphic")
         return 1
@@ -182,11 +182,14 @@ def _cmd_tree_iso(args) -> int:
         raise VerificationFailedError("tree isomorphism failed re-check")
     p1 = _node_paths(t1)
     p2 = _node_paths(t2)
+    paths = {p1[a]: p2[psi[a]] for a in walk}
+    if len(paths) != len(t1):
+        raise VerificationFailedError("tree isomorphism pairing order misses a node")
     _emit_json(
         {
             "isomorphic": True,
             "labeled": args.labeled,
-            "map": {p1[id(a)]: p2[id(b)] for a, b in psi.items()},
+            "map": paths,
         },
         args.out,
     )

@@ -138,14 +138,10 @@ def _distinct_relabel(root: RepNode, rng: random.Random, pool: list[Fraction]) -
         raise InfeasibleConstraintsError(
             f"{len(order)} internal nodes but only {len(pool)} distinct pool labels"
         )
-    fresh = dict(zip(map(id, order), sorted(rng.sample(pool, len(order)), reverse=True)))
-
-    def rebuild(node: RepNode) -> RepNode:
-        if node.is_leaf:
-            return node
-        return RepNode(fresh[id(node)], tuple(rebuild(c) for c in node.children), None)
-
-    return rebuild(root)
+    # the nodes are fresh from a generator and in no tree yet
+    for node, label in zip(order, sorted(rng.sample(pool, len(order)), reverse=True)):
+        node.label = label
+    return root
 
 
 def _uniform_fan_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Points) -> RepNode:
@@ -253,13 +249,15 @@ def random_relabeled(
         used.add(value)
         return value
 
-    def rebuild(node: RepNode, upper: Fraction | None) -> RepNode:
-        if node.is_leaf:
-            return node
-        label = pick(upper)
-        return RepNode(label, tuple(rebuild(c, label) for c in node.children), None)
-
-    return space_from_tree(RepTree(rebuild(tree.root, None)))
+    # one draw per internal node in preorder, each under its parent's new label
+    labels = list(tree.labels)
+    upper: list[Fraction | None] = [None] * len(tree)
+    for v, kids in enumerate(tree.children):
+        if kids:
+            labels[v] = pick(upper[v])
+            for c in kids:
+                upper[c] = labels[v]
+    return space_from_tree(RepTree.from_arrays(labels, tree.points, tree.children))
 
 
 def renamed_copy(

@@ -6,6 +6,11 @@ parent to child. The distance between two points equals the label of their
 lowest common ancestor, which for strictly decreasing labels is also the
 maximum label on the connecting path.
 
+A ``RepTree`` is held as preorder arrays: position 0 is the root, and each
+position has a label, a leaf point (None on internal nodes) and the positions
+of its children. Every layer reads the arrays; ``RepNode`` is the nested form
+of hand-built trees and a view for code that walks nodes.
+
 ``build_tree`` reads the tree off the minimum spanning tree that certifies
 ultrametricity (``spaces.ultrametric_mst``): the representing tree is the
 single-linkage dendrogram of the space (Gower & Ross 1969). The spanning
@@ -21,11 +26,11 @@ splits a ball into the parts of its diametrical graph, gives the same tree;
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from operator import itemgetter
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Sequence
 
 from .errors import FormatError, InvalidTreeError, NotUltrametricError
 from .spaces import (
@@ -41,10 +46,10 @@ class RepNode:
     """Tree node: internal nodes have a label and children, leaves a point.
 
     ``label`` is None on shape-only trees read from unlabeled documents.
-    Nodes compare and hash by identity, so keying a dict by a node costs O(1)
-    whatever the size of its subtree; trees are compared by their canonical
-    codes or wire formats, not by ``==``. A slotted class, not a dataclass:
-    a tree document builds one node per JSON object.
+    Nodes compare and hash by identity; trees are compared by their canonical
+    codes or wire formats, not by ``==``. Nested nodes are the form of
+    hand-built trees, which ``RepTree(root)`` flattens, and of the node view
+    of a tree (``RepTree.root``, ``RepTree.nodes()``).
     """
 
     __slots__ = ("label", "children", "point")
@@ -73,25 +78,85 @@ def internal(label: object, children: tuple[RepNode, ...] | list[RepNode]) -> Re
     return RepNode(lbl, tuple(children), None)
 
 
-@dataclass(frozen=True)
+def flatten(top: Any, label_of: Callable, point_of: Callable, children_of: Callable
+            ) -> tuple[list, list[str | None], list[Sequence[int]], list]:
+    """Preorder arrays of the tree below node ``top``, and the node at each
+    position: a node's label, point and children are read through the three
+    functions, and its children are laid out in the order given."""
+    labels: list = []
+    points: list[str | None] = []
+    children: list[Sequence[int]] = []
+    nodes: list = []
+    stack = [top]
+    slots: list[list[int]] = [[]]  # the child list each stacked node's position joins
+    while stack:
+        node = stack.pop()
+        slots.pop().append(len(nodes))
+        nodes.append(node)
+        labels.append(label_of(node))
+        points.append(point_of(node))
+        kids = children_of(node)
+        if kids:
+            mine: list[int] = []
+            children.append(mine)
+            stack.extend(kids[::-1])
+            slots.extend([mine] * len(kids))
+        else:
+            children.append(())
+    return labels, points, children, nodes
+
+
 class RepTree:
-    root: RepNode
+    """A rooted tree as preorder arrays.
+
+    ``labels[v]``, ``points[v]`` and ``children[v]`` describe position v:
+    position 0 is the root, a node comes before its children's subtrees,
+    and ``children[v]`` lists the children's positions in order (empty at a
+    leaf). A position with no children is a leaf. Trees are never changed
+    once made, and trees may share arrays.
+
+    ``RepTree(root)`` flattens a nested tree of ``RepNode``s, valid or not,
+    and keeps those nodes as its node view. ``RepTree.from_arrays`` takes
+    the arrays themselves; its node view is built on first use.
+    """
+
+    __slots__ = ("labels", "points", "children", "_nodes")
+
+    def __init__(self, root: RepNode) -> None:
+        self.labels, self.points, self.children, nodes = flatten(
+            root, attrgetter("label"), attrgetter("point"), attrgetter("children"))
+        self._nodes: list[RepNode] | None = nodes
+
+    @classmethod
+    def from_arrays(cls, labels: list, points: list[str | None],
+                    children: list[Sequence[int]]) -> "RepTree":
+        tree = cls.__new__(cls)
+        tree.labels, tree.points, tree.children = labels, points, children
+        tree._nodes = None
+        return tree
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
     def nodes(self) -> list[RepNode]:
-        """Every node in preorder: a node, then its children's subtrees in order."""
-        order, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            if node.children:
-                stack.extend(node.children[::-1])
-        return order
+        """The node view, one ``RepNode`` per position, in preorder."""
+        if self._nodes is None:
+            nodes = [RepNode(label, (), point) for label, point in zip(self.labels, self.points)]
+            for node, kids in zip(nodes, self.children):
+                if kids:
+                    node.children = tuple([nodes[c] for c in kids])
+            self._nodes = nodes
+        return self._nodes
+
+    @property
+    def root(self) -> RepNode:
+        return self.nodes()[0]
 
     def leaves(self) -> tuple[RepNode, ...]:
         return tuple(n for n in self.nodes() if n.is_leaf)
 
     def leaf_points(self) -> tuple[str, ...]:
-        return tuple(n.point for n in self.leaves())  # type: ignore[misc]
+        return tuple(p for p, kids in zip(self.points, self.children) if not kids)  # type: ignore[misc]
 
 
 def validate_tree(tree: RepTree, labeled: bool = True, *, structure_first: bool = False) -> None:
@@ -109,40 +174,43 @@ def validate_tree(tree: RepTree, labeled: bool = True, *, structure_first: bool 
     distinct label objects (a decoded document shares one per literal) are
     sorted once, and equal values share a rank.
     """
-    nodes = tree.nodes()
-    rank: dict[int, int] = {}
+    labels, points = tree.labels, tree.points
+    ranks: list[int | None] = []
+    zero = None
     if labeled:
-        values = {id(n.label): n.label for n in nodes if n.label is not None}
+        values = {id(v): v for v in labels}
+        values.pop(id(None), None)
         values[id(_ZERO)] = _ZERO
         level = {v: r for r, v in enumerate(sorted(set(values.values())))}
         rank = {key: level[v] for key, v in values.items()}
-    zero, rank_of = rank.get(id(_ZERO)), rank.get
-    points: set[str] = set()
+        ranks = list(map(rank.get, map(id, labels)))
+        zero = rank[id(_ZERO)]
+    seen: set[str] = set()
     defect = None  # the first label defect
-    for node in nodes:
-        kids = node.children
+    for v, kids in enumerate(tree.children):
         if not kids:
-            if node.point is None:
+            point = points[v]
+            if point is None:
                 raise InvalidTreeError("leaf without a point")
-            if node.point in points:
-                raise InvalidTreeError(f"duplicate leaf point {node.point!r}")
-            points.add(node.point)
-            if labeled and defect is None and rank_of(id(node.label)) != zero:
-                defect = f"leaf {node.point!r} must be labeled 0"
+            if point in seen:
+                raise InvalidTreeError(f"duplicate leaf point {point!r}")
+            seen.add(point)
+            if labeled and defect is None and ranks[v] != zero:
+                defect = f"leaf {point!r} must be labeled 0"
         else:
-            if node.point is not None:
+            if points[v] is not None:
                 raise InvalidTreeError("internal node carrying a point")
             if len(kids) < 2:
                 raise InvalidTreeError("internal node with fewer than 2 children")
             if labeled and defect is None:
-                top = rank_of(id(node.label))
+                top = ranks[v]
                 if top is None:
                     defect = "internal node without a label"
-                elif top <= zero:
+                elif top <= zero:  # type: ignore[operator]
                     defect = "internal label must be positive"
                 else:
-                    for child in kids:
-                        below = rank_of(id(child.label))
+                    for c in kids:
+                        below = ranks[c]
                         if below is None:
                             defect = "internal node without a label"
                             break
@@ -165,13 +233,19 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
     violation, edges = ultrametric_mst(space)
     if violation is not None:
         raise NotUltrametricError(violation)
-    from .treecanon import _codes  # local import: treecanon works on RepNode
+    from .treecanon import _codes  # local import: treecanon imports this module
 
-    # Each component, keyed by its union-find root, carries its smallest leaf
-    # point and its subtree. Leaf sets are disjoint, so comparing smallest
+    # Nodes are numbered as they are made: the points 0..n-1, then each
+    # merge's node, so every child's number is below its parent's. Each
+    # union-find root names the node of its component, and each node its
+    # smallest leaf point: leaf sets are disjoint, so comparing smallest
     # points is the same as comparing sorted leaf point tuples.
-    comps = {i: (p, leaf(p)) for i, p in enumerate(space.points)}
-    parent = list(range(len(space)))
+    n = len(space)
+    labels: list = [_ZERO] * n
+    kids: list[Sequence[int]] = [()] * n
+    low = list(space.points)
+    comp = list(range(n))
+    parent = list(range(n))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -190,45 +264,49 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
         for r in joined:
             merged.setdefault(find(r), []).append(r)
         for root, members in merged.items():
-            kids = sorted(comps.pop(r) for r in members)
-            comps[root] = (kids[0][0], RepNode(label, tuple(node for _, node in kids)))
-    [(_, root)] = comps.values()
-    tree = RepTree(root)
+            subs = sorted((low[comp[r]], comp[r]) for r in members)
+            comp[root] = len(labels)
+            labels.append(label)
+            kids.append([node for _, node in subs])
+            low.append(subs[0][0])
     # children are in smallest-point order, so code order breaks ties by it
-    ordered: dict[int, list[RepNode]] = {}
-    _codes(tree, True, ordered)
-    for node in tree.nodes():
-        if node.children:
-            node.children = tuple(ordered[id(node)])
-    return tree
+    _, ordered = _codes(labels, kids, True, range(len(labels)))
+    names = list(space.points) + [None] * (len(labels) - n)
+    flat = flatten(len(labels) - 1, labels.__getitem__, names.__getitem__, ordered.__getitem__)
+    return RepTree.from_arrays(*flat[:3])
 
 
 def space_from_tree(tree: RepTree) -> FiniteSemimetricSpace:
     """Ultrametric space realized by a fully labeled valid tree.
 
     Points appear in leaf order (depth-first). ``space_from_tree(build_tree(X))``
-    reproduces X's distances exactly.
+    reproduces X's distances exactly. One pass in reverse preorder gives
+    every internal node the leaves below it, so no walk recurses.
     """
     validate_tree(tree, labeled=True)
-    leaves = tree.leaves()
-    points = tuple(n.point for n in leaves)  # type: ignore[misc]
+    labels, children = tree.labels, tree.children
+    points = tree.leaf_points()
     index = {p: i for i, p in enumerate(points)}
     n = len(points)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-
-    def fill(node: RepNode) -> list[int]:
-        if node.is_leaf:
-            return [index[node.point]]  # type: ignore[index]
-        groups = [fill(c) for c in node.children]
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                for a in groups[gi]:
-                    for b in groups[gj]:
-                        rows[a][b] = node.label  # type: ignore[assignment]
-                        rows[b][a] = node.label  # type: ignore[assignment]
-        return [i for g in groups for i in g]
-
-    fill(tree.root)
+    rows = [[_ZERO] * n for _ in range(n)]
+    below: list[list[int] | None] = [None] * len(tree)
+    for v in range(len(tree) - 1, -1, -1):
+        kids = children[v]
+        if not kids:
+            below[v] = [index[tree.points[v]]]  # type: ignore[index]
+            continue
+        label = labels[v]
+        groups = [below[c] for c in kids]
+        for gi in range(1, len(groups)):
+            for a in groups[gi]:  # type: ignore[union-attr]
+                row = rows[a]
+                for g in groups[:gi]:
+                    for b in g:  # type: ignore[union-attr]
+                        row[b] = label
+                        rows[b][a] = label
+        below[v] = [i for g in groups for i in g]  # type: ignore[union-attr]
+        for c in kids:
+            below[c] = None
     return validate_semimetric(points, tuple(tuple(r) for r in rows))
 
 
@@ -239,16 +317,20 @@ def space_from_tree(tree: RepTree) -> FiniteSemimetricSpace:
 
 
 def tree_to_json(tree: RepTree) -> dict:
-    def enc(node: RepNode) -> dict:
-        if node.is_leaf:
-            return {"point": node.point}
+    """The tree document, built in reverse preorder without recursion."""
+    labels, points, children = tree.labels, tree.points, tree.children
+    docs: list = [None] * len(tree)
+    for v in range(len(tree) - 1, -1, -1):
+        kids = children[v]
+        if not kids:
+            docs[v] = {"point": points[v]}
+            continue
         doc: dict = {}
-        if node.label is not None:
-            doc["label"] = format_rational(node.label)
-        doc["children"] = [enc(c) for c in node.children]
-        return doc
-
-    return enc(tree.root)
+        if labels[v] is not None:
+            doc["label"] = format_rational(labels[v])
+        doc["children"] = [docs[c] for c in kids]
+        docs[v] = doc
+    return docs[0]
 
 
 def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
@@ -256,23 +338,30 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
     when ``labeled``.
 
     One preorder pass over the JSON objects raises the first FormatError in
-    preorder and parses each distinct label literal once; the nodes are built
-    bottom-up, then one ``validate_tree`` pass checks them, reporting the
-    first structural defect before any label defect. Nothing recurses.
+    preorder, parses each distinct label literal once and fills the tree's
+    arrays; then one ``validate_tree`` pass checks them, reporting the first
+    structural defect before any label defect. Nothing recurses.
     """
-    labels: dict[str, Fraction] = {}
-    decoded: list[tuple[Fraction | None, str | None, int]] = []  # preorder
+    parsed: dict[str, Fraction] = {}
+    labels: list[Fraction | None] = []
+    points: list[str | None] = []
+    children: list[Sequence[int]] = []
     stack = [doc]
+    slots: list[list[int]] = [[]]  # the child list each stacked object's position joins
     while stack:
         obj = stack.pop()
+        slots.pop().append(len(labels))
         if not isinstance(obj, dict):
             raise FormatError("tree node must be a JSON object")
         if "point" in obj:
             if "children" in obj or "label" in obj:
                 raise FormatError("leaf nodes carry only a point")
-            if not isinstance(obj["point"], str):
+            point = obj["point"]
+            if not isinstance(point, str):
                 raise FormatError("leaf point must be a string")
-            decoded.append((_ZERO, obj["point"], 0))
+            labels.append(_ZERO)
+            points.append(point)
+            children.append(())
             continue
         if "children" not in obj:
             raise FormatError('tree node needs "children" or "point"')
@@ -280,18 +369,16 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
         if not isinstance(kids, list) or not kids:
             raise FormatError('"children" must be a non-empty list')
         text = obj.get("label")
-        label = labels.get(text) if isinstance(text, str) else None
+        label = parsed.get(text) if isinstance(text, str) else None
         if label is None and "label" in obj:
-            label = labels[text] = parse_rational(text)  # no string is ever a key: it raises
-        decoded.append((label, None, len(kids)))
+            label = parsed[text] = parse_rational(text)  # no string is ever a key: it raises
+        mine: list[int] = []
+        labels.append(label)
+        points.append(None)
+        children.append(mine)
         stack.extend(kids[::-1])
-    # in reverse preorder a node's subtrees are done, its first child's on top
-    built: list[RepNode] = []
-    for label, point, count in reversed(decoded):
-        kids = tuple(built[: -count - 1 : -1]) if count else ()
-        del built[len(built) - count :]
-        built.append(RepNode(label, kids, point))
-    tree = RepTree(built[0])
+        slots.extend([mine] * len(kids))
+    tree = RepTree.from_arrays(labels, points, children)
     validate_tree(tree, labeled, structure_first=True)
     return tree
 
@@ -299,48 +386,49 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
 def tree_to_text(tree: RepTree) -> str:
     """``json.dumps(tree_to_json(tree), indent=2) + "\\n"``, written without
     recursion, so trees of any depth print."""
+    labels, points, children = tree.labels, tree.points, tree.children
     out: list[str] = []
-    stack: list = [(tree.root, "")]  # a node with its indent, or text to write
+    stack: list = [(0, "")]  # a position with its indent, or text to write
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        node, pad = item
-        if not node.children:
-            out.append(f'{{\n{pad}  "point": {json.dumps(node.point)}\n{pad}}}')
+        v, pad = item
+        kids = children[v]
+        if not kids:
+            out.append(f'{{\n{pad}  "point": {json.dumps(points[v])}\n{pad}}}')
             continue
-        label = "" if node.label is None else f'{pad}  "label": "{format_rational(node.label)}",\n'
+        label = "" if labels[v] is None else f'{pad}  "label": "{format_rational(labels[v])}",\n'
         inner = pad + "    "
         out.append(f'{{\n{label}{pad}  "children": [\n{inner}')
         stack.append(f"\n{pad}  ]\n{pad}}}")
-        for child in node.children[:0:-1]:
-            stack += [(child, inner), ",\n" + inner]
-        stack.append((node.children[0], inner))
+        for c in kids[:0:-1]:
+            stack += [(c, inner), ",\n" + inner]
+        stack.append((kids[0], inner))
     return "".join(out) + "\n"
 
 
 def tree_to_dot(tree: RepTree) -> str:
     """Internal nodes show their label, leaves their point name (box shape).
     Nodes are numbered in preorder; a child's edge follows its subtree's."""
+    labels, points, children = tree.labels, tree.points, tree.children
     lines = ["digraph tree {"]
-    edges: list[str] = []
-    # (node, parent id); an int in place of a node is a child whose subtree is done
-    stack: list[tuple[RepNode | int, int]] = [(tree.root, -1)]
-    while stack:
-        node, parent = stack.pop()
-        if isinstance(node, int):
-            edges.append(f"  n{parent} -> n{node};")
-            continue
-        my_id = len(lines) - 1  # one line per node so far
-        if node.is_leaf:
-            lines.append(f'  n{my_id} [label="{node.point}", shape=box];')
+    for v, kids in enumerate(children):
+        if not kids:
+            lines.append(f'  n{v} [label="{points[v]}", shape=box];')
         else:
-            text = "" if node.label is None else format_rational(node.label)
-            lines.append(f'  n{my_id} [label="{text}"];')
-        if parent >= 0:
-            stack.append((my_id, parent))
-        stack.extend((child, my_id) for child in reversed(node.children))
-    lines += edges
+            text = "" if labels[v] is None else format_rational(labels[v])
+            lines.append(f'  n{v} [label="{text}"];')
+    # (position, parent); a complemented position is a child whose subtree is done
+    stack = [(0, -1)]
+    while stack:
+        v, up = stack.pop()
+        if v < 0:
+            lines.append(f"  n{up} -> n{~v};")
+            continue
+        if up >= 0:
+            stack.append((~v, up))
+        stack.extend([(c, v) for c in children[v][::-1]])
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -106,7 +106,7 @@ def _tree_isometry(x: FiniteSemimetricSpace, y: FiniteSemimetricSpace) -> dict[s
         psi = rooted_tree_iso_map(tx, ty, respect_labels=True)
     except NotIsomorphicError:
         return None
-    return {n.point: psi[n].point for n in tx.nodes() if n.is_leaf}
+    return {tx.points[v]: ty.points[psi[v]] for v, kids in enumerate(tx.children) if not kids}
 
 
 def _backtrack_isometry(

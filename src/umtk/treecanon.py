@@ -6,105 +6,142 @@ exact label. Two rooted trees are isomorphic (as rooted trees, leaf points
 ignored) iff their codes are equal bytes; the labeled variant additionally
 requires equal labels at matched nodes. Codes are plain byte strings built by
 sorting, so identical trees give bitwise-identical codes on every run.
+Everything here runs over a tree's preorder positions (``RepTree``).
 """
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
 from .errors import InvalidTreeError, NotIsomorphicError
-from .reptree import RepNode, RepTree
+from .reptree import RepTree
 from .spaces import format_rational
 
 
-def _codes(tree: RepTree, labeled: bool, ordered: dict[int, list[RepNode]]) -> dict[int, bytes]:
-    """Code of every node, keyed by ``id(node)``; ``ordered`` receives the
-    children of every internal node in code order (ties in child-index order).
+def _codes(
+    labels: Sequence, children: Sequence[Sequence[int]], labeled: bool, bottom_up: Iterable[int]
+) -> tuple[bytes, list[list[int] | None]]:
+    """Code of the last node of ``bottom_up``, and every internal node's
+    children in code order (ties in child order; None at a leaf), indexed
+    by node.
 
-    One pass over the nodes in reverse preorder, which puts every node after
-    all of its descendants, so each code is built once from its children's
-    codes and no Python recursion is needed at any depth. Each distinct
-    label object is formatted once.
+    ``bottom_up`` lists the nodes, each after all of its descendants, so
+    each code is built once from its children's codes and no Python
+    recursion is needed at any depth. A code is dropped once its parent's
+    is built, so a deep chain holds a few codes at a time rather than one
+    per level. Each distinct label object is formatted once.
     """
-    codes: dict[int, bytes] = {}
+    codes: list[bytes] = [b""] * len(labels)
+    ordered: list[list[int] | None] = [None] * len(labels)
+    code_of = codes.__getitem__
     heads: dict[int, bytes] = {}  # id(label) -> b"(" + label + b"|"
-    for node in reversed(tree.nodes()):
-        head = heads.get(id(node.label)) if labeled else b"("
+    for v in bottom_up:
+        label = labels[v]
+        head = heads.get(id(label)) if labeled else b"("
         if head is None:
-            if node.label is None:
+            if label is None:
                 raise InvalidTreeError("labeled code requested on an unlabeled node")
-            head = heads[id(node.label)] = b"(" + format_rational(node.label).encode() + b"|"
-        kids = node.children
-        if not kids:
-            codes[id(node)] = head + b")"
-            continue
-        pairs = sorted([(codes[id(c)], k) for k, c in enumerate(kids)])
-        codes[id(node)] = head + b"".join([code for code, _ in pairs]) + b")"
-        ordered[id(node)] = [kids[k] for _, k in pairs]
-    return codes
+            head = heads[id(label)] = b"(" + format_rational(label).encode() + b"|"
+        kids = children[v]
+        if kids:
+            order = ordered[v] = sorted(kids, key=code_of)
+            codes[v] = head + b"".join(map(code_of, order)) + b")"
+            for c in kids:
+                codes[c] = b""
+        else:
+            codes[v] = head + b")"
+    return codes[v], ordered
 
 
-def canon_code_unlabeled(tree: RepTree, ordered: dict[int, list[RepNode]] | None = None) -> bytes:
+def _tree_codes(tree: RepTree, labeled: bool, ordered: list | None) -> bytes:
+    code, order = _codes(tree.labels, tree.children, labeled, range(len(tree) - 1, -1, -1))
+    if ordered is not None:
+        ordered.extend(order)
+    return code
+
+
+def canon_code_unlabeled(tree: RepTree, ordered: list | None = None) -> bytes:
     """Shape-only canonical code; equal bytes iff rooted-tree isomorphic.
-    A given ``ordered`` receives each internal node's children in code order."""
-    return _codes(tree, False, {} if ordered is None else ordered)[id(tree.root)]
+    A given list ``ordered`` is extended with each position's children in
+    code order (None at a leaf)."""
+    return _tree_codes(tree, False, ordered)
 
 
-def canon_code_labeled(tree: RepTree, ordered: dict[int, list[RepNode]] | None = None) -> bytes:
+def canon_code_labeled(tree: RepTree, ordered: list | None = None) -> bytes:
     """Shape+label canonical code; leaf points never enter the code.
-    A given ``ordered`` receives each internal node's children in code order."""
-    return _codes(tree, True, {} if ordered is None else ordered)[id(tree.root)]
+    A given list ``ordered`` is extended with each position's children in
+    code order (None at a leaf)."""
+    return _tree_codes(tree, True, ordered)
 
 
 def rooted_tree_iso_map(
-    tree1: RepTree, tree2: RepTree, respect_labels: bool = False
-) -> dict[RepNode, RepNode]:
-    """Explicit node bijection between isomorphic rooted trees.
+    tree1: RepTree, tree2: RepTree, respect_labels: bool = False, walk: list | None = None
+) -> list[int]:
+    """Explicit isomorphism between isomorphic rooted trees: the list that
+    gives each position of ``tree1`` its image position in ``tree2``.
 
-    Children with equal canonical codes are paired in child-index order, so
-    the map is deterministic. Its keys run depth first: a node, then its
-    children in code order. Each tree's code is computed once, and the map
-    walks the child orders it leaves. Raises NotIsomorphicError when the
-    codes differ.
+    Each tree's code is computed once, and children with equal codes are
+    paired in child order, so the map is deterministic. A given list
+    ``walk`` is extended with the positions of ``tree1`` in pairing order:
+    depth first, a node and then its children in code order. Raises
+    NotIsomorphicError when the codes differ.
     """
     code = canon_code_labeled if respect_labels else canon_code_unlabeled
-    ordered1: dict[int, list[RepNode]] = {}
-    ordered2: dict[int, list[RepNode]] = {}
+    ordered1: list[list[int] | None] = []
+    ordered2: list[list[int] | None] = []
     if code(tree1, ordered1) != code(tree2, ordered2):
         raise NotIsomorphicError(
             "labeled codes differ" if respect_labels else "shape codes differ"
         )
-    mapping: dict[RepNode, RepNode] = {}
-    stack = [(tree1.root, tree2.root)]
-    while stack:
-        a, b = stack.pop()
-        mapping[a] = b
-        if a.children:
-            # reversed, so the first pair in code order is popped first
-            stack.extend(reversed(list(zip(ordered1[id(a)], ordered2[id(b)]))))
-    return mapping
+    image = [0] * len(ordered1)
+    # preorder puts every parent before its children, so image[v] is set
+    for v, kids in enumerate(ordered1):
+        if kids:
+            for a, b in zip(kids, ordered2[image[v]]):  # type: ignore[arg-type]
+                image[a] = b
+    if walk is not None:
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            walk.append(v)
+            kids = ordered1[v]
+            if kids:
+                stack.extend(kids[::-1])
+    return image
 
 
 def check_iso_map(
     tree1: RepTree,
     tree2: RepTree,
-    mapping: dict[RepNode, RepNode],
+    mapping: list[int],
     respect_labels: bool = False,
 ) -> bool:
-    """Verify a node bijection that maps root to root and keeps every
-    parent (and, if asked, every label, compared as canonical text). For a
-    bijection that fixes the roots, keeping parents is the same as mapping
-    each node's children onto its image's children."""
-    nodes1 = tree1.nodes()
-    nodes2 = tree2.nodes()
-    if len(mapping) != len(nodes1) or len(nodes1) != len(nodes2):
+    """Verify a position map (``mapping[v]`` is the image of position v) that
+    is a bijection, maps root to root and keeps every parent (and, if asked,
+    every label, compared as canonical text). For a bijection that fixes the
+    roots, keeping parents is the same as mapping each node's children onto
+    its image's children."""
+    n = len(tree1)
+    if len(mapping) != n or len(tree2) != n:
         return False
-    if set(mapping.values()) != set(nodes2) or set(mapping) != set(nodes1):
+    if set(mapping) != set(range(n)):
         return False
-    if mapping[tree1.root] is not tree2.root:
+    if mapping[0] != 0:
         return False
-    parent2 = {id(c): node for node in nodes2 for c in node.children}
-    if any(parent2.get(id(mapping[c])) is not mapping[p] for p in nodes1 for c in p.children):
+    parents = []
+    for tree in (tree1, tree2):
+        parent = [0] * n
+        for v, kids in enumerate(tree.children):
+            for c in kids:
+                parent[c] = v
+        parents.append(parent)
+    parent1, parent2 = parents
+    # mapping[parent1[c]] must be the parent of mapping[c], for every c but the root
+    if list(map(mapping.__getitem__, parent1[1:])) != list(map(parent2.__getitem__, mapping[1:])):
         return False
     if not respect_labels:
         return True
-    labels = {id(n.label): n.label for n in nodes1 + nodes2}  # each distinct label once
-    text = {key: None if v is None else format_rational(v) for key, v in labels.items()}
-    return all(text[id(a.label)] == text[id(b.label)] for a, b in mapping.items())
+    values = {id(v): v for v in tree1.labels + tree2.labels}  # each distinct label once
+    text = {key: None if v is None else format_rational(v) for key, v in values.items()}
+    text1 = list(map(text.__getitem__, map(id, tree1.labels)))
+    text2 = list(map(text.__getitem__, map(id, tree2.labels)))
+    return text1 == list(map(text2.__getitem__, mapping))

@@ -81,12 +81,12 @@ def leaf_swapping_iso_map():
     """A broken ``rooted_tree_iso_map``: the real map, with the images of the
     first leaf and of the first leaf under another parent swapped."""
 
-    def swapped(tree1, tree2, respect_labels=False):
-        psi = rooted_tree_iso_map(tree1, tree2, respect_labels)
-        parent = {c: node for node in tree1.nodes() for c in node.children}
-        leaves = [node for node in tree1.nodes() if node.is_leaf]
+    def swapped(tree1, tree2, respect_labels=False, walk=None):
+        psi = rooted_tree_iso_map(tree1, tree2, respect_labels, walk)
+        parent = {c: v for v, kids in enumerate(tree1.children) for c in kids}
+        leaves = [v for v, kids in enumerate(tree1.children) if not kids]
         a = leaves[0]
-        b = next(node for node in leaves if parent[node] is not parent[a])
+        b = next(v for v in leaves if parent[v] != parent[a])
         psi[a], psi[b] = psi[b], psi[a]
         return psi
 

@@ -230,16 +230,21 @@ def test_hasse_iso_and_ballpreserving(paths, capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (["ballean", "semi4_a.json"], "ballean.out"),
-        (["hasse", "semi4_a.json"], "hasse.out"),
-        (["hasse", "--dot", "semi4_a.json"], "hasse_dot.out"),
-        (["hasse-iso", "semi4_a.json", "semi4_b.json"], "hasse_iso.out"),
-        (["ballpreserving", "semi4_a.json", "semi4_b.json"], "ballpreserving.out"),
-    ],
-)
+BALLEAN_GOLDEN = [
+    (["ballean", "semi4_a.json"], "ballean.out"),
+    (["hasse", "semi4_a.json"], "hasse.out"),
+    (["hasse", "--dot", "semi4_a.json"], "hasse_dot.out"),
+    (["hasse-iso", "semi4_a.json", "semi4_b.json"], "hasse_iso.out"),
+    (["ballpreserving", "semi4_a.json", "semi4_b.json"], "ballpreserving.out"),
+]
+TREE_GOLDEN = [
+    (["tree", "--dot", "ultra8_a.json"], "tree_dot.out"),
+    (["tree-iso", "ultra8_a.json", "ultra8_b.json"], "tree_iso.out"),
+    (["weaksim", "semi4_a.json", "semi4_b.json"], "weaksim.out"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", BALLEAN_GOLDEN)
 def test_ballean_commands_output_bytes(argv, expected, capsys):
     # semi4_b is semi4_a renamed, reordered and scaled by 10; its Hasse
     # diagram is not a tree, so the maps come from the backtracking search
@@ -248,14 +253,7 @@ def test_ballean_commands_output_bytes(argv, expected, capsys):
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (["tree", "--dot", "ultra8_a.json"], "tree_dot.out"),
-        (["tree-iso", "ultra8_a.json", "ultra8_b.json"], "tree_iso.out"),
-        (["weaksim", "semi4_a.json", "semi4_b.json"], "weaksim.out"),
-    ],
-)
+@pytest.mark.parametrize("argv, expected", TREE_GOLDEN)
 def test_tree_and_weaksim_output_bytes(argv, expected, capsys):
     # ultra8_b is ultra8_a renamed and reordered; the weaksim witness comes
     # from the matching search, since semi4 is not ultrametric
@@ -391,6 +389,14 @@ MISSING_SPACE_USAGE = (
 )
 
 
+def _fresh_env(**extra):
+    """The environment of a fresh ``python -m umtk.cli`` that imports this
+    checkout's umtk."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch, capsys):
     # main reuses one parser for the life of the process: no call may see
     # flags, defaults or output left by an earlier one
@@ -413,8 +419,7 @@ def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path, monkeypat
         code = main(argv)
         out = capsys.readouterr()
         in_process.append((code, out.out, out.err))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _fresh_env()
     fresh = []
     for argv in calls:
         done = subprocess.run(
@@ -427,3 +432,36 @@ def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path, monkeypat
     assert in_process[2][1] == GOLDEN_LABELED_MAP and in_process[3][1] == GOLDEN_SHAPE_MAP
     assert in_process[4][1] == (GOLDEN / "tree_dot.out").read_text()
     assert in_process[6][1] == (GOLDEN / "weaksim.out").read_text()
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(GOLDEN_A))
+    b.write_text(json.dumps(GOLDEN_B))
+    commands = [
+        ([str(GOLDEN / x) if x.endswith(".json") else x for x in argv], (GOLDEN / expected).read_text())
+        for argv, expected in BALLEAN_GOLDEN + TREE_GOLDEN
+    ]
+    commands += [
+        (["tree-iso", str(a), str(b)], GOLDEN_SHAPE_MAP),
+        (["tree-iso", "--labeled", str(a), str(b)], GOLDEN_LABELED_MAP),
+    ]
+    for seed in ("0", "1"):
+        env = _fresh_env(PYTHONHASHSEED=seed)
+        for argv, expected in commands:
+            done = subprocess.run(
+                [sys.executable, "-m", "umtk.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+            )
+            assert (done.returncode, done.stdout, done.stderr) == (0, expected, ""), (seed, argv)
+
+
+def test_gen_and_validate_a_deep_binary_chain(tmp_path, capsys, recursion_headroom):
+    # a strictly binary chain of 1500 points: its tree is 1499 levels deep
+    pool = ",".join(str(k) for k in range(1, 1600))
+    out = tmp_path / "chain.json"
+    with recursion_headroom(100):
+        code = main(["gen", "--seed", "1", "--n", "1500", "--class", "R", "--pool", pool, "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert main(["validate", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["points"] == 1500 and doc["ultrametric"] is True

@@ -82,8 +82,11 @@ def test_any_space_document_gets_a_verdict_or_an_input_error(a, b):
         for path, doc in ((pa, a), (pb, b)):
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(doc, handle)
-        runs = [(["validate", pa], (0, 2))]
-        decisions = ("isometric", "weaksim", "ballpreserving", "tree-iso")
+        reports = (["validate"], ["spectrum"], ["tree"], ["tree", "--dot"], ["classify"],
+                   ["ballean"], ["hasse"], ["hasse", "--dot"], ["diametric", "--dot"])
+        runs = [([*cmd, pa], (0, 2)) for cmd in reports]
+        runs.append((["diametric", pa], (0, 1, 2)))
+        decisions = ("isometric", "weaksim", "ballpreserving", "hasse-iso", "tree-iso")
         runs += [([cmd, pa, pb], (0, 1, 2)) for cmd in decisions]
         _check_runs(runs)
 

@@ -23,6 +23,7 @@ from umtk.reptree import (
     tree_to_text,
     validate_tree,
 )
+from umtk.spaces import space_from_json
 from umtk.treecanon import (
     canon_code_labeled,
     canon_code_unlabeled,
@@ -282,14 +283,18 @@ def _pairs():
 
 
 def _copy(tree, relabel=None):
-    """A node-for-node copy of a tree and the map onto it; ``relabel`` maps
-    an original node to its copy's label."""
-    copies = {}
-    for node in reversed(tree.nodes()):
-        label = node.label if relabel is None else relabel(node)
-        kids = tuple(copies[id(c)] for c in node.children)
-        copies[id(node)] = RepNode(label, kids, node.point)
-    return RepTree(copies[id(tree.root)]), {n: copies[id(n)] for n in tree.nodes()}
+    """A position-for-position copy of a tree and the map onto it;
+    ``relabel`` maps an original position to its copy's label."""
+    n = len(tree)
+    labels = list(tree.labels) if relabel is None else [relabel(v) for v in range(n)]
+    copy = RepTree.from_arrays(labels, list(tree.points), [list(kids) for kids in tree.children])
+    return copy, list(range(n))
+
+
+def _as_nodes(t1, t2, psi):
+    """The node map the reference re-checks for a position map."""
+    nodes1, nodes2 = t1.nodes(), t2.nodes()
+    return {nodes1[v]: nodes2[w] for v, w in enumerate(psi)}
 
 
 def test_check_agrees_with_the_reference_on_true_maps_and_mutations():
@@ -297,29 +302,30 @@ def test_check_agrees_with_the_reference_on_true_maps_and_mutations():
     for t1, t2 in _pairs():
         psi = rooted_tree_iso_map(t1, t2)
         for labeled in (False, True):
-            assert check_iso_map(t1, t2, psi, labeled) == oracle.check_iso_map(t1, t2, psi, labeled)
+            want = oracle.check_iso_map(t1, t2, _as_nodes(t1, t2, psi), labeled)
+            assert check_iso_map(t1, t2, psi, labeled) == want
         assert check_iso_map(t1, t2, psi)
 
-        parent = {c: node for node in t1.nodes() for c in node.children}
-        leaves = [n for n in t1.nodes() if n.is_leaf]
+        parent = {c: v for v, kids in enumerate(t1.children) for c in kids}
+        leaves = [v for v, kids in enumerate(t1.children) if not kids]
         mutants = []
-        far = [b for b in leaves if parent[b] is not parent[leaves[0]]]
+        far = [b for b in leaves if parent[b] != parent[leaves[0]]]
         if far:  # a leaf swapped across parents
-            swapped = dict(psi)
+            swapped = list(psi)
             swapped[leaves[0]], swapped[far[0]] = psi[far[0]], psi[leaves[0]]
             mutants.append(swapped)
-        doubled = dict(psi)  # not a bijection
+        doubled = list(psi)  # not a bijection
         doubled[leaves[1]] = psi[leaves[0]]
         mutants.append(doubled)
-        rootless = dict(psi)  # root not mapped to root
-        child = t1.root.children[0]
-        rootless[t1.root], rootless[child] = psi[child], psi[t1.root]
+        rootless = list(psi)  # root not mapped to root
+        child = t1.children[0][0]
+        rootless[0], rootless[child] = psi[child], psi[0]
         mutants.append(rootless)
-        shorter = dict(psi)
-        del shorter[leaves[-1]]
-        mutants.append(shorter)
+        # the last position in preorder is the last leaf: its entry goes
+        assert leaves[-1] == len(psi) - 1
+        mutants.append(psi[:-1])
         for bad in mutants:
-            assert not oracle.check_iso_map(t1, t2, bad)
+            assert not oracle.check_iso_map(t1, t2, _as_nodes(t1, t2, bad))
             assert not check_iso_map(t1, t2, bad)
             seen += 1
     assert seen > 100
@@ -327,14 +333,17 @@ def test_check_agrees_with_the_reference_on_true_maps_and_mutations():
 
 def test_one_label_off_fails_only_the_labeled_check():
     for t1, _ in _pairs():
-        inner = [n for n in t1.nodes() if n.children]
+        labels = t1.labels
+        inner = [v for v, kids in enumerate(t1.children) if kids]
         off = inner[len(inner) // 2]
-        same, psi = _copy(t1, lambda n: int(n.label) if n.label.denominator == 1 else n.label)
-        assert check_iso_map(t1, same, psi, True) and oracle.check_iso_map(t1, same, psi, True)
-        moved, psi = _copy(t1, lambda n: n.label + F(1, 7) if n is off else n.label)
-        for check in (check_iso_map, oracle.check_iso_map):
-            assert check(t1, moved, psi, False)
-            assert not check(t1, moved, psi, True)
+        same, psi = _copy(t1, lambda v: int(labels[v]) if labels[v].denominator == 1 else labels[v])
+        assert check_iso_map(t1, same, psi, True)
+        assert oracle.check_iso_map(t1, same, _as_nodes(t1, same, psi), True)
+        moved, psi = _copy(t1, lambda v: labels[v] + F(1, 7) if v == off else labels[v])
+        nodes = _as_nodes(t1, moved, psi)
+        assert check_iso_map(t1, moved, psi, False) and oracle.check_iso_map(t1, moved, nodes, False)
+        assert not check_iso_map(t1, moved, psi, True)
+        assert not oracle.check_iso_map(t1, moved, nodes, True)
 
 
 def _chain_doc(depth, leaf_first):
@@ -383,3 +392,16 @@ def test_tree_prints_a_deep_chain(tmp_path):
     text = out.getvalue()
     assert text.startswith('{\n  "label": "1100",\n  "children": [\n')
     assert text.count('"point"') == n and text.endswith("}\n")
+
+
+def test_tree_to_json_of_a_deep_chain(recursion_headroom):
+    n = 1100
+    rows = [["0" if a == b else str(n - min(a, b)) for b in range(n)] for a in range(n)]
+    doc = {"points": [f"p{k}" for k in range(n)], "dist": rows}
+    with recursion_headroom(40):
+        tree = build_tree(space_from_json(doc))
+        encoded = tree_to_json(tree)
+        text = tree_to_text(tree)
+    # json.loads and == recurse once per level of nesting, in C
+    with recursion_headroom(5 * n):
+        assert encoded == json.loads(text)
