@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotABijectionError, NotIsomorphicError, VerificationFailedError
-from .reptree import RepTree, flatten
+from .reptree import RepTree
 from .search import match
 from .spaces import FiniteSemimetricSpace
 from .treecanon import rooted_tree_iso_map
@@ -98,12 +98,6 @@ class HasseDiagram:
             degs[a] += 1
         return degs
 
-    def in_degrees(self) -> list[int]:
-        degs = [0] * len(self.vertices)
-        for _, b in self.arcs:
-            degs[b] += 1
-        return degs
-
 
 def hasse_diagram(ballean: Ballean) -> HasseDiagram:
     """Cover pairs B1 < B2 with no ball strictly between.
@@ -149,22 +143,18 @@ def reversed_is_rooted_tree(diagram: HasseDiagram) -> bool:
 
 def _shape_tree(diagram: HasseDiagram) -> tuple[RepTree, list[int]]:
     """Unlabeled tree of a reversed-tree diagram, leaves = singletons, with
-    the vertex index of each position; children in vertex-index order."""
+    the vertex index of each position; children in vertex-index order.
+    Vertices are sorted by size, so every child ball comes before its parent
+    and the whole space is last: the vertex indices number the tree bottom-up."""
     vertices = diagram.vertices
-    children_of: list[list[int]] = [[] for _ in vertices]
-    for a, b in diagram.arcs:
-        children_of[b].append(a)
-
-    def point(i: int) -> str | None:
-        if children_of[i]:
-            return None
-        [member] = vertices[i]  # a leaf is a one-point ball
-        return member
-
-    root = diagram.out_degrees().index(0)
-    labels, points, children, vertex = flatten(
-        root, lambda i: None, point, lambda i: sorted(children_of[i]))
-    return RepTree.from_arrays(labels, points, children), vertex
+    children: list[list[int]] = [[] for _ in vertices]
+    for a, b in diagram.sorted_arcs():
+        children[b].append(a)
+    points: list[str | None] = [None] * len(vertices)
+    for i, kids in enumerate(children):
+        if not kids:
+            [points[i]] = vertices[i]  # a leaf is a one-point ball
+    return RepTree.bottom_up([None] * len(vertices), points, children)
 
 
 def _neighbors(h: HasseDiagram) -> tuple[list[list[int]], list[list[int]]]:

@@ -201,7 +201,7 @@ def _node_records(tree: RepTree) -> list[tuple[int, int, Fraction | None]]:
 def _replace_label(tree: RepTree, position: int, new_label: Fraction) -> RepTree:
     labels = list(tree.labels)
     labels[position] = new_label
-    return RepTree.from_arrays(labels, tree.points, tree.children)
+    return RepTree(labels, tree.points, tree.children)
 
 
 def _fresh_between(lo: Fraction, hi: Fraction, avoid: set[Fraction]) -> Fraction:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InfeasibleConstraintsError, TooLargeError
-from .reptree import RepNode, RepTree, build_tree, internal, leaf, space_from_tree
+from .reptree import RepTree, build_tree, space_from_tree
 from .similarity import (
     IsometryWitness,
     WeakSimWitness,
@@ -32,6 +32,8 @@ from .spaces import (
 )
 
 DEFAULT_POOL: tuple[Fraction, ...] = tuple(Fraction(k) for k in range(1, 7))
+
+_ZERO = Fraction(0)
 
 FORCE_CHOICES = (None, "R", "Rtilde", "D", "T")
 
@@ -59,18 +61,33 @@ def _positive_pool(config: GenConfig) -> list[Fraction]:
 
 
 class _Points:
-    """Hands out p0, p1, ... in construction order."""
+    """Numbers tree nodes as they are made, each child before its parent, in
+    arrays for ``RepTree.bottom_up``; leaves are named p0, p1, ... in
+    construction order."""
 
     def __init__(self) -> None:
         self.count = 0
+        self.labels: list[Fraction] = []
+        self.points: list[str | None] = []
+        self.children: list[list[int]] = []
 
-    def next(self) -> RepNode:
-        node = leaf(f"p{self.count}")
+    def next(self) -> int:
         self.count += 1
-        return node
+        return self.join(_ZERO, [], f"p{self.count - 1}")
+
+    def join(self, label: Fraction, children: list[int], point: str | None = None) -> int:
+        """Make a node over already made children; returns its number."""
+        self.labels.append(label)
+        self.points.append(point)
+        self.children.append(children)
+        return len(self.labels) - 1
+
+    def tree(self) -> RepTree:
+        """The tree whose root is the node made last."""
+        return RepTree.bottom_up(self.labels, self.points, self.children)[0]
 
 
-def _free_tree(rng: random.Random, n: int, max_rank: int, pool: list[Fraction], pts: _Points) -> RepNode:
+def _free_tree(rng: random.Random, n: int, max_rank: int, pool: list[Fraction], pts: _Points) -> int:
     # rank bounds the recursion depth: children recurse with rank - 1, so a
     # node at rank 1 can only have leaf children. The label may sit anywhere
     # in pool[rank - 1:max_rank]; descendants stay strictly below pool[rank - 1].
@@ -90,10 +107,10 @@ def _free_tree(rng: random.Random, n: int, max_rank: int, pool: list[Fraction], 
             children.append(pts.next())
         else:
             children.append(_free_tree(rng, size, rank - 1, pool, pts))
-    return internal(label, children)
+    return pts.join(label, children)
 
 
-def _chain_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Points) -> RepNode:
+def _chain_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Points) -> int:
     # One internal node per level; every chain node keeps >= 1 leaf sibling
     # for its inner child, the bottom node holds >= 2 leaves.
     m = rng.randint(1, min(n - 1, len(pool)))
@@ -101,50 +118,51 @@ def _chain_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Points) 
     counts = [1] * (m - 1) + [2]
     for _ in range(n - (m + 1)):
         counts[rng.randrange(m)] += 1
-    node: RepNode | None = None
+    node: int | None = None
     for level in range(m - 1, -1, -1):
         kids = [pts.next() for _ in range(counts[level])]
         if node is not None:
             kids.append(node)
-        node = internal(labels[level], kids)
+        node = pts.join(labels[level], kids)
     assert node is not None
     return node
 
 
-def _binary_chain_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Points) -> RepNode:
+def _binary_chain_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Points) -> int:
     m = n - 1
     if m > len(pool):
         raise InfeasibleConstraintsError(
             f"a strictly binary chain with {n} leaves needs {m} distinct labels"
         )
     labels = sorted(rng.sample(pool, m), reverse=True)
-    node: RepNode | None = None
+    node: int | None = None
     for level in range(m - 1, -1, -1):
         kids = [pts.next()]
         kids.append(node if node is not None else pts.next())
-        node = internal(labels[level], kids)
+        node = pts.join(labels[level], kids)
     assert node is not None
     return node
 
 
-def _distinct_relabel(root: RepNode, rng: random.Random, pool: list[Fraction]) -> RepNode:
-    """Give every internal node a distinct pool label, decreasing with depth."""
-    order: list[RepNode] = []
+def _distinct_relabel(root: int, rng: random.Random, pool: list[Fraction], pts: _Points) -> int:
+    """Give every internal node below ``root`` a distinct pool label,
+    decreasing with depth."""
+    children = pts.children
+    order: list[int] = []
     level = [root]
     while level:
-        order.extend(n for n in level if not n.is_leaf)
-        level = [c for n in level for c in n.children]
+        order.extend(v for v in level if children[v])
+        level = [c for v in level for c in children[v]]
     if len(order) > len(pool):
         raise InfeasibleConstraintsError(
             f"{len(order)} internal nodes but only {len(pool)} distinct pool labels"
         )
-    # the nodes are fresh from a generator and in no tree yet
-    for node, label in zip(order, sorted(rng.sample(pool, len(order)), reverse=True)):
-        node.label = label
+    for v, label in zip(order, sorted(rng.sample(pool, len(order)), reverse=True)):
+        pts.labels[v] = label
     return root
 
 
-def _uniform_fan_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Points) -> RepNode:
+def _uniform_fan_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Points) -> int:
     """Chain of single internal nodes with equal-sized leaf fans at the end.
 
     Falls back to a plain chain when a two-fan layout does not fit; both
@@ -152,11 +170,11 @@ def _uniform_fan_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Po
     """
     can_fan = n >= 4 and len(pool) >= 3
     if not can_fan or rng.random() < 0.3:
-        return _distinct_relabel(_chain_tree(rng, n, pool, pts), rng, pool)
+        return _distinct_relabel(_chain_tree(rng, n, pool, pts), rng, pool, pts)
     c = rng.randint(1, max(1, min(len(pool) - 2, n - 3, 4)))
     m_max = min((n - (c - 1)) // 2, len(pool) - c)
     if m_max < 2:
-        return _distinct_relabel(_chain_tree(rng, n, pool, pts), rng, pool)
+        return _distinct_relabel(_chain_tree(rng, n, pool, pts), rng, pool, pts)
     m = rng.randint(2, m_max)
     s = rng.randint(2, (n - (c - 1)) // m)
     counts = [1] * (c - 1) + [0]  # leaf children per chain node
@@ -164,11 +182,11 @@ def _uniform_fan_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Po
         counts[rng.randrange(c)] += 1
     labels = sorted(rng.sample(pool, c + m), reverse=True)
     fans = [
-        internal(labels[c + i], [pts.next() for _ in range(s)]) for i in range(m)
+        pts.join(labels[c + i], [pts.next() for _ in range(s)]) for i in range(m)
     ]
-    node = internal(labels[c - 1], fans + [pts.next() for _ in range(counts[c - 1])])
+    node = pts.join(labels[c - 1], fans + [pts.next() for _ in range(counts[c - 1])])
     for level in range(c - 2, -1, -1):
-        node = internal(labels[level], [pts.next() for _ in range(counts[level])] + [node])
+        node = pts.join(labels[level], [pts.next() for _ in range(counts[level])] + [node])
     return node
 
 
@@ -184,29 +202,28 @@ def random_ultrametric(config: GenConfig) -> FiniteSemimetricSpace:
     pool = _positive_pool(config)
     pts = _Points()
     if config.force_class is None:
-        root = _free_tree(rng, config.n, len(pool), pool, pts)
+        _free_tree(rng, config.n, len(pool), pool, pts)
     elif config.force_class == "Rtilde":
-        root = _chain_tree(rng, config.n, pool, pts)
+        _chain_tree(rng, config.n, pool, pts)
     elif config.force_class == "R":
-        root = _binary_chain_tree(rng, config.n, pool, pts)
+        _binary_chain_tree(rng, config.n, pool, pts)
     elif config.force_class == "D":
         # free trees can carry more internal nodes than the pool has labels;
         # retry a few times, then fall back to a chain (always in D)
-        root = None
         for _ in range(8):
             pts = _Points()
             candidate = _free_tree(rng, config.n, len(pool), pool, pts)
             try:
-                root = _distinct_relabel(candidate, rng, pool)
+                _distinct_relabel(candidate, rng, pool, pts)
                 break
             except InfeasibleConstraintsError:
                 continue
-        if root is None:
+        else:
             pts = _Points()
-            root = _distinct_relabel(_chain_tree(rng, config.n, pool, pts), rng, pool)
+            _distinct_relabel(_chain_tree(rng, config.n, pool, pts), rng, pool, pts)
     else:  # "T"
-        root = _uniform_fan_tree(rng, config.n, pool, pts)
-    return space_from_tree(RepTree(root))
+        _uniform_fan_tree(rng, config.n, pool, pts)
+    return space_from_tree(pts.tree())
 
 
 def random_semimetric(config: GenConfig) -> FiniteSemimetricSpace:
@@ -257,7 +274,7 @@ def random_relabeled(
             labels[v] = pick(upper[v])
             for c in kids:
                 upper[c] = labels[v]
-    return space_from_tree(RepTree.from_arrays(labels, tree.points, tree.children))
+    return space_from_tree(RepTree(labels, tree.points, tree.children))
 
 
 def renamed_copy(

@@ -8,8 +8,11 @@ maximum label on the connecting path.
 
 A ``RepTree`` is held as preorder arrays: position 0 is the root, and each
 position has a label, a leaf point (None on internal nodes) and the positions
-of its children. Every layer reads the arrays; ``RepNode`` is the nested form
-of hand-built trees and a view for code that walks nodes.
+of its children. It is the one form of a tree: every layer reads the arrays,
+the decoder writes them directly, and every producer that makes nodes
+children first (``build_tree``, the Hasse shape tree, the generators) numbers
+them bottom-up and has ``RepTree.bottom_up`` lay them out. ``RepNode`` is
+only a read-only view, built on first use, for code that walks nodes.
 
 ``build_tree`` reads the tree off the minimum spanning tree that certifies
 ultrametricity (``spaces.ultrametric_mst``): the representing tree is the
@@ -29,8 +32,8 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from operator import attrgetter, itemgetter
-from typing import Any, Callable, Sequence
+from operator import itemgetter
+from typing import Sequence
 
 from .errors import FormatError, InvalidTreeError, NotUltrametricError
 from .spaces import (
@@ -43,13 +46,12 @@ from .spaces import (
 
 
 class RepNode:
-    """Tree node: internal nodes have a label and children, leaves a point.
+    """Read-only node view of a ``RepTree`` position: internal nodes have a
+    label and children, leaves a point.
 
     ``label`` is None on shape-only trees read from unlabeled documents.
     Nodes compare and hash by identity; trees are compared by their canonical
-    codes or wire formats, not by ``==``. Nested nodes are the form of
-    hand-built trees, which ``RepTree(root)`` flattens, and of the node view
-    of a tree (``RepTree.root``, ``RepTree.nodes()``).
+    codes or wire formats, not by ``==``.
     """
 
     __slots__ = ("label", "children", "point")
@@ -69,43 +71,6 @@ class RepNode:
 _ZERO = Fraction(0)
 
 
-def leaf(point: str) -> RepNode:
-    return RepNode(_ZERO, (), point)
-
-
-def internal(label: object, children: tuple[RepNode, ...] | list[RepNode]) -> RepNode:
-    lbl = label if isinstance(label, Fraction) else Fraction(label)  # type: ignore[arg-type]
-    return RepNode(lbl, tuple(children), None)
-
-
-def flatten(top: Any, label_of: Callable, point_of: Callable, children_of: Callable
-            ) -> tuple[list, list[str | None], list[Sequence[int]], list]:
-    """Preorder arrays of the tree below node ``top``, and the node at each
-    position: a node's label, point and children are read through the three
-    functions, and its children are laid out in the order given."""
-    labels: list = []
-    points: list[str | None] = []
-    children: list[Sequence[int]] = []
-    nodes: list = []
-    stack = [top]
-    slots: list[list[int]] = [[]]  # the child list each stacked node's position joins
-    while stack:
-        node = stack.pop()
-        slots.pop().append(len(nodes))
-        nodes.append(node)
-        labels.append(label_of(node))
-        points.append(point_of(node))
-        kids = children_of(node)
-        if kids:
-            mine: list[int] = []
-            children.append(mine)
-            stack.extend(kids[::-1])
-            slots.extend([mine] * len(kids))
-        else:
-            children.append(())
-    return labels, points, children, nodes
-
-
 class RepTree:
     """A rooted tree as preorder arrays.
 
@@ -113,27 +78,38 @@ class RepTree:
     position 0 is the root, a node comes before its children's subtrees,
     and ``children[v]`` lists the children's positions in order (empty at a
     leaf). A position with no children is a leaf. Trees are never changed
-    once made, and trees may share arrays.
-
-    ``RepTree(root)`` flattens a nested tree of ``RepNode``s, valid or not,
-    and keeps those nodes as its node view. ``RepTree.from_arrays`` takes
-    the arrays themselves; its node view is built on first use.
+    once made, and trees may share arrays. The node view (``root``,
+    ``nodes()``) is built on first use.
     """
 
     __slots__ = ("labels", "points", "children", "_nodes")
 
-    def __init__(self, root: RepNode) -> None:
-        self.labels, self.points, self.children, nodes = flatten(
-            root, attrgetter("label"), attrgetter("point"), attrgetter("children"))
-        self._nodes: list[RepNode] | None = nodes
+    def __init__(self, labels: list, points: list[str | None],
+                 children: list[Sequence[int]]) -> None:
+        self.labels, self.points, self.children = labels, points, children
+        self._nodes: list[RepNode] | None = None
 
     @classmethod
-    def from_arrays(cls, labels: list, points: list[str | None],
-                    children: list[Sequence[int]]) -> "RepTree":
-        tree = cls.__new__(cls)
-        tree.labels, tree.points, tree.children = labels, points, children
-        tree._nodes = None
-        return tree
+    def bottom_up(cls, labels: list, points: list[str | None],
+                  children: Sequence[Sequence[int] | None]) -> tuple["RepTree", list[int]]:
+        """Lay out a tree whose nodes are numbered bottom-up, every child
+        before its parent and the root last (a leaf's children are empty or
+        None). Returns the preorder tree, each node's children in the given
+        order, and the node number at each position."""
+        order: list[int] = []
+        stack = [len(labels) - 1]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            kids = children[v]
+            if kids:
+                stack.extend(kids[::-1])
+        at = [0] * len(labels)
+        for p, v in enumerate(order):
+            at[v] = p
+        kids_at = [[at[c] for c in children[v]] if children[v] else () for v in order]
+        tree = cls([labels[v] for v in order], [points[v] for v in order], kids_at)
+        return tree, order
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -152,14 +128,11 @@ class RepTree:
     def root(self) -> RepNode:
         return self.nodes()[0]
 
-    def leaves(self) -> tuple[RepNode, ...]:
-        return tuple(n for n in self.nodes() if n.is_leaf)
-
     def leaf_points(self) -> tuple[str, ...]:
         return tuple(p for p, kids in zip(self.points, self.children) if not kids)  # type: ignore[misc]
 
 
-def validate_tree(tree: RepTree, labeled: bool = True, *, structure_first: bool = False) -> None:
+def validate_tree(tree: RepTree, labeled: bool = True) -> None:
     """Raise InvalidTreeError unless the tree satisfies the node invariants.
 
     Structural invariants always hold: leaves carry a point, internal nodes
@@ -168,11 +141,10 @@ def validate_tree(tree: RepTree, labeled: bool = True, *, structure_first: bool 
     labeled 0 and internal labels are positive and strictly larger than every
     child label.
 
-    One pass in preorder reports the first defect in preorder; with
-    ``structure_first`` it reports the first structural defect, and the first
-    label defect only if there is none. Labels are compared by rank: the
-    distinct label objects (a decoded document shares one per literal) are
-    sorted once, and equal values share a rank.
+    One pass in preorder reports the first structural defect in preorder,
+    and the first label defect in preorder only if there is none. Labels are
+    compared by rank: the distinct label objects (a decoded document shares
+    one per literal) are sorted once, and equal values share a rank.
     """
     labels, points = tree.labels, tree.points
     ranks: list[int | None] = []
@@ -217,8 +189,6 @@ def validate_tree(tree: RepTree, labeled: bool = True, *, structure_first: bool 
                         if below >= top:
                             defect = "child label must be strictly smaller than parent label"
                             break
-        if defect is not None and not structure_first:
-            raise InvalidTreeError(defect)
     if defect is not None:
         raise InvalidTreeError(defect)
 
@@ -272,8 +242,7 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
     # children are in smallest-point order, so code order breaks ties by it
     _, ordered = _codes(labels, kids, True, range(len(labels)))
     names = list(space.points) + [None] * (len(labels) - n)
-    flat = flatten(len(labels) - 1, labels.__getitem__, names.__getitem__, ordered.__getitem__)
-    return RepTree.from_arrays(*flat[:3])
+    return RepTree.bottom_up(labels, names, ordered)[0]
 
 
 def space_from_tree(tree: RepTree) -> FiniteSemimetricSpace:
@@ -314,23 +283,6 @@ def space_from_tree(tree: RepTree) -> FiniteSemimetricSpace:
 #
 # internal node: {"label": "2", "children": [...]} (label optional on shape
 # documents); leaf: {"point": "p"}.
-
-
-def tree_to_json(tree: RepTree) -> dict:
-    """The tree document, built in reverse preorder without recursion."""
-    labels, points, children = tree.labels, tree.points, tree.children
-    docs: list = [None] * len(tree)
-    for v in range(len(tree) - 1, -1, -1):
-        kids = children[v]
-        if not kids:
-            docs[v] = {"point": points[v]}
-            continue
-        doc: dict = {}
-        if labels[v] is not None:
-            doc["label"] = format_rational(labels[v])
-        doc["children"] = [docs[c] for c in kids]
-        docs[v] = doc
-    return docs[0]
 
 
 def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
@@ -378,14 +330,14 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
         children.append(mine)
         stack.extend(kids[::-1])
         slots.extend([mine] * len(kids))
-    tree = RepTree.from_arrays(labels, points, children)
-    validate_tree(tree, labeled, structure_first=True)
+    tree = RepTree(labels, points, children)
+    validate_tree(tree, labeled)
     return tree
 
 
 def tree_to_text(tree: RepTree) -> str:
-    """``json.dumps(tree_to_json(tree), indent=2) + "\\n"``, written without
-    recursion, so trees of any depth print."""
+    """The tree document as ``json.dumps(doc, indent=2) + "\\n"`` prints it,
+    written without recursion, so trees of any depth print."""
     labels, points, children = tree.labels, tree.points, tree.children
     out: list[str] = []
     stack: list = [(0, "")]  # a position with its indent, or text to write

@@ -47,9 +47,6 @@ class WeakSimWitness:
     scaling: Scaling
     phi: dict[str, str]
 
-    def scaling_map(self) -> dict[Fraction, Fraction]:
-        return dict(self.scaling)
-
 
 def forced_scaling(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace

@@ -345,11 +345,3 @@ def space_from_json(doc: object) -> FiniteSemimetricSpace:
 
 def space_to_text(space: FiniteSemimetricSpace) -> str:
     return json.dumps(space_to_json(space), indent=2) + "\n"
-
-
-def space_from_text(text: str) -> FiniteSemimetricSpace:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from None
-    return space_from_json(doc)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from umtk import diameter, diametrical_graph, multipartite_parts
 from umtk.errors import NotUltrametricError
-from umtk.reptree import RepNode, RepTree, leaf
+from umtk.reptree import RepNode, RepTree
 from umtk.treecanon import canon_code_labeled
+
+from tree_oracle import leaf, tree_of
 
 
 def first_violating_triple(space):
@@ -50,7 +52,7 @@ def prim_violating_triple(space):
 
 
 def _sorted_leaf_points(node: RepNode) -> tuple[str, ...]:
-    return tuple(sorted(n.point for n in RepTree(node).leaves()))
+    return tuple(sorted(tree_of(node).leaf_points()))
 
 
 def diametrical_tree(space) -> RepTree:
@@ -67,8 +69,8 @@ def diametrical_tree(space) -> RepTree:
         for part in multipartite_parts(diametrical_graph(sub)).parts:
             children.append(leaf(part[0]) if len(part) == 1 else build(sub.restrict(part)))
         children.sort(
-            key=lambda c: (canon_code_labeled(RepTree(c)), _sorted_leaf_points(c))
+            key=lambda c: (canon_code_labeled(tree_of(c)), _sorted_leaf_points(c))
         )
         return RepNode(diameter(sub), tuple(children))
 
-    return RepTree(build(space))
+    return tree_of(build(space))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from umtk import (
     GenConfig,
+    adversarial_relabeling,
     classify_space,
     decide_isometry,
     is_ultrametric,
@@ -23,7 +26,7 @@ from umtk import (
     verify_ball_preserving,
     verify_isometry,
 )
-from umtk.errors import InfeasibleConstraintsError, TooLargeError
+from umtk.errors import InfeasibleConstraintsError, TooLargeError, UmtkError
 from umtk.generators import DEFAULT_POOL
 from umtk.similarity import decide_weak_similarity
 from umtk.treecanon import canon_code_unlabeled
@@ -140,3 +143,51 @@ def test_generated_spaces_survive_the_deciders(seed, n):
     assert decide_weak_similarity(x, stretched) is not None
     renamed, _ = renamed_copy(x, seed + 2)
     assert decide_isometry(x, renamed) is not None
+
+
+# SHA-256 of every generator output below, one line per output, taken before
+# the generators built their trees as arrays; any changed byte changes them
+GOLDEN_DIGESTS = {
+    "random_ultrametric": "b609ec6e872cc5640d20ed33be9b1b6240af77fbaeb6e9c3cff2479b85e9df1a",
+    "random_relabeled": "d2f8d161ea63dc7e16e1c140af8ac6a48292df72103486eb54e6d0c8083a5353",
+    "random_relabeled distinct": "6d09c440f03e11de80b9c18426539494d6b4877ee0c5236a30ecbf7299fae6d2",
+    "adversarial_relabeling": "540e05ec4fb5d34533ebbdb349af3c0747503503e163cad4e254e4c3a4e4a631",
+    "classify_space": "803c3b0a1dcae66e81c49c22e8db2335096f0db3ccece5563a1214bd42143766",
+}
+
+
+def _line(make):
+    """The output as one JSON line, or the error it raised."""
+    try:
+        return json.dumps(make(), sort_keys=True)
+    except UmtkError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_generator_outputs_match_pinned_digests():
+    pools = (tuple(F(k) for k in range(1, 5)), tuple(F(k, 3) for k in range(1, 61)))
+    lines = {kind: [] for kind in GOLDEN_DIGESTS}
+    for pool in pools:
+        for seed in range(8):
+            for code in (None, "R", "Rtilde", "D", "T"):
+                for n in (1, 2, 3, 4, 6, 9, 14, 22, 34):
+                    cfg = GenConfig(seed=seed, n=n, spectrum_pool=pool, force_class=code)
+                    try:
+                        x = random_ultrametric(cfg)
+                    except InfeasibleConstraintsError as exc:
+                        lines["random_ultrametric"].append(f"{type(exc).__name__}: {exc}")
+                        continue
+                    lines["random_ultrametric"].append(json.dumps(space_to_json(x)))
+                    for kind, make in (
+                        ("random_relabeled", lambda: space_to_json(random_relabeled(x, seed))),
+                        ("random_relabeled distinct",
+                         lambda: space_to_json(random_relabeled(x, seed, distinct=True))),
+                        ("adversarial_relabeling", lambda: space_to_json(adversarial_relabeling(x))),
+                        ("classify_space", lambda: classify_space(x).to_json()),
+                    ):
+                        lines[kind].append(_line(make))
+    digests = {
+        kind: hashlib.sha256("".join(f"{line}\n" for line in out).encode()).hexdigest()
+        for kind, out in lines.items()
+    }
+    assert digests == GOLDEN_DIGESTS

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import isometry_oracle as oracle
+from tree_oracle import tree_of
 
 from umtk import (
     GenConfig,
@@ -21,7 +22,7 @@ from umtk import (
     spectrum,
     validate_semimetric,
 )
-from umtk.reptree import RepNode, RepTree
+from umtk.reptree import RepNode
 
 POOLS = (
     tuple(F(v) for v in range(1, 49)),
@@ -92,7 +93,7 @@ def _moved_label(space, rng):
         label = moved if node is target else node.label
         return RepNode(label, tuple(rebuild(c) for c in node.children))
 
-    return space_from_tree(RepTree(rebuild(build_tree(space).root)))
+    return space_from_tree(tree_of(rebuild(build_tree(space).root)))
 
 
 def _agree(x, y):

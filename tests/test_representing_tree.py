@@ -12,7 +12,6 @@ from umtk import (
     space_from_tree,
     spectrum,
     tree_from_json,
-    tree_to_json,
     ultrametric_violation,
     validate_semimetric,
     validate_tree,
@@ -23,10 +22,10 @@ from umtk.errors import (
     NotUltrametricError,
     UnknownPointError,
 )
-from umtk.reptree import RepTree, internal, leaf, tree_to_dot, tree_to_text
+from umtk.reptree import tree_to_dot, tree_to_text
 
 from diametrical_oracle import diametrical_tree
-from tree_oracle import strip_labels, tree_distance
+from tree_oracle import internal, leaf, strip_labels, tree_distance, tree_of, tree_to_json
 
 
 def test_tree_of_ultra3(ultra3):
@@ -68,7 +67,7 @@ def test_round_trip_identical_matrix(ultra3):
 
 
 def test_space_from_hand_built_tree():
-    tree = RepTree(internal(F(5), [leaf("u"), leaf("v")]))
+    tree = tree_of(internal(F(5), [leaf("u"), leaf("v")]))
     space = space_from_tree(tree)
     assert space.points == ("u", "v")
     assert space.distance("u", "v") == F(5)
@@ -92,13 +91,13 @@ def test_strip_labels(ultra3):
 
 def test_tree_validation_rejects_bad_shapes():
     with pytest.raises(InvalidTreeError):  # internal node with a single child
-        validate_tree(RepTree(internal(F(2), [leaf("u")])))
+        validate_tree(tree_of(internal(F(2), [leaf("u")])))
     with pytest.raises(InvalidTreeError):  # labels must strictly decrease
         validate_tree(
-            RepTree(internal(F(1), [leaf("u"), internal(F(1), [leaf("v"), leaf("w")])]))
+            tree_of(internal(F(1), [leaf("u"), internal(F(1), [leaf("v"), leaf("w")])]))
         )
     with pytest.raises(InvalidTreeError):  # duplicate leaf point
-        validate_tree(RepTree(internal(F(2), [leaf("u"), leaf("u")])))
+        validate_tree(tree_of(internal(F(2), [leaf("u"), leaf("u")])))
 
 
 def test_internal_labels_cover_spectrum(blocks4):

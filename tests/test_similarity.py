@@ -72,7 +72,7 @@ def test_weak_similarity_negative_and_reflexive(ultra3, blocks4):
     assert decide_weak_similarity(ultra3, blocks4) is None
     witness = decide_weak_similarity(ultra3, ultra3)
     assert witness is not None
-    assert witness.scaling_map() == {F(0): F(0), F(1): F(1), F(2): F(2)}
+    assert dict(witness.scaling) == {F(0): F(0), F(1): F(1), F(2): F(2)}
 
 
 def test_ultrametric_route_agrees_with_oracle(ultra3, ultra3_scaled, blocks4):
@@ -173,8 +173,8 @@ def test_weak_similarity_is_transitive_here():
     wxz = decide_weak_similarity(x, z)
     assert wxy is not None and wyz is not None and wxz is not None
     composed = {p: wyz.phi[wxy.phi[p]] for p in x.points}
-    f = wxy.scaling_map()
-    g = wyz.scaling_map()
+    f = dict(wxy.scaling)
+    g = dict(wyz.scaling)
     glued = WeakSimWitness(tuple((a, g[f[a]]) for a, _ in wxy.scaling), composed)
     assert verify_weak_similarity(x, z, glued)
 

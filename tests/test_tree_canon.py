@@ -15,7 +15,8 @@ from umtk import (
     space_from_pairs,
 )
 from umtk.errors import NotIsomorphicError
-from umtk.reptree import RepTree, internal, leaf
+
+from tree_oracle import internal, leaf, tree_of
 
 
 def test_point_order_does_not_affect_codes(ultra3):
@@ -38,8 +39,8 @@ def test_different_shapes_different_codes(ultra3, blocks4):
 
 
 def test_single_nodes_share_a_code():
-    assert canon_code_unlabeled(RepTree(leaf("x"))) == canon_code_unlabeled(
-        RepTree(leaf("y"))
+    assert canon_code_unlabeled(tree_of(leaf("x"))) == canon_code_unlabeled(
+        tree_of(leaf("y"))
     )
 
 
@@ -121,7 +122,7 @@ def test_deep_chain_codes_and_map_without_recursion():
         for k in range(1, depth + 1):
             kids = [leaf(f"{prefix}{k}"), node]
             node = internal(k, kids if leaf_first else kids[::-1])
-        return RepTree(node)
+        return tree_of(node)
 
     t1, t2 = chain(2000, "x", True), chain(2000, "y", False)
     start = time.perf_counter()

@@ -10,16 +10,15 @@ from fractions import Fraction as F
 import pytest
 
 import tree_oracle as oracle
+from tree_oracle import leaf
 from umtk import GenConfig, build_tree, random_relabeled, random_ultrametric
 from umtk.cli import main
 from umtk.errors import FormatError, InvalidTreeError
 from umtk.reptree import (
     RepNode,
     RepTree,
-    leaf,
     tree_from_json,
     tree_to_dot,
-    tree_to_json,
     tree_to_text,
     validate_tree,
 )
@@ -262,11 +261,13 @@ def test_equal_values_in_different_literals():
     ],
 )
 def test_hand_built_trees_validate_like_the_reference(root):
-    tree = RepTree(root)
+    tree = oracle.tree_of(root)
     for labeled in (False, True):
         want = got = None
-        try:
-            oracle.validate_tree(tree, labeled)
+        try:  # the structural pass, then the labeled one, as _labeled_reference
+            oracle.validate_tree(tree, False)
+            if labeled:
+                oracle.validate_tree(tree, True)
         except InvalidTreeError as exc:
             want = str(exc)
         try:
@@ -287,7 +288,7 @@ def _copy(tree, relabel=None):
     ``relabel`` maps an original position to its copy's label."""
     n = len(tree)
     labels = list(tree.labels) if relabel is None else [relabel(v) for v in range(n)]
-    copy = RepTree.from_arrays(labels, list(tree.points), [list(kids) for kids in tree.children])
+    copy = RepTree(labels, list(tree.points), [list(kids) for kids in tree.children])
     return copy, list(range(n))
 
 
@@ -371,13 +372,13 @@ def _text_trees():
         space = random_ultrametric(GenConfig(seed=seed, n=1 + seed % 12))
         yield build_tree(space)
     yield tree_from_json({"children": [{"point": "ü"}, {"children": [{"point": 'a"b'}, {"point": "c"}]}]})
-    yield RepTree(leaf("solo"))
-    yield RepTree(RepNode(F(3, 2), (leaf("u"), RepNode(None, (), None))))
+    yield oracle.tree_of(leaf("solo"))
+    yield oracle.tree_of(RepNode(F(3, 2), (leaf("u"), RepNode(None, (), None))))
 
 
 def test_text_writer_matches_json_dumps():
     for tree in _text_trees():
-        assert tree_to_text(tree) == json.dumps(tree_to_json(tree), indent=2) + "\n"
+        assert tree_to_text(tree) == json.dumps(oracle.tree_to_json(tree), indent=2) + "\n"
 
 
 def test_tree_prints_a_deep_chain(tmp_path):
@@ -400,7 +401,7 @@ def test_tree_to_json_of_a_deep_chain(recursion_headroom):
     doc = {"points": [f"p{k}" for k in range(n)], "dist": rows}
     with recursion_headroom(40):
         tree = build_tree(space_from_json(doc))
-        encoded = tree_to_json(tree)
+        encoded = oracle.tree_to_json(tree)
         text = tree_to_text(tree)
     # json.loads and == recurse once per level of nesting, in C
     with recursion_headroom(5 * n):

@@ -8,14 +8,63 @@ comparing each node's mapped children with its image's children as sets.
 ``tree_distance`` and ``strip_labels`` are recursive helpers used only by
 tests. All of them recurse once per tree level, so callers keep the trees
 shallow or raise the recursion limit.
+
+They work on nested ``RepNode``s: ``leaf`` and ``internal`` build them by
+hand, and ``tree_of`` lays a nested tree out as the preorder arrays of a
+``RepTree``. ``tree_to_json`` is the reference encoder of tree documents that
+``reptree.tree_to_text`` is compared with; it builds the document bottom-up,
+so it does not recurse.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from umtk.errors import FormatError, InvalidTreeError, UnknownPointError
-from umtk.reptree import RepNode, RepTree, leaf
-from umtk.spaces import parse_rational
+from umtk.reptree import RepNode, RepTree
+from umtk.spaces import format_rational, parse_rational
+
+
+def leaf(point: str) -> RepNode:
+    return RepNode(Fraction(0), (), point)
+
+
+def internal(label: object, children) -> RepNode:
+    lbl = label if isinstance(label, Fraction) else Fraction(label)  # type: ignore[arg-type]
+    return RepNode(lbl, tuple(children), None)
+
+
+def tree_of(root: RepNode) -> RepTree:
+    """The preorder arrays of a nested tree, valid or not."""
+    labels: list = []
+    points: list = []
+    children: list = []
+    stack = [(root, [])]  # a node and the child list its position joins
+    while stack:
+        node, slot = stack.pop()
+        slot.append(len(labels))
+        labels.append(node.label)
+        points.append(node.point)
+        mine: list[int] = []
+        children.append(mine if node.children else ())
+        stack.extend((c, mine) for c in reversed(node.children))
+    return RepTree(labels, points, children)
+
+
+def tree_to_json(tree: RepTree) -> dict:
+    """The tree document, built in reverse preorder without recursion."""
+    labels, points, children = tree.labels, tree.points, tree.children
+    docs: list = [None] * len(tree)
+    for v in range(len(tree) - 1, -1, -1):
+        kids = children[v]
+        if not kids:
+            docs[v] = {"point": points[v]}
+            continue
+        doc: dict = {}
+        if labels[v] is not None:
+            doc["label"] = format_rational(labels[v])
+        doc["children"] = [docs[c] for c in kids]
+        docs[v] = doc
+    return docs[0]
 
 
 def validate_tree(tree: RepTree, labeled: bool = True) -> None:
@@ -71,7 +120,7 @@ def tree_from_json(doc: object) -> RepTree:
         label = parse_rational(obj["label"]) if "label" in obj else None
         return RepNode(label, tuple(dec(k) for k in kids), None)
 
-    tree = RepTree(dec(doc))
+    tree = tree_of(dec(doc))
     validate_tree(tree, labeled=False)
     return tree
 
@@ -135,4 +184,4 @@ def strip_labels(tree: RepTree) -> RepTree:
     def strip(node: RepNode) -> RepNode:
         return RepNode(None, tuple(strip(c) for c in node.children), node.point)
 
-    return RepTree(strip(tree.root))
+    return tree_of(strip(tree.root))
