@@ -4,21 +4,28 @@ A ball B_r(t) is {x : d(x, t) <= r}. Sorting the points by their distance to
 t lists every ball around t as a prefix that ends where the distance changes,
 with that prefix's last distance as its radius (the smallest r that gives
 it). Balls are identified by member set; the recorded (center, radius)
-witness never participates in equality. The Hasse diagram has an arc for each
-cover pair of the inclusion order (arcs point small -> large), read off
-bitsets of the balls through each point. Deciding whether two balleans are
-order-isomorphic is a digraph isomorphism problem; for ball structures of
-ultrametric spaces the reversed diagram is a rooted tree and tree
-canonization decides it, otherwise color refinement and the matching search
-of ``search.match`` run. A Hasse isomorphism restricted to the zero-indegree
+witness never participates in equality. Every layer works on point indices:
+a ball is an int mask in which a point's bit is n - 1 - (rank of its name),
+so (size, -mask) sorts like (size, sorted names), the order of every ballean
+and diagram. Name sets are made only where they are read (``Ballean.balls``,
+``HasseDiagram.vertices``, a ``HasseIso`` read as a mapping, a violation and
+the writers). The Hasse diagram has an arc for each cover pair of the
+inclusion order (arcs point small -> large). For ultrametric spaces the
+reversed diagram is a rooted tree and tree canonization decides diagram
+isomorphism, otherwise color refinement and the matching search of
+``search.match`` run. A Hasse isomorphism restricted to the zero-indegree
 vertices (the one-point balls) always yields a ball-preserving point
 bijection, which is re-verified before being returned.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import UserDict
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate, repeat
+from operator import and_
 
 from .errors import NotABijectionError, NotIsomorphicError, VerificationFailedError
 from .reptree import RepTree
@@ -27,33 +34,30 @@ from .spaces import FiniteSemimetricSpace
 from .treecanon import rooted_tree_iso_map
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Ball:
     members: frozenset[str]
-    center: str
-    radius: Fraction
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Ball):
-            return NotImplemented
-        return self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
+    center: str = field(compare=False)
+    radius: Fraction = field(compare=False)
 
 
-def _set_key(members: frozenset[str]) -> tuple[int, tuple[str, ...]]:
-    return (len(members), tuple(sorted(members)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ballean:
-    """All distinct balls of a space, sorted by (size, member names)."""
+    """All distinct balls of a space, sorted by (size, member names): ball i
+    is ``masks[i]`` over the point bits ``bits``, with the point indices
+    ``members[i]`` and the witness ``witnesses[i]`` (centre index, radius rank)."""
 
-    balls: tuple[Ball, ...]
+    space: FiniteSemimetricSpace
+    bits: tuple[int, ...]
+    masks: tuple[int, ...]
+    members: tuple[list[int], ...]
+    witnesses: tuple[tuple[int, int], ...]
 
-    def member_sets(self) -> frozenset[frozenset[str]]:
-        return frozenset(b.members for b in self.balls)
+    @cached_property
+    def balls(self) -> tuple[Ball, ...]:
+        pts, values = self.space.points, self.space.spectrum
+        return tuple(Ball(frozenset(map(pts.__getitem__, members)), pts[t], values[r])
+                     for members, (t, r) in zip(self.members, self.witnesses))
 
 
 @lru_cache(maxsize=None)
@@ -62,71 +66,109 @@ def enumerate_balls(space: FiniteSemimetricSpace) -> Ballean:
 
     Always contains all singletons (r = 0) and the whole space (r = diam).
     A member set's witness is its first (center, radius) in point order, then
-    radius order.
+    radius order. A prefix costs one OR, and a ball one dict lookup.
     """
-    found: dict[frozenset[str], Ball] = {}
-    pts = space.points
-    n = len(pts)
-    values = space.spectrum
-    for t, row in zip(pts, space.ranks):
+    n = len(space.points)
+    rank = {p: k for k, p in enumerate(sorted(space.points))}
+    bits = tuple(n - 1 - rank[p] for p in space.points)
+    one = [1 << b for b in bits]
+    found: dict[int, tuple[list[int], tuple[int, int]]] = {}
+    for t, row in enumerate(space.ranks):
         order = sorted(range(n), key=row.__getitem__)
-        prefix: list[str] = []
-        for k, i in enumerate(order):
-            prefix.append(pts[i])
-            if k + 1 < n and row[order[k + 1]] == row[i]:
-                continue
-            members = frozenset(prefix)
-            if members not in found:
-                found[members] = Ball(members, t, values[row[i]])
-    ordered = sorted(found.values(), key=lambda b: _set_key(b.members))
-    return Ballean(tuple(ordered))
+        mask = 0
+        for k, i in enumerate(order, 1):
+            mask |= one[i]
+            if (k == n or row[order[k]] != row[i]) and mask not in found:
+                found[mask] = (order[:k], (t, row[i]))
+    masks = tuple(sorted(found, key=lambda m: (m.bit_count(), -m)))
+    members, witnesses = zip(*map(found.__getitem__, masks))
+    return Ballean(space, bits, masks, members, witnesses)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HasseDiagram:
-    """Cover digraph of the inclusion order; arcs are vertex-index pairs."""
+    """Cover digraph of the inclusion order; arcs are vertex-index pairs.
 
-    vertices: tuple[frozenset[str], ...]
-    arcs: frozenset[tuple[int, int]]
+    Vertex v is the mask ``masks[v]``, whose bit b stands for ``names[b]``
+    (names in descending order); ``order`` lists the vertices by (size,
+    sorted names), and ``succs[v]``/``preds[v]`` are v's neighbours in
+    ascending order. The name sets ``vertices``, read from ``ballean`` for a
+    diagram of one, and the arc set ``arcs`` are made on first read.
+    """
+
+    names: list[str]
+    masks: Sequence[int]
+    order: Sequence[int]
+    succs: list[list[int]]
+    preds: list[list[int]]
+    ballean: Ballean | None = None
+
+    @classmethod
+    def of_sets(cls, vertices: Sequence[frozenset[str]], arcs: Iterable[tuple[int, int]]) -> HasseDiagram:
+        """The diagram of the given member sets, in any order, and arcs."""
+        names = sorted(frozenset().union(*vertices), reverse=True)
+        one = {p: 1 << b for b, p in enumerate(names)}
+        masks = [sum(map(one.__getitem__, v)) for v in vertices]
+        succs: list[list[int]] = [[] for _ in masks]
+        preds: list[list[int]] = [[] for _ in masks]
+        for a, b in sorted(arcs):
+            succs[a].append(b)
+            preds[b].append(a)
+        order = sorted(range(len(masks)), key=lambda v: (len(vertices[v]), -masks[v]))
+        diagram = cls(names, masks, order, succs, preds)
+        diagram.__dict__["vertices"] = tuple(vertices)
+        return diagram
+
+    @cached_property
+    def vertices(self) -> tuple[frozenset[str], ...]:
+        return tuple(b.members for b in self.ballean.balls)  # type: ignore[union-attr]
+
+    @cached_property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_arcs())
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
-        return sorted(self.arcs)
+        return [(a, b) for a, near in enumerate(self.succs) for b in near]
 
     def out_degrees(self) -> list[int]:
-        degs = [0] * len(self.vertices)
-        for a, _ in self.arcs:
-            degs[a] += 1
-        return degs
+        return [len(near) for near in self.succs]
 
 
 def hasse_diagram(ballean: Ballean) -> HasseDiagram:
     """Cover pairs B1 < B2 with no ball strictly between.
 
     Bit j of ``through[p]`` is set iff ball j contains p, so the AND over a
-    ball's members gives its strict supersets. Balls are sorted by size, so
-    the lowest remaining superset is a cover; the supersets of that cover are
-    then not covers and are dropped. Each cover costs a few big-int
-    operations on B-bit masks.
+    ball's members is the ball and its strict supersets: one running AND
+    along each centre's distance order. Balls are sorted by size, so the
+    lowest remaining superset is a cover; the cover and its supersets are
+    then dropped. Each cover costs a few big-int operations on B-bit masks.
     """
-    sets = tuple(b.members for b in ballean.balls)
-    through: dict[str, int] = {}
-    for j, members in enumerate(sets):
-        bit = 1 << j
-        for p in members:
-            through[p] = through.get(p, 0) | bit
-    above = []
-    for i, members in enumerate(sets):
-        mask = -1
-        for p in members:
-            mask &= through[p]
-        above.append(mask & ~(1 << i))
-    arcs = set()
-    for i, rest in enumerate(above):
+    masks, members, n = ballean.masks, ballean.members, len(ballean.bits)
+    # the masks in binary, last ball first: every n-th character from c on
+    # is bit n - 1 - c of each ball
+    text = "".join(map(format, reversed(masks), repeat(f"0{n}b")))
+    through = [int(text[n - 1 - b :: n], 2) for b in ballean.bits]
+    by_centre: dict[int, list[int]] = {}
+    for j, (t, _) in enumerate(ballean.witnesses):
+        by_centre.setdefault(t, []).append(j)
+    upsets = [0] * len(masks)
+    for balls in by_centre.values():
+        running = list(accumulate(map(through.__getitem__, members[balls[-1]]), and_))
+        for j in balls:
+            upsets[j] = running[len(members[j]) - 1]
+    clear = [~up for up in upsets]
+    succs: list[list[int]] = []
+    preds: list[list[int]] = [[] for _ in masks]
+    for i, up in enumerate(upsets):
+        rest = up ^ (1 << i)
+        succs.append([])
         while rest:
             k = (rest & -rest).bit_length() - 1
-            arcs.add((i, k))
-            rest &= ~(above[k] | (1 << k))
-    return HasseDiagram(sets, frozenset(arcs))
+            succs[i].append(k)
+            preds[k].append(i)
+            rest &= clear[k]
+    names = sorted(ballean.space.points, reverse=True)
+    return HasseDiagram(names, masks, range(len(masks)), succs, preds, ballean)
 
 
 def reversed_is_rooted_tree(diagram: HasseDiagram) -> bool:
@@ -137,8 +179,7 @@ def reversed_is_rooted_tree(diagram: HasseDiagram) -> bool:
     cycle check is needed.
     """
     degs = diagram.out_degrees()
-    roots = degs.count(0)
-    return roots == 1 and all(d in (0, 1) for d in degs)
+    return degs.count(0) == 1 and degs.count(1) == len(degs) - 1
 
 
 def _shape_tree(diagram: HasseDiagram) -> tuple[RepTree, list[int]]:
@@ -146,99 +187,68 @@ def _shape_tree(diagram: HasseDiagram) -> tuple[RepTree, list[int]]:
     the vertex index of each position; children in vertex-index order.
     Vertices are sorted by size, so every child ball comes before its parent
     and the whole space is last: the vertex indices number the tree bottom-up."""
-    vertices = diagram.vertices
-    children: list[list[int]] = [[] for _ in vertices]
-    for a, b in diagram.sorted_arcs():
-        children[b].append(a)
-    points: list[str | None] = [None] * len(vertices)
-    for i, kids in enumerate(children):
-        if not kids:
-            [points[i]] = vertices[i]  # a leaf is a one-point ball
-    return RepTree.bottom_up([None] * len(vertices), points, children)
-
-
-def _neighbors(h: HasseDiagram) -> tuple[list[list[int]], list[list[int]]]:
-    """Predecessor and successor lists of every vertex."""
-    preds: list[list[int]] = [[] for _ in h.vertices]
-    succs: list[list[int]] = [[] for _ in h.vertices]
-    for a, b in h.arcs:
-        succs[a].append(b)
-        preds[b].append(a)
-    return preds, succs
+    names, preds = diagram.names, diagram.preds
+    points = [None if kids else names[m.bit_length() - 1] for m, kids in zip(diagram.masks, preds)]
+    return RepTree.bottom_up([None] * len(preds), points, preds)
 
 
 def _joint_refine(h1: HasseDiagram, h2: HasseDiagram) -> tuple[list[int], list[int]] | None:
-    """Color vertices of both diagrams together by iterated neighborhood
-    refinement; returns None early if the color histograms diverge."""
+    """Int colours of both diagrams' vertices by joint iterated neighbourhood
+    refinement; None as soon as the colour histograms diverge. Stops when a
+    round splits no class or every class holds one vertex of each side."""
 
-    def heights(h: HasseDiagram, preds: list[list[int]]) -> list[int]:
-        # longest path from a minimal vertex; vertices sorted by size are
-        # already topological for inclusion.
-        order = sorted(range(len(h.vertices)), key=lambda i: len(h.vertices[i]))
-        height = [0] * len(h.vertices)
-        for v in order:
-            for p in preds[v]:
-                height[v] = max(height[v], height[p] + 1)
-        return height
+    def first_keys(h: HasseDiagram) -> list[tuple[int, int, int]]:
+        # height: longest path from a minimal vertex; ``order`` sorts by
+        # size, so it is topological for inclusion
+        height = [0] * len(h.masks)
+        for v in h.order:
+            if h.preds[v]:
+                height[v] = 1 + max(map(height.__getitem__, h.preds[v]))
+        return list(zip(map(len, h.preds), map(len, h.succs), height))
 
-    p1, s1 = _neighbors(h1)
-    p2, s2 = _neighbors(h2)
-    hts1 = heights(h1, p1)
-    hts2 = heights(h2, p2)
-    colors1: list = [(len(p1[i]), len(s1[i]), hts1[i]) for i in range(len(h1.vertices))]
-    colors2: list = [(len(p2[i]), len(s2[i]), hts2[i]) for i in range(len(h2.vertices))]
-    if sorted(colors1) != sorted(colors2):
-        return None
-
+    keys = [first_keys(h1), first_keys(h2)]
+    classes = 0
     while True:
-        # A round keys every vertex by (own color, pred colors, succ colors)
-        # and renames keys to small ints jointly across both diagrams, so the
-        # ints stay comparable. Refinement only ever splits classes.
-        palette: dict[object, int] = {}
-
-        def norm(key: object) -> int:
-            if key not in palette:
-                palette[key] = len(palette)
-            return palette[key]
-
-        new1 = [
-            norm(
-                (
-                    colors1[i],
-                    tuple(sorted(colors1[j] for j in p1[i])),
-                    tuple(sorted(colors1[j] for j in s1[i])),
-                )
-            )
-            for i in range(len(colors1))
-        ]
-        new2 = [
-            norm(
-                (
-                    colors2[i],
-                    tuple(sorted(colors2[j] for j in p2[i])),
-                    tuple(sorted(colors2[j] for j in s2[i])),
-                )
-            )
-            for i in range(len(colors2))
-        ]
-        if sorted(new1) != sorted(new2):
+        # keys (own colour, sorted predecessor colours, -1, sorted successor
+        # colours) are renamed to small ints jointly across both diagrams, so
+        # the ints stay comparable; refinement only ever splits classes
+        palette: dict[tuple, int] = {}
+        colors = [[palette.setdefault(key, len(palette)) for key in side] for side in keys]
+        if sorted(colors[0]) != sorted(colors[1]):
             return None
-        if len(set(new1) | set(new2)) == len(set(colors1) | set(colors2)):
-            return new1, new2
-        colors1, colors2 = new1, new2
+        if len(palette) in (classes, len(colors[0])):
+            return colors[0], colors[1]
+        classes = len(palette)
+        keys = [
+            [(c, *sorted(map(color.__getitem__, p)), -1, *sorted(map(color.__getitem__, s)))
+             for c, p, s in zip(color, h.preds, h.succs)]
+            for color, h in zip(colors, (h1, h2))
+        ]
 
 
-def hasse_digraph_iso(
-    h1: HasseDiagram, h2: HasseDiagram
-) -> dict[frozenset[str], frozenset[str]] | None:
+@dataclass(eq=False)
+class HasseIso(UserDict):
+    """Arc-preserving vertex bijection of ``h1`` onto ``h2`` as vertex
+    indices, ``assignment``; read as a mapping, name set to name set."""
+
+    h1: HasseDiagram
+    h2: HasseDiagram
+    assignment: dict[int, int]
+
+    @cached_property
+    def data(self) -> dict[frozenset[str], frozenset[str]]:  # type: ignore[override]
+        return {self.h1.vertices[i]: self.h2.vertices[j] for i, j in self.assignment.items()}
+
+
+def hasse_digraph_iso(h1: HasseDiagram, h2: HasseDiagram) -> HasseIso | None:
     """Arc-preserving vertex bijection between Hasse diagrams, or None.
 
     Reversed-tree diagrams (the ultrametric case) are decided through rooted
     tree canonization; general diagrams through color refinement plus
-    backtracking within color classes. The returned map is verified over all
-    vertex pairs before being returned.
+    backtracking within color classes. The returned map is checked to be a
+    bijection that keeps every arc before being returned.
     """
-    if len(h1.vertices) != len(h2.vertices) or len(h1.arcs) != len(h2.arcs):
+    if len(h1.masks) != len(h2.masks) or sum(h1.out_degrees()) != sum(h2.out_degrees()):
         return None
     t1, t2 = reversed_is_rooted_tree(h1), reversed_is_rooted_tree(h2)
     if t1 != t2:
@@ -255,23 +265,24 @@ def hasse_digraph_iso(
         assignment = _search_assignment(h1, h2)
         if assignment is None:
             return None
-    if len(assignment) != len(h1.vertices) or len(set(assignment.values())) != len(assignment):
+    if len(assignment) != len(h1.masks) or len(set(assignment.values())) != len(assignment):
         raise VerificationFailedError("digraph iso is not a vertex bijection")
-    for a, b in h1.arcs:
-        if (assignment[a], assignment[b]) not in h2.arcs:
+    succ2 = [set(near) for near in h2.succs]
+    for a, near in enumerate(h1.succs):
+        if any(assignment[b] not in succ2[assignment[a]] for b in near):
             raise VerificationFailedError("digraph iso failed arc re-check")
-    return {h1.vertices[i]: h2.vertices[j] for i, j in assignment.items()}
+    return HasseIso(h1, h2, assignment)
 
 
 def _search_assignment(h1: HasseDiagram, h2: HasseDiagram) -> dict[int, int] | None:
     """Vertex map of two general diagrams, or None: ``search.match`` over
-    the refined colors, in ``_set_key`` order, testing a candidate against
-    the assigned neighbours only."""
+    the refined colors, in each diagram's key order, testing a candidate
+    against the assigned neighbours only."""
     refined = _joint_refine(h1, h2)
     if refined is None:
         return None
-    pred1, succ1 = _neighbors(h1)
-    pred2, succ2 = ([set(near) for near in lists] for lists in _neighbors(h2))
+    pred1, succ1 = h1.preds, h1.succs
+    pred2, succ2 = [set(near) for near in h2.preds], [set(near) for near in h2.succs]
 
     def fits(i: int, j: int, image: list[int], used: list[bool]) -> bool:
         # The map is injective, so j's assigned neighbours are exactly the
@@ -284,14 +295,11 @@ def _search_assignment(h1: HasseDiagram, h2: HasseDiagram) -> dict[int, int] | N
                     if j2 not in near2:
                         return False
                     count += 1
-            if count != sum(used[j2] for j2 in near2):
+            if count != sum(map(used.__getitem__, near2)):
                 return False
         return True
 
-    def by_key(h: HasseDiagram) -> list[int]:
-        return sorted(range(len(h.vertices)), key=lambda v: _set_key(h.vertices[v]))
-
-    return match(*refined, by_key(h1), by_key(h2), fits)
+    return match(*refined, h1.order, h2.order, fits)
 
 
 def verify_ball_preserving(
@@ -302,24 +310,21 @@ def verify_ball_preserving(
     Returns (True, None) or (False, first violation) where the violation is
     ("image"|"preimage", ball members, offending image/preimage set).
     Raises NotABijectionError if the mapping is not a point bijection.
+    A ball's image mask is the sum of its members' image bits.
     """
-    if set(mapping) != set(x.points) or len(set(mapping.values())) != len(mapping):
+    images = set(mapping.values())
+    if set(mapping) != set(x.points) or len(images) != len(mapping) or images != set(y.points):
         raise NotABijectionError("mapping keys/values do not biject the point sets")
-    if set(mapping.values()) != set(y.points):
-        raise NotABijectionError("mapping keys/values do not biject the point sets")
-    bx = enumerate_balls(x)
-    by = enumerate_balls(y)
-    x_sets = bx.member_sets()
-    y_sets = by.member_sets()
-    for ball in bx.balls:
-        image = frozenset(mapping[p] for p in ball.members)
-        if image not in y_sets:
-            return (False, ("image", ball.members, image))
+    bx, by = enumerate_balls(x), enumerate_balls(y)
     inverse = {v: k for k, v in mapping.items()}
-    for ball in by.balls:
-        preimage = frozenset(inverse[p] for p in ball.members)
-        if preimage not in x_sets:
-            return (False, ("preimage", ball.members, preimage))
+    for kind, source, target, to in (("image", bx, by, mapping), ("preimage", by, bx, inverse)):
+        pts, bit = source.space.points, dict(zip(target.space.points, target.bits))
+        image_bit = [1 << bit[to[p]] for p in pts]
+        masks = set(target.masks)
+        for members in source.members:
+            if sum(map(image_bit.__getitem__, members)) not in masks:
+                ball = frozenset(map(pts.__getitem__, members))
+                return (False, (kind, ball, frozenset(to[p] for p in ball)))
     return (True, None)
 
 
@@ -332,17 +337,19 @@ def ball_preserving_bijection(
     diagram isomorphism restricted to the zero-indegree vertices (the
     one-point balls) and then re-verified in full.
     """
-    hx = hasse_diagram(enumerate_balls(x))
-    hy = hasse_diagram(enumerate_balls(y))
+    bx, by = enumerate_balls(x), enumerate_balls(y)
+    if len(bx.masks) != len(by.masks):
+        return None
+    hx, hy = hasse_diagram(bx), hasse_diagram(by)
     iso = hasse_digraph_iso(hx, hy)
     if iso is None:
         return None
     mapping: dict[str, str] = {}
-    for bx_set, by_set in iso.items():
-        if len(bx_set) == 1:
-            if len(by_set) != 1:
+    for i, j in iso.assignment.items():
+        if hx.masks[i].bit_count() == 1:
+            if hy.masks[j].bit_count() != 1:
                 raise VerificationFailedError("singleton ball mapped to a larger ball")
-            mapping[next(iter(bx_set))] = next(iter(by_set))
+            mapping[hx.names[hx.masks[i].bit_length() - 1]] = hy.names[hy.masks[j].bit_length() - 1]
     ok, violation = verify_ball_preserving(x, y, mapping)
     if not ok:
         raise VerificationFailedError(f"extracted bijection not ball-preserving: {violation}")
@@ -353,27 +360,20 @@ def ball_preserving_bijection(
 
 
 def ballean_to_json(ballean: Ballean) -> dict:
-    return {"balls": [sorted(b.members) for b in ballean.balls]}
+    return {"balls": [sorted(map(ballean.space.points.__getitem__, m)) for m in ballean.members]}
 
 
 def hasse_to_json(diagram: HasseDiagram) -> dict:
-    return {
-        "vertices": [sorted(v) for v in diagram.vertices],
-        "arcs": [list(arc) for arc in diagram.sorted_arcs()],
-    }
+    return {"vertices": [sorted(v) for v in diagram.vertices], "arcs": list(map(list, diagram.sorted_arcs()))}
 
 
-def hasse_iso_to_json(iso: dict[frozenset[str], frozenset[str]]) -> dict:
-    pairs = sorted(iso.items(), key=lambda kv: _set_key(kv[0]))
-    return {"map": [[sorted(a), sorted(b)] for a, b in pairs]}
+def hasse_iso_to_json(iso: HasseIso) -> dict:
+    v1, v2 = iso.h1.vertices, iso.h2.vertices
+    return {"map": [[sorted(v1[i]), sorted(v2[iso.assignment[i]])] for i in iso.h1.order]}
 
 
 def hasse_to_dot(diagram: HasseDiagram) -> str:
     lines = ["digraph hasse {"]
-    for i, members in enumerate(diagram.vertices):
-        text = "{" + ",".join(sorted(members)) + "}"
-        lines.append(f'  b{i} [label="{text}"];')
-    for a, b in diagram.sorted_arcs():
-        lines.append(f"  b{a} -> b{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += ['  b%d [label="{%s}"];' % (i, ",".join(sorted(v))) for i, v in enumerate(diagram.vertices)]
+    lines += [f"  b{a} -> b{b};" for a, b in diagram.sorted_arcs()]
+    return "\n".join(lines) + "\n}\n"

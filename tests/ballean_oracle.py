@@ -2,34 +2,45 @@
 
 ``enumerate_balls`` sweeps every centre over the whole spectrum, and
 ``hasse_diagram`` tests every triple of balls for a ball strictly between.
-``search_assignment`` is the recursive backtracking search that checks each
-candidate against every assigned pair. All three are slow and exist only to
-check the ballean, cover and search passes of ``umtk.balls``.
+``joint_refine`` refines tuple colours, ``search_assignment`` is the
+recursive backtracking search that checks each candidate against every
+assigned pair, and ``verify_ball_preserving`` maps member ``frozenset``s.
+All of them work on point names, share no code with ``umtk.balls`` and are
+slow; they exist only to check its passes. A diagram here is anything with
+``vertices`` (member sets) and ``arcs`` (vertex-index pairs).
 """
 from __future__ import annotations
 
-from umtk.balls import Ball, Ballean, HasseDiagram, _joint_refine, _set_key
-from umtk.spaces import spectrum
+from typing import NamedTuple
 
 
-def enumerate_balls(space) -> Ballean:
-    """Every ball B_r(t), t in point order and r over the whole spectrum; the
-    first (t, r) to give a member set is its witness."""
+class Diagram(NamedTuple):
+    vertices: tuple[frozenset[str], ...]
+    arcs: frozenset[tuple[int, int]]
+
+
+def _set_key(members: frozenset[str]) -> tuple[int, tuple[str, ...]]:
+    return (len(members), tuple(sorted(members)))
+
+
+def enumerate_balls(space) -> list[tuple[frozenset[str], str, object]]:
+    """Every ball B_r(t) as (members, t, r), t in point order and r over the
+    whole spectrum; the first (t, r) to give a member set is its witness."""
     found = {}
     pts = space.points
+    values = sorted({d for row in space.dist for d in row})
     for ti, t in enumerate(pts):
         row = space.dist[ti]
-        for r in spectrum(space):
+        for r in values:
             members = frozenset(pts[i] for i in range(len(pts)) if row[i] <= r)
             if members not in found:
-                found[members] = Ball(members, t, r)
-    ordered = sorted(found.values(), key=lambda b: _set_key(b.members))
-    return Ballean(tuple(ordered))
+                found[members] = (members, t, r)
+    return sorted(found.values(), key=lambda ball: _set_key(ball[0]))
 
 
-def hasse_diagram(ballean: Ballean) -> HasseDiagram:
+def hasse_diagram(sets) -> Diagram:
     """Cover pairs B1 < B2 with no ball strictly between (triple scan)."""
-    sets = tuple(b.members for b in ballean.balls)
+    sets = tuple(sets)
     n = len(sets)
     arcs = set()
     for i in range(n):
@@ -39,14 +50,81 @@ def hasse_diagram(ballean: Ballean) -> HasseDiagram:
             if any(k != i and k != j and sets[i] < sets[k] < sets[j] for k in range(n)):
                 continue
             arcs.add((i, j))
-    return HasseDiagram(sets, frozenset(arcs))
+    return Diagram(sets, frozenset(arcs))
 
 
-def search_assignment(h1: HasseDiagram, h2: HasseDiagram) -> dict[int, int] | None:
+def _neighbors(h) -> tuple[list[list[int]], list[list[int]]]:
+    preds: list[list[int]] = [[] for _ in h.vertices]
+    succs: list[list[int]] = [[] for _ in h.vertices]
+    for a, b in h.arcs:
+        succs[a].append(b)
+        preds[b].append(a)
+    return preds, succs
+
+
+def joint_refine(h1, h2) -> tuple[list[int], list[int]] | None:
+    """Joint colour refinement over (own colour, sorted predecessor colours,
+    sorted successor colours) keys, starting from (in-degree, out-degree,
+    height), until a round splits no class; None once the histograms
+    diverge."""
+
+    def heights(h, preds: list[list[int]]) -> list[int]:
+        order = sorted(range(len(h.vertices)), key=lambda i: len(h.vertices[i]))
+        height = [0] * len(h.vertices)
+        for v in order:
+            for p in preds[v]:
+                height[v] = max(height[v], height[p] + 1)
+        return height
+
+    p1, s1 = _neighbors(h1)
+    p2, s2 = _neighbors(h2)
+    hts1 = heights(h1, p1)
+    hts2 = heights(h2, p2)
+    colors1: list = [(len(p1[i]), len(s1[i]), hts1[i]) for i in range(len(h1.vertices))]
+    colors2: list = [(len(p2[i]), len(s2[i]), hts2[i]) for i in range(len(h2.vertices))]
+    if sorted(colors1) != sorted(colors2):
+        return None
+
+    while True:
+        palette: dict[object, int] = {}
+
+        def norm(key: object) -> int:
+            if key not in palette:
+                palette[key] = len(palette)
+            return palette[key]
+
+        new1 = [
+            norm(
+                (
+                    colors1[i],
+                    tuple(sorted(colors1[j] for j in p1[i])),
+                    tuple(sorted(colors1[j] for j in s1[i])),
+                )
+            )
+            for i in range(len(colors1))
+        ]
+        new2 = [
+            norm(
+                (
+                    colors2[i],
+                    tuple(sorted(colors2[j] for j in p2[i])),
+                    tuple(sorted(colors2[j] for j in s2[i])),
+                )
+            )
+            for i in range(len(colors2))
+        ]
+        if sorted(new1) != sorted(new2):
+            return None
+        if len(set(new1) | set(new2)) == len(set(colors1) | set(colors2)):
+            return new1, new2
+        colors1, colors2 = new1, new2
+
+
+def search_assignment(h1, h2) -> dict[int, int] | None:
     """Recursive backtracking over the jointly refined colour classes; each
     candidate is tested against every assigned pair. Recurses once per
     vertex, so callers raise the recursion limit for large diagrams."""
-    refined = _joint_refine(h1, h2)
+    refined = joint_refine(h1, h2)
     if refined is None:
         return None
     colors1, colors2 = refined
@@ -90,3 +168,19 @@ def search_assignment(h1: HasseDiagram, h2: HasseDiagram) -> dict[int, int] | No
         return False
 
     return assignment if extend(0) else None
+
+
+def verify_ball_preserving(x, y, mapping: dict[str, str]):
+    """(True, None), or (False, (kind, ball, image)) for the first X-ball
+    whose image, or else the first Y-ball whose preimage, is not a ball;
+    balls in (size, sorted names) order. ``mapping`` must be a bijection."""
+    x_balls = [members for members, _, _ in enumerate_balls(x)]
+    y_balls = [members for members, _, _ in enumerate_balls(y)]
+    inverse = {v: k for k, v in mapping.items()}
+    sides = (("image", x_balls, y_balls, mapping), ("preimage", y_balls, x_balls, inverse))
+    for kind, balls, others, to in sides:
+        for ball in balls:
+            image = frozenset(to[p] for p in ball)
+            if image not in others:
+                return (False, (kind, ball, image))
+    return (True, None)

@@ -19,6 +19,7 @@ from umtk import (
     random_ultrametric,
     renamed_copy,
     reversed_is_rooted_tree,
+    space_from_json,
     space_from_pairs,
     verify_ball_preserving,
 )
@@ -150,9 +151,10 @@ def test_hasse_dot_output(ultra3):
 def test_ball_radii_range_over_spectrum(blocks4):
     ballean = enumerate_balls(blocks4)
     assert {b.radius for b in ballean.balls} <= {F(0), F(1), F(2), F(3)}
-    assert frozenset(blocks4.points) in ballean.member_sets()
+    member_sets = {b.members for b in ballean.balls}
+    assert frozenset(blocks4.points) in member_sets
     for p in blocks4.points:
-        assert frozenset({p}) in ballean.member_sets()
+        assert frozenset({p}) in member_sets
 
 
 def test_tree_branch_re_checks_the_tree_map(blocks4, leaf_swapping_iso_map, monkeypatch):
@@ -176,6 +178,33 @@ def test_ball_preserving_search_deeper_than_the_recursion_limit():
     assert verify_ball_preserving(x, y, phi)[0]
 
 
+def test_deep_chain_ballean_and_ball_preserving_map():
+    # the binary chain d(p_i, p_j) = n - min(i, j) has 2n - 1 balls; a set
+    # per (centre, prefix) made its ballean cubic in n, about 21 s here
+    n = 1100
+    rows = [["0" if a == b else str(n - min(a, b)) for b in range(n)] for a in range(n)]
+    x = space_from_json({"points": [f"p{k}" for k in range(n)], "dist": rows})
+    start = time.perf_counter()
+    ballean = enumerate_balls(x)
+    assert time.perf_counter() - start < 5
+    assert len(ballean.balls) == 2 * n - 1
+    y, _ = renamed_copy(x, seed=11)
+    phi = ball_preserving_bijection(x, y)
+    assert phi is not None
+    assert verify_ball_preserving(x, y, phi) == (True, None)
+
+
+def test_ball_preserving_route_makes_no_name_sets():
+    # the decision runs on masks; name sets appear once something reads them
+    x = random_semimetric(GenConfig(seed=5, n=12, spectrum_pool=tuple(F(v) for v in range(1, 49))))
+    y, _ = renamed_copy(x, seed=5)
+    assert ball_preserving_bijection(x, y) is not None
+    assert "balls" not in vars(enumerate_balls(x)) and "balls" not in vars(enumerate_balls(y))
+    iso = hasse_digraph_iso(hasse_diagram(enumerate_balls(x)), hasse_diagram(enumerate_balls(y)))
+    assert "data" not in vars(iso) and "vertices" not in vars(iso.h1)
+    assert sorted(map(len, iso)) == sorted(len(b.members) for b in enumerate_balls(x).balls)
+
+
 def test_deep_tree_diagram_without_recursion():
     # nested sets {x0..xk} for k < 3000, each over the singleton {xk} too:
     # the reversed diagram is a rooted tree 3000 levels deep
@@ -189,7 +218,7 @@ def test_deep_tree_diagram_without_recursion():
     for k in range(1, depth):
         arcs.add((first + k - 1, first + k))
         arcs.add((k - 1, first + k))
-    diagram = HasseDiagram(vertices, frozenset(arcs))
+    diagram = HasseDiagram.of_sets(vertices, frozenset(arcs))
     assert reversed_is_rooted_tree(diagram)
     iso = hasse_digraph_iso(diagram, diagram)
     assert iso is not None

@@ -1,4 +1,6 @@
-"""The ballean, cover and search passes give exactly the reference outputs."""
+"""The ballean, cover, refinement, search and verification passes give
+exactly the reference outputs."""
+import random
 import sys
 from fractions import Fraction as F
 
@@ -13,6 +15,7 @@ from umtk import (
     random_semimetric,
     random_ultrametric,
     renamed_copy,
+    verify_ball_preserving,
 )
 from umtk.balls import HasseDiagram
 
@@ -22,6 +25,15 @@ TIED_POOL = (F(1), F(2), F(3))
 
 def _triples(ballean):
     return [(b.members, b.center, b.radius) for b in ballean.balls]
+
+
+def _partition(colors):
+    """The joint colour classes as a set of (side, vertex) sets."""
+    classes = {}
+    for side, side_colors in enumerate(colors):
+        for v, color in enumerate(side_colors):
+            classes.setdefault(color, set()).add((side, v))
+    return {frozenset(members) for members in classes.values()}
 
 
 def _search_both(h1, h2):
@@ -39,26 +51,32 @@ def _search_both(h1, h2):
 def _check_against_oracle(space, seed):
     ballean = enumerate_balls(space)
     reference = oracle.enumerate_balls(space)
-    assert _triples(ballean) == _triples(reference)
+    assert _triples(ballean) == reference
     diagram = hasse_diagram(ballean)
-    reference_diagram = oracle.hasse_diagram(reference)
+    reference_diagram = oracle.hasse_diagram(members for members, _, _ in reference)
     assert diagram.vertices == reference_diagram.vertices
     assert diagram.arcs == reference_diagram.arcs
     copy, _ = renamed_copy(space, seed)
-    found, expected = _search_both(diagram, hasse_diagram(enumerate_balls(copy)))
+    other = hasse_diagram(enumerate_balls(copy))
+    refined = balls._joint_refine(diagram, other)
+    assert _partition(refined) == _partition(oracle.joint_refine(diagram, other))
+    found, expected = _search_both(diagram, other)
     assert expected is not None
     assert list(found.items()) == list(expected.items())
+
+
+def _spaces(seed, n):
+    return (
+        random_semimetric(GenConfig(seed=seed, n=n, spectrum_pool=WIDE_POOL)),
+        random_semimetric(GenConfig(seed=seed, n=n, spectrum_pool=TIED_POOL)),
+        random_ultrametric(GenConfig(seed=seed, n=n)),
+    )
 
 
 def test_small_spaces_match_the_oracle():
     checked = 0
     for seed in range(80):
-        n = 1 + seed % 10
-        for space in (
-            random_semimetric(GenConfig(seed=seed, n=n, spectrum_pool=WIDE_POOL)),
-            random_semimetric(GenConfig(seed=seed, n=n, spectrum_pool=TIED_POOL)),
-            random_ultrametric(GenConfig(seed=seed, n=n)),
-        ):
+        for space in _spaces(seed, 1 + seed % 10):
             _check_against_oracle(space, seed)
             checked += 1
     assert checked >= 200
@@ -68,6 +86,36 @@ def test_large_semimetrics_match_the_oracle():
     for n in (16, 24, 32, 40):
         space = random_semimetric(GenConfig(seed=n, n=n, spectrum_pool=WIDE_POOL))
         _check_against_oracle(space, seed=n)
+
+
+def test_verify_matches_the_frozenset_reference():
+    # random bijections onto a renamed copy and onto an unrelated space of
+    # the same size: the verdict and the first violation, kind, ball and
+    # offending set, agree with the reference
+    kinds = {True: 0, "image": 0, "preimage": 0}
+    for seed in range(50):
+        n = 2 + seed % 9
+        x = _spaces(seed, n)[seed % 3]
+        renamed, names = renamed_copy(x, seed)
+        assert verify_ball_preserving(x, renamed, names) == (True, None)
+        rng = random.Random(seed)
+        for y in (renamed, _spaces(seed + 1, n)[(seed + 1) % 3]):
+            targets = list(y.points)
+            for _ in range(4):
+                rng.shuffle(targets)
+                mapping = dict(zip(x.points, targets))
+                result = verify_ball_preserving(x, y, mapping)
+                assert result == oracle.verify_ball_preserving(x, y, mapping)
+                kinds[True if result[0] else result[1][0]] += 1
+    assert min(kinds.values()) > 0 and kinds["image"] >= 100
+
+
+def test_vertices_come_in_key_order():
+    for seed in range(30):
+        for space in _spaces(seed, 2 + seed % 12):
+            for s in (space, renamed_copy(space, seed)[0]):
+                keys = [oracle._set_key(v) for v in hasse_diagram(enumerate_balls(s)).vertices]
+                assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def _pairs_order(groups):
@@ -83,7 +131,17 @@ def _pairs_order(groups):
     arcs = frozenset(
         (index[frozenset({p})], index[pair]) for pair in pairs for p in pair
     )
-    return HasseDiagram(vertices, arcs)
+    return HasseDiagram.of_sets(vertices, arcs)
+
+
+def _reordered(diagram, seed):
+    """The same diagram with its vertices listed in a shuffled order."""
+    order = list(range(len(diagram.vertices)))
+    random.Random(seed).shuffle(order)
+    at = {v: k for k, v in enumerate(order)}
+    return HasseDiagram.of_sets(
+        tuple(diagram.vertices[v] for v in order), frozenset((at[a], at[b]) for a, b in diagram.arcs)
+    )
 
 
 def test_search_exhausts_where_refinement_cannot_tell():
@@ -97,3 +155,20 @@ def test_search_exhausts_where_refinement_cannot_tell():
     assert hasse_digraph_iso(cycle, two_cycles) is None
     found, expected = _search_both(two_cycles, two_cycles)
     assert list(found.items()) == list(expected.items())
+
+
+def test_diagrams_out_of_key_order_give_the_reference_map():
+    # hand-built vertex lists are not in (size, sorted names) order; the
+    # search still runs in that order and finds the reference's first map
+    two_cycles = _pairs_order([tuple("abc"), tuple("def")])
+    assert [len(v) for v in two_cycles.vertices] == sorted(len(v) for v in two_cycles.vertices)
+    assert list(two_cycles.vertices) != sorted(two_cycles.vertices, key=oracle._set_key)
+    for h1, h2 in (
+        (two_cycles, two_cycles),
+        (_reordered(two_cycles, 1), two_cycles),
+        (two_cycles, _reordered(two_cycles, 2)),
+        (_reordered(_pairs_order([tuple("abcdef")]), 3), _pairs_order([tuple("abcdef")])),
+    ):
+        expected = oracle.search_assignment(h1, h2)
+        iso = hasse_digraph_iso(h1, h2)
+        assert list(iso.items()) == [(h1.vertices[i], h2.vertices[j]) for i, j in expected.items()]
