@@ -30,7 +30,7 @@ from operator import and_
 from .errors import NotABijectionError, NotIsomorphicError, VerificationFailedError
 from .reptree import RepTree
 from .search import match
-from .spaces import FiniteSemimetricSpace
+from .spaces import FiniteSemimetricSpace, rank_values
 from .treecanon import rooted_tree_iso_map
 
 
@@ -189,7 +189,8 @@ def _shape_tree(diagram: HasseDiagram) -> tuple[RepTree, list[int]]:
     and the whole space is last: the vertex indices number the tree bottom-up."""
     names, preds = diagram.names, diagram.preds
     points = [None if kids else names[m.bit_length() - 1] for m, kids in zip(diagram.masks, preds)]
-    return RepTree.bottom_up([None] * len(preds), points, preds)
+    spectrum, labels = rank_values([None] * len(preds))
+    return RepTree.bottom_up(labels, points, preds, spectrum)
 
 
 def _joint_refine(h1: HasseDiagram, h2: HasseDiagram) -> tuple[list[int], list[int]] | None:
@@ -253,6 +254,7 @@ def hasse_digraph_iso(h1: HasseDiagram, h2: HasseDiagram) -> HasseIso | None:
     t1, t2 = reversed_is_rooted_tree(h1), reversed_is_rooted_tree(h2)
     if t1 != t2:
         return None
+    succ2 = [set(near) for near in h2.succs]  # read by the search and the arc re-check
     if t1:
         shape1, index1 = _shape_tree(h1)
         shape2, index2 = _shape_tree(h2)
@@ -262,27 +264,26 @@ def hasse_digraph_iso(h1: HasseDiagram, h2: HasseDiagram) -> HasseIso | None:
             return None
         assignment = {index1[a]: index2[b] for a, b in enumerate(psi)}
     else:
-        assignment = _search_assignment(h1, h2)
+        assignment = _search_assignment(h1, h2, succ2)
         if assignment is None:
             return None
     if len(assignment) != len(h1.masks) or len(set(assignment.values())) != len(assignment):
         raise VerificationFailedError("digraph iso is not a vertex bijection")
-    succ2 = [set(near) for near in h2.succs]
     for a, near in enumerate(h1.succs):
         if any(assignment[b] not in succ2[assignment[a]] for b in near):
             raise VerificationFailedError("digraph iso failed arc re-check")
     return HasseIso(h1, h2, assignment)
 
 
-def _search_assignment(h1: HasseDiagram, h2: HasseDiagram) -> dict[int, int] | None:
+def _search_assignment(h1: HasseDiagram, h2: HasseDiagram, succ2: list[set[int]]) -> dict[int, int] | None:
     """Vertex map of two general diagrams, or None: ``search.match`` over
     the refined colors, in each diagram's key order, testing a candidate
-    against the assigned neighbours only."""
+    against the assigned neighbours only (``succ2``: h2's successor sets)."""
     refined = _joint_refine(h1, h2)
     if refined is None:
         return None
     pred1, succ1 = h1.preds, h1.succs
-    pred2, succ2 = [set(near) for near in h2.preds], [set(near) for near in h2.succs]
+    pred2 = [set(near) for near in h2.preds]
 
     def fits(i: int, j: int, image: list[int], used: list[bool]) -> bool:
         # The map is injective, so j's assigned neighbours are exactly the

@@ -30,8 +30,8 @@ from fractions import Fraction
 
 from .errors import InapplicableError, VerificationFailedError
 from .reptree import RepTree, build_tree, space_from_tree
-from .similarity import WeakSimWitness, forced_scaling, verify_weak_similarity
-from .spaces import FiniteSemimetricSpace, format_rational, spectrum
+from .similarity import WeakSimWitness, verify_weak_similarity
+from .spaces import FiniteSemimetricSpace, format_rational, rank_values, spectrum
 from .treecanon import canon_code_unlabeled
 
 CLASS_CODES = ("R", "Rtilde", "D", "T")
@@ -99,7 +99,8 @@ def classify_space(space: FiniteSemimetricSpace) -> ClassReport:
         chain_above = all(counts[k] == 1 for k in range(depth - 1))
         fan_sizes = {len(children[v]) for v in inner[depth - 1]}
         uniform = chain_above and len(fan_sizes) <= 1
-    return ClassReport(binary_chain, inner_chain, distinct, uniform, counts, tuple(labels))
+    values = tuple(map(tree.spectrum.__getitem__, labels))
+    return ClassReport(binary_chain, inner_chain, distinct, uniform, counts, values)
 
 
 class ShapeWitnessOutcome(enum.Enum):
@@ -113,18 +114,15 @@ NOT_ISOMORPHIC_SHAPES = ShapeWitnessOutcome.NOT_ISOMORPHIC_SHAPES
 INAPPLICABLE = ShapeWitnessOutcome.INAPPLICABLE
 
 
-def _rank_aligned_pairing(
-    tx: RepTree, ty: RepTree
-) -> tuple[dict[str, str], list[tuple[Fraction, Fraction]]]:
+def _rank_aligned_pairing(tx: RepTree, ty: RepTree) -> dict[str, str]:
     """Pair the two trees top-down, aligning internal siblings by label rank.
 
     Leaf siblings are paired in point-name order; internal siblings in
-    decreasing label order. Returns the induced leaf map and the collected
-    (label, label) pairs. Requires matching child profiles at every step,
-    which holds for isomorphic shapes in the classes handled here.
+    decreasing label order. Returns the induced leaf map. Requires matching
+    child profiles at every step, which holds for isomorphic shapes in the
+    classes handled here.
     """
     phi: dict[str, str] = {}
-    scale_pairs: list[tuple[Fraction, Fraction]] = []
     stack = [(0, 0)]  # position pairs, depth first
     while stack:
         a, b = stack.pop()
@@ -134,7 +132,6 @@ def _rank_aligned_pairing(
         if not a_kids:
             phi[tx.points[a]] = ty.points[b]  # type: ignore[index]
             continue
-        scale_pairs.append((tx.labels[a], ty.labels[b]))
         a_leaves = sorted((c for c in a_kids if not tx.children[c]), key=tx.points.__getitem__)  # type: ignore[arg-type]
         b_leaves = sorted((c for c in b_kids if not ty.children[c]), key=ty.points.__getitem__)  # type: ignore[arg-type]
         a_inner = sorted((c for c in a_kids if tx.children[c]), key=tx.labels.__getitem__, reverse=True)
@@ -144,7 +141,7 @@ def _rank_aligned_pairing(
         for ca, cb in zip(a_leaves, b_leaves):
             phi[tx.points[ca]] = ty.points[cb]  # type: ignore[index]
         stack.extend(zip(a_inner[::-1], b_inner[::-1]))
-    return phi, scale_pairs
+    return phi
 
 
 def witness_from_unlabeled_iso(
@@ -172,22 +169,18 @@ def witness_from_unlabeled_iso(
     )
     if not applicable:
         return INAPPLICABLE
-    phi, pairs = _rank_aligned_pairing(tx, ty)
-    scaling_map = {Fraction(0): Fraction(0)}
-    for a, b in pairs:
-        scaling_map[a] = b
-    scaling = tuple(sorted(scaling_map.items()))
-    witness = WeakSimWitness(scaling, phi)
+    # the k-th label of X goes to the k-th of Y: the scaling is the rank map
+    witness = WeakSimWitness(tuple(zip(x.spectrum, y.spectrum)), _rank_aligned_pairing(tx, ty))
     if not verify_weak_similarity(x, y, witness):
         raise VerificationFailedError("shape-derived witness failed re-check")
     return witness
 
 
-def _node_records(tree: RepTree) -> list[tuple[int, int, Fraction | None]]:
-    """(position, level, parent_label) for every internal node, in preorder."""
+def _node_records(tree: RepTree) -> list[tuple[int, int, int | None]]:
+    """(position, level, parent label rank) for every internal node, in preorder."""
     labels = tree.labels
     level = [0] * len(tree)
-    above: list[Fraction | None] = [None] * len(tree)
+    above: list[int | None] = [None] * len(tree)
     records = []
     for v, kids in enumerate(tree.children):
         if kids:
@@ -199,9 +192,10 @@ def _node_records(tree: RepTree) -> list[tuple[int, int, Fraction | None]]:
 
 
 def _replace_label(tree: RepTree, position: int, new_label: Fraction) -> RepTree:
-    labels = list(tree.labels)
-    labels[position] = new_label
-    return RepTree(labels, tree.points, tree.children)
+    values = list(map(tree.spectrum.__getitem__, tree.labels))
+    values[position] = new_label
+    spectrum, labels = rank_values(values)
+    return RepTree(labels, tree.points, tree.children, spectrum)
 
 
 def _fresh_between(lo: Fraction, hi: Fraction, avoid: set[Fraction]) -> Fraction:
@@ -212,9 +206,9 @@ def _fresh_between(lo: Fraction, hi: Fraction, avoid: set[Fraction]) -> Fraction
     return value
 
 
-def _band(tree: RepTree, v: int, parent_label: Fraction) -> tuple[Fraction, Fraction]:
+def _band(tree: RepTree, v: int, parent_label: int) -> tuple[int, int]:
     # Any replacement label must stay strictly between the largest child
-    # label and the parent label.
+    # label and the parent label (as ranks).
     lo = max(tree.labels[c] for c in tree.children[v])
     return lo, parent_label
 
@@ -247,9 +241,9 @@ def adversarial_relabeling(x: FiniteSemimetricSpace) -> FiniteSemimetricSpace:
     if all(len(group) <= 1 for group in by_level.values()):
         raise InapplicableError("every level has at most one internal node")
 
-    labels = [tree.labels[rec[0]] for rec in records]
-    counts = Counter(labels)
-    label_set = set(labels)
+    counts = Counter(tree.labels[rec[0]] for rec in records)
+    value = tree.spectrum
+    label_set = set(value)
 
     def finish(position: int, new_label: Fraction) -> FiniteSemimetricSpace:
         relabeled = _replace_label(tree, position, new_label)
@@ -257,6 +251,10 @@ def adversarial_relabeling(x: FiniteSemimetricSpace) -> FiniteSemimetricSpace:
         assert canon_code_unlabeled(build_tree(y)) == canon_code_unlabeled(tree)
         assert len(spectrum(y)) != len(spectrum(x))
         return y
+
+    def fresh(position: int, parent_label: int) -> FiniteSemimetricSpace:
+        lo, hi = _band(tree, position, parent_label)
+        return finish(position, _fresh_between(value[lo], value[hi], label_set))
 
     multi_levels = sorted(lvl for lvl, group in by_level.items() if len(group) >= 2)
     for level in multi_levels:
@@ -270,18 +268,16 @@ def adversarial_relabeling(x: FiniteSemimetricSpace) -> FiniteSemimetricSpace:
                     continue
                 lo, hi = _band(tree, node2, parent2)
                 if lo < v1 < hi:
-                    return finish(node2, v1)
+                    return finish(node2, value[v1])
     for level in multi_levels:
         group = by_level[level]
         for i, (node2, _, parent2) in enumerate(group):
             for node1, _, _ in group[:i] + group[i + 1 :]:
                 if tree.labels[node1] != tree.labels[node2]:
                     continue
-                lo, hi = _band(tree, node2, parent2)
-                return finish(node2, _fresh_between(lo, hi, label_set))
+                return fresh(node2, parent2)
     for node2, _, parent2 in records:
         if parent2 is None or counts[tree.labels[node2]] < 2:
             continue
-        lo, hi = _band(tree, node2, parent2)
-        return finish(node2, _fresh_between(lo, hi, label_set))
+        return fresh(node2, parent2)
     raise VerificationFailedError("no admissible relabeling found")

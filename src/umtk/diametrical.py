@@ -91,18 +91,6 @@ def multipartite_parts(graph: DiametricalGraph) -> MultipartitePartition:
     return MultipartitePartition(ordered)
 
 
-def rebuild_edges(partition: MultipartitePartition) -> frozenset[frozenset[str]]:
-    """Edge set of the complete multipartite graph with the given parts."""
-    edges = set()
-    parts = partition.parts
-    for i, pa in enumerate(parts):
-        for pb in parts[i + 1 :]:
-            for a in pa:
-                for b in pb:
-                    edges.add(frozenset((a, b)))
-    return frozenset(edges)
-
-
 def partition_to_json(partition: MultipartitePartition) -> dict:
     return {"parts": [list(p) for p in partition.parts]}
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleConstraintsError, TooLargeError
@@ -27,7 +27,7 @@ from .similarity import (
 from .spaces import (
     FiniteSemimetricSpace,
     rank_relabel,
-    spectrum,
+    rank_values,
     validate_semimetric,
 )
 
@@ -84,7 +84,8 @@ class _Points:
 
     def tree(self) -> RepTree:
         """The tree whose root is the node made last."""
-        return RepTree.bottom_up(self.labels, self.points, self.children)[0]
+        spectrum, ranks = rank_values(self.labels)
+        return RepTree.bottom_up(ranks, self.points, self.children, spectrum)[0]
 
 
 def _free_tree(rng: random.Random, n: int, max_rank: int, pool: list[Fraction], pts: _Points) -> int:
@@ -267,14 +268,15 @@ def random_relabeled(
         return value
 
     # one draw per internal node in preorder, each under its parent's new label
-    labels = list(tree.labels)
+    labels = [_ZERO] * len(tree)
     upper: list[Fraction | None] = [None] * len(tree)
     for v, kids in enumerate(tree.children):
         if kids:
             labels[v] = pick(upper[v])
             for c in kids:
                 upper[c] = labels[v]
-    return space_from_tree(RepTree(labels, tree.points, tree.children))
+    spectrum, ranks = rank_values(labels)
+    return space_from_tree(RepTree(ranks, tree.points, tree.children, spectrum))
 
 
 def renamed_copy(
@@ -301,12 +303,14 @@ def oracle_isometry(
         return None
     if len(x) > 8:
         raise TooLargeError(f"oracle_isometry guard: n = {len(x)} > 8")
+    if x.spectrum != y.spectrum:
+        return None
     n = len(x)
     for perm in itertools.permutations(range(n)):
         ok = True
         for i in range(n):
             for j in range(i + 1, n):
-                if x.dist[i][j] != y.dist[perm[i]][perm[j]]:
+                if x.ranks[i][j] != y.ranks[perm[i]][perm[j]]:
                     ok = False
                     break
             if not ok:

@@ -8,11 +8,13 @@ maximum label on the connecting path.
 
 A ``RepTree`` is held as preorder arrays: position 0 is the root, and each
 position has a label, a leaf point (None on internal nodes) and the positions
-of its children. It is the one form of a tree: every layer reads the arrays,
-the decoder writes them directly, and every producer that makes nodes
-children first (``build_tree``, the Hasse shape tree, the generators) numbers
-them bottom-up and has ``RepTree.bottom_up`` lay them out. ``RepNode`` is
-only a read-only view, built on first use, for code that walks nodes.
+of its children; like a space, it carries its spectrum, and each label is an
+int rank into it. It is the one form of a tree: every layer reads the
+arrays, the decoder writes them directly, and every producer that makes
+nodes children first (``build_tree``, the Hasse shape tree, the generators)
+numbers them bottom-up and has ``RepTree.bottom_up`` lay them out. ``RepNode``
+is only a read-only view of values, built on first use, for code that walks
+nodes.
 
 ``build_tree`` reads the tree off the minimum spanning tree that certifies
 ultrametricity (``spaces.ultrametric_mst``): the representing tree is the
@@ -29,7 +31,6 @@ splits a ball into the parts of its diametrical graph, gives the same tree;
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
@@ -40,6 +41,7 @@ from .spaces import (
     FiniteSemimetricSpace,
     format_rational,
     parse_rational,
+    rank_values,
     ultrametric_mst,
     validate_semimetric,
 )
@@ -49,14 +51,14 @@ class RepNode:
     """Read-only node view of a ``RepTree`` position: internal nodes have a
     label and children, leaves a point.
 
-    ``label`` is None on shape-only trees read from unlabeled documents.
-    Nodes compare and hash by identity; trees are compared by their canonical
-    codes or wire formats, not by ``==``.
+    ``label`` is the label's value, None on shape-only trees read from
+    unlabeled documents. Nodes compare and hash by identity; trees are
+    compared by their canonical codes or wire formats, not by ``==``.
     """
 
     __slots__ = ("label", "children", "point")
 
-    def __init__(self, label: Fraction | None, children: tuple["RepNode", ...] = (),
+    def __init__(self, label: object, children: tuple["RepNode", ...] = (),
                  point: str | None = None) -> None:
         self.label = label
         self.children = children
@@ -67,31 +69,30 @@ class RepNode:
         return not self.children
 
 
-# every leaf shares one zero label; Fractions are immutable
-_ZERO = Fraction(0)
-
-
 class RepTree:
     """A rooted tree as preorder arrays.
 
     ``labels[v]``, ``points[v]`` and ``children[v]`` describe position v:
     position 0 is the root, a node comes before its children's subtrees,
     and ``children[v]`` lists the children's positions in order (empty at a
-    leaf). A position with no children is a leaf. Trees are never changed
-    once made, and trees may share arrays. The node view (``root``,
+    leaf). A position with no children is a leaf. ``labels[v]`` is the rank
+    of v's label in ``spectrum``, the tree's distinct label values and 0 in
+    increasing order, or None on a node without a label. Trees are never
+    changed once made, and trees may share arrays. The node view (``root``,
     ``nodes()``) is built on first use.
     """
 
-    __slots__ = ("labels", "points", "children", "_nodes")
+    __slots__ = ("labels", "points", "children", "spectrum", "_nodes")
 
-    def __init__(self, labels: list, points: list[str | None],
-                 children: list[Sequence[int]]) -> None:
-        self.labels, self.points, self.children = labels, points, children
+    def __init__(self, labels: list[int | None], points: list[str | None],
+                 children: list[Sequence[int]], spectrum: tuple) -> None:
+        self.labels, self.points, self.children, self.spectrum = labels, points, children, spectrum
         self._nodes: list[RepNode] | None = None
 
     @classmethod
-    def bottom_up(cls, labels: list, points: list[str | None],
-                  children: Sequence[Sequence[int] | None]) -> tuple["RepTree", list[int]]:
+    def bottom_up(cls, labels: list[int | None], points: list[str | None],
+                  children: Sequence[Sequence[int] | None],
+                  spectrum: tuple) -> tuple["RepTree", list[int]]:
         """Lay out a tree whose nodes are numbered bottom-up, every child
         before its parent and the root last (a leaf's children are empty or
         None). Returns the preorder tree, each node's children in the given
@@ -108,7 +109,7 @@ class RepTree:
         for p, v in enumerate(order):
             at[v] = p
         kids_at = [[at[c] for c in children[v]] if children[v] else () for v in order]
-        tree = cls([labels[v] for v in order], [points[v] for v in order], kids_at)
+        tree = cls([labels[v] for v in order], [points[v] for v in order], kids_at, spectrum)
         return tree, order
 
     def __len__(self) -> int:
@@ -117,7 +118,8 @@ class RepTree:
     def nodes(self) -> list[RepNode]:
         """The node view, one ``RepNode`` per position, in preorder."""
         if self._nodes is None:
-            nodes = [RepNode(label, (), point) for label, point in zip(self.labels, self.points)]
+            value = dict(enumerate(self.spectrum)).get  # None stays None
+            nodes = [RepNode(value(rank), (), point) for rank, point in zip(self.labels, self.points)]
             for node, kids in zip(nodes, self.children):
                 if kids:
                     node.children = tuple([nodes[c] for c in kids])
@@ -143,20 +145,10 @@ def validate_tree(tree: RepTree, labeled: bool = True) -> None:
 
     One pass in preorder reports the first structural defect in preorder,
     and the first label defect in preorder only if there is none. Labels are
-    compared by rank: the distinct label objects (a decoded document shares
-    one per literal) are sorted once, and equal values share a rank.
+    ranks, so they are compared as ints.
     """
-    labels, points = tree.labels, tree.points
-    ranks: list[int | None] = []
-    zero = None
-    if labeled:
-        values = {id(v): v for v in labels}
-        values.pop(id(None), None)
-        values[id(_ZERO)] = _ZERO
-        level = {v: r for r, v in enumerate(sorted(set(values.values())))}
-        rank = {key: level[v] for key, v in values.items()}
-        ranks = list(map(rank.get, map(id, labels)))
-        zero = rank[id(_ZERO)]
+    ranks, points = tree.labels, tree.points
+    zero = tree.spectrum.index(0)
     seen: set[str] = set()
     defect = None  # the first label defect
     for v, kids in enumerate(tree.children):
@@ -178,7 +170,7 @@ def validate_tree(tree: RepTree, labeled: bool = True) -> None:
                 top = ranks[v]
                 if top is None:
                     defect = "internal node without a label"
-                elif top <= zero:  # type: ignore[operator]
+                elif top <= zero:
                     defect = "internal label must be positive"
                 else:
                     for c in kids:
@@ -211,7 +203,7 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
     # smallest leaf point: leaf sets are disjoint, so comparing smallest
     # points is the same as comparing sorted leaf point tuples.
     n = len(space)
-    labels: list = [_ZERO] * n
+    labels: list[int | None] = [0] * n  # a space's spectrum starts at 0
     kids: list[Sequence[int]] = [()] * n
     low = list(space.points)
     comp = list(range(n))
@@ -225,7 +217,6 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
 
     weight = itemgetter(2)
     for rank, group in groupby(sorted(edges, key=weight), key=weight):
-        label = space.spectrum[rank]
         pairs = [(a, b) for a, b, _ in group]
         joined = {find(i) for pair in pairs for i in pair}
         for a, b in pairs:
@@ -236,13 +227,13 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
         for root, members in merged.items():
             subs = sorted((low[comp[r]], comp[r]) for r in members)
             comp[root] = len(labels)
-            labels.append(label)
+            labels.append(rank)
             kids.append([node for _, node in subs])
             low.append(subs[0][0])
     # children are in smallest-point order, so code order breaks ties by it
-    _, ordered = _codes(labels, kids, True, range(len(labels)))
+    _, ordered = _codes(labels, kids, space.spectrum, range(len(labels)))
     names = list(space.points) + [None] * (len(labels) - n)
-    return RepTree.bottom_up(labels, names, ordered)[0]
+    return RepTree.bottom_up(labels, names, ordered, space.spectrum)[0]
 
 
 def space_from_tree(tree: RepTree) -> FiniteSemimetricSpace:
@@ -250,14 +241,15 @@ def space_from_tree(tree: RepTree) -> FiniteSemimetricSpace:
 
     Points appear in leaf order (depth-first). ``space_from_tree(build_tree(X))``
     reproduces X's distances exactly. One pass in reverse preorder gives
-    every internal node the leaves below it, so no walk recurses.
+    every internal node the leaves below it, so no walk recurses, and fills
+    the matrix with label ranks.
     """
     validate_tree(tree, labeled=True)
     labels, children = tree.labels, tree.children
     points = tree.leaf_points()
     index = {p: i for i, p in enumerate(points)}
     n = len(points)
-    rows = [[_ZERO] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]  # valid labels are positive, so 0 has rank 0
     below: list[list[int] | None] = [None] * len(tree)
     for v in range(len(tree) - 1, -1, -1):
         kids = children[v]
@@ -276,7 +268,7 @@ def space_from_tree(tree: RepTree) -> FiniteSemimetricSpace:
         below[v] = [i for g in groups for i in g]  # type: ignore[union-attr]
         for c in kids:
             below[c] = None
-    return validate_semimetric(points, tuple(tuple(r) for r in rows))
+    return validate_semimetric(points, rows, dict(enumerate(tree.spectrum)))
 
 
 # --- JSON / DOT wire formats -------------------------------------------------
@@ -291,18 +283,19 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
 
     One preorder pass over the JSON objects raises the first FormatError in
     preorder, parses each distinct label literal once and fills the tree's
-    arrays; then one ``validate_tree`` pass checks them, reporting the first
-    structural defect before any label defect. Nothing recurses.
+    arrays, labels as literals (leaves "0") ranked once at the end; then one
+    ``validate_tree`` pass checks them, reporting the first structural defect
+    before any label defect. Nothing recurses.
     """
-    parsed: dict[str, Fraction] = {}
-    labels: list[Fraction | None] = []
+    parsed = {"0": parse_rational("0")}  # literal -> value
+    texts: list[str | None] = []
     points: list[str | None] = []
     children: list[Sequence[int]] = []
     stack = [doc]
     slots: list[list[int]] = [[]]  # the child list each stacked object's position joins
     while stack:
         obj = stack.pop()
-        slots.pop().append(len(labels))
+        slots.pop().append(len(texts))
         if not isinstance(obj, dict):
             raise FormatError("tree node must be a JSON object")
         if "point" in obj:
@@ -311,7 +304,7 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
             point = obj["point"]
             if not isinstance(point, str):
                 raise FormatError("leaf point must be a string")
-            labels.append(_ZERO)
+            texts.append("0")
             points.append(point)
             children.append(())
             continue
@@ -321,16 +314,17 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
         if not isinstance(kids, list) or not kids:
             raise FormatError('"children" must be a non-empty list')
         text = obj.get("label")
-        label = parsed.get(text) if isinstance(text, str) else None
-        if label is None and "label" in obj:
-            label = parsed[text] = parse_rational(text)  # no string is ever a key: it raises
+        if "label" in obj and (not isinstance(text, str) or text not in parsed):
+            parsed[text] = parse_rational(text)  # no string is ever a key: it raises
         mine: list[int] = []
-        labels.append(label)
+        texts.append(text)
         points.append(None)
         children.append(mine)
         stack.extend(kids[::-1])
         slots.extend([mine] * len(kids))
-    tree = RepTree(labels, points, children)
+    spectrum, ranks = rank_values(parsed.values())
+    rank = dict(zip(parsed, ranks)).get  # no label: None
+    tree = RepTree(list(map(rank, texts)), points, children, spectrum)
     validate_tree(tree, labeled)
     return tree
 
@@ -339,6 +333,7 @@ def tree_to_text(tree: RepTree) -> str:
     """The tree document as ``json.dumps(doc, indent=2) + "\\n"`` prints it,
     written without recursion, so trees of any depth print."""
     labels, points, children = tree.labels, tree.points, tree.children
+    text = [format_rational(v) for v in tree.spectrum]
     out: list[str] = []
     stack: list = [(0, "")]  # a position with its indent, or text to write
     while stack:
@@ -351,7 +346,7 @@ def tree_to_text(tree: RepTree) -> str:
         if not kids:
             out.append(f'{{\n{pad}  "point": {json.dumps(points[v])}\n{pad}}}')
             continue
-        label = "" if labels[v] is None else f'{pad}  "label": "{format_rational(labels[v])}",\n'
+        label = "" if labels[v] is None else f'{pad}  "label": "{text[labels[v]]}",\n'
         inner = pad + "    "
         out.append(f'{{\n{label}{pad}  "children": [\n{inner}')
         stack.append(f"\n{pad}  ]\n{pad}}}")
@@ -365,13 +360,14 @@ def tree_to_dot(tree: RepTree) -> str:
     """Internal nodes show their label, leaves their point name (box shape).
     Nodes are numbered in preorder; a child's edge follows its subtree's."""
     labels, points, children = tree.labels, tree.points, tree.children
+    text = [format_rational(v) for v in tree.spectrum]
     lines = ["digraph tree {"]
     for v, kids in enumerate(children):
         if not kids:
             lines.append(f'  n{v} [label="{points[v]}", shape=box];')
         else:
-            text = "" if labels[v] is None else format_rational(labels[v])
-            lines.append(f'  n{v} [label="{text}"];')
+            label = "" if labels[v] is None else text[labels[v]]
+            lines.append(f'  n{v} [label="{label}"];')
     # (position, parent); a complemented position is a child whose subtree is done
     stack = [(0, -1)]
     while stack:

@@ -4,11 +4,11 @@ A weak similarity X ~ Y is a point bijection phi together with a strictly
 increasing bijection f between the spectra such that
 f(d(x, y)) = rho(phi(x), phi(y)) for all pairs. Between finite spectra of
 equal size exactly one strictly increasing bijection exists (the rank map),
-so deciding weak similarity reduces to one isometry test after rank
-relabeling, which swaps the spectrum and keeps the rank matrix. For
-ultrametric inputs isometry reduces to equality of labeled canonical tree
-codes; for general semimetric inputs ``search.match`` pairs points with
-equal sorted rank rows. No distance multisets are compared first. Every
+so weak similarity is isometry of rank matrices, and isometry is that plus
+equal spectra. For ultrametric inputs it reduces to equality of labeled
+canonical tree codes, read with one tree's spectrum for both trees; for
+general semimetric inputs ``search.match`` pairs points with equal sorted
+rank rows. No distance multisets are compared first. Every
 witness returned by this module is verified once, over all pairs, by the
 one rank verifier behind ``verify_isometry`` and ``verify_weak_similarity``.
 """
@@ -20,14 +20,13 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import FormatError, NotIsomorphicError, VerificationFailedError
-from .reptree import build_tree
+from .reptree import RepTree, build_tree
 from .search import match
 from .spaces import (
     FiniteSemimetricSpace,
     format_rational,
     is_ultrametric,
     parse_rational,
-    rank_relabel,
     spectrum,
 )
 from .treecanon import rooted_tree_iso_map
@@ -97,8 +96,10 @@ def verify_weak_similarity(
 
 
 def _tree_isometry(x: FiniteSemimetricSpace, y: FiniteSemimetricSpace) -> dict[str, str] | None:
-    """Unverified point map of an ultrametric pair from their labeled trees."""
+    """Unverified point map of an ultrametric pair from their labeled trees,
+    Y's moved onto X's spectrum: it shares Y's arrays, and keeps ranks."""
     tx, ty = build_tree(x), build_tree(y)
+    ty = RepTree(ty.labels, ty.points, ty.children, tx.spectrum)
     try:
         psi = rooted_tree_iso_map(tx, ty, respect_labels=True)
     except NotIsomorphicError:
@@ -111,7 +112,7 @@ def _backtrack_isometry(
 ) -> dict[str, str] | None:
     """Unverified point map from the matching search. A point's color is its
     sorted rank row; a candidate must keep the distance ranks to the assigned
-    points. The spectra are equal, so equal ranks are equal distances."""
+    points."""
     dx, dy = x.ranks, y.ranks
 
     def fits(i: int, j: int, image: list[int], used: list[bool]) -> bool:
@@ -128,16 +129,16 @@ def _backtrack_isometry(
 def _isometry_map(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
 ) -> dict[str, str] | None:
-    """Unverified isometry X -> Y, or None.
+    """Unverified bijection X -> Y that keeps every distance's rank, or None.
 
     Ultrametric pairs go through labeled tree canonization (polynomial);
-    everything else through the matching search. Isometric spaces share
-    every metric property, so pairs with different spectra, and mixed
-    ultrametric/non-ultrametric pairs, are rejected immediately. Equal codes,
-    like a complete distance-preserving assignment, imply equal distance
-    multisets, so these are not compared.
+    everything else through the matching search. A strictly increasing
+    relabeling keeps every metric property, so pairs with spectra of
+    different sizes, and mixed ultrametric/non-ultrametric pairs, are
+    rejected immediately. Equal codes, like a complete rank-preserving
+    assignment, imply equal rank multisets, so these are not compared.
     """
-    if len(x) != len(y) or x.spectrum != y.spectrum:
+    if len(x) != len(y) or len(x.spectrum) != len(y.spectrum):
         return None
     ux, uy = is_ultrametric(x), is_ultrametric(y)
     if ux != uy:
@@ -149,7 +150,7 @@ def decide_isometry(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
 ) -> IsometryWitness | None:
     """Verified isometry witness, or None."""
-    phi = _isometry_map(x, y)
+    phi = _isometry_map(x, y) if x.spectrum == y.spectrum else None
     if phi is not None and not verify_isometry(x, y, phi):
         raise VerificationFailedError("isometry witness failed re-check")
     return None if phi is None else IsometryWitness(phi)
@@ -160,13 +161,13 @@ def decide_weak_similarity(
 ) -> WeakSimWitness | None:
     """Verified weak-similarity witness, or None.
 
-    The scaling is forced (rank map), so the decision is: relabel X's
-    spectrum onto Y's, which keeps X's rank matrix, and test isometry.
+    The scaling is forced (rank map), so the decision is whether the rank
+    matrices are isometric.
     """
     scaling = forced_scaling(x, y)
     if scaling is None:
         return None
-    phi = _isometry_map(rank_relabel(x, [b for _, b in scaling]), y)
+    phi = _isometry_map(x, y)
     if phi is None:
         return None
     witness = WeakSimWitness(scaling, phi)

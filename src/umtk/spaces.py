@@ -18,7 +18,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -36,6 +36,8 @@ from .errors import (
     UnknownPointError,
     ZeroOffDiagonalError,
 )
+
+_ZERO = Fraction(0)
 
 # ASCII digits only: ``\d`` would admit every Unicode decimal digit.
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -100,12 +102,6 @@ class FiniteSemimetricSpace:
             object.__setattr__(self, "_hash", cached)
         return cached
 
-    @cached_property
-    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The distance matrix, read only; built on first use from the ranks."""
-        value = self.spectrum.__getitem__
-        return tuple(tuple(map(value, row)) for row in self.ranks)
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -121,23 +117,34 @@ class FiniteSemimetricSpace:
     def restrict(self, subset: Sequence[str]) -> "FiniteSemimetricSpace":
         """Subspace on ``subset`` in the given order (also used to reorder points)."""
         idx = [self.index(p) for p in subset]
-        rows = tuple(tuple(self.dist[i][j] for j in idx) for i in idx)
-        return validate_semimetric(tuple(subset), rows)
+        rows = [[self.ranks[i][j] for j in idx] for i in idx]
+        return validate_semimetric(subset, rows, {r: self.spectrum[r] for r in set(chain(*rows))})
+
+
+def rank_values(values: Iterable[Fraction | None]) -> tuple[tuple[Fraction, ...], list[int | None]]:
+    """The spectrum of some values -- the distinct ones and 0, increasing --
+    and each value's rank in it (None stays None). Every space and every
+    labeled tree is ranked here."""
+    values = list(values)
+    # 0 goes in last, so an equal value keeps its own object and looks up by identity
+    spectrum = tuple(sorted({*values, _ZERO} - {None}))
+    rank = {v: k for k, v in enumerate(spectrum)}
+    return spectrum, list(map(rank.get, values))
 
 
 def validate_semimetric(
     points: Sequence[str],
     matrix: Sequence[Sequence[object]],
-    literals: Mapping[str, Fraction] | None = None,
+    literals: Mapping[object, Fraction] | None = None,
 ) -> FiniteSemimetricSpace:
     """Check all semimetric axioms and return the immutable space.
 
     Entries are Fractions or ints, or, when ``literals`` maps each entry to
-    its value, the literal strings of a document. Raises EmptySpaceError,
-    DuplicatePointNameError, MatrixShapeError, FormatError (the first entry
-    of another type, in row-major order), NegativeDistanceError,
-    NonZeroDiagonalError, NonSymmetricError or ZeroOffDiagonalError. The
-    input is never mutated.
+    its value, keys such as a document's literal strings or ranks into a
+    spectrum. Raises EmptySpaceError, DuplicatePointNameError,
+    MatrixShapeError, FormatError (the first entry of another type, in
+    row-major order), NegativeDistanceError, NonZeroDiagonalError,
+    NonSymmetricError or ZeroOffDiagonalError. The input is never mutated.
 
     The axioms are tested on ranks (with z the rank of 0, negative means a
     rank below z). A valid matrix passes a few whole-matrix tests; otherwise
@@ -165,9 +172,8 @@ def validate_semimetric(
         firsts = dict(zip(map(id, chain.from_iterable(rows)), chain.from_iterable(rows)))
         literals = {key: _as_rational(v) for key, v in firsts.items()}
         keys = [map(id, row) for row in rows]
-    spectrum = tuple(sorted(set(literals.values())))
-    rank_of = {v: k for k, v in enumerate(spectrum)}
-    rank = {key: rank_of[v] for key, v in literals.items()}.__getitem__
+    spectrum, key_ranks = rank_values(literals.values())
+    rank = dict(zip(literals, key_ranks)).__getitem__
     ranks = tuple(tuple(map(rank, row)) for row in keys)
     if not (
         spectrum[0] == 0
@@ -175,7 +181,7 @@ def validate_semimetric(
         and all(row.count(0) == 1 for row in ranks)
         and ranks == tuple(zip(*ranks))
     ):
-        z = spectrum.index(0) if 0 in spectrum else -1  # -1: the diagonal fails at once
+        z = spectrum.index(0)  # with no 0 entry, the diagonal fails at once
         for i in range(n):
             row = ranks[i]
             if row[i] != z:

@@ -27,7 +27,7 @@ from .classify import (
     classify_space,
     witness_from_unlabeled_iso,
 )
-from .diametrical import diametrical_graph, multipartite_parts, rebuild_edges
+from .diametrical import MultipartitePartition, diametrical_graph, multipartite_parts
 from .errors import SpaceTooSmallError
 from .generators import (
     GenConfig,
@@ -198,10 +198,17 @@ def tree_roundtrip_suite(
             continue
         aligned = back.restrict(space.points)
         rec.check(
-            aligned.points == space.points and aligned.dist == space.dist,
+            aligned == space,
             f"trial {i}: round-trip changed the matrix",
         )
     return rec.result()
+
+
+def rebuild_edges(partition: MultipartitePartition) -> frozenset[frozenset[str]]:
+    """Edge set of the complete multipartite graph with the given parts."""
+    parts = partition.parts
+    pairs = ((a, b) for i, pa in enumerate(parts) for pb in parts[i + 1 :] for a in pa for b in pb)
+    return frozenset(map(frozenset, pairs))
 
 
 def diametrical_partition_suite(

@@ -2,9 +2,10 @@
 
 Codes are computed bottom-up: a node's code is a bracketed concatenation of
 its children's codes in sorted order, optionally prefixed with the node's
-exact label. Two rooted trees are isomorphic (as rooted trees, leaf points
-ignored) iff their codes are equal bytes; the labeled variant additionally
-requires equal labels at matched nodes. Codes are plain byte strings built by
+exact label, the text of its value in the tree's spectrum. Two rooted trees
+are isomorphic (as rooted trees, leaf points ignored) iff their codes are
+equal bytes; the labeled variant additionally requires equal labels at
+matched nodes. Codes are plain byte strings built by
 sorting, so identical trees give bitwise-identical codes on every run.
 Everything here runs over a tree's preorder positions (``RepTree``).
 """
@@ -18,29 +19,26 @@ from .spaces import format_rational
 
 
 def _codes(
-    labels: Sequence, children: Sequence[Sequence[int]], labeled: bool, bottom_up: Iterable[int]
+    labels: Sequence, children: Sequence[Sequence[int]], spectrum: Sequence | None, bottom_up: Iterable[int]
 ) -> tuple[bytes, list[list[int] | None]]:
     """Code of the last node of ``bottom_up``, and every internal node's
     children in code order (ties in child order; None at a leaf), indexed
-    by node.
+    by node; shape codes if ``spectrum``, which ``labels`` rank into, is None.
 
     ``bottom_up`` lists the nodes, each after all of its descendants, so
     each code is built once from its children's codes and no Python
     recursion is needed at any depth. A code is dropped once its parent's
     is built, so a deep chain holds a few codes at a time rather than one
-    per level. Each distinct label object is formatted once.
+    per level. Each spectrum value is formatted once.
     """
     codes: list[bytes] = [b""] * len(labels)
     ordered: list[list[int] | None] = [None] * len(labels)
     code_of = codes.__getitem__
-    heads: dict[int, bytes] = {}  # id(label) -> b"(" + label + b"|"
+    heads = {r: b"(" + format_rational(v).encode() + b"|" for r, v in enumerate(spectrum or ())}
     for v in bottom_up:
-        label = labels[v]
-        head = heads.get(id(label)) if labeled else b"("
+        head = b"(" if spectrum is None else heads.get(labels[v])
         if head is None:
-            if label is None:
-                raise InvalidTreeError("labeled code requested on an unlabeled node")
-            head = heads[id(label)] = b"(" + format_rational(label).encode() + b"|"
+            raise InvalidTreeError("labeled code requested on an unlabeled node")
         kids = children[v]
         if kids:
             order = ordered[v] = sorted(kids, key=code_of)
@@ -53,7 +51,8 @@ def _codes(
 
 
 def _tree_codes(tree: RepTree, labeled: bool, ordered: list | None) -> bytes:
-    code, order = _codes(tree.labels, tree.children, labeled, range(len(tree) - 1, -1, -1))
+    spectrum = tree.spectrum if labeled else None
+    code, order = _codes(tree.labels, tree.children, spectrum, range(len(tree) - 1, -1, -1))
     if ordered is not None:
         ordered.extend(order)
     return code
@@ -117,9 +116,9 @@ def check_iso_map(
 ) -> bool:
     """Verify a position map (``mapping[v]`` is the image of position v) that
     is a bijection, maps root to root and keeps every parent (and, if asked,
-    every label, compared as canonical text). For a bijection that fixes the
-    roots, keeping parents is the same as mapping each node's children onto
-    its image's children."""
+    every label: equal spectra, then equal ranks). For a bijection that fixes
+    the roots, keeping parents is the same as mapping each node's children
+    onto its image's children."""
     n = len(tree1)
     if len(mapping) != n or len(tree2) != n:
         return False
@@ -140,8 +139,6 @@ def check_iso_map(
         return False
     if not respect_labels:
         return True
-    values = {id(v): v for v in tree1.labels + tree2.labels}  # each distinct label once
-    text = {key: None if v is None else format_rational(v) for key, v in values.items()}
-    text1 = list(map(text.__getitem__, map(id, tree1.labels)))
-    text2 = list(map(text.__getitem__, map(id, tree2.labels)))
-    return text1 == list(map(text2.__getitem__, mapping))
+    return tree1.spectrum == tree2.spectrum and (
+        tree1.labels == list(map(tree2.labels.__getitem__, mapping))
+    )

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from validation_oracle import distances
+
 
 class Diagram(NamedTuple):
     vertices: tuple[frozenset[str], ...]
@@ -28,9 +30,10 @@ def enumerate_balls(space) -> list[tuple[frozenset[str], str, object]]:
     whole spectrum; the first (t, r) to give a member set is its witness."""
     found = {}
     pts = space.points
-    values = sorted({d for row in space.dist for d in row})
+    dist = distances(space)
+    values = sorted({d for row in dist for d in row})
     for ti, t in enumerate(pts):
-        row = space.dist[ti]
+        row = dist[ti]
         for r in values:
             members = frozenset(pts[i] for i in range(len(pts)) if row[i] <= r)
             if members not in found:

@@ -15,11 +15,12 @@ from umtk.reptree import RepNode, RepTree
 from umtk.treecanon import canon_code_labeled
 
 from tree_oracle import leaf, tree_of
+from validation_oracle import distances
 
 
 def first_violating_triple(space):
     """First (x, y, z) with d(x,y) > max(d(x,z), d(z,y)): pairs i<j, then z."""
-    d, pts = space.dist, space.points
+    d, pts = distances(space), space.points
     n = len(pts)
     for i in range(n):
         for j in range(i + 1, n):
@@ -35,7 +36,7 @@ def prim_violating_triple(space):
     to the tree joins through the first tree vertex p at that weight w; at
     the first tree vertex u with d(v,u) != max(w, d(p,u)) the triple is
     (v, u, p) if d(v,u) is the larger side, else (p, u, v)."""
-    d, pts = space.dist, space.points
+    d, pts = distances(space), space.points
     tree = [0]
     while len(tree) < len(pts):
         out = [v for v in range(len(pts)) if v not in tree]

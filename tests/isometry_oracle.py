@@ -11,13 +11,15 @@ from __future__ import annotations
 from umtk.similarity import IsometryWitness, _tree_isometry
 from umtk.spaces import is_ultrametric
 
+from validation_oracle import distances
+
 
 def backtrack_isometry(x, y) -> IsometryWitness | None:
     """Points with equal sorted distance rows are candidates for each
     other; the rarest points are assigned first. Recurses once per point, so
     callers raise the recursion limit for large spaces."""
     n = len(x)
-    dx, dy = x.dist, y.dist
+    dx, dy = distances(x), distances(y)
 
     def sig(d, i):
         return tuple(sorted(d[i][k] for k in range(n) if k != i))
@@ -61,7 +63,8 @@ def backtrack_isometry(x, y) -> IsometryWitness | None:
 def decide_isometry(x, y) -> IsometryWitness | None:
     if len(x) != len(y):
         return None
-    if sorted(v for row in x.dist for v in row) != sorted(v for row in y.dist for v in row):
+    dx, dy = distances(x), distances(y)
+    if sorted(v for row in dx for v in row) != sorted(v for row in dy for v in row):
         return None
     ux, uy = is_ultrametric(x), is_ultrametric(y)
     if ux != uy:

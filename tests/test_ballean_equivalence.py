@@ -44,7 +44,7 @@ def _search_both(h1, h2):
         expected = oracle.search_assignment(h1, h2)
     finally:
         sys.setrecursionlimit(limit)
-    found = balls._search_assignment(h1, h2)
+    found = balls._search_assignment(h1, h2, [set(near) for near in h2.succs])
     return found, expected
 
 

@@ -5,11 +5,11 @@ import pytest
 from umtk import (
     diametrical_graph,
     multipartite_parts,
-    rebuild_edges,
     space_from_pairs,
 )
 from umtk.diametrical import graph_to_dot, partition_to_json
 from umtk.errors import NotMultipartiteError, SpaceTooSmallError
+from umtk.suites import rebuild_edges
 
 
 def edge(a, b):

@@ -111,6 +111,37 @@ def test_any_tree_document_gets_a_verdict_or_an_input_error(a, b):
                      for x, y in ((pa, pb), (pb, pa), (pb, pb))])
 
 
+# --pool values: well-formed pools, arbitrary text, and comma-joined
+# literals with malformed ones among them
+POOLS = (
+    st.lists(ZEROS | POSITIVE | st.integers(1, 60).map(str), min_size=1, max_size=8).map(",".join)
+    | st.text(max_size=12)
+    | st.lists(LITERALS | st.text(max_size=3), max_size=6).map(",".join)
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(1, 40),
+    pool=POOLS,
+    force=st.sampled_from(["R", "Rtilde", "D", "T", "any"]),
+    semimetric=st.booleans(),
+    seed=st.integers(),
+)
+def test_any_gen_flags_give_a_space_or_an_input_error(n, pool, force, semimetric, seed):
+    # ``--flag=value`` hands values that start with "-" to the flag
+    argv = ["gen", f"--n={n}", f"--pool={pool}", f"--class={force}", f"--seed={seed}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--semimetric"] * semimetric)
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert len(space_from_json(json.loads(out.getvalue()))) == n
+    else:
+        assert err.getvalue().startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "dist",
     [

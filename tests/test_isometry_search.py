@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import isometry_oracle as oracle
 from tree_oracle import tree_of
+from validation_oracle import distances
 
 from umtk import (
     GenConfig,
@@ -43,7 +44,7 @@ def _oracle_weak_similarity(x, y):
 
 
 def _multiset(space):
-    return sorted(v for row in space.dist for v in row)
+    return sorted(v for row in distances(space) for v in row)
 
 
 def test_witnesses_match_the_recursive_search():
@@ -118,7 +119,7 @@ def test_semimetric_negatives_with_one_distance_changed():
         n = 2 + seed % 6
         pool = POOLS[seed % len(POOLS)]
         x = random_semimetric(GenConfig(seed=seed, n=n, spectrum_pool=pool))
-        rows = [list(row) for row in x.dist]
+        rows = [list(row) for row in distances(x)]
         i, j = rng.sample(range(n), 2)
         rows[i][j] = rows[j][i] = rng.choice([v for v in pool if v != rows[i][j]])
         y, _ = renamed_copy(validate_semimetric(x.points, tuple(map(tuple, rows))), seed)

@@ -40,6 +40,7 @@ from umtk.errors import (
 from umtk.spaces import space_to_text
 
 from diametrical_oracle import first_violating_triple, prim_violating_triple
+from validation_oracle import distances
 
 
 def test_one_point_space():
@@ -127,7 +128,7 @@ def test_rank_relabel(ultra3):
     assert spectrum(scaled) == (F(0), F(10), F(20))
 
     unchanged = rank_relabel(ultra3, spectrum(ultra3))
-    assert unchanged.dist == ultra3.dist
+    assert distances(unchanged) == distances(ultra3)
 
     with pytest.raises(SpectrumSizeMismatchError):
         rank_relabel(ultra3, (F(0), F(1)))
@@ -211,7 +212,7 @@ def test_violation_matches_triple_scan():
         cases = [random_semimetric(GenConfig(seed=seed, n=n))]
         # an ultrametric with one entry moved, in a shuffled point order
         ultra = random_ultrametric(GenConfig(seed=seed, n=n))
-        rows = [list(row) for row in ultra.dist]
+        rows = [list(row) for row in distances(ultra)]
         i, j = rng.sample(range(n), 2)
         rows[i][j] = rows[j][i] = rows[i][j] + rng.choice((F(-1, 2), F(1, 2), F(1)))
         order = list(ultra.points)

@@ -22,7 +22,7 @@ from umtk.reptree import (
     tree_to_text,
     validate_tree,
 )
-from umtk.spaces import space_from_json
+from umtk.spaces import rank_values, space_from_json
 from umtk.treecanon import (
     canon_code_labeled,
     canon_code_unlabeled,
@@ -243,6 +243,34 @@ def test_equal_values_in_different_literals():
             validate(bad, labeled=True)
 
 
+def test_value_distinct_labels_stay_distinct(tmp_path):
+    # labels are ranks into each tree's spectrum: 1 < 2 and 1 < 3 have equal
+    # ranks, so only the spectra tell these trees apart
+    def doc(top, low):
+        return {"label": top, "children": [
+            {"point": "u"}, {"label": low, "children": [{"point": "v"}, {"point": "w"}]}]}
+
+    def tree_iso(*args):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(["tree-iso", *args])
+
+    for (top1, low1), (top2, low2), labeled_rc in (
+        (("2", "1"), ("3", "1"), 1),
+        (("1", "1/2"), ("1", "2/4"), 0),
+    ):
+        a, b = doc(top1, low1), doc(top2, low2)
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(json.dumps(a))
+        pb.write_text(json.dumps(b))
+        assert tree_iso("--labeled", str(pa), str(pb)) == labeled_rc
+        assert tree_iso(str(pa), str(pb)) == 0
+        ta, tb = tree_from_json(a, labeled=True), tree_from_json(b, labeled=True)
+        identity = list(range(len(ta)))
+        assert ta.labels == tb.labels
+        assert check_iso_map(ta, tb, identity) is True
+        assert check_iso_map(ta, tb, identity, respect_labels=True) is (labeled_rc == 0)
+
+
 @pytest.mark.parametrize(
     "root",
     [
@@ -283,12 +311,18 @@ def _pairs():
         yield build_tree(x), build_tree(random_relabeled(x, seed + 7))
 
 
+def _values(tree):
+    """Each position's label value."""
+    return [tree.spectrum[rank] for rank in tree.labels]
+
+
 def _copy(tree, relabel=None):
     """A position-for-position copy of a tree and the map onto it;
-    ``relabel`` maps an original position to its copy's label."""
+    ``relabel`` maps an original position to its copy's label value."""
     n = len(tree)
-    labels = list(tree.labels) if relabel is None else [relabel(v) for v in range(n)]
-    copy = RepTree(labels, list(tree.points), [list(kids) for kids in tree.children])
+    values = _values(tree) if relabel is None else [relabel(v) for v in range(n)]
+    spectrum, labels = rank_values(values)
+    copy = RepTree(labels, list(tree.points), [list(kids) for kids in tree.children], spectrum)
     return copy, list(range(n))
 
 
@@ -334,7 +368,7 @@ def test_check_agrees_with_the_reference_on_true_maps_and_mutations():
 
 def test_one_label_off_fails_only_the_labeled_check():
     for t1, _ in _pairs():
-        labels = t1.labels
+        labels = _values(t1)
         inner = [v for v, kids in enumerate(t1.children) if kids]
         off = inner[len(inner) // 2]
         same, psi = _copy(t1, lambda v: int(labels[v]) if labels[v].denominator == 1 else labels[v])

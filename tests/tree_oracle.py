@@ -11,7 +11,7 @@ shallow or raise the recursion limit.
 
 They work on nested ``RepNode``s: ``leaf`` and ``internal`` build them by
 hand, and ``tree_of`` lays a nested tree out as the preorder arrays of a
-``RepTree``. ``tree_to_json`` is the reference encoder of tree documents that
+``RepTree``, ranking its label values into the tree's spectrum. ``tree_to_json`` is the reference encoder of tree documents that
 ``reptree.tree_to_text`` is compared with; it builds the document bottom-up,
 so it does not recurse.
 """
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from umtk.errors import FormatError, InvalidTreeError, UnknownPointError
 from umtk.reptree import RepNode, RepTree
-from umtk.spaces import format_rational, parse_rational
+from umtk.spaces import format_rational, parse_rational, rank_values
 
 
 def leaf(point: str) -> RepNode:
@@ -47,7 +47,8 @@ def tree_of(root: RepNode) -> RepTree:
         mine: list[int] = []
         children.append(mine if node.children else ())
         stack.extend((c, mine) for c in reversed(node.children))
-    return RepTree(labels, points, children)
+    spectrum, ranks = rank_values(labels)
+    return RepTree(ranks, points, children, spectrum)
 
 
 def tree_to_json(tree: RepTree) -> dict:
@@ -61,7 +62,7 @@ def tree_to_json(tree: RepTree) -> dict:
             continue
         doc: dict = {}
         if labels[v] is not None:
-            doc["label"] = format_rational(labels[v])
+            doc["label"] = format_rational(tree.spectrum[labels[v]])
         doc["children"] = [docs[c] for c in kids]
         docs[v] = doc
     return docs[0]

@@ -21,6 +21,12 @@ from umtk.errors import (
 from umtk.spaces import _as_rational, parse_rational
 
 
+def distances(space):
+    """The distance matrix of a space, its ranks read through its spectrum."""
+    value = space.spectrum.__getitem__
+    return tuple(tuple(map(value, row)) for row in space.ranks)
+
+
 def validate_semimetric(points, matrix):
     pts = tuple(points)
     if not pts:
