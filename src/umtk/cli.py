@@ -283,6 +283,9 @@ def _cmd_check(args) -> int:
         if trials < 1:
             _diag("--trials must be positive")
             return 2
+    if args.max_n is not None and args.max_n < 1:
+        _diag("--max-n must be positive")
+        return 2
     results = run_all(seed=args.seed, trials=trials, max_n=args.max_n)
     for result in results:
         print(result.line())

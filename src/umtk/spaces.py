@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -55,14 +56,14 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise FormatError(f"not a rational literal: {text!r}")
+    num, den = m.groups()
     try:
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
+        # an integer is already in lowest terms: no gcd to take
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     except ValueError:
         raise FormatError(f"rational literal too long ({len(text)} characters)") from None
-    if den == 0:
-        raise FormatError(f"zero denominator in {text!r}")
-    return Fraction(num, den)
+    except ZeroDivisionError:
+        raise FormatError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -173,8 +174,11 @@ def validate_semimetric(
         literals = {key: _as_rational(v) for key, v in firsts.items()}
         keys = [map(id, row) for row in rows]
     spectrum, key_ranks = rank_values(literals.values())
-    rank = dict(zip(literals, key_ranks)).__getitem__
-    ranks = tuple(tuple(map(rank, row)) for row in keys)
+    rank = dict(zip(literals, key_ranks))
+    # one C call ranks a whole row; with one key, itemgetter returns the value itself
+    ranks = tuple(itemgetter(*row)(rank) for row in keys)
+    if n == 1:
+        ranks = (ranks,)
     if not (
         spectrum[0] == 0
         and all(ranks[i][i] == 0 for i in range(n))
@@ -339,13 +343,15 @@ def space_from_json(doc: object) -> FiniteSemimetricSpace:
         raise FormatError('"points" must be a list of strings')
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise FormatError('"dist" must be a list of rows')
-    # Each distinct literal is parsed once, in row-major order of first
-    # occurrence; a list or dict entry cannot be a key, so then all are.
+    # One C pass over whole rows finds the distinct literals (and caches each
+    # entry's hash for the rank lookups); each is parsed once. On a list or
+    # dict entry or a bad literal, a row-major scan raises the first bad entry.
     try:
-        entries: Iterable[object] = dict.fromkeys(chain.from_iterable(dist))
-    except TypeError:
-        entries = chain.from_iterable(dist)
-    literals = {lit: parse_rational(lit) for lit in entries}
+        literals = {lit: parse_rational(lit) for lit in set().union(*dist)}
+    except (TypeError, FormatError):
+        for lit in chain.from_iterable(dist):
+            parse_rational(lit)
+        raise
     return validate_semimetric(tuple(points), dist, literals)
 
 

@@ -178,6 +178,22 @@ def _mixed_pairs(seed: int, trials: int, max_n: int, tag: str):
         yield i, base, other
 
 
+def _weaksim_pairs(seed: int, trials: int, max_n: int):
+    """The "weaksim" ``_mixed_pairs`` with each pair's decision. A stream
+    that yields no weakly similar pair ends with one more: a renamed copy of
+    its first base, weakly similar by construction."""
+    first = None
+    positive = False
+    for i, x, y in _mixed_pairs(seed, trials, max_n, "weaksim"):
+        witness = decide_weak_similarity(x, y)
+        positive = positive or witness is not None
+        first = x if first is None else first
+        yield i, x, y, witness
+    if not positive:
+        copy, _ = renamed_copy(first, _seed_for(seed, trials))
+        yield trials, first, copy, decide_weak_similarity(first, copy)
+
+
 # --- the ten suites -----------------------------------------------------------
 
 
@@ -288,9 +304,8 @@ def weak_similarity_agreement_suite(
     count = _trial_count(trials, 200)
     top = _cap(max_n, 6)
     positives = 0
-    for i, x, y in _mixed_pairs(seed, count, top, "weaksim"):
+    for i, x, y, witness in _weaksim_pairs(seed, count, top):
         rec.tick()
-        witness = decide_weak_similarity(x, y)
         oracle = oracle_weak_similarity(x, y)
         rec.check(
             (witness is None) == (oracle is None),
@@ -414,8 +429,8 @@ def weaksim_hasse_suite(
     count = _trial_count(trials, 200)
     top = _cap(max_n, 6)
     positives = 0
-    for i, x, y in _mixed_pairs(seed, count, top, "weaksim"):
-        if decide_weak_similarity(x, y) is None:
+    for i, x, y, witness in _weaksim_pairs(seed, count, top):
+        if witness is None:
             continue
         positives += 1
         rec.tick()
@@ -465,8 +480,7 @@ def witness_ball_preserving_suite(
     count = _trial_count(trials, 200)
     top = _cap(max_n, 6)
     positives = 0
-    for i, x, y in _mixed_pairs(seed, count, top, "weaksim"):
-        witness = decide_weak_similarity(x, y)
+    for i, x, y, witness in _weaksim_pairs(seed, count, top):
         if witness is None:
             continue
         positives += 1

@@ -323,6 +323,20 @@ def test_check_runs_all_suites(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("max_n", [None, "2", "3"])
+def test_one_trial_check_passes(max_n, capsys):
+    # a one-trial stream may hold no weakly similar pair; the suites then add one
+    argv = ["check", "--trials", "1"] + (["--max-n", max_n] if max_n else [])
+    assert main(argv) == 0, capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines()[-1].startswith("all 10 suites passed")
+
+
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_max_n_below_one_is_an_input_error(max_n, capsys):
+    assert main(["check", f"--max-n={max_n}"]) == 2
+    assert capsys.readouterr() == ("", "error: --max-n must be positive\n")
+
+
 def test_out_flag_writes_file(paths, tmp_path, capsys):
     target = tmp_path / "spectrum-out.json"
     assert main(["spectrum", paths["ultra3"], "--out", str(target)]) == 0
@@ -446,13 +460,27 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         (["tree-iso", str(a), str(b)], GOLDEN_SHAPE_MAP),
         (["tree-iso", "--labeled", str(a), str(b)], GOLDEN_LABELED_MAP),
     ]
+    expected = {tuple(argv): (0, out, "") for argv, out in commands}
+    # the reader's set of distinct literals iterates in hash order: a bad
+    # document still reports its first bad entry in row-major order
+    rows = [["0", "1/0", "2"], ["x", "0", "0"], ["2", "0", "0"]]
+    for name, entry in (("bad.json", "0"), ("unhashable.json", [1])):
+        rows[1][1] = entry
+        (tmp_path / name).write_text(json.dumps({"points": ["p", "q", "r"], "dist": rows}))
+        expected["validate", str(tmp_path / name)] = (2, "", "error: FormatError: zero denominator in '1/0'\n")
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"points": ["p"], "dist": [["0"]]}))
+    one_point = [("validate", str(one)), ("weaksim", str(one), str(one)), ("ballean", str(one))]
+    results = {}
     for seed in ("0", "1"):
         env = _fresh_env(PYTHONHASHSEED=seed)
-        for argv, expected in commands:
+        for argv in [*expected, *one_point]:
             done = subprocess.run(
                 [sys.executable, "-m", "umtk.cli", *argv], capture_output=True, text=True, env=env, timeout=60
             )
-            assert (done.returncode, done.stdout, done.stderr) == (0, expected, ""), (seed, argv)
+            result = results.setdefault(argv, (done.returncode, done.stdout, done.stderr))
+            assert (done.returncode, done.stdout, done.stderr) == expected.get(argv, result), (seed, argv)
+    assert all(results[argv][0::2] == (0, "") for argv in one_point)
 
 
 def test_gen_and_validate_a_deep_binary_chain(tmp_path, capsys, recursion_headroom):

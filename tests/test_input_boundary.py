@@ -142,6 +142,31 @@ def test_any_gen_flags_give_a_space_or_an_input_error(n, pool, force, semimetric
         assert err.getvalue().startswith("error: ")
 
 
+def _not_a_long_run(text):
+    # a --trials value that int() reads as more than 3 would only make the run slow
+    try:
+        return int(text) <= 3
+    except ValueError:
+        return text != "default"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    trials=st.integers(1, 3).map(str) | st.text(max_size=6).filter(_not_a_long_run),
+    max_n=st.integers(-3, 6),
+    seed=st.integers(),
+)
+def test_any_check_flags_pass_or_give_an_input_error(trials, max_n, seed):
+    argv = ["check", f"--trials={trials}", f"--max-n={max_n}", f"--seed={seed}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code, out.getvalue(), err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+
+
 @pytest.mark.parametrize(
     "dist",
     [
