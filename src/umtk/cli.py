@@ -97,6 +97,13 @@ def _load_json(path: str) -> object:
             return json.load(handle)
         except RecursionError:
             raise FormatError("JSON nested too deeply") from None
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"document is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        except json.JSONDecodeError:
+            raise  # main reports it as invalid JSON
+        except ValueError:
+            # the one other ValueError json raises: an int past Python's digit limit
+            raise FormatError("JSON number too long to read") from None
 
 
 def _load_space(path: str) -> FiniteSemimetricSpace:

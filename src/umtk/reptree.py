@@ -18,11 +18,11 @@ nodes.
 
 ``build_tree`` reads the tree off the minimum spanning tree that certifies
 ultrametricity (``spaces.ultrametric_mst``): the representing tree is the
-single-linkage dendrogram of the space (Gower & Ross 1969). The spanning
-tree's edges are merged in order of weight rank with union-find, and all
-components joined at one weight w become the children of one internal node
-labeled w -- the ball of radius w they span, whose diameter is w. Points are
-leaves labeled 0. Each node's canonical code, which orders it among its
+single-linkage dendrogram of the space (Gower & Ross 1969). Prim's pass
+adds the points ball by ball, and one stack pass over its join weights reads
+the tree off: the runs that weight w separates inside a run of weights up to
+w are the children of one internal node labeled w -- the ball of radius w
+they span, whose diameter is w. Points are leaves labeled 0. Each node's canonical code, which orders it among its
 siblings, is built once from its children's codes, so building costs O(n^2)
 like the certificate. The paper's construction, which
 splits a ball into the parts of its diametrical graph, gives the same tree;
@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import groupby
-from operator import itemgetter
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import FormatError, InvalidTreeError, NotUltrametricError
 from .spaces import (
     FiniteSemimetricSpace,
+    check_point_names,
     format_rational,
     parse_rational,
     rank_values,
@@ -197,39 +197,38 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
         raise NotUltrametricError(violation)
     from .treecanon import _codes  # local import: treecanon imports this module
 
-    # Nodes are numbered as they are made: the points 0..n-1, then each
-    # merge's node, so every child's number is below its parent's. Each
-    # union-find root names the node of its component, and each node its
-    # smallest leaf point: leaf sets are disjoint, so comparing smallest
-    # points is the same as comparing sorted leaf point tuples.
+    # Every ball is a run of Prim's join order, so a point's join weight is
+    # its distance to the point joined just before it: the tree is the
+    # Cartesian tree of the join weights, equal weights in one node. Open
+    # nodes wait on a stack, and a larger weight closes them. Numbered as they
+    # close, after the points 0..n-1, every child comes before its parent.
+    # Each node keeps its smallest leaf point, which orders disjoint leaf sets.
     n = len(space)
     labels: list[int | None] = [0] * n  # a space's spectrum starts at 0
     kids: list[Sequence[int]] = [()] * n
     low = list(space.points)
-    comp = list(range(n))
-    parent = list(range(n))
+    stack: list[tuple[int, list[int]]] = []  # (label rank, children so far)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def close(last: int) -> int:
+        rank, members = stack.pop()
+        members.append(last)
+        members.sort(key=low.__getitem__)
+        labels.append(rank)
+        kids.append(members)
+        low.append(low[members[0]])
+        return len(labels) - 1
 
-    weight = itemgetter(2)
-    for rank, group in groupby(sorted(edges, key=weight), key=weight):
-        pairs = [(a, b) for a, b, _ in group]
-        joined = {find(i) for pair in pairs for i in pair}
-        for a, b in pairs:
-            parent[find(a)] = find(b)
-        merged: dict[int, list[int]] = {}
-        for r in joined:
-            merged.setdefault(find(r), []).append(r)
-        for root, members in merged.items():
-            subs = sorted((low[comp[r]], comp[r]) for r in members)
-            comp[root] = len(labels)
-            labels.append(rank)
-            kids.append([node for _, node in subs])
-            low.append(subs[0][0])
+    last = 0  # the closed subtree that ends at the point joined last
+    for _, v, w in edges:
+        while stack and stack[-1][0] < w:
+            last = close(last)
+        if stack and stack[-1][0] == w:
+            stack[-1][1].append(last)
+        else:
+            stack.append((w, [last]))
+        last = v
+    while stack:
+        last = close(last)
     # children are in smallest-point order, so code order breaks ties by it
     _, ordered = _codes(labels, kids, space.spectrum, range(len(labels)))
     names = list(space.points) + [None] * (len(labels) - n)
@@ -240,34 +239,28 @@ def space_from_tree(tree: RepTree) -> FiniteSemimetricSpace:
     """Ultrametric space realized by a fully labeled valid tree.
 
     Points appear in leaf order (depth-first). ``space_from_tree(build_tree(X))``
-    reproduces X's distances exactly. One pass in reverse preorder gives
-    every internal node the leaves below it, so no walk recurses, and fills
-    the matrix with label ranks.
+    reproduces X's distances exactly. The leaves below a node are one run of
+    that order, so its label fills each leaf's row over the other children's
+    runs, two slices per leaf: each pair is written once, at its lowest
+    common ancestor, and no walk recurses.
     """
     validate_tree(tree, labeled=True)
     labels, children = tree.labels, tree.children
     points = tree.leaf_points()
-    index = {p: i for i, p in enumerate(points)}
     n = len(points)
     rows = [[0] * n for _ in range(n)]  # valid labels are positive, so 0 has rank 0
-    below: list[list[int] | None] = [None] * len(tree)
+    start = list(accumulate([not kids for kids in children], initial=0))  # leaves before each position
+    end = start[1:]  # one past each position's last leaf, set below for internal nodes
     for v in range(len(tree) - 1, -1, -1):
         kids = children[v]
-        if not kids:
-            below[v] = [index[tree.points[v]]]  # type: ignore[index]
-            continue
-        label = labels[v]
-        groups = [below[c] for c in kids]
-        for gi in range(1, len(groups)):
-            for a in groups[gi]:  # type: ignore[union-attr]
-                row = rows[a]
-                for g in groups[:gi]:
-                    for b in g:  # type: ignore[union-attr]
-                        row[b] = label
-                        rows[b][a] = label
-        below[v] = [i for g in groups for i in g]  # type: ignore[union-attr]
-        for c in kids:
-            below[c] = None
+        if kids:
+            end[v] = end[kids[-1]]
+            s, e = start[v], end[v]
+            for c in kids:
+                left, right = [labels[v]] * (start[c] - s), [labels[v]] * (e - end[c])
+                for row in rows[start[c]:end[c]]:
+                    row[s:start[c]] = left
+                    row[end[c]:e] = right
     return validate_semimetric(points, rows, dict(enumerate(tree.spectrum)))
 
 
@@ -322,6 +315,7 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
         children.append(mine)
         stack.extend(kids[::-1])
         slots.extend([mine] * len(kids))
+    check_point_names(filter(None, points))
     spectrum, ranks = rank_values(parsed.values())
     rank = dict(zip(parsed, ranks)).get  # no label: None
     tree = RepTree(list(map(rank, texts)), points, children, spectrum)

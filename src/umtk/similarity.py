@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import FormatError, NotIsomorphicError, VerificationFailedError
+from .errors import FormatError, NotIsomorphicError, NotUltrametricError, VerificationFailedError
 from .reptree import RepTree, build_tree
 from .search import match
 from .spaces import (
     FiniteSemimetricSpace,
     format_rational,
-    is_ultrametric,
     parse_rational,
     spectrum,
 )
@@ -140,10 +139,15 @@ def _isometry_map(
     """
     if len(x) != len(y) or len(x.spectrum) != len(y.spectrum):
         return None
-    ux, uy = is_ultrametric(x), is_ultrametric(y)
-    if ux != uy:
+    trees = []  # build_tree's cache then holds what _tree_isometry reads
+    for space in (x, y):
+        try:
+            trees.append(build_tree(space))
+        except NotUltrametricError:
+            pass
+    if len(trees) == 1:
         return None
-    return _tree_isometry(x, y) if ux else _backtrack_isometry(x, y)
+    return _tree_isometry(x, y) if trees else _backtrack_isometry(x, y)
 
 
 def decide_isometry(
@@ -192,6 +196,8 @@ def weak_sim_witness_to_json(witness: WeakSimWitness, point_order: tuple[str, ..
 def weak_sim_witness_from_json(doc: object) -> WeakSimWitness:
     if not isinstance(doc, dict) or "scaling" not in doc or "phi" not in doc:
         raise FormatError('witness document needs "scaling" and "phi"')
+    if not isinstance(doc["phi"], dict):
+        raise FormatError("malformed witness document")
     try:
         scaling = tuple(
             (parse_rational(a), parse_rational(b)) for a, b in doc["scaling"]

@@ -18,9 +18,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -183,7 +182,7 @@ def validate_semimetric(
         spectrum[0] == 0
         and all(ranks[i][i] == 0 for i in range(n))
         and all(row.count(0) == 1 for row in ranks)
-        and ranks == tuple(zip(*ranks))
+        and all(map(eq, ranks, zip(*ranks)))
     ):
         z = spectrum.index(0)  # with no 0 entry, the diagonal fails at once
         for i in range(n):
@@ -203,11 +202,25 @@ def validate_semimetric(
 def space_from_pairs(
     points: Sequence[str], distances: Mapping[tuple[str, str], object]
 ) -> FiniteSemimetricSpace:
-    """Convenience builder: symmetric closure of ``{(x, y): d}`` over ``points``."""
+    """Convenience builder: symmetric closure of ``{(x, y): d}`` over ``points``.
+
+    A pair naming a point outside ``points`` raises UnknownPointError, a
+    nonzero ``(a, a)`` entry NonZeroDiagonalError, and ``(a, b)`` and
+    ``(b, a)`` with different values NonSymmetricError.
+    """
     pts = tuple(points)
+    index = {p: i for i, p in enumerate(pts)}
     lut: dict[tuple[str, str], Fraction] = {}
     for (a, b), v in distances.items():
-        lut[(a, b)] = lut[(b, a)] = _as_rational(v)
+        for p in (a, b):
+            if p not in index:
+                raise UnknownPointError(p)
+        d = _as_rational(v)
+        if a == b and d != 0:
+            raise NonZeroDiagonalError(index[a])
+        if lut.get((a, b), d) != d:  # set by an earlier (b, a)
+            raise NonSymmetricError(index[a], index[b])
+        lut[(a, b)] = lut[(b, a)] = d
     try:
         rows = [[Fraction(0) if a == b else lut[(a, b)] for b in pts] for a in pts]
     except KeyError as missing:
@@ -230,7 +243,6 @@ Violation = tuple[str, str, str]
 MstEdge = tuple[int, int, int]
 
 
-@lru_cache(maxsize=None)
 def ultrametric_mst(
     space: FiniteSemimetricSpace,
 ) -> tuple[Violation | None, tuple[MstEdge, ...]]:
@@ -341,6 +353,7 @@ def space_from_json(doc: object) -> FiniteSemimetricSpace:
         raise FormatError('space document needs "points" and "dist"') from None
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise FormatError('"points" must be a list of strings')
+    check_point_names(points)
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise FormatError('"dist" must be a list of rows')
     # One C pass over whole rows finds the distinct literals (and caches each
@@ -353,6 +366,16 @@ def space_from_json(doc: object) -> FiniteSemimetricSpace:
             parse_rational(lit)
         raise
     return validate_semimetric(tuple(points), dist, literals)
+
+
+def check_point_names(names: Iterable[str]) -> None:
+    """FormatError unless every name can be written out: a JSON escape can
+    spell a lone surrogate, which no UTF-8 output can hold. One encode of
+    the joined names checks them all."""
+    try:
+        "".join(names).encode()
+    except UnicodeEncodeError:
+        raise FormatError("point names must not contain lone surrogates") from None
 
 
 def space_to_text(space: FiniteSemimetricSpace) -> str:

@@ -369,6 +369,47 @@ def test_overlong_distance_literal_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: FormatError")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"points": ["p\xff"], "dist": [["0"]]}', "document is not UTF-8 text (invalid start byte at byte 14)"),
+        (b'{"points": ["p"], "dist": [[' + b"7" * 5000 + b"]]}", "JSON number too long to read"),
+        (b'{"children": [{"point": "a"}, {"point": "b"}], "label": ' + b"7" * 5000 + b"}",
+         "JSON number too long to read"),
+    ],
+    ids=["bad-utf8", "long-number", "long-label"],
+)
+@pytest.mark.parametrize("command", [["validate"], ["tree-iso"]])
+def test_undecodable_documents_are_input_errors(data, message, command, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(data)
+    argv = [*command, str(doc)] + [str(doc)] * (command == ["tree-iso"])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: FormatError: {message}\n"
+
+
+SURROGATE_SPACE = '{"points": ["\\ud800", "q"], "dist": [["0", "1"], ["1", "0"]]}'
+SURROGATE_TREE = '{"label": "1", "children": [{"point": "\\ud800"}, {"point": "q"}]}'
+
+
+@pytest.mark.parametrize("argv", [["tree", "--dot"], ["hasse", "--dot"], ["diametric", "--dot"]])
+def test_lone_surrogate_point_names_are_input_errors(argv, tmp_path):
+    # valid JSON, but no UTF-8 output can hold the name
+    doc = tmp_path / "doc.json"
+    doc.write_text(SURROGATE_SPACE)
+    run = subprocess.run([sys.executable, "-m", "umtk.cli", *argv, str(doc)], capture_output=True,
+                         env=_fresh_env(UMTK_COLOR="never", PYTHONIOENCODING="utf-8"))
+    assert run.returncode == 2 and run.stdout == b""
+    assert run.stderr == b"error: FormatError: point names must not contain lone surrogates\n"
+
+
+def test_lone_surrogate_leaf_points_are_input_errors(tmp_path, capsys):
+    doc = tmp_path / "tree.json"
+    doc.write_text(SURROGATE_TREE)
+    assert main(["tree-iso", str(doc), str(doc)]) == 2
+    assert capsys.readouterr().err == "error: FormatError: point names must not contain lone surrogates\n"
+
+
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     doc = tmp_path / "deep.json"
     doc.write_text("[" * 100000)

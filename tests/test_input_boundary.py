@@ -111,6 +111,25 @@ def test_any_tree_document_gets_a_verdict_or_an_input_error(a, b):
                      for x, y in ((pa, pb), (pb, pa), (pb, pb))])
 
 
+# any bytes at all, and documents as UTF-8 text cut short or not
+BYTES = st.binary(max_size=200) | st.tuples(
+    (JSON | near_spaces() | NEAR_TREES).map(lambda doc: json.dumps(doc, ensure_ascii=False).encode()),
+    st.none() | st.integers(0, 200),
+).map(lambda pair: pair[0][: pair[1]])
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=BYTES, b=BYTES)
+def test_any_bytes_get_a_verdict_or_an_input_error(a, b):
+    with tempfile.TemporaryDirectory() as tmp:
+        pa, pb = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        for path, data in ((pa, a), (pb, b)):
+            with open(path, "wb") as handle:
+                handle.write(data)
+        _check_runs([(["validate", pa], (0, 2)), (["weaksim", pa, pb], (0, 1, 2)),
+                     (["tree-iso", pa, pb], (0, 1, 2))])
+
+
 # --pool values: well-formed pools, arbitrary text, and comma-joined
 # literals with malformed ones among them
 POOLS = (

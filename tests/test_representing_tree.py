@@ -154,19 +154,26 @@ def test_random_round_trips():
 @pytest.mark.parametrize("shape", [None, "R", "Rtilde", "D", "T"])
 def test_tree_matches_diametrical_oracle(shape):
     # A small pool repeats labels across branches; a large one allows long
-    # binary chains (class R needs n - 1 distinct labels).
-    for pool in (tuple(F(k) for k in range(1, 7)), tuple(F(k, 3) for k in range(1, 41))):
-        for seed in range(8):
-            n = min(1 + seed * 3, len(pool) + 1)
-            space = random_ultrametric(
-                GenConfig(seed=seed, n=n, spectrum_pool=pool, force_class=shape)
-            )
-            order = list(space.points)
-            random.Random(seed).shuffle(order)
-            for sample in (space, space.restrict(order)):
-                tree, expected = build_tree(sample), diametrical_tree(sample)
-                assert tree_to_text(tree) == tree_to_text(expected)
-                assert tree_to_dot(tree) == tree_to_dot(expected)
+    # binary chains (class R needs n - 1 distinct labels). With two values
+    # nearly every join ties, and only class R stays at 3 points.
+    cases = [
+        (pool, seed, min(1 + seed * 3, len(pool) + 1))
+        for pool in (tuple(F(k) for k in range(1, 7)), tuple(F(k, 3) for k in range(1, 41)))
+        for seed in range(8)
+    ]
+    cases += [((F(1), F(2)), seed, 1 + seed * 3 if shape != "R" else min(1 + seed * 3, 3))
+              for seed in range(8)]
+    cases.append((tuple(F(k, 3) for k in range(1, 64)), 8, 64))
+    for pool, seed, n in cases:
+        space = random_ultrametric(
+            GenConfig(seed=seed, n=n, spectrum_pool=pool, force_class=shape)
+        )
+        order = list(space.points)
+        random.Random(seed).shuffle(order)
+        for sample in (space, space.restrict(order)):
+            tree, expected = build_tree(sample), diametrical_tree(sample)
+            assert tree_to_text(tree) == tree_to_text(expected)
+            assert tree_to_dot(tree) == tree_to_dot(expected)
 
 
 def test_binary_chain_checks_and_builds_fast():

@@ -24,7 +24,8 @@ from umtk import (
     weak_sim_witness_from_json,
     weak_sim_witness_to_json,
 )
-from umtk import similarity
+from umtk import reptree, similarity, spaces
+from umtk.errors import FormatError
 
 
 def test_forced_scaling_is_the_rank_map(ultra3, ultra3_scaled, blocks4):
@@ -135,6 +136,34 @@ def test_witness_json_round_trip(ultra3, ultra3_scaled):
     back = weak_sim_witness_from_json(json.loads(json.dumps(doc)))
     assert back == witness
     assert verify_weak_similarity(ultra3, ultra3_scaled, back)
+
+
+@pytest.mark.parametrize("doc", [{"scaling": [], "phi": []}, {"scaling": [], "phi": "p"}])
+def test_witness_document_without_a_phi_object_is_a_format_error(doc):
+    with pytest.raises(FormatError):
+        weak_sim_witness_from_json(doc)
+
+
+@pytest.mark.parametrize("decide", [decide_weak_similarity, decide_isometry])
+def test_prim_runs_once_per_space(decide, monkeypatch):
+    # build_tree's cache answers the ultrametric test and holds the tree the
+    # decision reads, so the spanning-tree pass runs once for each space
+    x = random_ultrametric(GenConfig(seed=5, n=64))
+    y, _ = renamed_copy(x, seed=6)
+    if decide is decide_weak_similarity:
+        y = rank_relabel(y, tuple(v * 7 for v in spectrum(y)))
+    calls = []
+
+    def counted(space):
+        calls.append(space)
+        return mst(space)
+
+    mst = spaces.ultrametric_mst
+    monkeypatch.setattr(spaces, "ultrametric_mst", counted)
+    monkeypatch.setattr(reptree, "ultrametric_mst", counted)
+    reptree.build_tree.cache_clear()
+    assert decide(x, y) is not None
+    assert len(calls) == 2 and calls[0] is x and calls[1] is y
 
 
 def test_backtracking_handles_non_ultrametric(semi3):

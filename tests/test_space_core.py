@@ -205,6 +205,28 @@ def test_spaces_are_hashable_values(ultra3):
     assert isinstance(again, FiniteSemimetricSpace)
 
 
+PQ = {("p", "q"): 1}
+
+
+def test_pairs_naming_an_unknown_point_are_rejected():
+    with pytest.raises(UnknownPointError, match="'z'"):
+        space_from_pairs(("p", "q"), {**PQ, ("q", "z"): 2})
+
+
+def test_pairs_with_a_nonzero_diagonal_are_rejected():
+    assert space_from_pairs(("p", "q"), {**PQ, ("q", "q"): 0}) == space_from_pairs(("p", "q"), PQ)
+    with pytest.raises(NonZeroDiagonalError) as err:
+        space_from_pairs(("p", "q"), {**PQ, ("q", "q"): 1})
+    assert str(err.value) == "d[1][1] != 0"
+
+
+def test_pairs_that_disagree_are_rejected():
+    assert space_from_pairs(("p", "q"), {**PQ, ("q", "p"): F(1)}) == space_from_pairs(("p", "q"), PQ)
+    with pytest.raises(NonSymmetricError) as err:
+        space_from_pairs(("p", "q"), {**PQ, ("q", "p"): 2})
+    assert str(err.value) == "d[1][0] != d[0][1]"
+
+
 def test_violation_matches_triple_scan():
     rng = random.Random(11)
     for seed in range(60):
