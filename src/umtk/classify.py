@@ -13,13 +13,17 @@ maximal leaf depth n. Four predicates are reported:
 ``binary_chain`` implies ``inner_chain`` implies ``distinct_labels`` (labels
 strictly decrease along the chain); no other implication is assumed.
 
-For spaces whose *unlabeled* tree shapes already match, two constructions
-upgrade the shape isomorphism to a weak similarity: the chain construction
-(valid whenever X is an inner chain) and the label-rank construction (valid
-when both spaces have distinct labels and uniform last levels). Conversely,
-``adversarial_relabeling`` shows the chain hypothesis is sharp: for any X
-that is not an inner chain it produces a space with the same tree shape but
-a different spectrum size, hence not weakly similar to X.
+For spaces whose *unlabeled* tree shapes already match, two hypotheses
+upgrade the shape isomorphism to a weak similarity: X is an inner chain, or
+both spaces have distinct labels and uniform last levels. Under either, the
+trees labeled by label rank are equal up to child order (a chain ranked
+1..k, or m stars ranked 1..m under a chain ranked above m), so the witness
+is the rank-keeping tree map of the weak-similarity decision
+(``similarity._tree_isometry``). Conversely, ``adversarial_relabeling``
+shows the chain hypothesis is sharp: for any X that is not an inner chain
+it produces a space with the same tree shape but a different spectrum size,
+hence not weakly similar to X. Both the class report and the relabeling
+read the tree's levels through one top-down walk, ``_inner_levels``.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from fractions import Fraction
 
 from .errors import InapplicableError, VerificationFailedError
 from .reptree import RepTree, build_tree, space_from_tree
-from .similarity import WeakSimWitness, verify_weak_similarity
+from .similarity import WeakSimWitness, _tree_isometry, verify_weak_similarity
 from .spaces import FiniteSemimetricSpace, format_rational, rank_values, spectrum
 from .treecanon import canon_code_unlabeled
 
@@ -68,25 +72,24 @@ class ClassReport:
         }
 
 
-def _levels(tree: RepTree) -> list[list[int]]:
-    """The positions of each level, top down, in preorder."""
+def _inner_levels(tree: RepTree) -> list[list[int]]:
+    """The internal positions on each level, top down, each level in
+    preorder. The last entry, the deepest level, holds only leaves: it is empty."""
     levels: list[list[int]] = []
     current = [0]
     while current:
-        levels.append(current)
-        current = [c for v in current for c in tree.children[v]]
+        inner = [v for v in current if tree.children[v]]
+        levels.append(inner)
+        current = [c for v in inner for c in tree.children[v]]
     return levels
 
 
-def classify_space(space: FiniteSemimetricSpace) -> ClassReport:
-    """Class membership report for an ultrametric space (via its tree)."""
-    tree = build_tree(space)
+def _classify_tree(tree: RepTree) -> ClassReport:
     children = tree.children
-    levels = _levels(tree)
-    inner = [[v for v in level if children[v]] for level in levels]
-    counts = tuple(len(group) for group in inner)
+    inner = _inner_levels(tree)
+    counts = tuple(map(len, inner))
     labels = sorted(tree.labels[v] for group in inner for v in group)
-    depth = len(levels) - 1
+    depth = len(inner) - 1
 
     inner_chain = all(c <= 1 for c in counts)
     binary_chain = inner_chain and all(
@@ -103,6 +106,11 @@ def classify_space(space: FiniteSemimetricSpace) -> ClassReport:
     return ClassReport(binary_chain, inner_chain, distinct, uniform, counts, values)
 
 
+def classify_space(space: FiniteSemimetricSpace) -> ClassReport:
+    """Class membership report for an ultrametric space (via its tree)."""
+    return _classify_tree(build_tree(space))
+
+
 class ShapeWitnessOutcome(enum.Enum):
     """Non-witness results of ``witness_from_unlabeled_iso``."""
 
@@ -114,36 +122,6 @@ NOT_ISOMORPHIC_SHAPES = ShapeWitnessOutcome.NOT_ISOMORPHIC_SHAPES
 INAPPLICABLE = ShapeWitnessOutcome.INAPPLICABLE
 
 
-def _rank_aligned_pairing(tx: RepTree, ty: RepTree) -> dict[str, str]:
-    """Pair the two trees top-down, aligning internal siblings by label rank.
-
-    Leaf siblings are paired in point-name order; internal siblings in
-    decreasing label order. Returns the induced leaf map. Requires matching
-    child profiles at every step, which holds for isomorphic shapes in the
-    classes handled here.
-    """
-    phi: dict[str, str] = {}
-    stack = [(0, 0)]  # position pairs, depth first
-    while stack:
-        a, b = stack.pop()
-        a_kids, b_kids = tx.children[a], ty.children[b]
-        if bool(a_kids) != bool(b_kids):
-            raise VerificationFailedError("shape pairing mismatch: leaf vs internal")
-        if not a_kids:
-            phi[tx.points[a]] = ty.points[b]  # type: ignore[index]
-            continue
-        a_leaves = sorted((c for c in a_kids if not tx.children[c]), key=tx.points.__getitem__)  # type: ignore[arg-type]
-        b_leaves = sorted((c for c in b_kids if not ty.children[c]), key=ty.points.__getitem__)  # type: ignore[arg-type]
-        a_inner = sorted((c for c in a_kids if tx.children[c]), key=tx.labels.__getitem__, reverse=True)
-        b_inner = sorted((c for c in b_kids if ty.children[c]), key=ty.labels.__getitem__, reverse=True)
-        if len(a_leaves) != len(b_leaves) or len(a_inner) != len(b_inner):
-            raise VerificationFailedError("shape pairing mismatch: child profiles differ")
-        for ca, cb in zip(a_leaves, b_leaves):
-            phi[tx.points[ca]] = ty.points[cb]  # type: ignore[index]
-        stack.extend(zip(a_inner[::-1], b_inner[::-1]))
-    return phi
-
-
 def witness_from_unlabeled_iso(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
 ) -> WeakSimWitness | ShapeWitnessOutcome:
@@ -153,14 +131,14 @@ def witness_from_unlabeled_iso(
     chain, any shape isomorphism works: pair the chains level by level and
     send the i-th largest label of X to the i-th largest of Y. When both
     spaces have distinct labels and uniform last levels, the same label-rank
-    pairing extends to the sibling fans at the last internal level. Outside
-    those hypotheses returns INAPPLICABLE. Produced witnesses are verified.
+    pairing extends to the sibling fans at the last internal level. Either
+    way the pairing is the tree map that keeps label ranks. Outside those
+    hypotheses returns INAPPLICABLE. Produced witnesses are verified.
     """
     tx, ty = build_tree(x), build_tree(y)
     if canon_code_unlabeled(tx) != canon_code_unlabeled(ty):
         return NOT_ISOMORPHIC_SHAPES
-    cx = classify_space(x)
-    cy = classify_space(y)
+    cx, cy = _classify_tree(tx), _classify_tree(ty)
     applicable = cx.inner_chain or (
         cx.distinct_labels
         and cx.uniform_last_level
@@ -169,26 +147,13 @@ def witness_from_unlabeled_iso(
     )
     if not applicable:
         return INAPPLICABLE
-    # the k-th label of X goes to the k-th of Y: the scaling is the rank map
-    witness = WeakSimWitness(tuple(zip(x.spectrum, y.spectrum)), _rank_aligned_pairing(tx, ty))
+    # the k-th label of X goes to the k-th of Y: the scaling is the rank map,
+    # and the tree map keeps ranks; should none exist, the empty map fails
+    phi = _tree_isometry(tx, ty) or {}
+    witness = WeakSimWitness(tuple(zip(x.spectrum, y.spectrum)), phi)
     if not verify_weak_similarity(x, y, witness):
         raise VerificationFailedError("shape-derived witness failed re-check")
     return witness
-
-
-def _node_records(tree: RepTree) -> list[tuple[int, int, int | None]]:
-    """(position, level, parent label rank) for every internal node, in preorder."""
-    labels = tree.labels
-    level = [0] * len(tree)
-    above: list[int | None] = [None] * len(tree)
-    records = []
-    for v, kids in enumerate(tree.children):
-        if kids:
-            records.append((v, level[v], above[v]))
-            for c in kids:
-                level[c] = level[v] + 1
-                above[c] = labels[v]
-    return records
 
 
 def _replace_label(tree: RepTree, position: int, new_label: Fraction) -> RepTree:
@@ -234,14 +199,17 @@ def adversarial_relabeling(x: FiniteSemimetricSpace) -> FiniteSemimetricSpace:
     repeats (strict decrease), so C has a candidate.
     """
     tree = build_tree(x)
-    records = _node_records(tree)
-    by_level: dict[int, list] = {}
-    for rec in records:
-        by_level.setdefault(rec[1], []).append(rec)
-    if all(len(group) <= 1 for group in by_level.values()):
+    labels, children = tree.labels, tree.children
+    inner = _inner_levels(tree)
+    multi = [group for group in inner if len(group) >= 2]
+    if not multi:
         raise InapplicableError("every level has at most one internal node")
 
-    counts = Counter(tree.labels[rec[0]] for rec in records)
+    counts = Counter(labels[v] for group in inner for v in group)
+    above = [0] * len(tree)  # each position's parent label rank
+    for v, kids in enumerate(children):
+        for c in kids:
+            above[c] = labels[v]
     value = tree.spectrum
     label_set = set(value)
 
@@ -252,32 +220,26 @@ def adversarial_relabeling(x: FiniteSemimetricSpace) -> FiniteSemimetricSpace:
         assert len(spectrum(y)) != len(spectrum(x))
         return y
 
-    def fresh(position: int, parent_label: int) -> FiniteSemimetricSpace:
-        lo, hi = _band(tree, position, parent_label)
+    def fresh(position: int) -> FiniteSemimetricSpace:
+        lo, hi = _band(tree, position, above[position])
         return finish(position, _fresh_between(value[lo], value[hi], label_set))
 
-    multi_levels = sorted(lvl for lvl, group in by_level.items() if len(group) >= 2)
-    for level in multi_levels:
-        group = by_level[level]
+    for group in multi:
         # pair order prefers copying an earlier sibling's label onto a later
         # node, so e.g. labels (1, 2) collapse to (1, 1) rather than (2, 2)
-        for node1, _, _ in group:
-            for node2, _, parent2 in group:
-                v1, v2 = tree.labels[node1], tree.labels[node2]
+        for node1 in group:
+            for node2 in group:
+                v1, v2 = labels[node1], labels[node2]
                 if v1 == v2 or counts[v2] != 1:
                     continue
-                lo, hi = _band(tree, node2, parent2)
+                lo, hi = _band(tree, node2, above[node2])
                 if lo < v1 < hi:
                     return finish(node2, value[v1])
-    for level in multi_levels:
-        group = by_level[level]
-        for i, (node2, _, parent2) in enumerate(group):
-            for node1, _, _ in group[:i] + group[i + 1 :]:
-                if tree.labels[node1] != tree.labels[node2]:
-                    continue
-                return fresh(node2, parent2)
-    for node2, _, parent2 in records:
-        if parent2 is None or counts[tree.labels[node2]] < 2:
-            continue
-        return fresh(node2, parent2)
+    for group in multi:
+        for node2 in group:
+            if any(labels[node1] == labels[node2] for node1 in group if node1 != node2):
+                return fresh(node2)
+    for v in range(1, len(tree)):  # preorder, below the root
+        if children[v] and counts[labels[v]] >= 2:
+            return fresh(v)
     raise VerificationFailedError("no admissible relabeling found")

@@ -14,7 +14,6 @@ one rank verifier behind ``verify_isometry`` and ``verify_weak_similarity``.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -94,10 +93,10 @@ def verify_weak_similarity(
     return _preserves_ranks(x, y, witness.phi)
 
 
-def _tree_isometry(x: FiniteSemimetricSpace, y: FiniteSemimetricSpace) -> dict[str, str] | None:
-    """Unverified point map of an ultrametric pair from their labeled trees,
-    Y's moved onto X's spectrum: it shares Y's arrays, and keeps ranks."""
-    tx, ty = build_tree(x), build_tree(y)
+def _tree_isometry(tx: RepTree, ty: RepTree) -> dict[str, str] | None:
+    """Unverified point map between two representing trees that sends the
+    k-th label of TX to the k-th of TY: TY moved onto TX's spectrum shares
+    TY's arrays, and the pairing keeps label ranks."""
     ty = RepTree(ty.labels, ty.points, ty.children, tx.spectrum)
     try:
         psi = rooted_tree_iso_map(tx, ty, respect_labels=True)
@@ -139,7 +138,7 @@ def _isometry_map(
     """
     if len(x) != len(y) or len(x.spectrum) != len(y.spectrum):
         return None
-    trees = []  # build_tree's cache then holds what _tree_isometry reads
+    trees = []
     for space in (x, y):
         try:
             trees.append(build_tree(space))
@@ -147,7 +146,7 @@ def _isometry_map(
             pass
     if len(trees) == 1:
         return None
-    return _tree_isometry(x, y) if trees else _backtrack_isometry(x, y)
+    return _tree_isometry(*trees) if trees else _backtrack_isometry(x, y)
 
 
 def decide_isometry(
@@ -196,17 +195,14 @@ def weak_sim_witness_to_json(witness: WeakSimWitness, point_order: tuple[str, ..
 def weak_sim_witness_from_json(doc: object) -> WeakSimWitness:
     if not isinstance(doc, dict) or "scaling" not in doc or "phi" not in doc:
         raise FormatError('witness document needs "scaling" and "phi"')
-    if not isinstance(doc["phi"], dict):
+    pairs, phi = doc["scaling"], doc["phi"]
+    # a scaling entry is a list of two literals, and phi maps names to names
+    if (
+        not isinstance(pairs, list)
+        or not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs)
+        or not isinstance(phi, dict)
+        or not all(isinstance(v, str) for v in phi.values())
+    ):
         raise FormatError("malformed witness document")
-    try:
-        scaling = tuple(
-            (parse_rational(a), parse_rational(b)) for a, b in doc["scaling"]
-        )
-        phi = {str(k): str(v) for k, v in doc["phi"].items()}
-    except (TypeError, ValueError):
-        raise FormatError("malformed witness document") from None
-    return WeakSimWitness(scaling, phi)
-
-
-def witness_to_text(witness: WeakSimWitness, point_order: tuple[str, ...]) -> str:
-    return json.dumps(weak_sim_witness_to_json(witness, point_order), indent=2) + "\n"
+    scaling = tuple((parse_rational(a), parse_rational(b)) for a, b in pairs)
+    return WeakSimWitness(scaling, {str(k): v for k, v in phi.items()})

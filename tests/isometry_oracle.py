@@ -8,6 +8,7 @@ point. It is slow and exists only to check ``umtk.similarity``.
 """
 from __future__ import annotations
 
+from umtk.reptree import build_tree
 from umtk.similarity import IsometryWitness, _tree_isometry
 from umtk.spaces import is_ultrametric
 
@@ -70,6 +71,6 @@ def decide_isometry(x, y) -> IsometryWitness | None:
     if ux != uy:
         return None
     if ux:
-        phi = _tree_isometry(x, y)
+        phi = _tree_isometry(build_tree(x), build_tree(y))
         return None if phi is None else IsometryWitness(phi)
     return backtrack_isometry(x, y)

@@ -14,12 +14,15 @@ from umtk import (
     decide_weak_similarity,
     random_relabeled,
     random_ultrametric,
+    renamed_copy,
     space_from_pairs,
     spectrum,
     verify_weak_similarity,
     witness_from_unlabeled_iso,
 )
 from umtk.errors import InapplicableError, NotUltrametricError
+
+from tree_oracle import rank_aligned_pairing
 
 
 def test_three_point_chain_is_in_every_class(ultra3):
@@ -92,6 +95,26 @@ def test_shape_witness_for_uniform_fans(blocks4, blocks4_swapped):
     assert isinstance(witness, WeakSimWitness)
     assert {witness.phi["a"], witness.phi["b"]} == {"c", "d"}
     assert verify_weak_similarity(blocks4, blocks4_swapped, witness)
+
+
+def test_shape_witness_pairs_like_the_rank_aligned_reference():
+    # X of class Rtilde or T; Y a renamed relabeling of X. Under either
+    # hypothesis the witness is the top-down rank-aligned pairing.
+    checked = 0
+    for seed in range(100):
+        for force in ("Rtilde", "T"):
+            x = random_ultrametric(GenConfig(seed=seed, n=3 + seed % 12, force_class=force))
+            for distinct in (False, True):
+                relabeled = random_relabeled(x, seed=seed, distinct=distinct)
+                y, _ = renamed_copy(relabeled, seed=seed + 1)
+                witness = witness_from_unlabeled_iso(x, y)
+                if witness is INAPPLICABLE:
+                    # a repeated label in Y, below a T space that branches
+                    assert force == "T" and not distinct
+                    continue
+                assert witness.phi == rank_aligned_pairing(build_tree(x), build_tree(y))
+                checked += 1
+    assert checked >= 300
 
 
 def test_shape_witness_sentinels(ultra3, blocks4, blocks5):

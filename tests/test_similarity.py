@@ -138,16 +138,29 @@ def test_witness_json_round_trip(ultra3, ultra3_scaled):
     assert verify_weak_similarity(ultra3, ultra3_scaled, back)
 
 
-@pytest.mark.parametrize("doc", [{"scaling": [], "phi": []}, {"scaling": [], "phi": "p"}])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"scaling": [], "phi": []},
+        {"scaling": [], "phi": "p"},
+        # a two-character string is not a pair of literals
+        {"scaling": ["00", "12"], "phi": {}},
+        {"scaling": [["0", "0", "0"]], "phi": {}},
+        {"scaling": {"00": "12"}, "phi": {}},
+        # phi values are point names, never turned into text
+        {"scaling": [], "phi": {"p": 1}},
+        {"scaling": [], "phi": {"p": None}},
+        {"scaling": [], "phi": {"p": ["x"]}},
+    ],
+)
 def test_witness_document_without_a_phi_object_is_a_format_error(doc):
     with pytest.raises(FormatError):
         weak_sim_witness_from_json(doc)
 
 
-@pytest.mark.parametrize("decide", [decide_weak_similarity, decide_isometry])
-def test_prim_runs_once_per_space(decide, monkeypatch):
-    # build_tree's cache answers the ultrametric test and holds the tree the
-    # decision reads, so the spanning-tree pass runs once for each space
+def _prim_calls(decide, monkeypatch):
+    """A fresh n = 64 ultrametric pair, and the spaces the spanning-tree pass
+    runs on while ``decide`` finds it positive."""
     x = random_ultrametric(GenConfig(seed=5, n=64))
     y, _ = renamed_copy(x, seed=6)
     if decide is decide_weak_similarity:
@@ -163,6 +176,23 @@ def test_prim_runs_once_per_space(decide, monkeypatch):
     monkeypatch.setattr(reptree, "ultrametric_mst", counted)
     reptree.build_tree.cache_clear()
     assert decide(x, y) is not None
+    return x, y, calls
+
+
+@pytest.mark.parametrize("decide", [decide_weak_similarity, decide_isometry])
+def test_prim_runs_once_per_space(decide, monkeypatch):
+    # the decision asks build_tree whether each space is ultrametric and
+    # hands the trees it gets to the tree map, so the spanning-tree pass
+    # runs once for each space
+    x, y, calls = _prim_calls(decide, monkeypatch)
+    assert len(calls) == 2 and calls[0] is x and calls[1] is y
+
+
+@pytest.mark.parametrize("decide", [decide_weak_similarity, decide_isometry])
+def test_decisions_do_not_lean_on_the_tree_cache(decide, monkeypatch):
+    # with build_tree uncached, each space's tree is still built only once
+    monkeypatch.setattr(similarity, "build_tree", reptree.build_tree.__wrapped__)
+    x, y, calls = _prim_calls(decide, monkeypatch)
     assert len(calls) == 2 and calls[0] is x and calls[1] is y
 
 

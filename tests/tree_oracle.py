@@ -6,7 +6,9 @@ JSON object is decoded by one recursive call that parses its own label, each
 node is validated by comparing Fraction labels, and a map is re-checked by
 comparing each node's mapped children with its image's children as sets.
 ``tree_distance`` and ``strip_labels`` are recursive helpers used only by
-tests. All of them recurse once per tree level, so callers keep the trees
+tests. ``rank_aligned_pairing`` is the shape witness's pairing as it stood
+before the witness took the weak-similarity tree map: a top-down walk that
+pairs leaves in point-name order and internal siblings by label rank. All of them recurse once per tree level, so callers keep the trees
 shallow or raise the recursion limit.
 
 They work on nested ``RepNode``s: ``leaf`` and ``internal`` build them by
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from umtk.errors import FormatError, InvalidTreeError, UnknownPointError
+from umtk.errors import FormatError, InvalidTreeError, UnknownPointError, VerificationFailedError
 from umtk.reptree import RepNode, RepTree
 from umtk.spaces import format_rational, parse_rational, rank_values
 
@@ -186,3 +188,33 @@ def strip_labels(tree: RepTree) -> RepTree:
         return RepNode(None, tuple(strip(c) for c in node.children), node.point)
 
     return tree_of(strip(tree.root))
+
+
+def rank_aligned_pairing(tx: RepTree, ty: RepTree) -> dict[str, str]:
+    """Pair the two trees top-down, aligning internal siblings by label rank.
+
+    Leaf siblings are paired in point-name order; internal siblings in
+    decreasing label order. Returns the induced leaf map. Requires matching
+    child profiles at every step, which holds for isomorphic shapes in the
+    classes the shape witness handles.
+    """
+    phi: dict[str, str] = {}
+    stack = [(0, 0)]  # position pairs, depth first
+    while stack:
+        a, b = stack.pop()
+        a_kids, b_kids = tx.children[a], ty.children[b]
+        if bool(a_kids) != bool(b_kids):
+            raise VerificationFailedError("shape pairing mismatch: leaf vs internal")
+        if not a_kids:
+            phi[tx.points[a]] = ty.points[b]
+            continue
+        a_leaves = sorted((c for c in a_kids if not tx.children[c]), key=tx.points.__getitem__)
+        b_leaves = sorted((c for c in b_kids if not ty.children[c]), key=ty.points.__getitem__)
+        a_inner = sorted((c for c in a_kids if tx.children[c]), key=tx.labels.__getitem__, reverse=True)
+        b_inner = sorted((c for c in b_kids if ty.children[c]), key=ty.labels.__getitem__, reverse=True)
+        if len(a_leaves) != len(b_leaves) or len(a_inner) != len(b_inner):
+            raise VerificationFailedError("shape pairing mismatch: child profiles differ")
+        for ca, cb in zip(a_leaves, b_leaves):
+            phi[tx.points[ca]] = ty.points[cb]
+        stack.extend(zip(a_inner[::-1], b_inner[::-1]))
+    return phi
