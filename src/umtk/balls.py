@@ -11,8 +11,9 @@ and diagram. Name sets are made only where they are read (``Ballean.balls``,
 ``HasseDiagram.vertices``, a ``HasseIso`` read as a mapping, a violation and
 the writers). The Hasse diagram has an arc for each cover pair of the
 inclusion order (arcs point small -> large). For ultrametric spaces the
-reversed diagram is a rooted tree and tree canonization decides diagram
-isomorphism, otherwise color refinement and the matching search of
+reversed diagram is a rooted tree: its shape codes are built straight from
+each vertex's predecessors and ``treecanon``'s pairing walk pairs the two
+diagrams in place. Otherwise color refinement and the matching search of
 ``search.match`` run. A Hasse isomorphism restricted to the zero-indegree
 vertices (the one-point balls) always yields a ball-preserving point
 bijection, which is re-verified before being returned.
@@ -27,11 +28,10 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from operator import and_
 
-from .errors import NotABijectionError, NotIsomorphicError, VerificationFailedError
-from .reptree import RepTree
+from .errors import NotABijectionError, VerificationFailedError
 from .search import match
-from .spaces import FiniteSemimetricSpace, rank_values
-from .treecanon import rooted_tree_iso_map
+from .spaces import FiniteSemimetricSpace
+from .treecanon import _codes, _pairs
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,12 @@ def enumerate_balls(space: FiniteSemimetricSpace) -> Ballean:
 class HasseDiagram:
     """Cover digraph of the inclusion order; arcs are vertex-index pairs.
 
-    Vertex v is the mask ``masks[v]``, whose bit b stands for ``names[b]``
-    (names in descending order); ``order`` lists the vertices by (size,
-    sorted names), and ``succs[v]``/``preds[v]`` are v's neighbours in
-    ascending order. The name sets ``vertices``, read from ``ballean`` for a
+    Vertex v is the mask ``masks[v]``, one bit per point; ``order`` lists
+    the vertices by (size, sorted names), each after the vertices below it,
+    and ``succs[v]``/``preds[v]`` are v's neighbours in ascending order. The name sets ``vertices``, read from ``ballean`` for a
     diagram of one, and the arc set ``arcs`` are made on first read.
     """
 
-    names: list[str]
     masks: Sequence[int]
     order: Sequence[int]
     succs: list[list[int]]
@@ -115,7 +113,7 @@ class HasseDiagram:
             succs[a].append(b)
             preds[b].append(a)
         order = sorted(range(len(masks)), key=lambda v: (len(vertices[v]), -masks[v]))
-        diagram = cls(names, masks, order, succs, preds)
+        diagram = cls(masks, order, succs, preds)
         diagram.__dict__["vertices"] = tuple(vertices)
         return diagram
 
@@ -167,8 +165,7 @@ def hasse_diagram(ballean: Ballean) -> HasseDiagram:
             succs[i].append(k)
             preds[k].append(i)
             rest &= clear[k]
-    names = sorted(ballean.space.points, reverse=True)
-    return HasseDiagram(names, masks, range(len(masks)), succs, preds, ballean)
+    return HasseDiagram(masks, range(len(masks)), succs, preds, ballean)
 
 
 def reversed_is_rooted_tree(diagram: HasseDiagram) -> bool:
@@ -180,17 +177,6 @@ def reversed_is_rooted_tree(diagram: HasseDiagram) -> bool:
     """
     degs = diagram.out_degrees()
     return degs.count(0) == 1 and degs.count(1) == len(degs) - 1
-
-
-def _shape_tree(diagram: HasseDiagram) -> tuple[RepTree, list[int]]:
-    """Unlabeled tree of a reversed-tree diagram, leaves = singletons, with
-    the vertex index of each position; children in vertex-index order.
-    Vertices are sorted by size, so every child ball comes before its parent
-    and the whole space is last: the vertex indices number the tree bottom-up."""
-    names, preds = diagram.names, diagram.preds
-    points = [None if kids else names[m.bit_length() - 1] for m, kids in zip(diagram.masks, preds)]
-    spectrum, labels = rank_values([None] * len(preds))
-    return RepTree.bottom_up(labels, points, preds, spectrum)
 
 
 def _joint_refine(h1: HasseDiagram, h2: HasseDiagram) -> tuple[list[int], list[int]] | None:
@@ -244,10 +230,11 @@ class HasseIso(UserDict):
 def hasse_digraph_iso(h1: HasseDiagram, h2: HasseDiagram) -> HasseIso | None:
     """Arc-preserving vertex bijection between Hasse diagrams, or None.
 
-    Reversed-tree diagrams (the ultrametric case) are decided through rooted
-    tree canonization; general diagrams through color refinement plus
-    backtracking within color classes. The returned map is checked to be a
-    bijection that keeps every arc before being returned.
+    Reversed-tree diagrams (the ultrametric case) are decided by the shape
+    codes of their predecessor lists over ``order`` and paired from the
+    last vertices, the whole spaces; general diagrams through color
+    refinement plus backtracking within color classes. The returned map is
+    checked to be a bijection that keeps every arc before being returned.
     """
     if len(h1.masks) != len(h2.masks) or sum(h1.out_degrees()) != sum(h2.out_degrees()):
         return None
@@ -256,13 +243,11 @@ def hasse_digraph_iso(h1: HasseDiagram, h2: HasseDiagram) -> HasseIso | None:
         return None
     succ2 = [set(near) for near in h2.succs]  # read by the search and the arc re-check
     if t1:
-        shape1, index1 = _shape_tree(h1)
-        shape2, index2 = _shape_tree(h2)
-        try:
-            psi = rooted_tree_iso_map(shape1, shape2, respect_labels=False)
-        except NotIsomorphicError:
+        code1, ordered1 = _codes(h1.masks, h1.preds, None, h1.order)
+        code2, ordered2 = _codes(h2.masks, h2.preds, None, h2.order)
+        if code1 != code2:
             return None
-        assignment = {index1[a]: index2[b] for a, b in enumerate(psi)}
+        assignment = dict(zip(*_pairs(ordered1, ordered2, h1.order[-1], h2.order[-1])))
     else:
         assignment = _search_assignment(h1, h2, succ2)
         if assignment is None:
@@ -304,9 +289,10 @@ def _search_assignment(h1: HasseDiagram, h2: HasseDiagram, succ2: list[set[int]]
 
 
 def verify_ball_preserving(
-    x: FiniteSemimetricSpace, y: FiniteSemimetricSpace, mapping: dict[str, str]
+    bx: Ballean, by: Ballean, mapping: dict[str, str]
 ) -> tuple[bool, tuple[str, frozenset[str], frozenset[str]] | None]:
-    """Check images of X-balls are Y-balls and preimages of Y-balls X-balls.
+    """Check images of X-balls are Y-balls and preimages of Y-balls X-balls,
+    given the balleans of X and Y.
 
     Returns (True, None) or (False, first violation) where the violation is
     ("image"|"preimage", ball members, offending image/preimage set).
@@ -314,9 +300,8 @@ def verify_ball_preserving(
     A ball's image mask is the sum of its members' image bits.
     """
     images = set(mapping.values())
-    if set(mapping) != set(x.points) or len(images) != len(mapping) or images != set(y.points):
+    if set(mapping) != set(bx.space.points) or len(images) != len(mapping) or images != set(by.space.points):
         raise NotABijectionError("mapping keys/values do not biject the point sets")
-    bx, by = enumerate_balls(x), enumerate_balls(y)
     inverse = {v: k for k, v in mapping.items()}
     for kind, source, target, to in (("image", bx, by, mapping), ("preimage", by, bx, inverse)):
         pts, bit = source.space.points, dict(zip(target.space.points, target.bits))
@@ -347,11 +332,11 @@ def ball_preserving_bijection(
         return None
     mapping: dict[str, str] = {}
     for i, j in iso.assignment.items():
-        if hx.masks[i].bit_count() == 1:
-            if hy.masks[j].bit_count() != 1:
+        if len(bx.members[i]) == 1:
+            if len(by.members[j]) != 1:
                 raise VerificationFailedError("singleton ball mapped to a larger ball")
-            mapping[hx.names[hx.masks[i].bit_length() - 1]] = hy.names[hy.masks[j].bit_length() - 1]
-    ok, violation = verify_ball_preserving(x, y, mapping)
+            mapping[x.points[bx.members[i][0]]] = y.points[by.members[j][0]]
+    ok, violation = verify_ball_preserving(bx, by, mapping)
     if not ok:
         raise VerificationFailedError(f"extracted bijection not ball-preserving: {violation}")
     return mapping

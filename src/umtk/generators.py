@@ -85,7 +85,7 @@ class _Points:
     def tree(self) -> RepTree:
         """The tree whose root is the node made last."""
         spectrum, ranks = rank_values(self.labels)
-        return RepTree.bottom_up(ranks, self.points, self.children, spectrum)[0]
+        return RepTree.bottom_up(ranks, self.points, self.children, spectrum)
 
 
 def _free_tree(rng: random.Random, n: int, max_rank: int, pool: list[Fraction], pts: _Points) -> int:
@@ -346,15 +346,16 @@ def oracle_ball_preserving(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
 ) -> dict[str, str] | None:
     """Exhaustive search for a ball-preserving bijection (n <= 6)."""
-    from .balls import verify_ball_preserving
+    from .balls import enumerate_balls, verify_ball_preserving
 
     if len(x) != len(y):
         return None
     if len(x) > 6:
         raise TooLargeError(f"oracle_ball_preserving guard: n = {len(x)} > 6")
+    bx, by = enumerate_balls(x), enumerate_balls(y)
     for perm in itertools.permutations(y.points):
         mapping = dict(zip(x.points, perm))
-        ok, _ = verify_ball_preserving(x, y, mapping)
+        ok, _ = verify_ball_preserving(bx, by, mapping)
         if ok:
             return mapping
     return None

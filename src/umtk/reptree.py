@@ -11,8 +11,8 @@ position has a label, a leaf point (None on internal nodes) and the positions
 of its children; like a space, it carries its spectrum, and each label is an
 int rank into it. It is the one form of a tree: every layer reads the
 arrays, the decoder writes them directly, and every producer that makes
-nodes children first (``build_tree``, the Hasse shape tree, the generators)
-numbers them bottom-up and has ``RepTree.bottom_up`` lay them out. ``RepNode``
+nodes children first (``build_tree``, the generators) numbers them
+bottom-up and has ``RepTree.bottom_up`` lay them out. ``RepNode``
 is only a read-only view of values, built on first use, for code that walks
 nodes.
 
@@ -92,11 +92,11 @@ class RepTree:
     @classmethod
     def bottom_up(cls, labels: list[int | None], points: list[str | None],
                   children: Sequence[Sequence[int] | None],
-                  spectrum: tuple) -> tuple["RepTree", list[int]]:
+                  spectrum: tuple) -> "RepTree":
         """Lay out a tree whose nodes are numbered bottom-up, every child
         before its parent and the root last (a leaf's children are empty or
-        None). Returns the preorder tree, each node's children in the given
-        order, and the node number at each position."""
+        None), as the preorder tree, each node's children in the given
+        order."""
         order: list[int] = []
         stack = [len(labels) - 1]
         while stack:
@@ -109,8 +109,7 @@ class RepTree:
         for p, v in enumerate(order):
             at[v] = p
         kids_at = [[at[c] for c in children[v]] if children[v] else () for v in order]
-        tree = cls([labels[v] for v in order], [points[v] for v in order], kids_at, spectrum)
-        return tree, order
+        return cls([labels[v] for v in order], [points[v] for v in order], kids_at, spectrum)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -232,7 +231,7 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
     # children are in smallest-point order, so code order breaks ties by it
     _, ordered = _codes(labels, kids, space.spectrum, range(len(labels)))
     names = list(space.points) + [None] * (len(labels) - n)
-    return RepTree.bottom_up(labels, names, ordered, space.spectrum)[0]
+    return RepTree.bottom_up(labels, names, ordered, space.spectrum)
 
 
 def space_from_tree(tree: RepTree) -> FiniteSemimetricSpace:

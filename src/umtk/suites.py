@@ -459,14 +459,13 @@ def ball_preserving_agreement_suite(
             (fast is None) == (slow is None),
             f"trial {i}: ball_preserving_bijection disagrees with the oracle",
         )
-        hx = hasse_diagram(enumerate_balls(x))
-        hy = hasse_diagram(enumerate_balls(y))
+        bx, by = enumerate_balls(x), enumerate_balls(y)
         rec.check(
-            (fast is None) == (hasse_digraph_iso(hx, hy) is None),
+            (fast is None) == (hasse_digraph_iso(hasse_diagram(bx), hasse_diagram(by)) is None),
             f"trial {i}: decision does not coincide with Hasse isomorphism",
         )
         if fast is not None:
-            ok, violation = verify_ball_preserving(x, y, fast)
+            ok, violation = verify_ball_preserving(bx, by, fast)
             rec.check(ok, f"trial {i}: returned bijection violates {violation}")
     return rec.result()
 
@@ -485,7 +484,7 @@ def witness_ball_preserving_suite(
             continue
         positives += 1
         rec.tick()
-        ok, violation = verify_ball_preserving(x, y, witness.phi)
+        ok, violation = verify_ball_preserving(enumerate_balls(x), enumerate_balls(y), witness.phi)
         rec.check(ok, f"trial {i}: weak-similarity witness violates {violation}")
     rec.check(positives > 0, "stream produced no weakly similar pairs")
     for i in range(count):

@@ -7,7 +7,8 @@ are isomorphic (as rooted trees, leaf points ignored) iff their codes are
 equal bytes; the labeled variant additionally requires equal labels at
 matched nodes. Codes are plain byte strings built by
 sorting, so identical trees give bitwise-identical codes on every run.
-Everything here runs over a tree's preorder positions (``RepTree``).
+Everything here runs over a tree's preorder positions (``RepTree``), but
+``_codes`` and ``_pairs`` take any child arrays: the Hasse tree branch too.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ def _codes(
 ) -> tuple[bytes, list[list[int] | None]]:
     """Code of the last node of ``bottom_up``, and every internal node's
     children in code order (ties in child order; None at a leaf), indexed
-    by node; shape codes if ``spectrum``, which ``labels`` rank into, is None.
+    by node; shape codes if ``spectrum``, which ``labels`` rank into, is None
+    (then ``labels`` only gives the node count).
 
     ``bottom_up`` lists the nodes, each after all of its descendants, so
     each code is built once from its children's codes and no Python
@@ -72,6 +74,24 @@ def canon_code_labeled(tree: RepTree, ordered: list | None = None) -> bytes:
     return _tree_codes(tree, True, ordered)
 
 
+def _pairs(ordered1: Sequence, ordered2: Sequence, root1: int, root2: int) -> tuple[list[int], list[int]]:
+    """The pairing walk over two trees' children in code order, from roots
+    with equal codes: the first tree's nodes depth first, a node and then its
+    children, and at the same index each one's image, the child at the same
+    place under its parent's image."""
+    nodes1: list[int] = []
+    nodes2: list[int] = []
+    stack1, stack2 = [root1], [root2]
+    while stack1:
+        a, b = stack1.pop(), stack2.pop()
+        nodes1.append(a)
+        nodes2.append(b)
+        if ordered1[a]:
+            stack1 += ordered1[a][::-1]
+            stack2 += ordered2[b][::-1]
+    return nodes1, nodes2
+
+
 def rooted_tree_iso_map(
     tree1: RepTree, tree2: RepTree, respect_labels: bool = False, walk: list | None = None
 ) -> list[int]:
@@ -91,20 +111,12 @@ def rooted_tree_iso_map(
         raise NotIsomorphicError(
             "labeled codes differ" if respect_labels else "shape codes differ"
         )
+    nodes1, nodes2 = _pairs(ordered1, ordered2, 0, 0)
     image = [0] * len(ordered1)
-    # preorder puts every parent before its children, so image[v] is set
-    for v, kids in enumerate(ordered1):
-        if kids:
-            for a, b in zip(kids, ordered2[image[v]]):  # type: ignore[arg-type]
-                image[a] = b
+    for a, b in zip(nodes1, nodes2):
+        image[a] = b
     if walk is not None:
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            walk.append(v)
-            kids = ordered1[v]
-            if kids:
-                stack.extend(kids[::-1])
+        walk.extend(nodes1)
     return image
 
 

@@ -6,14 +6,19 @@
 recursive backtracking search that checks each candidate against every
 assigned pair, and ``verify_ball_preserving`` maps member ``frozenset``s.
 All of them work on point names, share no code with ``umtk.balls`` and are
-slow; they exist only to check its passes. A diagram here is anything with
-``vertices`` (member sets) and ``arcs`` (vertex-index pairs).
+slow; they exist only to check its passes. ``shape_tree_assignment`` is the
+route the tree branch of ``hasse_digraph_iso`` once took: a diagram copied
+into a preorder ``RepTree``, paired by ``rooted_tree_iso_map``. A diagram
+here is anything with ``vertices`` (member sets) and ``arcs`` (vertex-index
+pairs).
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from validation_oracle import distances
+
+from umtk import NotIsomorphicError, RepTree, rooted_tree_iso_map
 
 
 class Diagram(NamedTuple):
@@ -187,3 +192,28 @@ def verify_ball_preserving(x, y, mapping: dict[str, str]):
             if image not in others:
                 return (False, (kind, ball, image))
     return (True, None)
+
+
+def shape_tree_assignment(h1, h2) -> dict[int, int] | None:
+    """Vertex map of two reversed-tree diagrams whose vertex indices number
+    them bottom-up, the whole space last, or None: each diagram laid out as
+    an unlabeled ``RepTree`` (children in vertex-index order, leaves named
+    by their singletons), the two trees paired by ``rooted_tree_iso_map``,
+    and each position read back as the vertex that the layout put there."""
+    trees, orders = [], []
+    for h in (h1, h2):
+        preds = [sorted(near) for near in _neighbors(h)[0]]
+        n = len(preds)
+        points = [None if preds[v] else min(h.vertices[v]) for v in range(n)]
+        trees.append(RepTree.bottom_up([None] * n, points, preds, ()))
+        order, stack = [], [n - 1]  # the layout's preorder
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(preds[v][::-1])
+        orders.append(order)
+    try:
+        psi = rooted_tree_iso_map(*trees)
+    except NotIsomorphicError:
+        return None
+    return {orders[0][a]: orders[1][b] for a, b in enumerate(psi)}

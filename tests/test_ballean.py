@@ -93,16 +93,16 @@ def test_hasse_iso_cases(ultra3, ultra3_scaled, semi3):
 
 def test_verify_ball_preserving(ultra3, ultra3_scaled):
     ok, violation = verify_ball_preserving(
-        ultra3, ultra3_scaled, {"p": "p", "q": "q", "r": "r"}
+        enumerate_balls(ultra3), enumerate_balls(ultra3_scaled), {"p": "p", "q": "q", "r": "r"}
     )
     assert ok and violation is None
 
     witness = decide_weak_similarity(ultra3, ultra3_scaled)
-    ok, _ = verify_ball_preserving(ultra3, ultra3_scaled, witness.phi)
+    ok, _ = verify_ball_preserving(enumerate_balls(ultra3), enumerate_balls(ultra3_scaled), witness.phi)
     assert ok
 
     ok, violation = verify_ball_preserving(
-        ultra3, ultra3_scaled, {"p": "q", "q": "p", "r": "r"}
+        enumerate_balls(ultra3), enumerate_balls(ultra3_scaled), {"p": "q", "q": "p", "r": "r"}
     )
     assert not ok
     assert violation == ("image", frozenset({"q", "r"}), frozenset({"p", "r"}))
@@ -110,17 +110,17 @@ def test_verify_ball_preserving(ultra3, ultra3_scaled):
 
 def test_verify_rejects_non_bijections(ultra3):
     with pytest.raises(NotABijectionError):
-        verify_ball_preserving(ultra3, ultra3, {"p": "p", "q": "q"})
+        verify_ball_preserving(enumerate_balls(ultra3), enumerate_balls(ultra3), {"p": "p", "q": "q"})
     with pytest.raises(NotABijectionError):
-        verify_ball_preserving(ultra3, ultra3, {"p": "p", "q": "p", "r": "r"})
+        verify_ball_preserving(enumerate_balls(ultra3), enumerate_balls(ultra3), {"p": "p", "q": "p", "r": "r"})
     with pytest.raises(NotABijectionError):
-        verify_ball_preserving(ultra3, ultra3, {"p": "x", "q": "y", "r": "z"})
+        verify_ball_preserving(enumerate_balls(ultra3), enumerate_balls(ultra3), {"p": "x", "q": "y", "r": "z"})
 
 
 def test_ball_preserving_bijection(ultra3, ultra3_scaled, semi3):
     phi = ball_preserving_bijection(ultra3, ultra3_scaled)
     assert phi is not None
-    assert verify_ball_preserving(ultra3, ultra3_scaled, phi)[0]
+    assert verify_ball_preserving(enumerate_balls(ultra3), enumerate_balls(ultra3_scaled), phi)[0]
     # p is the lone point outside the small ball, so it is pinned
     assert phi["p"] == "p"
 
@@ -128,7 +128,7 @@ def test_ball_preserving_bijection(ultra3, ultra3_scaled, semi3):
 
     identity_like = ball_preserving_bijection(semi3, semi3)
     assert identity_like is not None
-    assert verify_ball_preserving(semi3, semi3, identity_like)[0]
+    assert verify_ball_preserving(enumerate_balls(semi3), enumerate_balls(semi3), identity_like)[0]
 
 
 def test_hasse_dot_output(ultra3):
@@ -157,10 +157,23 @@ def test_ball_radii_range_over_spectrum(blocks4):
         assert frozenset({p}) in member_sets
 
 
-def test_tree_branch_re_checks_the_tree_map(blocks4, leaf_swapping_iso_map, monkeypatch):
+def test_tree_branch_re_checks_the_tree_map(blocks4, monkeypatch):
     diagram = hasse_diagram(enumerate_balls(blocks4))
     assert reversed_is_rooted_tree(diagram)
-    monkeypatch.setattr(balls, "rooted_tree_iso_map", leaf_swapping_iso_map)
+    pairs = balls._pairs
+
+    def leaf_swapping_pairs(ordered1, ordered2, root1, root2):
+        # the real walk, with the images of the first singleton and of the
+        # first singleton under another parent swapped
+        nodes1, nodes2 = pairs(ordered1, ordered2, root1, root2)
+        parent = {c: v for v, kids in enumerate(ordered1) if kids for c in kids}
+        leaves = [v for v, kids in enumerate(ordered1) if not kids]
+        a = nodes1.index(leaves[0])
+        b = nodes1.index(next(v for v in leaves if parent[v] != parent[leaves[0]]))
+        nodes2[a], nodes2[b] = nodes2[b], nodes2[a]
+        return nodes1, nodes2
+
+    monkeypatch.setattr(balls, "_pairs", leaf_swapping_pairs)
     with pytest.raises(VerificationFailedError):
         hasse_digraph_iso(diagram, diagram)
 
@@ -175,7 +188,7 @@ def test_ball_preserving_search_deeper_than_the_recursion_limit():
     phi = ball_preserving_bijection(x, y)
     assert time.perf_counter() - start < 5
     assert phi is not None
-    assert verify_ball_preserving(x, y, phi)[0]
+    assert verify_ball_preserving(enumerate_balls(x), enumerate_balls(y), phi)[0]
 
 
 def test_deep_chain_ballean_and_ball_preserving_map():
@@ -191,7 +204,7 @@ def test_deep_chain_ballean_and_ball_preserving_map():
     y, _ = renamed_copy(x, seed=11)
     phi = ball_preserving_bijection(x, y)
     assert phi is not None
-    assert verify_ball_preserving(x, y, phi) == (True, None)
+    assert verify_ball_preserving(enumerate_balls(x), enumerate_balls(y), phi) == (True, None)
 
 
 def test_ball_preserving_route_makes_no_name_sets():
@@ -205,10 +218,9 @@ def test_ball_preserving_route_makes_no_name_sets():
     assert sorted(map(len, iso)) == sorted(len(b.members) for b in enumerate_balls(x).balls)
 
 
-def test_deep_tree_diagram_without_recursion():
-    # nested sets {x0..xk} for k < 3000, each over the singleton {xk} too:
-    # the reversed diagram is a rooted tree 3000 levels deep
-    depth = 3000
+def _nested_diagram(depth):
+    """Nested sets {x0..xk} for k < depth, each over the singleton {xk} too:
+    the reversed diagram is a rooted tree ``depth`` levels deep."""
     points = [f"x{k}" for k in range(depth)]
     singletons = [frozenset({p}) for p in points[1:]]
     nested = [frozenset(points[: k + 1]) for k in range(depth)]
@@ -218,8 +230,40 @@ def test_deep_tree_diagram_without_recursion():
     for k in range(1, depth):
         arcs.add((first + k - 1, first + k))
         arcs.add((k - 1, first + k))
-    diagram = HasseDiagram.of_sets(vertices, frozenset(arcs))
+    return HasseDiagram.of_sets(vertices, frozenset(arcs))
+
+
+def _listed_in(diagram, order):
+    """The same diagram with vertex ``order[k]`` listed k-th."""
+    at = {v: k for k, v in enumerate(order)}
+    return HasseDiagram.of_sets(
+        tuple(diagram.vertices[v] for v in order), frozenset((at[a], at[b]) for a, b in diagram.arcs)
+    )
+
+
+def test_deep_tree_diagram_without_recursion():
+    diagram = _nested_diagram(3000)
     assert reversed_is_rooted_tree(diagram)
     iso = hasse_digraph_iso(diagram, diagram)
     assert iso is not None
     assert all(len(a) == len(b) for a, b in iso.items())
+
+
+def test_tree_diagrams_listed_in_any_order():
+    # of_sets takes the sets in any order: a reversed tree listed root first,
+    # and the 3000-level nested sets listed in reverse, pair with themselves
+    # and with their copies in size order, keeping every arc
+    sets = (frozenset("abc"), frozenset("ab"), frozenset("a"), frozenset("b"), frozenset("c"))
+    root_first = HasseDiagram.of_sets(sets, frozenset({(1, 0), (4, 0), (2, 1), (3, 1)}))
+    by_size = _listed_in(root_first, [2, 3, 4, 1, 0])
+    deep = _nested_diagram(3000)
+    deep_reversed = _listed_in(deep, range(len(deep.masks) - 1, -1, -1))
+    for h1, h2 in ((root_first, root_first), (root_first, by_size), (by_size, root_first),
+                   (deep_reversed, deep_reversed), (deep_reversed, deep)):
+        assert reversed_is_rooted_tree(h1) and reversed_is_rooted_tree(h2)
+        iso = hasse_digraph_iso(h1, h2)
+        assert iso is not None
+        image = iso.assignment
+        assert sorted(image) == sorted(image.values()) == list(range(len(h1.masks)))
+        assert all((image[a], image[b]) in h2.arcs for a, b in h1.arcs)
+        assert all(len(a) == len(b) for a, b in iso.items())

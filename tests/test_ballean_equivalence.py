@@ -12,6 +12,7 @@ from umtk import (
     enumerate_balls,
     hasse_diagram,
     hasse_digraph_iso,
+    random_relabeled,
     random_semimetric,
     random_ultrametric,
     renamed_copy,
@@ -97,14 +98,14 @@ def test_verify_matches_the_frozenset_reference():
         n = 2 + seed % 9
         x = _spaces(seed, n)[seed % 3]
         renamed, names = renamed_copy(x, seed)
-        assert verify_ball_preserving(x, renamed, names) == (True, None)
+        assert verify_ball_preserving(enumerate_balls(x), enumerate_balls(renamed), names) == (True, None)
         rng = random.Random(seed)
         for y in (renamed, _spaces(seed + 1, n)[(seed + 1) % 3]):
             targets = list(y.points)
             for _ in range(4):
                 rng.shuffle(targets)
                 mapping = dict(zip(x.points, targets))
-                result = verify_ball_preserving(x, y, mapping)
+                result = verify_ball_preserving(enumerate_balls(x), enumerate_balls(y), mapping)
                 assert result == oracle.verify_ball_preserving(x, y, mapping)
                 kinds[True if result[0] else result[1][0]] += 1
     assert min(kinds.values()) > 0 and kinds["image"] >= 100
@@ -172,3 +173,18 @@ def test_diagrams_out_of_key_order_give_the_reference_map():
         expected = oracle.search_assignment(h1, h2)
         iso = hasse_digraph_iso(h1, h2)
         assert list(iso.items()) == [(h1.vertices[i], h2.vertices[j]) for i, j in expected.items()]
+
+
+def test_tree_branch_pairs_like_the_shape_tree_reference():
+    # ultrametric diagrams against a renamed copy, a relabeled copy and a
+    # renamed relabeled copy: the map paired in place is the one read off
+    # the old shape-tree route, pair for pair
+    pairs = 0
+    for seed in range(120):
+        x = random_ultrametric(GenConfig(seed=seed, n=1 + seed % 40))
+        relabeled = random_relabeled(x, seed)
+        for y in (renamed_copy(x, seed)[0], relabeled, renamed_copy(relabeled, seed + 1)[0]):
+            hx, hy = hasse_diagram(enumerate_balls(x)), hasse_diagram(enumerate_balls(y))
+            assert hasse_digraph_iso(hx, hy).assignment == oracle.shape_tree_assignment(hx, hy)
+            pairs += 1
+    assert pairs >= 300

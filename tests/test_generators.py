@@ -11,6 +11,7 @@ from umtk import (
     adversarial_relabeling,
     classify_space,
     decide_isometry,
+    enumerate_balls,
     is_ultrametric,
     oracle_ball_preserving,
     oracle_isometry,
@@ -119,7 +120,7 @@ def test_oracles(ultra3, ultra3_scaled, semi3):
     assert ws.scaling == ((F(0), F(0)), (F(1), F(10)), (F(2), F(20)))
 
     bp = oracle_ball_preserving(ultra3, ultra3_scaled)
-    assert bp is not None and verify_ball_preserving(ultra3, ultra3_scaled, bp)[0]
+    assert bp is not None and verify_ball_preserving(enumerate_balls(ultra3), enumerate_balls(ultra3_scaled), bp)[0]
     assert oracle_ball_preserving(ultra3, semi3) is None
 
 
