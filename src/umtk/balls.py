@@ -149,16 +149,15 @@ def hasse_diagram(ballean: Ballean) -> HasseDiagram:
     by_centre: dict[int, list[int]] = {}
     for j, (t, _) in enumerate(ballean.witnesses):
         by_centre.setdefault(t, []).append(j)
-    upsets = [0] * len(masks)
+    clear = [0] * len(masks)  # each ball's up-set complemented, the one B-bit table
     for balls in by_centre.values():
         running = list(accumulate(map(through.__getitem__, members[balls[-1]]), and_))
         for j in balls:
-            upsets[j] = running[len(members[j]) - 1]
-    clear = [~up for up in upsets]
+            clear[j] = ~running[len(members[j]) - 1]
     succs: list[list[int]] = []
     preds: list[list[int]] = [[] for _ in masks]
-    for i, up in enumerate(upsets):
-        rest = up ^ (1 << i)
+    for i, off in enumerate(clear):
+        rest = ~off ^ (1 << i)
         succs.append([])
         while rest:
             k = (rest & -rest).bit_length() - 1

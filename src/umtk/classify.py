@@ -136,21 +136,19 @@ def witness_from_unlabeled_iso(
     hypotheses returns INAPPLICABLE. Produced witnesses are verified.
     """
     tx, ty = build_tree(x), build_tree(y)
-    if canon_code_unlabeled(tx) != canon_code_unlabeled(ty):
-        return NOT_ISOMORPHIC_SHAPES
     cx, cy = _classify_tree(tx), _classify_tree(ty)
-    applicable = cx.inner_chain or (
-        cx.distinct_labels
-        and cx.uniform_last_level
-        and cy.distinct_labels
-        and cy.uniform_last_level
+    applicable = cx.inner_chain or all(
+        c.distinct_labels and c.uniform_last_level for c in (cx, cy)
     )
+    # the k-th label of X goes to the k-th of Y: the scaling is the rank map,
+    # and the tree map keeps ranks; the shape codes only name a pair with no
+    # map, and with equal shapes the empty map fails the re-check
+    phi = _tree_isometry(tx, ty) if applicable else None
+    if phi is None and canon_code_unlabeled(tx) != canon_code_unlabeled(ty):
+        return NOT_ISOMORPHIC_SHAPES
     if not applicable:
         return INAPPLICABLE
-    # the k-th label of X goes to the k-th of Y: the scaling is the rank map,
-    # and the tree map keeps ranks; should none exist, the empty map fails
-    phi = _tree_isometry(tx, ty) or {}
-    witness = WeakSimWitness(tuple(zip(x.spectrum, y.spectrum)), phi)
+    witness = WeakSimWitness(tuple(zip(x.spectrum, y.spectrum)), phi or {})
     if not verify_weak_similarity(x, y, witness):
         raise VerificationFailedError("shape-derived witness failed re-check")
     return witness

@@ -13,7 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+import threading
+from itertools import accumulate
 
 from .balls import (
     ball_preserving_bijection,
@@ -91,19 +94,59 @@ def _emit_json(doc: object, out: str | None) -> None:
     _emit(json.dumps(doc, indent=2) + "\n", out)
 
 
+# The deepest nesting of arrays and objects the reader takes: a tree document
+# of 5 000 levels, one object and its children list per level, then the leaf.
+MAX_NESTING = 2 * 5_000 + 1
+# json's C decoder takes about 150 bytes of stack per nesting level
+_DEEP_STACK = 64 << 20
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+_NOT_BRACKET = re.compile(r"[^][{}]+")
+
+
+def _nesting(text: str) -> int:
+    """The deepest nesting of arrays and objects in a JSON text, strings skipped."""
+    brackets = _NOT_BRACKET.sub("", _STRING.sub("", text))
+    return max(accumulate(1 if c in "[{" else -1 for c in brackets), default=0)
+
+
+def _loads(text: str) -> object:
+    """``json.loads``. A document past the recursion limit is decoded again,
+    up to MAX_NESTING, in one worker thread with a large stack and a raised
+    recursion limit; both are restored afterwards. Deeper ones raise
+    RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        if _nesting(text) > MAX_NESTING:
+            raise
+    from concurrent.futures import ThreadPoolExecutor  # only deep documents need it
+
+    limit = sys.getrecursionlimit()
+    stack = threading.stack_size(_DEEP_STACK)
+    sys.setrecursionlimit(max(limit, MAX_NESTING + 100))  # room for the thread's own frames
+    try:
+        with ThreadPoolExecutor(1) as pool:
+            return pool.submit(json.loads, text).result()
+    finally:
+        threading.stack_size(stack)
+        sys.setrecursionlimit(limit)
+
+
 def _load_json(path: str) -> object:
     with open(path, encoding="utf-8") as handle:
         try:
-            return json.load(handle)
-        except RecursionError:
-            raise FormatError("JSON nested too deeply") from None
+            text = handle.read()
         except UnicodeDecodeError as exc:
             raise FormatError(f"document is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-        except json.JSONDecodeError:
-            raise  # main reports it as invalid JSON
-        except ValueError:
-            # the one other ValueError json raises: an int past Python's digit limit
-            raise FormatError("JSON number too long to read") from None
+    try:
+        return _loads(text)
+    except RecursionError:
+        raise FormatError("JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise  # main reports it as invalid JSON
+    except ValueError:
+        # the one other ValueError json raises: an int past Python's digit limit
+        raise FormatError("JSON number too long to read") from None
 
 
 def _load_space(path: str) -> FiniteSemimetricSpace:

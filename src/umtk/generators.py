@@ -280,17 +280,17 @@ def random_relabeled(
 
 
 def renamed_copy(
-    space: FiniteSemimetricSpace, seed: int, prefix: str = "q"
+    space: FiniteSemimetricSpace, seed: int
 ) -> tuple[FiniteSemimetricSpace, dict[str, str]]:
-    """Isometric copy with shuffled point order and fresh names.
+    """Isometric copy with shuffled point order and fresh names q0, q1, ....
 
     Returns the copy plus the renaming map (old name -> new name).
     """
     rng = random.Random(f"rename:{seed}")
     order = list(range(len(space)))
     rng.shuffle(order)
-    names = {space.points[pi]: f"{prefix}{i}" for i, pi in enumerate(order)}
-    pts = tuple(f"{prefix}{i}" for i in range(len(space)))
+    names = {space.points[pi]: f"q{i}" for i, pi in enumerate(order)}
+    pts = tuple(f"q{i}" for i in range(len(space)))
     rows = tuple(tuple(map(space.ranks[i].__getitem__, order)) for i in order)
     return FiniteSemimetricSpace(pts, space.spectrum, rows), names
 

@@ -95,8 +95,10 @@ def verify_weak_similarity(
 
 def _tree_isometry(tx: RepTree, ty: RepTree) -> dict[str, str] | None:
     """Unverified point map between two representing trees that sends the
-    k-th label of TX to the k-th of TY: TY moved onto TX's spectrum shares
-    TY's arrays, and the pairing keeps label ranks."""
+    k-th label of TX to the k-th of TY, or None: TY moved onto TX's spectrum
+    shares TY's arrays, and the pairing keeps label ranks."""
+    if len(tx.spectrum) != len(ty.spectrum):
+        return None
     ty = RepTree(ty.labels, ty.points, ty.children, tx.spectrum)
     try:
         psi = rooted_tree_iso_map(tx, ty, respect_labels=True)
@@ -129,14 +131,14 @@ def _isometry_map(
 ) -> dict[str, str] | None:
     """Unverified bijection X -> Y that keeps every distance's rank, or None.
 
-    Ultrametric pairs go through labeled tree canonization (polynomial);
-    everything else through the matching search. A strictly increasing
-    relabeling keeps every metric property, so pairs with spectra of
-    different sizes, and mixed ultrametric/non-ultrametric pairs, are
-    rejected immediately. Equal codes, like a complete rank-preserving
-    assignment, imply equal rank multisets, so these are not compared.
+    The spectra have equal size. Ultrametric pairs go through labeled tree
+    canonization (polynomial); everything else through the matching search.
+    A strictly increasing relabeling keeps every metric property, so mixed
+    ultrametric/non-ultrametric pairs are rejected immediately. Equal codes,
+    like a complete rank-preserving assignment, imply equal rank multisets,
+    so these are not compared.
     """
-    if len(x) != len(y) or len(x.spectrum) != len(y.spectrum):
+    if len(x) != len(y):
         return None
     trees = []
     for space in (x, y):
@@ -152,11 +154,9 @@ def _isometry_map(
 def decide_isometry(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
 ) -> IsometryWitness | None:
-    """Verified isometry witness, or None."""
-    phi = _isometry_map(x, y) if x.spectrum == y.spectrum else None
-    if phi is not None and not verify_isometry(x, y, phi):
-        raise VerificationFailedError("isometry witness failed re-check")
-    return None if phi is None else IsometryWitness(phi)
+    """Verified isometry witness, or None: a weak similarity of equal spectra."""
+    witness = decide_weak_similarity(x, y) if x.spectrum == y.spectrum else None
+    return None if witness is None else IsometryWitness(witness.phi)
 
 
 def decide_weak_similarity(

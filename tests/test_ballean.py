@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -267,3 +268,19 @@ def test_tree_diagrams_listed_in_any_order():
         assert sorted(image) == sorted(image.values()) == list(range(len(h1.masks)))
         assert all((image[a], image[b]) in h2.arcs for a, b in h1.arcs)
         assert all(len(a) == len(b) for a, b in iso.items())
+
+
+def test_hasse_diagram_holds_one_bit_table():
+    # one B-bit int per ball, its up-set complemented; a second such table
+    # would put the peak past 2.25 B^2/8 bytes
+    x = random_semimetric(GenConfig(seed=1, n=256, spectrum_pool=tuple(F(k) for k in range(1, 61))))
+    ballean = enumerate_balls(x)
+    size = len(ballean.masks)
+    tracemalloc.start()
+    try:
+        diagram = hasse_diagram(ballean)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 15_000 and len(diagram.arcs) > size
+    assert peak < 2.25 * size * size / 8

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -20,8 +21,10 @@ from umtk import (
     verify_weak_similarity,
     witness_from_unlabeled_iso,
 )
+from umtk import treecanon
 from umtk.errors import InapplicableError, NotUltrametricError
 
+import tree_oracle as oracle
 from tree_oracle import rank_aligned_pairing
 
 
@@ -115,6 +118,44 @@ def test_shape_witness_pairs_like_the_rank_aligned_reference():
                 assert witness.phi == rank_aligned_pairing(build_tree(x), build_tree(y))
                 checked += 1
     assert checked >= 300
+
+
+def test_shape_witness_matches_the_four_pass_reference():
+    # seeds 0-499, n 2-31, every class, and three partners each: a renamed
+    # copy, a relabeling and another space of the same class
+    pool = tuple(F(k) for k in range(1, 49))
+    outcomes = Counter()
+    for seed in range(500):
+        force = (None, "R", "Rtilde", "D", "T")[seed % 5]
+        x = random_ultrametric(GenConfig(seed=seed, n=2 + seed % 30, spectrum_pool=pool, force_class=force))
+        other = random_ultrametric(GenConfig(seed=seed + 1, n=2 + seed % 30, spectrum_pool=pool, force_class=force))
+        for y in (renamed_copy(x, seed=seed)[0], random_relabeled(x, seed=seed), other):
+            got, want = witness_from_unlabeled_iso(x, y), oracle.witness_from_unlabeled_iso(x, y)
+            if isinstance(want, WeakSimWitness):
+                assert got.scaling == want.scaling
+                assert list(got.phi.items()) == list(want.phi.items())
+                outcomes["witness"] += 1
+            else:
+                assert got is want
+                outcomes[want] += 1
+    assert min(outcomes.values()) >= 100 and len(outcomes) == 3
+
+
+def test_a_positive_shape_witness_codes_each_tree_once(monkeypatch):
+    x = random_ultrametric(GenConfig(seed=3, n=20, force_class="Rtilde"))
+    y, _ = renamed_copy(random_relabeled(x, seed=4), seed=5)
+    build_tree(x), build_tree(y)  # warm, so build_tree's own pass is not counted
+    calls = []
+    codes = treecanon._codes
+
+    def counted(*args):
+        calls.append(args)
+        return codes(*args)
+
+    monkeypatch.setattr(treecanon, "_codes", counted)
+    assert isinstance(witness_from_unlabeled_iso(x, y), WeakSimWitness)
+    # the two labeled codes of the tree map; no shape codes on a positive
+    assert len(calls) == 2
 
 
 def test_shape_witness_sentinels(ultra3, blocks4, blocks5):

@@ -417,6 +417,35 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _chain_text(levels, leaf_first):
+    """A chain tree document of ``levels`` levels, written without json's
+    recursion: each level one object and its children list, then the leaf."""
+    heads, tails = [], []
+    for k in range(levels, 0, -1):
+        leaf = f'{{"point": "p{k}"}}'
+        heads.append(f'{{"label": "{k}", "children": [' + (f"{leaf}, " if leaf_first else ""))
+        tails.append("]}" if leaf_first else f", {leaf}]}}")
+    return "".join(heads) + '{"point": "p0"}' + "".join(reversed(tails))
+
+
+def test_tree_documents_up_to_the_depth_bound(tmp_path):
+    # the stated bound: a 5 000-level tree, MAX_NESTING arrays and objects
+    levels = 5000
+    for depth, code, err in ((levels, 0, ""), (levels + 1, 2, "error: FormatError: JSON nested too deeply\n")):
+        a, b, out = (tmp_path / f"{name}{depth}.json" for name in "abo")
+        a.write_text(_chain_text(depth, True))
+        b.write_text(_chain_text(depth, False))
+        done = subprocess.run([sys.executable, "-m", "umtk.cli", "tree-iso", "--labeled", "--out", str(out), str(a), str(b)],
+                              capture_output=True, text=True, env=_fresh_env(UMTK_COLOR="never"), timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (code, "", err)
+        assert out.exists() == (code == 0)
+    head = '{\n  "isomorphic": true,\n  "labeled": true,\n  "map": {\n    "": "",\n'
+    with open(tmp_path / f"o{levels}.json") as handle:
+        assert handle.read(len(head)) == head
+    (tmp_path / f"o{levels}.json").unlink()  # about 10^8 characters: one dotted path per node
+    assert cli.MAX_NESTING == 2 * levels + 1
+
+
 @pytest.mark.parametrize(
     "exc, code, prefix",
     [

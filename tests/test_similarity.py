@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,33 @@ def test_decisions_do_not_lean_on_the_tree_cache(decide, monkeypatch):
     monkeypatch.setattr(similarity, "build_tree", reptree.build_tree.__wrapped__)
     x, y, calls = _prim_calls(decide, monkeypatch)
     assert len(calls) == 2 and calls[0] is x and calls[1] is y
+
+
+def test_tree_map_between_spectra_of_different_sizes_is_none():
+    # Y's ranks run past X's spectrum: the tree map says no both ways
+    x = space_from_pairs("abc", {("a", "b"): F(1), ("a", "c"): F(2), ("b", "c"): F(2)})
+    far = dict.fromkeys(combinations("pqrs", 2), F(3))
+    y = space_from_pairs("pqrs", {**far, ("p", "q"): F(1), ("r", "s"): F(2)})
+    tx, ty = reptree.build_tree(x), reptree.build_tree(y)
+    assert similarity._tree_isometry(tx, ty) is None
+    assert similarity._tree_isometry(ty, tx) is None
+
+
+def test_isometry_is_weak_similarity_between_equal_spectra(ultra3, ultra3_scaled, monkeypatch):
+    calls = []
+    decide = similarity.decide_weak_similarity
+
+    def counted(x, y):
+        calls.append((x, y))
+        return decide(x, y)
+
+    monkeypatch.setattr(similarity, "decide_weak_similarity", counted)
+    copy, _ = renamed_copy(ultra3, seed=3)
+    assert decide_isometry(ultra3, copy).phi == decide(ultra3, copy).phi
+    assert calls == [(ultra3, copy)]
+    # unequal spectra: no decision runs
+    assert decide_isometry(ultra3, ultra3_scaled) is None
+    assert len(calls) == 1
 
 
 def test_backtracking_handles_non_ultrametric(semi3):

@@ -9,7 +9,9 @@ comparing each node's mapped children with its image's children as sets.
 tests. ``rank_aligned_pairing`` is the shape witness's pairing as it stood
 before the witness took the weak-similarity tree map: a top-down walk that
 pairs leaves in point-name order and internal siblings by label rank. All of them recurse once per tree level, so callers keep the trees
-shallow or raise the recursion limit.
+shallow or raise the recursion limit. ``witness_from_unlabeled_iso`` is
+the shape witness as it stood before it paired the trees first: both shape
+codes, then the class hypotheses, then the rank-keeping tree map.
 
 They work on nested ``RepNode``s: ``leaf`` and ``internal`` build them by
 hand, and ``tree_of`` lays a nested tree out as the preorder arrays of a
@@ -21,9 +23,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from umtk.classify import INAPPLICABLE, NOT_ISOMORPHIC_SHAPES, _classify_tree
 from umtk.errors import FormatError, InvalidTreeError, UnknownPointError, VerificationFailedError
-from umtk.reptree import RepNode, RepTree
+from umtk.reptree import RepNode, RepTree, build_tree
+from umtk.similarity import WeakSimWitness, _tree_isometry, verify_weak_similarity
 from umtk.spaces import format_rational, parse_rational, rank_values
+from umtk.treecanon import canon_code_unlabeled
 
 
 def leaf(point: str) -> RepNode:
@@ -218,3 +223,25 @@ def rank_aligned_pairing(tx: RepTree, ty: RepTree) -> dict[str, str]:
             phi[tx.points[ca]] = ty.points[cb]
         stack.extend(zip(a_inner[::-1], b_inner[::-1]))
     return phi
+
+
+def witness_from_unlabeled_iso(x, y):
+    """The shape witness with its four code passes: the two shape codes
+    first, then the labeled codes inside the tree map."""
+    tx, ty = build_tree(x), build_tree(y)
+    if canon_code_unlabeled(tx) != canon_code_unlabeled(ty):
+        return NOT_ISOMORPHIC_SHAPES
+    cx, cy = _classify_tree(tx), _classify_tree(ty)
+    applicable = cx.inner_chain or (
+        cx.distinct_labels
+        and cx.uniform_last_level
+        and cy.distinct_labels
+        and cy.uniform_last_level
+    )
+    if not applicable:
+        return INAPPLICABLE
+    phi = _tree_isometry(tx, ty) or {}
+    witness = WeakSimWitness(tuple(zip(x.spectrum, y.spectrum)), phi)
+    if not verify_weak_similarity(x, y, witness):
+        raise VerificationFailedError("shape-derived witness failed re-check")
+    return witness
