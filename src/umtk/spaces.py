@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -38,6 +38,7 @@ from .errors import (
 )
 
 _ZERO = Fraction(0)
+_RATIO = attrgetter("numerator", "denominator")
 
 # ASCII digits only: ``\d`` would admit every Unicode decimal digit.
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -86,7 +87,7 @@ class FiniteSemimetricSpace:
     """Immutable point tuple, spectrum and rank matrix. Hashable, so cacheable.
 
     ``ranks[i][j]`` is the index of d(points[i], points[j]) in ``spectrum``;
-    equality and the hash run over ints and the few spectrum values.
+    equality runs over ints and the few spectrum values, the hash over ints.
     """
 
     points: tuple[str, ...]
@@ -96,9 +97,11 @@ class FiniteSemimetricSpace:
     def __hash__(self) -> int:
         # Every cache lookup hashes the space; hash its n^2 ranks only once.
         # The value lives outside the fields, so == and repr are unchanged.
+        # Fractions are kept in lowest terms, so equal spectra have equal
+        # (numerator, denominator) ints, which hash in C.
         cached = self.__dict__.get("_hash")
         if cached is None:
-            cached = hash((self.points, self.spectrum, self.ranks))
+            cached = hash((self.points, tuple(map(_RATIO, self.spectrum)), self.ranks))
             object.__setattr__(self, "_hash", cached)
         return cached
 
@@ -122,14 +125,20 @@ class FiniteSemimetricSpace:
 
 
 def rank_values(values: Iterable[Fraction | None]) -> tuple[tuple[Fraction, ...], list[int | None]]:
-    """The spectrum of some values -- the distinct ones and 0, increasing --
-    and each value's rank in it (None stays None). Every space and every
-    labeled tree is ranked here."""
+    """The spectrum of some values -- the distinct ones and 0, increasing,
+    each the first object seen for its value -- and each value's rank in it
+    (None stays None). Every space and every labeled tree is ranked here."""
     values = list(values)
-    # 0 goes in last, so an equal value keeps its own object and looks up by identity
-    spectrum = tuple(sorted({*values, _ZERO} - {None}))
-    rank = {v: k for k, v in enumerate(spectrum)}
-    return spectrum, list(map(rank.get, values))
+    # Distinct rationals with denominators <= D differ by at least 1/D^2 > 2^-shift,
+    # so the int floor(v * 2^shift) keeps their order and is equal exactly for
+    # equal values. Unlike a common denominator, it has at most 2 * bits(D)
+    # bits more than the numerator, however many distinct denominators there are.
+    shift = 2 * max([v.denominator for v in values if v is not None], default=1).bit_length()
+    keys = [None if v is None else (v.numerator << shift) // v.denominator for v in values]
+    firsts = {0: _ZERO, **dict(zip(reversed(keys), reversed(values)))}  # each key's first value
+    order = sorted(firsts.keys() - {None})
+    rank = dict(zip(order, range(len(order))))
+    return tuple(map(firsts.__getitem__, order)), list(map(rank.get, keys))
 
 
 def validate_semimetric(

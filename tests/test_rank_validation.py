@@ -19,7 +19,12 @@ VALUES = (F(0), F(1, 2), F(1), F(2), F(3), F(-1))
 FORMS = (("0", "-0", "0/7"), ("1/2", "2/4"), ("1", "3/3"), ("2", "4/2", "6/3"), ("3",), ("-1", "-2/2"))
 VALUE_OF = {form: VALUES[k] for k, forms in enumerate(FORMS) for form in forms}
 POSITIVE = (1, 2, 3, 4)
-NOT_LITERALS = ("x", "1/0", "1.5", " 1", "", 1, 0.5, None, True, [1], {"a": "1"})
+# the last five get past int() ("+1", "1_0", "1\n", "١") or a pattern that is
+# not anchored to the whole string ("1\n2"); the literal grammar takes none
+NOT_LITERALS = (
+    "x", "1/0", "1.5", " 1", "", 1, 0.5, None, True, [1], {"a": "1"},
+    "+1", "1_0", "1\n", "1\n2", "\u0661",
+)
 
 
 def _outcome(build, *args):

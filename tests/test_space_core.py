@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -37,7 +38,7 @@ from umtk.errors import (
     UnknownPointError,
     ZeroOffDiagonalError,
 )
-from umtk.spaces import space_to_text
+from umtk.spaces import rank_values, space_to_text
 
 from diametrical_oracle import first_violating_triple, prim_violating_triple
 from validation_oracle import distances
@@ -203,6 +204,65 @@ def test_spaces_are_hashable_values(ultra3):
     assert again == ultra3
     assert hash(again) == hash(ultra3)
     assert isinstance(again, FiniteSemimetricSpace)
+
+
+def test_hashing_a_space_hashes_no_fraction(monkeypatch):
+    # the same values in other literal forms, the first space's hash not yet cached
+    points = ["p", "q", "r"]
+    a = space_from_json({"points": points, "dist": [["0", "1/2", "3"], ["2/4", "0", "7/3"], ["6/2", "14/6", "0"]]})
+    b = space_from_json({"points": points, "dist": [["-0", "1/2", "3/1"], ["3/6", "0/9", "7/3"], ["3", "7/3", "0"]]})
+    calls = []
+    fraction_hash = F.__hash__
+
+    def counting(value):
+        calls.append(value)
+        return fraction_hash(value)
+
+    monkeypatch.setattr(F, "__hash__", counting)
+    hash(F(1, 3))
+    assert len(calls) == 1  # the counter is in place
+    calls.clear()
+    assert a == b and hash(a) == hash(b)
+    assert calls == []
+
+
+def _rank_oracle(values):
+    spectrum = sorted({v for v in values if v is not None} | {F(0)})
+    return tuple(spectrum), [None if v is None else spectrum.index(v) for v in values]
+
+
+def _farey_neighbours(rng):
+    """a/b < c/d with b, d near 10^12 and bc - ad = 1: they differ by 1/(bd)."""
+    while True:
+        b, d = rng.randrange(10**12 - 10**6, 10**12), rng.randrange(10**12 - 10**6, 10**12)
+        if gcd(b, d) == 1:
+            break
+    c = pow(b, -1, d) + rng.randrange(-3, 4) * d
+    a = (b * c - 1) // d
+    return F(a, b), F(c, d)
+
+
+def test_rank_values_is_exact():
+    rng = random.Random(18)
+    cases = [[], [None], [None, None], [F(0)], [F(5), F(-5)], [F(-1, 3), None, F(-1, 2)]]
+    for _ in range(300):
+        lo, hi = _farey_neighbours(rng)
+        assert hi - lo == F(1, lo.denominator * hi.denominator)
+        pool = [lo, hi, -lo, -hi, (lo + hi) / 2, lo + 1, F(0), F(1), F(-2, 3)]
+        values = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+        # equal values as separate objects, not only repeats of one object
+        values += [F(v.numerator, v.denominator) for v in rng.sample(values, rng.randint(0, len(values)))]
+        values += [None] * rng.randint(0, 2)
+        rng.shuffle(values)
+        cases.append(values)
+    for values in cases:
+        spectrum, ranks = rank_values(values)
+        assert (spectrum, ranks) == _rank_oracle(values), values
+        for value in spectrum:  # the first object seen for each value is kept
+            first = next((v for v in values if v is not None and v == value), value)
+            assert value is first
+    assert any(F(0) not in values for values in cases)
+    assert any(any(v is None for v in values) for values in cases)
 
 
 PQ = {("p", "q"): 1}
