@@ -11,11 +11,13 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
 import sys
 import threading
+from contextlib import contextmanager
 from itertools import accumulate
 
 from .balls import (
@@ -82,12 +84,19 @@ def _diag(message: str) -> None:
     print(f"{prefix} {message}", file=sys.stderr)
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextmanager
+def _output(out: str | None):
+    """stdout, or the ``--out`` file opened for writing."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as handle:
+        handle.write(text)
 
 
 def _emit_json(doc: object, out: str | None) -> None:
@@ -149,27 +158,51 @@ def _load_json(path: str) -> object:
         raise FormatError("JSON number too long to read") from None
 
 
+@contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector disabled, then restore
+    the state it had. A document read allocates one container per value and
+    per tree node; JSON values and the arrays built from them hold no
+    reference cycles, so a collection during a read could free nothing."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def _load_space(path: str) -> FiniteSemimetricSpace:
-    return space_from_json(_load_json(path))
+    with _collector_paused():
+        return space_from_json(_load_json(path))
 
 
 def _load_tree(path: str, labeled: bool) -> RepTree:
     """Space documents yield their representing tree; raw tree documents are
     taken as-is (and must carry labels when ``labeled``)."""
-    doc = _load_json(path)
-    if isinstance(doc, dict) and "points" in doc:
-        return build_tree(space_from_json(doc))
-    return tree_from_json(doc, labeled)
+    with _collector_paused():
+        doc = _load_json(path)
+        if isinstance(doc, dict) and "points" in doc:
+            return build_tree(space_from_json(doc))
+        return tree_from_json(doc, labeled)
 
 
 def _node_paths(tree: RepTree) -> list[str]:
     """Dotted child-index path of every position ("" is the root)."""
     paths = [""] * len(tree)
     for v, kids in enumerate(tree.children):
-        prefix = paths[v] + "." if v else ""
-        for k, c in enumerate(kids):
-            paths[c] = f"{prefix}{k}"
+        if kids:
+            prefix = paths[v] + "." if v else ""
+            for k, c in enumerate(kids):
+                paths[c] = f"{prefix}{k}"
     return paths
+
+
+# Pairs per write of the tree-iso map. The map is never held as one string:
+# a deep pair's paths are long, and a 5 000-level chain pair's map is about
+# 10^8 characters.
+_MAP_SLICE = 1024
 
 
 # --- subcommand handlers --------------------------------------------------
@@ -230,19 +263,18 @@ def _cmd_tree_iso(args) -> int:
         return 1
     if not check_iso_map(t1, t2, psi, respect_labels=args.labeled):
         raise VerificationFailedError("tree isomorphism failed re-check")
+    if sorted(walk) != list(range(len(t1))):
+        raise VerificationFailedError("tree isomorphism pairing order does not hold each node once")
     p1 = _node_paths(t1)
     p2 = _node_paths(t2)
-    paths = {p1[a]: p2[psi[a]] for a in walk}
-    if len(paths) != len(t1):
-        raise VerificationFailedError("tree isomorphism pairing order misses a node")
-    _emit_json(
-        {
-            "isomorphic": True,
-            "labeled": args.labeled,
-            "map": paths,
-        },
-        args.out,
-    )
+    # the bytes of json.dumps(..., indent=2) + "\n" of the document, written
+    # in walk order; paths are digits and dots, so no key needs escaping
+    with _output(args.out) as handle:
+        handle.write(f'{{\n  "isomorphic": true,\n  "labeled": {json.dumps(args.labeled)},\n  "map": {{')
+        for start in range(0, len(walk), _MAP_SLICE):
+            pairs = walk[start:start + _MAP_SLICE]
+            handle.write(("," if start else "") + ",".join(f'\n    "{p1[a]}": "{p2[psi[a]]}"' for a in pairs))
+        handle.write("\n  }\n}\n")
     return 0
 
 

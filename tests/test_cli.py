@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -7,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import tree_oracle as oracle
 from umtk import cli, similarity, space_to_text
 from umtk.cli import main
+from umtk.reptree import tree_from_json
+from umtk.treecanon import rooted_tree_iso_map
 
 
 @pytest.fixture(autouse=True)
@@ -145,12 +149,77 @@ def test_tree_iso_output_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == GOLDEN_LABELED_MAP
 
 
+def _random_tree_doc(rng, label, width, names):
+    """A tree document whose labels decrease strictly downwards; a child
+    drawn label 0 is a leaf."""
+    if label == 0:
+        return {"point": next(names)}
+    kids = [_random_tree_doc(rng, rng.randrange(label), width, names) for _ in range(rng.randint(2, width))]
+    return {"label": str(label), "children": kids}
+
+
+def _shuffled(rng, doc, prefix):
+    """An isomorphic copy of a tree document: children in a random order,
+    each point renamed with ``prefix``."""
+    if "point" in doc:
+        return {"point": prefix + doc["point"]}
+    kids = [_shuffled(rng, kid, prefix) for kid in doc["children"]]
+    rng.shuffle(kids)
+    return {"label": doc["label"], "children": kids}
+
+
+def test_tree_iso_writes_the_reference_bytes(tmp_path, capsys):
+    rng = random.Random(19)
+    names = (f"p{k}" for k in range(10**6))
+    docs = [{"point": "p"}]  # the map {"": ""}
+    docs += [_random_tree_doc(rng, rng.randint(1, 5), 4, names) for _ in range(12)]
+    big = {"label": "9", "children": [_random_tree_doc(rng, 8, 8, names) for _ in range(3)]}
+    docs.append(big)
+    assert len(tree_from_json(big, True)) > cli._MAP_SLICE  # written in more than one slice
+    a, b, out = (tmp_path / f"{name}.json" for name in "abo")
+    for doc in docs:
+        other = _shuffled(rng, doc, "q")
+        a.write_text(json.dumps(doc))
+        b.write_text(json.dumps(other))
+        for labeled in (False, True):
+            want = oracle.tree_iso_text(tree_from_json(doc, labeled), tree_from_json(other, labeled), labeled)
+            flags = ["--labeled"] * labeled
+            assert main(["tree-iso", *flags, str(a), str(b)]) == 0
+            assert capsys.readouterr().out == want
+            assert main(["tree-iso", *flags, "--out", str(out), str(a), str(b)]) == 0
+            assert out.read_bytes() == want.encode()
+
+
 def test_tree_iso_re_checks_the_map(paths, leaf_swapping_iso_map, monkeypatch, capsys):
     monkeypatch.setattr(cli, "rooted_tree_iso_map", leaf_swapping_iso_map)
     assert main(["tree-iso", paths["blocks4"], paths["blocks4"]]) == 3
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: VerificationFailed")
+
+
+def _repeating_walk_map(tree1, tree2, respect_labels=False, walk=None):
+    """The real map, with its pairing order listing the root twice and the
+    last position not at all."""
+    psi = rooted_tree_iso_map(tree1, tree2, respect_labels, walk)
+    walk[-1] = walk[0]
+    return psi
+
+
+@pytest.mark.parametrize("broken, message", [
+    ("leaf_swapping", "tree isomorphism failed re-check"),
+    ("repeating_walk", "tree isomorphism pairing order does not hold each node once"),
+])
+def test_tree_iso_checks_before_it_writes(broken, message, leaf_swapping_iso_map, tmp_path, monkeypatch, capsys):
+    broken_map = leaf_swapping_iso_map if broken == "leaf_swapping" else _repeating_walk_map
+    monkeypatch.setattr(cli, "rooted_tree_iso_map", broken_map)
+    a, b, out = (tmp_path / f"{name}.json" for name in "abo")
+    a.write_text(json.dumps(GOLDEN_A))
+    b.write_text(json.dumps(GOLDEN_B))
+    for argv in (["tree-iso", str(a), str(b)], ["tree-iso", "--out", str(out), str(a), str(b)]):
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"error: VerificationFailed: {message}\n")
+    assert not out.exists()
 
 
 def test_weaksim_re_checks_the_tree_map(
@@ -428,6 +497,75 @@ def _chain_text(levels, leaf_first):
     return "".join(heads) + '{"point": "p0"}' + "".join(reversed(tails))
 
 
+@pytest.mark.parametrize("collecting", [True, False])
+def test_documents_are_read_with_the_collector_paused(collecting, tmp_path, monkeypatch, capsys, ultra3):
+    states = []  # gc.isenabled() at each decoder call
+
+    def recorded(decode):
+        def call(*args, **kwargs):
+            states.append(gc.isenabled())
+            return decode(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "tree_from_json", recorded(cli.tree_from_json))
+    monkeypatch.setattr(cli, "space_from_json", recorded(cli.space_from_json))
+    docs = {
+        "tree": json.dumps(GOLDEN_A),
+        "space": space_to_text(ultra3),
+        "bad_tree": '{"label": "1", "children": []}',
+        "bad_space": '{"points": ["p"], "dist": [["1"]]}',
+        "not_json": "{",
+        "too_deep": _chain_text(5001, True),
+    }
+    for name, text in docs.items():
+        (tmp_path / name).write_text(text)
+    cases = [  # argv, exit code, decoder calls
+        (["tree-iso", "tree", "tree"], 0, 2),
+        (["tree-iso", "space", "space"], 0, 2),
+        (["validate", "space"], 0, 1),
+        (["tree-iso", "bad_tree", "tree"], 2, 1),
+        (["validate", "bad_space"], 2, 1),
+        (["tree-iso", "not_json", "tree"], 2, 0),
+        (["validate", "not_json"], 2, 0),
+        (["tree-iso", "too_deep", "tree"], 2, 0),
+    ]
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv, code, calls in cases:
+            states.clear()
+            assert main([argv[0], *(str(tmp_path / name) for name in argv[1:])]) == code
+            assert (states, gc.isenabled()) == ([False] * calls, collecting)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert "error: FormatError: JSON nested too deeply" in capsys.readouterr().err
+
+
+# Runs its arguments after the first as a child, and writes the child's peak
+# RSS in kB (Linux), read through os.wait4, to the file the first names. A
+# child starts from the memory of the process that spawns it, so its peak
+# counts that process's high-water mark: the test process, large after other
+# tests, spawns this small one to spawn umtk.
+_PEAK_OF_CHILD = (
+    "import os, subprocess, sys; child = subprocess.Popen(sys.argv[2:]); "
+    "_, status, usage = os.wait4(child.pid, 0); child.returncode = os.waitstatus_to_exitcode(status); "
+    "open(sys.argv[1], 'w').write(str(usage.ru_maxrss)); sys.exit(child.returncode)"
+)
+
+
+def _measured_run(argv, peak_file, timeout):
+    """(exit code, stdout, stderr, peak RSS in MB) of ``python -m umtk.cli argv``."""
+    done = subprocess.run([sys.executable, "-c", _PEAK_OF_CHILD, str(peak_file), sys.executable, "-m", "umtk.cli", *argv],
+                          capture_output=True, text=True, env=_fresh_env(UMTK_COLOR="never"), timeout=timeout)
+    return done.returncode, done.stdout, done.stderr, int(peak_file.read_text()) / 1024
+
+
+# The 5 000-level pair's output is about 10^8 characters. Writing the map in
+# slices of pairs peaks near 160 MB; one string of the whole document took
+# about 315 MB.
+DEPTH_BOUND_PEAK_MB = 250
+
+
 def test_tree_documents_up_to_the_depth_bound(tmp_path):
     # the stated bound: a 5 000-level tree, MAX_NESTING arrays and objects
     levels = 5000
@@ -435,10 +573,11 @@ def test_tree_documents_up_to_the_depth_bound(tmp_path):
         a, b, out = (tmp_path / f"{name}{depth}.json" for name in "abo")
         a.write_text(_chain_text(depth, True))
         b.write_text(_chain_text(depth, False))
-        done = subprocess.run([sys.executable, "-m", "umtk.cli", "tree-iso", "--labeled", "--out", str(out), str(a), str(b)],
-                              capture_output=True, text=True, env=_fresh_env(UMTK_COLOR="never"), timeout=120)
-        assert (done.returncode, done.stdout, done.stderr) == (code, "", err)
+        done = _measured_run(["tree-iso", "--labeled", "--out", str(out), str(a), str(b)], tmp_path / "peak", timeout=120)
+        assert done[:3] == (code, "", err)
         assert out.exists() == (code == 0)
+        if code == 0:
+            assert done[3] < DEPTH_BOUND_PEAK_MB
     head = '{\n  "isomorphic": true,\n  "labeled": true,\n  "map": {\n    "": "",\n'
     with open(tmp_path / f"o{levels}.json") as handle:
         assert handle.read(len(head)) == head

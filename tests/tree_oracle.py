@@ -17,10 +17,13 @@ They work on nested ``RepNode``s: ``leaf`` and ``internal`` build them by
 hand, and ``tree_of`` lays a nested tree out as the preorder arrays of a
 ``RepTree``, ranking its label values into the tree's spectrum. ``tree_to_json`` is the reference encoder of tree documents that
 ``reptree.tree_to_text`` is compared with; it builds the document bottom-up,
-so it does not recurse.
+so it does not recurse. ``tree_iso_text`` is the reference writer of the
+``umtk tree-iso`` document: the map as one dict of dotted paths, encoded by
+``json.dumps(..., indent=2)``.
 """
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from umtk.classify import INAPPLICABLE, NOT_ISOMORPHIC_SHAPES, _classify_tree
@@ -28,7 +31,7 @@ from umtk.errors import FormatError, InvalidTreeError, UnknownPointError, Verifi
 from umtk.reptree import RepNode, RepTree, build_tree
 from umtk.similarity import WeakSimWitness, _tree_isometry, verify_weak_similarity
 from umtk.spaces import format_rational, parse_rational, rank_values
-from umtk.treecanon import canon_code_unlabeled
+from umtk.treecanon import canon_code_unlabeled, rooted_tree_iso_map
 
 
 def leaf(point: str) -> RepNode:
@@ -73,6 +76,26 @@ def tree_to_json(tree: RepTree) -> dict:
         doc["children"] = [docs[c] for c in kids]
         docs[v] = doc
     return docs[0]
+
+
+def node_paths(tree: RepTree) -> list[str]:
+    """Dotted child-index path of every position ("" is the root)."""
+    paths = [""] * len(tree)
+    for v, kids in enumerate(tree.children):
+        prefix = paths[v] + "." if v else ""
+        for k, c in enumerate(kids):
+            paths[c] = f"{prefix}{k}"
+    return paths
+
+
+def tree_iso_text(tree1: RepTree, tree2: RepTree, labeled: bool) -> str:
+    """What ``umtk tree-iso`` prints for two isomorphic trees: the map in
+    pairing order, as one dict handed to ``json.dumps``."""
+    walk: list[int] = []
+    psi = rooted_tree_iso_map(tree1, tree2, respect_labels=labeled, walk=walk)
+    p1, p2 = node_paths(tree1), node_paths(tree2)
+    doc = {"isomorphic": True, "labeled": labeled, "map": {p1[a]: p2[psi[a]] for a in walk}}
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def validate_tree(tree: RepTree, labeled: bool = True) -> None:
