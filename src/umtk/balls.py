@@ -30,7 +30,7 @@ from operator import and_
 
 from .errors import NotABijectionError, VerificationFailedError
 from .search import match
-from .spaces import FiniteSemimetricSpace
+from .spaces import FiniteSemimetricSpace, dot_string
 from .treecanon import _codes, _pairs
 
 
@@ -359,6 +359,7 @@ def hasse_iso_to_json(iso: HasseIso) -> dict:
 
 def hasse_to_dot(diagram: HasseDiagram) -> str:
     lines = ["digraph hasse {"]
-    lines += ['  b%d [label="{%s}"];' % (i, ",".join(sorted(v))) for i, v in enumerate(diagram.vertices)]
+    labels = ("{" + ",".join(sorted(v)) + "}" for v in diagram.vertices)
+    lines += [f"  b{i} [label={dot_string(label)}];" for i, label in enumerate(labels)]
     lines += [f"  b{a} -> b{b};" for a, b in diagram.sorted_arcs()]
     return "\n".join(lines) + "\n}\n"

@@ -161,9 +161,10 @@ def _load_json(path: str) -> object:
 @contextmanager
 def _collector_paused():
     """Run the block with the cyclic garbage collector disabled, then restore
-    the state it had. A document read allocates one container per value and
-    per tree node; JSON values and the arrays built from them hold no
-    reference cycles, so a collection during a read could free nothing."""
+    the state it had. ``main`` runs each command in it once: a command's JSON
+    values, rank tuples, tree arrays, byte codes, ball masks and path strings
+    hold no reference cycles, so reference counting frees them all and a
+    collection could free nothing."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -174,18 +175,16 @@ def _collector_paused():
 
 
 def _load_space(path: str) -> FiniteSemimetricSpace:
-    with _collector_paused():
-        return space_from_json(_load_json(path))
+    return space_from_json(_load_json(path))
 
 
 def _load_tree(path: str, labeled: bool) -> RepTree:
     """Space documents yield their representing tree; raw tree documents are
     taken as-is (and must carry labels when ``labeled``)."""
-    with _collector_paused():
-        doc = _load_json(path)
-        if isinstance(doc, dict) and "points" in doc:
-            return build_tree(space_from_json(doc))
-        return tree_from_json(doc, labeled)
+    doc = _load_json(path)
+    if isinstance(doc, dict) and "points" in doc:
+        return build_tree(space_from_json(doc))
+    return tree_from_json(doc, labeled)
 
 
 def _node_paths(tree: RepTree) -> list[str]:
@@ -447,7 +446,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return globals()["_cmd_" + args.command.replace("-", "_")](args)
+        with _collector_paused():
+            return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except NotUltrametricError as exc:
         _diag(f"NotUltrametric: {exc}")
         return 2

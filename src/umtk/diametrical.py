@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotMultipartiteError, SpaceTooSmallError
-from .spaces import FiniteSemimetricSpace
+from .spaces import FiniteSemimetricSpace, dot_string
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ def partition_to_json(partition: MultipartitePartition) -> dict:
 def graph_to_dot(graph: DiametricalGraph) -> str:
     lines = ["graph diametrical {"]
     for v in sorted(graph.vertices):
-        lines.append(f'  "{v}";')
+        lines.append(f"  {dot_string(v)};")
     for a, b in graph.sorted_edges():
-        lines.append(f'  "{a}" -- "{b}";')
+        lines.append(f"  {dot_string(a)} -- {dot_string(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -39,6 +39,7 @@ from .errors import FormatError, InvalidTreeError, NotUltrametricError
 from .spaces import (
     FiniteSemimetricSpace,
     check_point_names,
+    dot_string,
     format_rational,
     parse_rational,
     rank_values,
@@ -357,10 +358,10 @@ def tree_to_dot(tree: RepTree) -> str:
     lines = ["digraph tree {"]
     for v, kids in enumerate(children):
         if not kids:
-            lines.append(f'  n{v} [label="{points[v]}", shape=box];')
+            lines.append(f"  n{v} [label={dot_string(points[v])}, shape=box];")
         else:
             label = "" if labels[v] is None else text[labels[v]]
-            lines.append(f'  n{v} [label="{label}"];')
+            lines.append(f"  n{v} [label={dot_string(label)}];")
     # (position, parent); a complemented position is a child whose subtree is done
     stack = [(0, -1)]
     while stack:

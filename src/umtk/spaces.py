@@ -73,6 +73,11 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def dot_string(text: str) -> str:
+    """``text`` as a DOT quoted string: ``\\`` and ``"`` are escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _as_rational(value: object) -> Fraction:
     # ints are welcome in hand-built matrices; floats never are.
     if isinstance(value, Fraction):

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -472,6 +473,31 @@ def test_lone_surrogate_point_names_are_input_errors(argv, tmp_path):
     assert run.stderr == b"error: FormatError: point names must not contain lone surrogates\n"
 
 
+# a quote, a backslash, a trailing backslash and a newline
+DOT_NAMES = ('a"b', "c\\d", "e\\", "f\ng")
+# a DOT quoted string: any character but a quote or backslash, or a backslash pair
+_DOT_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
+
+
+@pytest.mark.parametrize("argv", [["tree", "--dot"], ["hasse", "--dot"], ["diametric", "--dot"]])
+def test_dot_writers_escape_point_names(argv, tmp_path, capsys):
+    a, b, c, d = DOT_NAMES
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"points": DOT_NAMES, "dist": [
+        ["0", "1", "2", "2"], ["1", "0", "2", "2"], ["2", "2", "0", "2"], ["2", "2", "2", "0"]]}))
+    assert main([*argv, str(doc)]) == 0
+    dot = capsys.readouterr().out
+    # every quote opens or closes a quoted string
+    assert '"' not in _DOT_QUOTED.sub("", dot)
+    strings = {re.sub(r"\\(.)", r"\1", text, flags=re.DOTALL) for text in _DOT_QUOTED.findall(dot)}
+    expected = {
+        "tree": {*DOT_NAMES, "1", "2"},
+        "hasse": {"{" + ",".join(ball) + "}" for ball in ([a], [b], [c], [d], sorted([a, b]), sorted(DOT_NAMES))},
+        "diametric": set(DOT_NAMES),
+    }
+    assert strings == expected[argv[0]]
+
+
 def test_lone_surrogate_leaf_points_are_input_errors(tmp_path, capsys):
     doc = tmp_path / "tree.json"
     doc.write_text(SURROGATE_TREE)
@@ -497,21 +523,27 @@ def _chain_text(levels, leaf_first):
     return "".join(heads) + '{"point": "p0"}' + "".join(reversed(tails))
 
 
+# the umtk calls a command makes through cli: reads, decisions, checks
+_COMMAND_CALLS = ("tree_from_json", "space_from_json", "rooted_tree_iso_map", "check_iso_map",
+                  "decide_weak_similarity", "ball_preserving_bijection", "hasse_digraph_iso", "run_all")
+
+
 @pytest.mark.parametrize("collecting", [True, False])
-def test_documents_are_read_with_the_collector_paused(collecting, tmp_path, monkeypatch, capsys, ultra3):
-    states = []  # gc.isenabled() at each decoder call
+def test_documents_are_read_with_the_collector_paused(collecting, tmp_path, monkeypatch, capsys, ultra3, semi3):
+    states = []  # gc.isenabled() at each recorded call
 
-    def recorded(decode):
-        def call(*args, **kwargs):
+    def recorded(call):
+        def wrapper(*args, **kwargs):
             states.append(gc.isenabled())
-            return decode(*args, **kwargs)
-        return call
+            return call(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(cli, "tree_from_json", recorded(cli.tree_from_json))
-    monkeypatch.setattr(cli, "space_from_json", recorded(cli.space_from_json))
+    for name in _COMMAND_CALLS:
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
     docs = {
         "tree": json.dumps(GOLDEN_A),
         "space": space_to_text(ultra3),
+        "semi": space_to_text(semi3),
         "bad_tree": '{"label": "1", "children": []}',
         "bad_space": '{"points": ["p"], "dist": [["1"]]}',
         "not_json": "{",
@@ -519,26 +551,40 @@ def test_documents_are_read_with_the_collector_paused(collecting, tmp_path, monk
     }
     for name, text in docs.items():
         (tmp_path / name).write_text(text)
-    cases = [  # argv, exit code, decoder calls
-        (["tree-iso", "tree", "tree"], 0, 2),
-        (["tree-iso", "space", "space"], 0, 2),
+    cases = [  # argv, exit code, recorded calls
+        (["tree-iso", "tree", "tree"], 0, 4),
+        (["tree-iso", "space", "space"], 0, 4),
         (["validate", "space"], 0, 1),
+        (["weaksim", "space", "space"], 0, 3),
+        (["ballpreserving", "space", "space"], 0, 3),
+        (["hasse-iso", "space", "space"], 0, 3),
+        (["tree-iso", "tree", "space"], 1, 3),
+        (["weaksim", "space", "semi"], 1, 3),
         (["tree-iso", "bad_tree", "tree"], 2, 1),
         (["validate", "bad_space"], 2, 1),
         (["tree-iso", "not_json", "tree"], 2, 0),
         (["validate", "not_json"], 2, 0),
         (["tree-iso", "too_deep", "tree"], 2, 0),
+        (["check", "--trials", "1", "--max-n", "3"], 0, 1),
     ]
     was = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:
         for argv, code, calls in cases:
             states.clear()
-            assert main([argv[0], *(str(tmp_path / name) for name in argv[1:])]) == code
+            args = [tmp_path / name if name in docs else name for name in argv[1:]]
+            assert main([argv[0], *map(str, args)]) == code
             assert (states, gc.isenabled()) == ([False] * calls, collecting)
+        # a map that fails its re-check exits 3
+        monkeypatch.setattr(cli, "check_iso_map", recorded(lambda *args, **kwargs: False))
+        states.clear()
+        assert main(["tree-iso", str(tmp_path / "tree"), str(tmp_path / "tree")]) == 3
+        assert (states, gc.isenabled()) == ([False] * 4, collecting)
     finally:
         (gc.enable if was else gc.disable)()
-    assert "error: FormatError: JSON nested too deeply" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: FormatError: JSON nested too deeply" in err
+    assert "error: VerificationFailed: tree isomorphism failed re-check" in err
 
 
 # Runs its arguments after the first as a child, and writes the child's peak
