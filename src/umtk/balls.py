@@ -359,7 +359,9 @@ def hasse_iso_to_json(iso: HasseIso) -> dict:
 
 def hasse_to_dot(diagram: HasseDiagram) -> str:
     lines = ["digraph hasse {"]
-    labels = ("{" + ",".join(sorted(v)) + "}" for v in diagram.vertices)
+    # "%", ",", "{" and "}" in a name are percent-encoded, so each label names one member set
+    escape = str.maketrans({"%": "%25", ",": "%2C", "{": "%7B", "}": "%7D"})
+    labels = ("{" + ",".join(p.translate(escape) for p in sorted(v)) + "}" for v in diagram.vertices)
     lines += [f"  b{i} [label={dot_string(label)}];" for i, label in enumerate(labels)]
     lines += [f"  b{a} -> b{b};" for a, b in diagram.sorted_arcs()]
     return "\n".join(lines) + "\n}\n"

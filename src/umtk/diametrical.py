@@ -1,24 +1,42 @@
 """Diametrical graphs and their complete-multipartite decomposition.
 
-The diametrical graph joins exactly the point pairs realizing the diameter.
-For an ultrametric space with >= 2 points that graph is complete multipartite;
-``multipartite_parts`` recovers the parts as the connected components of the
-complement and then *verifies* the decomposition pair-by-pair, so it is total:
-on an arbitrary graph it either returns a certified partition or raises
-NotMultipartiteError.
+The diametrical graph joins the point pairs at the diameter; each point holds
+one mask of its partners, read off its rank row. On an ultrametric space with
+>= 2 points it is complete multipartite, and its parts are the components of
+the complement. Points in different components are joined, so only an edge
+inside a part can break the split.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from itertools import compress
+from operator import or_
 
 from .errors import NotMultipartiteError, SpaceTooSmallError
 from .spaces import FiniteSemimetricSpace, dot_string
 
 
+def _members(mask: int) -> list[int]:  # the set bits, ascending
+    found = []
+    while mask:
+        found.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return found
+
+
 @dataclass(frozen=True)
 class DiametricalGraph:
+    """Bit j of ``near[i]`` is set iff points i and j realize the diameter."""
+
     vertices: tuple[str, ...]
-    edges: frozenset[frozenset[str]]
+    near: tuple[int, ...]
+
+    @cached_property
+    def edges(self) -> frozenset[frozenset[str]]:
+        pts = self.vertices
+        return frozenset(frozenset((pts[i], pts[j]))
+                         for i, mask in enumerate(self.near) for j in _members(mask) if j > i)
 
     def has_edge(self, u: str, v: str) -> bool:
         return frozenset((u, v)) in self.edges
@@ -36,59 +54,35 @@ class MultipartitePartition:
 
 def diametrical_graph(space: FiniteSemimetricSpace) -> DiametricalGraph:
     """Graph on the points whose edges are the pairs at distance diam(X)."""
-    n = len(space)
-    if n < 2:
-        raise SpaceTooSmallError(n)
+    if len(space) < 2:
+        raise SpaceTooSmallError(len(space))
     top = len(space.spectrum) - 1  # the rank of the diameter
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if space.ranks[i][j] == top:
-                edges.add(frozenset((space.points[i], space.points[j])))
-    return DiametricalGraph(space.points, frozenset(edges))
+    binary = bytes.maketrans(b"\0\1", b"01")  # a reversed row as b"0"/b"1" text is its mask
+    near = (int(bytes(map(top.__eq__, row[::-1])).translate(binary), 2) for row in space.ranks)
+    return DiametricalGraph(space.points, tuple(near))
 
 
 def multipartite_parts(graph: DiametricalGraph) -> MultipartitePartition:
-    """Decompose a complete multipartite graph into its parts, or raise.
-
-    Parts are the connected components of the complement graph. The
-    decomposition is then checked in full: every intra-part pair must be a
-    non-edge and every cross-part pair an edge, and there must be at least
-    two parts. Any failure raises NotMultipartiteError.
-    """
-    verts = graph.vertices
-    unvisited = set(verts)
-    parts: list[list[str]] = []
+    """The parts, or NotMultipartiteError naming the first defect. Each part
+    grows from the first unvisited point by the frontier's non-partners."""
+    verts, near = graph.vertices, graph.near
+    unvisited, parts = (1 << len(verts)) - 1, []
     while unvisited:
-        start = next(v for v in verts if v in unvisited)
-        comp = {start}
-        frontier = [start]
-        unvisited.discard(start)
+        part = frontier = unvisited & -unvisited
         while frontier:
-            u = frontier.pop()
-            for v in list(unvisited):
-                if not graph.has_edge(u, v):
-                    unvisited.discard(v)
-                    comp.add(v)
-                    frontier.append(v)
-        parts.append(sorted(comp))
-
+            unvisited &= ~frontier
+            frontier = reduce(or_, [unvisited & ~near[u] for u in _members(frontier)])
+            part |= frontier
+        parts.append(part)
     if len(parts) < 2:
         raise NotMultipartiteError("graph has no complete multipartite split into >= 2 parts")
     for part in parts:
-        for a in part:
-            for b in part:
-                if a < b and graph.has_edge(a, b):
-                    raise NotMultipartiteError(f"edge inside a part: ({a!r}, {b!r})")
-    for i, pa in enumerate(parts):
-        for pb in parts[i + 1 :]:
-            for a in pa:
-                for b in pb:
-                    if not graph.has_edge(a, b):
-                        raise NotMultipartiteError(f"missing cross edge: ({a!r}, {b!r})")
-
-    ordered = tuple(tuple(p) for p in sorted(parts, key=lambda p: (len(p), p[0])))
-    return MultipartitePartition(ordered)
+        if clash := [a for a in _members(part) if near[a] & part]:
+            a = min(clash, key=verts.__getitem__)  # by symmetry its partners here sort after it
+            b = min(verts[b] for b in _members(near[a] & part))
+            raise NotMultipartiteError(f"edge inside a part: ({verts[a]!r}, {b!r})")
+    named = sorted((sorted(verts[a] for a in _members(part)) for part in parts), key=lambda p: (len(p), p[0]))
+    return MultipartitePartition(tuple(map(tuple, named)))
 
 
 def partition_to_json(partition: MultipartitePartition) -> dict:
@@ -96,10 +90,13 @@ def partition_to_json(partition: MultipartitePartition) -> dict:
 
 
 def graph_to_dot(graph: DiametricalGraph) -> str:
-    lines = ["graph diametrical {"]
-    for v in sorted(graph.vertices):
-        lines.append(f"  {dot_string(v)};")
-    for a, b in graph.sorted_edges():
-        lines.append(f"  {dot_string(a)} -- {dot_string(b)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Vertices by name, then the edges (a, b) with a < b in name order."""
+    n = len(graph.vertices)
+    order = sorted(range(n), key=graph.vertices.__getitem__)
+    quoted = [dot_string(graph.vertices[i]) for i in order]
+    lines = ["graph diametrical {", *(f"  {q};" for q in quoted)]
+    for k, a in enumerate(order):
+        text = format(graph.near[a], f"0{n}b")[::-1]  # text[j] is bit j
+        later = compress(quoted[k + 1 :], map("1".__eq__, map(text.__getitem__, order[k + 1 :])))
+        lines += [f"  {quoted[k]} -- {b};" for b in later]
+    return "\n".join(lines) + "\n}\n"

@@ -6,12 +6,23 @@ diametrical graph's multipartite decomposition, built recursively on each
 part. ``first_violating_triple`` scans every triple in point order, and
 ``prim_violating_triple`` replays the Prim pass on the distances themselves.
 All are cubic or worse and exist only to check the O(n^2) pass.
+
+``DiametricalGraph``, ``diametrical_graph``, ``multipartite_parts`` and
+``graph_to_dot`` are the name-set reference for ``umtk.diametrical``'s
+partner masks: one frozenset per edge, a complement search that asks
+``has_edge`` per pair, and a pair-by-pair check of the whole decomposition,
+cross-part pairs included.
 """
 from __future__ import annotations
 
-from umtk import diameter, diametrical_graph, multipartite_parts
-from umtk.errors import NotUltrametricError
+from dataclasses import dataclass
+
+import umtk
+from umtk import diameter
+from umtk.diametrical import MultipartitePartition
+from umtk.errors import NotMultipartiteError, NotUltrametricError, SpaceTooSmallError
 from umtk.reptree import RepNode, RepTree
+from umtk.spaces import FiniteSemimetricSpace, dot_string
 from umtk.treecanon import canon_code_labeled
 
 from tree_oracle import leaf, tree_of
@@ -67,7 +78,7 @@ def diametrical_tree(space) -> RepTree:
         if len(sub) == 1:
             return leaf(sub.points[0])
         children = []
-        for part in multipartite_parts(diametrical_graph(sub)).parts:
+        for part in umtk.multipartite_parts(umtk.diametrical_graph(sub)).parts:
             children.append(leaf(part[0]) if len(part) == 1 else build(sub.restrict(part)))
         children.sort(
             key=lambda c: (canon_code_labeled(tree_of(c)), _sorted_leaf_points(c))
@@ -75,3 +86,82 @@ def diametrical_tree(space) -> RepTree:
         return RepNode(diameter(sub), tuple(children))
 
     return tree_of(build(space))
+
+
+@dataclass(frozen=True)
+class DiametricalGraph:
+    vertices: tuple[str, ...]
+    edges: frozenset[frozenset[str]]
+
+    def has_edge(self, u: str, v: str) -> bool:
+        return frozenset((u, v)) in self.edges
+
+    def sorted_edges(self) -> list[tuple[str, str]]:
+        return sorted(tuple(sorted(e)) for e in self.edges)
+
+
+def diametrical_graph(space: FiniteSemimetricSpace) -> DiametricalGraph:
+    """Graph on the points whose edges are the pairs at distance diam(X)."""
+    n = len(space)
+    if n < 2:
+        raise SpaceTooSmallError(n)
+    top = len(space.spectrum) - 1  # the rank of the diameter
+    edges = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if space.ranks[i][j] == top:
+                edges.add(frozenset((space.points[i], space.points[j])))
+    return DiametricalGraph(space.points, frozenset(edges))
+
+
+def multipartite_parts(graph: DiametricalGraph) -> MultipartitePartition:
+    """Decompose a complete multipartite graph into its parts, or raise.
+
+    Parts are the connected components of the complement graph. The
+    decomposition is then checked in full: every intra-part pair must be a
+    non-edge and every cross-part pair an edge, and there must be at least
+    two parts. Any failure raises NotMultipartiteError.
+    """
+    verts = graph.vertices
+    unvisited = set(verts)
+    parts: list[list[str]] = []
+    while unvisited:
+        start = next(v for v in verts if v in unvisited)
+        comp = {start}
+        frontier = [start]
+        unvisited.discard(start)
+        while frontier:
+            u = frontier.pop()
+            for v in list(unvisited):
+                if not graph.has_edge(u, v):
+                    unvisited.discard(v)
+                    comp.add(v)
+                    frontier.append(v)
+        parts.append(sorted(comp))
+
+    if len(parts) < 2:
+        raise NotMultipartiteError("graph has no complete multipartite split into >= 2 parts")
+    for part in parts:
+        for a in part:
+            for b in part:
+                if a < b and graph.has_edge(a, b):
+                    raise NotMultipartiteError(f"edge inside a part: ({a!r}, {b!r})")
+    for i, pa in enumerate(parts):
+        for pb in parts[i + 1 :]:
+            for a in pa:
+                for b in pb:
+                    if not graph.has_edge(a, b):
+                        raise NotMultipartiteError(f"missing cross edge: ({a!r}, {b!r})")
+
+    ordered = tuple(tuple(p) for p in sorted(parts, key=lambda p: (len(p), p[0])))
+    return MultipartitePartition(ordered)
+
+
+def graph_to_dot(graph: DiametricalGraph) -> str:
+    lines = ["graph diametrical {"]
+    for v in sorted(graph.vertices):
+        lines.append(f"  {dot_string(v)};")
+    for a, b in graph.sorted_edges():
+        lines.append(f"  {dot_string(a)} -- {dot_string(b)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

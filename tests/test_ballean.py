@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 from fractions import Fraction as F
@@ -147,6 +148,26 @@ def test_hasse_dot_output(ultra3):
         "  b3 -> b4;\n"
         "}\n"
     )
+
+
+def _hasse_labels(space) -> dict[frozenset, str]:
+    diagram = hasse_diagram(enumerate_balls(space))
+    labels = re.findall(r'^  b\d+ \[label="(.*)"\];$', hasse_to_dot(diagram), flags=re.M)
+    return dict(zip(diagram.vertices, labels))
+
+
+def test_hasse_dot_labels_name_one_member_set():
+    # the one-point ball of a point named "a,b" and the two-point ball of
+    # points "a" and "b" once had the same label {a,b}
+    joined = _hasse_labels(space_from_pairs(("a,b", "c"), {("a,b", "c"): F(1)}))
+    apart = _hasse_labels(space_from_pairs(
+        ("a", "b", "c"), {("a", "b"): F(1), ("a", "c"): F(2), ("b", "c"): F(2)}))
+    assert joined[frozenset({"a,b"})] != apart[frozenset({"a", "b"})] == "{a,b}"
+    odd = ("%", "{x}", "x,", "%2C")
+    labels = _hasse_labels(space_from_pairs(odd, {(p, q): F(1) for i, p in enumerate(odd) for q in odd[i + 1 :]}))
+    assert labels[frozenset({"%2C"})] == "{%252C}"
+    every = {**joined, **apart, **labels}  # member set -> label
+    assert len(set(every.values())) == len(every)
 
 
 def test_ball_radii_range_over_spectrum(blocks4):

@@ -6,12 +6,16 @@ O(n^2) on a 2-vCPU machine.
 """
 import json
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 from umtk import (
     GenConfig,
+    build_tree,
     decide_weak_similarity,
+    diametrical_graph,
     is_ultrametric,
+    multipartite_parts,
     random_ultrametric,
     renamed_copy,
     space_to_json,
@@ -48,3 +52,22 @@ def test_late_violation_is_named_in_one_pass():
     assert time.perf_counter() - start < 10
     a, b, c = ultrametric_violation(space)
     assert space.distance(a, b) > max(space.distance(a, c), space.distance(c, b))
+
+
+def test_diametrical_parts_are_the_root_children_at_n_2048():
+    x = random_ultrametric(GenConfig(seed=1, n=2048, spectrum_pool=tuple(F(k) for k in range(1, 61))))
+    tracemalloc.start()
+    try:
+        parts = multipartite_parts(diametrical_graph(x)).parts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one partner mask per point is 2048 x 256 bytes; an edge set of
+    # frozensets took hundreds of MB here
+    assert peak < 32 * 2**20
+    # the paper: the parts are the leaf sets of the representing tree's root children
+    tree = build_tree(x)
+    starts = [*tree.children[0], len(tree)]  # a preorder subtree is a run of positions
+    leaves = [sorted(p for p, kids in zip(tree.points[a:b], tree.children[a:b]) if not kids)
+              for a, b in zip(starts, starts[1:])]
+    assert sorted(map(list, parts)) == sorted(leaves)
