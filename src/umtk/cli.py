@@ -16,9 +16,9 @@ import json
 import os
 import re
 import sys
-import threading
 from contextlib import contextmanager
 from itertools import accumulate
+from types import FunctionType
 
 from .balls import (
     ball_preserving_bijection,
@@ -106,10 +106,11 @@ def _emit_json(doc: object, out: str | None) -> None:
 # The deepest nesting of arrays and objects the reader takes: a tree document
 # of 5 000 levels, one object and its children list per level, then the leaf.
 MAX_NESTING = 2 * 5_000 + 1
-# json's C decoder takes about 150 bytes of stack per nesting level
-_DEEP_STACK = 64 << 20
 _STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
 _NOT_BRACKET = re.compile(r"[^][{}]+")
+# json's pure-Python scanner, taking ASCII digits only as the C one does ("\u0661" matches \d)
+_py_make_scanner = FunctionType(json.scanner.py_make_scanner.__code__, dict(
+    vars(json.scanner), NUMBER_RE=re.compile(json.scanner.NUMBER_RE.pattern.replace(r"\d", "[0-9]"))))
 
 
 def _nesting(text: str) -> int:
@@ -120,24 +121,23 @@ def _nesting(text: str) -> int:
 
 def _loads(text: str) -> object:
     """``json.loads``. A document past the recursion limit is decoded again,
-    up to MAX_NESTING, in one worker thread with a large stack and a raised
-    recursion limit; both are restored afterwards. Deeper ones raise
-    RecursionError."""
+    up to MAX_NESTING, with the limit raised: by json's C decoder where it
+    honours the limit (to 3.11), else by its pure-Python one, whose two frames
+    per level take no C stack from 3.11 on. Deeper ones raise RecursionError."""
     try:
         return json.loads(text)
     except RecursionError:
         if _nesting(text) > MAX_NESTING:
             raise
-    from concurrent.futures import ThreadPoolExecutor  # only deep documents need it
-
     limit = sys.getrecursionlimit()
-    stack = threading.stack_size(_DEEP_STACK)
-    sys.setrecursionlimit(max(limit, MAX_NESTING + 100))  # room for the thread's own frames
+    sys.setrecursionlimit(limit + 2 * MAX_NESTING + 100)
     try:
-        with ThreadPoolExecutor(1) as pool:
-            return pool.submit(json.loads, text).result()
+        return json.loads(text)
+    except RecursionError:  # 3.12 on: the C decoder stops at a fixed depth
+        decoder = json.JSONDecoder()
+        decoder.scan_once = _py_make_scanner(decoder)
+        return decoder.decode(text)
     finally:
-        threading.stack_size(stack)
         sys.setrecursionlimit(limit)
 
 

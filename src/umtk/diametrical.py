@@ -95,8 +95,10 @@ def graph_to_dot(graph: DiametricalGraph) -> str:
     order = sorted(range(n), key=graph.vertices.__getitem__)
     quoted = [dot_string(graph.vertices[i]) for i in order]
     lines = ["graph diametrical {", *(f"  {q};" for q in quoted)]
+    binary = bytes.maketrans(b"01", b"\0\1")
     for k, a in enumerate(order):
-        text = format(graph.near[a], f"0{n}b")[::-1]  # text[j] is bit j
-        later = compress(quoted[k + 1 :], map("1".__eq__, map(text.__getitem__, order[k + 1 :])))
-        lines += [f"  {quoted[k]} -- {b};" for b in later]
+        bits = format(graph.near[a], f"0{n}b")[::-1].encode().translate(binary)  # bits[j] is bit j
+        later = compress(quoted[k + 1 :], map(bits.__getitem__, order[k + 1 :]))
+        if edges := f";\n  {quoted[k]} -- ".join(later):  # one join per vertex; a quoted name is never ""
+            lines.append(f"  {quoted[k]} -- {edges};")
     return "\n".join(lines) + "\n}\n"

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -629,6 +630,61 @@ def test_tree_documents_up_to_the_depth_bound(tmp_path):
         assert handle.read(len(head)) == head
     (tmp_path / f"o{levels}.json").unlink()  # about 10^8 characters: one dotted path per node
     assert cli.MAX_NESTING == 2 * levels + 1
+
+
+def _c_depth_limit(text):
+    """``json.loads`` where its C decoder stops short of every document."""
+    raise RecursionError("maximum recursion depth exceeded while decoding a JSON array from a unicode string")
+
+
+def test_the_forced_pure_python_retry_writes_the_same_bytes(tmp_path, monkeypatch, capsys):
+    # with json.loads failing at any depth, every document takes the
+    # pure-Python retry, as deep ones do from 3.12 on
+    levels = 1500
+    a, b, long = (tmp_path / f"{name}.json" for name in ("a", "b", "long"))
+    a.write_text(_chain_text(levels, True))
+    b.write_text(_chain_text(levels, False))
+    long.write_text(_chain_text(levels, True).replace('"p0"', "7" * 5000))  # past the int digit limit
+    scanners, make_scanner = [], cli._py_make_scanner  # one scanner per document the retry reads
+    monkeypatch.setattr(cli, "_py_make_scanner", lambda decoder: scanners.append(decoder) or make_scanner(decoder))
+    outputs = []
+    for forced in (False, True):
+        with monkeypatch.context() as patch:
+            if forced:
+                patch.setattr(json, "loads", _c_depth_limit)
+                scanners.clear()
+            out = tmp_path / f"out_{forced}.json"
+            assert main(["tree-iso", "--labeled", "--out", str(out), str(a), str(b)]) == 0
+            assert main(["tree-iso", str(long), str(a)]) == 2
+        outputs.append(out.read_bytes())
+        assert capsys.readouterr() == ("", "error: FormatError: JSON number too long to read\n")
+    assert len(scanners) == 3  # a, b and long
+    assert outputs[0] == outputs[1]
+
+
+def test_deep_documents_are_read_in_the_calling_thread(tmp_path, monkeypatch, capsys):
+    def no_thread(thread):
+        raise AssertionError(f"started {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    docs = {
+        "a": _chain_text(1500, True),
+        "b": _chain_text(1500, False),
+        "too_deep": _chain_text(5001, True),
+        "not_json": "[" * cli.MAX_NESTING,  # past the C decoder's depth on every Python
+    }
+    for name, text in docs.items():
+        (tmp_path / name).write_text(text)
+    cases = [  # argv, exit code, stderr
+        (["tree-iso", "--labeled", "a", "b"], 0, ""),
+        (["tree-iso", "too_deep", "a"], 2, "error: FormatError: JSON nested too deeply\n"),
+        (["validate", "not_json"], 2, f"error: invalid JSON: Expecting value: line 1 column {cli.MAX_NESTING + 1} "
+                                      f"(char {cli.MAX_NESTING})\n"),
+    ]
+    limit = sys.getrecursionlimit()
+    for argv, code, err in cases:
+        assert main([argv[0], *(str(tmp_path / name) if name in docs else name for name in argv[1:])]) == code
+        assert (capsys.readouterr().err, sys.getrecursionlimit()) == (err, limit)
 
 
 @pytest.mark.parametrize(

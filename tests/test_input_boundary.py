@@ -6,13 +6,14 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import validation_oracle as oracle
-from umtk.cli import main
+from umtk.cli import _loads, main
 from umtk.errors import FormatError
 from umtk.spaces import space_from_json
 
@@ -217,3 +218,54 @@ def test_bad_entries_are_reported_like_the_fraction_parser(dist, tmp_path):
 def test_unhashable_entries_are_format_errors():
     with pytest.raises(FormatError, match="got list"):
         space_from_json({"points": ["p"], "dist": [[[1]]]})
+
+
+# JSON texts, written by hand so that they hold what json.dumps never writes:
+# NaN and the infinities, duplicate keys ("a" and "\u0061" are one key), lone
+# surrogates, and ints on either side of Python's 4 300-digit limit
+SCALAR_TEXTS = (
+    st.sampled_from(["null", "true", "false", "NaN", "Infinity", "-Infinity", "-0", "1e400", "-2.5E-3", '"\\ud800"'])
+    | st.integers().map(str)
+    | st.floats().map(json.dumps)
+    | st.text(max_size=4).map(json.dumps)
+    | st.text(max_size=4).map(lambda s: json.dumps(s, ensure_ascii=False))
+    | st.tuples(st.sampled_from(["", "-"]), st.integers(4290, 4310)).map(lambda pair: pair[0] + "7" * pair[1])
+)
+KEY_TEXTS = st.sampled_from(['"a"', '"\\u0061"', '"b"', '""'])
+JSON_TEXTS = st.recursive(
+    SCALAR_TEXTS,
+    lambda inner: st.lists(inner, max_size=3).map(lambda items: "[" + ", ".join(items) + "]")
+    | st.lists(st.tuples(KEY_TEXTS, inner), max_size=3).map(
+        lambda pairs: "{" + ", ".join(f"{key}: {value}" for key, value in pairs) + "}"),
+    max_leaves=8,
+)
+# a character taken from the text, put in, or put in its place: JSON's own
+# characters, controls, an escape, and digits that are not ASCII
+STRAYS = st.sampled_from(list('[]{}",:.-+eE07 \t\n\\utNIx\x00\x1f\u0661\uff11\ud800'))
+
+
+@st.composite
+def corrupted_texts(draw):
+    text = draw(JSON_TEXTS)
+    at = draw(st.integers(0, len(text)))
+    cut = draw(st.integers(0, 1)) if at < len(text) else 0
+    return text[:at] + draw(st.just("") | STRAYS) + text[at + cut :]
+
+
+def _decoded(loads, text):
+    """The value's repr (NaN equals itself there), or the exception's type and message."""
+    try:
+        return repr(loads(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=JSON_TEXTS | corrupted_texts())
+def test_the_pure_python_retry_decodes_as_json_loads(text):
+    # json.loads failing for depth, as it does from 3.12 on past a fixed depth,
+    # leaves every text to the reader's pure-Python retry. (A leading BOM is
+    # not tried: json.loads rejects it before decoding, so it never retries.)
+    loads = json.loads
+    with mock.patch.object(json, "loads", side_effect=RecursionError):
+        assert _decoded(_loads, text) == _decoded(loads, text)
