@@ -123,11 +123,13 @@ def _loads(text: str) -> object:
     """``json.loads``. A document past the recursion limit is decoded again,
     up to MAX_NESTING, with the limit raised: by json's C decoder where it
     honours the limit (to 3.11), else by its pure-Python one, whose two frames
-    per level take no C stack from 3.11 on. Deeper ones raise RecursionError."""
+    per level take no C stack from 3.11 on. Deeper ones raise RecursionError.
+    Its count of ``[`` and ``{`` bounds the nesting; only a document whose
+    count passes MAX_NESTING has its nesting measured by ``_nesting``."""
     try:
         return json.loads(text)
     except RecursionError:
-        if _nesting(text) > MAX_NESTING:
+        if text.count("[") + text.count("{") > MAX_NESTING and _nesting(text) > MAX_NESTING:
             raise
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + 2 * MAX_NESTING + 100)

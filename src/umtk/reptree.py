@@ -278,43 +278,47 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
     preorder, parses each distinct label literal once and fills the tree's
     arrays, labels as literals (leaves "0") ranked once at the end; then one
     ``validate_tree`` pass checks them, reporting the first structural defect
-    before any label defect. Nothing recurses.
+    before any label defect. Nothing recurses: the walk keeps one iterator
+    per open child list, beside the list its positions join, so a leaf is
+    read in place and only an internal node opens a list.
     """
     parsed = {"0": parse_rational("0")}  # literal -> value
     texts: list[str | None] = []
     points: list[str | None] = []
     children: list[Sequence[int]] = []
-    stack = [doc]
-    slots: list[list[int]] = [[]]  # the child list each stacked object's position joins
+    stack = [(iter((doc,)), [])]  # (an open child list's iterator, its positions)
     while stack:
-        obj = stack.pop()
-        slots.pop().append(len(texts))
-        if not isinstance(obj, dict):
-            raise FormatError("tree node must be a JSON object")
-        if "point" in obj:
-            if "children" in obj or "label" in obj:
-                raise FormatError("leaf nodes carry only a point")
-            point = obj["point"]
-            if not isinstance(point, str):
-                raise FormatError("leaf point must be a string")
-            texts.append("0")
-            points.append(point)
-            children.append(())
-            continue
-        if "children" not in obj:
-            raise FormatError('tree node needs "children" or "point"')
-        kids = obj["children"]
-        if not isinstance(kids, list) or not kids:
-            raise FormatError('"children" must be a non-empty list')
-        text = obj.get("label")
-        if "label" in obj and (not isinstance(text, str) or text not in parsed):
-            parsed[text] = parse_rational(text)  # no string is ever a key: it raises
-        mine: list[int] = []
-        texts.append(text)
-        points.append(None)
-        children.append(mine)
-        stack.extend(kids[::-1])
-        slots.extend([mine] * len(kids))
+        objs, mine = stack[-1]
+        for obj in objs:
+            mine.append(len(texts))
+            if not isinstance(obj, dict):
+                raise FormatError("tree node must be a JSON object")
+            if "point" in obj:
+                if "children" in obj or "label" in obj:
+                    raise FormatError("leaf nodes carry only a point")
+                point = obj["point"]
+                if not isinstance(point, str):
+                    raise FormatError("leaf point must be a string")
+                texts.append("0")
+                points.append(point)
+                children.append(())
+                continue
+            if "children" not in obj:
+                raise FormatError('tree node needs "children" or "point"')
+            kids = obj["children"]
+            if not isinstance(kids, list) or not kids:
+                raise FormatError('"children" must be a non-empty list')
+            text = obj.get("label")
+            if "label" in obj and (not isinstance(text, str) or text not in parsed):
+                parsed[text] = parse_rational(text)  # no string is ever a key: it raises
+            texts.append(text)
+            points.append(None)
+            opened: list[int] = []
+            children.append(opened)
+            stack.append((iter(kids), opened))
+            break
+        else:
+            stack.pop()
     check_point_names(filter(None, points))
     spectrum, ranks = rank_values(parsed.values())
     rank = dict(zip(parsed, ranks)).get  # no label: None

@@ -31,24 +31,27 @@ def _codes(
     each code is built once from its children's codes and no Python
     recursion is needed at any depth. A code is dropped once its parent's
     is built, so a deep chain holds a few codes at a time rather than one
-    per level. Each spectrum value is formatted once.
+    per level. Each spectrum value is formatted once, into a head and a
+    leaf code per rank, and a leaf's code is looked up, not built.
     """
     codes: list[bytes] = [b""] * len(labels)
     ordered: list[list[int] | None] = [None] * len(labels)
     code_of = codes.__getitem__
     heads = {r: b"(" + format_rational(v).encode() + b"|" for r, v in enumerate(spectrum or ())}
+    leaves = {r: head + b")" for r, head in heads.items()}
     for v in bottom_up:
+        kids = children[v]
+        if not kids:
+            code = codes[v] = b"()" if spectrum is None else leaves.get(labels[v])
+            if code is not None:
+                continue  # else the leaf has no head either, and raises below
         head = b"(" if spectrum is None else heads.get(labels[v])
         if head is None:
             raise InvalidTreeError("labeled code requested on an unlabeled node")
-        kids = children[v]
-        if kids:
-            order = ordered[v] = sorted(kids, key=code_of)
-            codes[v] = head + b"".join(map(code_of, order)) + b")"
-            for c in kids:
-                codes[c] = b""
-        else:
-            codes[v] = head + b")"
+        order = ordered[v] = sorted(kids, key=code_of)
+        codes[v] = head + b"".join(map(code_of, order)) + b")"
+        for c in kids:
+            codes[c] = b""
     return codes[v], ordered
 
 

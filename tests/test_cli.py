@@ -687,6 +687,53 @@ def test_deep_documents_are_read_in_the_calling_thread(tmp_path, monkeypatch, ca
         assert (capsys.readouterr().err, sys.getrecursionlimit()) == (err, limit)
 
 
+@pytest.fixture
+def too_deep_once(monkeypatch):
+    """Make the next ``json.loads`` fail for depth, as it does past the
+    recursion limit, and the ones after it decode."""
+    loads, calls = json.loads, []
+
+    def first_too_deep(text, **kwargs):
+        calls.append(text)
+        if len(calls) == 1:
+            raise RecursionError("maximum recursion depth exceeded while decoding a JSON object from a unicode string")
+        return loads(text, **kwargs)
+
+    monkeypatch.setattr(json, "loads", first_too_deep)
+
+
+@pytest.mark.parametrize("levels", [700, 3000])
+def test_a_bracket_count_within_the_bound_skips_the_nesting_scan(levels, monkeypatch, too_deep_once):
+    # a chain of k levels holds 3k + 1 brackets, within MAX_NESTING up to 3 333 levels
+    def no_scan(text):
+        raise AssertionError("_nesting ran")
+
+    monkeypatch.setattr(cli, "_nesting", no_scan)
+    text = _chain_text(levels, True)
+    assert text.count("[") + text.count("{") == 3 * levels + 1 <= cli.MAX_NESTING
+    assert oracle.same_json(cli._loads(text), oracle.chain_doc(levels, True))
+
+
+def test_brackets_inside_point_names_are_left_to_the_nesting_scan(monkeypatch, too_deep_once):
+    # 601 names of 18 brackets each pass MAX_NESTING alone; the nesting,
+    # 1 201, is within it
+    scanned, nesting = [], cli._nesting
+    monkeypatch.setattr(cli, "_nesting", lambda text: scanned.append(nesting(text)) or scanned[-1])
+    prefix = "[{" * 9
+    text = _chain_text(600, True).replace('"point": "p', f'"point": "{prefix}p')
+    assert 601 * len(prefix) > cli.MAX_NESTING
+    value = oracle.chain_doc(600, True)
+    stack = [value]
+    while stack:
+        node = stack.pop()
+        if "point" in node:
+            node["point"] = prefix + node["point"]
+        else:
+            stack += node["children"]
+    assert oracle.same_json(cli._loads(text), value)
+    assert scanned == [2 * 600 + 1]
+
+
 @pytest.mark.parametrize(
     "exc, code, prefix",
     [

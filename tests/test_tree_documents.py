@@ -381,16 +381,21 @@ def test_one_label_off_fails_only_the_labeled_check():
         assert not oracle.check_iso_map(t1, moved, nodes, True)
 
 
-def _chain_doc(depth, leaf_first):
-    node = {"point": "p0"}
-    for k in range(1, depth + 1):
-        kids = [{"point": f"p{k}"}, node]
-        node = {"label": str(k), "children": kids if leaf_first else kids[::-1]}
-    return node
+def test_labeled_codes_need_a_label_on_every_node():
+    # an internal node without a label, as an unlabeled document may have,
+    # and a leaf without one, which only a hand-built tree can have
+    bare = tree_from_json({"label": "2", "children": [{"children": [{"point": "a"}, {"point": "b"}]},
+                                                      {"point": "c"}]}, labeled=False)
+    assert bare.labels[1] is None
+    leafless = RepTree([1, None, 0], [None, "a", "b"], [[1, 2], [], []], (F(0), F(1)))
+    for tree, shape in ((bare, b"((()())())"), (leafless, b"(()())")):
+        with pytest.raises(InvalidTreeError, match="^labeled code requested on an unlabeled node$"):
+            canon_code_labeled(tree)
+        assert canon_code_unlabeled(tree) == shape
 
 
 def test_ten_thousand_levels_without_recursion(recursion_headroom):
-    d1, d2 = _chain_doc(10_000, True), _chain_doc(10_000, False)
+    d1, d2 = oracle.chain_doc(10_000, True), oracle.chain_doc(10_000, False)
     with recursion_headroom(40):
         t1, t2 = tree_from_json(d1), tree_from_json(d2)
         validate_tree(t1, labeled=True)
@@ -429,26 +434,6 @@ def test_tree_prints_a_deep_chain(tmp_path):
     assert text.count('"point"') == n and text.endswith("}\n")
 
 
-def _same_json(a, b):
-    """``a == b`` for JSON values, walked with a stack instead of recursion."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, dict):
-            if x.keys() != y.keys():
-                return False
-            stack += ((x[k], y[k]) for k in x)
-        elif isinstance(x, list):
-            if len(x) != len(y):
-                return False
-            stack += zip(x, y)
-        elif x != y:
-            return False
-    return True
-
-
 def test_tree_to_json_of_a_deep_chain(recursion_headroom):
     n = 1100
     rows = [["0" if a == b else str(n - min(a, b)) for b in range(n)] for a in range(n)]
@@ -461,9 +446,9 @@ def test_tree_to_json_of_a_deep_chain(recursion_headroom):
     # on no recursion limit lets them through 2 201 levels: the reader decodes
     # and the comparison walks with a stack
     decoded = _loads(text)
-    assert _same_json(encoded, decoded)
+    assert oracle.same_json(encoded, decoded)
     node = decoded
     while "children" in node:
         node = next((kid for kid in node["children"] if "children" in kid), node["children"][0])
     node["point"] += "'"
-    assert not _same_json(encoded, decoded)
+    assert not oracle.same_json(encoded, decoded)

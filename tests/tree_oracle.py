@@ -19,7 +19,8 @@ hand, and ``tree_of`` lays a nested tree out as the preorder arrays of a
 ``reptree.tree_to_text`` is compared with; it builds the document bottom-up,
 so it does not recurse. ``tree_iso_text`` is the reference writer of the
 ``umtk tree-iso`` document: the map as one dict of dotted paths, encoded by
-``json.dumps(..., indent=2)``.
+``json.dumps(..., indent=2)``. ``chain_doc`` builds a chain document of any
+depth, and ``same_json`` compares two JSON values of any depth with a stack.
 """
 from __future__ import annotations
 
@@ -76,6 +77,36 @@ def tree_to_json(tree: RepTree) -> dict:
         doc["children"] = [docs[c] for c in kids]
         docs[v] = doc
     return docs[0]
+
+
+def chain_doc(depth: int, leaf_first: bool) -> dict:
+    """A chain tree document of ``depth`` levels, built level by level: level
+    k holds the leaf ``pk`` and the level below, leaf first or last."""
+    node: dict = {"point": "p0"}
+    for k in range(1, depth + 1):
+        kids = [{"point": f"p{k}"}, node]
+        node = {"label": str(k), "children": kids if leaf_first else kids[::-1]}
+    return node
+
+
+def same_json(a, b) -> bool:
+    """``a == b`` for JSON values, walked with a stack instead of recursion."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, dict):
+            if x.keys() != y.keys():
+                return False
+            stack += ((x[k], y[k]) for k in x)
+        elif isinstance(x, list):
+            if len(x) != len(y):
+                return False
+            stack += zip(x, y)
+        elif x != y:
+            return False
+    return True
 
 
 def node_paths(tree: RepTree) -> list[str]:
