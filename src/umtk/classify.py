@@ -18,12 +18,12 @@ upgrade the shape isomorphism to a weak similarity: X is an inner chain, or
 both spaces have distinct labels and uniform last levels. Under either, the
 trees labeled by label rank are equal up to child order (a chain ranked
 1..k, or m stars ranked 1..m under a chain ranked above m), so the witness
-is the rank-keeping tree map of the weak-similarity decision
-(``similarity._tree_isometry``). Conversely, ``adversarial_relabeling``
-shows the chain hypothesis is sharp: for any X that is not an inner chain
-it produces a space with the same tree shape but a different spectrum size,
-hence not weakly similar to X. Both the class report and the relabeling
-read the tree's levels through one top-down walk, ``_inner_levels``.
+is the one ``similarity.decide_weak_similarity`` returns, verified there.
+Conversely, ``adversarial_relabeling`` shows the chain hypothesis is sharp:
+for any X that is not an inner chain it produces a space with the same tree
+shape but a different spectrum size, hence not weakly similar to X. Both
+the class report and the relabeling read the tree's levels through one
+top-down walk, ``_inner_levels``.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .errors import InapplicableError, VerificationFailedError
 from .reptree import RepTree, build_tree, space_from_tree
-from .similarity import WeakSimWitness, _tree_isometry, verify_weak_similarity
+from .similarity import WeakSimWitness, decide_weak_similarity
 from .spaces import FiniteSemimetricSpace, format_rational, rank_values, spectrum
 from .treecanon import canon_code_unlabeled
 
@@ -132,25 +132,23 @@ def witness_from_unlabeled_iso(
     send the i-th largest label of X to the i-th largest of Y. When both
     spaces have distinct labels and uniform last levels, the same label-rank
     pairing extends to the sibling fans at the last internal level. Either
-    way the pairing is the tree map that keeps label ranks. Outside those
-    hypotheses returns INAPPLICABLE. Produced witnesses are verified.
+    way the pairing is the tree map that keeps label ranks, so the witness is
+    the verified one of ``decide_weak_similarity``. Outside those hypotheses
+    returns INAPPLICABLE.
     """
     tx, ty = build_tree(x), build_tree(y)
     cx, cy = _classify_tree(tx), _classify_tree(ty)
     applicable = cx.inner_chain or all(
         c.distinct_labels and c.uniform_last_level for c in (cx, cy)
     )
-    # the k-th label of X goes to the k-th of Y: the scaling is the rank map,
-    # and the tree map keeps ranks; the shape codes only name a pair with no
-    # map, and with equal shapes the empty map fails the re-check
-    phi = _tree_isometry(tx, ty) if applicable else None
-    if phi is None and canon_code_unlabeled(tx) != canon_code_unlabeled(ty):
+    # the shape codes only name a pair with no witness
+    witness = decide_weak_similarity(x, y) if applicable else None
+    if witness is None and canon_code_unlabeled(tx) != canon_code_unlabeled(ty):
         return NOT_ISOMORPHIC_SHAPES
     if not applicable:
         return INAPPLICABLE
-    witness = WeakSimWitness(tuple(zip(x.spectrum, y.spectrum)), phi or {})
-    if not verify_weak_similarity(x, y, witness):
-        raise VerificationFailedError("shape-derived witness failed re-check")
+    if witness is None:
+        raise VerificationFailedError("shape-isomorphic pair is not weakly similar")
     return witness
 
 

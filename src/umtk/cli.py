@@ -30,7 +30,7 @@ from .balls import (
     hasse_to_dot,
     hasse_to_json,
 )
-from .classify import classify_space
+from .classify import CLASS_CODES, classify_space
 from .diametrical import (
     diametrical_graph,
     graph_to_dot,
@@ -279,26 +279,30 @@ def _cmd_tree_iso(args) -> int:
     return 0
 
 
-def _cmd_isometric(args) -> int:
+def _decide_pair(args, decide, message: str, to_json) -> int:
+    """Load spaces A and B and write ``to_json(decide(A, B), A.points)``; a
+    ``None`` decision exits 1 with ``message``. Each handler passes its
+    library call as it is bound in this module when the handler runs."""
     x = _load_space(args.a)
     y = _load_space(args.b)
-    witness = decide_isometry(x, y)
+    witness = decide(x, y)
     if witness is None:
-        _diag("spaces are not isometric")
+        _diag(message)
         return 1
-    _emit_json({"phi": {p: witness.phi[p] for p in x.points}}, args.out)
+    _emit_json(to_json(witness, x.points), args.out)
     return 0
+
+
+def _phi_json(phi: dict[str, str], points: tuple[str, ...]) -> dict:
+    return {"phi": {p: phi[p] for p in points}}
+
+
+def _cmd_isometric(args) -> int:
+    return _decide_pair(args, decide_isometry, "spaces are not isometric", lambda w, points: _phi_json(w.phi, points))
 
 
 def _cmd_weaksim(args) -> int:
-    x = _load_space(args.a)
-    y = _load_space(args.b)
-    witness = decide_weak_similarity(x, y)
-    if witness is None:
-        _diag("spaces are not weakly similar")
-        return 1
-    _emit_json(weak_sim_witness_to_json(witness, x.points), args.out)
-    return 0
+    return _decide_pair(args, decide_weak_similarity, "spaces are not weakly similar", weak_sim_witness_to_json)
 
 
 def _cmd_classify(args) -> int:
@@ -321,25 +325,14 @@ def _cmd_hasse(args) -> int:
 
 
 def _cmd_hasse_iso(args) -> int:
-    hx = hasse_diagram(enumerate_balls(_load_space(args.a)))
-    hy = hasse_diagram(enumerate_balls(_load_space(args.b)))
-    iso = hasse_digraph_iso(hx, hy)
-    if iso is None:
-        _diag("Hasse diagrams are not isomorphic")
-        return 1
-    _emit_json(hasse_iso_to_json(iso), args.out)
-    return 0
+    def decide(x, y):
+        return hasse_digraph_iso(hasse_diagram(enumerate_balls(x)), hasse_diagram(enumerate_balls(y)))
+
+    return _decide_pair(args, decide, "Hasse diagrams are not isomorphic", lambda iso, _: hasse_iso_to_json(iso))
 
 
 def _cmd_ballpreserving(args) -> int:
-    x = _load_space(args.a)
-    y = _load_space(args.b)
-    mapping = ball_preserving_bijection(x, y)
-    if mapping is None:
-        _diag("no ball-preserving bijection exists")
-        return 1
-    _emit_json({"phi": {p: mapping[p] for p in x.points}}, args.out)
-    return 0
+    return _decide_pair(args, ball_preserving_bijection, "no ball-preserving bijection exists", _phi_json)
 
 
 def _cmd_gen(args) -> int:
@@ -421,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--class",
         dest="force_class",
-        choices=("R", "Rtilde", "D", "T", "any"),
+        choices=(*CLASS_CODES, "any"),
         default="any",
         help="force a tree-structural class",
     )

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .classify import CLASS_CODES
 from .errors import InfeasibleConstraintsError, TooLargeError
 from .reptree import RepTree, build_tree, space_from_tree
 from .similarity import (
@@ -35,7 +36,7 @@ DEFAULT_POOL: tuple[Fraction, ...] = tuple(Fraction(k) for k in range(1, 7))
 
 _ZERO = Fraction(0)
 
-FORCE_CHOICES = (None, "R", "Rtilde", "D", "T")
+FORCE_CHOICES = (None, *CLASS_CODES)
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ class GenConfig:
     """Deterministic generation parameters.
 
     ``spectrum_pool`` is the set of candidate distance values; only its
-    positive members are used for labels. ``force_class`` is one of
-    None/"R"/"Rtilde"/"D"/"T" (the classify report's class codes).
+    positive members are used for labels. ``force_class`` is None or one of
+    ``classify.CLASS_CODES``.
     """
 
     seed: int = 0
@@ -111,10 +112,12 @@ def _free_tree(rng: random.Random, n: int, max_rank: int, pool: list[Fraction], 
     return pts.join(label, children)
 
 
-def _chain_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Points) -> int:
-    # One internal node per level; every chain node keeps >= 1 leaf sibling
-    # for its inner child, the bottom node holds >= 2 leaves.
-    m = rng.randint(1, min(n - 1, len(pool)))
+def _chain_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Points, m: int | None = None) -> int:
+    # One internal node per level, m of them (drawn when not given); every
+    # chain node keeps >= 1 leaf sibling for its inner child, the bottom node
+    # holds >= 2 leaves. With m = n - 1 it is the strictly binary chain.
+    if m is None:
+        m = rng.randint(1, min(n - 1, len(pool)))
     labels = sorted(rng.sample(pool, m), reverse=True)
     counts = [1] * (m - 1) + [2]
     for _ in range(n - (m + 1)):
@@ -124,22 +127,6 @@ def _chain_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Points) 
         kids = [pts.next() for _ in range(counts[level])]
         if node is not None:
             kids.append(node)
-        node = pts.join(labels[level], kids)
-    assert node is not None
-    return node
-
-
-def _binary_chain_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Points) -> int:
-    m = n - 1
-    if m > len(pool):
-        raise InfeasibleConstraintsError(
-            f"a strictly binary chain with {n} leaves needs {m} distinct labels"
-        )
-    labels = sorted(rng.sample(pool, m), reverse=True)
-    node: int | None = None
-    for level in range(m - 1, -1, -1):
-        kids = [pts.next()]
-        kids.append(node if node is not None else pts.next())
         node = pts.join(labels[level], kids)
     assert node is not None
     return node
@@ -207,7 +194,12 @@ def random_ultrametric(config: GenConfig) -> FiniteSemimetricSpace:
     elif config.force_class == "Rtilde":
         _chain_tree(rng, config.n, pool, pts)
     elif config.force_class == "R":
-        _binary_chain_tree(rng, config.n, pool, pts)
+        m = config.n - 1
+        if m > len(pool):
+            raise InfeasibleConstraintsError(
+                f"a strictly binary chain with {config.n} leaves needs {m} distinct labels"
+            )
+        _chain_tree(rng, config.n, pool, pts, m)
     elif config.force_class == "D":
         # free trees can carry more internal nodes than the pool has labels;
         # retry a few times, then fall back to a chain (always in D)

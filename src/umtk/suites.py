@@ -22,6 +22,7 @@ from .balls import (
     verify_ball_preserving,
 )
 from .classify import (
+    CLASS_CODES,
     WeakSimWitness,
     adversarial_relabeling,
     classify_space,
@@ -127,7 +128,7 @@ def _random_space(
 
 
 def _forced_class(rng: random.Random, n: int) -> str | None:
-    force = rng.choice((None, None, "R", "Rtilde", "D", "T"))
+    force = rng.choice((None, None, *CLASS_CODES))
     if force == "R" and n - 1 > len(GenConfig().spectrum_pool):
         force = "Rtilde"  # a strictly binary chain cannot fit this many leaves
     return force
@@ -148,24 +149,25 @@ def _ultra_stream(seed: int, trials: int, max_n: int, tag: str, n_lo: int = 1):
         yield i, _random_space(rng, _seed_for(seed, i), n, True, _forced_class(rng, n))
 
 
-def _mixed_pairs(seed: int, trials: int, max_n: int, tag: str):
+def _mixed_pairs(seed: int, trials: int, max_n: int, tag: str, ultra_only: bool = False):
     """Pairs mixing ultrametric/semimetric inputs with engineered relations.
 
     Modes: unrelated draws; a renamed copy (always positive for every
     relation); a rank-relabeled renamed copy (weakly similar, not isometric
     unless the stretch is trivial); a same-shape relabeling (ultrametric
-    inputs only).
+    inputs only). With ``ultra_only`` every space is ultrametric, and the
+    coin flips that pick the kind of space are not drawn.
     """
     for i in range(trials):
         rng = random.Random(f"{seed}:{tag}:{i}")
         n = rng.randint(1, max_n)
         iseed = _seed_for(seed, i)
-        ultra = rng.random() < 0.5
+        ultra = ultra_only or rng.random() < 0.5
         base = _random_space(rng, iseed, n, ultra)
         mode = rng.choice(("unrelated", "copy", "rank-relabel", "shape-relabel"))
         if mode == "unrelated":
             other = _random_space(
-                rng, iseed + 7919, rng.randint(1, max_n), rng.random() < 0.5
+                rng, iseed + 7919, rng.randint(1, max_n), ultra_only or rng.random() < 0.5
             )
         elif mode == "copy":
             other, _ = renamed_copy(base, iseed)
@@ -192,6 +194,22 @@ def _weaksim_pairs(seed: int, trials: int, max_n: int):
     if not positive:
         copy, _ = renamed_copy(first, _seed_for(seed, trials))
         yield trials, first, copy, decide_weak_similarity(first, copy)
+
+
+def _check_shape_witness(rec: _Recorder, i: int, x: FiniteSemimetricSpace, y: FiniteSemimetricSpace) -> bool:
+    """Check that the unlabeled shapes of X and Y give a weak similarity and
+    that it verifies; True if they gave one."""
+    outcome = witness_from_unlabeled_iso(x, y)
+    found = rec.check(
+        isinstance(outcome, WeakSimWitness),
+        f"trial {i}: no witness from the unlabeled shape ({outcome})",
+    )
+    if found:
+        rec.check(
+            verify_weak_similarity(x, y, outcome),
+            f"trial {i}: shape-derived witness does not verify",
+        )
+    return found
 
 
 # --- the ten suites -----------------------------------------------------------
@@ -259,22 +277,7 @@ def isometry_agreement_suite(
     rec = _Recorder("isometry-oracle")
     count = _trial_count(trials, 200)
     top = _cap(max_n, 7)
-    for i in range(count):
-        rng = random.Random(f"{seed}:iso:{i}")
-        n = rng.randint(1, top)
-        iseed = _seed_for(seed, i)
-        x = _random_space(rng, iseed, n, True)
-        mode = rng.choice(("unrelated", "copy", "shape-relabel", "rank-relabel"))
-        if mode == "unrelated":
-            y = _random_space(rng, iseed + 7919, rng.randint(1, top), True)
-        elif mode == "copy":
-            y, _ = renamed_copy(x, iseed)
-        elif mode == "shape-relabel":
-            y, _ = renamed_copy(random_relabeled(x, iseed), iseed)
-        else:
-            y, _ = renamed_copy(
-                rank_relabel(x, _stretched_target(spectrum(x), rng)), iseed
-            )
+    for i, x, y in _mixed_pairs(seed, count, top, "iso", ultra_only=True):
         rec.tick()
         witness = decide_isometry(x, y)
         oracle = oracle_isometry(x, y)
@@ -341,16 +344,7 @@ def chain_shape_witness_suite(
         ):
             continue
         y, _ = renamed_copy(random_relabeled(x, iseed), iseed)
-        outcome = witness_from_unlabeled_iso(x, y)
-        if not rec.check(
-            isinstance(outcome, WeakSimWitness),
-            f"trial {i}: no witness from the unlabeled shape ({outcome})",
-        ):
-            continue
-        rec.check(
-            verify_weak_similarity(x, y, outcome),
-            f"trial {i}: shape-derived witness does not verify",
-        )
+        _check_shape_witness(rec, i, x, y)
     for i in range(count):
         rng = random.Random(f"{seed}:chainconv:{i}")
         iseed = _seed_for(seed, i) + 104_729
@@ -404,16 +398,8 @@ def fan_shape_witness_suite(
             ry.distinct_labels and ry.uniform_last_level,
             f"trial {i}: relabeling left the class",
         )
-        outcome = witness_from_unlabeled_iso(x, y)
-        if not rec.check(
-            isinstance(outcome, WeakSimWitness),
-            f"trial {i}: no witness from the unlabeled shape ({outcome})",
-        ):
+        if not _check_shape_witness(rec, i, x, y):
             continue
-        rec.check(
-            verify_weak_similarity(x, y, outcome),
-            f"trial {i}: shape-derived witness does not verify",
-        )
         rec.check(
             decide_weak_similarity(x, y) is not None,
             f"trial {i}: general decision disagrees",

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from umtk import rank_relabel, space_from_pairs
+from umtk.search import match
 from umtk.treecanon import rooted_tree_iso_map
 
 
@@ -89,6 +90,21 @@ def leaf_swapping_iso_map():
         b = next(v for v in leaves if parent[v] != parent[a])
         psi[a], psi[b] = psi[b], psi[a]
         return psi
+
+    return swapped
+
+
+@pytest.fixture
+def image_swapping_match():
+    """A broken ``search.match``: the real assignment, with the images of its
+    first two sources swapped."""
+
+    def swapped(*args):
+        assignment = match(*args)
+        if assignment is not None:
+            first, second = list(assignment)[:2]
+            assignment[first], assignment[second] = assignment[second], assignment[first]
+        return assignment
 
     return swapped
 

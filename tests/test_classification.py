@@ -21,8 +21,8 @@ from umtk import (
     verify_weak_similarity,
     witness_from_unlabeled_iso,
 )
-from umtk import treecanon
-from umtk.errors import InapplicableError, NotUltrametricError
+from umtk import similarity, treecanon
+from umtk.errors import InapplicableError, NotUltrametricError, VerificationFailedError
 
 import tree_oracle as oracle
 from tree_oracle import rank_aligned_pairing
@@ -156,6 +156,13 @@ def test_a_positive_shape_witness_codes_each_tree_once(monkeypatch):
     assert isinstance(witness_from_unlabeled_iso(x, y), WeakSimWitness)
     # the two labeled codes of the tree map; no shape codes on a positive
     assert len(calls) == 2
+
+
+def test_shape_witness_re_checks_the_tree_map(blocks4, blocks4_swapped, leaf_swapping_iso_map, monkeypatch):
+    assert isinstance(witness_from_unlabeled_iso(blocks4, blocks4_swapped), WeakSimWitness)
+    monkeypatch.setattr(similarity, "rooted_tree_iso_map", leaf_swapping_iso_map)
+    with pytest.raises(VerificationFailedError):
+        witness_from_unlabeled_iso(blocks4, blocks4_swapped)
 
 
 def test_shape_witness_sentinels(ultra3, blocks4, blocks5):

@@ -241,6 +241,36 @@ def test_weaksim_re_checks_the_tree_map(
     assert out.err.startswith("error: VerificationFailed")
 
 
+@pytest.mark.parametrize("command", ["isometric", "weaksim"])
+def test_pair_decisions_re_check_the_search_map(
+    command, tmp_path, semi3, semi3_variant, image_swapping_match, monkeypatch, capsys
+):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(space_to_text(semi3))
+    b.write_text(space_to_text(semi3_variant))
+    assert main([command, str(a), str(b)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(similarity, "match", image_swapping_match)
+    assert main([command, str(a), str(b)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: VerificationFailed")
+
+
+@pytest.mark.parametrize("command, a, b, message", [
+    ("isometric", "ultra3", "ultra3_scaled", "spaces are not isometric"),
+    ("weaksim", "ultra3", "blocks4", "spaces are not weakly similar"),
+    ("hasse-iso", "ultra3", "semi3", "Hasse diagrams are not isomorphic"),
+    ("ballpreserving", "ultra3", "semi3", "no ball-preserving bijection exists"),
+])
+def test_pair_command_negatives(command, a, b, message, paths, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    for argv in ([command, paths[a], paths[b]], [command, "--out", str(out), paths[a], paths[b]]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_isometric(paths, capsys):
     assert main(["isometric", paths["ultra3"], paths["ultra3"]]) == 0
     assert json.loads(capsys.readouterr().out)["phi"] == {"p": "p", "q": "q", "r": "r"}

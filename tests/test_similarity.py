@@ -26,7 +26,7 @@ from umtk import (
     weak_sim_witness_to_json,
 )
 from umtk import reptree, similarity, spaces
-from umtk.errors import FormatError
+from umtk.errors import FormatError, VerificationFailedError
 
 
 def test_forced_scaling_is_the_rank_map(ultra3, ultra3_scaled, blocks4):
@@ -195,6 +195,14 @@ def test_decisions_do_not_lean_on_the_tree_cache(decide, monkeypatch):
     monkeypatch.setattr(similarity, "build_tree", reptree.build_tree.__wrapped__)
     x, y, calls = _prim_calls(decide, monkeypatch)
     assert len(calls) == 2 and calls[0] is x and calls[1] is y
+
+
+@pytest.mark.parametrize("decide", [decide_isometry, decide_weak_similarity])
+def test_a_wrong_search_map_fails_the_re_check(decide, semi3, semi3_variant, image_swapping_match, monkeypatch):
+    assert decide(semi3, semi3_variant) is not None
+    monkeypatch.setattr(similarity, "match", image_swapping_match)
+    with pytest.raises(VerificationFailedError):
+        decide(semi3, semi3_variant)
 
 
 def test_tree_map_between_spectra_of_different_sizes_is_none():
