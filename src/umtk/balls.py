@@ -16,16 +16,21 @@ each vertex's predecessors and ``treecanon``'s pairing walk pairs the two
 diagrams in place. Otherwise color refinement and the matching search of
 ``search.match`` run. A Hasse isomorphism restricted to the zero-indegree
 vertices (the one-point balls) always yields a ball-preserving point
-bijection, which is re-verified before being returned.
+bijection, which is re-verified before being returned. A point's ball
+profile, the sizes of the balls that contain it, is kept by every
+ball-preserving bijection; where the profiles of X are pairwise distinct
+they force the one candidate, and a verified candidate is returned without
+building either diagram (never for ultrametric spaces of two or more
+points: the leaves under the deepest inner node share every ball).
 """
 from __future__ import annotations
 
-from collections import UserDict
+from collections import Counter, UserDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, groupby, repeat
 from operator import and_
 
 from .errors import NotABijectionError, VerificationFailedError
@@ -58,6 +63,16 @@ class Ballean:
         pts, values = self.space.points, self.space.spectrum
         return tuple(Ball(frozenset(map(pts.__getitem__, members)), pts[t], values[r])
                      for members, (t, r) in zip(self.members, self.witnesses))
+
+    @cached_property
+    def profiles(self) -> tuple[tuple[int, ...], ...]:
+        """Each point's ball profile: the sizes of the balls that contain it,
+        in ballean order, as flat (size, count) runs."""
+        runs: list[list[int]] = [[] for _ in self.bits]
+        for size, group in groupby(self.members, len):
+            for p, count in Counter(chain.from_iterable(group)).items():
+                runs[p] += size, count
+        return tuple(map(tuple, runs))
 
 
 @lru_cache(maxsize=None)
@@ -318,13 +333,22 @@ def ball_preserving_bijection(
 ) -> dict[str, str] | None:
     """Point bijection whose ball images/preimages are balls, or None.
 
-    Exists iff the Hasse diagrams are isomorphic; the map is read off a
-    diagram isomorphism restricted to the zero-indegree vertices (the
-    one-point balls) and then re-verified in full.
+    Such a map keeps each point's ball profile, so when X's profiles are
+    pairwise distinct and Y's are the same set, the one map that pairs equal
+    profiles is returned if it verifies. Otherwise the map exists iff the
+    Hasse diagrams are isomorphic; it is read off a diagram isomorphism
+    restricted to the zero-indegree vertices (the one-point balls) and then
+    re-verified in full.
     """
     bx, by = enumerate_balls(x), enumerate_balls(y)
     if len(bx.masks) != len(by.masks):
         return None
+    profiles = set(bx.profiles)
+    if len(profiles) == len(x.points) == len(y.points) and profiles == set(by.profiles):
+        at = dict(zip(by.profiles, y.points))
+        forced = dict(zip(x.points, map(at.__getitem__, bx.profiles)))
+        if verify_ball_preserving(bx, by, forced)[0]:
+            return forced
     hx, hy = hasse_diagram(bx), hasse_diagram(by)
     iso = hasse_digraph_iso(hx, hy)
     if iso is None:

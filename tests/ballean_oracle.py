@@ -2,6 +2,8 @@
 
 ``enumerate_balls`` sweeps every centre over the whole spectrum, and
 ``hasse_diagram`` tests every triple of balls for a ball strictly between.
+``singleton_map`` reads a point map off a diagram isomorphism's one-point
+sets, as ``ball_preserving_bijection``'s Hasse route does.
 ``joint_refine`` refines tuple colours, ``search_assignment`` is the
 recursive backtracking search that checks each candidate against every
 assigned pair, and ``verify_ball_preserving`` maps member ``frozenset``s.
@@ -176,6 +178,12 @@ def search_assignment(h1, h2) -> dict[int, int] | None:
         return False
 
     return assignment if extend(0) else None
+
+
+def singleton_map(iso) -> dict[str, str]:
+    """The point map of a diagram isomorphism read as member set -> member
+    set, restricted to the one-point sets."""
+    return {min(a): min(b) for a, b in iso.items() if len(a) == 1}
 
 
 def verify_ball_preserving(x, y, mapping: dict[str, str]):

@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from ballean_oracle import singleton_map
 
 from umtk import (
     GenConfig,
@@ -211,6 +212,20 @@ def test_ball_preserving_search_deeper_than_the_recursion_limit():
     assert time.perf_counter() - start < 5
     assert phi is not None
     assert verify_ball_preserving(enumerate_balls(x), enumerate_balls(y), phi)[0]
+
+
+def test_hasse_search_deeper_than_the_recursion_limit():
+    # the pair above has pairwise distinct ball profiles, so the decision
+    # takes the forced map; the diagram search still assigns its 1000+
+    # vertices one level each and restricts to that same map
+    pool = tuple(F(v) for v in range(1, 49))
+    x = random_semimetric(GenConfig(seed=40, n=40, spectrum_pool=pool))
+    y, _ = renamed_copy(x, seed=3)
+    hx, hy = hasse_diagram(enumerate_balls(x)), hasse_diagram(enumerate_balls(y))
+    assert len(hx.masks) > 1000
+    iso = hasse_digraph_iso(hx, hy)
+    assert iso is not None
+    assert singleton_map(iso) == ball_preserving_bijection(x, y)
 
 
 def test_deep_chain_ballean_and_ball_preserving_map():

@@ -5,9 +5,11 @@ import sys
 from fractions import Fraction as F
 
 import ballean_oracle as oracle
+import pytest
 
 from umtk import (
     GenConfig,
+    ball_preserving_bijection,
     balls,
     enumerate_balls,
     hasse_diagram,
@@ -15,7 +17,9 @@ from umtk import (
     random_relabeled,
     random_semimetric,
     random_ultrametric,
+    rank_relabel,
     renamed_copy,
+    space_from_pairs,
     verify_ball_preserving,
 )
 from umtk.balls import HasseDiagram
@@ -188,3 +192,109 @@ def test_tree_branch_pairs_like_the_shape_tree_reference():
             assert hasse_digraph_iso(hx, hy).assignment == oracle.shape_tree_assignment(hx, hy)
             pairs += 1
     assert pairs >= 300
+
+
+def _hasse_route(x, y):
+    """The map the Hasse route gives: a diagram isomorphism restricted to the
+    one-point balls, or None."""
+    bx, by = enumerate_balls(x), enumerate_balls(y)
+    if len(bx.masks) != len(by.masks):
+        return None
+    iso = hasse_digraph_iso(hasse_diagram(bx), hasse_diagram(by))
+    return None if iso is None else oracle.singleton_map(iso)
+
+
+def _cycle(n):
+    """The {1, 2}-space of the n-cycle: distance 1 between neighbours."""
+    pts = tuple(f"c{k}" for k in range(n))
+    return space_from_pairs(
+        pts, {(pts[a], pts[b]): F(1 if (b - a) % n in (1, n - 1) else 2) for a in range(n) for b in range(a + 1, n)}
+    )
+
+
+def _route_pairs():
+    """Semimetric pairs over four pools against a renamed, a stretched and an
+    unrelated partner; ultrametric pairs; shuffled cycles."""
+    pools = [tuple(F(v) for v in range(1, top + 1)) for top in (3, 4, 8, 48)]
+    for seed in range(120):
+        pool = pools[seed % 4]
+        n = 1 + seed % 20
+        x = random_semimetric(GenConfig(seed=seed, n=n, spectrum_pool=pool))
+        stretched = rank_relabel(x, tuple(F(k * k) for k in range(len(x.spectrum))))
+        yield x, renamed_copy(x, seed)[0]
+        yield x, renamed_copy(stretched, seed + 1)[0]
+        yield x, random_semimetric(GenConfig(seed=seed + 1000, n=n, spectrum_pool=pool))
+    for seed in range(30):
+        x = random_ultrametric(GenConfig(seed=seed, n=1 + seed % 24))
+        yield x, renamed_copy(x, seed)[0]
+        yield x, renamed_copy(random_relabeled(x, seed), seed)[0]
+        yield x, random_ultrametric(GenConfig(seed=seed + 1000, n=1 + seed % 24))
+    # cycles past 9 points stall the Hasse search (ROADMAP item 11)
+    for n in range(3, 10):
+        for seed in (1, 2):
+            yield _cycle(n), renamed_copy(_cycle(n), seed)[0]
+
+
+def test_profile_step_returns_the_hasse_route_map():
+    # wherever the profiles force a map it is the Hasse route's, and every
+    # other pair gets the Hasse route's answer
+    counts = {"forced": 0, "tied": 0, "negative": 0}
+    for x, y in _route_pairs():
+        found = ball_preserving_bijection(x, y)
+        assert found == _hasse_route(x, y)
+        profiles = enumerate_balls(x).profiles
+        if found is None:
+            counts["negative"] += 1
+        else:
+            counts["forced" if len(set(profiles)) == len(profiles) > 1 else "tied"] += 1
+    assert sum(counts.values()) >= 400 and min(counts.values()) >= 100
+
+
+def test_rigid_pairs_skip_the_diagrams(monkeypatch):
+    x = random_semimetric(GenConfig(seed=24, n=24, spectrum_pool=WIDE_POOL))
+    y, names = renamed_copy(x, 24)
+    cycle = _cycle(6)
+    assert len(set(enumerate_balls(x).profiles)) == 24
+    assert len(set(enumerate_balls(cycle).profiles)) == 1
+
+    def no_diagram(ballean):
+        raise AssertionError("Hasse diagram built")
+
+    monkeypatch.setattr(balls, "hasse_diagram", no_diagram)
+    assert ball_preserving_bijection(x, y) == names
+    with pytest.raises(AssertionError, match="Hasse diagram built"):
+        ball_preserving_bijection(cycle, renamed_copy(cycle, 6)[0])
+
+
+def test_refuted_forced_map_falls_through(monkeypatch):
+    built = []
+
+    def counted_diagram(ballean):
+        built.append(ballean)
+        return hasse_diagram(ballean)
+
+    monkeypatch.setattr(balls, "hasse_diagram", counted_diagram)
+    # equal ball counts and the same five distinct profiles, but the map
+    # pairing them is not ball-preserving: the Hasse route says no
+    pool = tuple(F(v) for v in range(1, 5))
+    x = random_semimetric(GenConfig(seed=4, n=5, spectrum_pool=pool))
+    y = random_semimetric(GenConfig(seed=195, n=5, spectrum_pool=pool))
+    bx, by = enumerate_balls(x), enumerate_balls(y)
+    assert len(bx.masks) == len(by.masks)
+    assert len(set(bx.profiles)) == 5 and set(bx.profiles) == set(by.profiles)
+    at = dict(zip(by.profiles, y.points))
+    assert not verify_ball_preserving(bx, by, {p: at[q] for p, q in zip(x.points, bx.profiles)})[0]
+    assert ball_preserving_bijection(x, y) is None and len(built) == 2
+    # a verifier that refutes the first map it sees: a rigid positive pair
+    # falls through and gets the same map from the Hasse route
+    x = random_semimetric(GenConfig(seed=16, n=16, spectrum_pool=WIDE_POOL))
+    y, names = renamed_copy(x, 16)
+    assert len(set(enumerate_balls(x).profiles)) == 16
+    seen = []
+
+    def refute_first(bx, by, mapping):
+        seen.append(mapping)
+        return (False, None) if len(seen) == 1 else verify_ball_preserving(bx, by, mapping)
+
+    monkeypatch.setattr(balls, "verify_ball_preserving", refute_first)
+    assert ball_preserving_bijection(x, y) == names and len(built) == 4 and len(seen) == 2
