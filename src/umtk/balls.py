@@ -9,8 +9,11 @@ a ball is an int mask in which a point's bit is n - 1 - (rank of its name),
 so (size, -mask) sorts like (size, sorted names), the order of every ballean
 and diagram. Name sets are made only where they are read (``Ballean.balls``,
 ``HasseDiagram.vertices``, a ``HasseIso`` read as a mapping, a violation and
-the writers). The Hasse diagram has an arc for each cover pair of the
-inclusion order (arcs point small -> large). For ultrametric spaces the
+the writers). The balls a centre witnesses are prefixes of one member list,
+so an image mask or an up-set takes one running fold per centre, and a
+point's bitset of the balls through it gives its ball profile by bit counts.
+The Hasse diagram has an arc for each cover pair of the inclusion order
+(arcs point small -> large). For ultrametric spaces the
 reversed diagram is a rooted tree: its shape codes are built straight from
 each vertex's predecessors and ``treecanon``'s pairing walk pairs the two
 diagrams in place. Otherwise color refinement and the matching search of
@@ -25,13 +28,13 @@ points: the leaves under the deepest inner node share every ball).
 """
 from __future__ import annotations
 
-from collections import Counter, UserDict
-from collections.abc import Iterable, Sequence
+from collections import UserDict
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, groupby, repeat
-from operator import and_
+from itertools import accumulate, chain, compress, groupby, repeat
+from operator import and_, invert, itemgetter, or_
 
 from .errors import NotABijectionError, VerificationFailedError
 from .search import match
@@ -50,13 +53,19 @@ class Ball:
 class Ballean:
     """All distinct balls of a space, sorted by (size, member names): ball i
     is ``masks[i]`` over the point bits ``bits``, with the point indices
-    ``members[i]`` and the witness ``witnesses[i]`` (centre index, radius rank)."""
+    ``members[i]`` and the witness ``witnesses[i]`` (centre index, radius rank).
+    The balls of two or more points that a centre witnesses are prefixes of
+    the members of its largest one: its chain is those members and the
+    balls' sizes. With n one-point balls first, ball n + k is ball
+    ``places[k]`` of the chains in turn."""
 
     space: FiniteSemimetricSpace
     bits: tuple[int, ...]
     masks: tuple[int, ...]
     members: tuple[list[int], ...]
     witnesses: tuple[tuple[int, int], ...]
+    chains: list[tuple[list[int], list[int]]]
+    places: list[int]
 
     @cached_property
     def balls(self) -> tuple[Ball, ...]:
@@ -65,14 +74,35 @@ class Ballean:
                      for members, (t, r) in zip(self.members, self.witnesses))
 
     @cached_property
+    def through(self) -> list[int]:
+        """Bit j of ``through[p]`` is set iff ball j contains point p."""
+        n = len(self.bits)
+        # the masks in binary after a leading 1, last ball first: every
+        # (n + 3)-th character from n + 2 - b on is bit b of each ball
+        text = "".join(map(bin, map(or_, reversed(self.masks), repeat(1 << n))))
+        return [int(text[n + 2 - b :: n + 3], 2) for b in self.bits]
+
+    @cached_property
     def profiles(self) -> tuple[tuple[int, ...], ...]:
         """Each point's ball profile: the sizes of the balls that contain it,
-        in ballean order, as flat (size, count) runs."""
-        runs: list[list[int]] = [[] for _ in self.bits]
-        for size, group in groupby(self.members, len):
-            for p, count in Counter(chain.from_iterable(group)).items():
-                runs[p] += size, count
-        return tuple(map(tuple, runs))
+        in ballean order, as flat (size, count) runs: the set bits of its
+        ``through`` bitset in each run of balls of one size."""
+        sizes, widths = zip(*[(size, len(list(group))) for size, group in groupby(map(len, self.members))])
+        runs = list(zip(accumulate(widths, initial=0), [(1 << w) - 1 for w in widths]))
+        profiles = []
+        for t in self.through:
+            counts = [(t >> lo & mask).bit_count() for lo, mask in runs]
+            profiles.append(tuple(chain.from_iterable(compress(zip(sizes, counts), counts))))
+        return tuple(profiles)
+
+
+def _fold(ballean: Ballean, values: Sequence[int], op: Callable[[int, int], int]) -> list[int]:
+    """``op`` folded over the values of each ball's members, for the balls of
+    two or more points in ballean order: one running fold along each chain."""
+    folded: list[int] = []
+    for members, sizes in ballean.chains:
+        folded += map([0, *accumulate(map(values.__getitem__, members), op)].__getitem__, sizes)
+    return list(map(folded.__getitem__, ballean.places))
 
 
 @lru_cache(maxsize=None)
@@ -88,16 +118,24 @@ def enumerate_balls(space: FiniteSemimetricSpace) -> Ballean:
     bits = tuple(n - 1 - rank[p] for p in space.points)
     one = [1 << b for b in bits]
     found: dict[int, tuple[list[int], tuple[int, int]]] = {}
+    chains: list[tuple[list[int], list[int]]] = []
+    chained: list[int] = []  # the masks of the chains' balls in turn
     for t, row in enumerate(space.ranks):
         order = sorted(range(n), key=row.__getitem__)
-        mask = 0
+        mask, start = 0, len(chained)
         for k, i in enumerate(order, 1):
             mask |= one[i]
             if (k == n or row[order[k]] != row[i]) and mask not in found:
                 found[mask] = (order[:k], (t, row[i]))
-    masks = tuple(sorted(found, key=lambda m: (m.bit_count(), -m)))
+                if k > 1:
+                    chained.append(mask)
+        if len(chained) > start:
+            chains.append((found[chained[-1]][0], list(map(int.bit_count, chained[start:]))))
+    # by size, then by -mask: a stable sort by size of the masks sorted down
+    masks = tuple(sorted(sorted(found, reverse=True), key=int.bit_count))
     members, witnesses = zip(*map(found.__getitem__, masks))
-    return Ballean(space, bits, masks, members, witnesses)
+    place = dict(zip(chained, range(len(chained))))
+    return Ballean(space, bits, masks, members, witnesses, chains, list(map(place.__getitem__, masks[n:])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,23 +190,15 @@ def hasse_diagram(ballean: Ballean) -> HasseDiagram:
 
     Bit j of ``through[p]`` is set iff ball j contains p, so the AND over a
     ball's members is the ball and its strict supersets: one running AND
-    along each centre's distance order. Balls are sorted by size, so the
+    along each chain, and a one-point ball's is its point's ``through``
+    itself. Balls are sorted by size, so the
     lowest remaining superset is a cover; the cover and its supersets are
     then dropped. Each cover costs a few big-int operations on B-bit masks.
     """
-    masks, members, n = ballean.masks, ballean.members, len(ballean.bits)
-    # the masks in binary, last ball first: every n-th character from c on
-    # is bit n - 1 - c of each ball
-    text = "".join(map(format, reversed(masks), repeat(f"0{n}b")))
-    through = [int(text[n - 1 - b :: n], 2) for b in ballean.bits]
-    by_centre: dict[int, list[int]] = {}
-    for j, (t, _) in enumerate(ballean.witnesses):
-        by_centre.setdefault(t, []).append(j)
-    clear = [0] * len(masks)  # each ball's up-set complemented, the one B-bit table
-    for balls in by_centre.values():
-        running = list(accumulate(map(through.__getitem__, members[balls[-1]]), and_))
-        for j in balls:
-            clear[j] = ~running[len(members[j]) - 1]
+    masks, through, n = ballean.masks, ballean.through, len(ballean.bits)
+    # each ball's up-set complemented, the one B-bit table
+    singles = map(through.__getitem__, map(itemgetter(0), ballean.members[:n]))
+    clear = list(map(invert, chain(singles, _fold(ballean, through, and_))))
     succs: list[list[int]] = []
     preds: list[list[int]] = [[] for _ in masks]
     for i, off in enumerate(clear):
@@ -311,7 +341,8 @@ def verify_ball_preserving(
     Returns (True, None) or (False, first violation) where the violation is
     ("image"|"preimage", ball members, offending image/preimage set).
     Raises NotABijectionError if the mapping is not a point bijection.
-    A ball's image mask is the sum of its members' image bits.
+    A ball's image mask is the OR of its members' image bits, folded along
+    the chains; a one-point ball's image is a one-point ball.
     """
     images = set(mapping.values())
     if set(mapping) != set(bx.space.points) or len(images) != len(mapping) or images != set(by.space.points):
@@ -320,11 +351,10 @@ def verify_ball_preserving(
     for kind, source, target, to in (("image", bx, by, mapping), ("preimage", by, bx, inverse)):
         pts, bit = source.space.points, dict(zip(target.space.points, target.bits))
         image_bit = [1 << bit[to[p]] for p in pts]
-        masks = set(target.masks)
-        for members in source.members:
-            if sum(map(image_bit.__getitem__, members)) not in masks:
-                ball = frozenset(map(pts.__getitem__, members))
-                return (False, (kind, ball, frozenset(to[p] for p in ball)))
+        found = list(map(set(target.masks).__contains__, _fold(source, image_bit, or_)))
+        if False in found:
+            ball = frozenset(map(pts.__getitem__, source.members[len(pts) + found.index(False)]))
+            return (False, (kind, ball, frozenset(to[p] for p in ball)))
     return (True, None)
 
 

@@ -261,7 +261,7 @@ def space_from_tree(tree: RepTree) -> FiniteSemimetricSpace:
                 for row in rows[start[c]:end[c]]:
                     row[s:start[c]] = left
                     row[end[c]:e] = right
-    return validate_semimetric(points, rows, dict(enumerate(tree.spectrum)))
+    return validate_semimetric(points, rows, (tree.spectrum, range(len(tree.spectrum))))  # a rank is its own rank
 
 
 # --- JSON / DOT wire formats -------------------------------------------------

@@ -7,10 +7,12 @@ equal size exactly one strictly increasing bijection exists (the rank map),
 so weak similarity is isometry of rank matrices, and isometry is that plus
 equal spectra. For ultrametric inputs it reduces to equality of labeled
 canonical tree codes, read with one tree's spectrum for both trees; for
-general semimetric inputs ``search.match`` pairs points with equal sorted
-rank rows. No distance multisets are compared first. Every
+general semimetric inputs points of equal sorted rank rows are paired, by
+the one map they force where X's rows are pairwise distinct, and otherwise
+by ``search.match``. No distance multisets are compared first. Every
 witness returned by this module is verified once, over all pairs, by the
-one rank verifier behind ``verify_isometry`` and ``verify_weak_similarity``.
+one rank verifier behind ``verify_isometry`` and ``verify_weak_similarity``;
+a refuted forced map means no, any other refuted map is a defect.
 """
 from __future__ import annotations
 
@@ -109,27 +111,34 @@ def _tree_isometry(tx: RepTree, ty: RepTree) -> dict[str, str] | None:
 
 def _backtrack_isometry(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
-) -> dict[str, str] | None:
-    """Unverified point map from the matching search. A point's color is its
-    sorted rank row; a candidate must keep the distance ranks to the assigned
-    points."""
+) -> tuple[dict[str, str] | None, bool]:
+    """Unverified point map, or None, and whether the colours force it. A
+    point's colour is its sorted rank row, which a rank-preserving map keeps:
+    if X's are pairwise distinct and Y's the same set, only the map pairing
+    equal colours can be one. Otherwise the matching search runs, and a
+    candidate must keep the distance ranks to the assigned points."""
     dx, dy = x.ranks, y.ranks
+    colors1, colors2 = ([tuple(sorted(row)) for row in d] for d in (dx, dy))
+    distinct = set(colors1)
+    if len(distinct) == len(colors1) and distinct == set(colors2):
+        at = dict(zip(colors2, y.points))
+        return dict(zip(x.points, map(at.__getitem__, colors1))), True
 
     def fits(i: int, j: int, image: list[int], used: list[bool]) -> bool:
         row_y = dy[j]
         return all(j2 < 0 or d == row_y[j2] for d, j2 in zip(dx[i], image))
 
-    colors1, colors2 = ([tuple(sorted(row)) for row in d] for d in (dx, dy))
     assignment = match(colors1, colors2, range(len(x)), range(len(y)), fits)
     if assignment is None:
-        return None
-    return {x.points[i]: y.points[j] for i, j in assignment.items()}
+        return None, False
+    return {x.points[i]: y.points[j] for i, j in assignment.items()}, False
 
 
 def _isometry_map(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
-) -> dict[str, str] | None:
-    """Unverified bijection X -> Y that keeps every distance's rank, or None.
+) -> tuple[dict[str, str] | None, bool]:
+    """Unverified bijection X -> Y that keeps every distance's rank, or None,
+    and whether it is the only candidate (see ``_backtrack_isometry``).
 
     The spectra have equal size. Ultrametric pairs go through labeled tree
     canonization (polynomial); everything else through the matching search.
@@ -139,7 +148,7 @@ def _isometry_map(
     so these are not compared.
     """
     if len(x) != len(y):
-        return None
+        return None, False
     trees = []
     for space in (x, y):
         try:
@@ -147,8 +156,8 @@ def _isometry_map(
         except NotUltrametricError:
             pass
     if len(trees) == 1:
-        return None
-    return _tree_isometry(*trees) if trees else _backtrack_isometry(x, y)
+        return None, False
+    return (_tree_isometry(*trees), False) if trees else _backtrack_isometry(x, y)
 
 
 def decide_isometry(
@@ -165,16 +174,19 @@ def decide_weak_similarity(
     """Verified weak-similarity witness, or None.
 
     The scaling is forced (rank map), so the decision is whether the rank
-    matrices are isometric.
+    matrices are isometric. A refuted map means no if the colours forced it,
+    and is a defect if the tree route or the search gave it.
     """
     scaling = forced_scaling(x, y)
     if scaling is None:
         return None
-    phi = _isometry_map(x, y)
+    phi, forced = _isometry_map(x, y)
     if phi is None:
         return None
     witness = WeakSimWitness(scaling, phi)
     if not verify_weak_similarity(x, y, witness):
+        if forced:
+            return None
         raise VerificationFailedError("weak-similarity witness failed re-check")
     return witness
 

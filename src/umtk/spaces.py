@@ -10,7 +10,10 @@ A space is stored as its spectrum (its distinct distances, increasing from
 0) plus the n x n matrix of distance ranks into it. Ranks keep equality and
 order, so all checks and searches compare small ints, and a strictly
 increasing relabeling of the distances swaps the spectrum and keeps the
-ranks: weak similarity is isometry of rank matrices.
+ranks: weak similarity is isometry of rank matrices. A document's distinct
+literals are checked, parsed and ranked in a few passes over all of them;
+a document that fails them is scanned literal by literal for its first bad
+entry.
 """
 from __future__ import annotations
 
@@ -18,9 +21,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import attrgetter, eq, itemgetter
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, repeat
+from operator import attrgetter, eq, floordiv, itemgetter, lshift
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicatePointNameError,
@@ -42,6 +45,8 @@ _RATIO = attrgetter("numerator", "denominator")
 
 # ASCII digits only: ``\d`` would admit every Unicode decimal digit.
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_INTEGER_LINE_RE = re.compile(r"^-?[0-9]+$", re.MULTILINE)
+_LITERAL_LINES_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:\n-?[0-9]+(?:/[0-9]+)?)*")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -126,36 +131,74 @@ class FiniteSemimetricSpace:
         """Subspace on ``subset`` in the given order (also used to reorder points)."""
         idx = [self.index(p) for p in subset]
         rows = [[self.ranks[i][j] for j in idx] for i in idx]
-        return validate_semimetric(subset, rows, {r: self.spectrum[r] for r in set(chain(*rows))})
+        used = sorted(set(chain(*rows)))
+        spectrum = tuple(map(self.spectrum.__getitem__, used))
+        return validate_semimetric(subset, rows, (spectrum, dict(zip(used, range(len(used))))))
+
+
+def _ratio_keys(nums: Sequence[int], dens: Sequence[int]) -> list[int]:
+    """An int key per rational nums[k] / dens[k] (dens[k] > 0) that keeps
+    their order and is equal exactly for equal values."""
+    # Distinct rationals with denominators <= D differ by at least 1/D^2 > 2^-shift,
+    # so the int floor(v * 2^shift) keeps their order and is equal exactly for
+    # equal values. Unlike a common denominator, it has at most 2 * bits(D)
+    # bits more than the numerator, however many distinct denominators there are.
+    shift = 2 * max(dens, default=1).bit_length()
+    return list(map(floordiv, map(lshift, nums, repeat(shift)), dens))
 
 
 def rank_values(values: Iterable[Fraction | None]) -> tuple[tuple[Fraction, ...], list[int | None]]:
     """The spectrum of some values -- the distinct ones and 0, increasing,
     each the first object seen for its value -- and each value's rank in it
-    (None stays None). Every space and every labeled tree is ranked here."""
+    (None stays None). Every space and every labeled tree is ranked here or,
+    from a document, by ``_rank_literals``."""
     values = list(values)
-    # Distinct rationals with denominators <= D differ by at least 1/D^2 > 2^-shift,
-    # so the int floor(v * 2^shift) keeps their order and is equal exactly for
-    # equal values. Unlike a common denominator, it has at most 2 * bits(D)
-    # bits more than the numerator, however many distinct denominators there are.
-    shift = 2 * max([v.denominator for v in values if v is not None], default=1).bit_length()
-    keys = [None if v is None else (v.numerator << shift) // v.denominator for v in values]
+    given = [v for v in values if v is not None]
+    keys = iter(_ratio_keys([v.numerator for v in given], [v.denominator for v in given]))
+    keys = [None if v is None else next(keys) for v in values]
     firsts = {0: _ZERO, **dict(zip(reversed(keys), reversed(values)))}  # each key's first value
     order = sorted(firsts.keys() - {None})
     rank = dict(zip(order, range(len(order))))
     return tuple(map(firsts.__getitem__, order)), list(map(rank.get, keys))
 
 
+def _rank_literals(literals: Collection[str]) -> tuple[tuple[Fraction, ...], dict[str, int]]:
+    """``rank_values`` of distinct rational literals, as the spectrum and each
+    literal's rank, with one Fraction per spectrum value. TypeError,
+    ValueError or ZeroDivisionError where ``parse_rational`` would reject one."""
+    text = "\n".join(literals)
+    # one line per literal: then no literal holds a newline
+    if text.count("\n") != len(literals) - 1 or _LITERAL_LINES_RE.fullmatch(text) is None:
+        raise ValueError("not a set of rational literals")
+    if "/" in text:
+        # each integer n as n/1, and 0/1 last for a document with no 0
+        # literal: then the pieces are numerators and denominators in turn
+        pieces = _INTEGER_LINE_RE.sub(r"\g<0>/1", text + "\n0").replace("/", "\n").split("\n")
+        nums, dens = list(map(int, pieces[0::2])), list(map(int, pieces[1::2]))
+        keys = _ratio_keys(nums, dens)
+        at = dict(zip(keys, range(len(keys))))  # a literal of each key
+        order = sorted(at)
+        at = list(map(at.__getitem__, order))
+        spectrum = tuple(map(Fraction, map(nums.__getitem__, at), map(dens.__getitem__, at)))
+    else:
+        keys = list(map(int, literals))  # an integer is its own key
+        order = sorted({0, *keys})
+        spectrum = tuple(map(Fraction, order))
+    rank = dict(zip(order, range(len(order))))
+    return spectrum, dict(zip(literals, map(rank.__getitem__, keys)))
+
+
 def validate_semimetric(
     points: Sequence[str],
     matrix: Sequence[Sequence[object]],
-    literals: Mapping[object, Fraction] | None = None,
+    ranked: tuple[Sequence[Fraction], Mapping[object, int] | Sequence[int]] | None = None,
 ) -> FiniteSemimetricSpace:
     """Check all semimetric axioms and return the immutable space.
 
-    Entries are Fractions or ints, or, when ``literals`` maps each entry to
-    its value, keys such as a document's literal strings or ranks into a
-    spectrum. Raises EmptySpaceError, DuplicatePointNameError,
+    Entries are Fractions or ints, or, when ``ranked`` is a spectrum (the
+    entries' distinct values and 0, increasing) and a lookup from each
+    entry to its rank in it, keys such as a document's literal strings or ranks
+    into another spectrum. Raises EmptySpaceError, DuplicatePointNameError,
     MatrixShapeError, FormatError (the first entry of another type, in
     row-major order), NegativeDistanceError, NonZeroDiagonalError,
     NonSymmetricError or ZeroOffDiagonalError. The input is never mutated.
@@ -179,15 +222,15 @@ def validate_semimetric(
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise MatrixShapeError(f"distance matrix must be {n}x{n}")
     keys: Iterable[Iterable[object]] = matrix
-    if literals is None:
+    if ranked is None:
         # Entries are keyed by identity (hand-built matrices share their
         # Fractions, and ids hash fast); ``rows`` keeps them alive meanwhile.
         rows = [tuple(row) for row in matrix]
         firsts = dict(zip(map(id, chain.from_iterable(rows)), chain.from_iterable(rows)))
-        literals = {key: _as_rational(v) for key, v in firsts.items()}
+        spectrum, key_ranks = rank_values(map(_as_rational, firsts.values()))
+        ranked = spectrum, dict(zip(firsts, key_ranks))
         keys = [map(id, row) for row in rows]
-    spectrum, key_ranks = rank_values(literals.values())
-    rank = dict(zip(literals, key_ranks))
+    spectrum, rank = ranked
     # one C call ranks a whole row; with one key, itemgetter returns the value itself
     ranks = tuple(itemgetter(*row)(rank) for row in keys)
     if n == 1:
@@ -371,15 +414,15 @@ def space_from_json(doc: object) -> FiniteSemimetricSpace:
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise FormatError('"dist" must be a list of rows')
     # One C pass over whole rows finds the distinct literals (and caches each
-    # entry's hash for the rank lookups); each is parsed once. On a list or
-    # dict entry or a bad literal, a row-major scan raises the first bad entry.
+    # entry's hash for the rank lookups), ranked all at once. Failing that, a
+    # row-major scan parses every entry and raises the first bad one.
     try:
-        literals = {lit: parse_rational(lit) for lit in set().union(*dist)}
-    except (TypeError, FormatError):
-        for lit in chain.from_iterable(dist):
-            parse_rational(lit)
-        raise
-    return validate_semimetric(tuple(points), dist, literals)
+        ranked = _rank_literals(set().union(*dist))
+    except (TypeError, ValueError, ZeroDivisionError):
+        values = {lit: parse_rational(lit) for lit in chain.from_iterable(dist)}
+        spectrum, ranks = rank_values(values.values())
+        ranked = spectrum, dict(zip(values, ranks))
+    return validate_semimetric(tuple(points), dist, ranked)
 
 
 def check_point_names(names: Iterable[str]) -> None:

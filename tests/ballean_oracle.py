@@ -12,10 +12,14 @@ slow; they exist only to check its passes. ``shape_tree_assignment`` is the
 route the tree branch of ``hasse_digraph_iso`` once took: a diagram copied
 into a preorder ``RepTree``, paired by ``rooted_tree_iso_map``. A diagram
 here is anything with ``vertices`` (member sets) and ``arcs`` (vertex-index
-pairs).
+pairs). ``image_sum_verify`` and ``counter_profiles`` are the per-ball loops
+that ``umtk.balls`` ran before its chain folds and bit counts; they read a
+``Ballean``'s own fields.
 """
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain, groupby
 from typing import NamedTuple
 
 from validation_oracle import distances
@@ -225,3 +229,28 @@ def shape_tree_assignment(h1, h2) -> dict[int, int] | None:
     except NotIsomorphicError:
         return None
     return {orders[0][a]: orders[1][b] for a, b in enumerate(psi)}
+
+
+def image_sum_verify(bx, by, mapping: dict[str, str]):
+    """``verify_ball_preserving`` of two balleans as one sum of member image
+    bits per ball, every ball in ballean order, one-point balls included."""
+    inverse = {v: k for k, v in mapping.items()}
+    for kind, source, target, to in (("image", bx, by, mapping), ("preimage", by, bx, inverse)):
+        pts, bit = source.space.points, dict(zip(target.space.points, target.bits))
+        image_bit = [1 << bit[to[p]] for p in pts]
+        masks = set(target.masks)
+        for members in source.members:
+            if sum(map(image_bit.__getitem__, members)) not in masks:
+                ball = frozenset(map(pts.__getitem__, members))
+                return (False, (kind, ball, frozenset(to[p] for p in ball)))
+    return (True, None)
+
+
+def counter_profiles(ballean) -> tuple[tuple[int, ...], ...]:
+    """Each point's ball profile, flat (size, count) runs in ballean order,
+    counted by one ``Counter`` over the members of each run of one size."""
+    runs: list[list[int]] = [[] for _ in ballean.bits]
+    for size, group in groupby(ballean.members, len):
+        for p, count in Counter(chain.from_iterable(group)).items():
+            runs[p] += size, count
+    return tuple(map(tuple, runs))

@@ -3,6 +3,7 @@ exactly the reference outputs."""
 import random
 import sys
 from fractions import Fraction as F
+from itertools import combinations
 
 import ballean_oracle as oracle
 import pytest
@@ -113,6 +114,48 @@ def test_verify_matches_the_frozenset_reference():
                 assert result == oracle.verify_ball_preserving(x, y, mapping)
                 kinds[True if result[0] else result[1][0]] += 1
     assert min(kinds.values()) > 0 and kinds["image"] >= 100
+
+
+def _kernel_spaces():
+    """Seeded spaces of pools 1..3, 1..8 and 1..48 and ultrametric ones,
+    with up to 40 points."""
+    pools = (TIED_POOL, tuple(F(v) for v in range(1, 9)), WIDE_POOL)
+    for seed in range(40):
+        n = 1 + seed % 13 if seed < 36 else 16 + 8 * (seed - 36)
+        for pool in pools:
+            yield random_semimetric(GenConfig(seed=seed, n=n, spectrum_pool=pool))
+        yield random_ultrametric(GenConfig(seed=seed, n=n))
+
+
+def test_fold_kernels_match_the_per_ball_loops():
+    # chain folds and bit counts against the loops they replaced: the
+    # profiles of every space, and the verdict and first violation of maps
+    # onto a renamed copy, the same with two images swapped, onto an
+    # unrelated space, and from an equilateral space, whose ball images are
+    # always balls, so that only a preimage can fail
+    kinds = {True: 0, "image": 0, "preimage": 0}
+    for k, x in enumerate(_kernel_spaces()):
+        bx = enumerate_balls(x)
+        assert bx.profiles == oracle.counter_profiles(bx)
+        n = len(x.points)
+        y, names = renamed_copy(x, k)
+        swapped = dict(names)
+        if n > 1:
+            a, b = x.points[k % n], x.points[(k + 1) % n]
+            swapped[a], swapped[b] = names[b], names[a]
+        flat = space_from_pairs(x.points, dict.fromkeys(combinations(x.points, 2), F(1)))
+        other = random_semimetric(GenConfig(seed=k + 500, n=n, spectrum_pool=TIED_POOL))
+        for source, target, mapping in (
+            (x, y, names),
+            (x, y, swapped),
+            (flat, x, dict(zip(x.points, x.points))),
+            (x, other, dict(zip(x.points, other.points))),
+        ):
+            bs, bt = enumerate_balls(source), enumerate_balls(target)
+            result = verify_ball_preserving(bs, bt, mapping)
+            assert result == oracle.image_sum_verify(bs, bt, mapping)
+            kinds[True if result[0] else result[1][0]] += 1
+    assert min(kinds.values()) >= 50, kinds
 
 
 def test_vertices_come_in_key_order():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tree_oracle as oracle
-from umtk import cli, similarity, space_to_text
+from umtk import cli, renamed_copy, similarity, space_from_json, space_to_text
 from umtk.cli import main
 from umtk.reptree import tree_from_json
 from umtk.treecanon import rooted_tree_iso_map
@@ -255,6 +255,22 @@ def test_pair_decisions_re_check_the_search_map(
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: VerificationFailed")
+
+
+@pytest.mark.parametrize("command", ["isometric", "weaksim"])
+def test_a_refuted_forced_map_exits_1(command, tmp_path, capsys):
+    # pairwise distinct sorted rank rows, the same rows on both sides: the
+    # one map they force is refuted, so the answer is no, not a defect
+    a, b, c = (tmp_path / f"{name}.json" for name in "abc")
+    for seed, path in ((21, a), (690, b)):
+        argv = ["gen", "--semimetric", "--n", "5", "--pool", "1,2,3", "--seed", str(seed), "--out", str(path)]
+        assert main(argv) == 0
+    c.write_text(space_to_text(renamed_copy(space_from_json(json.loads(b.read_text())), seed=5)[0]))
+    capsys.readouterr()
+    assert main([command, str(a), str(b)]) == 1
+    assert capsys.readouterr().out == ""
+    assert main([command, str(b), str(c)]) == 0
+    assert json.loads(capsys.readouterr().out)["phi"]
 
 
 @pytest.mark.parametrize("command, a, b, message", [

@@ -8,11 +8,13 @@ point lists. Both implementations must agree on the error class, message and
 indices, or on the distance matrix.
 """
 import random
+import sys
 from fractions import Fraction as F
 
 import validation_oracle as oracle
+from umtk import spaces
 from umtk.errors import UmtkError
-from umtk.spaces import space_from_json, validate_semimetric
+from umtk.spaces import parse_rational, rank_values, space_from_json, validate_semimetric
 
 # the values, and the literal forms of each, by value index
 VALUES = (F(0), F(1, 2), F(1), F(2), F(3), F(-1))
@@ -134,3 +136,56 @@ def test_rank_validation_matches_the_fraction_scan():
         "EmptySpaceError",
     ):
         assert kinds.get(kind, 0) >= 100, kinds
+
+
+# Python's int-string limit; a literal with more digits is a FormatError
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+# document matrices by the distinct literals they use, read by space_from_json
+# through the one-pass literal ranking and by the oracle literal by literal
+LITERAL_SETS = (
+    ("007", "-0", "0/7", "3", "03"),
+    ("1/2", "2/4", "3/6", "1", "0"),
+    ("1/3", "2/7", "5", "10/4", "5/2", "0"),
+    (f"1/{10**40}", f"2/{2 * 10**40 + 1}", f"{10**40}/{10**40 + 1}", "1", "0"),
+    ("9" * LIMIT, "1" + "0" * (LIMIT - 1), "1/" + "9" * LIMIT, "0"),
+    ("9" * (LIMIT + 1), "1", "0"),
+    ("1/" + "9" * (LIMIT + 1), "1", "0"),
+    ("1/0", "1", "0"),
+    ("-1", "1", "0"),
+    ("1", "0", None),
+    ("1", "0", "1\n2"),
+    ("1/2\n3", "5", "0"),
+)
+
+
+def _spectrum_and_ranks(rows):
+    spectrum = sorted({F(0), *(d for row in rows for d in row)})
+    return tuple(spectrum), tuple(tuple(map(spectrum.index, row)) for row in rows)
+
+
+def test_one_pass_literal_ranking_matches_the_literal_scan():
+    rng = random.Random(27)
+    for literals in LITERAL_SETS:
+        for n in (2, 3, 5):
+            # a symmetric matrix with zero diagonal, off-diagonal entries
+            # drawn from the set, every literal used somewhere when n allows
+            off = [literals[(i * n + j) % len(literals)] for i in range(n) for j in range(i + 1, n)]
+            rng.shuffle(off)
+            dist = [["0"] * n for _ in range(n)]
+            for (i, j), lit in zip(((i, j) for i in range(n) for j in range(i + 1, n)), off):
+                dist[i][j] = dist[j][i] = lit
+            doc = {"points": [f"p{k}" for k in range(n)], "dist": dist}
+            want = _outcome(oracle.space_from_json, doc)
+            assert _outcome(space_from_json, doc) == want, doc
+            if len(want) == 2:
+                space = space_from_json(doc)
+                assert (space.spectrum, space.ranks) == _spectrum_and_ranks(want[1])
+    # no 0 among the literals: the spectrum still holds 0, and the diagonal fails
+    for diagonal in ("1/2", "1"):
+        doc = {"points": ["p", "q"], "dist": [[diagonal, "2"], ["2", diagonal]]}
+        assert _outcome(space_from_json, doc) == _outcome(oracle.space_from_json, doc)
+    # the ranking itself, against rank_values of the parsed literals
+    for literals in LITERAL_SETS[:5]:
+        ranked = spaces._rank_literals(set(literals))
+        spectrum, ranks = rank_values(map(parse_rational, literals))
+        assert ranked == (spectrum, dict(zip(literals, ranks)))

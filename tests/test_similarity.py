@@ -205,6 +205,28 @@ def test_a_wrong_search_map_fails_the_re_check(decide, semi3, semi3_variant, ima
         decide(semi3, semi3_variant)
 
 
+def test_a_refuted_forced_map_is_a_no(monkeypatch):
+    # sorted rank rows pairwise distinct, the same row set and the same
+    # spectrum, and yet not weakly similar
+    pool = (F(1), F(2), F(3))
+    x, y = (random_semimetric(GenConfig(seed=seed, n=5, spectrum_pool=pool)) for seed in (21, 690))
+    rows = [{tuple(sorted(row)) for row in space.ranks} for space in (x, y)]
+    assert len(rows[0]) == 5 and rows[0] == rows[1] and x.spectrum == y.spectrum
+    phi, forced = similarity._backtrack_isometry(x, y)
+    assert forced and not verify_isometry(x, y, phi)
+    assert oracle_weak_similarity(x, y) is None
+
+    def no_search(*args):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(similarity, "match", no_search)
+    assert decide_weak_similarity(x, y) is None and decide_isometry(x, y) is None
+    # a renamed copy gets the forced map, and it verifies
+    copy, names = renamed_copy(y, seed=5)
+    assert similarity._backtrack_isometry(y, copy) == (names, True)
+    assert decide_weak_similarity(y, copy).phi == names == decide_isometry(y, copy).phi
+
+
 def test_tree_map_between_spectra_of_different_sizes_is_none():
     # Y's ranks run past X's spectrum: the tree map says no both ways
     x = space_from_pairs("abc", {("a", "b"): F(1), ("a", "c"): F(2), ("b", "c"): F(2)})
