@@ -22,9 +22,10 @@ vertices (the one-point balls) always yields a ball-preserving point
 bijection, which is re-verified before being returned. A point's ball
 profile, the sizes of the balls that contain it, is kept by every
 ball-preserving bijection; where the profiles of X are pairwise distinct
-they force the one candidate, and a verified candidate is returned without
-building either diagram (never for ultrametric spaces of two or more
-points: the leaves under the deepest inner node share every ball).
+they force the one candidate, and the verifier decides the pair without
+either diagram: the candidate if it holds, no map if it is refuted (never
+for ultrametric spaces of two or more points: the leaves under the deepest
+inner node share every ball).
 """
 from __future__ import annotations
 
@@ -365,8 +366,9 @@ def ball_preserving_bijection(
 
     Such a map keeps each point's ball profile, so when X's profiles are
     pairwise distinct and Y's are the same set, the one map that pairs equal
-    profiles is returned if it verifies. Otherwise the map exists iff the
-    Hasse diagrams are isomorphic; it is read off a diagram isomorphism
+    profiles is the only candidate: it is returned if it verifies, and
+    otherwise there is none. Every other pair has such a map iff its Hasse
+    diagrams are isomorphic; it is read off a diagram isomorphism
     restricted to the zero-indegree vertices (the one-point balls) and then
     re-verified in full.
     """
@@ -377,8 +379,7 @@ def ball_preserving_bijection(
     if len(profiles) == len(x.points) == len(y.points) and profiles == set(by.profiles):
         at = dict(zip(by.profiles, y.points))
         forced = dict(zip(x.points, map(at.__getitem__, bx.profiles)))
-        if verify_ball_preserving(bx, by, forced)[0]:
-            return forced
+        return forced if verify_ball_preserving(bx, by, forced)[0] else None
     hx, hy = hasse_diagram(bx), hasse_diagram(by)
     iso = hasse_digraph_iso(hx, hy)
     if iso is None:

@@ -10,10 +10,11 @@ A space is stored as its spectrum (its distinct distances, increasing from
 0) plus the n x n matrix of distance ranks into it. Ranks keep equality and
 order, so all checks and searches compare small ints, and a strictly
 increasing relabeling of the distances swaps the spectrum and keeps the
-ranks: weak similarity is isometry of rank matrices. A document's distinct
-literals are checked, parsed and ranked in a few passes over all of them;
-a document that fails them is scanned literal by literal for its first bad
-entry.
+ranks: weak similarity is isometry of rank matrices. So the points and
+ranks fix a space up to such a relabeling, and a space hashes only them.
+A document's distinct literals are checked in one pass and ranked at once,
+as ints when all are integers and by ``rank_values`` otherwise; a document
+that fails them is scanned literal by literal for its first bad entry.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import attrgetter, eq, floordiv, itemgetter, lshift
+from operator import eq, floordiv, itemgetter, lshift
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -41,11 +42,9 @@ from .errors import (
 )
 
 _ZERO = Fraction(0)
-_RATIO = attrgetter("numerator", "denominator")
 
 # ASCII digits only: ``\d`` would admit every Unicode decimal digit.
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-_INTEGER_LINE_RE = re.compile(r"^-?[0-9]+$", re.MULTILINE)
 _LITERAL_LINES_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:\n-?[0-9]+(?:/[0-9]+)?)*")
 
 
@@ -97,7 +96,9 @@ class FiniteSemimetricSpace:
     """Immutable point tuple, spectrum and rank matrix. Hashable, so cacheable.
 
     ``ranks[i][j]`` is the index of d(points[i], points[j]) in ``spectrum``;
-    equality runs over ints and the few spectrum values, the hash over ints.
+    equality runs over ints and the few spectrum values. The hash runs over
+    the points and ranks only: spaces that differ only in their spectra
+    share it, and ``==`` tells them apart.
     """
 
     points: tuple[str, ...]
@@ -105,15 +106,7 @@ class FiniteSemimetricSpace:
     ranks: tuple[tuple[int, ...], ...]
 
     def __hash__(self) -> int:
-        # Every cache lookup hashes the space; hash its n^2 ranks only once.
-        # The value lives outside the fields, so == and repr are unchanged.
-        # Fractions are kept in lowest terms, so equal spectra have equal
-        # (numerator, denominator) ints, which hash in C.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.points, tuple(map(_RATIO, self.spectrum)), self.ranks))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return hash((self.points, self.ranks))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -136,25 +129,20 @@ class FiniteSemimetricSpace:
         return validate_semimetric(subset, rows, (spectrum, dict(zip(used, range(len(used))))))
 
 
-def _ratio_keys(nums: Sequence[int], dens: Sequence[int]) -> list[int]:
-    """An int key per rational nums[k] / dens[k] (dens[k] > 0) that keeps
-    their order and is equal exactly for equal values."""
+def rank_values(values: Iterable[Fraction | None]) -> tuple[tuple[Fraction, ...], list[int | None]]:
+    """The spectrum of some values -- the distinct ones and 0, increasing,
+    each the first object seen for its value -- and each value's rank in it
+    (None stays None). Every space and every labeled tree is ranked here or,
+    from a document of integer literals, by ``_rank_literals``."""
+    values = list(values)
+    given = [v for v in values if v is not None]
+    dens = [v.denominator for v in given]
     # Distinct rationals with denominators <= D differ by at least 1/D^2 > 2^-shift,
     # so the int floor(v * 2^shift) keeps their order and is equal exactly for
     # equal values. Unlike a common denominator, it has at most 2 * bits(D)
     # bits more than the numerator, however many distinct denominators there are.
     shift = 2 * max(dens, default=1).bit_length()
-    return list(map(floordiv, map(lshift, nums, repeat(shift)), dens))
-
-
-def rank_values(values: Iterable[Fraction | None]) -> tuple[tuple[Fraction, ...], list[int | None]]:
-    """The spectrum of some values -- the distinct ones and 0, increasing,
-    each the first object seen for its value -- and each value's rank in it
-    (None stays None). Every space and every labeled tree is ranked here or,
-    from a document, by ``_rank_literals``."""
-    values = list(values)
-    given = [v for v in values if v is not None]
-    keys = iter(_ratio_keys([v.numerator for v in given], [v.denominator for v in given]))
+    keys = iter(map(floordiv, map(lshift, [v.numerator for v in given], repeat(shift)), dens))
     keys = [None if v is None else next(keys) for v in values]
     firsts = {0: _ZERO, **dict(zip(reversed(keys), reversed(values)))}  # each key's first value
     order = sorted(firsts.keys() - {None})
@@ -164,28 +152,21 @@ def rank_values(values: Iterable[Fraction | None]) -> tuple[tuple[Fraction, ...]
 
 def _rank_literals(literals: Collection[str]) -> tuple[tuple[Fraction, ...], dict[str, int]]:
     """``rank_values`` of distinct rational literals, as the spectrum and each
-    literal's rank, with one Fraction per spectrum value. TypeError,
-    ValueError or ZeroDivisionError where ``parse_rational`` would reject one."""
+    literal's rank. One match checks them all; integers are their own keys,
+    with one Fraction per spectrum value, and a set with a fraction among
+    them goes through ``rank_values``. TypeError, ValueError or
+    ZeroDivisionError where ``parse_rational`` would reject one."""
     text = "\n".join(literals)
     # one line per literal: then no literal holds a newline
     if text.count("\n") != len(literals) - 1 or _LITERAL_LINES_RE.fullmatch(text) is None:
         raise ValueError("not a set of rational literals")
     if "/" in text:
-        # each integer n as n/1, and 0/1 last for a document with no 0
-        # literal: then the pieces are numerators and denominators in turn
-        pieces = _INTEGER_LINE_RE.sub(r"\g<0>/1", text + "\n0").replace("/", "\n").split("\n")
-        nums, dens = list(map(int, pieces[0::2])), list(map(int, pieces[1::2]))
-        keys = _ratio_keys(nums, dens)
-        at = dict(zip(keys, range(len(keys))))  # a literal of each key
-        order = sorted(at)
-        at = list(map(at.__getitem__, order))
-        spectrum = tuple(map(Fraction, map(nums.__getitem__, at), map(dens.__getitem__, at)))
-    else:
-        keys = list(map(int, literals))  # an integer is its own key
-        order = sorted({0, *keys})
-        spectrum = tuple(map(Fraction, order))
+        spectrum, ranks = rank_values(map(Fraction, literals))
+        return spectrum, dict(zip(literals, ranks))
+    keys = list(map(int, literals))
+    order = sorted({0, *keys})
     rank = dict(zip(order, range(len(order))))
-    return spectrum, dict(zip(literals, map(rank.__getitem__, keys)))
+    return tuple(map(Fraction, order)), dict(zip(literals, map(rank.__getitem__, keys)))
 
 
 def validate_semimetric(

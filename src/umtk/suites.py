@@ -12,6 +12,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .balls import (
     ball_preserving_bijection,
@@ -196,6 +197,17 @@ def _weaksim_pairs(seed: int, trials: int, max_n: int):
         yield trials, first, copy, decide_weak_similarity(first, copy)
 
 
+def _refuted_forced_pair(seeds: tuple[int, int], pool_top: int, max_n: int):
+    """The n = 5 semimetric pair of ``seeds`` over the pool 1..``pool_top``
+    as trial "fixed", if ``max_n`` allows: a pair whose point colours force
+    a refuted map, which no seeded stream at n <= 6 draws."""
+    if max_n < 5:
+        return
+    pool = tuple(map(Fraction, range(1, pool_top + 1)))
+    x, y = (random_semimetric(GenConfig(seed=s, n=5, spectrum_pool=pool)) for s in seeds)
+    yield "fixed", x, y
+
+
 def _check_shape_witness(rec: _Recorder, i: int, x: FiniteSemimetricSpace, y: FiniteSemimetricSpace) -> None:
     """Check that the unlabeled shapes of X and Y give a weak similarity and
     that it verifies."""
@@ -300,12 +312,14 @@ def isometry_agreement_suite(
 def weak_similarity_agreement_suite(
     seed: int = 0, trials: int | None = None, max_n: int | None = None
 ) -> SuiteResult:
-    """decide_weak_similarity matches the oracle; witnesses re-verify."""
+    """decide_weak_similarity matches the oracle; witnesses re-verify. A
+    fixed pair whose rank rows force a refuted map is one more trial."""
     rec = _Recorder("weaksim-oracle")
     count = _trial_count(trials, 200)
     top = _cap(max_n, 6)
     positives = 0
-    for i, x, y, witness in _weaksim_pairs(seed, count, top):
+    fixed = ((i, x, y, decide_weak_similarity(x, y)) for i, x, y in _refuted_forced_pair((21, 690), 3, top))
+    for i, x, y, witness in chain(_weaksim_pairs(seed, count, top), fixed):
         rec.tick()
         oracle = oracle_weak_similarity(x, y)
         rec.check(
@@ -428,11 +442,12 @@ def ball_preserving_agreement_suite(
 ) -> SuiteResult:
     """ball_preserving_bijection == exhaustive oracle == Hasse isomorphism;
     where X's ball profiles are pairwise distinct, the returned map is the
-    isomorphism's restriction to the one-point balls."""
+    isomorphism's restriction to the one-point balls. A fixed pair whose
+    ball profiles force a refuted map is one more trial."""
     rec = _Recorder("ballpreserving-oracle")
     count = _trial_count(trials, 150)
     top = _cap(max_n, 6)
-    for i, x, y in _mixed_pairs(seed, count, top, "ballpres"):
+    for i, x, y in chain(_mixed_pairs(seed, count, top, "ballpres"), _refuted_forced_pair((4, 195), 4, top)):
         rec.tick()
         fast = ball_preserving_bijection(x, y)
         slow = oracle_ball_preserving(x, y)

@@ -44,7 +44,7 @@ def test_04_weak_similarity_agreement(capsys):
     result = _run(
         capsys, "04 weaksim-agreement", suites.weak_similarity_agreement_suite, bound=30.0
     )
-    assert result.trials == 200
+    assert result.trials == 201  # 200 drawn + the fixed refuted-forced pair
 
 
 def test_05_chain_shape_witness(capsys):
@@ -65,7 +65,7 @@ def test_08_ball_preserving_agreement(capsys):
     result = _run(
         capsys, "08 ballpreserving-agreement", suites.ball_preserving_agreement_suite, bound=60.0
     )
-    assert result.trials == 150
+    assert result.trials == 151  # 150 drawn + the fixed refuted-forced pair
 
 
 def test_09_witness_ball_preserving(capsys):

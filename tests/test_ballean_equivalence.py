@@ -15,6 +15,7 @@ from umtk import (
     enumerate_balls,
     hasse_diagram,
     hasse_digraph_iso,
+    oracle_ball_preserving,
     random_relabeled,
     random_semimetric,
     random_ultrametric,
@@ -309,16 +310,10 @@ def test_rigid_pairs_skip_the_diagrams(monkeypatch):
         ball_preserving_bijection(cycle, renamed_copy(cycle, 6)[0])
 
 
-def test_refuted_forced_map_falls_through(monkeypatch):
-    built = []
-
-    def counted_diagram(ballean):
-        built.append(ballean)
-        return hasse_diagram(ballean)
-
-    monkeypatch.setattr(balls, "hasse_diagram", counted_diagram)
+def test_a_refuted_forced_map_is_a_no(monkeypatch):
     # equal ball counts and the same five distinct profiles, but the map
-    # pairing them is not ball-preserving: the Hasse route says no
+    # pairing them is not ball-preserving, and neither the oracle nor the
+    # Hasse route finds one
     pool = tuple(F(v) for v in range(1, 5))
     x = random_semimetric(GenConfig(seed=4, n=5, spectrum_pool=pool))
     y = random_semimetric(GenConfig(seed=195, n=5, spectrum_pool=pool))
@@ -327,17 +322,23 @@ def test_refuted_forced_map_falls_through(monkeypatch):
     assert len(set(bx.profiles)) == 5 and set(bx.profiles) == set(by.profiles)
     at = dict(zip(by.profiles, y.points))
     assert not verify_ball_preserving(bx, by, {p: at[q] for p, q in zip(x.points, bx.profiles)})[0]
-    assert ball_preserving_bijection(x, y) is None and len(built) == 2
-    # a verifier that refutes the first map it sees: a rigid positive pair
-    # falls through and gets the same map from the Hasse route
+    assert oracle_ball_preserving(x, y) is None
+    assert hasse_digraph_iso(hasse_diagram(bx), hasse_diagram(by)) is None
+    seen = []
+
+    def no_diagram(ballean):
+        raise AssertionError("Hasse diagram built")
+
+    def counted_verifier(bx, by, mapping):
+        seen.append(mapping)
+        return verify_ball_preserving(bx, by, mapping)
+
+    monkeypatch.setattr(balls, "hasse_diagram", no_diagram)
+    monkeypatch.setattr(balls, "verify_ball_preserving", counted_verifier)
+    # the forced map decides the pair with one verifier call: no here, and
+    # the map itself for a rigid positive pair
+    assert ball_preserving_bijection(x, y) is None and len(seen) == 1
     x = random_semimetric(GenConfig(seed=16, n=16, spectrum_pool=WIDE_POOL))
     y, names = renamed_copy(x, 16)
     assert len(set(enumerate_balls(x).profiles)) == 16
-    seen = []
-
-    def refute_first(bx, by, mapping):
-        seen.append(mapping)
-        return (False, None) if len(seen) == 1 else verify_ball_preserving(bx, by, mapping)
-
-    monkeypatch.setattr(balls, "verify_ball_preserving", refute_first)
-    assert ball_preserving_bijection(x, y) == names and len(built) == 4 and len(seen) == 2
+    assert ball_preserving_bijection(x, y) == names and seen[1:] == [names]

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from umtk import (
     FiniteSemimetricSpace,
     GenConfig,
+    build_tree,
     diameter,
+    enumerate_balls,
     format_rational,
     is_ultrametric,
     parse_rational,
@@ -224,6 +226,17 @@ def test_hashing_a_space_hashes_no_fraction(monkeypatch):
     calls.clear()
     assert a == b and hash(a) == hash(b)
     assert calls == []
+
+
+def test_spaces_apart_only_in_spectrum_share_a_hash(ultra3):
+    # the same points and ranks: one hash, but unequal, so each content-keyed
+    # cache hands back a result that carries its own space's spectrum
+    tripled = rank_relabel(ultra3, [3 * v for v in ultra3.spectrum])
+    assert (tripled.points, tripled.ranks) == (ultra3.points, ultra3.ranks)
+    assert hash(tripled) == hash(ultra3) and tripled != ultra3
+    for space in (ultra3, tripled, ultra3):
+        assert build_tree(space).spectrum == space.spectrum
+        assert enumerate_balls(space).space.spectrum == space.spectrum
 
 
 def _rank_oracle(values):
