@@ -143,32 +143,35 @@ def enumerate_balls(space: FiniteSemimetricSpace) -> Ballean:
 class HasseDiagram:
     """Cover digraph of the inclusion order; arcs are vertex-index pairs.
 
-    Vertex v is the mask ``masks[v]``, one bit per point; ``order`` lists
-    the vertices by (size, sorted names), each after the vertices below it,
-    and ``succs[v]``/``preds[v]`` are v's neighbours in ascending order. The name sets ``vertices``, read from ``ballean`` for a
-    diagram of one, and the arc set ``arcs`` are made on first read.
+    Vertex v is the mask ``masks[v]``, one bit per point. Vertices are
+    listed by (size, sorted names), so each comes after the vertices below
+    it, and ``succs[v]``/``preds[v]`` are v's neighbours in ascending order.
+    The name sets ``vertices``, read from ``ballean`` for a diagram of one,
+    and the arc set ``arcs`` are made on first read.
     """
 
     masks: Sequence[int]
-    order: Sequence[int]
     succs: list[list[int]]
     preds: list[list[int]]
     ballean: Ballean | None = None
 
     @classmethod
     def of_sets(cls, vertices: Sequence[frozenset[str]], arcs: Iterable[tuple[int, int]]) -> HasseDiagram:
-        """The diagram of the given member sets, in any order, and arcs."""
+        """The diagram of the given member sets, in any order, and arcs
+        between their indices: the sets relisted by (size, sorted names),
+        the arcs renumbered to match."""
         names = sorted(frozenset().union(*vertices), reverse=True)
         one = {p: 1 << b for b, p in enumerate(names)}
-        masks = [sum(map(one.__getitem__, v)) for v in vertices]
-        succs: list[list[int]] = [[] for _ in masks]
-        preds: list[list[int]] = [[] for _ in masks]
-        for a, b in sorted(arcs):
+        given = [sum(map(one.__getitem__, v)) for v in vertices]
+        order = sorted(range(len(given)), key=lambda v: (len(vertices[v]), -given[v]))
+        place = {v: k for k, v in enumerate(order)}
+        succs: list[list[int]] = [[] for _ in order]
+        preds: list[list[int]] = [[] for _ in order]
+        for a, b in sorted((place[a], place[b]) for a, b in arcs):
             succs[a].append(b)
             preds[b].append(a)
-        order = sorted(range(len(masks)), key=lambda v: (len(vertices[v]), -masks[v]))
-        diagram = cls(masks, order, succs, preds)
-        diagram.__dict__["vertices"] = tuple(vertices)
+        diagram = cls([given[v] for v in order], succs, preds)
+        diagram.__dict__["vertices"] = tuple(vertices[v] for v in order)
         return diagram
 
     @cached_property
@@ -210,7 +213,7 @@ def hasse_diagram(ballean: Ballean) -> HasseDiagram:
             succs[i].append(k)
             preds[k].append(i)
             rest &= clear[k]
-    return HasseDiagram(masks, range(len(masks)), succs, preds, ballean)
+    return HasseDiagram(masks, succs, preds, ballean)
 
 
 def reversed_is_rooted_tree(diagram: HasseDiagram) -> bool:
@@ -230,12 +233,12 @@ def _joint_refine(h1: HasseDiagram, h2: HasseDiagram) -> tuple[list[int], list[i
     round splits no class or every class holds one vertex of each side."""
 
     def first_keys(h: HasseDiagram) -> list[tuple[int, int, int]]:
-        # height: longest path from a minimal vertex; ``order`` sorts by
-        # size, so it is topological for inclusion
+        # height: longest path from a minimal vertex; vertices are listed
+        # by size, so index order is topological for inclusion
         height = [0] * len(h.masks)
-        for v in h.order:
-            if h.preds[v]:
-                height[v] = 1 + max(map(height.__getitem__, h.preds[v]))
+        for v, below in enumerate(h.preds):
+            if below:
+                height[v] = 1 + max(map(height.__getitem__, below))
         return list(zip(map(len, h.preds), map(len, h.succs), height))
 
     keys = [first_keys(h1), first_keys(h2)]
@@ -276,7 +279,7 @@ def hasse_digraph_iso(h1: HasseDiagram, h2: HasseDiagram) -> HasseIso | None:
     """Arc-preserving vertex bijection between Hasse diagrams, or None.
 
     Reversed-tree diagrams (the ultrametric case) are decided by the shape
-    codes of their predecessor lists over ``order`` and paired from the
+    codes of their predecessor lists in index order and paired from the
     last vertices, the whole spaces; general diagrams through color
     refinement plus backtracking within color classes. The returned map is
     checked to be a bijection that keeps every arc before being returned.
@@ -288,11 +291,11 @@ def hasse_digraph_iso(h1: HasseDiagram, h2: HasseDiagram) -> HasseIso | None:
         return None
     succ2 = [set(near) for near in h2.succs]  # read by the search and the arc re-check
     if t1:
-        code1, ordered1 = _codes(h1.masks, h1.preds, None, h1.order)
-        code2, ordered2 = _codes(h2.masks, h2.preds, None, h2.order)
+        code1, ordered1 = _codes(h1.masks, h1.preds, None, range(len(h1.masks)))
+        code2, ordered2 = _codes(h2.masks, h2.preds, None, range(len(h2.masks)))
         if code1 != code2:
             return None
-        assignment = dict(zip(*_pairs(ordered1, ordered2, h1.order[-1], h2.order[-1])))
+        assignment = dict(zip(*_pairs(ordered1, ordered2, len(h1.masks) - 1, len(h2.masks) - 1)))
     else:
         assignment = _search_assignment(h1, h2, succ2)
         if assignment is None:
@@ -307,7 +310,7 @@ def hasse_digraph_iso(h1: HasseDiagram, h2: HasseDiagram) -> HasseIso | None:
 
 def _search_assignment(h1: HasseDiagram, h2: HasseDiagram, succ2: list[set[int]]) -> dict[int, int] | None:
     """Vertex map of two general diagrams, or None: ``search.match`` over
-    the refined colors, in each diagram's key order, testing a candidate
+    the refined colors, in index order, testing a candidate
     against the assigned neighbours only (``succ2``: h2's successor sets)."""
     refined = _joint_refine(h1, h2)
     if refined is None:
@@ -330,7 +333,7 @@ def _search_assignment(h1: HasseDiagram, h2: HasseDiagram, succ2: list[set[int]]
                 return False
         return True
 
-    return match(*refined, h1.order, h2.order, fits)
+    return match(*refined, fits)
 
 
 def verify_ball_preserving(
@@ -409,7 +412,7 @@ def hasse_to_json(diagram: HasseDiagram) -> dict:
 
 def hasse_iso_to_json(iso: HasseIso) -> dict:
     v1, v2 = iso.h1.vertices, iso.h2.vertices
-    return {"map": [[sorted(v1[i]), sorted(v2[iso.assignment[i]])] for i in iso.h1.order]}
+    return {"map": [[sorted(v), sorted(v2[iso.assignment[i]])] for i, v in enumerate(v1)]}
 
 
 def hasse_to_dot(diagram: HasseDiagram) -> str:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from .errors import InapplicableError, VerificationFailedError
 from .reptree import RepTree, build_tree, space_from_tree
 from .similarity import WeakSimWitness, decide_weak_similarity
-from .spaces import FiniteSemimetricSpace, format_rational, rank_values, spectrum
+from .spaces import FiniteSemimetricSpace, format_rational, rank_values
 from .treecanon import canon_code_unlabeled
 
 CLASS_CODES = ("R", "Rtilde", "D", "T")
@@ -167,13 +167,6 @@ def _fresh_between(lo: Fraction, hi: Fraction, avoid: set[Fraction]) -> Fraction
     return value
 
 
-def _band(tree: RepTree, v: int, parent_label: int) -> tuple[int, int]:
-    # Any replacement label must stay strictly between the largest child
-    # label and the parent label (as ranks).
-    lo = max(tree.labels[c] for c in tree.children[v])
-    return lo, parent_label
-
-
 def adversarial_relabeling(x: FiniteSemimetricSpace) -> FiniteSemimetricSpace:
     """Same tree shape as X, different spectrum size; hence not weakly similar.
 
@@ -213,12 +206,14 @@ def adversarial_relabeling(x: FiniteSemimetricSpace) -> FiniteSemimetricSpace:
         relabeled = _replace_label(tree, position, new_label)
         y = space_from_tree(relabeled)
         assert canon_code_unlabeled(build_tree(y)) == canon_code_unlabeled(tree)
-        assert len(spectrum(y)) != len(spectrum(x))
+        assert len(y.spectrum) != len(x.spectrum)
         return y
 
+    # a replacement label stays strictly between the largest child label
+    # and the parent label (as ranks)
     def fresh(position: int) -> FiniteSemimetricSpace:
-        lo, hi = _band(tree, position, above[position])
-        return finish(position, _fresh_between(value[lo], value[hi], label_set))
+        lo = max(map(labels.__getitem__, children[position]))
+        return finish(position, _fresh_between(value[lo], value[above[position]], label_set))
 
     for group in multi:
         # pair order prefers copying an earlier sibling's label onto a later
@@ -228,8 +223,7 @@ def adversarial_relabeling(x: FiniteSemimetricSpace) -> FiniteSemimetricSpace:
                 v1, v2 = labels[node1], labels[node2]
                 if v1 == v2 or counts[v2] != 1:
                     continue
-                lo, hi = _band(tree, node2, above[node2])
-                if lo < v1 < hi:
+                if max(map(labels.__getitem__, children[node2])) < v1 < above[node2]:
                     return finish(node2, value[v1])
     for group in multi:
         for node2 in group:

@@ -66,7 +66,6 @@ from .spaces import (
     parse_rational,
     space_from_json,
     space_to_text,
-    spectrum,
 )
 from .suites import run_all
 from .treecanon import check_iso_map, rooted_tree_iso_map
@@ -225,7 +224,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     space = _load_space(args.space)
-    _emit_json({"spectrum": [format_rational(v) for v in spectrum(space)]}, args.out)
+    _emit_json({"spectrum": [format_rational(v) for v in space.spectrum]}, args.out)
     return 0
 
 

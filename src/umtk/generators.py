@@ -153,17 +153,16 @@ def _distinct_relabel(root: int, rng: random.Random, pool: list[Fraction], pts: 
 def _uniform_fan_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Points) -> int:
     """Chain of single internal nodes with equal-sized leaf fans at the end.
 
-    Falls back to a plain chain when a two-fan layout does not fit; both
-    layouts have a uniform last internal level and distinct labels.
+    A plain chain below four points or three pool values, and otherwise with
+    probability 0.3; both layouts have a uniform last internal level and
+    distinct labels. The fan layout's c <= min(n - 3, len(pool) - 2) chain
+    nodes always leave room for two fans.
     """
     can_fan = n >= 4 and len(pool) >= 3
     if not can_fan or rng.random() < 0.3:
         return _distinct_relabel(_chain_tree(rng, n, pool, pts), rng, pool, pts)
-    c = rng.randint(1, max(1, min(len(pool) - 2, n - 3, 4)))
-    m_max = min((n - (c - 1)) // 2, len(pool) - c)
-    if m_max < 2:
-        return _distinct_relabel(_chain_tree(rng, n, pool, pts), rng, pool, pts)
-    m = rng.randint(2, m_max)
+    c = rng.randint(1, min(len(pool) - 2, n - 3, 4))
+    m = rng.randint(2, min((n - (c - 1)) // 2, len(pool) - c))
     s = rng.randint(2, (n - (c - 1)) // m)
     counts = [1] * (c - 1) + [0]  # leaf children per chain node
     for _ in range(n - m * s - (c - 1)):

@@ -10,25 +10,23 @@ from typing import Callable, Hashable, Sequence
 def match(
     colors1: Sequence[Hashable],
     colors2: Sequence[Hashable],
-    order1: Sequence[int],
-    order2: Sequence[int],
     fits: Callable[[int, int, list[int], list[bool]], bool],
 ) -> dict[int, int] | None:
     """Color-preserving bijection between equal-sized vertex sets, or None.
 
-    A vertex's candidates are the targets of its color in ``order2`` order.
-    Vertices go rarest color first, ties in ``order1`` order, each to its
+    A vertex's candidates are the targets of its color in index order.
+    Vertices go rarest color first, ties lowest index first, each to its
     first unused candidate j with ``fits(i, j, image, used)``, where
     ``image`` holds the target per source vertex (-1 while unassigned) and
     ``used`` flags taken targets. The map is keyed in assignment order."""
     n = len(colors1)
     by_color: dict[Hashable, list[int]] = {}
-    for j in order2:
-        by_color.setdefault(colors2[j], []).append(j)
+    for j, color in enumerate(colors2):
+        by_color.setdefault(color, []).append(j)
     candidates = [by_color.get(color, []) for color in colors1]
     if not all(candidates):
         return None
-    order = sorted(order1, key=lambda i: len(candidates[i]))
+    order = sorted(range(n), key=lambda i: len(candidates[i]))
     image = [-1] * n
     used = [False] * n
     # level k resumes its candidate list at cursor[k] after a backtrack

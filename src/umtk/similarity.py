@@ -23,12 +23,7 @@ from operator import itemgetter
 from .errors import FormatError, NotIsomorphicError, NotUltrametricError, VerificationFailedError
 from .reptree import RepTree, build_tree
 from .search import match
-from .spaces import (
-    FiniteSemimetricSpace,
-    format_rational,
-    parse_rational,
-    spectrum,
-)
+from .spaces import FiniteSemimetricSpace, format_rational, parse_rational
 from .treecanon import rooted_tree_iso_map
 
 Scaling = tuple[tuple[Fraction, Fraction], ...]
@@ -54,7 +49,7 @@ def forced_scaling(
 
     It exists iff the spectra have equal size, and then it is the rank map.
     """
-    sx, sy = spectrum(x), spectrum(y)
+    sx, sy = x.spectrum, y.spectrum
     if len(sx) != len(sy):
         return None
     return tuple(zip(sx, sy))
@@ -128,36 +123,10 @@ def _backtrack_isometry(
         row_y = dy[j]
         return all(j2 < 0 or d == row_y[j2] for d, j2 in zip(dx[i], image))
 
-    assignment = match(colors1, colors2, range(len(x)), range(len(y)), fits)
+    assignment = match(colors1, colors2, fits)
     if assignment is None:
         return None, False
     return {x.points[i]: y.points[j] for i, j in assignment.items()}, False
-
-
-def _isometry_map(
-    x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
-) -> tuple[dict[str, str] | None, bool]:
-    """Unverified bijection X -> Y that keeps every distance's rank, or None,
-    and whether it is the only candidate (see ``_backtrack_isometry``).
-
-    The spectra have equal size. Ultrametric pairs go through labeled tree
-    canonization (polynomial); everything else through the matching search.
-    A strictly increasing relabeling keeps every metric property, so mixed
-    ultrametric/non-ultrametric pairs are rejected immediately. Equal codes,
-    like a complete rank-preserving assignment, imply equal rank multisets,
-    so these are not compared.
-    """
-    if len(x) != len(y):
-        return None, False
-    trees = []
-    for space in (x, y):
-        try:
-            trees.append(build_tree(space))
-        except NotUltrametricError:
-            pass
-    if len(trees) == 1:
-        return None, False
-    return (_tree_isometry(*trees), False) if trees else _backtrack_isometry(x, y)
 
 
 def decide_isometry(
@@ -174,13 +143,27 @@ def decide_weak_similarity(
     """Verified weak-similarity witness, or None.
 
     The scaling is forced (rank map), so the decision is whether the rank
-    matrices are isometric. A refuted map means no if the colours forced it,
-    and is a defect if the tree route or the search gave it.
+    matrices are isometric. Ultrametric pairs go through labeled tree
+    canonization (polynomial), everything else through
+    ``_backtrack_isometry``. A strictly increasing relabeling keeps every
+    metric property, so a mixed ultrametric/non-ultrametric pair is a no.
+    Equal codes, like a complete rank-preserving assignment, imply equal
+    rank multisets, so these are not compared. A refuted map means no if
+    the colours forced it, and is a defect if the tree route or the search
+    gave it.
     """
     scaling = forced_scaling(x, y)
-    if scaling is None:
+    if scaling is None or len(x) != len(y):
         return None
-    phi, forced = _isometry_map(x, y)
+    trees = []
+    for space in (x, y):
+        try:
+            trees.append(build_tree(space))
+        except NotUltrametricError:
+            pass
+    if len(trees) == 1:
+        return None
+    phi, forced = (_tree_isometry(*trees), False) if trees else _backtrack_isometry(x, y)
     if phi is None:
         return None
     witness = WeakSimWitness(scaling, phi)

@@ -207,16 +207,28 @@ def test_search_exhausts_where_refinement_cannot_tell():
 
 
 def test_diagrams_out_of_key_order_give_the_reference_map():
-    # hand-built vertex lists are not in (size, sorted names) order; the
-    # search still runs in that order and finds the reference's first map
+    # of_sets relists sets given out of (size, sorted names) order in that
+    # order, with the same arcs between name sets; the search on the
+    # relisted diagrams finds the reference's first map
     two_cycles = _pairs_order([tuple("abc"), tuple("def")])
-    assert [len(v) for v in two_cycles.vertices] == sorted(len(v) for v in two_cycles.vertices)
-    assert list(two_cycles.vertices) != sorted(two_cycles.vertices, key=oracle._set_key)
+    cycle = _pairs_order([tuple("abcdef")])
+    for diagram in (two_cycles, cycle):
+        name_arcs = {(diagram.vertices[a], diagram.vertices[b]) for a, b in diagram.arcs}
+        for seed in range(5):
+            order = list(range(len(diagram.vertices)))
+            random.Random(seed).shuffle(order)
+            given = [diagram.vertices[v] for v in order]
+            assert given != sorted(given, key=oracle._set_key)
+            at = {v: k for k, v in enumerate(order)}
+            listed = HasseDiagram.of_sets(given, [(at[a], at[b]) for a, b in diagram.arcs])
+            assert list(listed.vertices) == sorted(given, key=oracle._set_key)
+            assert {(listed.vertices[a], listed.vertices[b]) for a, b in listed.arcs} == name_arcs
+            assert len(listed.arcs) == len(name_arcs)
     for h1, h2 in (
         (two_cycles, two_cycles),
         (_reordered(two_cycles, 1), two_cycles),
         (two_cycles, _reordered(two_cycles, 2)),
-        (_reordered(_pairs_order([tuple("abcdef")]), 3), _pairs_order([tuple("abcdef")])),
+        (_reordered(cycle, 3), cycle),
     ):
         expected = oracle.search_assignment(h1, h2)
         iso = hasse_digraph_iso(h1, h2)

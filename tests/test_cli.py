@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tree_oracle as oracle
-from umtk import cli, renamed_copy, similarity, space_from_json, space_to_text
+from umtk import cli, renamed_copy, similarity, space_from_json, space_to_text, suites
 from umtk.cli import main
 from umtk.reptree import tree_from_json
 from umtk.treecanon import rooted_tree_iso_map
@@ -438,6 +438,8 @@ def test_check_runs_all_suites(capsys):
 
     assert main(["check", "--trials", "nope"]) == 2
     capsys.readouterr()
+    assert main(["check", "--trials", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --trials must be positive\n")
 
 
 @pytest.mark.parametrize("max_n", [None, "2", "3"])
@@ -452,6 +454,36 @@ def test_one_trial_check_passes(max_n, capsys):
 def test_max_n_below_one_is_an_input_error(max_n, capsys):
     assert main(["check", f"--max-n={max_n}"]) == 2
     assert capsys.readouterr() == ("", "error: --max-n must be positive\n")
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 3])
+def test_max_n_caps_every_space_the_suites_make(max_n, monkeypatch, capsys):
+    # every space the suites draw or build has at most --max-n points; a
+    # part of a suite whose smallest space does not fit is skipped
+    sizes = []
+
+    def recorded(make):
+        def call(*args, **kwargs):
+            space = make(*args, **kwargs)
+            sizes.append(len(space))
+            return space
+
+        return call
+
+    for name in ("random_ultrametric", "random_semimetric", "space_from_pairs"):
+        monkeypatch.setattr(suites, name, recorded(getattr(suites, name)))
+    assert main(["check", "--trials", "3", "--max-n", str(max_n)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("all 10 suites passed")
+    assert max(sizes) == max_n
+
+
+def test_a_failing_suite_exits_3(monkeypatch, capsys):
+    failed = suites.SuiteResult("planted", False, 1, 0.0, ["trial 0: planted failure"])
+    monkeypatch.setattr(cli, "run_all", lambda **kwargs: [failed])
+    assert main(["check", "--trials", "1"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("planted") and "FAIL" in out[0]
+    assert out[-1] == "1 of 1 suites FAILED (1 trials)"
 
 
 def test_out_flag_writes_file(paths, tmp_path, capsys):

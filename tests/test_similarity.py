@@ -129,6 +129,37 @@ def test_verify_rejects_tampering(ultra3, ultra3_scaled):
     assert not verify_weak_similarity(ultra3, ultra3_scaled, not_zero)
 
 
+def _equilateral(names):
+    return space_from_pairs(tuple(names), {pair: F(1) for pair in combinations(names, 2)})
+
+
+@pytest.mark.parametrize(
+    "x, y, phi",
+    [
+        pytest.param(_equilateral("pqr"), _equilateral("pqr"), {"p": "p", "q": "q"}, id="missing-point"),
+        pytest.param(_equilateral("pqr"), _equilateral("pqr"), {"p": "p", "q": "q", "r": "r", "zz": "p"},
+                     id="extra-key"),
+        pytest.param(_equilateral("pqr"), _equilateral("pqr"), {"p": "p", "q": "q", "r": "q"}, id="repeated-image"),
+        pytest.param(_equilateral("pq"), _equilateral("pqr"), {"p": "p", "q": "q"}, id="image-misses-a-point"),
+    ],
+)
+def test_verify_rejects_a_phi_that_is_not_a_bijection(x, y, phi):
+    # every distance is 1 on both sides, so only the bijection test can say no
+    witness = WeakSimWitness(((F(0), F(0)), (F(1), F(1))), phi)
+    assert verify_isometry(x, y, phi) is False
+    assert verify_weak_similarity(x, y, witness) is False
+
+
+def test_verify_checks_the_second_column_of_the_scaling(ultra3, ultra3_scaled):
+    # phi keeps every rank and the first column is X's spectrum: only the
+    # image of 2, 21 where Y has 20, is wrong
+    phi = {p: p for p in ultra3.points}
+    good = WeakSimWitness(((F(0), F(0)), (F(1), F(10)), (F(2), F(20))), phi)
+    assert verify_weak_similarity(ultra3, ultra3_scaled, good)
+    off = WeakSimWitness(((F(0), F(0)), (F(1), F(10)), (F(2), F(21))), phi)
+    assert verify_weak_similarity(ultra3, ultra3_scaled, off) is False
+
+
 def test_witness_json_round_trip(ultra3, ultra3_scaled):
     witness = decide_weak_similarity(ultra3, ultra3_scaled)
     doc = weak_sim_witness_to_json(witness, ultra3.points)
