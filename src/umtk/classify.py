@@ -205,8 +205,10 @@ def adversarial_relabeling(x: FiniteSemimetricSpace) -> FiniteSemimetricSpace:
     def finish(position: int, new_label: Fraction) -> FiniteSemimetricSpace:
         relabeled = _replace_label(tree, position, new_label)
         y = space_from_tree(relabeled)
-        assert canon_code_unlabeled(build_tree(y)) == canon_code_unlabeled(tree)
-        assert len(y.spectrum) != len(x.spectrum)
+        if canon_code_unlabeled(build_tree(y)) != canon_code_unlabeled(tree):
+            raise VerificationFailedError("relabeling changed the tree shape")
+        if len(y.spectrum) == len(x.spectrum):
+            raise VerificationFailedError("relabeling kept the spectrum size")
         return y
 
     # a replacement label stays strictly between the largest child label

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import CLASS_CODES
-from .errors import InfeasibleConstraintsError, TooLargeError
+from .errors import InfeasibleConstraintsError, TooLargeError, VerificationFailedError
 from .reptree import RepTree, build_tree, space_from_tree
 from .similarity import (
     IsometryWitness,
@@ -329,7 +329,8 @@ def oracle_weak_similarity(
     if iso is None:
         return None
     witness = WeakSimWitness(scaling, iso.phi)
-    assert verify_weak_similarity(x, y, witness)
+    if not verify_weak_similarity(x, y, witness):
+        raise VerificationFailedError("oracle weak-similarity witness failed re-check")
     return witness
 
 

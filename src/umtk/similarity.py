@@ -5,8 +5,8 @@ increasing bijection f between the spectra such that
 f(d(x, y)) = rho(phi(x), phi(y)) for all pairs. Between finite spectra of
 equal size exactly one strictly increasing bijection exists (the rank map),
 so weak similarity is isometry of rank matrices, and isometry is that plus
-equal spectra. For ultrametric inputs it reduces to equality of labeled
-canonical tree codes, read with one tree's spectrum for both trees; for
+equal spectra. For ultrametric inputs it reduces to equal canonical trees,
+X's and Y's on X's spectrum, whose leaves pair by position; for
 general semimetric inputs points of equal sorted rank rows are paired, by
 the one map they force where X's rows are pairwise distinct, and otherwise
 by ``search.match``. No distance multisets are compared first. Every
@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import FormatError, NotIsomorphicError, NotUltrametricError, VerificationFailedError
-from .reptree import RepTree, build_tree
+from .errors import FormatError, NotUltrametricError, VerificationFailedError
+from .reptree import build_tree
 from .search import match
 from .spaces import FiniteSemimetricSpace, format_rational, parse_rational
-from .treecanon import rooted_tree_iso_map
 
 Scaling = tuple[tuple[Fraction, Fraction], ...]
 
@@ -90,20 +89,6 @@ def verify_weak_similarity(
     return _preserves_ranks(x, y, witness.phi)
 
 
-def _tree_isometry(tx: RepTree, ty: RepTree) -> dict[str, str] | None:
-    """Unverified point map between two representing trees that sends the
-    k-th label of TX to the k-th of TY, or None: TY moved onto TX's spectrum
-    shares TY's arrays, and the pairing keeps label ranks."""
-    if len(tx.spectrum) != len(ty.spectrum):
-        return None
-    ty = RepTree(ty.labels, ty.points, ty.children, tx.spectrum)
-    try:
-        psi = rooted_tree_iso_map(tx, ty, respect_labels=True)
-    except NotIsomorphicError:
-        return None
-    return {tx.points[v]: ty.points[psi[v]] for v, kids in enumerate(tx.children) if not kids}
-
-
 def _backtrack_isometry(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
 ) -> tuple[dict[str, str] | None, bool]:
@@ -143,11 +128,11 @@ def decide_weak_similarity(
     """Verified weak-similarity witness, or None.
 
     The scaling is forced (rank map), so the decision is whether the rank
-    matrices are isometric. Ultrametric pairs go through labeled tree
-    canonization (polynomial), everything else through
+    matrices are isometric. Ultrametric pairs compare canonical trees (X's
+    and Y's on X's spectrum), everything else goes through
     ``_backtrack_isometry``. A strictly increasing relabeling keeps every
     metric property, so a mixed ultrametric/non-ultrametric pair is a no.
-    Equal codes, like a complete rank-preserving assignment, imply equal
+    Equal trees, like a complete rank-preserving assignment, imply equal
     rank multisets, so these are not compared. A refuted map means no if
     the colours forced it, and is a defect if the tree route or the search
     gave it.
@@ -156,14 +141,20 @@ def decide_weak_similarity(
     if scaling is None or len(x) != len(y):
         return None
     trees = []
-    for space in (x, y):
+    for space in (x, FiniteSemimetricSpace(y.points, x.spectrum, y.ranks)):  # Y coded with X's texts
         try:
             trees.append(build_tree(space))
         except NotUltrametricError:
             pass
     if len(trees) == 1:
         return None
-    phi, forced = (_tree_isometry(*trees), False) if trees else _backtrack_isometry(x, y)
+    if trees:  # canonical layouts are equal iff the labeled codes are; leaves pair by position
+        tx, ty = trees
+        if tx.labels != ty.labels or tx.children != ty.children:
+            return None
+        phi, forced = dict(zip(tx.leaf_points(), ty.leaf_points())), False
+    else:
+        phi, forced = _backtrack_isometry(x, y)
     if phi is None:
         return None
     witness = WeakSimWitness(scaling, phi)

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from umtk import rank_relabel, space_from_pairs
+from umtk import rank_relabel, similarity, space_from_pairs
+from umtk.reptree import RepTree
 from umtk.search import match
 from umtk.treecanon import rooted_tree_iso_map
 
@@ -77,6 +78,13 @@ def blocks5():
     return _two_blocks((2, 3), (F(1), F(2)), F(3))
 
 
+def _two_leaves(tree):
+    """The first leaf of a tree and the first leaf under another parent."""
+    parent = {c: v for v, kids in enumerate(tree.children) for c in kids}
+    leaves = [v for v, kids in enumerate(tree.children) if not kids]
+    return leaves[0], next(v for v in leaves if parent[v] != parent[leaves[0]])
+
+
 @pytest.fixture
 def leaf_swapping_iso_map():
     """A broken ``rooted_tree_iso_map``: the real map, with the images of the
@@ -84,14 +92,34 @@ def leaf_swapping_iso_map():
 
     def swapped(tree1, tree2, respect_labels=False, walk=None):
         psi = rooted_tree_iso_map(tree1, tree2, respect_labels, walk)
-        parent = {c: v for v, kids in enumerate(tree1.children) for c in kids}
-        leaves = [v for v, kids in enumerate(tree1.children) if not kids]
-        a = leaves[0]
-        b = next(v for v in leaves if parent[v] != parent[a])
+        a, b = _two_leaves(tree1)
         psi[a], psi[b] = psi[b], psi[a]
         return psi
 
     return swapped
+
+
+@pytest.fixture
+def leaf_swapping_build_tree(monkeypatch):
+    """Break the decision's ``build_tree`` for the trees of Y: given Y, every
+    tree built for a space with Y's points and ranks comes back with the
+    points of its first leaf and of the first leaf under another parent
+    swapped. The arrays stay canonical, so only the re-check can see it."""
+    build_tree = similarity.build_tree
+
+    def swapping(y):
+        def swapped(space):
+            tree = build_tree(space)
+            if (space.points, space.ranks) != (y.points, y.ranks):
+                return tree
+            a, b = _two_leaves(tree)
+            points = list(tree.points)
+            points[a], points[b] = points[b], points[a]
+            return RepTree(tree.labels, points, tree.children, tree.spectrum)
+
+        monkeypatch.setattr(similarity, "build_tree", swapped)
+
+    return swapping
 
 
 @pytest.fixture

@@ -9,9 +9,10 @@ point. It is slow and exists only to check ``umtk.similarity``.
 from __future__ import annotations
 
 from umtk.reptree import build_tree
-from umtk.similarity import IsometryWitness, _tree_isometry
+from umtk.similarity import IsometryWitness
 from umtk.spaces import is_ultrametric
 
+from tree_oracle import tree_isometry
 from validation_oracle import distances
 
 
@@ -71,6 +72,6 @@ def decide_isometry(x, y) -> IsometryWitness | None:
     if ux != uy:
         return None
     if ux:
-        phi = _tree_isometry(build_tree(x), build_tree(y))
+        phi = tree_isometry(build_tree(x), build_tree(y))
         return None if phi is None else IsometryWitness(phi)
     return backtrack_isometry(x, y)

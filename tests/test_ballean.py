@@ -201,6 +201,91 @@ def test_tree_branch_re_checks_the_tree_map(blocks4, monkeypatch):
         hasse_digraph_iso(diagram, diagram)
 
 
+def test_tree_branch_re_checks_that_the_map_is_a_bijection(blocks4, monkeypatch):
+    diagram = hasse_diagram(enumerate_balls(blocks4))
+    pairs = balls._pairs
+
+    def repeating_pairs(ordered1, ordered2, root1, root2):
+        # the real walk, with the first singleton's image given to the next
+        # singleton too
+        nodes1, nodes2 = pairs(ordered1, ordered2, root1, root2)
+        singles = [k for k, v in enumerate(nodes1) if not ordered1[v]]
+        nodes2[singles[1]] = nodes2[singles[0]]
+        return nodes1, nodes2
+
+    monkeypatch.setattr(balls, "_pairs", repeating_pairs)
+    with pytest.raises(VerificationFailedError, match="not a vertex bijection"):
+        hasse_digraph_iso(diagram, diagram)
+
+
+def test_search_branch_re_checks_that_the_map_is_a_bijection(semi3, monkeypatch):
+    diagram = hasse_diagram(enumerate_balls(semi3))
+    assert not reversed_is_rooted_tree(diagram)
+    search = balls._search_assignment
+
+    def short_search(h1, h2, succ2):
+        # the real assignment without its last vertex
+        assignment = search(h1, h2, succ2)
+        del assignment[max(assignment)]
+        return assignment
+
+    monkeypatch.setattr(balls, "_search_assignment", short_search)
+    with pytest.raises(VerificationFailedError, match="not a vertex bijection"):
+        hasse_digraph_iso(diagram, diagram)
+
+
+def test_a_tree_diagram_and_a_non_tree_diagram_are_not_isomorphic(monkeypatch):
+    # five vertices and four arcs on both sides, but h2's {a} lies under two
+    # covers and its {b} under none. A ballean's diagram cannot be so (each
+    # ball but the whole space has a cover), so only of_sets builds the pair.
+    # The shape codes and the refinement would say no as well; the tree test
+    # says it first, before any code or search runs.
+    sets = [frozenset(v) for v in ("a", "b", "ax", "by", "abxy")]
+    h1 = HasseDiagram.of_sets(sets, [(0, 2), (1, 3), (2, 4), (3, 4)])
+    sets = [frozenset(v) for v in ("a", "b", "ax", "ay", "abxy")]
+    h2 = HasseDiagram.of_sets(sets, [(0, 2), (0, 3), (2, 4), (3, 4)])
+    assert reversed_is_rooted_tree(h1) and not reversed_is_rooted_tree(h2)
+
+    def ran(*args):
+        raise AssertionError("a code or search ran")
+
+    monkeypatch.setattr(balls, "_codes", ran)
+    monkeypatch.setattr(balls, "_search_assignment", ran)
+    assert hasse_digraph_iso(h1, h2) is None
+    assert hasse_digraph_iso(h2, h1) is None
+
+
+def _broken_iso(monkeypatch, a, b):
+    """Make ``balls.hasse_digraph_iso`` return the real isomorphism with the
+    images of vertices a and b swapped."""
+    iso = balls.hasse_digraph_iso
+
+    def swapped(h1, h2):
+        found = iso(h1, h2)
+        found.assignment[a], found.assignment[b] = found.assignment[b], found.assignment[a]
+        return found
+
+    monkeypatch.setattr(balls, "hasse_digraph_iso", swapped)
+
+
+def test_extraction_re_checks_that_singletons_map_to_singletons(blocks4, monkeypatch):
+    # blocks4's four points share one ball profile, so the Hasse route runs;
+    # {a} (vertex 0) swapped with the whole space (vertex 6) meets a larger ball
+    assert ball_preserving_bijection(blocks4, blocks4) is not None
+    assert len(enumerate_balls(blocks4).masks) == 7
+    _broken_iso(monkeypatch, 0, 6)
+    with pytest.raises(VerificationFailedError, match="singleton ball mapped to a larger ball"):
+        ball_preserving_bijection(blocks4, blocks4)
+
+
+def test_extraction_re_checks_the_point_map(blocks4, monkeypatch):
+    # the one-point balls of a and c swapped: a bijection of the points that
+    # sends {a, b} to {b, c}, which is no ball
+    _broken_iso(monkeypatch, 0, 2)
+    with pytest.raises(VerificationFailedError, match="extracted bijection not ball-preserving"):
+        ball_preserving_bijection(blocks4, blocks4)
+
+
 def test_ball_preserving_search_deeper_than_the_recursion_limit():
     # the search assigns one diagram vertex per level, over 1000 of them
     pool = tuple(F(v) for v in range(1, 49))

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 from fractions import Fraction as F
 
 import pytest
@@ -21,8 +22,9 @@ from umtk import (
     verify_weak_similarity,
     witness_from_unlabeled_iso,
 )
-from umtk import similarity, treecanon
+from umtk import classify, treecanon
 from umtk.errors import InapplicableError, NotUltrametricError, VerificationFailedError
+from umtk.spaces import FiniteSemimetricSpace
 
 import tree_oracle as oracle
 from tree_oracle import rank_aligned_pairing
@@ -144,7 +146,9 @@ def test_shape_witness_matches_the_four_pass_reference():
 def test_a_positive_shape_witness_codes_each_tree_once(monkeypatch):
     x = random_ultrametric(GenConfig(seed=3, n=20, force_class="Rtilde"))
     y, _ = renamed_copy(random_relabeled(x, seed=4), seed=5)
-    build_tree(x), build_tree(y)  # warm, so build_tree's own pass is not counted
+    # warm, so build_tree's own code passes are not counted: X, Y, and Y
+    # on X's spectrum, the tree the decision compares with X's
+    build_tree(x), build_tree(y), build_tree(FiniteSemimetricSpace(y.points, x.spectrum, y.ranks))
     calls = []
     codes = treecanon._codes
 
@@ -154,13 +158,14 @@ def test_a_positive_shape_witness_codes_each_tree_once(monkeypatch):
 
     monkeypatch.setattr(treecanon, "_codes", counted)
     assert isinstance(witness_from_unlabeled_iso(x, y), WeakSimWitness)
-    # the two labeled codes of the tree map; no shape codes on a positive
-    assert len(calls) == 2
+    # the decision compares the canonical trees build_tree returned, and a
+    # positive needs no shape codes: nothing is coded again
+    assert calls == []
 
 
-def test_shape_witness_re_checks_the_tree_map(blocks4, blocks4_swapped, leaf_swapping_iso_map, monkeypatch):
+def test_shape_witness_re_checks_the_tree_map(blocks4, blocks4_swapped, leaf_swapping_build_tree):
     assert isinstance(witness_from_unlabeled_iso(blocks4, blocks4_swapped), WeakSimWitness)
-    monkeypatch.setattr(similarity, "rooted_tree_iso_map", leaf_swapping_iso_map)
+    leaf_swapping_build_tree(blocks4_swapped)
     with pytest.raises(VerificationFailedError):
         witness_from_unlabeled_iso(blocks4, blocks4_swapped)
 
@@ -200,6 +205,31 @@ def test_adversarial_relabeling_splits_equal_labels():
     assert len(spectrum(y)) == 4
     assert canon_code_unlabeled(build_tree(y)) == canon_code_unlabeled(build_tree(x))
     assert decide_weak_similarity(x, y) is None
+
+
+def test_adversarial_relabeling_re_checks_the_spectrum_size(blocks4, monkeypatch):
+    # a relabeling that changes nothing keeps X's spectrum size: a raise, not
+    # an assert, so the check holds under python -O too
+    monkeypatch.setattr(classify, "_replace_label", lambda tree, position, new_label: tree)
+    with pytest.raises(VerificationFailedError, match="kept the spectrum size"):
+        adversarial_relabeling(blocks4)
+
+
+def test_adversarial_relabeling_re_checks_the_tree_shape(blocks4, monkeypatch):
+    # a star of four points has another shape and another spectrum size than
+    # blocks4, so only the shape check can refuse it
+    star = space_from_pairs("abcd", dict.fromkeys(combinations("abcd", 2), F(1)))
+    monkeypatch.setattr(classify, "space_from_tree", lambda tree: star)
+    with pytest.raises(VerificationFailedError, match="changed the tree shape"):
+        adversarial_relabeling(blocks4)
+
+
+def test_shape_witness_raises_where_the_decision_says_no(blocks4, blocks4_swapped, monkeypatch):
+    # uniform fans of one shape: the hypotheses promise a witness, so a no
+    # from the decision is a defect, not an answer
+    monkeypatch.setattr(classify, "decide_weak_similarity", lambda x, y: None)
+    with pytest.raises(VerificationFailedError, match="shape-isomorphic pair is not weakly similar"):
+        witness_from_unlabeled_iso(blocks4, blocks4_swapped)
 
 
 def test_adversarial_relabeling_needs_a_branch(ultra3):

@@ -225,7 +225,7 @@ def test_tree_iso_checks_before_it_writes(broken, message, leaf_swapping_iso_map
 
 
 def test_weaksim_re_checks_the_tree_map(
-    tmp_path, blocks4, blocks4_swapped, leaf_swapping_iso_map, monkeypatch, capsys
+    tmp_path, blocks4, blocks4_swapped, leaf_swapping_build_tree, capsys
 ):
     # the weak-similarity check is the only one the tree-derived point map
     # gets, so it must catch a bad one
@@ -234,7 +234,7 @@ def test_weaksim_re_checks_the_tree_map(
     b.write_text(space_to_text(blocks4_swapped))
     assert main(["weaksim", str(a), str(b)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(similarity, "rooted_tree_iso_map", leaf_swapping_iso_map)
+    leaf_swapping_build_tree(blocks4_swapped)
     assert main(["weaksim", str(a), str(b)]) == 3
     out = capsys.readouterr()
     assert out.out == ""

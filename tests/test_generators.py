@@ -27,9 +27,10 @@ from umtk import (
     verify_ball_preserving,
     verify_isometry,
 )
-from umtk.errors import InfeasibleConstraintsError, TooLargeError, UmtkError
+from umtk import generators
+from umtk.errors import InfeasibleConstraintsError, TooLargeError, UmtkError, VerificationFailedError
 from umtk.generators import DEFAULT_POOL
-from umtk.similarity import decide_weak_similarity
+from umtk.similarity import IsometryWitness, decide_weak_similarity
 from umtk.treecanon import canon_code_unlabeled
 from umtk.reptree import build_tree
 from validation_oracle import distances
@@ -122,6 +123,22 @@ def test_oracles(ultra3, ultra3_scaled, semi3):
     bp = oracle_ball_preserving(ultra3, ultra3_scaled)
     assert bp is not None and verify_ball_preserving(enumerate_balls(ultra3), enumerate_balls(ultra3_scaled), bp)[0]
     assert oracle_ball_preserving(ultra3, semi3) is None
+
+
+def test_oracle_weak_similarity_re_checks_its_witness(ultra3, ultra3_scaled, monkeypatch):
+    # the exhaustive search's map with the images of two points swapped: p is
+    # the one point at rank 2 from both others, so the swap breaks a distance
+    search = generators.oracle_isometry
+
+    def swapped(x, y):
+        phi = dict(search(x, y).phi)
+        first, second = list(phi)[:2]
+        phi[first], phi[second] = phi[second], phi[first]
+        return IsometryWitness(phi)
+
+    monkeypatch.setattr(generators, "oracle_isometry", swapped)
+    with pytest.raises(VerificationFailedError, match="oracle weak-similarity witness"):
+        oracle_weak_similarity(ultra3, ultra3_scaled)
 
 
 def test_oracle_size_guards():

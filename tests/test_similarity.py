@@ -14,6 +14,7 @@ from umtk import (
     forced_scaling,
     oracle_isometry,
     oracle_weak_similarity,
+    random_relabeled,
     random_semimetric,
     random_ultrametric,
     rank_relabel,
@@ -26,7 +27,10 @@ from umtk import (
     weak_sim_witness_to_json,
 )
 from umtk import reptree, similarity, spaces
-from umtk.errors import FormatError, VerificationFailedError
+from umtk.errors import FormatError, InfeasibleConstraintsError, VerificationFailedError
+from umtk.generators import DEFAULT_POOL
+
+import tree_oracle
 
 
 def test_forced_scaling_is_the_rank_map(ultra3, ultra3_scaled, blocks4):
@@ -160,6 +164,14 @@ def test_verify_checks_the_second_column_of_the_scaling(ultra3, ultra3_scaled):
     assert verify_weak_similarity(ultra3, ultra3_scaled, off) is False
 
 
+def test_verify_checks_the_first_column_of_the_scaling(ultra3, ultra3_scaled):
+    # phi keeps every rank and the second column is Y's spectrum: only the
+    # preimage of 20, 3 where X has 2, is wrong
+    phi = {p: p for p in ultra3.points}
+    off = WeakSimWitness(((F(0), F(0)), (F(1), F(10)), (F(3), F(20))), phi)
+    assert verify_weak_similarity(ultra3, ultra3_scaled, off) is False
+
+
 def test_witness_json_round_trip(ultra3, ultra3_scaled):
     witness = decide_weak_similarity(ultra3, ultra3_scaled)
     doc = weak_sim_witness_to_json(witness, ultra3.points)
@@ -211,13 +223,19 @@ def _prim_calls(decide, monkeypatch):
     return x, y, calls
 
 
+def _shares_y(space, x, y):
+    """True iff ``space`` is Y on X's spectrum: Y's own point and rank
+    tuples, with X's spectrum."""
+    return space.points is y.points and space.ranks is y.ranks and space.spectrum == x.spectrum
+
+
 @pytest.mark.parametrize("decide", [decide_weak_similarity, decide_isometry])
 def test_prim_runs_once_per_space(decide, monkeypatch):
-    # the decision asks build_tree whether each space is ultrametric and
-    # hands the trees it gets to the tree map, so the spanning-tree pass
+    # the decision asks build_tree whether X and Y on X's spectrum are
+    # ultrametric and compares the trees it gets, so the spanning-tree pass
     # runs once for each space
     x, y, calls = _prim_calls(decide, monkeypatch)
-    assert len(calls) == 2 and calls[0] is x and calls[1] is y
+    assert len(calls) == 2 and calls[0] is x and _shares_y(calls[1], x, y)
 
 
 @pytest.mark.parametrize("decide", [decide_weak_similarity, decide_isometry])
@@ -225,7 +243,7 @@ def test_decisions_do_not_lean_on_the_tree_cache(decide, monkeypatch):
     # with build_tree uncached, each space's tree is still built only once
     monkeypatch.setattr(similarity, "build_tree", reptree.build_tree.__wrapped__)
     x, y, calls = _prim_calls(decide, monkeypatch)
-    assert len(calls) == 2 and calls[0] is x and calls[1] is y
+    assert len(calls) == 2 and calls[0] is x and _shares_y(calls[1], x, y)
 
 
 @pytest.mark.parametrize("decide", [decide_isometry, decide_weak_similarity])
@@ -258,14 +276,69 @@ def test_a_refuted_forced_map_is_a_no(monkeypatch):
     assert decide_weak_similarity(y, copy).phi == names == decide_isometry(y, copy).phi
 
 
-def test_tree_map_between_spectra_of_different_sizes_is_none():
-    # Y's ranks run past X's spectrum: the tree map says no both ways
-    x = space_from_pairs("abc", {("a", "b"): F(1), ("a", "c"): F(2), ("b", "c"): F(2)})
+def test_tree_map_between_spectra_of_different_sizes_is_none(monkeypatch):
+    # Y's ranks run past X's spectrum: both decisions say no, both ways,
+    # before Y is put on X's spectrum, also where the point counts agree
     far = dict.fromkeys(combinations("pqrs", 2), F(3))
     y = space_from_pairs("pqrs", {**far, ("p", "q"): F(1), ("r", "s"): F(2)})
-    tx, ty = reptree.build_tree(x), reptree.build_tree(y)
-    assert similarity._tree_isometry(tx, ty) is None
-    assert similarity._tree_isometry(ty, tx) is None
+    x3 = space_from_pairs("abc", {("a", "b"): F(1), ("a", "c"): F(2), ("b", "c"): F(2)})
+    x4 = space_from_pairs("abcd", {**dict.fromkeys(combinations("abcd", 2), F(2)), ("a", "b"): F(1)})
+    built = []
+
+    def counted(space):
+        built.append(space)
+        return build_tree(space)
+
+    build_tree = similarity.build_tree
+    monkeypatch.setattr(similarity, "build_tree", counted)
+    for x in (x3, x4):
+        for a, b in ((x, y), (y, x)):
+            assert decide_weak_similarity(a, b) is None and decide_isometry(a, b) is None
+    assert built == []
+
+
+def _tree_route_pairs():
+    """Seeded ultrametric pairs for the tree route, (x, y, kind): a renamed
+    copy, a renamed rank-stretched copy, and a same-shape relabeled copy
+    (plain and renamed), for classes free, Rtilde, T and D. The second pool
+    sorts 10 < 100 < 11 < 9 as text, the order the tree codes compare."""
+    pools = (DEFAULT_POOL, (F(9), F(10), F(11), F(100)))
+    for n in (*range(1, 20), 32, 64, 128):
+        for force in (None, "Rtilde", "T", "D"):
+            for k, pool in enumerate(pools):
+                seed = 1000 * n + 10 * len(force or "") + k
+                try:
+                    x = random_ultrametric(GenConfig(seed=seed, n=n, spectrum_pool=pool, force_class=force))
+                except InfeasibleConstraintsError:
+                    continue
+                stretched = rank_relabel(x, tuple(v * 3 for v in x.spectrum))
+                relabeled = random_relabeled(x, seed)
+                yield x, renamed_copy(x, seed)[0], force
+                yield x, renamed_copy(stretched, seed + 1)[0], force
+                yield x, relabeled, force
+                yield x, renamed_copy(relabeled, seed + 2)[0], force
+
+
+def test_tree_route_witness_is_the_reference_tree_map():
+    # the decision reads phi off the canonical trees build_tree returns; the
+    # reference moves Y's tree onto X's spectrum, codes both trees again and
+    # walks them in pairs. Same answer, same items in the same order.
+    positives, negatives, classes = 0, 0, set()
+    for x, y, force in _tree_route_pairs():
+        expected = tree_oracle.tree_isometry(reptree.build_tree(x), reptree.build_tree(y))
+        witness = decide_weak_similarity(x, y)
+        if expected is None:
+            assert witness is None
+            negatives += 1
+            continue
+        assert list(witness.phi.items()) == list(expected.items())
+        iso = decide_isometry(x, y)
+        assert (iso is None) == (x.spectrum != y.spectrum)
+        assert iso is None or list(iso.phi.items()) == list(expected.items())
+        positives += 1
+        classes.add(force)
+    assert classes == {None, "Rtilde", "T", "D"}
+    assert positives >= 400 and negatives >= 50
 
 
 def test_isometry_is_weak_similarity_between_equal_spectra(ultra3, ultra3_scaled, monkeypatch):

@@ -12,6 +12,10 @@ pairs leaves in point-name order and internal siblings by label rank. All of the
 shallow or raise the recursion limit. ``witness_from_unlabeled_iso`` is
 the shape witness as it stood before it paired the trees first: both shape
 codes, then the class hypotheses, then the rank-keeping tree map.
+``tree_isometry`` is that tree map as ``umtk.similarity`` ran it before the
+decision compared the canonical trees ``build_tree`` returns: Y's tree moved
+onto X's spectrum, both trees coded again by ``rooted_tree_iso_map`` and
+walked in pairs.
 
 They work on nested ``RepNode``s: ``leaf`` and ``internal`` build them by
 hand, and ``tree_of`` lays a nested tree out as the preorder arrays of a
@@ -28,9 +32,9 @@ import json
 from fractions import Fraction
 
 from umtk.classify import INAPPLICABLE, NOT_ISOMORPHIC_SHAPES, _classify_tree
-from umtk.errors import FormatError, InvalidTreeError, UnknownPointError, VerificationFailedError
+from umtk.errors import FormatError, InvalidTreeError, NotIsomorphicError, UnknownPointError, VerificationFailedError
 from umtk.reptree import RepNode, RepTree, build_tree
-from umtk.similarity import WeakSimWitness, _tree_isometry, verify_weak_similarity
+from umtk.similarity import WeakSimWitness, verify_weak_similarity
 from umtk.spaces import format_rational, parse_rational, rank_values
 from umtk.treecanon import canon_code_unlabeled, rooted_tree_iso_map
 
@@ -279,6 +283,20 @@ def rank_aligned_pairing(tx: RepTree, ty: RepTree) -> dict[str, str]:
     return phi
 
 
+def tree_isometry(tx: RepTree, ty: RepTree) -> dict[str, str] | None:
+    """Unverified point map between two representing trees that sends the
+    k-th label of TX to the k-th of TY, or None: TY moved onto TX's spectrum
+    shares TY's arrays, and the pairing keeps label ranks."""
+    if len(tx.spectrum) != len(ty.spectrum):
+        return None
+    ty = RepTree(ty.labels, ty.points, ty.children, tx.spectrum)
+    try:
+        psi = rooted_tree_iso_map(tx, ty, respect_labels=True)
+    except NotIsomorphicError:
+        return None
+    return {tx.points[v]: ty.points[psi[v]] for v, kids in enumerate(tx.children) if not kids}
+
+
 def witness_from_unlabeled_iso(x, y):
     """The shape witness with its four code passes: the two shape codes
     first, then the labeled codes inside the tree map."""
@@ -294,7 +312,7 @@ def witness_from_unlabeled_iso(x, y):
     )
     if not applicable:
         return INAPPLICABLE
-    phi = _tree_isometry(tx, ty) or {}
+    phi = tree_isometry(tx, ty) or {}
     witness = WeakSimWitness(tuple(zip(x.spectrum, y.spectrum)), phi)
     if not verify_weak_similarity(x, y, witness):
         raise VerificationFailedError("shape-derived witness failed re-check")
