@@ -63,7 +63,7 @@ from .spaces import (
     diameter,
     format_rational,
     is_ultrametric,
-    parse_rational,
+    read_literals,
     space_from_json,
     space_to_text,
 )
@@ -335,7 +335,7 @@ def _cmd_ballpreserving(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    pool = tuple(parse_rational(part) for part in args.pool.split(","))
+    pool, _ = read_literals((args.pool.split(","),))  # the generator draws from its positive values
     force = None if args.force_class == "any" else args.force_class
     config = GenConfig(seed=args.seed, n=args.n, spectrum_pool=pool, force_class=force)
     if args.semimetric:

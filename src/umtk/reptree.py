@@ -10,10 +10,11 @@ A ``RepTree`` is held as preorder arrays: position 0 is the root, and each
 position has a label, a leaf point (None on internal nodes) and the positions
 of its children; like a space, it carries its spectrum, and each label is an
 int rank into it. It is the one form of a tree: every layer reads the
-arrays, the decoder writes them directly, and every producer that makes
-nodes children first (``build_tree``, the generators) numbers them
-bottom-up and has ``RepTree.bottom_up`` lay them out. ``RepNode``
-is only a read-only view of values, built on first use, for code that walks
+arrays, the decoder writes them directly, its labels ranked by
+``spaces.read_literals`` like a space document's entries, and every producer
+that makes nodes children first (``build_tree``, the generators) numbers
+them bottom-up and has ``RepTree.bottom_up`` lay them out. ``RepNode`` is
+only a read-only view of values, built on first use, for code that walks
 nodes.
 
 ``build_tree`` reads the tree off the minimum spanning tree that certifies
@@ -37,12 +38,12 @@ from typing import Sequence
 
 from .errors import FormatError, InvalidTreeError, NotUltrametricError
 from .spaces import (
+    ABSENT,
     FiniteSemimetricSpace,
     check_point_names,
     dot_string,
     format_rational,
-    parse_rational,
-    rank_values,
+    read_literals,
     ultrametric_mst,
     validate_semimetric,
 )
@@ -274,55 +275,57 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
     """Decode a tree document and check its structure, and its labels too
     when ``labeled``.
 
-    One preorder pass over the JSON objects raises the first FormatError in
-    preorder, parses each distinct label literal once and fills the tree's
-    arrays, labels as literals (leaves "0") ranked once at the end; then one
-    ``validate_tree`` pass checks them, reporting the first structural defect
-    before any label defect. Nothing recurses: the walk keeps one iterator
-    per open child list, beside the list its positions join, so a leaf is
-    read in place and only an internal node opens a list.
+    One preorder pass over the JSON objects fills the tree's arrays, labels
+    as literals (leaves "0", ``ABSENT`` if none), up to the first structural
+    FormatError; ``read_literals`` ranks the labels read before that error
+    is raised, so the first FormatError in preorder is reported. Then one
+    ``validate_tree`` pass reports the first structural defect before any
+    label defect. Nothing recurses: the walk keeps one iterator per open
+    child list, beside the list its positions join, so a leaf is read in
+    place and only an internal node opens a list.
     """
-    parsed = {"0": parse_rational("0")}  # literal -> value
-    texts: list[str | None] = []
+    texts: list[object] = []
     points: list[str | None] = []
     children: list[Sequence[int]] = []
     stack = [(iter((doc,)), [])]  # (an open child list's iterator, its positions)
-    while stack:
-        objs, mine = stack[-1]
-        for obj in objs:
-            mine.append(len(texts))
-            if not isinstance(obj, dict):
-                raise FormatError("tree node must be a JSON object")
-            if "point" in obj:
-                if "children" in obj or "label" in obj:
-                    raise FormatError("leaf nodes carry only a point")
-                point = obj["point"]
-                if not isinstance(point, str):
-                    raise FormatError("leaf point must be a string")
-                texts.append("0")
-                points.append(point)
-                children.append(())
-                continue
-            if "children" not in obj:
-                raise FormatError('tree node needs "children" or "point"')
-            kids = obj["children"]
-            if not isinstance(kids, list) or not kids:
-                raise FormatError('"children" must be a non-empty list')
-            text = obj.get("label")
-            if "label" in obj and (not isinstance(text, str) or text not in parsed):
-                parsed[text] = parse_rational(text)  # no string is ever a key: it raises
-            texts.append(text)
-            points.append(None)
-            opened: list[int] = []
-            children.append(opened)
-            stack.append((iter(kids), opened))
-            break
-        else:
-            stack.pop()
+    defect = None
+    try:
+        while stack:
+            objs, mine = stack[-1]
+            for obj in objs:
+                mine.append(len(texts))
+                if not isinstance(obj, dict):
+                    raise FormatError("tree node must be a JSON object")
+                if "point" in obj:
+                    if "children" in obj or "label" in obj:
+                        raise FormatError("leaf nodes carry only a point")
+                    point = obj["point"]
+                    if not isinstance(point, str):
+                        raise FormatError("leaf point must be a string")
+                    texts.append("0")
+                    points.append(point)
+                    children.append(())
+                    continue
+                if "children" not in obj:
+                    raise FormatError('tree node needs "children" or "point"')
+                kids = obj["children"]
+                if not isinstance(kids, list) or not kids:
+                    raise FormatError('"children" must be a non-empty list')
+                texts.append(obj.get("label", ABSENT))
+                points.append(None)
+                opened: list[int] = []
+                children.append(opened)
+                stack.append((iter(kids), opened))
+                break
+            else:
+                stack.pop()
+    except FormatError as err:
+        defect = err
+    spectrum, rank = read_literals((texts,))
+    if defect is not None:
+        raise defect
     check_point_names(filter(None, points))
-    spectrum, ranks = rank_values(parsed.values())
-    rank = dict(zip(parsed, ranks)).get  # no label: None
-    tree = RepTree(list(map(rank, texts)), points, children, spectrum)
+    tree = RepTree(list(map(rank.get, texts)), points, children, spectrum)  # ABSENT: None
     validate_tree(tree, labeled)
     return tree
 
@@ -351,7 +354,8 @@ def tree_to_text(tree: RepTree) -> str:
         for c in kids[:0:-1]:
             stack += [(c, inner), ",\n" + inner]
         stack.append((kids[0], inner))
-    return "".join(out) + "\n"
+    out.append("\n")  # one join copies the text once
+    return "".join(out)
 
 
 def tree_to_dot(tree: RepTree) -> str:

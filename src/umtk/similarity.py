@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import FormatError, NotUltrametricError, VerificationFailedError
+from .errors import NotUltrametricError, VerificationFailedError
 from .reptree import build_tree
 from .search import match
-from .spaces import FiniteSemimetricSpace, format_rational, parse_rational
+from .spaces import FiniteSemimetricSpace, format_rational
 
 Scaling = tuple[tuple[Fraction, Fraction], ...]
 
@@ -176,19 +176,3 @@ def weak_sim_witness_to_json(witness: WeakSimWitness, point_order: tuple[str, ..
         "scaling": [[format_rational(a), format_rational(b)] for a, b in witness.scaling],
         "phi": {p: witness.phi[p] for p in point_order},
     }
-
-
-def weak_sim_witness_from_json(doc: object) -> WeakSimWitness:
-    if not isinstance(doc, dict) or "scaling" not in doc or "phi" not in doc:
-        raise FormatError('witness document needs "scaling" and "phi"')
-    pairs, phi = doc["scaling"], doc["phi"]
-    # a scaling entry is a list of two literals, and phi maps names to names
-    if (
-        not isinstance(pairs, list)
-        or not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs)
-        or not isinstance(phi, dict)
-        or not all(isinstance(v, str) for v in phi.values())
-    ):
-        raise FormatError("malformed witness document")
-    scaling = tuple((parse_rational(a), parse_rational(b)) for a, b in pairs)
-    return WeakSimWitness(scaling, {str(k): v for k, v in phi.items()})

@@ -12,9 +12,10 @@ order, so all checks and searches compare small ints, and a strictly
 increasing relabeling of the distances swaps the spectrum and keeps the
 ranks: weak similarity is isometry of rank matrices. So the points and
 ranks fix a space up to such a relabeling, and a space hashes only them.
-A document's distinct literals are checked in one pass and ranked at once,
-as ints when all are integers and by ``rank_values`` otherwise; a document
-that fails them is scanned literal by literal for its first bad entry.
+Every rational literal read -- a space's entries, a tree's labels, a
+generator's pool -- goes through ``read_literals``: the distinct literals are
+checked in one pass and ranked at once, as ints when all are integers and by
+``rank_values`` otherwise; input that fails is scanned for its first bad one.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import eq, floordiv, itemgetter, lshift
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicatePointNameError,
@@ -42,6 +43,9 @@ from .errors import (
 )
 
 _ZERO = Fraction(0)
+
+# a place with no literal in the rows ``read_literals`` reads: a tree node without a label
+ABSENT = object()
 
 # ASCII digits only: ``\d`` would admit every Unicode decimal digit.
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -133,7 +137,7 @@ def rank_values(values: Iterable[Fraction | None]) -> tuple[tuple[Fraction, ...]
     """The spectrum of some values -- the distinct ones and 0, increasing,
     each the first object seen for its value -- and each value's rank in it
     (None stays None). Every space and every labeled tree is ranked here or,
-    from a document of integer literals, by ``_rank_literals``."""
+    from a document of integer literals, by ``read_literals``."""
     values = list(values)
     given = [v for v in values if v is not None]
     dens = [v.denominator for v in given]
@@ -150,20 +154,29 @@ def rank_values(values: Iterable[Fraction | None]) -> tuple[tuple[Fraction, ...]
     return tuple(map(firsts.__getitem__, order)), list(map(rank.get, keys))
 
 
-def _rank_literals(literals: Collection[str]) -> tuple[tuple[Fraction, ...], dict[str, int]]:
-    """``rank_values`` of distinct rational literals, as the spectrum and each
-    literal's rank. One match checks them all; integers are their own keys,
-    with one Fraction per spectrum value, and a set with a fraction among
-    them goes through ``rank_values``. TypeError, ValueError or
-    ZeroDivisionError where ``parse_rational`` would reject one."""
-    text = "\n".join(literals)
-    # one line per literal: then no literal holds a newline
-    if text.count("\n") != len(literals) - 1 or _LITERAL_LINES_RE.fullmatch(text) is None:
-        raise ValueError("not a set of rational literals")
-    if "/" in text:
-        spectrum, ranks = rank_values(map(Fraction, literals))
-        return spectrum, dict(zip(literals, ranks))
-    keys = list(map(int, literals))
+def read_literals(rows: Sequence[Iterable[object]]) -> tuple[tuple[Fraction, ...], dict[str, int]]:
+    """The spectrum of rows of rational literals and each distinct literal's
+    rank in it, as ``rank_values`` ranks their values; ``ABSENT`` entries
+    are skipped. One set union over the rows finds the distinct literals and
+    one match checks them all; integers are their own keys, with one
+    Fraction per spectrum value, and a set with a fraction among them goes
+    through ``rank_values``. Failing that, the literals are parsed in row
+    order and the first bad one raises its FormatError."""
+    try:
+        literals = set().union(*rows)
+        literals.discard(ABSENT)
+        text = "\n".join(literals)
+        # one line per literal: then no literal holds a newline
+        if text.count("\n") != len(literals) - 1 or _LITERAL_LINES_RE.fullmatch(text) is None:
+            raise ValueError("not a set of rational literals")
+        if "/" in text:
+            spectrum, ranks = rank_values(map(Fraction, literals))
+            return spectrum, dict(zip(literals, ranks))
+        keys = list(map(int, literals))
+    except (TypeError, ValueError, ZeroDivisionError):
+        values = {lit: parse_rational(lit) for lit in chain.from_iterable(rows) if lit is not ABSENT}
+        spectrum, ranks = rank_values(values.values())
+        return spectrum, dict(zip(values, ranks))
     order = sorted({0, *keys})
     rank = dict(zip(order, range(len(order))))
     return tuple(map(Fraction, order)), dict(zip(literals, map(rank.__getitem__, keys)))
@@ -394,16 +407,8 @@ def space_from_json(doc: object) -> FiniteSemimetricSpace:
     check_point_names(points)
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise FormatError('"dist" must be a list of rows')
-    # One C pass over whole rows finds the distinct literals (and caches each
-    # entry's hash for the rank lookups), ranked all at once. Failing that, a
-    # row-major scan parses every entry and raises the first bad one.
-    try:
-        ranked = _rank_literals(set().union(*dist))
-    except (TypeError, ValueError, ZeroDivisionError):
-        values = {lit: parse_rational(lit) for lit in chain.from_iterable(dist)}
-        spectrum, ranks = rank_values(values.values())
-        ranked = spectrum, dict(zip(values, ranks))
-    return validate_semimetric(tuple(points), dist, ranked)
+    # the union over whole rows also caches each entry's hash for the rank lookups
+    return validate_semimetric(tuple(points), dist, read_literals(dist))
 
 
 def check_point_names(names: Iterable[str]) -> None:

@@ -12,8 +12,9 @@ import sys
 from fractions import Fraction as F
 
 import validation_oracle as oracle
-from umtk import spaces
+from umtk import cli, reptree, spaces
 from umtk.errors import UmtkError
+from umtk.reptree import tree_from_json
 from umtk.spaces import parse_rational, rank_values, space_from_json, validate_semimetric
 
 # the values, and the literal forms of each, by value index
@@ -186,6 +187,32 @@ def test_one_pass_literal_ranking_matches_the_literal_scan():
         assert _outcome(space_from_json, doc) == _outcome(oracle.space_from_json, doc)
     # the ranking itself, against rank_values of the parsed literals
     for literals in LITERAL_SETS[:5]:
-        ranked = spaces._rank_literals(set(literals))
+        ranked = spaces.read_literals([literals])
         spectrum, ranks = rank_values(map(parse_rational, literals))
         assert ranked == (spectrum, dict(zip(literals, ranks)))
+
+
+def test_spaces_trees_and_the_generator_pool_share_one_literal_reader(monkeypatch, tmp_path):
+    calls, parses = [], []
+
+    def counted_read(rows):
+        calls.append(rows)
+        return read(rows)
+
+    def counted_parse(text):
+        parses.append(text)
+        return parse(text)
+
+    read, parse = spaces.read_literals, spaces.parse_rational
+    for module in (spaces, reptree, cli):
+        monkeypatch.setattr(module, "read_literals", counted_read)
+    monkeypatch.setattr(spaces, "parse_rational", counted_parse)
+    space_from_json({"points": ["p", "q", "r"], "dist": [["0", "1/2", "2"], ["2/4", "0", "2"], ["2", "2", "0"]]})
+    assert len(calls) == 1
+    # a valid tree document, with fraction labels and an unlabeled node, is never parsed literal by literal
+    doc = {"label": "3/2", "children": [{"point": "u"}, {"children": [{"point": "v"}, {"point": "w"}]}]}
+    tree = tree_from_json(doc)
+    assert len(calls) == 2 and parses == []
+    assert tree.labels == [1, 0, None, 0, 0]
+    assert cli.main(["gen", "--seed", "1", "--n", "4", "--pool", "1/2,1,3", "--out", str(tmp_path / "g.json")]) == 0
+    assert len(calls) == 3 and calls[-1] == (["1/2", "1", "3"],)

@@ -205,6 +205,10 @@ def test_labeled_tree_iso_reports_structure_before_labels(tmp_path, capsys, doc,
         # the first of two format errors in preorder wins
         {"children": [{"label": "1/0", "children": [{"point": "a"}]}, 7]},
         {"children": [{"point": "a", "children": []}, {"label": "x"}]},
+        # a node's own structure comes before its label, which is never read
+        {"label": "x", "children": []},
+        {"label": "x"},
+        {"children": [{"point": "u", "label": "x"}, {"point": "v"}]},
     ],
 )
 def test_format_errors_come_before_invalid_trees(doc):
@@ -224,6 +228,51 @@ def test_bad_labels_are_reported_like_the_reference(label):
     with pytest.raises(FormatError) as got:
         tree_from_json(doc)
     assert str(got.value) == str(want.value)
+
+
+# The walk stops at its first structural defect, and the labels it read
+# before it are ranked first: whichever comes first in preorder is reported.
+PRECEDENCE_LABELS = {
+    "x": "not a rational literal: 'x'",
+    None: "rational literal must be a string, got NoneType",
+    5: "rational literal must be a string, got int",
+    "1/0": "zero denominator in '1/0'",
+}
+
+
+def _precedence_docs(label):
+    """A bad label ahead of a non-object child, and behind one."""
+    inner = {"label": label, "children": [{"point": "v"}, {"point": "w"}]}
+    return (
+        ({"label": "2", "children": [inner, {"point": "u"}, 7]}, PRECEDENCE_LABELS[label]),
+        ({"label": "2", "children": [{"point": "u"}, 7, inner]}, "tree node must be a JSON object"),
+    )
+
+
+@pytest.mark.parametrize("label", list(PRECEDENCE_LABELS))
+@pytest.mark.parametrize("labeled", [False, True])
+def test_the_first_of_a_bad_label_and_a_non_object_child_is_reported(label, labeled):
+    for doc, message in _precedence_docs(label):
+        with pytest.raises(FormatError) as want:
+            oracle.tree_from_json(doc)
+        assert str(want.value) == message
+        with pytest.raises(FormatError) as got:
+            tree_from_json(doc, labeled=labeled)
+        assert str(got.value) == message
+
+
+@pytest.mark.parametrize("label", list(PRECEDENCE_LABELS))
+def test_tree_iso_reports_the_first_of_a_bad_label_and_a_non_object_child(tmp_path, capsys, label):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"children": [{"point": "u"}, {"point": "v"}]}))
+    for doc, message in _precedence_docs(label):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["--labeled", str(path), str(good)], [str(good), str(path)]):
+            assert main(["tree-iso", *argv]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.endswith(f"FormatError: {message}\n")
 
 
 def test_equal_values_in_different_literals():
