@@ -8,8 +8,8 @@ witness never participates in equality. Every layer works on point indices:
 a ball is an int mask in which a point's bit is n - 1 - (rank of its name),
 so (size, -mask) sorts like (size, sorted names), the order of every ballean
 and diagram. Name sets are made only where they are read (``Ballean.balls``,
-``HasseDiagram.vertices``, a ``HasseIso`` read as a mapping, a violation and
-the writers). The balls a centre witnesses are prefixes of one member list,
+``HasseDiagram.vertices``, a violation and the writers); a ``HasseIso`` maps
+vertex indices. The balls a centre witnesses are prefixes of one member list,
 so an image mask or an up-set takes one running fold per centre, and a
 point's bitset of the balls through it gives its ball profile by bit counts.
 The Hasse diagram has an arc for each cover pair of the inclusion order
@@ -29,7 +29,6 @@ inner node share every ball).
 """
 from __future__ import annotations
 
-from collections import UserDict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -261,18 +260,15 @@ def _joint_refine(h1: HasseDiagram, h2: HasseDiagram) -> tuple[list[int], list[i
         ]
 
 
-@dataclass(eq=False)
-class HasseIso(UserDict):
+@dataclass(frozen=True, eq=False)
+class HasseIso:
     """Arc-preserving vertex bijection of ``h1`` onto ``h2`` as vertex
-    indices, ``assignment``; read as a mapping, name set to name set."""
+    indices, ``assignment``: vertex ``i`` of ``h1`` is the name set
+    ``h1.vertices[i]``."""
 
     h1: HasseDiagram
     h2: HasseDiagram
     assignment: dict[int, int]
-
-    @cached_property
-    def data(self) -> dict[frozenset[str], frozenset[str]]:  # type: ignore[override]
-        return {self.h1.vertices[i]: self.h2.vertices[j] for i, j in self.assignment.items()}
 
 
 def hasse_digraph_iso(h1: HasseDiagram, h2: HasseDiagram) -> HasseIso | None:

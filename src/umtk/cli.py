@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Every subcommand reads JSON space/tree documents and writes JSON or DOT to
-stdout (or ``--out``). Decision subcommands put the verdict in the exit code
-so they compose in shell pipelines: 0 = positive / success, 1 = negative,
-2 = input or usage error (including input too deep to process), 3 = internal
-verification failure or any other internal error. Only a negative decision
-exits 1, and no exit prints a traceback. Witness output goes to stdout only;
-diagnostics go to stderr.
+stdout (or ``--out``). One writer, ``_emit``, writes every document: it takes
+the document as pieces and writes them ``_BATCH`` at a time, so no document is
+held as one string. It is called only after every check, so a command that
+fails writes nothing and creates no ``--out`` file. Decision subcommands put
+the verdict in the exit code so they compose in shell pipelines: 0 =
+positive / success, 1 = negative, 2 = input or usage error (including input
+too deep to process), 3 = internal verification failure or any other
+internal error. Only a negative decision exits 1, and no exit prints a
+traceback. Witness output goes to stdout only; diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -16,8 +19,9 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager
-from itertools import accumulate
+from collections.abc import Iterable
+from contextlib import contextmanager, nullcontext
+from itertools import accumulate, chain, islice
 from types import FunctionType
 
 from .balls import (
@@ -65,7 +69,7 @@ from .spaces import (
     is_ultrametric,
     read_literals,
     space_from_json,
-    space_to_text,
+    space_to_json,
 )
 from .suites import run_all
 from .treecanon import check_iso_map, rooted_tree_iso_map
@@ -83,23 +87,23 @@ def _diag(message: str) -> None:
     print(f"{prefix} {message}", file=sys.stderr)
 
 
-@contextmanager
-def _output(out: str | None):
-    """stdout, or the ``--out`` file opened for writing."""
-    if out is None:
-        yield sys.stdout
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            yield handle
+# Pieces joined per write. A document is never held as one string: a ballean
+# or a deep tree-iso map runs to 10^8 characters and more.
+_BATCH = 1024
 
 
-def _emit(text: str, out: str | None) -> None:
-    with _output(out) as handle:
-        handle.write(text)
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write the document that ``pieces`` join to stdout, or to the ``--out``
+    file, ``_BATCH`` pieces joined at a time; an empty piece does not end it.
+    ``writelines`` lets each batch go before it joins the next."""
+    pieces = iter(pieces)
+    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as handle:
+        handle.writelines(map("".join, iter(lambda: list(islice(pieces, _BATCH)), [])))
 
 
 def _emit_json(doc: object, out: str | None) -> None:
-    _emit(json.dumps(doc, indent=2) + "\n", out)
+    """``json.dumps(doc, indent=2) + "\\n"``, written as its encoder's chunks."""
+    _emit(chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"]), out)
 
 
 # The deepest nesting of arrays and objects the reader takes: a tree document
@@ -199,12 +203,6 @@ def _node_paths(tree: RepTree) -> list[str]:
     return paths
 
 
-# Pairs per write of the tree-iso map. The map is never held as one string:
-# a deep pair's paths are long, and a 5 000-level chain pair's map is about
-# 10^8 characters.
-_MAP_SLICE = 1024
-
-
 # --- subcommand handlers --------------------------------------------------
 
 
@@ -232,7 +230,7 @@ def _cmd_diametric(args) -> int:
     space = _load_space(args.space)
     graph = diametrical_graph(space)
     if args.dot:
-        _emit(graph_to_dot(graph), args.out)
+        _emit([graph_to_dot(graph)], args.out)
         return 0
     try:
         parts = multipartite_parts(graph)
@@ -246,7 +244,7 @@ def _cmd_diametric(args) -> int:
 def _cmd_tree(args) -> int:
     tree = build_tree(_load_space(args.space))
     if args.dot:
-        _emit(tree_to_dot(tree), args.out)
+        _emit([tree_to_dot(tree)], args.out)
     else:
         _emit(tree_to_text(tree), args.out)
     return 0
@@ -267,14 +265,11 @@ def _cmd_tree_iso(args) -> int:
         raise VerificationFailedError("tree isomorphism pairing order does not hold each node once")
     p1 = _node_paths(t1)
     p2 = _node_paths(t2)
-    # the bytes of json.dumps(..., indent=2) + "\n" of the document, written
-    # in walk order; paths are digits and dots, so no key needs escaping
-    with _output(args.out) as handle:
-        handle.write(f'{{\n  "isomorphic": true,\n  "labeled": {json.dumps(args.labeled)},\n  "map": {{')
-        for start in range(0, len(walk), _MAP_SLICE):
-            pairs = walk[start:start + _MAP_SLICE]
-            handle.write(("," if start else "") + ",".join(f'\n    "{p1[a]}": "{p2[psi[a]]}"' for a in pairs))
-        handle.write("\n  }\n}\n")
+    # the bytes of json.dumps(..., indent=2) + "\n" of the document, one pair
+    # per piece in walk order; paths are digits and dots, so no key needs escaping
+    head = f'{{\n  "isomorphic": true,\n  "labeled": {json.dumps(args.labeled)},\n  "map": {{'
+    pairs = (f'{"," if k else ""}\n    "{p1[a]}": "{p2[psi[a]]}"' for k, a in enumerate(walk))
+    _emit(chain([head], pairs, ["\n  }\n}\n"]), args.out)
     return 0
 
 
@@ -317,7 +312,7 @@ def _cmd_ballean(args) -> int:
 def _cmd_hasse(args) -> int:
     diagram = hasse_diagram(enumerate_balls(_load_space(args.space)))
     if args.dot:
-        _emit(hasse_to_dot(diagram), args.out)
+        _emit([hasse_to_dot(diagram)], args.out)
     else:
         _emit_json(hasse_to_json(diagram), args.out)
     return 0
@@ -342,7 +337,7 @@ def _cmd_gen(args) -> int:
         space = random_semimetric(config)
     else:
         space = random_ultrametric(config)
-    _emit(space_to_text(space), args.out)
+    _emit_json(space_to_json(space), args.out)
     return 0
 
 

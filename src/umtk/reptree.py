@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import FormatError, InvalidTreeError, NotUltrametricError
 from .spaces import (
@@ -330,32 +330,32 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
     return tree
 
 
-def tree_to_text(tree: RepTree) -> str:
-    """The tree document as ``json.dumps(doc, indent=2) + "\\n"`` prints it,
-    written without recursion, so trees of any depth print."""
+def tree_to_text(tree: RepTree) -> Iterator[str]:
+    """The pieces of the tree document, in order: joined, they are
+    ``json.dumps(doc, indent=2) + "\\n"``. They are made without recursion, so
+    trees of any depth print, and one at a time, so the document, which grows
+    with the square of a chain's depth, is never held whole."""
     labels, points, children = tree.labels, tree.points, tree.children
     text = [format_rational(v) for v in tree.spectrum]
-    out: list[str] = []
     stack: list = [(0, "")]  # a position with its indent, or text to write
     while stack:
         item = stack.pop()
         if isinstance(item, str):
-            out.append(item)
+            yield item
             continue
         v, pad = item
         kids = children[v]
         if not kids:
-            out.append(f'{{\n{pad}  "point": {json.dumps(points[v])}\n{pad}}}')
+            yield f'{{\n{pad}  "point": {json.dumps(points[v])}\n{pad}}}'
             continue
         label = "" if labels[v] is None else f'{pad}  "label": "{text[labels[v]]}",\n'
         inner = pad + "    "
-        out.append(f'{{\n{label}{pad}  "children": [\n{inner}')
+        yield f'{{\n{label}{pad}  "children": [\n{inner}'
         stack.append(f"\n{pad}  ]\n{pad}}}")
         for c in kids[:0:-1]:
             stack += [(c, inner), ",\n" + inner]
         stack.append((kids[0], inner))
-    out.append("\n")  # one join copies the text once
-    return "".join(out)
+    yield "\n"
 
 
 def tree_to_dot(tree: RepTree) -> str:

@@ -187,7 +187,8 @@ def search_assignment(h1, h2) -> dict[int, int] | None:
 def singleton_map(iso) -> dict[str, str]:
     """The point map of a diagram isomorphism read as member set -> member
     set, restricted to the one-point sets."""
-    return {min(a): min(b) for a, b in iso.items() if len(a) == 1}
+    v1, v2 = iso.h1.vertices, iso.h2.vertices
+    return {min(v1[i]): min(v2[j]) for i, j in iso.assignment.items() if len(v1[i]) == 1}
 
 
 def verify_ball_preserving(x, y, mapping: dict[str, str]):

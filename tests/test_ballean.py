@@ -336,8 +336,9 @@ def test_ball_preserving_route_makes_no_name_sets():
     assert ball_preserving_bijection(x, y) is not None
     assert "balls" not in vars(enumerate_balls(x)) and "balls" not in vars(enumerate_balls(y))
     iso = hasse_digraph_iso(hasse_diagram(enumerate_balls(x)), hasse_diagram(enumerate_balls(y)))
-    assert "data" not in vars(iso) and "vertices" not in vars(iso.h1)
-    assert sorted(map(len, iso)) == sorted(len(b.members) for b in enumerate_balls(x).balls)
+    assert "vertices" not in vars(iso.h1)
+    sizes = sorted(len(iso.h1.vertices[i]) for i in iso.assignment)
+    assert sizes == sorted(len(b.members) for b in enumerate_balls(x).balls)
 
 
 def _nested_diagram(depth):
@@ -368,7 +369,7 @@ def test_deep_tree_diagram_without_recursion():
     assert reversed_is_rooted_tree(diagram)
     iso = hasse_digraph_iso(diagram, diagram)
     assert iso is not None
-    assert all(len(a) == len(b) for a, b in iso.items())
+    assert all(len(diagram.vertices[i]) == len(diagram.vertices[j]) for i, j in iso.assignment.items())
 
 
 def test_tree_diagrams_listed_in_any_order():
@@ -388,7 +389,7 @@ def test_tree_diagrams_listed_in_any_order():
         image = iso.assignment
         assert sorted(image) == sorted(image.values()) == list(range(len(h1.masks)))
         assert all((image[a], image[b]) in h2.arcs for a, b in h1.arcs)
-        assert all(len(a) == len(b) for a, b in iso.items())
+        assert all(len(h1.vertices[a]) == len(h2.vertices[b]) for a, b in image.items())
 
 
 def test_hasse_diagram_holds_one_bit_table():

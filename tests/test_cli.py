@@ -177,7 +177,7 @@ def test_tree_iso_writes_the_reference_bytes(tmp_path, capsys):
     docs += [_random_tree_doc(rng, rng.randint(1, 5), 4, names) for _ in range(12)]
     big = {"label": "9", "children": [_random_tree_doc(rng, 8, 8, names) for _ in range(3)]}
     docs.append(big)
-    assert len(tree_from_json(big, True)) > cli._MAP_SLICE  # written in more than one slice
+    assert len(tree_from_json(big, True)) > cli._BATCH  # written in more than one batch
     a, b, out = (tmp_path / f"{name}.json" for name in "abo")
     for doc in docs:
         other = _shuffled(rng, doc, "q")
@@ -285,6 +285,48 @@ def test_pair_command_negatives(command, a, b, message, paths, tmp_path, capsys)
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "ultra3"],
+    ["spectrum", "ultra3"],
+    ["diametric", "ultra3"],
+    ["diametric", "--dot", "semi3"],
+    ["tree", "blocks4"],
+    ["tree", "--dot", "blocks4"],
+    ["tree-iso", "blocks4", "blocks4"],
+    ["tree-iso", "--labeled", "ultra3", "ultra3"],
+    ["isometric", "blocks4", "blocks4"],
+    ["weaksim", "ultra3", "ultra3_scaled"],
+    ["classify", "blocks4"],
+    ["ballean", "semi3"],
+    ["hasse", "semi3"],
+    ["hasse", "--dot", "semi3"],
+    ["hasse-iso", "semi3", "semi3"],
+    ["ballpreserving", "blocks4", "blocks4"],
+    ["gen", "--seed", "1", "--n", "6"],
+])
+def test_stdout_and_out_get_the_same_bytes(argv, paths, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    args = [paths.get(a, a) for a in argv]
+    assert main(args) == 0
+    written = capsys.readouterr().out
+    assert written
+    assert main([*args, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == written.encode()
+
+
+def test_emit_writes_every_piece(tmp_path, capsys):
+    # the second batch is all empty pieces, of a run longer than a batch, and
+    # the pieces fill their last batch: neither ends the document early or late
+    batch = cli._BATCH
+    pieces = ["{", *map(str, range(batch - 1)), *[""] * (batch + 1), *map(str, range(batch - 2)), "}"]
+    assert len(pieces) == 3 * batch and not any(pieces[batch:2 * batch])
+    out = tmp_path / "out.txt"
+    cli._emit(iter(pieces), None)
+    cli._emit(iter(pieces), str(out))
+    assert capsys.readouterr().out == out.read_text() == "".join(pieces)
 
 
 def test_isometric(paths, capsys):
@@ -708,6 +750,42 @@ def test_tree_documents_up_to_the_depth_bound(tmp_path):
         assert handle.read(len(head)) == head
     (tmp_path / f"o{levels}.json").unlink()  # about 10^8 characters: one dotted path per node
     assert cli.MAX_NESTING == 2 * levels + 1
+
+
+# Documents far larger than the space they describe go out in batches of
+# pieces. The ballean of the n = 256 semimetric space of `umtk gen --seed 1
+# --semimetric --pool 1,…,60` is 26 MB of JSON: written in batches the command
+# peaks near 53 MB, and with the document held as one string near 212 MB.
+# `umtk gen --seed 1 --n 2048 --pool 1,…,60` writes 50 MB: about 85 MB in
+# batches, 422 MB as one string. Each bound leaves twice the batched peak,
+# or more, for other hosts and interpreters.
+BALLEAN_PEAK_MB = 120
+GEN_PEAK_MB = 200
+POOL_1_60 = ",".join(map(str, range(1, 61)))
+
+
+def test_ballean_writes_in_bounded_memory(tmp_path):
+    space, out = tmp_path / "semi.json", tmp_path / "balls.json"
+    assert main(["gen", "--seed", "1", "--n", "256", "--semimetric", "--pool", POOL_1_60, "--out", str(space)]) == 0
+    done = _measured_run(["ballean", "--out", str(out), str(space)], tmp_path / "peak", timeout=120)
+    assert done[:3] == (0, "", "")
+    assert done[3] < BALLEAN_PEAK_MB
+    head = '{\n  "balls": [\n'
+    with open(out) as handle:
+        assert handle.read(len(head)) == head
+    out.unlink()  # 26 MB
+
+
+def test_gen_writes_in_bounded_memory(tmp_path):
+    out = tmp_path / "space.json"
+    done = _measured_run(["gen", "--seed", "1", "--n", "2048", "--pool", POOL_1_60, "--out", str(out)],
+                         tmp_path / "peak", timeout=120)
+    assert done[:3] == (0, "", "")
+    assert done[3] < GEN_PEAK_MB
+    head = '{\n  "points": [\n'
+    with open(out) as handle:
+        assert handle.read(len(head)) == head
+    out.unlink()  # 50 MB
 
 
 def _c_depth_limit(text):

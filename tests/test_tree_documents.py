@@ -282,7 +282,7 @@ def test_equal_values_in_different_literals():
 
     a, b = tree_from_json(doc("1", "1/2")), tree_from_json(doc("1", "2/4"))
     assert canon_code_labeled(a) == canon_code_labeled(b)
-    assert tree_to_text(b) == tree_to_text(a)
+    assert "".join(tree_to_text(b)) == "".join(tree_to_text(a))
     psi = rooted_tree_iso_map(a, b, respect_labels=True)
     assert check_iso_map(a, b, psi, respect_labels=True)
     # "2/4" under "1/2" is not strictly smaller
@@ -450,9 +450,10 @@ def test_ten_thousand_levels_without_recursion(recursion_headroom):
         validate_tree(t1, labeled=True)
         psi = rooted_tree_iso_map(t1, t2, respect_labels=True)
         assert check_iso_map(t1, t2, psi, respect_labels=True)
-        text = tree_to_text(t1)
+        # the text is 1.6 G characters: its pieces are counted, never joined
+        points = sum(piece.count('"point"') for piece in tree_to_text(t1))
     assert len(psi) == 20_001
-    assert text.count('"point"') == 10_001
+    assert points == 10_001
 
 
 def _text_trees():
@@ -466,7 +467,7 @@ def _text_trees():
 
 def test_text_writer_matches_json_dumps():
     for tree in _text_trees():
-        assert tree_to_text(tree) == json.dumps(oracle.tree_to_json(tree), indent=2) + "\n"
+        assert "".join(tree_to_text(tree)) == json.dumps(oracle.tree_to_json(tree), indent=2) + "\n"
 
 
 def test_tree_prints_a_deep_chain(tmp_path):
@@ -490,7 +491,7 @@ def test_tree_to_json_of_a_deep_chain(recursion_headroom):
     with recursion_headroom(40):
         tree = build_tree(space_from_json(doc))
         encoded = oracle.tree_to_json(tree)
-        text = tree_to_text(tree)
+        text = "".join(tree_to_text(tree))
     # json.loads and == recurse once per level of nesting in C, and from 3.12
     # on no recursion limit lets them through 2 201 levels: the reader decodes
     # and the comparison walks with a stack
