@@ -330,6 +330,9 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
     return tree
 
 
+_COMMA, _CLOSE = -1, -2  # tree_to_text's stack markers
+
+
 def tree_to_text(tree: RepTree) -> Iterator[str]:
     """The pieces of the tree document, in order: joined, they are
     ``json.dumps(doc, indent=2) + "\\n"``. They are made without recursion, so
@@ -337,23 +340,28 @@ def tree_to_text(tree: RepTree) -> Iterator[str]:
     with the square of a chain's depth, is never held whole."""
     labels, points, children = tree.labels, tree.points, tree.children
     text = [format_rational(v) for v in tree.spectrum]
-    stack: list = [(0, "")]  # a position with its indent, or text to write
+    # (position, indent width), or a marker with the width of its text:
+    # _COMMA before a later sibling, _CLOSE after a node's last child. Only
+    # widths wait on the stack, and one indent string, pad, is held at a
+    # time, so what waits grows linearly with a chain's depth.
+    stack, pad = [(0, 0)], ""
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            yield item
+        v, width = stack.pop()
+        if len(pad) != width:
+            pad = " " * width
+        if v < 0:
+            yield ",\n" + pad if v == _COMMA else f"\n{pad}  ]\n{pad}}}"
             continue
-        v, pad = item
         kids = children[v]
         if not kids:
             yield f'{{\n{pad}  "point": {json.dumps(points[v])}\n{pad}}}'
             continue
         label = "" if labels[v] is None else f'{pad}  "label": "{text[labels[v]]}",\n'
-        inner = pad + "    "
-        yield f'{{\n{label}{pad}  "children": [\n{inner}'
-        stack.append(f"\n{pad}  ]\n{pad}}}")
+        inner = width + 4
+        yield f'{{\n{label}{pad}  "children": [\n{pad}    '
+        stack.append((_CLOSE, width))
         for c in kids[:0:-1]:
-            stack += [(c, inner), ",\n" + inner]
+            stack += [(c, inner), (_COMMA, inner)]
         stack.append((kids[0], inner))
     yield "\n"
 

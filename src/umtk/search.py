@@ -4,6 +4,7 @@ It keeps its own stack, so its depth is not bounded by the recursion limit.
 """
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Hashable, Sequence
 
 
@@ -14,18 +15,20 @@ def match(
 ) -> dict[int, int] | None:
     """Color-preserving bijection between equal-sized vertex sets, or None.
 
-    A vertex's candidates are the targets of its color in index order.
+    Lists whose per-color counts differ have no such bijection and give
+    None before any ``fits`` call. A vertex's candidates are the targets of
+    its color in index order.
     Vertices go rarest color first, ties lowest index first, each to its
     first unused candidate j with ``fits(i, j, image, used)``, where
     ``image`` holds the target per source vertex (-1 while unassigned) and
     ``used`` flags taken targets. The map is keyed in assignment order."""
+    if Counter(colors1) != Counter(colors2):
+        return None
     n = len(colors1)
     by_color: dict[Hashable, list[int]] = {}
     for j, color in enumerate(colors2):
         by_color.setdefault(color, []).append(j)
-    candidates = [by_color.get(color, []) for color in colors1]
-    if not all(candidates):
-        return None
+    candidates = [by_color[color] for color in colors1]
     order = sorted(range(n), key=lambda i: len(candidates[i]))
     image = [-1] * n
     used = [False] * n

@@ -6,10 +6,12 @@ f(d(x, y)) = rho(phi(x), phi(y)) for all pairs. Between finite spectra of
 equal size exactly one strictly increasing bijection exists (the rank map),
 so weak similarity is isometry of rank matrices, and isometry is that plus
 equal spectra. For ultrametric inputs it reduces to equal canonical trees,
-X's and Y's on X's spectrum, whose leaves pair by position; for
-general semimetric inputs points of equal sorted rank rows are paired, by
-the one map they force where X's rows are pairwise distinct, and otherwise
-by ``search.match``. No distance multisets are compared first. Every
+X's and Y's on X's spectrum, whose leaves pair by position. For general
+semimetric inputs, unequal multisets of rank-row sums are a no; otherwise
+each point is coloured by its row sum, and by its sorted rank row too
+where sums tie, and points of equal colour are paired, by the one map the
+colours force where X's are pairwise distinct, and otherwise by
+``search.match``. The distance multisets themselves are not compared. Every
 witness returned by this module is verified once, over all pairs, by the
 one rank verifier behind ``verify_isometry`` and ``verify_weak_similarity``;
 a refuted forced map means no, any other refuted map is a defect.
@@ -93,12 +95,25 @@ def _backtrack_isometry(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
 ) -> tuple[dict[str, str] | None, bool]:
     """Unverified point map, or None, and whether the colours force it. A
-    point's colour is its sorted rank row, which a rank-preserving map keeps:
-    if X's are pairwise distinct and Y's the same set, only the map pairing
-    equal colours can be one. Otherwise the matching search runs, and a
-    candidate must keep the distance ranks to the assigned points."""
+    rank-preserving map keeps each point's rank row as a multiset, so it
+    keeps the row's sum and its sorted row. Unequal multisets of row sums
+    are a no at once. Otherwise a point's colour is ``(sum, sorted row)``
+    where another point of X shares its sum and ``(sum, ())`` elsewhere,
+    which parts each space as its sorted rows do, sorting only the rows
+    whose sums tie. If X's colours are pairwise distinct and Y's the same
+    set, only the map pairing equal colours can be one. Otherwise the
+    matching search runs, and a candidate must keep the distance ranks to
+    the assigned points."""
     dx, dy = x.ranks, y.ranks
-    colors1, colors2 = ([tuple(sorted(row)) for row in d] for d in (dx, dy))
+    sums1, sums2 = list(map(sum, dx)), list(map(sum, dy))
+    ordered = sorted(sums1)
+    if ordered != sorted(sums2):
+        return None, False
+    tied = {s for s, t in zip(ordered, ordered[1:]) if s == t}
+    colors1, colors2 = (
+        [(s, tuple(sorted(row)) if s in tied else ()) for s, row in zip(sums, d)]
+        for sums, d in ((sums1, dx), (sums2, dy))
+    )
     distinct = set(colors1)
     if len(distinct) == len(colors1) and distinct == set(colors2):
         at = dict(zip(colors2, y.points))

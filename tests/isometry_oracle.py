@@ -5,10 +5,16 @@ comparison of the sorted distance multisets first, then the labeled tree
 codes for ultrametric pairs, and otherwise ``backtrack_isometry``, which
 recurses once per point and checks each candidate against every assigned
 point. It is slow and exists only to check ``umtk.similarity``.
+
+``sorted_row_isometry`` is ``similarity._backtrack_isometry`` as it stood
+before row sums coloured the points: every point's colour is its sorted
+rank row, the colours force the map where X's are pairwise distinct and
+Y's the same set, and ``search.match`` runs otherwise.
 """
 from __future__ import annotations
 
 from umtk.reptree import build_tree
+from umtk.search import match
 from umtk.similarity import IsometryWitness
 from umtk.spaces import is_ultrametric
 
@@ -75,3 +81,22 @@ def decide_isometry(x, y) -> IsometryWitness | None:
         phi = tree_isometry(build_tree(x), build_tree(y))
         return None if phi is None else IsometryWitness(phi)
     return backtrack_isometry(x, y)
+
+
+def sorted_row_isometry(x, y) -> tuple[dict[str, str] | None, bool]:
+    """Unverified point map, or None, and whether the sorted rank rows
+    force it."""
+    dx, dy = x.ranks, y.ranks
+    colors1, colors2 = ([tuple(sorted(row)) for row in d] for d in (dx, dy))
+    distinct = set(colors1)
+    if len(distinct) == len(colors1) and distinct == set(colors2):
+        at = dict(zip(colors2, y.points))
+        return {p: at[c] for p, c in zip(x.points, colors1)}, True
+
+    def fits(i, j, image, used):
+        return all(j2 < 0 or d == dy[j][j2] for d, j2 in zip(dx[i], image))
+
+    assignment = match(colors1, colors2, fits)
+    if assignment is None:
+        return None, False
+    return {x.points[i]: y.points[j] for i, j in assignment.items()}, False

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -468,6 +469,21 @@ def _text_trees():
 def test_text_writer_matches_json_dumps():
     for tree in _text_trees():
         assert "".join(tree_to_text(tree)) == json.dumps(oracle.tree_to_json(tree), indent=2) + "\n"
+
+
+def test_text_of_a_deep_chain_keeps_little_pending():
+    # inner child first: each of the 3 000 open levels has a separator and a
+    # closing piece pending, which wait as indent widths; held as strings
+    # carrying their indents, they would take about 70 MB
+    tree = tree_from_json(oracle.chain_doc(3000, False))
+    tracemalloc.start()
+    try:
+        size = sum(map(len, tree_to_text(tree)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 144_222_806
+    assert peak < 10 * 2**20
 
 
 def test_tree_prints_a_deep_chain(tmp_path):
