@@ -15,8 +15,9 @@ point's bitset of the balls through it gives its ball profile by bit counts.
 The Hasse diagram has an arc for each cover pair of the inclusion order
 (arcs point small -> large). For ultrametric spaces the
 reversed diagram is a rooted tree: its shape codes are built straight from
-each vertex's predecessors and ``treecanon``'s pairing walk pairs the two
-diagrams in place. Otherwise color refinement and the matching search of
+each vertex's predecessors by ``reptree._codes``, and the preorders of the
+two code orders (``reptree._preorder``), zipped, pair the two diagrams in
+place. Otherwise color refinement and the matching search of
 ``search.match`` run. A Hasse isomorphism restricted to the zero-indegree
 vertices (the one-point balls) always yields a ball-preserving point
 bijection, which is re-verified before being returned. A point's ball
@@ -37,9 +38,9 @@ from itertools import accumulate, chain, compress, groupby, repeat
 from operator import and_, invert, itemgetter, or_
 
 from .errors import NotABijectionError, VerificationFailedError
+from .reptree import _codes, _preorder
 from .search import match
 from .spaces import FiniteSemimetricSpace, dot_string
-from .treecanon import _codes, _pairs
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ def hasse_digraph_iso(h1: HasseDiagram, h2: HasseDiagram) -> HasseIso | None:
         code2, ordered2 = _codes(h2.masks, h2.preds, None, range(len(h2.masks)))
         if code1 != code2:
             return None
-        assignment = dict(zip(*_pairs(ordered1, ordered2, len(h1.masks) - 1, len(h2.masks) - 1)))
+        assignment = dict(zip(_preorder(ordered1, len(h1.masks) - 1), _preorder(ordered2, len(h2.masks) - 1)))
     else:
         assignment = _search_assignment(h1, h2, succ2)
         if assignment is None:

@@ -23,7 +23,7 @@ Conversely, ``adversarial_relabeling`` shows the chain hypothesis is sharp:
 for any X that is not an inner chain it produces a space with the same tree
 shape but a different spectrum size, hence not weakly similar to X. Both
 the class report and the relabeling read the tree's levels through one
-top-down walk, ``_inner_levels``.
+top-down walk, ``reptree._inner_levels``.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InapplicableError, VerificationFailedError
-from .reptree import RepTree, build_tree, space_from_tree
+from .reptree import RepTree, _inner_levels, _parents, build_tree, space_from_tree
 from .similarity import WeakSimWitness, decide_weak_similarity
 from .spaces import FiniteSemimetricSpace, format_rational, rank_values
 from .treecanon import canon_code_unlabeled
@@ -72,21 +72,9 @@ class ClassReport:
         }
 
 
-def _inner_levels(tree: RepTree) -> list[list[int]]:
-    """The internal positions on each level, top down, each level in
-    preorder. The last entry, the deepest level, holds only leaves: it is empty."""
-    levels: list[list[int]] = []
-    current = [0]
-    while current:
-        inner = [v for v in current if tree.children[v]]
-        levels.append(inner)
-        current = [c for v in inner for c in tree.children[v]]
-    return levels
-
-
 def _classify_tree(tree: RepTree) -> ClassReport:
     children = tree.children
-    inner = _inner_levels(tree)
+    inner = _inner_levels(children, 0)
     counts = tuple(map(len, inner))
     labels = sorted(tree.labels[v] for group in inner for v in group)
     depth = len(inner) - 1
@@ -189,16 +177,13 @@ def adversarial_relabeling(x: FiniteSemimetricSpace) -> FiniteSemimetricSpace:
     """
     tree = build_tree(x)
     labels, children = tree.labels, tree.children
-    inner = _inner_levels(tree)
+    inner = _inner_levels(children, 0)
     multi = [group for group in inner if len(group) >= 2]
     if not multi:
         raise InapplicableError("every level has at most one internal node")
 
     counts = Counter(labels[v] for group in inner for v in group)
-    above = [0] * len(tree)  # each position's parent label rank
-    for v, kids in enumerate(children):
-        for c in kids:
-            above[c] = labels[v]
+    above = list(map(labels.__getitem__, _parents(children)))  # each position's parent label rank
     value = tree.spectrum
     label_set = set(value)
 

@@ -5,9 +5,12 @@ tree and converting it with ``space_from_tree`` -- never by rejection
 sampling on matrices. Everything is driven by ``random.Random`` with a string
 seed derived from the config, so identical configs give bitwise-identical
 space documents. The oracles decide isometry / weak similarity /
-ball-preservation by exhausting point bijections; each has a hard size guard
-and stays independent of the decision procedures it cross-checks (the only
-shared step is the forced spectrum scaling, which is unique anyway).
+ball-preservation by exhausting point bijections behind a hard size guard.
+The weak-similarity oracle shares the forced spectrum scaling (unique anyway)
+and ``verify_weak_similarity``; the ball-preserving one runs
+``ball_preserving_bijection``'s ``enumerate_balls`` and
+``verify_ball_preserving``, so ``tests/ballean_oracle.py`` is the
+independent reference for those two.
 """
 from __future__ import annotations
 
@@ -16,9 +19,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .balls import enumerate_balls, verify_ball_preserving
 from .classify import CLASS_CODES
 from .errors import InfeasibleConstraintsError, TooLargeError, VerificationFailedError
-from .reptree import RepTree, build_tree, space_from_tree
+from .reptree import RepTree, _inner_levels, _parents, build_tree, space_from_tree
 from .similarity import (
     IsometryWitness,
     WeakSimWitness,
@@ -135,12 +139,7 @@ def _chain_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Points, 
 def _distinct_relabel(root: int, rng: random.Random, pool: list[Fraction], pts: _Points) -> int:
     """Give every internal node below ``root`` a distinct pool label,
     decreasing with depth."""
-    children = pts.children
-    order: list[int] = []
-    level = [root]
-    while level:
-        order.extend(v for v in level if children[v])
-        level = [c for v in level for c in children[v]]
+    order = [v for level in _inner_levels(pts.children, root) for v in level]
     if len(order) > len(pool):
         raise InfeasibleConstraintsError(
             f"{len(order)} internal nodes but only {len(pool)} distinct pool labels"
@@ -260,12 +259,10 @@ def random_relabeled(
 
     # one draw per internal node in preorder, each under its parent's new label
     labels = [_ZERO] * len(tree)
-    upper: list[Fraction | None] = [None] * len(tree)
+    parent = _parents(tree.children)
     for v, kids in enumerate(tree.children):
         if kids:
-            labels[v] = pick(upper[v])
-            for c in kids:
-                upper[c] = labels[v]
+            labels[v] = pick(labels[parent[v]] if v else None)
     spectrum, ranks = rank_values(labels)
     return space_from_tree(RepTree(ranks, tree.points, tree.children, spectrum))
 
@@ -338,8 +335,6 @@ def oracle_ball_preserving(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
 ) -> dict[str, str] | None:
     """Exhaustive search for a ball-preserving bijection (n <= 6)."""
-    from .balls import enumerate_balls, verify_ball_preserving
-
     if len(x) != len(y):
         return None
     if len(x) > 6:

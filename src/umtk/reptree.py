@@ -15,7 +15,9 @@ arrays, the decoder writes them directly, its labels ranked by
 that makes nodes children first (``build_tree``, the generators) numbers
 them bottom-up and has ``RepTree.bottom_up`` lay them out. ``RepNode`` is
 only a read-only view of values, built on first use, for code that walks
-nodes.
+nodes. The walks every tree consumer shares (``_preorder``,
+``_inner_levels``, ``_parents``) and the code pass ``_codes`` are here; they
+take any child arrays (empty or None at a leaf) and never recurse.
 
 ``build_tree`` reads the tree off the minimum spanning tree that certifies
 ultrametricity (``spaces.ultrametric_mst``): the representing tree is the
@@ -34,7 +36,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError, InvalidTreeError, NotUltrametricError
 from .spaces import (
@@ -47,6 +49,78 @@ from .spaces import (
     ultrametric_mst,
     validate_semimetric,
 )
+
+
+def _preorder(children: Sequence[Sequence[int] | None], root: int) -> list[int]:
+    """The nodes under ``root`` depth first: a node, then its children's
+    subtrees in the given order."""
+    order: list[int] = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        kids = children[v]
+        if kids:
+            stack.extend(kids[::-1])
+    return order
+
+
+def _inner_levels(children: Sequence[Sequence[int]], root: int) -> list[list[int]]:
+    """The internal nodes under ``root`` level by level, top down, each level
+    in the given child order. The last entry, the deepest level, holds only
+    leaves: it is empty."""
+    levels: list[list[int]] = []
+    level = [root]
+    while level:
+        inner = [v for v in level if children[v]]
+        levels.append(inner)
+        level = [c for v in inner for c in children[v]]
+    return levels
+
+
+def _parents(children: Sequence[Sequence[int]]) -> list[int]:
+    """Each node's parent; 0 at a node without one."""
+    parent = [0] * len(children)
+    for v, kids in enumerate(children):
+        for c in kids:
+            parent[c] = v
+    return parent
+
+
+def _codes(
+    labels: Sequence, children: Sequence[Sequence[int]], spectrum: Sequence | None, bottom_up: Iterable[int]
+) -> tuple[bytes, list[list[int] | None]]:
+    """Code of the last node of ``bottom_up``, and every internal node's
+    children in code order (ties in child order; None at a leaf), indexed
+    by node; shape codes if ``spectrum``, which ``labels`` rank into, is None
+    (then ``labels`` only gives the node count).
+
+    ``bottom_up`` lists the nodes, each after all of its descendants, so
+    each code is built once from its children's codes and no Python
+    recursion is needed at any depth. A code is dropped once its parent's
+    is built, so a deep chain holds a few codes at a time rather than one
+    per level. Each spectrum value is formatted once, into a head and a
+    leaf code per rank, and a leaf's code is looked up, not built.
+    """
+    codes: list[bytes] = [b""] * len(labels)
+    ordered: list[list[int] | None] = [None] * len(labels)
+    code_of = codes.__getitem__
+    heads = {r: b"(" + format_rational(v).encode() + b"|" for r, v in enumerate(spectrum or ())}
+    leaves = {r: head + b")" for r, head in heads.items()}
+    for v in bottom_up:
+        kids = children[v]
+        if not kids:
+            code = codes[v] = b"()" if spectrum is None else leaves.get(labels[v])
+            if code is not None:
+                continue  # else the leaf has no head either, and raises below
+        head = b"(" if spectrum is None else heads.get(labels[v])
+        if head is None:
+            raise InvalidTreeError("labeled code requested on an unlabeled node")
+        order = ordered[v] = sorted(kids, key=code_of)
+        codes[v] = head + b"".join(map(code_of, order)) + b")"
+        for c in kids:
+            codes[c] = b""
+    return codes[v], ordered
 
 
 class RepNode:
@@ -99,14 +173,7 @@ class RepTree:
         before its parent and the root last (a leaf's children are empty or
         None), as the preorder tree, each node's children in the given
         order."""
-        order: list[int] = []
-        stack = [len(labels) - 1]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            kids = children[v]
-            if kids:
-                stack.extend(kids[::-1])
+        order = _preorder(children, len(labels) - 1)
         at = [0] * len(labels)
         for p, v in enumerate(order):
             at[v] = p
@@ -196,8 +263,6 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
     violation, edges = ultrametric_mst(space)
     if violation is not None:
         raise NotUltrametricError(violation)
-    from .treecanon import _codes  # local import: treecanon imports this module
-
     # Every ball is a run of Prim's join order, so a point's join weight is
     # its distance to the point joined just before it: the tree is the
     # Cartesian tree of the join weights, equal weights in one node. Open

@@ -180,40 +180,49 @@ def test_ball_radii_range_over_spectrum(blocks4):
         assert frozenset({p}) in member_sets
 
 
+def _second_walk_corrupted(monkeypatch, corrupt):
+    """Make the tree branch's second ``balls._preorder`` call, the walk of
+    the second diagram, return the real walk after ``corrupt(walk, first,
+    ordered)`` has changed it in place, given the first diagram's walk and
+    code-ordered children."""
+    preorder, walks = balls._preorder, []
+
+    def walked(ordered, root):
+        walks.append(preorder(ordered, root))
+        if len(walks) == 2:
+            corrupt(walks[1], walks[0], ordered)
+        return walks[-1]
+
+    monkeypatch.setattr(balls, "_preorder", walked)
+
+
 def test_tree_branch_re_checks_the_tree_map(blocks4, monkeypatch):
     diagram = hasse_diagram(enumerate_balls(blocks4))
     assert reversed_is_rooted_tree(diagram)
-    pairs = balls._pairs
 
-    def leaf_swapping_pairs(ordered1, ordered2, root1, root2):
-        # the real walk, with the images of the first singleton and of the
-        # first singleton under another parent swapped
-        nodes1, nodes2 = pairs(ordered1, ordered2, root1, root2)
-        parent = {c: v for v, kids in enumerate(ordered1) if kids for c in kids}
-        leaves = [v for v, kids in enumerate(ordered1) if not kids]
-        a = nodes1.index(leaves[0])
-        b = nodes1.index(next(v for v in leaves if parent[v] != parent[leaves[0]]))
-        nodes2[a], nodes2[b] = nodes2[b], nodes2[a]
-        return nodes1, nodes2
+    def swap_leaves(walk, first, ordered):
+        # the images of the first singleton and of the first singleton under
+        # another parent swapped
+        parent = {c: v for v, kids in enumerate(ordered) if kids for c in kids}
+        leaves = [v for v, kids in enumerate(ordered) if not kids]
+        a = first.index(leaves[0])
+        b = first.index(next(v for v in leaves if parent[v] != parent[leaves[0]]))
+        walk[a], walk[b] = walk[b], walk[a]
 
-    monkeypatch.setattr(balls, "_pairs", leaf_swapping_pairs)
+    _second_walk_corrupted(monkeypatch, swap_leaves)
     with pytest.raises(VerificationFailedError):
         hasse_digraph_iso(diagram, diagram)
 
 
 def test_tree_branch_re_checks_that_the_map_is_a_bijection(blocks4, monkeypatch):
     diagram = hasse_diagram(enumerate_balls(blocks4))
-    pairs = balls._pairs
 
-    def repeating_pairs(ordered1, ordered2, root1, root2):
-        # the real walk, with the first singleton's image given to the next
-        # singleton too
-        nodes1, nodes2 = pairs(ordered1, ordered2, root1, root2)
-        singles = [k for k, v in enumerate(nodes1) if not ordered1[v]]
-        nodes2[singles[1]] = nodes2[singles[0]]
-        return nodes1, nodes2
+    def repeat_leaf(walk, first, ordered):
+        # the first singleton's image given to the next singleton too
+        singles = [k for k, v in enumerate(first) if not ordered[v]]
+        walk[singles[1]] = walk[singles[0]]
 
-    monkeypatch.setattr(balls, "_pairs", repeating_pairs)
+    _second_walk_corrupted(monkeypatch, repeat_leaf)
     with pytest.raises(VerificationFailedError, match="not a vertex bijection"):
         hasse_digraph_iso(diagram, diagram)
 

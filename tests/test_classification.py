@@ -22,7 +22,7 @@ from umtk import (
     verify_weak_similarity,
     witness_from_unlabeled_iso,
 )
-from umtk import classify, treecanon
+from umtk import classify, reptree, treecanon
 from umtk.errors import InapplicableError, NotUltrametricError, VerificationFailedError
 from umtk.spaces import FiniteSemimetricSpace
 
@@ -150,12 +150,14 @@ def test_a_positive_shape_witness_codes_each_tree_once(monkeypatch):
     # on X's spectrum, the tree the decision compares with X's
     build_tree(x), build_tree(y), build_tree(FiniteSemimetricSpace(y.points, x.spectrum, y.ranks))
     calls = []
-    codes = treecanon._codes
+    codes = reptree._codes
 
     def counted(*args):
         calls.append(args)
         return codes(*args)
 
+    # the code pass, where build_tree and where the canonical codes call it
+    monkeypatch.setattr(reptree, "_codes", counted)
     monkeypatch.setattr(treecanon, "_codes", counted)
     assert isinstance(witness_from_unlabeled_iso(x, y), WeakSimWitness)
     # the decision compares the canonical trees build_tree returned, and a

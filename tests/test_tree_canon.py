@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction as F
 
@@ -9,14 +10,19 @@ from umtk import (
     canon_code_labeled,
     canon_code_unlabeled,
     check_iso_map,
+    enumerate_balls,
+    hasse_diagram,
     random_relabeled,
     random_ultrametric,
+    renamed_copy,
     rooted_tree_iso_map,
     space_from_pairs,
+    tree_from_json,
 )
 from umtk.errors import NotIsomorphicError
+from umtk.reptree import _codes, _preorder
 
-from tree_oracle import internal, leaf, tree_of
+from tree_oracle import chain_doc, internal, leaf, pairs, tree_of, tree_to_json
 
 
 def test_point_order_does_not_affect_codes(ultra3):
@@ -130,3 +136,51 @@ def test_deep_chain_codes_and_map_without_recursion():
     psi = rooted_tree_iso_map(t1, t2, respect_labels=True)
     assert check_iso_map(t1, t2, psi, respect_labels=True)
     assert time.perf_counter() - start < 1.0
+
+
+def _shuffled(tree, rng):
+    """The same tree laid out again with every child list shuffled."""
+    doc = tree_to_json(tree)
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        if "children" in node:
+            rng.shuffle(node["children"])
+            stack += node["children"]
+    return tree_from_json(doc, labeled=True)
+
+
+def _code_ordered_pairs():
+    """(children in code order, root) of both sides of pairs with equal
+    codes: seeded trees against a shuffled layout of themselves (labeled
+    codes) or of a relabeled copy (shape codes), and the reversed Hasse
+    trees of seeded ultrametric spaces against a renamed copy's."""
+    rng = random.Random(30)
+    for seed in range(30):
+        x = random_ultrametric(GenConfig(seed=seed, n=2 + seed % 14))
+        tx = build_tree(x)
+        for code, other in ((canon_code_labeled, x), (canon_code_unlabeled, random_relabeled(x, seed))):
+            ordered1, ordered2 = [], []
+            assert code(tx, ordered1) == code(_shuffled(build_tree(other), rng), ordered2)
+            yield ordered1, ordered2, 0, 0
+        h1, h2 = (hasse_diagram(enumerate_balls(s)) for s in (x, renamed_copy(x, seed)[0]))
+        code1, ordered1 = _codes(h1.masks, h1.preds, None, range(len(h1.masks)))
+        code2, ordered2 = _codes(h2.masks, h2.preds, None, range(len(h2.masks)))
+        assert code1 == code2
+        yield ordered1, ordered2, len(h1.masks) - 1, len(h2.masks) - 1
+
+
+def test_zipped_preorders_pair_like_the_reference_walk(recursion_headroom):
+    laid_out = 0
+    for ordered1, ordered2, root1, root2 in _code_ordered_pairs():
+        zipped = _preorder(ordered1, root1), _preorder(ordered2, root2)
+        assert zipped == pairs(ordered1, ordered2, root1, root2)
+        laid_out += zipped[0] != zipped[1]
+    assert laid_out >= 30  # most pairs lay their trees out differently
+    t1, t2 = tree_from_json(chain_doc(10_000, True)), tree_from_json(chain_doc(10_000, False))
+    ordered1, ordered2 = [], []
+    assert canon_code_labeled(t1, ordered1) == canon_code_labeled(t2, ordered2)
+    with recursion_headroom(40):
+        zipped = _preorder(ordered1, 0), _preorder(ordered2, 0)
+    assert zipped == pairs(ordered1, ordered2, 0, 0)
+    assert zipped[0] != zipped[1] and len(zipped[0]) == 20_001

@@ -15,7 +15,9 @@ codes, then the class hypotheses, then the rank-keeping tree map.
 ``tree_isometry`` is that tree map as ``umtk.similarity`` ran it before the
 decision compared the canonical trees ``build_tree`` returns: Y's tree moved
 onto X's spectrum, both trees coded again by ``rooted_tree_iso_map`` and
-walked in pairs.
+walked in pairs. ``pairs`` is the walk ``treecanon`` and ``balls`` paired
+two trees with before they zipped the two trees' own preorders: one stack
+per tree, popped in step.
 
 They work on nested ``RepNode``s: ``leaf`` and ``internal`` build them by
 hand, and ``tree_of`` lays a nested tree out as the preorder arrays of a
@@ -281,6 +283,24 @@ def rank_aligned_pairing(tx: RepTree, ty: RepTree) -> dict[str, str]:
             phi[tx.points[ca]] = ty.points[cb]
         stack.extend(zip(a_inner[::-1], b_inner[::-1]))
     return phi
+
+
+def pairs(ordered1, ordered2, root1: int, root2: int) -> tuple[list[int], list[int]]:
+    """The pairing walk over two trees' children in code order, from roots
+    with equal codes: the first tree's nodes depth first, a node and then its
+    children, and at the same index each one's image, the child at the same
+    place under its parent's image."""
+    nodes1: list[int] = []
+    nodes2: list[int] = []
+    stack1, stack2 = [root1], [root2]
+    while stack1:
+        a, b = stack1.pop(), stack2.pop()
+        nodes1.append(a)
+        nodes2.append(b)
+        if ordered1[a]:
+            stack1 += ordered1[a][::-1]
+            stack2 += ordered2[b][::-1]
+    return nodes1, nodes2
 
 
 def tree_isometry(tx: RepTree, ty: RepTree) -> dict[str, str] | None:
