@@ -126,13 +126,9 @@ def _chain_tree(rng: random.Random, n: int, pool: list[Fraction], pts: _Points, 
     counts = [1] * (m - 1) + [2]
     for _ in range(n - (m + 1)):
         counts[rng.randrange(m)] += 1
-    node: int | None = None
-    for level in range(m - 1, -1, -1):
-        kids = [pts.next() for _ in range(counts[level])]
-        if node is not None:
-            kids.append(node)
-        node = pts.join(labels[level], kids)
-    assert node is not None
+    node = pts.join(labels[m - 1], [pts.next() for _ in range(counts[m - 1])])
+    for level in range(m - 2, -1, -1):
+        node = pts.join(labels[level], [pts.next() for _ in range(counts[level])] + [node])
     return node
 
 

@@ -5,6 +5,16 @@ a decision procedure against an independent brute-force oracle or a structural
 invariant. Suites never share mutable state: a suite that revisits another's
 instances regenerates the stream from the same seed, so they can run in any
 order (or concurrently) and aggregate order-independently.
+
+One harness, ``_suite``, makes every suite: each is called as
+``suite(seed=0, trials=None, max_n=None)`` and returns a ``SuiteResult``.
+Its ``_suite`` line gives its default trial count, taken when ``trials`` is
+None, and its point cap; a ``trials`` below 1 is 1, and a ``max_n`` below
+the cap lowers it. No suite makes a space of more points than the cap. A
+part whose smallest space does not fit is skipped and draws no trials: the
+shape-witness chains and fans need two points, the chain converse's
+off-class trees four, the fixed non-tree Hasse example three, and the two
+fixed refuted-forced pairs five.
 """
 from __future__ import annotations
 
@@ -74,18 +84,11 @@ class SuiteResult:
             text += "  " + self.failures[0]
         return text
 
-
-class _Recorder:
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.trials = 0
-        self.failures: list[str] = []
-        self.start = time.perf_counter()
-
     def tick(self) -> None:
         self.trials += 1
 
     def fail(self, message: str) -> None:
+        self.passed = False
         if len(self.failures) < MAX_REPORTED_FAILURES:
             self.failures.append(message)
         elif len(self.failures) == MAX_REPORTED_FAILURES:
@@ -96,22 +99,27 @@ class _Recorder:
             self.fail(message)
         return condition
 
-    def result(self) -> SuiteResult:
-        return SuiteResult(
-            self.name,
-            not self.failures,
-            self.trials,
-            time.perf_counter() - self.start,
-            self.failures,
-        )
 
+def _suite(name: str, default_trials: int, cap: int):
+    """Make ``body(rec, seed, count, top)`` the suite ``name``, called as
+    ``suite(seed=0, trials=None, max_n=None)``. The body draws ``count``
+    trials of at most ``top`` points each and ticks and checks them into
+    ``rec``, the suite's result, which the harness times and returns."""
 
-def _cap(value: int | None, default: int) -> int:
-    return default if value is None else min(value, default)
+    def wrap(body):
+        def suite(seed: int = 0, trials: int | None = None, max_n: int | None = None) -> SuiteResult:
+            rec = SuiteResult(name, True, 0, 0.0)
+            start = time.perf_counter()
+            count = default_trials if trials is None else max(1, trials)
+            body(rec, seed, count, cap if max_n is None else min(max_n, cap))
+            rec.seconds = time.perf_counter() - start
+            return rec
 
+        suite.__name__ = suite.__qualname__ = body.__name__
+        suite.__doc__ = body.__doc__
+        return suite
 
-def _trial_count(trials: int | None, default: int) -> int:
-    return default if trials is None else max(1, trials)
+    return wrap
 
 
 def _seed_for(seed: int, index: int) -> int:
@@ -201,7 +209,7 @@ def _refuted_forced_pair(seeds: tuple[int, int], pool_top: int, max_n: int):
     yield "fixed", x, y
 
 
-def _check_shape_witness(rec: _Recorder, i: int, x: FiniteSemimetricSpace, y: FiniteSemimetricSpace) -> None:
+def _check_shape_witness(rec: SuiteResult, i: int, x: FiniteSemimetricSpace, y: FiniteSemimetricSpace) -> None:
     """Check that the unlabeled shapes of X and Y give a weak similarity and
     that it verifies."""
     outcome = witness_from_unlabeled_iso(x, y)
@@ -218,13 +226,9 @@ def _check_shape_witness(rec: _Recorder, i: int, x: FiniteSemimetricSpace, y: Fi
 # --- the ten suites -----------------------------------------------------------
 
 
-def tree_roundtrip_suite(
-    seed: int = 0, trials: int | None = None, max_n: int | None = None
-) -> SuiteResult:
+@_suite("tree-roundtrip", 500, 12)
+def tree_roundtrip_suite(rec: SuiteResult, seed: int, count: int, top: int) -> None:
     """Rebuilding a space from its representing tree reproduces the matrix."""
-    rec = _Recorder("tree-roundtrip")
-    count = _trial_count(trials, 500)
-    top = _cap(max_n, 12)
     for i, space in _ultra_stream(seed, count, top, "roundtrip"):
         rec.tick()
         back = space_from_tree(build_tree(space))
@@ -238,7 +242,6 @@ def tree_roundtrip_suite(
             aligned == space,
             f"trial {i}: round-trip changed the matrix",
         )
-    return rec.result()
 
 
 def rebuild_edges(partition: MultipartitePartition) -> frozenset[frozenset[str]]:
@@ -248,13 +251,9 @@ def rebuild_edges(partition: MultipartitePartition) -> frozenset[frozenset[str]]
     return frozenset(map(frozenset, pairs))
 
 
-def diametrical_partition_suite(
-    seed: int = 0, trials: int | None = None, max_n: int | None = None
-) -> SuiteResult:
+@_suite("diametrical-partition", 500, 12)
+def diametrical_partition_suite(rec: SuiteResult, seed: int, count: int, top: int) -> None:
     """Diametrical graphs of the round-trip stream are complete multipartite."""
-    rec = _Recorder("diametrical-partition")
-    count = _trial_count(trials, 500)
-    top = _cap(max_n, 12)
     for i, space in _ultra_stream(seed, count, top, "roundtrip"):
         rec.tick()
         if len(space) < 2:
@@ -270,16 +269,11 @@ def diametrical_partition_suite(
             rebuild_edges(parts) == graph.edges,
             f"trial {i}: partition does not rebuild the edge set",
         )
-    return rec.result()
 
 
-def isometry_agreement_suite(
-    seed: int = 0, trials: int | None = None, max_n: int | None = None
-) -> SuiteResult:
+@_suite("isometry-oracle", 200, 7)
+def isometry_agreement_suite(rec: SuiteResult, seed: int, count: int, top: int) -> None:
     """decide_isometry == exhaustive oracle == labeled canonical-code equality."""
-    rec = _Recorder("isometry-oracle")
-    count = _trial_count(trials, 200)
-    top = _cap(max_n, 7)
     for i, x, y in _mixed_pairs(seed, count, top, "iso", ultra_only=True):
         rec.tick()
         witness = decide_isometry(x, y)
@@ -299,17 +293,12 @@ def isometry_agreement_suite(
                 verify_isometry(x, y, witness.phi),
                 f"trial {i}: returned isometry does not verify",
             )
-    return rec.result()
 
 
-def weak_similarity_agreement_suite(
-    seed: int = 0, trials: int | None = None, max_n: int | None = None
-) -> SuiteResult:
+@_suite("weaksim-oracle", 200, 6)
+def weak_similarity_agreement_suite(rec: SuiteResult, seed: int, count: int, top: int) -> None:
     """decide_weak_similarity matches the oracle; witnesses re-verify. A
     fixed pair whose rank rows force a refuted map is one more trial."""
-    rec = _Recorder("weaksim-oracle")
-    count = _trial_count(trials, 200)
-    top = _cap(max_n, 6)
     positives = 0
     fixed = ((i, x, y, decide_weak_similarity(x, y)) for i, x, y in _refuted_forced_pair((21, 690), 3, top))
     for i, x, y, witness in chain(_weaksim_pairs(seed, count, top), fixed):
@@ -326,18 +315,13 @@ def weak_similarity_agreement_suite(
                 f"trial {i}: returned weak-similarity witness does not verify",
             )
     rec.check(positives > 0, "stream produced no weakly similar pairs")
-    return rec.result()
 
 
-def chain_shape_witness_suite(
-    seed: int = 0, trials: int | None = None, max_n: int | None = None
-) -> SuiteResult:
+@_suite("chain-shape-witness", 100, 10)
+def chain_shape_witness_suite(rec: SuiteResult, seed: int, count: int, top: int) -> None:
     """Single-inner-node-per-level trees: any relabeling stays weakly similar,
     recoverable from the unlabeled shape alone; for every other tree some
     valid relabeling preserves the shape but breaks weak similarity."""
-    rec = _Recorder("chain-shape-witness")
-    count = _trial_count(trials, 100)
-    top = _cap(max_n, 10)
     # a part whose smallest space does not fit under the cap is skipped:
     # the chains have two or more points, the off-class trees four or more
     for i in range(count if top >= 2 else 0):
@@ -355,17 +339,15 @@ def chain_shape_witness_suite(
     for i in range(count if top >= 4 else 0):
         rng = random.Random(f"{seed}:chainconv:{i}")
         iseed = _seed_for(seed, i) + 104_729
-        x = None
-        for attempt in range(50):
-            n = rng.randint(4, top)
-            candidate = random_ultrametric(GenConfig(seed=iseed + attempt, n=n))
-            if not classify_space(candidate).inner_chain:
-                x = candidate
-                break
+        candidates = (
+            random_ultrametric(GenConfig(seed=iseed + attempt, n=rng.randint(4, top)))
+            for attempt in range(50)
+        )
+        x = next((space for space in candidates if not classify_space(space).inner_chain), None)
         rec.tick()
-        if not rec.check(x is not None, f"converse {i}: found no off-class space"):
+        if x is None:
+            rec.fail(f"converse {i}: found no off-class space")
             continue
-        assert x is not None
         y = adversarial_relabeling(x)
         rec.check(
             canon_code_unlabeled(build_tree(x)) == canon_code_unlabeled(build_tree(y)),
@@ -375,18 +357,13 @@ def chain_shape_witness_suite(
             decide_weak_similarity(x, y) is None,
             f"converse {i}: adversarial relabeling is still weakly similar",
         )
-    return rec.result()
 
 
-def fan_shape_witness_suite(
-    seed: int = 0, trials: int | None = None, max_n: int | None = None
-) -> SuiteResult:
+@_suite("fan-shape-witness", 100, 12)
+def fan_shape_witness_suite(rec: SuiteResult, seed: int, count: int, top: int) -> None:
     """Injectively labeled trees with uniform last level: shape isomorphism
     already forces weak similarity, and the derived witness verifies. That
     witness is the general decision's own, so the decision runs once."""
-    rec = _Recorder("fan-shape-witness")
-    count = _trial_count(trials, 100)
-    top = _cap(max_n, 12)
     for i in range(count if top >= 2 else 0):  # the fan trees have two or more points
         rng = random.Random(f"{seed}:fan:{i}")
         n = rng.randint(2, top)
@@ -406,16 +383,11 @@ def fan_shape_witness_suite(
             f"trial {i}: relabeling left the class",
         )
         _check_shape_witness(rec, i, x, y)
-    return rec.result()
 
 
-def weaksim_hasse_suite(
-    seed: int = 0, trials: int | None = None, max_n: int | None = None
-) -> SuiteResult:
+@_suite("weaksim-hasse", 200, 6)
+def weaksim_hasse_suite(rec: SuiteResult, seed: int, count: int, top: int) -> None:
     """Weakly similar pairs always have isomorphic Hasse diagrams."""
-    rec = _Recorder("weaksim-hasse")
-    count = _trial_count(trials, 200)
-    top = _cap(max_n, 6)
     positives = 0
     for i, x, y, witness in _weaksim_pairs(seed, count, top):
         if witness is None:
@@ -429,19 +401,14 @@ def weaksim_hasse_suite(
             f"trial {i}: weakly similar pair with non-isomorphic diagrams",
         )
     rec.check(positives > 0, "stream produced no weakly similar pairs")
-    return rec.result()
 
 
-def ball_preserving_agreement_suite(
-    seed: int = 0, trials: int | None = None, max_n: int | None = None
-) -> SuiteResult:
+@_suite("ballpreserving-oracle", 150, 6)
+def ball_preserving_agreement_suite(rec: SuiteResult, seed: int, count: int, top: int) -> None:
     """ball_preserving_bijection == exhaustive oracle == Hasse isomorphism;
     where X's ball profiles are pairwise distinct, the returned map is the
     isomorphism's restriction to the one-point balls. A fixed pair whose
     ball profiles force a refuted map is one more trial."""
-    rec = _Recorder("ballpreserving-oracle")
-    count = _trial_count(trials, 150)
-    top = _cap(max_n, 6)
     for i, x, y in chain(_mixed_pairs(seed, count, top, "ballpres"), _refuted_forced_pair((4, 195), 4, top)):
         rec.tick()
         fast = ball_preserving_bijection(x, y)
@@ -465,19 +432,14 @@ def ball_preserving_agreement_suite(
                              for u, v in iso.assignment.items() if len(bx.members[u]) == 1},
                     f"trial {i}: forced map is not the Hasse isomorphism's on one-point balls",
                 )
-    return rec.result()
 
 
-def witness_ball_preserving_suite(
-    seed: int = 0, trials: int | None = None, max_n: int | None = None
-) -> SuiteResult:
+@_suite("witness-ballpreserving", 200, 8)
+def witness_ball_preserving_suite(rec: SuiteResult, seed: int, count: int, top: int) -> None:
     """Weak-similarity witnesses are ball-preserving; for ultrametric pairs
     unlabeled-shape equality coincides with ball-preserving existence."""
-    rec = _Recorder("witness-ballpreserving")
-    count = _trial_count(trials, 200)
-    top = _cap(max_n, 6)
-    positives = 0
-    for i, x, y, witness in _weaksim_pairs(seed, count, top):
+    positives = 0  # the weakly similar pairs have at most 6 points, the ultrametric ones 8
+    for i, x, y, witness in _weaksim_pairs(seed, count, min(top, 6)):
         if witness is None:
             continue
         positives += 1
@@ -487,13 +449,13 @@ def witness_ball_preserving_suite(
     rec.check(positives > 0, "stream produced no weakly similar pairs")
     for i in range(count):
         rng = random.Random(f"{seed}:canonballs:{i}")
-        n = rng.randint(1, _cap(max_n, 8))
+        n = rng.randint(1, top)
         iseed = _seed_for(seed, i) + 15_485_863
         x = _random_space(iseed, n, True, _forced_class(rng, n))
         if rng.random() < 0.5:
             y, _ = renamed_copy(random_relabeled(x, iseed), iseed)
         else:
-            m = rng.randint(1, _cap(max_n, 8))
+            m = rng.randint(1, top)
             y = _random_space(iseed + 7919, m, True, _forced_class(rng, m))
         rec.tick()
         codes_equal = canon_code_unlabeled(build_tree(x)) == canon_code_unlabeled(
@@ -509,18 +471,13 @@ def witness_ball_preserving_suite(
                 oracle_ball_preserving(x, y) is not None,
                 f"ultra trial {i}: oracle finds no ball-preserving bijection",
             )
-    return rec.result()
 
 
-def hasse_tree_shape_suite(
-    seed: int = 0, trials: int | None = None, max_n: int | None = None
-) -> SuiteResult:
+@_suite("hasse-tree-shape", 200, 9)
+def hasse_tree_shape_suite(rec: SuiteResult, seed: int, count: int, top: int) -> None:
     """Ultrametric balleans order into a rooted tree; the fixed three-point
     non-ultrametric example does not (one singleton is covered twice). That
     example is skipped under a cap of fewer than three points."""
-    rec = _Recorder("hasse-tree-shape")
-    count = _trial_count(trials, 200)
-    top = _cap(max_n, 9)
     for i, space in _ultra_stream(seed, count, top, "hasseshape"):
         rec.tick()
         diagram = hasse_diagram(enumerate_balls(space))
@@ -529,7 +486,7 @@ def hasse_tree_shape_suite(
             f"trial {i}: ultrametric Hasse diagram is not a reversed tree",
         )
     if top < 3:
-        return rec.result()
+        return
     fixed = space_from_pairs(
         ("a", "b", "c"),
         {("a", "b"): Fraction(1), ("b", "c"): Fraction(1), ("a", "c"): Fraction(3)},
@@ -545,7 +502,6 @@ def hasse_tree_shape_suite(
         diagram.out_degrees()[b_index] == 2,
         "fixed example: the shared point is not covered twice",
     )
-    return rec.result()
 
 
 ALL_SUITES = (

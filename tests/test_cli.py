@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import os
 import random
@@ -498,10 +499,9 @@ def test_max_n_below_one_is_an_input_error(max_n, capsys):
     assert capsys.readouterr() == ("", "error: --max-n must be positive\n")
 
 
-@pytest.mark.parametrize("max_n", [1, 2, 3])
-def test_max_n_caps_every_space_the_suites_make(max_n, monkeypatch, capsys):
-    # every space the suites draw or build has at most --max-n points; a
-    # part of a suite whose smallest space does not fit is skipped
+@pytest.fixture
+def space_sizes(monkeypatch):
+    """The point counts of the spaces the suites draw or build, in order."""
     sizes = []
 
     def recorded(make):
@@ -514,9 +514,16 @@ def test_max_n_caps_every_space_the_suites_make(max_n, monkeypatch, capsys):
 
     for name in ("random_ultrametric", "random_semimetric", "space_from_pairs"):
         monkeypatch.setattr(suites, name, recorded(getattr(suites, name)))
+    return sizes
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 3])
+def test_max_n_caps_every_space_the_suites_make(max_n, space_sizes, capsys):
+    # every space the suites draw or build has at most --max-n points; a
+    # part of a suite whose smallest space does not fit is skipped
     assert main(["check", "--trials", "3", "--max-n", str(max_n)]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("all 10 suites passed")
-    assert max(sizes) == max_n
+    assert max(space_sizes) == max_n
 
 
 def test_a_failing_suite_exits_3(monkeypatch, capsys):
@@ -526,6 +533,58 @@ def test_a_failing_suite_exits_3(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("planted") and "FAIL" in out[0]
     assert out[-1] == "1 of 1 suites FAILED (1 trials)"
+
+
+CHECK_GOLDEN = [
+    (["--seed", "0"], "check_seed0.out"),
+    (["--seed", "1"], "check_seed1.out"),
+    (["--seed", "2"], "check_seed2.out"),
+    (["--trials", "1", "--max-n", "2"], "check_trials1_maxn2.out"),
+    (["--trials", "3", "--max-n", "5"], "check_trials3_maxn5.out"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", CHECK_GOLDEN)
+def test_check_reports_match_the_goldens(argv, expected, capsys):
+    # every suite's verdict and trial count; the seconds column is masked
+    assert main(["check", *argv]) == 0
+    out = re.sub(r"trials +[0-9.]+s", "trials", capsys.readouterr().out)
+    assert out == (GOLDEN / expected).read_text()
+
+
+# the largest space each suite makes on seed 0 at its defaults: its point cap
+DEFAULT_CAPS = {
+    "tree-roundtrip": 12,
+    "diametrical-partition": 12,
+    "isometry-oracle": 7,
+    "weaksim-oracle": 6,
+    "chain-shape-witness": 10,
+    "fan-shape-witness": 12,
+    "weaksim-hasse": 6,
+    "ballpreserving-oracle": 6,
+    "witness-ballpreserving": 8,
+    "hasse-tree-shape": 9,
+}
+
+
+@pytest.mark.parametrize("suite", suites.ALL_SUITES, ids=lambda suite: suite.__name__)
+def test_suite_library_call_forms(suite, space_sizes):
+    def key(result):
+        return result.name, result.passed, result.trials, result.failures
+
+    default = key(suite())
+    assert default[1] and max(space_sizes) == DEFAULT_CAPS[default[0]]
+    assert key(suite(0, None, None)) == default == key(suite(seed=0, trials=None, max_n=None))
+    assert key(suite(5, 3, 4)) == key(suite(seed=5, trials=3, max_n=4))
+    assert key(suite(trials=0)) == key(suite(trials=1))  # fewer than one trial is one
+    parameters = inspect.signature(suite).parameters.values()
+    assert [(p.name, p.default) for p in parameters] == [("seed", 0), ("trials", None), ("max_n", None)]
+    assert getattr(suites, suite.__name__) is suite and suite.__qualname__ == suite.__name__
+
+
+def test_each_suite_keeps_its_own_docstring():
+    docs = [suite.__doc__ for suite in suites.ALL_SUITES]
+    assert all(docs) and len(set(docs)) == len(docs)
 
 
 def test_out_flag_writes_file(paths, tmp_path, capsys):
