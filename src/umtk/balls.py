@@ -10,8 +10,10 @@ so (size, -mask) sorts like (size, sorted names), the order of every ballean
 and diagram. Name sets are made only where they are read (``Ballean.balls``,
 ``HasseDiagram.vertices``, a violation and the writers); a ``HasseIso`` maps
 vertex indices. The balls a centre witnesses are prefixes of one member list,
-so an image mask or an up-set takes one running fold per centre, and a
+so an up-set or X's image masks take one running fold per centre, and a
 point's bitset of the balls through it gives its ball profile by bit counts.
+X's image masks alone check a point bijection: distinct balls have distinct
+images, so once all are balls, Y's balls that none hits fail as preimages.
 The Hasse diagram has an arc for each cover pair of the inclusion order
 (arcs point small -> large). For ultrametric spaces the
 reversed diagram is a rooted tree: its shape codes are built straight from
@@ -343,20 +345,26 @@ def verify_ball_preserving(
     ("image"|"preimage", ball members, offending image/preimage set).
     Raises NotABijectionError if the mapping is not a point bijection.
     A ball's image mask is the OR of its members' image bits, folded along
-    the chains; a one-point ball's image is a one-point ball.
+    the chains; a one-point ball's image is a one-point ball. Only X's balls
+    are folded: a bijection sends distinct balls to distinct images, so once
+    every image is a ball of Y, the balls of Y whose preimage is not a ball
+    are those that no image hits, and there are some iff Y has more balls.
     """
     images = set(mapping.values())
     if set(mapping) != set(bx.space.points) or len(images) != len(mapping) or images != set(by.space.points):
         raise NotABijectionError("mapping keys/values do not biject the point sets")
-    inverse = {v: k for k, v in mapping.items()}
-    for kind, source, target, to in (("image", bx, by, mapping), ("preimage", by, bx, inverse)):
-        pts, bit = source.space.points, dict(zip(target.space.points, target.bits))
-        image_bit = [1 << bit[to[p]] for p in pts]
-        found = list(map(set(target.masks).__contains__, _fold(source, image_bit, or_)))
-        if False in found:
-            ball = frozenset(map(pts.__getitem__, source.members[len(pts) + found.index(False)]))
-            return (False, (kind, ball, frozenset(to[p] for p in ball)))
-    return (True, None)
+    pts, bit, n = bx.space.points, dict(zip(by.space.points, by.bits)), len(bx.bits)
+    image_masks = _fold(bx, [1 << bit[mapping[p]] for p in pts], or_)
+    found = list(map(set(by.masks).__contains__, image_masks))
+    if False in found:
+        ball = frozenset(map(pts.__getitem__, bx.members[n + found.index(False)]))
+        return (False, ("image", ball, frozenset(map(mapping.__getitem__, ball))))
+    if len(by.masks) == len(bx.masks):  # every ball of Y is an image
+        return (True, None)
+    hit = set(image_masks)
+    k = next(k for k, mask in enumerate(by.masks[n:], n) if mask not in hit)
+    ball = frozenset(map(by.space.points.__getitem__, by.members[k]))
+    return (False, ("preimage", ball, frozenset(p for p in pts if mapping[p] in ball)))
 
 
 def ball_preserving_bijection(

@@ -19,23 +19,22 @@ both spaces have distinct labels and uniform last levels. Under either, the
 trees labeled by label rank are equal up to child order (a chain ranked
 1..k, or m stars ranked 1..m under a chain ranked above m), so the witness
 is the one ``similarity.decide_weak_similarity`` returns, verified there.
-Conversely, ``adversarial_relabeling`` shows the chain hypothesis is sharp:
-for any X that is not an inner chain it produces a space with the same tree
-shape but a different spectrum size, hence not weakly similar to X. Both
-the class report and the relabeling read the tree's levels through one
-top-down walk, ``reptree._inner_levels``.
+Conversely, ``adversarial_relabeling`` shows the chain hypothesis is sharp
+by counting: labeled level by level, or node by node in preorder, a tree
+that is not an inner chain keeps its shape under two spectrum sizes, and
+one of them is not X's. Both the class report and the relabeling read the
+tree's levels through one top-down walk, ``reptree._inner_levels``.
 """
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InapplicableError, VerificationFailedError
-from .reptree import RepTree, _inner_levels, _parents, build_tree, space_from_tree
+from .reptree import RepTree, _inner_levels, build_tree, space_from_tree
 from .similarity import WeakSimWitness, decide_weak_similarity
-from .spaces import FiniteSemimetricSpace, format_rational, rank_values
+from .spaces import FiniteSemimetricSpace, format_rational
 from .treecanon import canon_code_unlabeled
 
 CLASS_CODES = ("R", "Rtilde", "D", "T")
@@ -140,83 +139,34 @@ def witness_from_unlabeled_iso(
     return witness
 
 
-def _replace_label(tree: RepTree, position: int, new_label: Fraction) -> RepTree:
-    values = list(map(tree.spectrum.__getitem__, tree.labels))
-    values[position] = new_label
-    spectrum, labels = rank_values(values)
-    return RepTree(labels, tree.points, tree.children, spectrum)
-
-
-def _fresh_between(lo: Fraction, hi: Fraction, avoid: set[Fraction]) -> Fraction:
-    """Midpoint of (lo, hi), bisected toward hi until it avoids the given set."""
-    value = (lo + hi) / 2
-    while value in avoid:
-        value = (value + hi) / 2
-    return value
-
-
 def adversarial_relabeling(x: FiniteSemimetricSpace) -> FiniteSemimetricSpace:
     """Same tree shape as X, different spectrum size; hence not weakly similar.
 
-    Requires X not to be an inner chain (some level holds two internal
-    nodes); otherwise raises InapplicableError. Exactly one internal label is
-    rewritten, chosen deterministically:
-
-      A. a same-level internal pair (x1, x2) with distinct labels where
-         x2's label is unique overall and x1's label fits strictly between
-         x2's largest child label and its parent label -> copy it (|Sp| - 1);
-      B. a same-level internal pair with equal labels -> fresh midpoint value
-         in x2's band (|Sp| + 1);
-      C. any non-root internal node whose label occurs twice anywhere ->
-         fresh midpoint value in its band (|Sp| + 1).
-
-    One of the three always applies: with all labels distinct, the two
-    branch-head siblings under the lowest common ancestor of any same-level
-    internal pair satisfy A; with a repeated label, the root label never
-    repeats (strict decrease), so C has a candidate.
+    Requires X not to be an inner chain; otherwise raises InapplicableError.
+    Let X's tree have m internal nodes on L levels. Every level down to the
+    deepest internal node holds some, so L <= m, with equality exactly for an
+    inner chain. Two relabelings keep the shape: each internal node labeled
+    by its level counted from the bottom (L at the root, down to 1), with
+    L + 1 spectrum values; or labeled m, m - 1, ..., 1 in preorder, where a
+    child follows its parent, with m + 1 values. Off the chains the sizes
+    differ, so the preorder labels are returned unless |Sp(X)| = m + 1, and
+    the level labels otherwise.
     """
     tree = build_tree(x)
-    labels, children = tree.labels, tree.children
-    inner = _inner_levels(children, 0)
-    multi = [group for group in inner if len(group) >= 2]
-    if not multi:
+    levels = _inner_levels(tree.children, 0)[:-1]
+    internal = [v for v, kids in enumerate(tree.children) if kids]  # preorder
+    if len(levels) == len(internal):
         raise InapplicableError("every level has at most one internal node")
-
-    counts = Counter(labels[v] for group in inner for v in group)
-    above = list(map(labels.__getitem__, _parents(children)))  # each position's parent label rank
-    value = tree.spectrum
-    label_set = set(value)
-
-    def finish(position: int, new_label: Fraction) -> FiniteSemimetricSpace:
-        relabeled = _replace_label(tree, position, new_label)
-        y = space_from_tree(relabeled)
-        if canon_code_unlabeled(build_tree(y)) != canon_code_unlabeled(tree):
-            raise VerificationFailedError("relabeling changed the tree shape")
-        if len(y.spectrum) == len(x.spectrum):
-            raise VerificationFailedError("relabeling kept the spectrum size")
-        return y
-
-    # a replacement label stays strictly between the largest child label
-    # and the parent label (as ranks)
-    def fresh(position: int) -> FiniteSemimetricSpace:
-        lo = max(map(labels.__getitem__, children[position]))
-        return finish(position, _fresh_between(value[lo], value[above[position]], label_set))
-
-    for group in multi:
-        # pair order prefers copying an earlier sibling's label onto a later
-        # node, so e.g. labels (1, 2) collapse to (1, 1) rather than (2, 2)
-        for node1 in group:
-            for node2 in group:
-                v1, v2 = labels[node1], labels[node2]
-                if v1 == v2 or counts[v2] != 1:
-                    continue
-                if max(map(labels.__getitem__, children[node2])) < v1 < above[node2]:
-                    return finish(node2, value[v1])
-    for group in multi:
-        for node2 in group:
-            if any(labels[node1] == labels[node2] for node1 in group if node1 != node2):
-                return fresh(node2)
-    for v in range(1, len(tree)):  # preorder, below the root
-        if children[v] and counts[labels[v]] >= 2:
-            return fresh(v)
-    raise VerificationFailedError("no admissible relabeling found")
+    # label K down to 1 by group: a level each, or an internal node each
+    groups = levels if len(x.spectrum) == len(internal) + 1 else [[v] for v in internal]
+    labels = [0] * len(tree)
+    for label, group in zip(range(len(groups), 0, -1), groups):
+        for v in group:
+            labels[v] = label
+    spectrum = tuple(map(Fraction, range(len(groups) + 1)))  # each label its own rank
+    y = space_from_tree(RepTree(labels, tree.points, tree.children, spectrum))
+    if canon_code_unlabeled(build_tree(y)) != canon_code_unlabeled(tree):
+        raise VerificationFailedError("relabeling changed the tree shape")
+    if len(y.spectrum) == len(x.spectrum):
+        raise VerificationFailedError("relabeling kept the spectrum size")
+    return y

@@ -320,8 +320,10 @@ def weak_similarity_agreement_suite(rec: SuiteResult, seed: int, count: int, top
 @_suite("chain-shape-witness", 100, 10)
 def chain_shape_witness_suite(rec: SuiteResult, seed: int, count: int, top: int) -> None:
     """Single-inner-node-per-level trees: any relabeling stays weakly similar,
-    recoverable from the unlabeled shape alone; for every other tree some
-    valid relabeling preserves the shape but breaks weak similarity."""
+    recoverable from the unlabeled shape alone. Every other tree has fewer
+    levels L than internal nodes m, so its labels by level and by preorder
+    give L + 1 and m + 1 spectrum values; one is not X's, and that
+    relabeling keeps the shape but breaks weak similarity."""
     # a part whose smallest space does not fit under the cap is skipped:
     # the chains have two or more points, the off-class trees four or more
     for i in range(count if top >= 2 else 0):

@@ -13,18 +13,20 @@ route the tree branch of ``hasse_digraph_iso`` once took: a diagram copied
 into a preorder ``RepTree``, paired by ``rooted_tree_iso_map``. A diagram
 here is anything with ``vertices`` (member sets) and ``arcs`` (vertex-index
 pairs). ``image_sum_verify`` and ``counter_profiles`` are the per-ball loops
-that ``umtk.balls`` ran before its chain folds and bit counts; they read a
+that ``umtk.balls`` ran before its chain folds and bit counts, and
+``two_pass_verify`` is the verifier that folded the balls of both spaces,
+before one fold over X's balls decided both sides; they read a
 ``Ballean``'s own fields.
 """
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, groupby
+from itertools import accumulate, chain, groupby
 from typing import NamedTuple
 
 from validation_oracle import distances
 
-from umtk import NotIsomorphicError, RepTree, rooted_tree_iso_map
+from umtk import NotABijectionError, NotIsomorphicError, RepTree, rooted_tree_iso_map
 
 
 class Diagram(NamedTuple):
@@ -244,6 +246,29 @@ def image_sum_verify(bx, by, mapping: dict[str, str]):
             if sum(map(image_bit.__getitem__, members)) not in masks:
                 ball = frozenset(map(pts.__getitem__, members))
                 return (False, (kind, ball, frozenset(to[p] for p in ball)))
+    return (True, None)
+
+
+def two_pass_verify(bx, by, mapping: dict[str, str]):
+    """``verify_ball_preserving`` as two chain folds: the image masks of X's
+    balls of two or more points looked up among Y's masks, then the
+    preimage masks of Y's among X's."""
+    images = set(mapping.values())
+    if set(mapping) != set(bx.space.points) or len(images) != len(mapping) or images != set(by.space.points):
+        raise NotABijectionError("mapping keys/values do not biject the point sets")
+    inverse = {v: k for k, v in mapping.items()}
+    for kind, source, target, to in (("image", bx, by, mapping), ("preimage", by, bx, inverse)):
+        pts, bit = source.space.points, dict(zip(target.space.points, target.bits))
+        image_bit = [1 << bit[to[p]] for p in pts]
+        folded = []
+        for members, sizes in source.chains:
+            prefix = [0, *accumulate((image_bit[p] for p in members), lambda a, b: a | b)]
+            folded += (prefix[size] for size in sizes)
+        masks = set(target.masks)
+        found = [folded[k] in masks for k in source.places]
+        if False in found:
+            ball = frozenset(map(pts.__getitem__, source.members[len(pts) + found.index(False)]))
+            return (False, (kind, ball, frozenset(to[p] for p in ball)))
     return (True, None)
 
 

@@ -2,6 +2,7 @@ import re
 import time
 import tracemalloc
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from ballean_oracle import singleton_map
@@ -111,7 +112,20 @@ def test_verify_ball_preserving(ultra3, ultra3_scaled):
     assert violation == ("image", frozenset({"q", "r"}), frozenset({"p", "r"}))
 
 
+def test_verify_names_the_first_unhit_ball(ultra3):
+    # every ball of an equilateral space maps onto a ball of ultra3, but
+    # ultra3's ball {q, r} is no image: its preimage {p, r} is not a ball
+    flat = space_from_pairs("pqr", dict.fromkeys(combinations("pqr", 2), F(1)))
+    ok, violation = verify_ball_preserving(
+        enumerate_balls(flat), enumerate_balls(ultra3), {"p": "q", "q": "p", "r": "r"}
+    )
+    assert not ok
+    assert violation == ("preimage", frozenset({"q", "r"}), frozenset({"p", "r"}))
+
+
 def test_verify_rejects_non_bijections(ultra3):
+    with pytest.raises(NotABijectionError):
+        verify_ball_preserving(enumerate_balls(ultra3), enumerate_balls(ultra3), {"p": "p", "q": "q", "r": "r", "s": "s"})
     with pytest.raises(NotABijectionError):
         verify_ball_preserving(enumerate_balls(ultra3), enumerate_balls(ultra3), {"p": "p", "q": "q"})
     with pytest.raises(NotABijectionError):

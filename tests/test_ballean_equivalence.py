@@ -117,6 +117,27 @@ def test_verify_matches_the_frozenset_reference():
     assert min(kinds.values()) > 0 and kinds["image"] >= 100
 
 
+def test_one_fold_verify_matches_the_two_pass_reference():
+    # 10 500 seeded pairs, n <= 7: random point bijections onto a renamed
+    # copy and onto an unrelated draw of the same size give the verdict and
+    # first violation of the verifier that folded both sides
+    kinds = {True: 0, "image": 0, "preimage": 0}
+    for seed in range(750):
+        n = 1 + seed % 7
+        x = _spaces(seed, n)[seed % 3]
+        rng = random.Random(seed)
+        for y in (renamed_copy(x, seed)[0], _spaces(seed + 1, n)[(seed + 1) % 3]):
+            bx, by = enumerate_balls(x), enumerate_balls(y)
+            targets = list(y.points)
+            for _ in range(7):
+                rng.shuffle(targets)
+                mapping = dict(zip(x.points, targets))
+                result = verify_ball_preserving(bx, by, mapping)
+                assert result == oracle.two_pass_verify(bx, by, mapping)
+                kinds[True if result[0] else result[1][0]] += 1
+    assert sum(kinds.values()) == 10_500 and min(kinds.values()) >= 300, kinds
+
+
 def _kernel_spaces():
     """Seeded spaces of pools 1..3, 1..8 and 1..48 and ultrametric ones,
     with up to 40 points."""

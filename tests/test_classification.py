@@ -23,7 +23,12 @@ from umtk import (
     witness_from_unlabeled_iso,
 )
 from umtk import classify, reptree, treecanon
-from umtk.errors import InapplicableError, NotUltrametricError, VerificationFailedError
+from umtk.errors import (
+    InapplicableError,
+    InfeasibleConstraintsError,
+    NotUltrametricError,
+    VerificationFailedError,
+)
 from umtk.spaces import FiniteSemimetricSpace
 
 import tree_oracle as oracle
@@ -181,9 +186,12 @@ def test_shape_witness_sentinels(ultra3, blocks4, blocks5):
 
 
 def test_adversarial_relabeling_collapses_blocks(blocks4):
+    # |Sp| = 4 = m + 1 for m = 3 internal nodes, so the L = 2 levels label
+    # them: both blocks 1, the root 2
     y = adversarial_relabeling(blocks4)
-    assert spectrum(y) == (F(0), F(1), F(3))
+    assert spectrum(y) == (F(0), F(1), F(2))
     assert y.distance("a", "b") == F(1) and y.distance("c", "d") == F(1)
+    assert all(y.distance(p, q) == F(2) for p in "ab" for q in "cd")
     assert canon_code_unlabeled(build_tree(y)) == canon_code_unlabeled(
         build_tree(blocks4)
     )
@@ -210,9 +218,9 @@ def test_adversarial_relabeling_splits_equal_labels():
 
 
 def test_adversarial_relabeling_re_checks_the_spectrum_size(blocks4, monkeypatch):
-    # a relabeling that changes nothing keeps X's spectrum size: a raise, not
+    # a relabeling that gives X back keeps X's spectrum size: a raise, not
     # an assert, so the check holds under python -O too
-    monkeypatch.setattr(classify, "_replace_label", lambda tree, position, new_label: tree)
+    monkeypatch.setattr(classify, "space_from_tree", lambda tree: blocks4)
     with pytest.raises(VerificationFailedError, match="kept the spectrum size"):
         adversarial_relabeling(blocks4)
 
@@ -237,6 +245,39 @@ def test_shape_witness_raises_where_the_decision_says_no(blocks4, blocks4_swappe
 def test_adversarial_relabeling_needs_a_branch(ultra3):
     with pytest.raises(InapplicableError):
         adversarial_relabeling(ultra3)
+
+
+def test_adversarial_relabeling_counts_levels_or_nodes():
+    # over the pinned-digest family at 30 seeds: for m internal nodes on L
+    # levels, Y keeps X's unlabeled shape and labels by level (spectrum
+    # 0..L) where |Sp(X)| = m + 1, else by preorder (0..m); it is not weakly
+    # similar to X, and a second call gives it again; every chain raises
+    pools = (tuple(F(k) for k in range(1, 5)), tuple(F(k, 3) for k in range(1, 61)))
+    taken = Counter()
+    for pool in pools:
+        for seed in range(30):
+            for code in (None, "R", "Rtilde", "D", "T"):
+                for n in (1, 2, 3, 4, 6, 9, 14, 22, 34):
+                    try:
+                        x = random_ultrametric(GenConfig(seed=seed, n=n, spectrum_pool=pool, force_class=code))
+                    except InfeasibleConstraintsError:
+                        continue
+                    report = classify_space(x)
+                    if report.inner_chain:
+                        with pytest.raises(InapplicableError, match="at most one internal node"):
+                            adversarial_relabeling(x)
+                        taken["chain"] += 1
+                        continue
+                    m, levels = sum(report.inner_per_level), len(report.inner_per_level) - 1
+                    branch = "level" if len(spectrum(x)) == m + 1 else "preorder"
+                    y = adversarial_relabeling(x)
+                    size = levels if branch == "level" else m
+                    assert spectrum(y) == tuple(map(F, range(size + 1)))
+                    assert canon_code_unlabeled(build_tree(y)) == canon_code_unlabeled(build_tree(x))
+                    assert decide_weak_similarity(x, y) is None
+                    assert adversarial_relabeling(x) == y
+                    taken[branch] += 1
+    assert taken["level"] > 0 and taken["preorder"] > 0 and taken["chain"] > 0, taken
 
 
 def test_adversarial_relabeling_on_random_branching_spaces():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import deck_digests
 import tree_oracle as oracle
 from umtk import cli, renamed_copy, similarity, space_from_json, space_to_text, suites
 from umtk.cli import main
@@ -550,6 +551,19 @@ def test_check_reports_match_the_goldens(argv, expected, capsys):
     assert main(["check", *argv]) == 0
     out = re.sub(r"trials +[0-9.]+s", "trials", capsys.readouterr().out)
     assert out == (GOLDEN / expected).read_text()
+
+
+def test_deck_outputs_match_the_seed7_digests():
+    # every request of deck 0 of the four benchmark workloads at seed 7, run
+    # in process: exit code and output digest, byte for byte as the golden
+    # file made by `python tests/deck_digests.py --seed 7`
+    lines, wrong = [], []
+    for workload in deck_digests.workloads.WORKLOADS:
+        got, bad = deck_digests.deck_lines(workload, 7)
+        lines += got
+        wrong += bad
+    assert wrong == []
+    assert lines == (GOLDEN / "deck_digests_seed7.txt").read_text().splitlines()
 
 
 # the largest space each suite makes on seed 0 at its defaults: its point cap
