@@ -231,19 +231,11 @@ def reversed_is_rooted_tree(diagram: HasseDiagram) -> bool:
 
 def _joint_refine(h1: HasseDiagram, h2: HasseDiagram) -> tuple[list[int], list[int]] | None:
     """Int colours of both diagrams' vertices by joint iterated neighbourhood
-    refinement; None as soon as the colour histograms diverge. Stops when a
-    round splits no class or every class holds one vertex of each side."""
-
-    def first_keys(h: HasseDiagram) -> list[tuple[int, int, int]]:
-        # height: longest path from a minimal vertex; vertices are listed
-        # by size, so index order is topological for inclusion
-        height = [0] * len(h.masks)
-        for v, below in enumerate(h.preds):
-            if below:
-                height[v] = 1 + max(map(height.__getitem__, below))
-        return list(zip(map(len, h.preds), map(len, h.succs), height))
-
-    keys = [first_keys(h1), first_keys(h2)]
+    refinement from (in-degree, out-degree); None as soon as the colour
+    histograms diverge. Stops when a round splits no class or every class
+    holds one vertex of each side. Height needs no key: equal stable colours
+    have equal predecessor colours, so by induction equal heights."""
+    keys = [list(zip(map(len, h.preds), map(len, h.succs))) for h in (h1, h2)]
     classes = 0
     while True:
         # keys (own colour, sorted predecessor colours, -1, sorted successor
@@ -309,27 +301,21 @@ def hasse_digraph_iso(h1: HasseDiagram, h2: HasseDiagram) -> HasseIso | None:
 
 def _search_assignment(h1: HasseDiagram, h2: HasseDiagram, succ2: list[set[int]]) -> dict[int, int] | None:
     """Vertex map of two general diagrams, or None: ``search.match`` over
-    the refined colors, in index order, testing a candidate
-    against the assigned neighbours only (``succ2``: h2's successor sets)."""
+    the refined colors, in index order. Each arc of h1 is tested once, when
+    its second end is placed (``succ2``: h2's successor sets), so a complete
+    map takes h1's arcs into h2's, and onto them: ``hasse_digraph_iso`` has
+    checked that the arc counts are equal."""
     refined = _joint_refine(h1, h2)
     if refined is None:
         return None
     pred1, succ1 = h1.preds, h1.succs
     pred2 = [set(near) for near in h2.preds]
 
-    def fits(i: int, j: int, image: list[int], used: list[bool]) -> bool:
-        # The map is injective, so j's assigned neighbours are exactly the
-        # images of i's once i's all land among j's and the counts agree.
+    def fits(i: int, j: int, image: list[int]) -> bool:
         for near1, near2 in ((succ1[i], succ2[j]), (pred1[i], pred2[j])):
-            count = 0
             for i2 in near1:
-                j2 = image[i2]
-                if j2 >= 0:
-                    if j2 not in near2:
-                        return False
-                    count += 1
-            if count != sum(map(used.__getitem__, near2)):
-                return False
+                if image[i2] >= 0 and image[i2] not in near2:
+                    return False
         return True
 
     return match(*refined, fits)

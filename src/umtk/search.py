@@ -11,7 +11,7 @@ from typing import Callable, Hashable, Sequence
 def match(
     colors1: Sequence[Hashable],
     colors2: Sequence[Hashable],
-    fits: Callable[[int, int, list[int], list[bool]], bool],
+    fits: Callable[[int, int, list[int]], bool],
 ) -> dict[int, int] | None:
     """Color-preserving bijection between equal-sized vertex sets, or None.
 
@@ -19,9 +19,9 @@ def match(
     None before any ``fits`` call. A vertex's candidates are the targets of
     its color in index order.
     Vertices go rarest color first, ties lowest index first, each to its
-    first unused candidate j with ``fits(i, j, image, used)``, where
-    ``image`` holds the target per source vertex (-1 while unassigned) and
-    ``used`` flags taken targets. The map is keyed in assignment order."""
+    first untaken candidate j with ``fits(i, j, image)``, where ``image``
+    holds the target per source vertex (-1 while unassigned); the search
+    skips taken targets itself. The map is keyed in assignment order."""
     if Counter(colors1) != Counter(colors2):
         return None
     n = len(colors1)
@@ -42,7 +42,7 @@ def match(
             image[i] = -1
         cands = candidates[i]
         c = cursor[k]
-        while c < len(cands) and (used[cands[c]] or not fits(i, cands[c], image, used)):
+        while c < len(cands) and (used[cands[c]] or not fits(i, cands[c], image)):
             c += 1
         if c == len(cands):
             cursor[k] = 0

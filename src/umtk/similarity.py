@@ -119,7 +119,7 @@ def _backtrack_isometry(
         at = dict(zip(colors2, y.points))
         return dict(zip(x.points, map(at.__getitem__, colors1))), True
 
-    def fits(i: int, j: int, image: list[int], used: list[bool]) -> bool:
+    def fits(i: int, j: int, image: list[int]) -> bool:
         row_y = dy[j]
         return all(j2 < 0 or d == row_y[j2] for d, j2 in zip(dx[i], image))
 

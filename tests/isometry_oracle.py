@@ -93,7 +93,7 @@ def sorted_row_isometry(x, y) -> tuple[dict[str, str] | None, bool]:
         at = dict(zip(colors2, y.points))
         return {p: at[c] for p, c in zip(x.points, colors1)}, True
 
-    def fits(i, j, image, used):
+    def fits(i, j, image):
         return all(j2 < 0 or d == dy[j][j2] for d, j2 in zip(dx[i], image))
 
     assignment = match(colors1, colors2, fits)

@@ -431,6 +431,28 @@ def test_one_label_off_fails_only_the_labeled_check():
         assert not oracle.check_iso_map(t1, moved, nodes, True)
 
 
+def test_labels_traded_on_one_spectrum_fail_only_the_labeled_check():
+    # two internal nodes trade labels: the spectrum and the shape stay, so
+    # only the label comparison can refuse the identity map
+    seen = 0
+    for t1, _ in _pairs():
+        inner = [v for v, kids in enumerate(t1.children) if kids]
+        pair = next(((u, v) for u in inner for v in inner if t1.labels[u] < t1.labels[v]), None)
+        if pair is None:
+            continue
+        u, v = pair
+        labels = list(t1.labels)
+        labels[u], labels[v] = labels[v], labels[u]
+        traded = RepTree(labels, list(t1.points), [list(kids) for kids in t1.children], t1.spectrum)
+        psi = list(range(len(t1)))
+        nodes = _as_nodes(t1, traded, psi)
+        assert check_iso_map(t1, traded, psi, False) and oracle.check_iso_map(t1, traded, nodes, False)
+        assert not check_iso_map(t1, traded, psi, True)
+        assert not oracle.check_iso_map(t1, traded, nodes, True)
+        seen += 1
+    assert seen >= 20
+
+
 def test_labeled_codes_need_a_label_on_every_node():
     # an internal node without a label, as an unlabeled document may have,
     # and a leaf without one, which only a hand-built tree can have
