@@ -3,13 +3,18 @@
 Every subcommand reads JSON space/tree documents and writes JSON or DOT to
 stdout (or ``--out``). One writer, ``_emit``, writes every document: it takes
 the document as pieces and writes them ``_BATCH`` at a time, so no document is
-held as one string. It is called only after every check, so a command that
-fails writes nothing and creates no ``--out`` file. Decision subcommands put
-the verdict in the exit code so they compose in shell pipelines: 0 =
-positive / success, 1 = negative, 2 = input or usage error (including input
-too deep to process), 3 = internal verification failure or any other
-internal error. Only a negative decision exits 1, and no exit prints a
-traceback. Witness output goes to stdout only; diagnostics go to stderr.
+held as one string. The witnesses of the four pair decisions, the ballean, the
+Hasse diagram and the ``tree-iso`` map go out as the pieces of
+``json.dumps(doc, indent=2) + "\n"``, written straight from the result: one
+phi entry, scaling pair, map entry, ball, vertex or arc per piece.
+``_emit_json`` serves only the small reports of ``validate``, ``spectrum``,
+``diametric``, ``classify`` and ``gen``. ``_emit`` is called only after every
+check, so a command that fails writes nothing and creates no ``--out`` file.
+Decision subcommands put the verdict in the exit code so they compose in shell
+pipelines: 0 = positive / success, 1 = negative, 2 = input or usage error
+(including input too deep to process), 3 = internal verification failure or
+any other internal error. Only a negative decision exits 1, and no exit prints
+a traceback. Witness output goes to stdout only; diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -19,20 +24,18 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, nullcontext
 from itertools import accumulate, chain, islice
 from types import FunctionType
 
 from .balls import (
+    Ballean,
     ball_preserving_bijection,
-    ballean_to_json,
     enumerate_balls,
     hasse_diagram,
     hasse_digraph_iso,
-    hasse_iso_to_json,
     hasse_to_dot,
-    hasse_to_json,
 )
 from .classify import CLASS_CODES, classify_space
 from .diametrical import (
@@ -57,11 +60,7 @@ from .reptree import (
     tree_to_dot,
     tree_to_text,
 )
-from .similarity import (
-    decide_isometry,
-    decide_weak_similarity,
-    weak_sim_witness_to_json,
-)
+from .similarity import decide_isometry, decide_weak_similarity
 from .spaces import (
     FiniteSemimetricSpace,
     diameter,
@@ -104,6 +103,46 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
 def _emit_json(doc: object, out: str | None) -> None:
     """``json.dumps(doc, indent=2) + "\\n"``, written as its encoder's chunks."""
     _emit(chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"]), out)
+
+
+# A str as json.dumps writes it under its default ensure_ascii, in C; spectrum
+# values (format_rational's digits, "-" and "/") and ints need no escaping.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _entries(brackets: str, entries: Iterable[str]) -> Iterator[str]:
+    """The JSON array or object ``brackets`` ("[]" or "{}") of the written
+    ``entries`` as ``json.dumps(indent=2)`` lays out a top-level key's value:
+    one piece per entry, each on its own line after the opening bracket or a
+    comma, then the closing bracket; with no entries, ``brackets``."""
+    lead = brackets[0] + "\n    "
+    for entry in entries:
+        yield lead + entry
+        lead = ",\n    "
+    yield "\n  " + brackets[1] if lead[0] == "," else brackets
+
+
+# An entry of ``_entries("[]", ...)`` that is an array of two written values.
+_pair = "[\n      {},\n      {}\n    ]".format
+
+
+def _ball_writer(ballean: Ballean, depth: int) -> Callable[[int], str]:
+    """Ball i's member names, sorted, as the JSON array ``json.dumps(indent=2)``
+    writes ``depth`` levels in, in one ``str.join``; no name set is made."""
+    inner = "\n" + "  " * (depth + 1)
+    head, sep, tail = "[" + inner, "," + inner, inner[:-2] + "]"
+    pts, members = ballean.space.points, ballean.members
+    return lambda i: head + sep.join(map(_quote, sorted(map(pts.__getitem__, members[i])))) + tail
+
+
+def _phi_entries(phi: dict[str, str], points: tuple[str, ...]) -> Iterator[str]:
+    """``_entries`` of the object ``phi``, one piece per point, in ``points`` order."""
+    return _entries("{}", (f"{_quote(p)}: {_quote(phi[p])}" for p in points))
+
+
+def _phi_pieces(phi: dict[str, str], points: tuple[str, ...]) -> Iterator[str]:
+    """``{"phi": ...}``, the witness of ``isometric`` and ``ballpreserving``."""
+    return chain(['{\n  "phi": '], _phi_entries(phi, points), ["\n}\n"])
 
 
 # The deepest nesting of arrays and objects the reader takes: a tree document
@@ -273,8 +312,8 @@ def _cmd_tree_iso(args) -> int:
     return 0
 
 
-def _decide_pair(args, decide, message: str, to_json) -> int:
-    """Load spaces A and B and write ``to_json(decide(A, B), A.points)``; a
+def _decide_pair(args, decide, message: str, pieces) -> int:
+    """Load spaces A and B and write ``pieces(decide(A, B), A.points)``; a
     ``None`` decision exits 1 with ``message``. Each handler passes its
     library call as it is bound in this module when the handler runs."""
     x = _load_space(args.a)
@@ -283,20 +322,24 @@ def _decide_pair(args, decide, message: str, to_json) -> int:
     if witness is None:
         _diag(message)
         return 1
-    _emit_json(to_json(witness, x.points), args.out)
+    _emit(pieces(witness, x.points), args.out)
     return 0
 
 
-def _phi_json(phi: dict[str, str], points: tuple[str, ...]) -> dict:
-    return {"phi": {p: phi[p] for p in points}}
-
-
 def _cmd_isometric(args) -> int:
-    return _decide_pair(args, decide_isometry, "spaces are not isometric", lambda w, points: _phi_json(w.phi, points))
+    return _decide_pair(args, decide_isometry, "spaces are not isometric", lambda w, points: _phi_pieces(w.phi, points))
+
+
+def _weak_sim_pieces(witness, points: tuple[str, ...]) -> Iterator[str]:
+    """``weak_sim_witness_to_json``'s value: one piece per scaling pair and
+    per point."""
+    scaling = (_pair(f'"{format_rational(a)}"', f'"{format_rational(b)}"') for a, b in witness.scaling)
+    return chain(['{\n  "scaling": '], _entries("[]", scaling), [',\n  "phi": '], _phi_entries(witness.phi, points),
+                 ["\n}\n"])
 
 
 def _cmd_weaksim(args) -> int:
-    return _decide_pair(args, decide_weak_similarity, "spaces are not weakly similar", weak_sim_witness_to_json)
+    return _decide_pair(args, decide_weak_similarity, "spaces are not weakly similar", _weak_sim_pieces)
 
 
 def _cmd_classify(args) -> int:
@@ -305,28 +348,43 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_ballean(args) -> int:
-    _emit_json(ballean_to_json(enumerate_balls(_load_space(args.space))), args.out)
+    """``ballean_to_json``'s value, one piece per ball."""
+    ballean = enumerate_balls(_load_space(args.space))
+    balls = map(_ball_writer(ballean, 2), range(len(ballean.masks)))
+    _emit(chain(['{\n  "balls": '], _entries("[]", balls), ["\n}\n"]), args.out)
     return 0
 
 
 def _cmd_hasse(args) -> int:
-    diagram = hasse_diagram(enumerate_balls(_load_space(args.space)))
+    """``hasse_to_json``'s value, one piece per vertex and per arc."""
+    ballean = enumerate_balls(_load_space(args.space))
+    diagram = hasse_diagram(ballean)
     if args.dot:
         _emit([hasse_to_dot(diagram)], args.out)
-    else:
-        _emit_json(hasse_to_json(diagram), args.out)
+        return 0
+    vertices = map(_ball_writer(ballean, 2), range(len(diagram.masks)))
+    arcs = (_pair(a, b) for a, near in enumerate(diagram.succs) for b in near)
+    _emit(chain(['{\n  "vertices": '], _entries("[]", vertices), [',\n  "arcs": '], _entries("[]", arcs), ["\n}\n"]),
+          args.out)
     return 0
+
+
+def _hasse_iso_pieces(iso, _) -> Iterator[str]:
+    """``hasse_iso_to_json``'s value, one piece per map entry."""
+    ball1, ball2 = _ball_writer(iso.h1.ballean, 3), _ball_writer(iso.h2.ballean, 3)
+    pairs = (_pair(ball1(i), ball2(iso.assignment[i])) for i in range(len(iso.h1.masks)))
+    return chain(['{\n  "map": '], _entries("[]", pairs), ["\n}\n"])
 
 
 def _cmd_hasse_iso(args) -> int:
     def decide(x, y):
         return hasse_digraph_iso(hasse_diagram(enumerate_balls(x)), hasse_diagram(enumerate_balls(y)))
 
-    return _decide_pair(args, decide, "Hasse diagrams are not isomorphic", lambda iso, _: hasse_iso_to_json(iso))
+    return _decide_pair(args, decide, "Hasse diagrams are not isomorphic", _hasse_iso_pieces)
 
 
 def _cmd_ballpreserving(args) -> int:
-    return _decide_pair(args, ball_preserving_bijection, "no ball-preserving bijection exists", _phi_json)
+    return _decide_pair(args, ball_preserving_bijection, "no ball-preserving bijection exists", _phi_pieces)
 
 
 def _cmd_gen(args) -> int:

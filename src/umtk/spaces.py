@@ -328,9 +328,8 @@ def ultrametric_mst(
         for u in added:
             dpu = dp[u]
             if dv[u] != (dpu if dpu > w else w):
-                # Prim's choice gives w <= d(v,u); see ultrametric_violation
-                triple = (v, u, p) if dv[u] > dpu else (p, u, v)
-                return tuple(space.points[k] for k in triple), ()
+                # it can only be d(v,u) > max(w, d(p,u)); see ultrametric_violation
+                return tuple(space.points[k] for k in (v, u, p)), ()
         added.append(v)
         rest.remove(v)
         edges.append((p, v, w))
@@ -347,10 +346,12 @@ def ultrametric_violation(space: FiniteSemimetricSpace) -> Violation | None:
     Ultrametricity is certified in O(n^2) by the Prim pass of
     ``ultrametric_mst``, and the triple comes from the check that fails
     first: v joining through p at weight w, and u the first tree vertex with
-    d(v,u) != max(w, d(p,u)). Prim's choice gives d(v,u) >= w, so either
-    d(v,u) > max(w, d(p,u)) and the triple is (v, u, p), or
-    d(p,u) > max(w, d(v,u)) and it is (p, u, v). It is deterministic and
-    costs nothing beyond the failed pass.
+    d(v,u) != max(w, d(p,u)). Prim's choice gives d(v,u) >= w. It also gives
+    d(v,u) >= d(p,u): the checks passed so far make d(p,u) the largest weight
+    on the tree path from p to u, and by the cycle property that weight is at
+    most max(w, d(v,u)), since the tree with v added is a minimum spanning
+    tree of its vertices. So d(v,u) > max(w, d(p,u)), and the triple is
+    (v, u, p). It is deterministic and costs nothing beyond the failed pass.
     """
     return ultrametric_mst(space)[0]
 

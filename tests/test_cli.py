@@ -7,13 +7,34 @@ import re
 import subprocess
 import sys
 import threading
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import deck_digests
 import tree_oracle as oracle
-from umtk import cli, renamed_copy, similarity, space_from_json, space_to_text, suites
+from umtk import (
+    GenConfig,
+    ball_preserving_bijection,
+    ballean_to_json,
+    cli,
+    enumerate_balls,
+    hasse_diagram,
+    hasse_digraph_iso,
+    hasse_iso_to_json,
+    hasse_to_json,
+    random_semimetric,
+    random_ultrametric,
+    rank_relabel,
+    renamed_copy,
+    similarity,
+    space_from_json,
+    space_to_json,
+    space_to_text,
+    suites,
+    weak_sim_witness_to_json,
+)
 from umtk.cli import main
 from umtk.reptree import tree_from_json
 from umtk.treecanon import rooted_tree_iso_map
@@ -397,18 +418,22 @@ BALLEAN_GOLDEN = [
     (["hasse", "--dot", "semi4_a.json"], "hasse_dot.out"),
     (["hasse-iso", "semi4_a.json", "semi4_b.json"], "hasse_iso.out"),
     (["ballpreserving", "semi4_a.json", "semi4_b.json"], "ballpreserving.out"),
+    (["hasse-iso", "ultra8_a.json", "ultra8_b.json"], "hasse_iso_ultra.out"),
 ]
 TREE_GOLDEN = [
     (["tree", "--dot", "ultra8_a.json"], "tree_dot.out"),
     (["tree-iso", "ultra8_a.json", "ultra8_b.json"], "tree_iso.out"),
     (["weaksim", "semi4_a.json", "semi4_b.json"], "weaksim.out"),
+    (["weaksim", "ultra8_a.json", "ultra8_b.json"], "weaksim_ultra.out"),
+    (["isometric", "ultra8_a.json", "ultra8_b.json"], "isometric.out"),
 ]
 
 
 @pytest.mark.parametrize("argv, expected", BALLEAN_GOLDEN)
 def test_ballean_commands_output_bytes(argv, expected, capsys):
     # semi4_b is semi4_a renamed, reordered and scaled by 10; its Hasse
-    # diagram is not a tree, so the maps come from the backtracking search
+    # diagram is not a tree, so its maps come from the backtracking search.
+    # ultra8_b is ultra8_a renamed and reordered: the Hasse tree branch
     args = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     assert main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
@@ -416,11 +441,82 @@ def test_ballean_commands_output_bytes(argv, expected, capsys):
 
 @pytest.mark.parametrize("argv, expected", TREE_GOLDEN)
 def test_tree_and_weaksim_output_bytes(argv, expected, capsys):
-    # ultra8_b is ultra8_a renamed and reordered; the weaksim witness comes
-    # from the matching search, since semi4 is not ultrametric
+    # ultra8_b is ultra8_a renamed and reordered; the semi4 weaksim witness
+    # comes from the matching search, since semi4 is not ultrametric, and the
+    # ultra8 witnesses from the tree route
     args = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     assert main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
+
+
+# (kind, pool): ultrametric or semimetric spaces on integer or fraction spectra
+WRITER_SPACES = [
+    pytest.param(kind, pool, id=f"{kind}-{values}")
+    for kind in ("ultra", "semi")
+    for values, pool in (("int", (1, 2, 3, 5, 8)), ("frac", (F(1, 3), F(1, 2), F(2, 3), F(5, 4))))
+]
+# each a JSON escape of its own: a quote, a backslash, a control character,
+# a slash (written as it is) and non-ASCII text, in and beyond the BMP
+ODD_NAMES = ['a"b', "c\\d", "e\x01f", "g/h", "ü", "名前", "\U0001f600", " ", "p"]
+
+
+def _writer_cases(tmp_path, x, y, z):
+    """(argv, the value the output is json.dumps of) for the four pair
+    decisions and the two ballean reports, on x against its renamed copy y
+    and against y rank-stretched, z; each space as read back from its file."""
+    files = []
+    for name, space in zip("xyz", (x, y, z)):
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps(space_to_json(space)))
+    x, y, z = (space_from_json(json.loads(f.read_text())) for f in files)
+    fx, fy, fz = map(str, files)
+    phi = similarity.decide_isometry(x, y).phi
+    iso = hasse_digraph_iso(hasse_diagram(enumerate_balls(x)), hasse_diagram(enumerate_balls(z)))
+    balls = ball_preserving_bijection(x, z)
+    return [
+        (["isometric", fx, fy], {"phi": {p: phi[p] for p in x.points}}),
+        (["weaksim", fx, fz], weak_sim_witness_to_json(similarity.decide_weak_similarity(x, z), x.points)),
+        (["hasse-iso", fx, fz], hasse_iso_to_json(iso)),
+        (["ballpreserving", fx, fz], {"phi": {p: balls[p] for p in x.points}}),
+        (["hasse", fz], hasse_to_json(hasse_diagram(enumerate_balls(z)))),
+        (["ballean", fz], ballean_to_json(enumerate_balls(z))),
+    ]
+
+
+def _writes_the_value(argv, value, tmp_path, capsys):
+    """stdout and ``--out`` both hold ``json.dumps(value, indent=2) + "\\n"``."""
+    expected = json.dumps(value, indent=2) + "\n"
+    assert main(argv) == 0
+    assert capsys.readouterr() == (expected, "")
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 29, 40])
+@pytest.mark.parametrize("kind, pool", WRITER_SPACES)
+def test_witness_and_ballean_writers_give_the_json_dumps_bytes(kind, pool, n, tmp_path, capsys):
+    rng = random.Random(f"writers:{kind}:{n}:{pool}")
+    make = random_ultrametric if kind == "ultra" else random_semimetric
+    x = make(GenConfig(seed=rng.randrange(1000), n=n, spectrum_pool=pool))
+    y, _ = renamed_copy(x, rng.randrange(1000))
+    stretch = sorted(rng.sample(range(1, 100), len(y.spectrum) - 1))
+    z = rank_relabel(y, [0, *(F(k, 7) for k in stretch)])
+    for argv, value in _writer_cases(tmp_path, x, y, z):
+        _writes_the_value(argv, value, tmp_path, capsys)
+
+
+def test_witness_and_ballean_writers_escape_point_names(tmp_path, capsys):
+    # the names as json.dumps escapes them under its default ensure_ascii:
+    # every non-ASCII character as \\u escapes, "/" as it is
+    x = space_from_json({**space_to_json(random_semimetric(GenConfig(seed=3, n=len(ODD_NAMES)))), "points": ODD_NAMES})
+    y, _ = renamed_copy(x, 5)
+    y = space_from_json({**space_to_json(y), "points": [name + "'" for name in reversed(ODD_NAMES)]})
+    z = rank_relabel(y, [F(k, 3) for k in range(len(y.spectrum))])
+    for argv, value in _writer_cases(tmp_path, x, y, z):
+        _writes_the_value(argv, value, tmp_path, capsys)
+    assert "\\u540d\\u524d" in (tmp_path / "out.json").read_text()  # the last case's, the ballean
 
 
 def _chain_doc(path, prefix, order):
