@@ -9,9 +9,13 @@ a ball is an int mask in which a point's bit is n - 1 - (rank of its name),
 so (size, -mask) sorts like (size, sorted names), the order of every ballean
 and diagram. Name sets are made only where they are read (``Ballean.balls``,
 ``HasseDiagram.vertices``, a violation and the writers); a ``HasseIso`` maps
-vertex indices. The balls a centre witnesses are prefixes of one member list,
-so an up-set or X's image masks take one running fold per centre, and a
-point's bitset of the balls through it gives its ball profile by bit counts.
+vertex indices. No member list is stored per ball: a ball is the first
+|ball| points of its witness centre's distance order, and the ballean keeps
+each centre's order, cut after its last new ball (n^2 indices at most, where
+a list per ball took the sum of the ball sizes). The balls a centre
+witnesses are prefixes of that one order, so an up-set or X's image masks
+take one running fold per centre, and a point's bitset of the balls through
+it gives its ball profile by bit counts.
 X's image masks alone check a point bijection: distinct balls have distinct
 images, so once all are balls, Y's balls that none hits fail as preimages.
 The Hasse diagram has an arc for each cover pair of the inclusion order
@@ -55,20 +59,27 @@ class Ball:
 @dataclass(frozen=True, eq=False)
 class Ballean:
     """All distinct balls of a space, sorted by (size, member names): ball i
-    is ``masks[i]`` over the point bits ``bits``, with the point indices
-    ``members[i]`` and the witness ``witnesses[i]`` (centre index, radius rank).
-    The balls of two or more points that a centre witnesses are prefixes of
-    the members of its largest one: its chain is those members and the
-    balls' sizes. With n one-point balls first, ball n + k is ball
-    ``places[k]`` of the chains in turn."""
+    is ``masks[i]`` over the point bits ``bits``, witnessed by ``witnesses[i]``
+    (centre index, radius rank). Its members are a prefix of its centre's
+    distance order, ``orders[t][:masks[i].bit_count()]`` for its centre t,
+    which ``members[i]`` reads; no member list is stored per ball. Each order
+    is cut after its centre's last new ball. The first n balls are the
+    one-point balls, each witnessed by its point. A centre that witnesses a
+    ball of two or more points has a chain: its order and those balls'
+    sizes. Ball n + k is ball ``places[k]`` of the chains in turn."""
 
     space: FiniteSemimetricSpace
     bits: tuple[int, ...]
     masks: tuple[int, ...]
-    members: tuple[list[int], ...]
     witnesses: tuple[tuple[int, int], ...]
+    orders: list[list[int]]
     chains: list[tuple[list[int], list[int]]]
     places: list[int]
+
+    @cached_property
+    def members(self) -> _Members:
+        """Ball i's point indices in its centre's distance order, as ``members[i]``."""
+        return _Members(self)
 
     @cached_property
     def balls(self) -> tuple[Ball, ...]:
@@ -90,13 +101,27 @@ class Ballean:
         """Each point's ball profile: the sizes of the balls that contain it,
         in ballean order, as flat (size, count) runs: the set bits of its
         ``through`` bitset in each run of balls of one size."""
-        sizes, widths = zip(*[(size, len(list(group))) for size, group in groupby(map(len, self.members))])
+        sizes, widths = zip(*[(size, len(list(group))) for size, group in groupby(map(int.bit_count, self.masks))])
         runs = list(zip(accumulate(widths, initial=0), [(1 << w) - 1 for w in widths]))
         profiles = []
         for t in self.through:
             counts = [(t >> lo & mask).bit_count() for lo, mask in runs]
             profiles.append(tuple(chain.from_iterable(compress(zip(sizes, counts), counts))))
         return tuple(profiles)
+
+
+class _Members(Sequence[list[int]]):
+    """A read-only view of a ballean's member lists: item i is a new list,
+    the first ``masks[i].bit_count()`` points of ball i's centre's order."""
+
+    def __init__(self, ballean: Ballean) -> None:
+        self._orders, self._witnesses, self._masks = ballean.orders, ballean.witnesses, ballean.masks
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def __getitem__(self, i: int) -> list[int]:  # type: ignore[override]
+        return self._orders[self._witnesses[i][0]][: self._masks[i].bit_count()]
 
 
 def _fold(ballean: Ballean, values: Sequence[int], op: Callable[[int, int], int]) -> list[int]:
@@ -114,31 +139,36 @@ def enumerate_balls(space: FiniteSemimetricSpace) -> Ballean:
 
     Always contains all singletons (r = 0) and the whole space (r = diam).
     A member set's witness is its first (center, radius) in point order, then
-    radius order. A prefix costs one OR, and a ball one dict lookup.
+    radius order. A prefix costs one OR, and a ball one dict lookup; only its
+    witness is stored, and each centre's order is cut after its last new ball.
     """
     n = len(space.points)
     rank = {p: k for k, p in enumerate(sorted(space.points))}
     bits = tuple(n - 1 - rank[p] for p in space.points)
     one = [1 << b for b in bits]
-    found: dict[int, tuple[list[int], tuple[int, int]]] = {}
+    found: dict[int, tuple[int, int]] = {}
+    orders: list[list[int]] = []
     chains: list[tuple[list[int], list[int]]] = []
     chained: list[int] = []  # the masks of the chains' balls in turn
     for t, row in enumerate(space.ranks):
         order = sorted(range(n), key=row.__getitem__)
-        mask, start = 0, len(chained)
+        mask, start, cut = 0, len(chained), 1
         for k, i in enumerate(order, 1):
             mask |= one[i]
             if (k == n or row[order[k]] != row[i]) and mask not in found:
-                found[mask] = (order[:k], (t, row[i]))
+                found[mask] = (t, row[i])
                 if k > 1:
                     chained.append(mask)
+                    cut = k
+        del order[cut:]
+        orders.append(order)
         if len(chained) > start:
-            chains.append((found[chained[-1]][0], list(map(int.bit_count, chained[start:]))))
+            chains.append((order, list(map(int.bit_count, chained[start:]))))
     # by size, then by -mask: a stable sort by size of the masks sorted down
     masks = tuple(sorted(sorted(found, reverse=True), key=int.bit_count))
-    members, witnesses = zip(*map(found.__getitem__, masks))
+    witnesses = tuple(map(found.__getitem__, masks))
     place = dict(zip(chained, range(len(chained))))
-    return Ballean(space, bits, masks, members, witnesses, chains, list(map(place.__getitem__, masks[n:])))
+    return Ballean(space, bits, masks, witnesses, orders, chains, list(map(place.__getitem__, masks[n:])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,8 +232,9 @@ def hasse_diagram(ballean: Ballean) -> HasseDiagram:
     then dropped. Each cover costs a few big-int operations on B-bit masks.
     """
     masks, through, n = ballean.masks, ballean.through, len(ballean.bits)
-    # each ball's up-set complemented, the one B-bit table
-    singles = map(through.__getitem__, map(itemgetter(0), ballean.members[:n]))
+    # each ball's up-set complemented, the one B-bit table; ball i < n is
+    # the one-point ball of its witness centre
+    singles = map(through.__getitem__, map(itemgetter(0), ballean.witnesses[:n]))
     clear = list(map(invert, chain(singles, _fold(ballean, through, and_))))
     succs: list[list[int]] = []
     preds: list[list[int]] = [[] for _ in masks]
@@ -378,12 +409,13 @@ def ball_preserving_bijection(
     iso = hasse_digraph_iso(hx, hy)
     if iso is None:
         return None
+    # the first len(points) balls are the one-point balls, each witnessed by its point
     mapping: dict[str, str] = {}
     for i, j in iso.assignment.items():
-        if len(bx.members[i]) == 1:
-            if len(by.members[j]) != 1:
+        if i < len(x.points):
+            if j >= len(y.points):
                 raise VerificationFailedError("singleton ball mapped to a larger ball")
-            mapping[x.points[bx.members[i][0]]] = y.points[by.members[j][0]]
+            mapping[x.points[bx.witnesses[i][0]]] = y.points[by.witnesses[j][0]]
     ok, violation = verify_ball_preserving(bx, by, mapping)
     if not ok:
         raise VerificationFailedError(f"extracted bijection not ball-preserving: {violation}")
@@ -406,11 +438,19 @@ def hasse_iso_to_json(iso: HasseIso) -> dict:
     return {"map": [[sorted(v), sorted(v2[iso.assignment[i]])] for i, v in enumerate(v1)]}
 
 
+# "%", ",", "{" and "}" in a name are percent-encoded, so each label names one member set
+_PERCENT = str.maketrans({"%": "%25", ",": "%2C", "{": "%7B", "}": "%7D"})
+
+
+def dot_label_name(name: str) -> str:
+    """A point name as it stands in a vertex label of ``hasse_to_dot``:
+    percent-encoded, then escaped for a DOT quoted string."""
+    return dot_string(name.translate(_PERCENT))[1:-1]
+
+
 def hasse_to_dot(diagram: HasseDiagram) -> str:
     lines = ["digraph hasse {"]
-    # "%", ",", "{" and "}" in a name are percent-encoded, so each label names one member set
-    escape = str.maketrans({"%": "%25", ",": "%2C", "{": "%7B", "}": "%7D"})
-    labels = ("{" + ",".join(p.translate(escape) for p in sorted(v)) + "}" for v in diagram.vertices)
-    lines += [f"  b{i} [label={dot_string(label)}];" for i, label in enumerate(labels)]
+    labels = (",".join(map(dot_label_name, sorted(v))) for v in diagram.vertices)
+    lines += [f'  b{i} [label="{{{label}}}"];' for i, label in enumerate(labels)]
     lines += [f"  b{a} -> b{b};" for a, b in diagram.sorted_arcs()]
     return "\n".join(lines) + "\n}\n"

@@ -31,11 +31,12 @@ from types import FunctionType
 
 from .balls import (
     Ballean,
+    HasseDiagram,
     ball_preserving_bijection,
+    dot_label_name,
     enumerate_balls,
     hasse_diagram,
     hasse_digraph_iso,
-    hasse_to_dot,
 )
 from .classify import CLASS_CODES, classify_space
 from .diametrical import (
@@ -126,13 +127,25 @@ def _entries(brackets: str, entries: Iterable[str]) -> Iterator[str]:
 _pair = "[\n      {},\n      {}\n    ]".format
 
 
+def _ball_names(ballean: Ballean, names: list[str]) -> Callable[[int], Iterator[str]]:
+    """Ball i's members as ``names`` writes them, in name order: its centre's
+    order sliced to its size, sorted by descending bit (ascending name)."""
+    by_bit = [""] * len(names)
+    for b, name in zip(ballean.bits, names):
+        by_bit[b] = name
+    bits, masks, orders, witnesses = ballean.bits, ballean.masks, ballean.orders, ballean.witnesses
+    return lambda i: map(by_bit.__getitem__, sorted(
+        map(bits.__getitem__, orders[witnesses[i][0]][: masks[i].bit_count()]), reverse=True))
+
+
 def _ball_writer(ballean: Ballean, depth: int) -> Callable[[int], str]:
     """Ball i's member names, sorted, as the JSON array ``json.dumps(indent=2)``
-    writes ``depth`` levels in, in one ``str.join``; no name set is made."""
+    writes ``depth`` levels in, in one ``str.join``; each name is quoted once
+    per ballean and no name set is made."""
     inner = "\n" + "  " * (depth + 1)
     head, sep, tail = "[" + inner, "," + inner, inner[:-2] + "]"
-    pts, members = ballean.space.points, ballean.members
-    return lambda i: head + sep.join(map(_quote, sorted(map(pts.__getitem__, members[i])))) + tail
+    names = _ball_names(ballean, list(map(_quote, ballean.space.points)))
+    return lambda i: head + sep.join(names(i)) + tail
 
 
 def _phi_entries(phi: dict[str, str], points: tuple[str, ...]) -> Iterator[str]:
@@ -355,12 +368,21 @@ def _cmd_ballean(args) -> int:
     return 0
 
 
+def _hasse_dot_pieces(ballean: Ballean, diagram: HasseDiagram) -> Iterator[str]:
+    """``hasse_to_dot``'s text, one piece per vertex and per arc; each name
+    is escaped once per ballean and no name set is made."""
+    names = _ball_names(ballean, list(map(dot_label_name, ballean.space.points)))
+    vertices = (f'\n  b{i} [label="{{{",".join(names(i))}}}"];' for i in range(len(diagram.masks)))
+    arcs = (f"\n  b{a} -> b{b};" for a, near in enumerate(diagram.succs) for b in near)
+    return chain(["digraph hasse {"], vertices, arcs, ["\n}\n"])
+
+
 def _cmd_hasse(args) -> int:
     """``hasse_to_json``'s value, one piece per vertex and per arc."""
     ballean = enumerate_balls(_load_space(args.space))
     diagram = hasse_diagram(ballean)
     if args.dot:
-        _emit([hasse_to_dot(diagram)], args.out)
+        _emit(_hasse_dot_pieces(ballean, diagram), args.out)
         return 0
     vertices = map(_ball_writer(ballean, 2), range(len(diagram.masks)))
     arcs = (_pair(a, b) for a, near in enumerate(diagram.succs) for b in near)

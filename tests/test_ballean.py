@@ -51,6 +51,43 @@ def test_one_point_ballean():
     assert reversed_is_rooted_tree(diagram)
 
 
+def _prefix_slices(space) -> dict[int, list[int]]:
+    """Each ball's mask and members as the first prefix of a centre's
+    distance order that gives it: centres in point order, prefixes by size."""
+    n, bits = len(space.points), enumerate_balls(space).bits
+    found: dict[int, list[int]] = {}
+    for row in space.ranks:
+        order = sorted(range(n), key=row.__getitem__)
+        for k in range(1, n + 1):
+            if k == n or row[order[k]] != row[order[k - 1]]:
+                found.setdefault(sum(1 << bits[p] for p in order[:k]), order[:k])
+    return found
+
+
+@pytest.mark.parametrize("make, seed, n", [
+    *((make, seed, n) for make in (random_semimetric, random_ultrametric) for seed in (1, 2, 3) for n in (1, 2, 5, 10)),
+    (random_semimetric, 1, 128),
+])
+def test_members_are_prefixes_of_their_centres_orders(make, seed, n):
+    x = make(GenConfig(seed=seed, n=n, spectrum_pool=tuple(F(k) for k in range(1, 49))))
+    ballean = enumerate_balls(x)
+    slices = _prefix_slices(x)
+    assert sorted(slices) == sorted(ballean.masks)
+    assert len(ballean.members) == len(ballean.masks)
+    assert list(ballean.members) == list(map(slices.__getitem__, ballean.masks))
+    # balls 0..n-1 are the one-point balls, each witnessed by its point
+    centres = [t for t, _ in ballean.witnesses[:n]]
+    assert sorted(centres) == list(range(n))
+    assert all(ballean.masks[i] == 1 << ballean.bits[t] for i, t in enumerate(centres))
+    assert all(ballean.members[i] == [t] for i, t in enumerate(centres))
+    # each order is cut after the largest ball its centre witnesses: n^2 indices at most
+    largest = [1] * n
+    for mask, (t, _) in zip(ballean.masks, ballean.witnesses):
+        largest[t] = max(largest[t], mask.bit_count())
+    assert list(map(len, ballean.orders)) == largest
+    assert sum(largest) <= n * n
+
+
 def test_hasse_of_ultrametric_is_a_reversed_tree(ultra3):
     diagram = hasse_diagram(enumerate_balls(ultra3))
     assert hasse_to_json(diagram) == {

@@ -23,6 +23,7 @@ from umtk import (
     hasse_diagram,
     hasse_digraph_iso,
     hasse_iso_to_json,
+    hasse_to_dot,
     hasse_to_json,
     random_semimetric,
     random_ultrametric,
@@ -517,6 +518,18 @@ def test_witness_and_ballean_writers_escape_point_names(tmp_path, capsys):
     for argv, value in _writer_cases(tmp_path, x, y, z):
         _writes_the_value(argv, value, tmp_path, capsys)
     assert "\\u540d\\u524d" in (tmp_path / "out.json").read_text()  # the last case's, the ballean
+
+
+def test_hasse_dot_writer_gives_the_library_text(tmp_path, capsys):
+    # the writer labels each vertex from the ballean's member indices,
+    # hasse_to_dot from the vertex's name set: the same text for names that
+    # DOT escapes, that the labels percent-encode and that json escapes
+    names = list(dict.fromkeys([*ODD_NAMES, *DOT_NAMES, "%", "{x}", "x,", "%2C"]))
+    x = space_from_json({**space_to_json(random_semimetric(GenConfig(seed=4, n=len(names)))), "points": names})
+    doc = tmp_path / "x.json"
+    doc.write_text(json.dumps(space_to_json(x)))
+    assert main(["hasse", "--dot", str(doc)]) == 0
+    assert capsys.readouterr() == (hasse_to_dot(hasse_diagram(enumerate_balls(x))), "")
 
 
 def _chain_doc(path, prefix, order):
