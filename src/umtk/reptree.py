@@ -212,13 +212,10 @@ def validate_tree(tree: RepTree, labeled: bool = True) -> None:
     child label.
 
     One pass in preorder reports the first structural defect in preorder,
-    and the first label defect in preorder only if there is none. Labels are
-    ranks, so they are compared as ints.
+    and only then ``_check_labels``'s pass the first label defect.
     """
-    ranks, points = tree.labels, tree.points
-    zero = tree.spectrum.index(0)
+    points = tree.points
     seen: set[str] = set()
-    defect = None  # the first label defect
     for v, kids in enumerate(tree.children):
         if not kids:
             point = points[v]
@@ -227,30 +224,35 @@ def validate_tree(tree: RepTree, labeled: bool = True) -> None:
             if point in seen:
                 raise InvalidTreeError(f"duplicate leaf point {point!r}")
             seen.add(point)
-            if labeled and defect is None and ranks[v] != zero:
-                defect = f"leaf {point!r} must be labeled 0"
+        elif points[v] is not None:
+            raise InvalidTreeError("internal node carrying a point")
+        elif len(kids) < 2:
+            raise InvalidTreeError("internal node with fewer than 2 children")
+    if labeled:
+        _check_labels(tree)
+
+
+def _check_labels(tree: RepTree) -> None:
+    """Raise InvalidTreeError at the first label defect in preorder. Labels
+    are ranks, so they are compared as ints."""
+    ranks = tree.labels
+    zero = tree.spectrum.index(0)
+    for v, kids in enumerate(tree.children):
+        top = ranks[v]
+        if not kids:
+            if top != zero:
+                raise InvalidTreeError(f"leaf {tree.points[v]!r} must be labeled 0")
+        elif top is None:
+            raise InvalidTreeError("internal node without a label")
+        elif top <= zero:
+            raise InvalidTreeError("internal label must be positive")
         else:
-            if points[v] is not None:
-                raise InvalidTreeError("internal node carrying a point")
-            if len(kids) < 2:
-                raise InvalidTreeError("internal node with fewer than 2 children")
-            if labeled and defect is None:
-                top = ranks[v]
-                if top is None:
-                    defect = "internal node without a label"
-                elif top <= zero:
-                    defect = "internal label must be positive"
-                else:
-                    for c in kids:
-                        below = ranks[c]
-                        if below is None:
-                            defect = "internal node without a label"
-                            break
-                        if below >= top:
-                            defect = "child label must be strictly smaller than parent label"
-                            break
-    if defect is not None:
-        raise InvalidTreeError(defect)
+            for c in kids:
+                below = ranks[c]
+                if below is None:
+                    raise InvalidTreeError("internal node without a label")
+                if below >= top:
+                    raise InvalidTreeError("child label must be strictly smaller than parent label")
 
 
 @lru_cache(maxsize=None)
@@ -343,17 +345,20 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
     One preorder pass over the JSON objects fills the tree's arrays, labels
     as literals (leaves "0", ``ABSENT`` if none), up to the first structural
     FormatError; ``read_literals`` ranks the labels read before that error
-    is raised, so the first FormatError in preorder is reported. Then one
-    ``validate_tree`` pass reports the first structural defect before any
-    label defect. Nothing recurses: the walk keeps one iterator per open
-    child list, beside the list its positions join, so a leaf is read in
-    place and only an internal node opens a list.
+    is raised, so the first FormatError in preorder is reported. The pass
+    notes a child list with one entry, and one set over the points finds a
+    repeated one: only then does ``validate_tree`` scan, to name the first
+    structural defect in preorder, before ``_check_labels`` checks labels.
+    Nothing recurses: the walk keeps one iterator per open child list,
+    beside the list its positions join, so a leaf is read in place and only
+    an internal node opens a list.
     """
     texts: list[object] = []
     points: list[str | None] = []
     children: list[Sequence[int]] = []
     stack = [(iter((doc,)), [])]  # (an open child list's iterator, its positions)
     defect = None
+    single = False  # a child list with one entry was opened
     try:
         while stack:
             objs, mine = stack[-1]
@@ -376,6 +381,8 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
                 kids = obj["children"]
                 if not isinstance(kids, list) or not kids:
                     raise FormatError('"children" must be a non-empty list')
+                if len(kids) == 1:
+                    single = True
                 texts.append(obj.get("label", ABSENT))
                 points.append(None)
                 opened: list[int] = []
@@ -391,7 +398,11 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
         raise defect
     check_point_names(filter(None, points))
     tree = RepTree(list(map(rank.get, texts)), points, children, spectrum)  # ABSENT: None
-    validate_tree(tree, labeled)
+    names = set(points)  # the leaves' points, and None for the internal nodes
+    if single or len(names) - (None in names) != children.count(()):  # a leaf's children are ()
+        validate_tree(tree, labeled=False)
+    if labeled:
+        _check_labels(tree)
     return tree
 
 

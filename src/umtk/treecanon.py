@@ -8,10 +8,13 @@ equal bytes; the labeled variant additionally requires equal labels at
 matched nodes. Codes are plain byte strings built by
 sorting, so identical trees give bitwise-identical codes on every run.
 Everything here runs over a tree's preorder positions (``RepTree``), with
-``reptree``'s code pass and walks. Two trees with equal codes are paired by
-zipping the preorders of their code-ordered children.
+``reptree``'s code pass and walks. Only two trees equal on invariants that
+every rooted isomorphism keeps are coded, and two trees with equal codes
+are paired by zipping the preorders of their code-ordered children.
 """
 from __future__ import annotations
+
+from collections import Counter
 
 from .errors import NotIsomorphicError
 from .reptree import RepTree, _codes, _parents, _preorder
@@ -39,18 +42,39 @@ def canon_code_labeled(tree: RepTree, ordered: list | None = None) -> bytes:
     return _tree_codes(tree, True, ordered)
 
 
+def _invariant_apart(tree1: RepTree, tree2: RepTree, respect_labels: bool) -> str | None:
+    """The first invariant of rooted isomorphism that tells the trees apart,
+    or None. A tree with an unlabeled node is left to the labeled code,
+    which raises InvalidTreeError."""
+    if respect_labels and (None in tree1.labels or None in tree2.labels):
+        return None
+    if len(tree1) != len(tree2):
+        return "node counts differ"
+    if Counter(map(len, tree1.children)) != Counter(map(len, tree2.children)):
+        return "child counts differ"
+    if respect_labels and tree1.spectrum != tree2.spectrum:
+        return "spectra differ"
+    if respect_labels and Counter(tree1.labels) != Counter(tree2.labels):
+        return "label ranks differ"
+    return None
+
+
 def rooted_tree_iso_map(
     tree1: RepTree, tree2: RepTree, respect_labels: bool = False, walk: list | None = None
 ) -> list[int]:
     """Explicit isomorphism between isomorphic rooted trees: the list that
     gives each position of ``tree1`` its image position in ``tree2``.
 
-    Each tree's code is computed once, and children with equal codes are
-    paired in child order, so the map is deterministic. A given list
-    ``walk`` is extended with the positions of ``tree1`` in pairing order:
-    depth first, a node and then its children in code order. Raises
-    NotIsomorphicError when the codes differ.
+    A pair that ``_invariant_apart`` tells apart raises NotIsomorphicError
+    naming the invariant, and neither tree is coded. Otherwise each tree's
+    code is computed once, and children with equal codes are paired in child
+    order, so the map is deterministic. A given list ``walk`` is extended
+    with the positions of ``tree1`` in pairing order: depth first, a node
+    and then its children in code order. Raises NotIsomorphicError when the
+    codes differ.
     """
+    if (apart := _invariant_apart(tree1, tree2, respect_labels)) is not None:
+        raise NotIsomorphicError(apart)
     code = canon_code_labeled if respect_labels else canon_code_unlabeled
     ordered1: list[list[int] | None] = []
     ordered2: list[list[int] | None] = []

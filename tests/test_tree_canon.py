@@ -1,3 +1,5 @@
+import copy
+import json
 import random
 import time
 from fractions import Fraction as F
@@ -19,8 +21,10 @@ from umtk import (
     space_from_pairs,
     tree_from_json,
 )
-from umtk.errors import NotIsomorphicError
+from umtk.cli import main
+from umtk.errors import InvalidTreeError, NotIsomorphicError
 from umtk.reptree import _codes, _preorder
+from umtk.treecanon import _invariant_apart
 
 from tree_oracle import chain_doc, internal, leaf, pairs, tree_of, tree_to_json
 
@@ -184,3 +188,171 @@ def test_zipped_preorders_pair_like_the_reference_walk(recursion_headroom):
         zipped = _preorder(ordered1, 0), _preorder(ordered2, 0)
     assert zipped == pairs(ordered1, ordered2, 0, 0)
     assert zipped[0] != zipped[1] and len(zipped[0]) == 20_001
+
+
+# --- invariants before codes --------------------------------------------------
+
+
+def _random_doc(rng, leaves):
+    """A valid labeled tree document on points p0, p1, ...: random parts are
+    joined two or three at a time under a label above theirs."""
+    parts = [({"point": f"p{k}"}, 0) for k in range(leaves)]
+    while len(parts) > 1:
+        rng.shuffle(parts)
+        k = rng.choice([2, 2, 3])
+        kids, parts = parts[:k], parts[k:]
+        label = max(height for _, height in kids) + rng.choice([1, 1, 2])
+        parts.append(({"label": str(label), "children": [doc for doc, _ in kids]}, label))
+    return parts[0][0]
+
+
+def _inner_objects(doc):
+    found, stack = [], [doc]
+    while stack:
+        obj = stack.pop()
+        if "children" in obj:
+            found.append(obj)
+            stack += obj["children"]
+    return found
+
+
+def _moved_leaf(doc, rng):
+    """A copy with one leaf moved from a node of three or more children to
+    another internal node, or None if no node has a leaf to spare."""
+    doc = copy.deepcopy(doc)
+    inner = _inner_objects(doc)
+    full = [o for o in inner if len(o["children"]) > 2 and any("point" in c for c in o["children"])]
+    if not full or len(inner) < 2:
+        return None
+    source = rng.choice(full)
+    leaf_doc = next(c for c in source["children"] if "point" in c)
+    source["children"].remove(leaf_doc)
+    target = rng.choice([o for o in inner if o is not source])
+    target["children"].insert(rng.randint(0, len(target["children"])), leaf_doc)
+    return doc
+
+
+def _relabeled(doc, rng):
+    """A copy with one internal label set to another label of the tree that
+    still lies between its children's and its parent's, or None."""
+    doc = copy.deepcopy(doc)
+    values = sorted({int(o["label"]) for o in _inner_objects(doc)})
+    stack, choices = [(doc, float("inf"))], []
+    while stack:
+        obj, above = stack.pop()
+        if "children" in obj:
+            below = max(int(c.get("label", 0)) for c in obj["children"])
+            choices += [(obj, v) for v in values if below < v < above and v != int(obj["label"])]
+            stack += [(c, int(obj["label"])) for c in obj["children"]]
+    if not choices:
+        return None
+    obj, value = rng.choice(choices)
+    obj["label"] = str(value)
+    return doc
+
+
+def _random_pairs():
+    """Seeded tree pairs: a tree against a shuffled layout of itself, a
+    moved-leaf copy, a copy with one label changed to another of its labels
+    and an independent tree with as many leaves."""
+    rng = random.Random(41)
+    for _ in range(300):
+        leaves = rng.randint(1, 9)
+        doc = _random_doc(rng, leaves)
+        tree = tree_from_json(doc, labeled=True)
+        yield tree, _shuffled(tree, rng)
+        yield tree, tree_from_json(_random_doc(rng, leaves), labeled=True)
+        for other in (_moved_leaf(doc, rng), _relabeled(doc, rng)):
+            if other is not None:
+                yield tree, tree_from_json(other, labeled=True)
+
+
+def test_invariants_never_part_trees_with_equal_codes():
+    seen = {}
+    for t1, t2 in _random_pairs():
+        for labeled in (False, True):
+            code = canon_code_labeled if labeled else canon_code_unlabeled
+            equal = code(t1) == code(t2)
+            apart = _invariant_apart(t1, t2, labeled)
+            assert apart is None or not equal
+            try:
+                psi = rooted_tree_iso_map(t1, t2, respect_labels=labeled)
+            except NotIsomorphicError as exc:
+                assert not equal
+                assert str(exc) == (apart or ("labeled codes differ" if labeled else "shape codes differ"))
+                outcome = apart or "codes differ"
+            else:
+                assert equal and check_iso_map(t1, t2, psi, respect_labels=labeled)
+                outcome = "isomorphic"
+            seen[outcome] = seen.get(outcome, 0) + 1
+    # every invariant parts some pairs, and the codes part others
+    assert set(seen) == {"node counts differ", "child counts differ", "spectra differ",
+                         "label ranks differ", "codes differ", "isomorphic"}, seen
+    assert min(seen.values()) >= 10, seen
+
+
+def _node(label, *kids):
+    return {"label": str(label), "children": list(kids)}
+
+
+def _leaves(*names):
+    return [{"point": name} for name in names]
+
+
+# a leaf moves from a 3-child node at depth 1 to a 2-child node at depth 2:
+# every invariant agrees, and only the codes tell the trees apart
+CODES_ONLY = (
+    _node(3, _node(1, *_leaves("a", "b", "c")), _node(2, _node(1, *_leaves("d", "e")), *_leaves("f"))),
+    _node(3, _node(1, *_leaves("a", "b")), _node(2, _node(1, *_leaves("d", "e", "c")), *_leaves("f"))),
+)
+
+# one pair per invariant, equal on every invariant checked before it
+APART = {
+    "node counts differ": (_node(1, *_leaves("a", "b")), _node(1, *_leaves("a", "b", "c"))),
+    "child counts differ": (_node(2, _node(1, *_leaves("a", "b")), *_leaves("c")),
+                            _node(2, *_leaves("a", "b", "c", "d"))),
+    "spectra differ": (_node(2, *_leaves("a", "b")), _node(3, *_leaves("a", "b"))),
+    "label ranks differ": (
+        _node(3, _node(2, *_leaves("a", "b")), _node(1, *_leaves("c", "d")), _node(1, *_leaves("e", "f"))),
+        _node(3, _node(2, *_leaves("a", "b")), _node(2, *_leaves("c", "d")), _node(1, *_leaves("e", "f"))),
+    ),
+}
+
+
+def test_each_invariant_names_itself():
+    for message, (a, b) in APART.items():
+        labeled = message in ("spectra differ", "label ranks differ")
+        t1, t2 = tree_from_json(a, labeled=True), tree_from_json(b, labeled=True)
+        with pytest.raises(NotIsomorphicError, match=f"^{message}$"):
+            rooted_tree_iso_map(t1, t2, respect_labels=labeled)
+        if labeled:  # the same shapes
+            assert check_iso_map(t1, t2, rooted_tree_iso_map(t1, t2))
+    t1, t2 = (tree_from_json(doc, labeled=True) for doc in CODES_ONLY)
+    for labeled, message in ((False, "shape codes differ"), (True, "labeled codes differ")):
+        assert _invariant_apart(t1, t2, labeled) is None
+        with pytest.raises(NotIsomorphicError, match=f"^{message}$"):
+            rooted_tree_iso_map(t1, t2, respect_labels=labeled)
+
+
+def test_an_unlabeled_node_fails_labeled_pairing_before_any_invariant():
+    # the node counts differ, but a labeled map needs every label first
+    bare = tree_from_json({"children": _leaves("a", "b")})
+    other = tree_from_json(_node(1, *_leaves("a", "b", "c")), labeled=True)
+    for pair in ((bare, other), (other, bare)):
+        with pytest.raises(InvalidTreeError, match="^labeled code requested on an unlabeled node$"):
+            rooted_tree_iso_map(*pair, respect_labels=True)
+        with pytest.raises(NotIsomorphicError, match="^node counts differ$"):
+            rooted_tree_iso_map(*pair)
+
+
+@pytest.mark.parametrize("pair", ["child counts differ", "codes only"])
+@pytest.mark.parametrize("labeled", [False, True])
+def test_tree_iso_says_no_on_stderr_alone(pair, labeled, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("UMTK_COLOR", "never")
+    docs = CODES_ONLY if pair == "codes only" else APART[pair]
+    argv = ["tree-iso"] + ["--labeled"] * labeled
+    for name, doc in zip("ab", docs):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv.append(str(tmp_path / f"{name}.json"))
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: trees are not isomorphic\n")

@@ -192,6 +192,47 @@ def test_labeled_tree_iso_reports_structure_before_labels(tmp_path, capsys, doc,
     assert capsys.readouterr().err.endswith(f"InvalidTreeError: {message}\n")
 
 
+# The decoder notes a one-child list as it opens it and finds a repeated
+# point with one set afterwards; the first of them in preorder is still
+# named, after any FormatError and before any label defect. Each root here
+# has no label, a label defect ahead of every other defect.
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        # a repeated point before a one-child node in preorder, and the reverse
+        ({"children": [{"point": "u"}, {"point": "u"}, {"label": "1", "children": [{"point": "v"}]}]},
+         ("InvalidTreeError", "duplicate leaf point 'u'")),
+        ({"children": [{"point": "u"}, {"label": "1", "children": [{"point": "v"}]}, {"point": "u"}]},
+         ("InvalidTreeError", "internal node with fewer than 2 children")),
+        ({"children": [{"label": "1", "children": [{"point": "u"}]}, {"point": "v"}, {"point": "v"}]},
+         ("InvalidTreeError", "internal node with fewer than 2 children")),
+        # a child label above its parent's, then a repeated point
+        ({"label": "1", "children": [{"label": "2", "children": [{"point": "u"}, {"point": "v"}]},
+                                     {"point": "v"}]}, ("InvalidTreeError", "duplicate leaf point 'v'")),
+        # structural defects, then a FormatError later in preorder: it wins
+        ({"children": [{"point": "u"}, {"point": "u"}, {"label": "1", "children": [{"point": "v"}]},
+                       {"point": 7}]}, ("FormatError", "leaf point must be a string")),
+        ({"children": [{"label": "1", "children": [{"point": "u"}]}, {"point": "u"},
+                       {"label": "x", "children": [{"point": "v"}, {"point": "w"}]}]},
+         ("FormatError", "not a rational literal: 'x'")),
+    ],
+)
+@pytest.mark.parametrize("labeled", [False, True])
+def test_structure_found_while_decoding_keeps_its_precedence(doc, error, labeled, tmp_path, capsys):
+    reference = _labeled_reference if labeled else oracle.tree_from_json
+    with pytest.raises((FormatError, InvalidTreeError)) as want:
+        reference(doc)
+    assert _error(want.value) == error
+    with pytest.raises((FormatError, InvalidTreeError)) as got:
+        tree_from_json(doc, labeled=labeled)
+    assert _error(got.value) == error
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    assert main(["tree-iso", *["--labeled"] * labeled, str(path), str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"{error[0]}: {error[1]}\n")
+
+
 @pytest.mark.parametrize(
     "doc",
     [
