@@ -8,8 +8,10 @@ witness never participates in equality. Every layer works on point indices:
 a ball is an int mask in which a point's bit is n - 1 - (rank of its name),
 so (size, -mask) sorts like (size, sorted names), the order of every ballean
 and diagram. Name sets are made only where they are read (``Ballean.balls``,
-``HasseDiagram.vertices``, a violation and the writers); a ``HasseIso`` maps
-vertex indices. No member list is stored per ball: a ball is the first
+``HasseDiagram.vertices`` and a violation); a ``HasseIso`` maps vertex
+indices. This module's writers, one per format (the ballean, the Hasse
+diagram in JSON and DOT, and a Hasse isomorphism), write each ball's names
+from its member indices. No member list is stored per ball: a ball is the first
 |ball| points of its witness centre's distance order, and the ballean keeps
 each centre's order, cut after its last new ball (n^2 indices at most, where
 a list per ball took the sum of the ball sizes). The balls a centre
@@ -36,7 +38,7 @@ inner node share every ball).
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -46,7 +48,7 @@ from operator import and_, invert, itemgetter, or_
 from .errors import NotABijectionError, VerificationFailedError
 from .reptree import _codes, _preorder
 from .search import match
-from .spaces import FiniteSemimetricSpace, dot_string
+from .spaces import FiniteSemimetricSpace, _entries, _pair, _quote, dot_string
 
 
 @dataclass(frozen=True)
@@ -423,19 +425,52 @@ def ball_preserving_bijection(
 
 
 # --- JSON / DOT wire formats --------------------------------------------------
+#
+# Each writer yields its document as pieces, the JSON ones those of
+# json.dumps(doc, indent=2) + "\n", one per ball, vertex, arc or map entry;
+# each name is quoted once per ballean. A diagram is written from the
+# ballean it was built from.
 
 
-def ballean_to_json(ballean: Ballean) -> dict:
-    return {"balls": [sorted(map(ballean.space.points.__getitem__, m)) for m in ballean.members]}
+def _ball_names(ballean: Ballean, names: list[str]) -> Callable[[int], Iterator[str]]:
+    """Ball i's members as ``names`` writes them, in name order: its centre's
+    order sliced to its size, sorted by descending bit (ascending name)."""
+    by_bit = [""] * len(names)
+    for b, name in zip(ballean.bits, names):
+        by_bit[b] = name
+    bits, masks, orders, witnesses = ballean.bits, ballean.masks, ballean.orders, ballean.witnesses
+    return lambda i: map(by_bit.__getitem__, sorted(
+        map(bits.__getitem__, orders[witnesses[i][0]][: masks[i].bit_count()]), reverse=True))
 
 
-def hasse_to_json(diagram: HasseDiagram) -> dict:
-    return {"vertices": [sorted(v) for v in diagram.vertices], "arcs": list(map(list, diagram.sorted_arcs()))}
+def _ball_writer(ballean: Ballean, depth: int) -> Callable[[int], str]:
+    """Ball i's member names, sorted, as the JSON array ``json.dumps(indent=2)``
+    writes ``depth`` levels in, in one ``str.join``."""
+    inner = "\n" + "  " * (depth + 1)
+    head, sep, tail = "[" + inner, "," + inner, inner[:-2] + "]"
+    names = _ball_names(ballean, list(map(_quote, ballean.space.points)))
+    return lambda i: head + sep.join(names(i)) + tail
 
 
-def hasse_iso_to_json(iso: HasseIso) -> dict:
-    v1, v2 = iso.h1.vertices, iso.h2.vertices
-    return {"map": [[sorted(v), sorted(v2[iso.assignment[i]])] for i, v in enumerate(v1)]}
+def ballean_pieces(ballean: Ballean) -> Iterator[str]:
+    """``{"balls": ...}``, each ball's sorted names, one piece per ball."""
+    balls = map(_ball_writer(ballean, 2), range(len(ballean.masks)))
+    return chain(['{\n  "balls": '], _entries("[]", balls), ["\n}\n"])
+
+
+def hasse_pieces(diagram: HasseDiagram) -> Iterator[str]:
+    """``{"vertices": ..., "arcs": ...}``, one piece per vertex and per arc."""
+    vertices = map(_ball_writer(diagram.ballean, 2), range(len(diagram.masks)))
+    arcs = (_pair(a, b) for a, near in enumerate(diagram.succs) for b in near)
+    return chain(['{\n  "vertices": '], _entries("[]", vertices), [',\n  "arcs": '], _entries("[]", arcs), ["\n}\n"])
+
+
+def hasse_iso_pieces(iso: HasseIso) -> Iterator[str]:
+    """``{"map": ...}``, each vertex of ``h1`` and its image as name lists,
+    one piece per map entry."""
+    ball1, ball2 = _ball_writer(iso.h1.ballean, 3), _ball_writer(iso.h2.ballean, 3)
+    pairs = (_pair(ball1(i), ball2(iso.assignment[i])) for i in range(len(iso.h1.masks)))
+    return chain(['{\n  "map": '], _entries("[]", pairs), ["\n}\n"])
 
 
 # "%", ",", "{" and "}" in a name are percent-encoded, so each label names one member set
@@ -443,14 +478,15 @@ _PERCENT = str.maketrans({"%": "%25", ",": "%2C", "{": "%7B", "}": "%7D"})
 
 
 def dot_label_name(name: str) -> str:
-    """A point name as it stands in a vertex label of ``hasse_to_dot``:
+    """A point name as it stands in a vertex label of ``hasse_dot_pieces``:
     percent-encoded, then escaped for a DOT quoted string."""
     return dot_string(name.translate(_PERCENT))[1:-1]
 
 
-def hasse_to_dot(diagram: HasseDiagram) -> str:
-    lines = ["digraph hasse {"]
-    labels = (",".join(map(dot_label_name, sorted(v))) for v in diagram.vertices)
-    lines += [f'  b{i} [label="{{{label}}}"];' for i, label in enumerate(labels)]
-    lines += [f"  b{a} -> b{b};" for a, b in diagram.sorted_arcs()]
-    return "\n".join(lines) + "\n}\n"
+def hasse_dot_pieces(diagram: HasseDiagram) -> Iterator[str]:
+    """The diagram in DOT, one piece per vertex line and per arc line."""
+    ballean = diagram.ballean
+    names = _ball_names(ballean, list(map(dot_label_name, ballean.space.points)))
+    vertices = (f'\n  b{i} [label="{{{",".join(names(i))}}}"];' for i in range(len(diagram.masks)))
+    arcs = (f"\n  b{a} -> b{b};" for a, near in enumerate(diagram.succs) for b in near)
+    return chain(["digraph hasse {"], vertices, arcs, ["\n}\n"])

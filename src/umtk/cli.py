@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Every subcommand reads JSON space/tree documents and writes JSON or DOT to
-stdout (or ``--out``). One writer, ``_emit``, writes every document: it takes
-the document as pieces and writes them ``_BATCH`` at a time, so no document is
-held as one string. The witnesses of the four pair decisions, the ballean, the
-Hasse diagram and the ``tree-iso`` map go out as the pieces of
-``json.dumps(doc, indent=2) + "\n"``, written straight from the result: one
-phi entry, scaling pair, map entry, ball, vertex or arc per piece.
-``_emit_json`` serves only the small reports of ``validate``, ``spectrum``,
-``diametric``, ``classify`` and ``gen``. ``_emit`` is called only after every
-check, so a command that fails writes nothing and creates no ``--out`` file.
+stdout (or ``--out``). Each format has one writer, in the module that owns
+its type: the witnesses in ``similarity``, the ballean, the Hasse diagram and
+its map in ``balls``, the representing tree in ``reptree``. A writer yields
+the document as pieces, for JSON the pieces of ``json.dumps(doc, indent=2) +
+"\n"``, one entry per piece, and ``_emit`` writes them ``_BATCH`` at a time,
+so no document is held as one string. This module lays out only the
+``tree-iso`` map, one pair per piece. ``_emit_json`` serves only the small
+reports of ``validate``, ``spectrum``, ``diametric``, ``classify`` and
+``gen``. ``_emit`` is called only after every check, so a command that fails
+writes nothing and creates no ``--out`` file, and it gives stdout the UTF-8
+bytes that ``--out`` gets, whatever stdout's encoding.
 Decision subcommands put the verdict in the exit code so they compose in shell
 pipelines: 0 = positive / success, 1 = negative, 2 = input or usage error
 (including input too deep to process), 3 = internal verification failure or
@@ -24,19 +26,20 @@ import json
 import os
 import re
 import sys
-from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager, nullcontext
+from collections.abc import Iterable
+from contextlib import contextmanager
 from itertools import accumulate, chain, islice
 from types import FunctionType
 
 from .balls import (
-    Ballean,
-    HasseDiagram,
     ball_preserving_bijection,
-    dot_label_name,
+    ballean_pieces,
     enumerate_balls,
     hasse_diagram,
     hasse_digraph_iso,
+    hasse_dot_pieces,
+    hasse_iso_pieces,
+    hasse_pieces,
 )
 from .classify import CLASS_CODES, classify_space
 from .diametrical import (
@@ -61,7 +64,7 @@ from .reptree import (
     tree_to_dot,
     tree_to_text,
 )
-from .similarity import decide_isometry, decide_weak_similarity
+from .similarity import decide_isometry, decide_weak_similarity, phi_pieces, weak_sim_pieces
 from .spaces import (
     FiniteSemimetricSpace,
     diameter,
@@ -95,67 +98,23 @@ _BATCH = 1024
 def _emit(pieces: Iterable[str], out: str | None) -> None:
     """Write the document that ``pieces`` join to stdout, or to the ``--out``
     file, ``_BATCH`` pieces joined at a time; an empty piece does not end it.
-    ``writelines`` lets each batch go before it joins the next."""
+    ``writelines`` lets each batch go before it joins the next. Both get its
+    UTF-8 bytes; a stdout with no encoding (an ``io.StringIO``) takes str."""
     pieces = iter(pieces)
-    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as handle:
-        handle.writelines(map("".join, iter(lambda: list(islice(pieces, _BATCH)), [])))
+    batches = map("".join, iter(lambda: list(islice(pieces, _BATCH)), []))
+    if out is not None:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.writelines(batches)
+    elif sys.stdout.encoding is None:
+        sys.stdout.writelines(batches)
+    else:
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(map(str.encode, batches))
 
 
 def _emit_json(doc: object, out: str | None) -> None:
     """``json.dumps(doc, indent=2) + "\\n"``, written as its encoder's chunks."""
     _emit(chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"]), out)
-
-
-# A str as json.dumps writes it under its default ensure_ascii, in C; spectrum
-# values (format_rational's digits, "-" and "/") and ints need no escaping.
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _entries(brackets: str, entries: Iterable[str]) -> Iterator[str]:
-    """The JSON array or object ``brackets`` ("[]" or "{}") of the written
-    ``entries`` as ``json.dumps(indent=2)`` lays out a top-level key's value:
-    one piece per entry, each on its own line after the opening bracket or a
-    comma, then the closing bracket; with no entries, ``brackets``."""
-    lead = brackets[0] + "\n    "
-    for entry in entries:
-        yield lead + entry
-        lead = ",\n    "
-    yield "\n  " + brackets[1] if lead[0] == "," else brackets
-
-
-# An entry of ``_entries("[]", ...)`` that is an array of two written values.
-_pair = "[\n      {},\n      {}\n    ]".format
-
-
-def _ball_names(ballean: Ballean, names: list[str]) -> Callable[[int], Iterator[str]]:
-    """Ball i's members as ``names`` writes them, in name order: its centre's
-    order sliced to its size, sorted by descending bit (ascending name)."""
-    by_bit = [""] * len(names)
-    for b, name in zip(ballean.bits, names):
-        by_bit[b] = name
-    bits, masks, orders, witnesses = ballean.bits, ballean.masks, ballean.orders, ballean.witnesses
-    return lambda i: map(by_bit.__getitem__, sorted(
-        map(bits.__getitem__, orders[witnesses[i][0]][: masks[i].bit_count()]), reverse=True))
-
-
-def _ball_writer(ballean: Ballean, depth: int) -> Callable[[int], str]:
-    """Ball i's member names, sorted, as the JSON array ``json.dumps(indent=2)``
-    writes ``depth`` levels in, in one ``str.join``; each name is quoted once
-    per ballean and no name set is made."""
-    inner = "\n" + "  " * (depth + 1)
-    head, sep, tail = "[" + inner, "," + inner, inner[:-2] + "]"
-    names = _ball_names(ballean, list(map(_quote, ballean.space.points)))
-    return lambda i: head + sep.join(names(i)) + tail
-
-
-def _phi_entries(phi: dict[str, str], points: tuple[str, ...]) -> Iterator[str]:
-    """``_entries`` of the object ``phi``, one piece per point, in ``points`` order."""
-    return _entries("{}", (f"{_quote(p)}: {_quote(phi[p])}" for p in points))
-
-
-def _phi_pieces(phi: dict[str, str], points: tuple[str, ...]) -> Iterator[str]:
-    """``{"phi": ...}``, the witness of ``isometric`` and ``ballpreserving``."""
-    return chain(['{\n  "phi": '], _phi_entries(phi, points), ["\n}\n"])
 
 
 # The deepest nesting of arrays and objects the reader takes: a tree document
@@ -340,19 +299,11 @@ def _decide_pair(args, decide, message: str, pieces) -> int:
 
 
 def _cmd_isometric(args) -> int:
-    return _decide_pair(args, decide_isometry, "spaces are not isometric", lambda w, points: _phi_pieces(w.phi, points))
-
-
-def _weak_sim_pieces(witness, points: tuple[str, ...]) -> Iterator[str]:
-    """``weak_sim_witness_to_json``'s value: one piece per scaling pair and
-    per point."""
-    scaling = (_pair(f'"{format_rational(a)}"', f'"{format_rational(b)}"') for a, b in witness.scaling)
-    return chain(['{\n  "scaling": '], _entries("[]", scaling), [',\n  "phi": '], _phi_entries(witness.phi, points),
-                 ["\n}\n"])
+    return _decide_pair(args, decide_isometry, "spaces are not isometric", lambda w, points: phi_pieces(w.phi, points))
 
 
 def _cmd_weaksim(args) -> int:
-    return _decide_pair(args, decide_weak_similarity, "spaces are not weakly similar", _weak_sim_pieces)
+    return _decide_pair(args, decide_weak_similarity, "spaces are not weakly similar", weak_sim_pieces)
 
 
 def _cmd_classify(args) -> int:
@@ -361,52 +312,25 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_ballean(args) -> int:
-    """``ballean_to_json``'s value, one piece per ball."""
-    ballean = enumerate_balls(_load_space(args.space))
-    balls = map(_ball_writer(ballean, 2), range(len(ballean.masks)))
-    _emit(chain(['{\n  "balls": '], _entries("[]", balls), ["\n}\n"]), args.out)
+    _emit(ballean_pieces(enumerate_balls(_load_space(args.space))), args.out)
     return 0
-
-
-def _hasse_dot_pieces(ballean: Ballean, diagram: HasseDiagram) -> Iterator[str]:
-    """``hasse_to_dot``'s text, one piece per vertex and per arc; each name
-    is escaped once per ballean and no name set is made."""
-    names = _ball_names(ballean, list(map(dot_label_name, ballean.space.points)))
-    vertices = (f'\n  b{i} [label="{{{",".join(names(i))}}}"];' for i in range(len(diagram.masks)))
-    arcs = (f"\n  b{a} -> b{b};" for a, near in enumerate(diagram.succs) for b in near)
-    return chain(["digraph hasse {"], vertices, arcs, ["\n}\n"])
 
 
 def _cmd_hasse(args) -> int:
-    """``hasse_to_json``'s value, one piece per vertex and per arc."""
-    ballean = enumerate_balls(_load_space(args.space))
-    diagram = hasse_diagram(ballean)
-    if args.dot:
-        _emit(_hasse_dot_pieces(ballean, diagram), args.out)
-        return 0
-    vertices = map(_ball_writer(ballean, 2), range(len(diagram.masks)))
-    arcs = (_pair(a, b) for a, near in enumerate(diagram.succs) for b in near)
-    _emit(chain(['{\n  "vertices": '], _entries("[]", vertices), [',\n  "arcs": '], _entries("[]", arcs), ["\n}\n"]),
-          args.out)
+    diagram = hasse_diagram(enumerate_balls(_load_space(args.space)))
+    _emit((hasse_dot_pieces if args.dot else hasse_pieces)(diagram), args.out)
     return 0
-
-
-def _hasse_iso_pieces(iso, _) -> Iterator[str]:
-    """``hasse_iso_to_json``'s value, one piece per map entry."""
-    ball1, ball2 = _ball_writer(iso.h1.ballean, 3), _ball_writer(iso.h2.ballean, 3)
-    pairs = (_pair(ball1(i), ball2(iso.assignment[i])) for i in range(len(iso.h1.masks)))
-    return chain(['{\n  "map": '], _entries("[]", pairs), ["\n}\n"])
 
 
 def _cmd_hasse_iso(args) -> int:
     def decide(x, y):
         return hasse_digraph_iso(hasse_diagram(enumerate_balls(x)), hasse_diagram(enumerate_balls(y)))
 
-    return _decide_pair(args, decide, "Hasse diagrams are not isomorphic", _hasse_iso_pieces)
+    return _decide_pair(args, decide, "Hasse diagrams are not isomorphic", lambda iso, _: hasse_iso_pieces(iso))
 
 
 def _cmd_ballpreserving(args) -> int:
-    return _decide_pair(args, ball_preserving_bijection, "no ball-preserving bijection exists", _phi_pieces)
+    return _decide_pair(args, ball_preserving_bijection, "no ball-preserving bijection exists", phi_pieces)
 
 
 def _cmd_gen(args) -> int:

@@ -18,14 +18,16 @@ a refuted forced map means no, any other refuted map is a defect.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 
 from .errors import NotUltrametricError, VerificationFailedError
 from .reptree import build_tree
 from .search import match
-from .spaces import FiniteSemimetricSpace, format_rational
+from .spaces import FiniteSemimetricSpace, _entries, _pair, _quote, format_rational
 
 Scaling = tuple[tuple[Fraction, Fraction], ...]
 
@@ -183,11 +185,23 @@ def decide_weak_similarity(
 # --- JSON wire format ---------------------------------------------------------
 #
 # {"scaling": [["0", "0"], ["1", "10"]], "phi": {"p": "p1"}}
-# phi keys follow X's point order; isometry witnesses carry only "phi".
+# phi keys follow X's point order; isometry witnesses carry only "phi". Each
+# writer yields the pieces of json.dumps(doc, indent=2) + "\n": one piece per
+# phi entry and per scaling pair.
 
 
-def weak_sim_witness_to_json(witness: WeakSimWitness, point_order: tuple[str, ...]) -> dict:
-    return {
-        "scaling": [[format_rational(a), format_rational(b)] for a, b in witness.scaling],
-        "phi": {p: witness.phi[p] for p in point_order},
-    }
+def _phi_entries(phi: dict[str, str], points: tuple[str, ...]) -> Iterator[str]:
+    """``_entries`` of the object ``phi``, one piece per point, in ``points`` order."""
+    return _entries("{}", (f"{_quote(p)}: {_quote(phi[p])}" for p in points))
+
+
+def phi_pieces(phi: dict[str, str], points: tuple[str, ...]) -> Iterator[str]:
+    """``{"phi": ...}``, the witness of ``isometric`` and ``ballpreserving``."""
+    return chain(['{\n  "phi": '], _phi_entries(phi, points), ["\n}\n"])
+
+
+def weak_sim_pieces(witness: WeakSimWitness, points: tuple[str, ...]) -> Iterator[str]:
+    """``{"scaling": ..., "phi": ...}``, the witness of ``weaksim``."""
+    scaling = (_pair(f'"{format_rational(a)}"', f'"{format_rational(b)}"') for a, b in witness.scaling)
+    return chain(['{\n  "scaling": '], _entries("[]", scaling), [',\n  "phi": '], _phi_entries(witness.phi, points),
+                 ["\n}\n"])

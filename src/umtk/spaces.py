@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import eq, floordiv, itemgetter, lshift
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DuplicatePointNameError,
@@ -84,6 +84,29 @@ def format_rational(value: Fraction) -> str:
 def dot_string(text: str) -> str:
     """``text`` as a DOT quoted string: ``\\`` and ``"`` are escaped."""
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+# The layout helpers of the piece writers in ``balls`` and ``similarity``,
+# which write their documents as the pieces of json.dumps(doc, indent=2) + "\n".
+# A str as json.dumps writes it under its default ensure_ascii, in C; spectrum
+# values (format_rational's digits, "-" and "/") and ints need no escaping.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _entries(brackets: str, entries: Iterable[str]) -> Iterator[str]:
+    """The JSON array or object ``brackets`` ("[]" or "{}") of the written
+    ``entries`` as ``json.dumps(indent=2)`` lays out a top-level key's value:
+    one piece per entry, each on its own line after the opening bracket or a
+    comma, then the closing bracket; with no entries, ``brackets``."""
+    lead = brackets[0] + "\n    "
+    for entry in entries:
+        yield lead + entry
+        lead = ",\n    "
+    yield "\n  " + brackets[1] if lead[0] == "," else brackets
+
+
+# An entry of ``_entries("[]", ...)`` that is an array of two written values.
+_pair = "[\n      {},\n      {}\n    ]".format
 
 
 def _as_rational(value: object) -> Fraction:
@@ -420,7 +443,3 @@ def check_point_names(names: Iterable[str]) -> None:
         "".join(names).encode()
     except UnicodeEncodeError:
         raise FormatError("point names must not contain lone surrogates") from None
-
-
-def space_to_text(space: FiniteSemimetricSpace) -> str:
-    return json.dumps(space_to_json(space), indent=2) + "\n"

@@ -6,19 +6,16 @@ from itertools import combinations
 
 import pytest
 from ballean_oracle import singleton_map
+from wire_oracle import ballean_to_json, hasse_iso_to_json, hasse_to_dot, hasse_to_json
 
 from umtk import (
     GenConfig,
     ball_preserving_bijection,
-    ballean_to_json,
     balls,
     decide_weak_similarity,
     enumerate_balls,
     hasse_diagram,
     hasse_digraph_iso,
-    hasse_iso_to_json,
-    hasse_to_dot,
-    hasse_to_json,
     random_semimetric,
     random_ultrametric,
     renamed_copy,

@@ -14,17 +14,26 @@ import pytest
 
 import deck_digests
 import tree_oracle as oracle
+from wire_oracle import (
+    ballean_to_json,
+    hasse_iso_to_json,
+    hasse_to_dot,
+    hasse_to_json,
+    space_to_text,
+    weak_sim_witness_to_json,
+)
 from umtk import (
     GenConfig,
     ball_preserving_bijection,
-    ballean_to_json,
+    ballean_pieces,
     cli,
     enumerate_balls,
     hasse_diagram,
     hasse_digraph_iso,
-    hasse_iso_to_json,
-    hasse_to_dot,
-    hasse_to_json,
+    hasse_dot_pieces,
+    hasse_iso_pieces,
+    hasse_pieces,
+    phi_pieces,
     random_semimetric,
     random_ultrametric,
     rank_relabel,
@@ -32,9 +41,8 @@ from umtk import (
     similarity,
     space_from_json,
     space_to_json,
-    space_to_text,
     suites,
-    weak_sim_witness_to_json,
+    weak_sim_pieces,
 )
 from umtk.cli import main
 from umtk.reptree import tree_from_json
@@ -462,9 +470,10 @@ ODD_NAMES = ['a"b', "c\\d", "e\x01f", "g/h", "ü", "名前", "\U0001f600", " "
 
 
 def _writer_cases(tmp_path, x, y, z):
-    """(argv, the value the output is json.dumps of) for the four pair
-    decisions and the two ballean reports, on x against its renamed copy y
-    and against y rank-stretched, z; each space as read back from its file."""
+    """(argv, the value the output is json.dumps of, the library writer's
+    pieces) for the four pair decisions and the two ballean reports, on x
+    against its renamed copy y and against y rank-stretched, z; each space
+    as read back from its file."""
     files = []
     for name, space in zip("xyz", (x, y, z)):
         files.append(tmp_path / f"{name}.json")
@@ -472,21 +481,25 @@ def _writer_cases(tmp_path, x, y, z):
     x, y, z = (space_from_json(json.loads(f.read_text())) for f in files)
     fx, fy, fz = map(str, files)
     phi = similarity.decide_isometry(x, y).phi
+    weak = similarity.decide_weak_similarity(x, z)
     iso = hasse_digraph_iso(hasse_diagram(enumerate_balls(x)), hasse_diagram(enumerate_balls(z)))
     balls = ball_preserving_bijection(x, z)
+    diagram = hasse_diagram(enumerate_balls(z))
     return [
-        (["isometric", fx, fy], {"phi": {p: phi[p] for p in x.points}}),
-        (["weaksim", fx, fz], weak_sim_witness_to_json(similarity.decide_weak_similarity(x, z), x.points)),
-        (["hasse-iso", fx, fz], hasse_iso_to_json(iso)),
-        (["ballpreserving", fx, fz], {"phi": {p: balls[p] for p in x.points}}),
-        (["hasse", fz], hasse_to_json(hasse_diagram(enumerate_balls(z)))),
-        (["ballean", fz], ballean_to_json(enumerate_balls(z))),
+        (["isometric", fx, fy], {"phi": {p: phi[p] for p in x.points}}, phi_pieces(phi, x.points)),
+        (["weaksim", fx, fz], weak_sim_witness_to_json(weak, x.points), weak_sim_pieces(weak, x.points)),
+        (["hasse-iso", fx, fz], hasse_iso_to_json(iso), hasse_iso_pieces(iso)),
+        (["ballpreserving", fx, fz], {"phi": {p: balls[p] for p in x.points}}, phi_pieces(balls, x.points)),
+        (["hasse", fz], hasse_to_json(diagram), hasse_pieces(diagram)),
+        (["ballean", fz], ballean_to_json(enumerate_balls(z)), ballean_pieces(enumerate_balls(z))),
     ]
 
 
-def _writes_the_value(argv, value, tmp_path, capsys):
-    """stdout and ``--out`` both hold ``json.dumps(value, indent=2) + "\\n"``."""
+def _writes_the_value(argv, value, pieces, tmp_path, capsys):
+    """The library writer's ``pieces`` join to ``json.dumps(value, indent=2)
+    + "\\n"``, and stdout and ``--out`` both hold those bytes."""
     expected = json.dumps(value, indent=2) + "\n"
+    assert "".join(pieces) == expected
     assert main(argv) == 0
     assert capsys.readouterr() == (expected, "")
     out = tmp_path / "out.json"
@@ -504,8 +517,8 @@ def test_witness_and_ballean_writers_give_the_json_dumps_bytes(kind, pool, n, tm
     y, _ = renamed_copy(x, rng.randrange(1000))
     stretch = sorted(rng.sample(range(1, 100), len(y.spectrum) - 1))
     z = rank_relabel(y, [0, *(F(k, 7) for k in stretch)])
-    for argv, value in _writer_cases(tmp_path, x, y, z):
-        _writes_the_value(argv, value, tmp_path, capsys)
+    for argv, value, pieces in _writer_cases(tmp_path, x, y, z):
+        _writes_the_value(argv, value, pieces, tmp_path, capsys)
 
 
 def test_witness_and_ballean_writers_escape_point_names(tmp_path, capsys):
@@ -515,8 +528,8 @@ def test_witness_and_ballean_writers_escape_point_names(tmp_path, capsys):
     y, _ = renamed_copy(x, 5)
     y = space_from_json({**space_to_json(y), "points": [name + "'" for name in reversed(ODD_NAMES)]})
     z = rank_relabel(y, [F(k, 3) for k in range(len(y.spectrum))])
-    for argv, value in _writer_cases(tmp_path, x, y, z):
-        _writes_the_value(argv, value, tmp_path, capsys)
+    for argv, value, pieces in _writer_cases(tmp_path, x, y, z):
+        _writes_the_value(argv, value, pieces, tmp_path, capsys)
     assert "\\u540d\\u524d" in (tmp_path / "out.json").read_text()  # the last case's, the ballean
 
 
@@ -528,8 +541,10 @@ def test_hasse_dot_writer_gives_the_library_text(tmp_path, capsys):
     x = space_from_json({**space_to_json(random_semimetric(GenConfig(seed=4, n=len(names)))), "points": names})
     doc = tmp_path / "x.json"
     doc.write_text(json.dumps(space_to_json(x)))
+    diagram = hasse_diagram(enumerate_balls(x))
+    assert "".join(hasse_dot_pieces(diagram)) == hasse_to_dot(diagram)
     assert main(["hasse", "--dot", str(doc)]) == 0
-    assert capsys.readouterr() == (hasse_to_dot(hasse_diagram(enumerate_balls(x))), "")
+    assert capsys.readouterr() == (hasse_to_dot(diagram), "")
 
 
 def _chain_doc(path, prefix, order):
@@ -774,6 +789,21 @@ def test_lone_surrogate_point_names_are_input_errors(argv, tmp_path):
                          env=_fresh_env(UMTK_COLOR="never", PYTHONIOENCODING="utf-8"))
     assert run.returncode == 2 and run.stdout == b""
     assert run.stderr == b"error: FormatError: point names must not contain lone surrogates\n"
+
+
+@pytest.mark.parametrize("argv", [["tree", "--dot"], ["hasse", "--dot"], ["diametric", "--dot"]])
+def test_dot_output_to_an_ascii_stdout_is_the_out_files_utf8(argv, tmp_path):
+    # stdout gets the UTF-8 bytes --out gets whatever its encoding: a point
+    # named "ü" once made an ascii stdout raise UnicodeEncodeError (exit 3)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"points": ["ü", "q", "r"], "dist": [["0", "2", "2"], ["2", "0", "1"], ["2", "1", "0"]]}))
+    out = tmp_path / "out.dot"
+    env = _fresh_env(UMTK_COLOR="never", PYTHONIOENCODING="ascii")
+    runs = [subprocess.run([sys.executable, "-m", "umtk.cli", *argv, str(doc), *extra], capture_output=True, env=env)
+            for extra in ([], ["--out", str(out)])]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, b""), (0, b"")]
+    assert runs[0].stdout == out.read_bytes()
+    assert "ü".encode() in runs[0].stdout
 
 
 # a quote, a backslash, a trailing backslash and a newline

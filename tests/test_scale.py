@@ -22,7 +22,8 @@ from umtk import (
     ultrametric_violation,
     verify_weak_similarity,
 )
-from umtk.spaces import space_from_json, space_to_text, ultrametric_mst
+from umtk.spaces import space_from_json, ultrametric_mst
+from wire_oracle import space_to_text
 
 POOL = tuple(F(k) for k in range(1, 1025))
 

@@ -23,13 +23,13 @@ from umtk import (
     spectrum,
     verify_isometry,
     verify_weak_similarity,
-    weak_sim_witness_to_json,
 )
 from umtk import reptree, similarity, spaces
 from umtk.errors import InfeasibleConstraintsError, VerificationFailedError
 from umtk.generators import DEFAULT_POOL
 
 import tree_oracle
+from wire_oracle import weak_sim_witness_to_json
 
 
 def test_forced_scaling_is_the_rank_map(ultra3, ultra3_scaled, blocks4):

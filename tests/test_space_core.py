@@ -40,10 +40,11 @@ from umtk.errors import (
     UnknownPointError,
     ZeroOffDiagonalError,
 )
-from umtk.spaces import rank_values, space_to_text
+from umtk.spaces import rank_values
 
 from diametrical_oracle import first_violating_triple, prim_violating_triple
 from validation_oracle import distances
+from wire_oracle import space_to_text
 
 
 def test_one_point_space():
