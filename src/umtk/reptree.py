@@ -19,15 +19,17 @@ nodes. The walks every tree consumer shares (``_preorder``,
 ``_inner_levels``, ``_parents``) and the code pass ``_codes`` are here; they
 take any child arrays (empty or None at a leaf) and never recurse.
 
-``build_tree`` reads the tree off the minimum spanning tree that certifies
-ultrametricity (``spaces.ultrametric_mst``): the representing tree is the
-single-linkage dendrogram of the space (Gower & Ross 1969). Prim's pass
-adds the points ball by ball, and one stack pass over its join weights reads
+``build_tree`` reads the tree off the leaf order that certifies
+ultrametricity (``spaces.ultrametric_order``): the representing tree is the
+single-linkage dendrogram of the space (Gower & Ross 1969). Every ball is a
+run of that order, and one stack pass over its neighbour distances reads
 the tree off: the runs that weight w separates inside a run of weights up to
 w are the children of one internal node labeled w -- the ball of radius w
-they span, whose diameter is w. Points are leaves labeled 0. Each node's canonical code, which orders it among its
-siblings, is built once from its children's codes, so building costs O(n^2)
-like the certificate. The paper's construction, which
+they span, whose diameter is w. Points are leaves labeled 0. A space that
+is not ultrametric is named by the Prim pass of ``spaces.ultrametric_mst``.
+Each node's canonical code, which orders it among its siblings, is built
+once from its children's codes, so building costs O(n^2) like the
+certificate. The paper's construction, which
 splits a ball into the parts of its diametrical graph, gives the same tree;
 ``diametrical`` keeps it for the ``diametric`` command and the property suite.
 """
@@ -47,6 +49,7 @@ from .spaces import (
     format_rational,
     read_literals,
     ultrametric_mst,
+    ultrametric_order,
     validate_semimetric,
 )
 
@@ -262,15 +265,16 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
     Children are ordered by the labeled canonical code of their subtree (ties
     broken by leaf point names), so equal spaces yield identical trees.
     """
-    violation, edges = ultrametric_mst(space)
-    if violation is not None:
-        raise NotUltrametricError(violation)
-    # Every ball is a run of Prim's join order, so a point's join weight is
-    # its distance to the point joined just before it: the tree is the
-    # Cartesian tree of the join weights, equal weights in one node. Open
-    # nodes wait on a stack, and a larger weight closes them. Numbered as they
-    # close, after the points 0..n-1, every child comes before its parent.
-    # Each node keeps its smallest leaf point, which orders disjoint leaf sets.
+    path = ultrametric_order(space)
+    if path is None:
+        raise NotUltrametricError(ultrametric_mst(space)[0])
+    # Every ball is a run of the leaf order, and each weight is the distance
+    # between neighbours in it: the tree is the Cartesian tree of the
+    # weights, equal weights in one node. Open nodes wait on a stack, and a
+    # larger weight closes them. Numbered as they close, after the points
+    # 0..n-1, every child comes before its parent. Each node keeps its
+    # smallest leaf point, which orders disjoint leaf sets.
+    order, weights = path
     n = len(space)
     labels: list[int | None] = [0] * n  # a space's spectrum starts at 0
     kids: list[Sequence[int]] = [()] * n
@@ -286,8 +290,8 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
         low.append(low[members[0]])
         return len(labels) - 1
 
-    last = 0  # the closed subtree that ends at the point joined last
-    for _, v, w in edges:
+    last = order[0]  # the closed subtree that ends at the last point read
+    for v, w in zip(order[1:], weights):
         while stack and stack[-1][0] < w:
             last = close(last)
         if stack and stack[-1][0] == w:

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import eq, floordiv, itemgetter, lshift
+from operator import eq, floordiv, getitem, itemgetter, lshift, ne
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -316,11 +316,98 @@ def diameter(space: FiniteSemimetricSpace) -> Fraction:
 Violation = tuple[str, str, str]
 MstEdge = tuple[int, int, int]
 
+# every byte value in order; the certificate's translate tables are cut from it
+_IDENTITY = bytes(range(256))
+
+
+def _max_with(a: int) -> bytes:
+    """The ``bytes.translate`` table of x -> max(a, x)."""
+    return bytes((a,)) * a + _IDENTITY[a:]
+
+
+def ultrametric_order(space: FiniteSemimetricSpace) -> tuple[list[int], list[int]] | None:
+    """A leaf order P of an ultrametric space and the ranks
+    ``a[i] = d(P[i], P[i+1])`` of its neighbours' distances; None iff the
+    space is not ultrametric. Then ``d(P[i], P[j]) = max(a[i:j])`` for all
+    i < j: the representing tree is the Cartesian tree of a over P.
+
+    With at most 256 spectrum values, each rank row is made ``bytes`` once,
+    P sorts the points by their rows, and ``_path_weights`` checks P. That
+    order keeps every ball a run: two points x, y of a ball B have equal
+    entries outside B's columns, and a point z outside B is farther than
+    both from every point of B, so z's row is not between theirs. In an
+    ultrametric space, d(P[i], P[j]) is the diameter of the smallest ball
+    holding both, a run whose widest neighbour gap is that diameter, so P
+    passes. A test of ``_path_weights``' T on the first point and its
+    nearest neighbour runs before the sort: most spaces that are not
+    ultrametric fail it at once.
+
+    A larger spectrum takes the Prim pass of ``ultrametric_mst``, whose
+    join order and join weights are such a pair too.
+    """
+    d = space.ranks
+    n = len(d)
+    if len(space.spectrum) > len(_IDENTITY):
+        violation, edges = ultrametric_mst(space)
+        return None if violation else ([0, *(v for _, v, _ in edges)], [w for _, _, w in edges])
+    if n > 2:
+        row = d[0]
+        a = min(row[1:])
+        up = _max_with(a)
+        if bytes(row).translate(up) != bytes(d[row.index(a)]).translate(up):
+            return None
+    rows = list(map(bytes, d))
+    order = sorted(range(n), key=rows.__getitem__)
+    weights = _path_weights(rows, order)
+    return None if weights is None else (order, weights)
+
+
+def _path_weights(rows: Sequence[bytes], order: Sequence[int]) -> list[int] | None:
+    """The ranks ``a[i] = d(P[i], P[i+1])`` along an order P of the points
+    if ``d(P[i], P[j]) = max(a[i:j])`` for all i < j, else None; ``rows``
+    are the rank rows as bytes. For each i, with t the table
+    x -> max(a[i], x), two C-level passes over one row check
+
+    - T_i: rows P[i] and P[i+1] are equal after t, and
+    - N_i: row P[i] holds exactly i - s + 1 ranks below a[i], where s is one
+      past the last k < i with a[k] >= a[i].
+
+    The T's alone give d(P[i], P[j]) <= max(a[i:j]), by induction on j - i.
+    So P[s..i] are below a[i] in row P[i], and N_i says that no other point
+    is: d(P[k], P[j]) >= a[k] for j > k. Taking k the first index of the
+    maximum of a[i:j], T_{k-1}, ..., T_i carry that bound back to P[i], as
+    every weight before k is smaller. So the checks hold iff the formula
+    does, for any order.
+    """
+    n = len(order)
+    ordered = list(map(rows.__getitem__, order))
+    adjacent = list(map(getitem, ordered, order[1:]))
+    translate = bytes.translate
+    tables = {a: _max_with(a) for a in set(adjacent)}
+    ups = list(map(tables.__getitem__, adjacent))
+    if any(map(ne, map(translate, ordered, ups), map(translate, ordered[1:], ups))):
+        return None
+    # each row's count of ranks not below a[i], n - (i - s + 1), from one
+    # stack pass over a; the sentinel is above every rank
+    kept = []
+    stack = [(len(_IDENTITY), -1)]
+    for i, a in enumerate(adjacent):
+        while stack[-1][0] < a:
+            stack.pop()
+        kept.append(n - i + stack[-1][1])
+        stack.append((a, i))
+    below = map(_IDENTITY.__getitem__, map(slice, adjacent))
+    if list(map(len, map(translate, ordered, repeat(None), below))) != kept:
+        return None
+    return adjacent
+
 
 def ultrametric_mst(
     space: FiniteSemimetricSpace,
 ) -> tuple[Violation | None, tuple[MstEdge, ...]]:
-    """One pass of Prim's algorithm that certifies ultrametricity.
+    """One pass of Prim's algorithm that certifies ultrametricity; it names
+    the violation of a space ``ultrametric_order`` rejects, and serves that
+    certificate on spectra of more than 256 values.
 
     Returns ``(None, edges)`` for an ultrametric space, where ``edges`` are
     the minimum spanning tree's ``(parent, child, weight rank)`` index
@@ -335,7 +422,7 @@ def ultrametric_mst(
     weight on the tree path from v to u, i.e. that d is the minimax distance
     of its own minimum spanning tree -- its subdominant ultrametric -- and a
     space is ultrametric iff it equals its subdominant ultrametric. Both the
-    pass and the check cost O(n^2), over ranks.
+    pass and the check cost O(n^2), over ranks, in Python loops.
     """
     d = space.ranks
     n = len(d)
@@ -366,21 +453,23 @@ def ultrametric_mst(
 def ultrametric_violation(space: FiniteSemimetricSpace) -> Violation | None:
     """A triple (x, y, z) with d(x,y) > max(d(x,z), d(z,y)), or None.
 
-    Ultrametricity is certified in O(n^2) by the Prim pass of
-    ``ultrametric_mst``, and the triple comes from the check that fails
-    first: v joining through p at weight w, and u the first tree vertex with
-    d(v,u) != max(w, d(p,u)). Prim's choice gives d(v,u) >= w. It also gives
-    d(v,u) >= d(p,u): the checks passed so far make d(p,u) the largest weight
-    on the tree path from p to u, and by the cycle property that weight is at
-    most max(w, d(v,u)), since the tree with v added is a minimum spanning
-    tree of its vertices. So d(v,u) > max(w, d(p,u)), and the triple is
-    (v, u, p). It is deterministic and costs nothing beyond the failed pass.
+    ``ultrametric_order`` decides, and the triple of a space it rejects
+    comes from the Prim pass of ``ultrametric_mst``, from the check that
+    fails first: v joining through p at weight w, and u the first tree
+    vertex with d(v,u) != max(w, d(p,u)). Prim's choice gives d(v,u) >= w.
+    It also gives d(v,u) >= d(p,u): the checks passed so far make d(p,u) the
+    largest weight on the tree path from p to u, and by the cycle property
+    that weight is at most max(w, d(v,u)), since the tree with v added is a
+    minimum spanning tree of its vertices. So d(v,u) > max(w, d(p,u)), and
+    the triple is (v, u, p). It is deterministic. On a spectrum of more than
+    256 values the certificate is itself a Prim pass, so a rejected space
+    there pays two.
     """
-    return ultrametric_mst(space)[0]
+    return None if ultrametric_order(space) is not None else ultrametric_mst(space)[0]
 
 
 def is_ultrametric(space: FiniteSemimetricSpace) -> bool:
-    return ultrametric_violation(space) is None
+    return ultrametric_order(space) is not None
 
 
 def rank_relabel(

@@ -179,25 +179,30 @@ def test_witness_json_round_trip(ultra3, ultra3_scaled):
     assert json.loads(json.dumps(doc)) == doc
 
 
-def _prim_calls(decide, monkeypatch):
-    """A fresh n = 64 ultrametric pair, and the spaces the spanning-tree pass
-    runs on while ``decide`` finds it positive."""
+def _certificate_calls(decide, monkeypatch):
+    """A fresh n = 64 ultrametric pair, and the spaces the ultrametric
+    certificate and the Prim pass run on while ``decide`` finds it positive."""
     x = random_ultrametric(GenConfig(seed=5, n=64))
     y, _ = renamed_copy(x, seed=6)
     if decide is decide_weak_similarity:
         y = rank_relabel(y, tuple(v * 7 for v in spectrum(y)))
-    calls = []
+    calls, prim_calls = [], []
 
     def counted(space):
         calls.append(space)
+        return certify(space)
+
+    def prim_counted(space):
+        prim_calls.append(space)
         return mst(space)
 
-    mst = spaces.ultrametric_mst
-    monkeypatch.setattr(spaces, "ultrametric_mst", counted)
-    monkeypatch.setattr(reptree, "ultrametric_mst", counted)
+    certify, mst = spaces.ultrametric_order, spaces.ultrametric_mst
+    for module in (spaces, reptree):
+        monkeypatch.setattr(module, "ultrametric_order", counted)
+        monkeypatch.setattr(module, "ultrametric_mst", prim_counted)
     reptree.build_tree.cache_clear()
     assert decide(x, y) is not None
-    return x, y, calls
+    return x, y, calls, prim_calls
 
 
 def _shares_y(space, x, y):
@@ -207,20 +212,22 @@ def _shares_y(space, x, y):
 
 
 @pytest.mark.parametrize("decide", [decide_weak_similarity, decide_isometry])
-def test_prim_runs_once_per_space(decide, monkeypatch):
+def test_certificate_runs_once_per_space(decide, monkeypatch):
     # the decision asks build_tree whether X and Y on X's spectrum are
-    # ultrametric and compares the trees it gets, so the spanning-tree pass
-    # runs once for each space
-    x, y, calls = _prim_calls(decide, monkeypatch)
+    # ultrametric and compares the trees it gets, so the certificate runs
+    # once for each space, and the Prim pass, which names a violation, never
+    x, y, calls, prim_calls = _certificate_calls(decide, monkeypatch)
     assert len(calls) == 2 and calls[0] is x and _shares_y(calls[1], x, y)
+    assert prim_calls == []
 
 
 @pytest.mark.parametrize("decide", [decide_weak_similarity, decide_isometry])
 def test_decisions_do_not_lean_on_the_tree_cache(decide, monkeypatch):
     # with build_tree uncached, each space's tree is still built only once
     monkeypatch.setattr(similarity, "build_tree", reptree.build_tree.__wrapped__)
-    x, y, calls = _prim_calls(decide, monkeypatch)
+    x, y, calls, prim_calls = _certificate_calls(decide, monkeypatch)
     assert len(calls) == 2 and calls[0] is x and _shares_y(calls[1], x, y)
+    assert prim_calls == []
 
 
 @pytest.mark.parametrize("decide", [decide_isometry, decide_weak_similarity])

@@ -1,0 +1,172 @@
+"""The sorted-row certificate of ultrametricity, ``spaces.ultrametric_order``,
+against the Prim pass of ``spaces.ultrametric_mst``, and ``build_tree``
+against the tree read off Prim's join order (``tree_oracle.tree_from_prim``)."""
+import random
+from fractions import Fraction as F
+from itertools import combinations, permutations
+
+import pytest
+
+from umtk import GenConfig, build_tree, random_ultrametric
+from umtk import reptree, spaces
+from umtk.errors import NotUltrametricError
+from umtk.spaces import (
+    _path_weights,
+    is_ultrametric,
+    ultrametric_mst,
+    ultrametric_order,
+    ultrametric_violation,
+    validate_semimetric,
+)
+
+from tree_oracle import tree_from_prim
+
+CLASSES = (None, "R", "Rtilde", "D", "T")
+WIDE_POOL = tuple(F(k) for k in range(1, 300))
+
+
+def _tie_space(rng: random.Random, n: int, top: int):
+    rows = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = rng.randint(1, top)
+    return validate_semimetric([f"p{i}" for i in range(n)], rows)
+
+
+def _is_path(space, order, weights) -> bool:
+    """True iff d(P[i], P[j]) = max(a[i:j]) for all i < j."""
+    d = space.ranks
+    return sorted(order) == list(range(len(space))) and all(
+        d[order[i]][order[j]] == max(weights[i:j]) for i, j in combinations(range(len(order)), 2)
+    )
+
+
+def _agrees_with_prim(space) -> bool:
+    """The certificate's verdict is Prim's; a certified order is a path whose
+    neighbour distances are its weights, and a rejected space is named by
+    Prim's triple."""
+    path = ultrametric_order(space)
+    violation, _ = ultrametric_mst(space)
+    if path is None:
+        return violation is not None and ultrametric_violation(space) == violation and not is_ultrametric(space)
+    order, weights = path
+    return violation is None and _is_path(space, order, weights) and ultrametric_violation(space) is None
+
+
+def test_certificate_accepts_exactly_where_prim_finds_no_violation():
+    # many ties: n = 2..7, distances 1..2 or 1..3
+    rng = random.Random("ties")
+    verdicts = []
+    for _ in range(50_000):
+        space = _tie_space(rng, rng.randint(2, 7), rng.randint(2, 3))
+        assert _agrees_with_prim(space), space.ranks
+        verdicts.append(is_ultrametric(space))
+    assert 10_000 < sum(verdicts) < 40_000
+
+
+@pytest.mark.parametrize("force_class", CLASSES)
+def test_certificate_on_ultrametrics_with_one_entry_changed(force_class):
+    rng = random.Random(f"perturbed:{force_class}")
+    still = 0
+    for seed in range(300):
+        n = rng.randint(3, 40)
+        pool = WIDE_POOL[: rng.choice((3, 8, 60))] if force_class in (None, "Rtilde") else WIDE_POOL
+        x = random_ultrametric(GenConfig(seed=seed, n=n, spectrum_pool=pool, force_class=force_class))
+        assert _agrees_with_prim(x)
+        rows = [list(map(x.spectrum.__getitem__, row)) for row in x.ranks]
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[j][i] = rng.choice(x.spectrum[1:] + (x.spectrum[-1] + 1,))
+        space = validate_semimetric(x.points, rows)
+        assert _agrees_with_prim(space), (force_class, seed)
+        still += is_ultrametric(space)
+    assert 0 < still < 300
+
+
+def test_path_checks_hold_exactly_on_paths_in_any_order():
+    # T and N are sound for any order, not only the sorted one: over every
+    # order of small spaces, ultrametric or not, the checks pass exactly
+    # where every distance is the largest neighbour distance between
+    rng = random.Random("orders")
+    passed = 0
+    for k in range(300):
+        n = 3 + k % 3
+        space = (
+            random_ultrametric(GenConfig(seed=k, n=n, spectrum_pool=WIDE_POOL[:3]))
+            if k % 2 else _tie_space(rng, n, 3)
+        )
+        rows = list(map(bytes, space.ranks))
+        for order in permutations(range(n)):
+            weights = _path_weights(rows, order)
+            adjacent = [space.ranks[p][q] for p, q in zip(order, order[1:])]
+            assert (weights is not None) == _is_path(space, order, adjacent), (space.ranks, order)
+            assert weights in (None, adjacent)
+            passed += weights is not None
+    assert passed > 1000
+
+
+def test_a_path_can_pass_every_t_check_and_fail_n():
+    # d(x, y) = d(y, z) = 2 > d(x, z) = 1, in the order x, y, z: the rows
+    # agree above each neighbour distance, but row x holds z below 2
+    space = validate_semimetric("xyz", [[0, 2, 1], [2, 0, 2], [1, 2, 0]])
+    assert _path_weights(list(map(bytes, space.ranks)), [0, 1, 2]) is None
+    assert ultrametric_order(space) == ([0, 2, 1], [1, 2])
+
+
+@pytest.mark.parametrize("force_class", CLASSES)
+def test_build_tree_equals_the_tree_read_off_prim(force_class):
+    for seed in range(60):
+        n = 2 + (seed * 37) % 127  # 2..128
+        pool = WIDE_POOL[:6] if seed % 3 == 0 and force_class in (None, "Rtilde") else WIDE_POOL
+        x = random_ultrametric(GenConfig(seed=seed, n=n, spectrum_pool=pool, force_class=force_class))
+        tree, reference = build_tree.__wrapped__(x), tree_from_prim(x)
+        assert (tree.labels, tree.points, tree.children) == (reference.labels, reference.points, reference.children)
+
+
+def test_one_and_two_points():
+    one = validate_semimetric(["a"], [[0]])
+    two = validate_semimetric(["b", "a"], [[0, 3], [3, 0]])
+    assert ultrametric_order(one) == ([0], [])
+    assert ultrametric_order(two) == ([0, 1], [1])
+    for space in (one, two):
+        tree, reference = build_tree.__wrapped__(space), tree_from_prim(space)
+        assert (tree.labels, tree.points, tree.children) == (reference.labels, reference.points, reference.children)
+
+
+def _prim_counted(monkeypatch):
+    calls = []
+
+    def counted(space):
+        calls.append(space)
+        return mst(space)
+
+    mst = spaces.ultrametric_mst
+    for module in (spaces, reptree):
+        monkeypatch.setattr(module, "ultrametric_mst", counted)
+    return calls
+
+
+@pytest.mark.parametrize("values", [256, 257])
+def test_spectra_of_256_and_257_values(values, monkeypatch):
+    # a binary chain of n leaves has n - 1 distinct labels: n distance values.
+    # 256 values are the most a byte row holds; 257 take the Prim pass, and
+    # both routes give the reference tree
+    x = random_ultrametric(GenConfig(seed=1, n=values, spectrum_pool=WIDE_POOL, force_class="R"))
+    assert len(x.spectrum) == values
+    reference = tree_from_prim(x)
+    calls = _prim_counted(monkeypatch)
+    tree = build_tree.__wrapped__(x)
+    assert len(calls) == (values > 256)
+    assert (tree.labels, tree.points, tree.children) == (reference.labels, reference.points, reference.children)
+    # the chain's closest pair moved above the diameter, which keeps the
+    # number of values: the triple named is Prim's, by either route
+    rows = [list(map(x.spectrum.__getitem__, row)) for row in x.ranks]
+    u = next(i for i, row in enumerate(x.ranks) if 1 in row)
+    v = x.ranks[u].index(1)
+    rows[u][v] = rows[v][u] = x.spectrum[-1] + 1
+    space = validate_semimetric(x.points, rows)
+    assert len(space.spectrum) == values
+    with pytest.raises(NotUltrametricError) as named:
+        tree_from_prim(space)
+    with pytest.raises(NotUltrametricError) as raised:
+        build_tree.__wrapped__(space)
+    assert raised.value.violation == named.value.violation == ultrametric_violation(space)
+    assert not is_ultrametric(space)

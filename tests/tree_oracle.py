@@ -17,7 +17,9 @@ decision compared the canonical trees ``build_tree`` returns: Y's tree moved
 onto X's spectrum, both trees coded again by ``rooted_tree_iso_map`` and
 walked in pairs. ``pairs`` is the walk ``treecanon`` and ``balls`` paired
 two trees with before they zipped the two trees' own preorders: one stack
-per tree, popped in step.
+per tree, popped in step. ``tree_from_prim`` is ``build_tree`` as it stood
+before it read the sorted-row certificate: the same stack pass over the
+edges of ``spaces.ultrametric_mst``, in Prim's join order.
 
 They work on nested ``RepNode``s: ``leaf`` and ``internal`` build them by
 hand, and ``tree_of`` lays a nested tree out as the preorder arrays of a
@@ -34,10 +36,17 @@ import json
 from fractions import Fraction
 
 from umtk.classify import INAPPLICABLE, NOT_ISOMORPHIC_SHAPES, _classify_tree
-from umtk.errors import FormatError, InvalidTreeError, NotIsomorphicError, UnknownPointError, VerificationFailedError
-from umtk.reptree import RepNode, RepTree, build_tree
+from umtk.errors import (
+    FormatError,
+    InvalidTreeError,
+    NotIsomorphicError,
+    NotUltrametricError,
+    UnknownPointError,
+    VerificationFailedError,
+)
+from umtk.reptree import RepNode, RepTree, _codes, build_tree
 from umtk.similarity import WeakSimWitness, verify_weak_similarity
-from umtk.spaces import format_rational, parse_rational, rank_values
+from umtk.spaces import format_rational, parse_rational, rank_values, ultrametric_mst
 from umtk.treecanon import canon_code_unlabeled, rooted_tree_iso_map
 
 
@@ -337,3 +346,40 @@ def witness_from_unlabeled_iso(x, y):
     if not verify_weak_similarity(x, y, witness):
         raise VerificationFailedError("shape-derived witness failed re-check")
     return witness
+
+
+def tree_from_prim(space) -> RepTree:
+    """The representing tree of an ultrametric space, read off Prim's join
+    order and join weights by the Cartesian-tree stack pass."""
+    violation, edges = ultrametric_mst(space)
+    if violation is not None:
+        raise NotUltrametricError(violation)
+    n = len(space)
+    labels = [0] * n
+    kids = [()] * n
+    low = list(space.points)
+    stack = []
+
+    def close(last):
+        rank, members = stack.pop()
+        members.append(last)
+        members.sort(key=low.__getitem__)
+        labels.append(rank)
+        kids.append(members)
+        low.append(low[members[0]])
+        return len(labels) - 1
+
+    last = 0
+    for _, v, w in edges:
+        while stack and stack[-1][0] < w:
+            last = close(last)
+        if stack and stack[-1][0] == w:
+            stack[-1][1].append(last)
+        else:
+            stack.append((w, [last]))
+        last = v
+    while stack:
+        last = close(last)
+    _, ordered = _codes(labels, kids, space.spectrum, range(len(labels)))
+    names = list(space.points) + [None] * (len(labels) - n)
+    return RepTree.bottom_up(labels, names, ordered, space.spectrum)
