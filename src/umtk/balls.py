@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, groupby, repeat
-from operator import and_, invert, itemgetter, or_
+from operator import and_, itemgetter, or_
 
 from .errors import NotABijectionError, VerificationFailedError
 from .reptree import _codes, _preorder
@@ -235,9 +235,12 @@ def hasse_diagram(ballean: Ballean) -> HasseDiagram:
     """
     masks, through, n = ballean.masks, ballean.through, len(ballean.bits)
     # each ball's up-set complemented, the one B-bit table; ball i < n is
-    # the one-point ball of its witness centre
+    # the one-point ball of its witness centre. Each up-set is inverted in
+    # place, so the up-sets and their complements are never all held at once
     singles = map(through.__getitem__, map(itemgetter(0), ballean.witnesses[:n]))
-    clear = list(map(invert, chain(singles, _fold(ballean, through, and_))))
+    clear = [*singles, *_fold(ballean, through, and_)]
+    for i, up in enumerate(clear):
+        clear[i] = ~up
     succs: list[list[int]] = []
     preds: list[list[int]] = [[] for _ in masks]
     for i, off in enumerate(clear):

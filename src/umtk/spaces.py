@@ -332,15 +332,41 @@ def ultrametric_order(space: FiniteSemimetricSpace) -> tuple[list[int], list[int
     i < j: the representing tree is the Cartesian tree of a over P.
 
     With at most 256 spectrum values, each rank row is made ``bytes`` once,
-    P sorts the points by their rows, and ``_path_weights`` checks P. That
-    order keeps every ball a run: two points x, y of a ball B have equal
-    entries outside B's columns, and a point z outside B is farther than
-    both from every point of B, so z's row is not between theirs. In an
-    ultrametric space, d(P[i], P[j]) is the diameter of the smallest ball
-    holding both, a run whose widest neighbour gap is that diameter, so P
-    passes. A test of ``_path_weights``' T on the first point and its
-    nearest neighbour runs before the sort: most spaces that are not
-    ultrametric fail it at once.
+    P sorts the points by their rows, and one C-level pass per row checks
+    T_i: rows P[i] and P[i+1] are equal after the ``bytes.translate`` table
+    x -> max(a[i], x). A T test on the first point and its nearest
+    neighbour runs before the sort: most spaces that are not ultrametric
+    fail it at once.
+
+    Every ultrametric passes, in any order: with a = d(x, y), the strong
+    triangle inequalities d(x, c) <= max(a, d(y, c)) and
+    d(y, c) <= max(a, d(x, c)) make max(a, d(x, c)) = max(a, d(y, c)) for
+    every point c. The sort is what makes the converse hold.
+
+    A space whose sorted order passes is ultrametric. The T's give
+    d(P[i], P[j]) <= max(a[i:j]), by induction on j - i. For >=, cut P into
+    r-runs at the gaps a[i] > r. Inside a run, each T_i keeps every entry
+    above r, so a column is at most r on the whole run or one value above r
+    on it. So two runs are either all within r of each other or all farther
+    than r apart, and adjacent runs are farther. Suppose two runs are within
+    r. Take the largest such r, and among those pairs, R before S, the one
+    whose segment, from R's first point x to S's last point y, has end rows
+    that first differ at the smallest column w. The sorted rows between
+    agree with both before w, so along P the segment's entries in column w
+    never decrease.
+
+    - If w lies in the segment, its own entry 0 is the least there, so w is
+      x. Then the run after R, farther than r from w, comes before S,
+      within r of w, and column w would decrease.
+    - If v0 = d(x, w) > r, then d(y, w) > v0. Yet x and y lie in one v0-run,
+      as d(x, y) <= r < v0 and r is the largest, and column w holds v0 at
+      x, so it is at most v0 on that run.
+    - Otherwise w's run W is within r of R. The segment of R and W holds x
+      and w, whose entries in column w differ, so its end rows differ at or
+      before w: the choice of w, or the first case, rules it out.
+
+    So no two r-runs are within r. For r = max(a[i:j]) - 1, P[i] and P[j]
+    lie in different r-runs, so d(P[i], P[j]) >= max(a[i:j]).
 
     A larger spectrum takes the Prim pass of ``ultrametric_mst``, whose
     join order and join weights are such a pair too.
@@ -358,28 +384,6 @@ def ultrametric_order(space: FiniteSemimetricSpace) -> tuple[list[int], list[int
             return None
     rows = list(map(bytes, d))
     order = sorted(range(n), key=rows.__getitem__)
-    weights = _path_weights(rows, order)
-    return None if weights is None else (order, weights)
-
-
-def _path_weights(rows: Sequence[bytes], order: Sequence[int]) -> list[int] | None:
-    """The ranks ``a[i] = d(P[i], P[i+1])`` along an order P of the points
-    if ``d(P[i], P[j]) = max(a[i:j])`` for all i < j, else None; ``rows``
-    are the rank rows as bytes. For each i, with t the table
-    x -> max(a[i], x), two C-level passes over one row check
-
-    - T_i: rows P[i] and P[i+1] are equal after t, and
-    - N_i: row P[i] holds exactly i - s + 1 ranks below a[i], where s is one
-      past the last k < i with a[k] >= a[i].
-
-    The T's alone give d(P[i], P[j]) <= max(a[i:j]), by induction on j - i.
-    So P[s..i] are below a[i] in row P[i], and N_i says that no other point
-    is: d(P[k], P[j]) >= a[k] for j > k. Taking k the first index of the
-    maximum of a[i:j], T_{k-1}, ..., T_i carry that bound back to P[i], as
-    every weight before k is smaller. So the checks hold iff the formula
-    does, for any order.
-    """
-    n = len(order)
     ordered = list(map(rows.__getitem__, order))
     adjacent = list(map(getitem, ordered, order[1:]))
     translate = bytes.translate
@@ -387,19 +391,7 @@ def _path_weights(rows: Sequence[bytes], order: Sequence[int]) -> list[int] | No
     ups = list(map(tables.__getitem__, adjacent))
     if any(map(ne, map(translate, ordered, ups), map(translate, ordered[1:], ups))):
         return None
-    # each row's count of ranks not below a[i], n - (i - s + 1), from one
-    # stack pass over a; the sentinel is above every rank
-    kept = []
-    stack = [(len(_IDENTITY), -1)]
-    for i, a in enumerate(adjacent):
-        while stack[-1][0] < a:
-            stack.pop()
-        kept.append(n - i + stack[-1][1])
-        stack.append((a, i))
-    below = map(_IDENTITY.__getitem__, map(slice, adjacent))
-    if list(map(len, map(translate, ordered, repeat(None), below))) != kept:
-        return None
-    return adjacent
+    return order, adjacent
 
 
 def ultrametric_mst(

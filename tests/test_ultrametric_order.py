@@ -1,9 +1,14 @@
 """The sorted-row certificate of ultrametricity, ``spaces.ultrametric_order``,
-against the Prim pass of ``spaces.ultrametric_mst``, and ``build_tree``
-against the tree read off Prim's join order (``tree_oracle.tree_from_prim``)."""
+against the Prim pass of ``spaces.ultrametric_mst`` and against a scan of
+every triple, and ``build_tree`` against the tree read off Prim's join order
+(``tree_oracle.tree_from_prim``). The certificate is the T tests alone, on
+the order that sorts the rank rows: a census of every small rank matrix
+(``certificate_census.disagreements``) checks that they pass exactly on
+ultrametrics and that the order they pass is a path. Every T can pass on
+an unsorted order that is no path."""
 import random
 from fractions import Fraction as F
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
@@ -11,7 +16,7 @@ from umtk import GenConfig, build_tree, random_ultrametric
 from umtk import reptree, spaces
 from umtk.errors import NotUltrametricError
 from umtk.spaces import (
-    _path_weights,
+    _max_with,
     is_ultrametric,
     ultrametric_mst,
     ultrametric_order,
@@ -19,6 +24,7 @@ from umtk.spaces import (
     validate_semimetric,
 )
 
+from certificate_census import disagreements, is_path
 from tree_oracle import tree_from_prim
 
 CLASSES = (None, "R", "Rtilde", "D", "T")
@@ -32,14 +38,6 @@ def _tie_space(rng: random.Random, n: int, top: int):
     return validate_semimetric([f"p{i}" for i in range(n)], rows)
 
 
-def _is_path(space, order, weights) -> bool:
-    """True iff d(P[i], P[j]) = max(a[i:j]) for all i < j."""
-    d = space.ranks
-    return sorted(order) == list(range(len(space))) and all(
-        d[order[i]][order[j]] == max(weights[i:j]) for i, j in combinations(range(len(order)), 2)
-    )
-
-
 def _agrees_with_prim(space) -> bool:
     """The certificate's verdict is Prim's; a certified order is a path whose
     neighbour distances are its weights, and a rejected space is named by
@@ -49,7 +47,7 @@ def _agrees_with_prim(space) -> bool:
     if path is None:
         return violation is not None and ultrametric_violation(space) == violation and not is_ultrametric(space)
     order, weights = path
-    return violation is None and _is_path(space, order, weights) and ultrametric_violation(space) is None
+    return violation is None and is_path(space.ranks, order, weights) and ultrametric_violation(space) is None
 
 
 def test_certificate_accepts_exactly_where_prim_finds_no_violation():
@@ -81,33 +79,23 @@ def test_certificate_on_ultrametrics_with_one_entry_changed(force_class):
     assert 0 < still < 300
 
 
-def test_path_checks_hold_exactly_on_paths_in_any_order():
-    # T and N are sound for any order, not only the sorted one: over every
-    # order of small spaces, ultrametric or not, the checks pass exactly
-    # where every distance is the largest neighbour distance between
-    rng = random.Random("orders")
-    passed = 0
-    for k in range(300):
-        n = 3 + k % 3
-        space = (
-            random_ultrametric(GenConfig(seed=k, n=n, spectrum_pool=WIDE_POOL[:3]))
-            if k % 2 else _tie_space(rng, n, 3)
-        )
-        rows = list(map(bytes, space.ranks))
-        for order in permutations(range(n)):
-            weights = _path_weights(rows, order)
-            adjacent = [space.ranks[p][q] for p, q in zip(order, order[1:])]
-            assert (weights is not None) == _is_path(space, order, adjacent), (space.ranks, order)
-            assert weights in (None, adjacent)
-            passed += weights is not None
-    assert passed > 1000
+@pytest.mark.parametrize("n, top", [(5, 3), (6, 2)])
+def test_census_of_small_rank_matrices(n, top):
+    # every symmetric rank matrix of n points over distances 1..top: the
+    # certificate accepts exactly where no triple is violated, and its order
+    # is a path (tests/certificate_census.py takes n = 7 and n = 5 over 1..4)
+    assert list(disagreements(n, top)) == []
 
 
 def test_a_path_can_pass_every_t_check_and_fail_n():
     # d(x, y) = d(y, z) = 2 > d(x, z) = 1, in the order x, y, z: the rows
-    # agree above each neighbour distance, but row x holds z below 2
+    # agree above each neighbour distance, but d(x, z) < max(2, 2), so the
+    # order passes every T check and is no path. The T's are sound only on
+    # the sorted order, here x, z, y, which is a path
     space = validate_semimetric("xyz", [[0, 2, 1], [2, 0, 2], [1, 2, 0]])
-    assert _path_weights(list(map(bytes, space.ranks)), [0, 1, 2]) is None
+    rows = list(map(bytes, space.ranks))
+    assert all(rows[p].translate(_max_with(2)) == rows[q].translate(_max_with(2)) for p, q in ((0, 1), (1, 2)))
+    assert not is_path(space.ranks, [0, 1, 2], [2, 2])
     assert ultrametric_order(space) == ([0, 2, 1], [1, 2])
 
 
