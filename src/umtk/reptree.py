@@ -26,7 +26,7 @@ run of that order, and one stack pass over its neighbour distances reads
 the tree off: the runs that weight w separates inside a run of weights up to
 w are the children of one internal node labeled w -- the ball of radius w
 they span, whose diameter is w. Points are leaves labeled 0. A space that
-is not ultrametric is named by the Prim pass of ``spaces.ultrametric_mst``.
+is not ultrametric is named by the certificate's first failing T test.
 Each node's canonical code, which orders it among its siblings, is built
 once from its children's codes, so building costs O(n^2) like the
 certificate. The paper's construction, which
@@ -44,12 +44,11 @@ from .errors import FormatError, InvalidTreeError, NotUltrametricError
 from .spaces import (
     ABSENT,
     FiniteSemimetricSpace,
+    _certify,
     check_point_names,
     dot_string,
     format_rational,
     read_literals,
-    ultrametric_mst,
-    ultrametric_order,
     validate_semimetric,
 )
 
@@ -265,9 +264,9 @@ def build_tree(space: FiniteSemimetricSpace) -> RepTree:
     Children are ordered by the labeled canonical code of their subtree (ties
     broken by leaf point names), so equal spaces yield identical trees.
     """
-    path = ultrametric_order(space)
+    path, violation = _certify(space)
     if path is None:
-        raise NotUltrametricError(ultrametric_mst(space)[0])
+        raise NotUltrametricError(violation)
     # Every ball is a run of the leaf order, and each weight is the distance
     # between neighbours in it: the tree is the Cartesian tree of the
     # weights, equal weights in one node. Open nodes wait on a stack, and a

@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from operator import eq, floordiv, getitem, itemgetter, lshift, ne
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -314,7 +314,6 @@ def diameter(space: FiniteSemimetricSpace) -> Fraction:
 
 
 Violation = tuple[str, str, str]
-MstEdge = tuple[int, int, int]
 
 # every byte value in order; the certificate's translate tables are cut from it
 _IDENTITY = bytes(range(256))
@@ -325,18 +324,76 @@ def _max_with(a: int) -> bytes:
     return bytes((a,)) * a + _IDENTITY[a:]
 
 
+def _apart(r: Sequence[int], s: Sequence[int], a: int) -> bool:
+    """True iff rows r and s differ after t -> max(a, t): some column where
+    they differ holds an entry above a."""
+    diff = list(map(ne, r, s))
+    return max(compress(r, diff), default=0) > a or max(compress(s, diff), default=0) > a
+
+
+def _bytes_apart(r: Sequence[int], s: Sequence[int], a: int) -> bool:
+    """``_apart`` for entries below 256, by one ``bytes.translate`` a row."""
+    up = _max_with(a)
+    return bytes(r).translate(up) != bytes(s).translate(up)
+
+
+def _named(space: FiniteSemimetricSpace, x: int, z: int, a: int) -> Violation:
+    """The triple of rows x and z, a = d(x, z), at the first column c where
+    they differ after t -> max(a, t): (x, c, z), x the row with the larger
+    entry at c."""
+    r, s = space.ranks[x], space.ranks[z]
+    c = next(c for c in compress(count(), map(ne, r, s)) if r[c] > a or s[c] > a)
+    if r[c] < s[c]:
+        x, z = z, x
+    return space.points[x], space.points[c], space.points[z]
+
+
+def _certify(
+    space: FiniteSemimetricSpace,
+) -> tuple[tuple[list[int], list[int]], None] | tuple[None, Violation]:
+    """``(ultrametric_order(space), None)``, or ``(None, violation)`` named by
+    the first T test that fails (see ``ultrametric_order`` and
+    ``ultrametric_violation``): the one pass that certifies, orders and
+    names."""
+    d = space.ranks
+    n = len(d)
+    wide = len(space.spectrum) > len(_IDENTITY)
+    if n > 2:
+        row = d[0]
+        a = min(row[1:])
+        z = row.index(a)
+        if (_apart if wide else _bytes_apart)(row, d[z], a):
+            return None, _named(space, 0, z, a)
+    rows = d if wide else list(map(bytes, d))
+    order = sorted(range(n), key=rows.__getitem__)
+    ordered = list(map(rows.__getitem__, order))
+    adjacent = list(map(getitem, ordered, order[1:]))
+    if wide:
+        fails = map(_apart, ordered, ordered[1:], adjacent)
+    else:
+        tables = {a: _max_with(a) for a in set(adjacent)}
+        ups = list(map(tables.__getitem__, adjacent))
+        fails = map(ne, map(bytes.translate, ordered, ups), map(bytes.translate, ordered[1:], ups))
+    i = next(compress(count(), fails), None)
+    if i is None:
+        return (order, adjacent), None
+    return None, _named(space, order[i], order[i + 1], adjacent[i])
+
+
 def ultrametric_order(space: FiniteSemimetricSpace) -> tuple[list[int], list[int]] | None:
     """A leaf order P of an ultrametric space and the ranks
     ``a[i] = d(P[i], P[i+1])`` of its neighbours' distances; None iff the
     space is not ultrametric. Then ``d(P[i], P[j]) = max(a[i:j])`` for all
     i < j: the representing tree is the Cartesian tree of a over P.
 
-    With at most 256 spectrum values, each rank row is made ``bytes`` once,
-    P sorts the points by their rows, and one C-level pass per row checks
-    T_i: rows P[i] and P[i+1] are equal after the ``bytes.translate`` table
-    x -> max(a[i], x). A T test on the first point and its nearest
-    neighbour runs before the sort: most spaces that are not ultrametric
-    fail it at once.
+    P sorts the points by their rank rows, and one C-level pass checks
+    T_i: rows P[i] and P[i+1] are equal after x -> max(a[i], x). With at
+    most 256 spectrum values the rows are made ``bytes`` once and T_i is
+    one ``bytes.translate`` per row; above that the rows stay tuples and
+    T_i holds iff no column where they differ holds an entry above a[i].
+    A T test on the first point and its nearest neighbour (the lowest
+    index at that distance) runs before the sort: most spaces that are not
+    ultrametric fail it at once.
 
     Every ultrametric passes, in any order: with a = d(x, y), the strong
     triangle inequalities d(x, c) <= max(a, d(y, c)) and
@@ -367,101 +424,25 @@ def ultrametric_order(space: FiniteSemimetricSpace) -> tuple[list[int], list[int
 
     So no two r-runs are within r. For r = max(a[i:j]) - 1, P[i] and P[j]
     lie in different r-runs, so d(P[i], P[j]) >= max(a[i:j]).
-
-    A larger spectrum takes the Prim pass of ``ultrametric_mst``, whose
-    join order and join weights are such a pair too.
     """
-    d = space.ranks
-    n = len(d)
-    if len(space.spectrum) > len(_IDENTITY):
-        violation, edges = ultrametric_mst(space)
-        return None if violation else ([0, *(v for _, v, _ in edges)], [w for _, _, w in edges])
-    if n > 2:
-        row = d[0]
-        a = min(row[1:])
-        up = _max_with(a)
-        if bytes(row).translate(up) != bytes(d[row.index(a)]).translate(up):
-            return None
-    rows = list(map(bytes, d))
-    order = sorted(range(n), key=rows.__getitem__)
-    ordered = list(map(rows.__getitem__, order))
-    adjacent = list(map(getitem, ordered, order[1:]))
-    translate = bytes.translate
-    tables = {a: _max_with(a) for a in set(adjacent)}
-    ups = list(map(tables.__getitem__, adjacent))
-    if any(map(ne, map(translate, ordered, ups), map(translate, ordered[1:], ups))):
-        return None
-    return order, adjacent
-
-
-def ultrametric_mst(
-    space: FiniteSemimetricSpace,
-) -> tuple[Violation | None, tuple[MstEdge, ...]]:
-    """One pass of Prim's algorithm that certifies ultrametricity; it names
-    the violation of a space ``ultrametric_order`` rejects, and serves that
-    certificate on spectra of more than 256 values.
-
-    Returns ``(None, edges)`` for an ultrametric space, where ``edges`` are
-    the minimum spanning tree's ``(parent, child, weight rank)`` index
-    triples in the order Prim added them, and ``(violation, ())`` otherwise,
-    with the triple ``ultrametric_violation`` documents.
-
-    The pass starts at the first point. Each step adds the lowest-indexed
-    vertex v nearest to the tree, through its parent p, the first tree vertex
-    to reach that weight w. Before v is added, d(v, u) = max(w, d(p, u)) is
-    checked for every vertex u already in the tree, in the order they were
-    added. By induction these equalities say that d(v, u) is the largest
-    weight on the tree path from v to u, i.e. that d is the minimax distance
-    of its own minimum spanning tree -- its subdominant ultrametric -- and a
-    space is ultrametric iff it equals its subdominant ultrametric. Both the
-    pass and the check cost O(n^2), over ranks, in Python loops.
-    """
-    d = space.ranks
-    n = len(d)
-    best = list(d[0])  # distance rank from each vertex to the tree built so far
-    via = [0] * n  # the tree vertex realizing it
-    added = [0]
-    rest = list(range(1, n))
-    edges = []
-    while rest:
-        v = min(rest, key=best.__getitem__)
-        w, p = best[v], via[v]
-        dv, dp = d[v], d[p]
-        for u in added:
-            dpu = dp[u]
-            if dv[u] != (dpu if dpu > w else w):
-                # it can only be d(v,u) > max(w, d(p,u)); see ultrametric_violation
-                return tuple(space.points[k] for k in (v, u, p)), ()
-        added.append(v)
-        rest.remove(v)
-        edges.append((p, v, w))
-        for u in rest:
-            if dv[u] < best[u]:
-                best[u] = dv[u]
-                via[u] = v
-    return None, tuple(edges)
+    return _certify(space)[0]
 
 
 def ultrametric_violation(space: FiniteSemimetricSpace) -> Violation | None:
     """A triple (x, y, z) with d(x,y) > max(d(x,z), d(z,y)), or None.
 
-    ``ultrametric_order`` decides, and the triple of a space it rejects
-    comes from the Prim pass of ``ultrametric_mst``, from the check that
-    fails first: v joining through p at weight w, and u the first tree
-    vertex with d(v,u) != max(w, d(p,u)). Prim's choice gives d(v,u) >= w.
-    It also gives d(v,u) >= d(p,u): the checks passed so far make d(p,u) the
-    largest weight on the tree path from p to u, and by the cycle property
-    that weight is at most max(w, d(v,u)), since the tree with v added is a
-    minimum spanning tree of its vertices. So d(v,u) > max(w, d(p,u)), and
-    the triple is (v, u, p). It is deterministic. On a spectrum of more than
-    256 values the certificate is itself a Prim pass, so a rejected space
-    there pays two.
+    It is named by the first T test of ``ultrametric_order`` that fails,
+    the nearest-neighbour test first: rows x and z, a = d(x, z), differ
+    after t -> max(a, t), and c is the first column where they do. The row
+    with the larger entry there is x; that entry is above a and above the
+    other row's, so d(x,c) > max(d(x,z), d(z,c)), and the triple is
+    (x, c, z). It is deterministic.
     """
-    return None if ultrametric_order(space) is not None else ultrametric_mst(space)[0]
+    return _certify(space)[1]
 
 
 def is_ultrametric(space: FiniteSemimetricSpace) -> bool:
-    return ultrametric_order(space) is not None
+    return _certify(space)[0] is not None
 
 
 def rank_relabel(

@@ -1,12 +1,16 @@
 """Every symmetric rank matrix of a few small sizes against the sorted-row
-certificate of ultrametricity, ``umtk.spaces.ultrametric_order``.
+certificate of ultrametricity, ``umtk.spaces.ultrametric_order``, and the
+violation it names, ``umtk.spaces.ultrametric_violation``.
 
     python3 tests/certificate_census.py
 
 The certificate must accept every matrix in which a scan of every triple
 finds no violation and reject every matrix in which it finds one; each
 order P it returns, with its weights a, must satisfy
-d(P_i, P_j) = max(a_i..a_{j-1}) for all i < j. The script runs every matrix
+d(P_i, P_j) = max(a_i..a_{j-1}) for all i < j, and each triple it names on
+a rejected matrix must be a violation and the one that a replay of the
+naming rule (``diametrical_oracle.named_triple``) finds. One private pass,
+``umtk.spaces._certify``, gives both answers. The script runs every matrix
 with n = 7 over distances 1..2 and n = 5 over 1..4, prints one line per
 census and exits 1 on any disagreement. Tier-1 runs the smaller censuses
 of n = 5 over 1..3 and n = 6 over 1..2 through ``disagreements``.
@@ -22,7 +26,9 @@ from typing import Iterator
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src")]
 
-from umtk.spaces import FiniteSemimetricSpace, ultrametric_order  # noqa: E402
+from umtk.spaces import FiniteSemimetricSpace, _certify  # noqa: E402
+
+from diametrical_oracle import named_triple  # noqa: E402
 
 CENSUSES = ((7, 2), (5, 4))
 
@@ -50,11 +56,18 @@ def is_path(d: tuple[tuple[int, ...], ...], order: list[int], weights: list[int]
     return True
 
 
+def names_a_violation(d: tuple[tuple[int, ...], ...], points: tuple[str, ...], triple) -> bool:
+    """True iff ``triple`` is (x, y, z) with d(x,y) > max(d(x,z), d(z,y))."""
+    x, y, z = map(points.index, triple)
+    return d[x][y] > max(d[x][z], d[z][y])
+
+
 def disagreements(n: int, top: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The rank matrices of n points over distances 1..top on which the
-    certificate and the triple scan disagree, or whose certified order is no
-    path. The spectrum is 0..top whether or not each value occurs: the
-    certificate reads it only for its size."""
+    certificate and the triple scan disagree, whose certified order is no
+    path, or whose named triple is no violation or not the replay's. The
+    spectrum is 0..top whether or not each value occurs: the certificate
+    reads it only for its size."""
     points = tuple(f"p{i}" for i in range(n))
     spectrum = tuple(map(Fraction, range(top + 1)))
     pairs = list(combinations(range(n), 2))
@@ -63,9 +76,9 @@ def disagreements(n: int, top: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         for (i, j), v in zip(pairs, values):
             rows[i][j] = rows[j][i] = v
         d = tuple(map(tuple, rows))
-        path = ultrametric_order(FiniteSemimetricSpace(points, spectrum, d))
+        path, named = _certify(FiniteSemimetricSpace(points, spectrum, d))
         if violated(d):
-            agrees = path is None
+            agrees = path is None and names_a_violation(d, points, named) and named == named_triple(d, points)
         else:
             agrees = path is not None and is_path(d, *path)
         if not agrees:

@@ -4,8 +4,9 @@
 the root is labeled with the diameter, and its children are the parts of the
 diametrical graph's multipartite decomposition, built recursively on each
 part. ``first_violating_triple`` scans every triple in point order, and
-``prim_violating_triple`` replays the Prim pass on the distances themselves.
-All are cubic or worse and exist only to check the O(n^2) pass.
+``sorted_row_violating_triple`` replays the certificate's naming rule on
+the distances themselves, with plain loops. They exist only to check the
+O(n^2) pass.
 
 ``DiametricalGraph``, ``diametrical_graph``, ``multipartite_parts`` and
 ``graph_to_dot`` are the name-set reference for ``umtk.diametrical``'s
@@ -41,25 +42,34 @@ def first_violating_triple(space):
     return None
 
 
-def prim_violating_triple(space):
-    """The triple ``ultrametric_violation`` reports, or None, from a plain
-    Prim pass over the Fraction matrix. The lowest-indexed vertex v nearest
-    to the tree joins through the first tree vertex p at that weight w; at
-    the first tree vertex u with d(v,u) != max(w, d(p,u)) the triple is
-    (v, u, p) if d(v,u) is the larger side, else (p, u, v)."""
-    d, pts = distances(space), space.points
-    tree = [0]
-    while len(tree) < len(pts):
-        out = [v for v in range(len(pts)) if v not in tree]
-        w = min(d[t][v] for t in tree for v in out)
-        v = min(v for v in out if min(d[t][v] for t in tree) == w)
-        p = next(t for t in tree if d[t][v] == w)
-        for u in tree:
-            if d[v][u] > max(w, d[p][u]):
-                return (pts[v], pts[u], pts[p])
-            if d[v][u] < max(w, d[p][u]):
-                return (pts[p], pts[u], pts[v])
-        tree.append(v)
+def sorted_row_violating_triple(space):
+    """The triple ``ultrametric_violation`` reports, or None, replayed on the
+    Fraction matrix (see ``named_triple``)."""
+    return named_triple(distances(space), space.points)
+
+
+def named_triple(d, points):
+    """The naming rule on a matrix of comparable distances. The pairs are
+    tried in order: point 0 and the lowest-indexed point at its least
+    distance, then each pair of neighbours once the points are sorted by
+    their rows. The first pair (x, z) whose rows differ at a column c where
+    max(d(x,z), d(x,c)) != max(d(x,z), d(z,c)), c the first such column,
+    gives (x, c, z), x the row with the larger entry at c; None if no pair
+    does."""
+    n = len(d)
+    pairs = []
+    if n > 2:
+        nearest = min(d[0][1:])
+        pairs.append((0, d[0].index(nearest)))
+    order = sorted(range(n), key=d.__getitem__)
+    pairs += zip(order, order[1:])
+    for x, z in pairs:
+        a = d[x][z]
+        for c in range(n):
+            if max(a, d[x][c]) != max(a, d[z][c]):
+                if d[x][c] < d[z][c]:
+                    x, z = z, x
+                return (points[x], points[c], points[z])
     return None
 
 

@@ -76,8 +76,8 @@ def test_space_from_hand_built_tree():
 def test_non_ultrametric_rejected(semi3):
     with pytest.raises(NotUltrametricError) as info:
         build_tree(semi3)
-    # the Prim pass adds b, then c through b; d(c, a) = 3 > max(1, d(b, a))
-    assert info.value.violation == ("c", "a", "b")
+    # a and its nearest point b differ above d(a, b) = 1 at c: d(a, c) = 3 > max(1, d(b, c))
+    assert info.value.violation == ("a", "c", "b")
 
 
 def test_strip_labels(ultra3):

@@ -22,7 +22,7 @@ from umtk import (
     ultrametric_violation,
     verify_weak_similarity,
 )
-from umtk.spaces import space_from_json, ultrametric_mst
+from umtk.spaces import space_from_json, ultrametric_order
 from wire_oracle import space_to_text
 
 POOL = tuple(F(k) for k in range(1, 1025))
@@ -41,10 +41,10 @@ def test_large_ultrametric_pair_from_json():
 
 def test_late_violation_is_named_in_one_pass():
     x = random_ultrametric(GenConfig(seed=1, n=2048, spectrum_pool=POOL))
-    # the last two vertices the Prim pass adds get a distance above the
-    # diameter, which breaks the strong triangle inequality with every point
-    _, edges = ultrametric_mst(x)
-    v, u = edges[-1][1], edges[-2][1]
+    # the last two points of the certified leaf order get a distance above
+    # the diameter, which breaks the strong triangle inequality with every point
+    order, _ = ultrametric_order(x)
+    u, v = order[-2:]
     doc = space_to_json(x)
     doc["dist"][u][v] = doc["dist"][v][u] = str(x.spectrum[-1] + 1)
     space = space_from_json(doc)

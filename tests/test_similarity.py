@@ -181,28 +181,23 @@ def test_witness_json_round_trip(ultra3, ultra3_scaled):
 
 def _certificate_calls(decide, monkeypatch):
     """A fresh n = 64 ultrametric pair, and the spaces the ultrametric
-    certificate and the Prim pass run on while ``decide`` finds it positive."""
+    certificate runs on while ``decide`` finds it positive."""
     x = random_ultrametric(GenConfig(seed=5, n=64))
     y, _ = renamed_copy(x, seed=6)
     if decide is decide_weak_similarity:
         y = rank_relabel(y, tuple(v * 7 for v in spectrum(y)))
-    calls, prim_calls = [], []
+    calls = []
 
     def counted(space):
         calls.append(space)
         return certify(space)
 
-    def prim_counted(space):
-        prim_calls.append(space)
-        return mst(space)
-
-    certify, mst = spaces.ultrametric_order, spaces.ultrametric_mst
+    certify = spaces._certify
     for module in (spaces, reptree):
-        monkeypatch.setattr(module, "ultrametric_order", counted)
-        monkeypatch.setattr(module, "ultrametric_mst", prim_counted)
+        monkeypatch.setattr(module, "_certify", counted)
     reptree.build_tree.cache_clear()
     assert decide(x, y) is not None
-    return x, y, calls, prim_calls
+    return x, y, calls
 
 
 def _shares_y(space, x, y):
@@ -214,20 +209,18 @@ def _shares_y(space, x, y):
 @pytest.mark.parametrize("decide", [decide_weak_similarity, decide_isometry])
 def test_certificate_runs_once_per_space(decide, monkeypatch):
     # the decision asks build_tree whether X and Y on X's spectrum are
-    # ultrametric and compares the trees it gets, so the certificate runs
-    # once for each space, and the Prim pass, which names a violation, never
-    x, y, calls, prim_calls = _certificate_calls(decide, monkeypatch)
+    # ultrametric and compares the trees it gets, so the certificate, the
+    # one pass that orders, certifies and names, runs once for each space
+    x, y, calls = _certificate_calls(decide, monkeypatch)
     assert len(calls) == 2 and calls[0] is x and _shares_y(calls[1], x, y)
-    assert prim_calls == []
 
 
 @pytest.mark.parametrize("decide", [decide_weak_similarity, decide_isometry])
 def test_decisions_do_not_lean_on_the_tree_cache(decide, monkeypatch):
     # with build_tree uncached, each space's tree is still built only once
     monkeypatch.setattr(similarity, "build_tree", reptree.build_tree.__wrapped__)
-    x, y, calls, prim_calls = _certificate_calls(decide, monkeypatch)
+    x, y, calls = _certificate_calls(decide, monkeypatch)
     assert len(calls) == 2 and calls[0] is x and _shares_y(calls[1], x, y)
-    assert prim_calls == []
 
 
 @pytest.mark.parametrize("decide", [decide_isometry, decide_weak_similarity])

@@ -42,7 +42,7 @@ from umtk.errors import (
 )
 from umtk.spaces import rank_values
 
-from diametrical_oracle import first_violating_triple, prim_violating_triple
+from diametrical_oracle import first_violating_triple, sorted_row_violating_triple
 from validation_oracle import distances
 from wire_oracle import space_to_text
 
@@ -112,9 +112,9 @@ def test_ultrametric_check(ultra3, semi3):
     assert is_ultrametric(ultra3)
     assert ultrametric_violation(ultra3) is None
     violation = ultrametric_violation(semi3)
-    # c joins the tree {a, b} through b at weight 1, and d(c, a) = 3 is
-    # larger than max(d(c, b), d(b, a)) = 1: the triple is (v, u, p)
-    assert violation == ("c", "a", "b")
+    # the nearest-neighbour test fails: a's nearest point is b at 1, and
+    # their rows first differ above 1 at c, where a's entry 3 is the larger
+    assert violation == ("a", "c", "b")
     x, y, z = violation
     assert semi3.distance(x, y) > max(semi3.distance(x, z), semi3.distance(z, y))
 
@@ -317,7 +317,7 @@ def test_violation_matches_triple_scan():
         for space in cases:
             violation = ultrametric_violation(space)
             assert (violation is None) == (first_violating_triple(space) is None)
-            assert violation == prim_violating_triple(space)
+            assert violation == sorted_row_violating_triple(space)
             if violation is not None:
                 x, y, z = violation
                 assert space.distance(x, y) > max(space.distance(x, z), space.distance(z, y))

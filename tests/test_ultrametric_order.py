@@ -1,11 +1,14 @@
 """The sorted-row certificate of ultrametricity, ``spaces.ultrametric_order``,
-against the Prim pass of ``spaces.ultrametric_mst`` and against a scan of
-every triple, and ``build_tree`` against the tree read off Prim's join order
-(``tree_oracle.tree_from_prim``). The certificate is the T tests alone, on
-the order that sorts the rank rows: a census of every small rank matrix
+against the Prim pass of ``tree_oracle.ultrametric_mst`` and against a scan
+of every triple, its named violations against a replay of the naming rule
+(``diametrical_oracle.sorted_row_violating_triple``), and ``build_tree``
+against the tree read off Prim's join order (``tree_oracle.tree_from_prim``).
+The certificate is the T tests alone, on the order that sorts the rank
+rows: a census of every small rank matrix
 (``certificate_census.disagreements``) checks that they pass exactly on
-ultrametrics and that the order they pass is a path. Every T can pass on
-an unsorted order that is no path."""
+ultrametrics, that the order they pass is a path and that each rejected
+matrix is named as the replay names it. Every T can pass on an unsorted
+order that is no path."""
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -13,19 +16,19 @@ from itertools import combinations
 import pytest
 
 from umtk import GenConfig, build_tree, random_ultrametric
-from umtk import reptree, spaces
+from umtk import spaces
 from umtk.errors import NotUltrametricError
 from umtk.spaces import (
     _max_with,
     is_ultrametric,
-    ultrametric_mst,
     ultrametric_order,
     ultrametric_violation,
     validate_semimetric,
 )
 
 from certificate_census import disagreements, is_path
-from tree_oracle import tree_from_prim
+from diametrical_oracle import sorted_row_violating_triple
+from tree_oracle import tree_from_prim, ultrametric_mst
 
 CLASSES = (None, "R", "Rtilde", "D", "T")
 WIDE_POOL = tuple(F(k) for k in range(1, 300))
@@ -41,13 +44,18 @@ def _tie_space(rng: random.Random, n: int, top: int):
 def _agrees_with_prim(space) -> bool:
     """The certificate's verdict is Prim's; a certified order is a path whose
     neighbour distances are its weights, and a rejected space is named by
-    Prim's triple."""
+    the oracle's triple, which is a violation."""
     path = ultrametric_order(space)
     violation, _ = ultrametric_mst(space)
+    named = ultrametric_violation(space)
+    if named != sorted_row_violating_triple(space):
+        return False
     if path is None:
-        return violation is not None and ultrametric_violation(space) == violation and not is_ultrametric(space)
+        x, y, z = named
+        valid = space.distance(x, y) > max(space.distance(x, z), space.distance(z, y))
+        return violation is not None and valid and not is_ultrametric(space)
     order, weights = path
-    return violation is None and is_path(space.ranks, order, weights) and ultrametric_violation(space) is None
+    return violation is None and is_path(space.ranks, order, weights) and named is None
 
 
 def test_certificate_accepts_exactly_where_prim_finds_no_violation():
@@ -119,42 +127,44 @@ def test_one_and_two_points():
         assert (tree.labels, tree.points, tree.children) == (reference.labels, reference.points, reference.children)
 
 
-def _prim_counted(monkeypatch):
+def _tuple_tests(monkeypatch):
+    """The row pairs the tuple route's T test runs on."""
     calls = []
 
-    def counted(space):
-        calls.append(space)
-        return mst(space)
+    def counted(r, s, a):
+        calls.append((r, s, a))
+        return apart(r, s, a)
 
-    mst = spaces.ultrametric_mst
-    for module in (spaces, reptree):
-        monkeypatch.setattr(module, "ultrametric_mst", counted)
+    apart = spaces._apart
+    monkeypatch.setattr(spaces, "_apart", counted)
     return calls
 
 
 @pytest.mark.parametrize("values", [256, 257])
 def test_spectra_of_256_and_257_values(values, monkeypatch):
     # a binary chain of n leaves has n - 1 distinct labels: n distance values.
-    # 256 values are the most a byte row holds; 257 take the Prim pass, and
+    # 256 values are the most a byte row holds; 257 take the tuple rows, and
     # both routes give the reference tree
     x = random_ultrametric(GenConfig(seed=1, n=values, spectrum_pool=WIDE_POOL, force_class="R"))
     assert len(x.spectrum) == values
     reference = tree_from_prim(x)
-    calls = _prim_counted(monkeypatch)
+    calls = _tuple_tests(monkeypatch)
     tree = build_tree.__wrapped__(x)
-    assert len(calls) == (values > 256)
+    # tuple rows take the nearest-neighbour test and one per neighbour pair;
+    # byte rows take none
+    assert len(calls) == (0 if values <= 256 else values)
     assert (tree.labels, tree.points, tree.children) == (reference.labels, reference.points, reference.children)
     # the chain's closest pair moved above the diameter, which keeps the
-    # number of values: the triple named is Prim's, by either route
+    # number of values: by either route the triple named is the oracle's
     rows = [list(map(x.spectrum.__getitem__, row)) for row in x.ranks]
     u = next(i for i, row in enumerate(x.ranks) if 1 in row)
     v = x.ranks[u].index(1)
     rows[u][v] = rows[v][u] = x.spectrum[-1] + 1
     space = validate_semimetric(x.points, rows)
     assert len(space.spectrum) == values
-    with pytest.raises(NotUltrametricError) as named:
-        tree_from_prim(space)
     with pytest.raises(NotUltrametricError) as raised:
         build_tree.__wrapped__(space)
-    assert raised.value.violation == named.value.violation == ultrametric_violation(space)
+    assert raised.value.violation == ultrametric_violation(space) == sorted_row_violating_triple(space)
+    a, b, c = raised.value.violation
+    assert space.distance(a, b) > max(space.distance(a, c), space.distance(c, b))
     assert not is_ultrametric(space)

@@ -19,7 +19,9 @@ walked in pairs. ``pairs`` is the walk ``treecanon`` and ``balls`` paired
 two trees with before they zipped the two trees' own preorders: one stack
 per tree, popped in step. ``tree_from_prim`` is ``build_tree`` as it stood
 before it read the sorted-row certificate: the same stack pass over the
-edges of ``spaces.ultrametric_mst``, in Prim's join order.
+edges of ``ultrametric_mst``, in Prim's join order. ``ultrametric_mst`` is
+the Prim pass that certified ultrametricity, and named a violation, before
+the sorted-row certificate took both jobs over.
 
 They work on nested ``RepNode``s: ``leaf`` and ``internal`` build them by
 hand, and ``tree_of`` lays a nested tree out as the preorder arrays of a
@@ -46,7 +48,7 @@ from umtk.errors import (
 )
 from umtk.reptree import RepNode, RepTree, _codes, build_tree
 from umtk.similarity import WeakSimWitness, verify_weak_similarity
-from umtk.spaces import format_rational, parse_rational, rank_values, ultrametric_mst
+from umtk.spaces import format_rational, parse_rational, rank_values
 from umtk.treecanon import canon_code_unlabeled, rooted_tree_iso_map
 
 
@@ -346,6 +348,47 @@ def witness_from_unlabeled_iso(x, y):
     if not verify_weak_similarity(x, y, witness):
         raise VerificationFailedError("shape-derived witness failed re-check")
     return witness
+
+
+def ultrametric_mst(space):
+    """One pass of Prim's algorithm that certifies ultrametricity.
+
+    Returns ``(None, edges)`` for an ultrametric space, where ``edges`` are
+    the minimum spanning tree's ``(parent, child, weight rank)`` index
+    triples in the order Prim added them, and ``(violation, ())`` otherwise.
+
+    The pass starts at the first point. Each step adds the lowest-indexed
+    vertex v nearest to the tree, through its parent p, the first tree vertex
+    to reach that weight w. Before v is added, d(v, u) = max(w, d(p, u)) is
+    checked for every vertex u already in the tree, in the order they were
+    added. By induction these equalities say that d is the minimax distance
+    of its own minimum spanning tree -- its subdominant ultrametric -- and a
+    space is ultrametric iff it equals its subdominant ultrametric. A failing
+    check can only be d(v, u) > max(w, d(p, u)), so the triple is (v, u, p).
+    """
+    d = space.ranks
+    n = len(d)
+    best = list(d[0])  # distance rank from each vertex to the tree built so far
+    via = [0] * n  # the tree vertex realizing it
+    added = [0]
+    rest = list(range(1, n))
+    edges = []
+    while rest:
+        v = min(rest, key=best.__getitem__)
+        w, p = best[v], via[v]
+        dv, dp = d[v], d[p]
+        for u in added:
+            dpu = dp[u]
+            if dv[u] != (dpu if dpu > w else w):
+                return tuple(space.points[k] for k in (v, u, p)), ()
+        added.append(v)
+        rest.remove(v)
+        edges.append((p, v, w))
+        for u in rest:
+            if dv[u] < best[u]:
+                best[u] = dv[u]
+                via[u] = v
+    return None, tuple(edges)
 
 
 def tree_from_prim(space) -> RepTree:
