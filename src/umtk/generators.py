@@ -31,6 +31,7 @@ from .similarity import (
 )
 from .spaces import (
     FiniteSemimetricSpace,
+    _rank_rows,
     rank_relabel,
     rank_values,
     validate_semimetric,
@@ -275,7 +276,7 @@ def renamed_copy(
     rng.shuffle(order)
     names = {space.points[pi]: f"q{i}" for i, pi in enumerate(order)}
     pts = tuple(f"q{i}" for i in range(len(space)))
-    rows = tuple(tuple(map(space.ranks[i].__getitem__, order)) for i in order)
+    rows = _rank_rows((map(space.ranks[i].__getitem__, order) for i in order), len(space.spectrum))
     return FiniteSemimetricSpace(pts, space.spectrum, rows), names
 
 

@@ -62,13 +62,14 @@ def _preserves_ranks(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace, phi: dict[str, str]
 ) -> bool:
     """True iff phi is a bijection X -> Y that keeps the rank of every
-    distance. Each row is compared whole with its image's: O(n^2) in all."""
+    distance. Each row is compared whole with its image's as X's row type."""
     if set(phi) != set(x.points) or set(phi.values()) != set(y.points) or len(phi) != len(y):
         return False
     index = {p: k for k, p in enumerate(y.points)}
     image = [index[phi[p]] for p in x.points]
     pick = itemgetter(*image, image[0])  # one extra index: a tuple even for n = 1
-    return all(pick(y.ranks[yi])[:-1] == row_x for row_x, yi in zip(x.ranks, image))
+    row_type = type(x.ranks[0])
+    return all(row_type(pick(y.ranks[yi])[:-1]) == row_x for row_x, yi in zip(x.ranks, image))
 
 
 def verify_isometry(

@@ -12,6 +12,8 @@ order, so all checks and searches compare small ints, and a strictly
 increasing relabeling of the distances swaps the spectrum and keeps the
 ranks: weak similarity is isometry of rank matrices. So the points and
 ranks fix a space up to such a relabeling, and a space hashes only them.
+A rank row is ``bytes`` up to 256 spectrum values, so the axiom tests, the
+hash, ``==`` and the certificate run in C, and a tuple of ints above.
 Every rational literal read -- a space's entries, a tree's labels, a
 generator's pool -- goes through ``read_literals``: the distinct literals are
 checked in one pass and ranked at once, as ints when all are integers and by
@@ -123,14 +125,15 @@ class FiniteSemimetricSpace:
     """Immutable point tuple, spectrum and rank matrix. Hashable, so cacheable.
 
     ``ranks[i][j]`` is the index of d(points[i], points[j]) in ``spectrum``;
-    equality runs over ints and the few spectrum values. The hash runs over
+    a row is ``bytes`` up to 256 spectrum values and a tuple of ints above
+    (``_rank_rows``), so equal spectra mean one row type. The hash runs over
     the points and ranks only: spaces that differ only in their spectra
     share it, and ``==`` tells them apart.
     """
 
     points: tuple[str, ...]
     spectrum: tuple[Fraction, ...]
-    ranks: tuple[tuple[int, ...], ...]
+    ranks: tuple[bytes, ...] | tuple[tuple[int, ...], ...]
 
     def __hash__(self) -> int:
         return hash((self.points, self.ranks))
@@ -154,6 +157,13 @@ class FiniteSemimetricSpace:
         used = sorted(set(chain(*rows)))
         spectrum = tuple(map(self.spectrum.__getitem__, used))
         return validate_semimetric(subset, rows, (spectrum, dict(zip(used, range(len(used))))))
+
+
+def _rank_rows(rows: Iterable[Iterable[int]], size: int) -> tuple[bytes, ...] | tuple[tuple[int, ...], ...]:
+    """Rank rows as a space of ``size`` spectrum values holds them: ``bytes``
+    up to 256 values, tuples above. Every space's rows are made here, as a
+    ``bytes`` row never equals a tuple row of the same ranks."""
+    return tuple(map(bytes if size <= len(_IDENTITY) else tuple, rows))
 
 
 def rank_values(values: Iterable[Fraction | None]) -> tuple[tuple[Fraction, ...], list[int | None]]:
@@ -221,9 +231,10 @@ def validate_semimetric(
     NonSymmetricError or ZeroOffDiagonalError. The input is never mutated.
 
     The axioms are tested on ranks (with z the rank of 0, negative means a
-    rank below z). A valid matrix passes a few whole-matrix tests; otherwise
-    a scan tests each unordered pair once, from row i at column j > i, which
-    reports the same first defect as a scan over every ordered pair.
+    rank below z). A valid matrix passes a few whole-matrix tests, C calls
+    on ``bytes`` rows; otherwise a scan tests each unordered pair once, from
+    row i at column j > i, which reports the same first defect as a scan
+    over every ordered pair.
     """
     pts = tuple(points)
     if not pts:
@@ -249,15 +260,15 @@ def validate_semimetric(
         keys = [map(id, row) for row in rows]
     spectrum, rank = ranked
     # one C call ranks a whole row; with one key, itemgetter returns the value itself
-    ranks = tuple(itemgetter(*row)(rank) for row in keys)
-    if n == 1:
-        ranks = (ranks,)
-    if not (
-        spectrum[0] == 0
-        and all(ranks[i][i] == 0 for i in range(n))
-        and all(row.count(0) == 1 for row in ranks)
-        and all(map(eq, ranks, zip(*ranks)))
-    ):
+    ranks = [itemgetter(*row)(rank) for row in keys]
+    ranks = _rank_rows(ranks if n > 1 else [ranks], len(spectrum))
+    if type(ranks[0]) is bytes:  # with a zero diagonal, n zeros are one a row; m joins the rows
+        m = b"".join(ranks)
+        valid = not any(m[:: n + 1]) and m.count(0) == n and m == b"".join(m[j::n] for j in range(n))
+    else:
+        valid = all(ranks[i][i] == 0 for i in range(n)) and all(row.count(0) == 1 for row in ranks)
+        valid = valid and all(map(eq, ranks, zip(*ranks)))
+    if not (spectrum[0] == 0 and valid):
         z = spectrum.index(0)  # with no 0 entry, the diagonal fails at once
         for i in range(n):
             row = ranks[i]
@@ -331,10 +342,10 @@ def _apart(r: Sequence[int], s: Sequence[int], a: int) -> bool:
     return max(compress(r, diff), default=0) > a or max(compress(s, diff), default=0) > a
 
 
-def _bytes_apart(r: Sequence[int], s: Sequence[int], a: int) -> bool:
-    """``_apart`` for entries below 256, by one ``bytes.translate`` a row."""
+def _bytes_apart(r: bytes, s: bytes, a: int) -> bool:
+    """``_apart`` for ``bytes`` rows, by one ``bytes.translate`` a row."""
     up = _max_with(a)
-    return bytes(r).translate(up) != bytes(s).translate(up)
+    return r.translate(up) != s.translate(up)
 
 
 def _named(space: FiniteSemimetricSpace, x: int, z: int, a: int) -> Violation:
@@ -364,9 +375,8 @@ def _certify(
         z = row.index(a)
         if (_apart if wide else _bytes_apart)(row, d[z], a):
             return None, _named(space, 0, z, a)
-    rows = d if wide else list(map(bytes, d))
-    order = sorted(range(n), key=rows.__getitem__)
-    ordered = list(map(rows.__getitem__, order))
+    order = sorted(range(n), key=d.__getitem__)
+    ordered = list(map(d.__getitem__, order))
     adjacent = list(map(getitem, ordered, order[1:]))
     if wide:
         fails = map(_apart, ordered, ordered[1:], adjacent)
@@ -388,9 +398,9 @@ def ultrametric_order(space: FiniteSemimetricSpace) -> tuple[list[int], list[int
 
     P sorts the points by their rank rows, and one C-level pass checks
     T_i: rows P[i] and P[i+1] are equal after x -> max(a[i], x). With at
-    most 256 spectrum values the rows are made ``bytes`` once and T_i is
-    one ``bytes.translate`` per row; above that the rows stay tuples and
-    T_i holds iff no column where they differ holds an entry above a[i].
+    most 256 spectrum values the rows are ``bytes`` and T_i is one
+    ``bytes.translate`` per row; above that the rows are tuples and T_i
+    holds iff no column where they differ holds an entry above a[i].
     A T test on the first point and its nearest neighbour (the lowest
     index at that distance) runs before the sort: most spaces that are not
     ultrametric fail it at once.

@@ -26,7 +26,7 @@ from typing import Iterator
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src")]
 
-from umtk.spaces import FiniteSemimetricSpace, _certify  # noqa: E402
+from umtk.spaces import FiniteSemimetricSpace, _certify, _rank_rows  # noqa: E402
 
 from diametrical_oracle import named_triple  # noqa: E402
 
@@ -76,7 +76,7 @@ def disagreements(n: int, top: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         for (i, j), v in zip(pairs, values):
             rows[i][j] = rows[j][i] = v
         d = tuple(map(tuple, rows))
-        path, named = _certify(FiniteSemimetricSpace(points, spectrum, d))
+        path, named = _certify(FiniteSemimetricSpace(points, spectrum, _rank_rows(d, len(spectrum))))
         if violated(d):
             agrees = path is None and names_a_violation(d, points, named) and named == named_triple(d, points)
         else:

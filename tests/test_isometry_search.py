@@ -29,7 +29,7 @@ from umtk import (
 from umtk import similarity
 from umtk.reptree import RepNode
 from umtk.search import match
-from umtk.spaces import FiniteSemimetricSpace, space_from_pairs
+from umtk.spaces import FiniteSemimetricSpace, _rank_rows, space_from_pairs
 
 POOLS = (
     tuple(F(v) for v in range(1, 49)),
@@ -147,7 +147,7 @@ def _swapped(space, a, b, c):
     and c change, row a and the distance multiset do not."""
     rows = [list(row) for row in space.ranks]
     rows[a][b], rows[a][c] = rows[b][a], rows[c][a] = rows[a][c], rows[a][b]
-    return FiniteSemimetricSpace(space.points, space.spectrum, tuple(map(tuple, rows)))
+    return FiniteSemimetricSpace(space.points, space.spectrum, _rank_rows(rows, len(space.spectrum)))
 
 
 def _color_pairs():
