@@ -9,15 +9,18 @@ a ball is an int mask in which a point's bit is n - 1 - (rank of its name),
 so (size, -mask) sorts like (size, sorted names), the order of every ballean
 and diagram. Name sets are made only where they are read (``Ballean.balls``,
 ``HasseDiagram.vertices`` and a violation); a ``HasseIso`` maps vertex
-indices. This module's writers, one per format (the ballean, the Hasse
-diagram in JSON and DOT, and a Hasse isomorphism), write each ball's names
-from its member indices. No member list is stored per ball: a ball is the first
-|ball| points of its witness centre's distance order, and the ballean keeps
-each centre's order, cut after its last new ball (n^2 indices at most, where
-a list per ball took the sum of the ball sizes). The balls a centre
+indices, and the writers write each ball's names from its member indices.
+No member list is stored per ball: a ball is the first |ball| points of its
+witness centre's distance order, and the ballean keeps each centre's order,
+cut after its last new ball (n^2 indices at most). The balls a centre
 witnesses are prefixes of that one order, so an up-set or X's image masks
 take one running fold per centre, and a point's bitset of the balls through
 it gives its ball profile by bit counts.
+An ultrametric space's balls are the leaf sets of its representing tree's
+nodes, and its Hasse diagram is that tree with its arcs reversed: the
+ballean is read off the cached ``build_tree``, with the witnesses and
+orders that the prefix loop gives, and each cover is a node's parent.
+Every other space takes the prefix loop and the running-AND cover fold.
 X's image masks alone check a point bijection: distinct balls have distinct
 images, so once all are balls, Y's balls that none hits fail as preimages.
 The Hasse diagram has an arc for each cover pair of the inclusion order
@@ -41,14 +44,14 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, compress, groupby, repeat
 from operator import and_, itemgetter, or_
 
 from .errors import NotABijectionError, VerificationFailedError
-from .reptree import _codes, _preorder
+from .reptree import RepTree, _codes, _parents, _preorder, build_tree
 from .search import match
-from .spaces import FiniteSemimetricSpace, _entries, _pair, _quote, dot_string
+from .spaces import FiniteSemimetricSpace, _entries, _pair, _quote, dot_string, is_ultrametric
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,8 @@ class Ballean:
     is cut after its centre's last new ball. The first n balls are the
     one-point balls, each witnessed by its point. A centre that witnesses a
     ball of two or more points has a chain: its order and those balls'
-    sizes. Ball n + k is ball ``places[k]`` of the chains in turn."""
+    sizes. Ball n + k is ball ``places[k]`` of the chains in turn. On an
+    ultrametric space ball i < B - 1 has one cover, ``covers[i]``; else None."""
 
     space: FiniteSemimetricSpace
     bits: tuple[int, ...]
@@ -77,6 +81,7 @@ class Ballean:
     orders: list[list[int]]
     chains: list[tuple[list[int], list[int]]]
     places: list[int]
+    covers: list[int] | None = None
 
     @cached_property
     def members(self) -> _Members:
@@ -141,8 +146,9 @@ def enumerate_balls(space: FiniteSemimetricSpace) -> Ballean:
 
     Always contains all singletons (r = 0) and the whole space (r = diam).
     A member set's witness is its first (center, radius) in point order, then
-    radius order. A prefix costs one OR, and a ball one dict lookup; only its
-    witness is stored, and each centre's order is cut after its last new ball.
+    radius order, and each centre's order is cut after its last new ball.
+    An ultrametric space's balls are read off its tree (``_tree_balls``);
+    otherwise a prefix costs one OR, and a ball one dict lookup.
     """
     n = len(space.points)
     rank = {p: k for k, p in enumerate(sorted(space.points))}
@@ -152,25 +158,72 @@ def enumerate_balls(space: FiniteSemimetricSpace) -> Ballean:
     orders: list[list[int]] = []
     chains: list[tuple[list[int], list[int]]] = []
     chained: list[int] = []  # the masks of the chains' balls in turn
-    for t, row in enumerate(space.ranks):
-        order = sorted(range(n), key=row.__getitem__)
-        mask, start, cut = 0, len(chained), 1
-        for k, i in enumerate(order, 1):
-            mask |= one[i]
-            if (k == n or row[order[k]] != row[i]) and mask not in found:
-                found[mask] = (t, row[i])
-                if k > 1:
-                    chained.append(mask)
-                    cut = k
-        del order[cut:]
-        orders.append(order)
-        if len(chained) > start:
-            chains.append((order, list(map(int.bit_count, chained[start:]))))
+    up: dict[int, int] | None = None  # each ball's cover by mask, on the tree route
+    if is_ultrametric(space):
+        up = _tree_balls(space, build_tree(space), one, found, orders, chains, chained)
+    else:
+        for t, row in enumerate(space.ranks):
+            order = sorted(range(n), key=row.__getitem__)
+            mask, start, cut = 0, len(chained), 1
+            for k, i in enumerate(order, 1):
+                mask |= one[i]
+                if (k == n or row[order[k]] != row[i]) and mask not in found:
+                    found[mask] = (t, row[i])
+                    if k > 1:
+                        chained.append(mask)
+                        cut = k
+            del order[cut:]
+            orders.append(order)
+            if len(chained) > start:
+                chains.append((order, list(map(int.bit_count, chained[start:]))))
     # by size, then by -mask: a stable sort by size of the masks sorted down
     masks = tuple(sorted(sorted(found, reverse=True), key=int.bit_count))
     witnesses = tuple(map(found.__getitem__, masks))
     place = dict(zip(chained, range(len(chained))))
-    return Ballean(space, bits, masks, witnesses, orders, chains, list(map(place.__getitem__, masks[n:])))
+    covers = None
+    if up is not None:
+        index = dict(zip(masks, range(len(masks))))
+        covers = [index[up[mask]] for mask in masks[:-1]]
+    return Ballean(space, bits, masks, witnesses, orders, chains, list(map(place.__getitem__, masks[n:])), covers)
+
+
+def _tree_balls(space: FiniteSemimetricSpace, tree: RepTree, one: list[int], found: dict[int, tuple[int, int]],
+                orders: list[list[int]], chains: list, chained: list[int]) -> dict[int, int]:
+    """``enumerate_balls``' lists filled from the space's tree, one ball per
+    node, and each ball's cover by mask: its node's parent's ball. Node v's
+    leaves are the run ``leaf[start[v]:end[v]]`` of the leaf order. Its mask
+    is folded up from the leaves, and its witness is its lowest point at v's
+    label. A centre's order walks up from its leaf while the centre is the
+    node's lowest point, adding each node's new leaves in index order."""
+    kids, labels = tree.children, tree.labels
+    at = dict(zip(space.points, range(len(one))))
+    spots = [v for v, c in enumerate(kids) if not c]
+    leaf = [at[tree.points[v]] for v in spots]
+    start = list(accumulate([not c for c in kids], initial=0))  # leaves before each position
+    end, low, mask = start[1:], [0] * len(kids), [0] * len(kids)
+    for v in range(len(kids) - 1, -1, -1):  # in preorder, a node's subtree follows it
+        c = kids[v]
+        if c:
+            end[v] = end[c[-1]]
+            low[v] = min(map(low.__getitem__, c))
+            mask[v] = reduce(or_, map(mask.__getitem__, c))
+        else:
+            low[v] = leaf[start[v]]
+            mask[v] = one[low[v]]
+        found[mask[v]] = (low[v], labels[v])
+    parent, home = _parents(kids), dict(zip(leaf, spots))
+    for t in range(len(one)):
+        order, sizes, u = [t], [], home[t]
+        while u and low[parent[u]] == t:
+            a = parent[u]
+            order += sorted(leaf[start[a] : start[u]] + leaf[end[u] : end[a]])
+            sizes.append(len(order))
+            chained.append(mask[a])
+            u = a
+        orders.append(order)
+        if sizes:
+            chains.append((order, sizes))
+    return {mask[v]: mask[parent[v]] for v in range(1, len(kids))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,14 +279,21 @@ class HasseDiagram:
 def hasse_diagram(ballean: Ballean) -> HasseDiagram:
     """Cover pairs B1 < B2 with no ball strictly between.
 
-    Bit j of ``through[p]`` is set iff ball j contains p, so the AND over a
-    ball's members is the ball and its strict supersets: one running AND
-    along each chain, and a one-point ball's is its point's ``through``
-    itself. Balls are sorted by size, so the
-    lowest remaining superset is a cover; the cover and its supersets are
-    then dropped. Each cover costs a few big-int operations on B-bit masks.
+    An ultrametric ballean lists them (``covers``). Otherwise bit j of
+    ``through[p]`` is set iff ball j contains p, so the AND over a ball's
+    members is the ball and its strict supersets: one running AND along each
+    chain, and a one-point ball's is its point's ``through`` itself. Balls
+    are sorted by size, so the lowest remaining superset is a cover; the
+    cover and its supersets are then dropped. Each cover costs a few big-int
+    operations on B-bit masks.
     """
-    masks, through, n = ballean.masks, ballean.through, len(ballean.bits)
+    masks, covers = ballean.masks, ballean.covers
+    if covers is not None:  # the tree's arcs
+        preds: list[list[int]] = [[] for _ in masks]
+        for i, k in enumerate(covers):
+            preds[k].append(i)
+        return HasseDiagram(masks, [[k] for k in covers] + [[]], preds, ballean)
+    through, n = ballean.through, len(ballean.bits)
     # each ball's up-set complemented, the one B-bit table; ball i < n is
     # the one-point ball of its witness centre. Each up-set is inverted in
     # place, so the up-sets and their complements are never all held at once
@@ -242,7 +302,7 @@ def hasse_diagram(ballean: Ballean) -> HasseDiagram:
     for i, up in enumerate(clear):
         clear[i] = ~up
     succs: list[list[int]] = []
-    preds: list[list[int]] = [[] for _ in masks]
+    preds = [[] for _ in masks]
     for i, off in enumerate(clear):
         rest = ~off ^ (1 << i)
         succs.append([])
@@ -448,11 +508,14 @@ def _ball_names(ballean: Ballean, names: list[str]) -> Callable[[int], Iterator[
 
 def _ball_writer(ballean: Ballean, depth: int) -> Callable[[int], str]:
     """Ball i's member names, sorted, as the JSON array ``json.dumps(indent=2)``
-    writes ``depth`` levels in, in one ``str.join``."""
+    writes ``depth`` levels in: a one-point ball's from a table of the points,
+    read at its witness centre, and a larger ball's in one ``str.join``."""
     inner = "\n" + "  " * (depth + 1)
     head, sep, tail = "[" + inner, "," + inner, inner[:-2] + "]"
-    names = _ball_names(ballean, list(map(_quote, ballean.space.points)))
-    return lambda i: head + sep.join(names(i)) + tail
+    quoted = list(map(_quote, ballean.space.points))
+    names, single = _ball_names(ballean, quoted), [head + name + tail for name in quoted]
+    witnesses, n = ballean.witnesses, len(quoted)
+    return lambda i: single[witnesses[i][0]] if i < n else head + sep.join(names(i)) + tail
 
 
 def ballean_pieces(ballean: Ballean) -> Iterator[str]:

@@ -153,7 +153,8 @@ class FiniteSemimetricSpace:
     def restrict(self, subset: Sequence[str]) -> "FiniteSemimetricSpace":
         """Subspace on ``subset`` in the given order (also used to reorder points)."""
         idx = [self.index(p) for p in subset]
-        rows = [[self.ranks[i][j] for j in idx] for i in idx]
+        pick = itemgetter(*idx) if len(idx) > 1 else lambda row: [row[i] for i in idx]  # one index: no tuple
+        rows = list(map(pick, map(self.ranks.__getitem__, idx)))
         used = sorted(set(chain(*rows)))
         spectrum = tuple(map(self.spectrum.__getitem__, used))
         return validate_semimetric(subset, rows, (spectrum, dict(zip(used, range(len(used))))))

@@ -16,17 +16,23 @@ pairs). ``image_sum_verify`` and ``counter_profiles`` are the per-ball loops
 that ``umtk.balls`` ran before its chain folds and bit counts, and
 ``two_pass_verify`` is the verifier that folded the balls of both spaces,
 before one fold over X's balls decided both sides; they read a
-``Ballean``'s own fields.
+``Ballean``'s own fields. ``loop_ballean`` and ``fold_hasse`` are the
+prefix loop and the running-AND cover fold that ``umtk.balls`` runs on a
+space that is not ultrametric, copied here as the reference for the
+ballean and covers that it reads off an ultrametric space's tree; they
+build the library's ``Ballean`` and ``HasseDiagram`` records.
 """
 from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, chain, groupby
+from operator import and_
 from typing import NamedTuple
 
 from validation_oracle import distances
 
 from umtk import NotABijectionError, NotIsomorphicError, RepTree, rooted_tree_iso_map
+from umtk.balls import Ballean, HasseDiagram
 
 
 class Diagram(NamedTuple):
@@ -280,3 +286,55 @@ def counter_profiles(ballean) -> tuple[tuple[int, ...], ...]:
         for p, count in Counter(chain.from_iterable(group)).items():
             runs[p] += size, count
     return tuple(map(tuple, runs))
+
+
+def loop_ballean(space) -> Ballean:
+    """The ballean as the prefix loop builds it for any space: each centre's
+    distance order, one OR per prefix, the first (centre, radius) of a mask
+    its witness, each order cut after its centre's last new ball."""
+    n = len(space.points)
+    rank = {p: k for k, p in enumerate(sorted(space.points))}
+    bits = tuple(n - 1 - rank[p] for p in space.points)
+    one = [1 << b for b in bits]
+    found, orders, chains, chained = {}, [], [], []
+    for t, row in enumerate(space.ranks):
+        order = sorted(range(n), key=row.__getitem__)
+        mask, start, cut = 0, len(chained), 1
+        for k, i in enumerate(order, 1):
+            mask |= one[i]
+            if (k == n or row[order[k]] != row[i]) and mask not in found:
+                found[mask] = (t, row[i])
+                if k > 1:
+                    chained.append(mask)
+                    cut = k
+        del order[cut:]
+        orders.append(order)
+        if len(chained) > start:
+            chains.append((order, list(map(int.bit_count, chained[start:]))))
+    masks = tuple(sorted(sorted(found, reverse=True), key=int.bit_count))
+    witnesses = tuple(map(found.__getitem__, masks))
+    place = dict(zip(chained, range(len(chained))))
+    return Ballean(space, bits, masks, witnesses, orders, chains, list(map(place.__getitem__, masks[n:])))
+
+
+def fold_hasse(ballean) -> HasseDiagram:
+    """The cover diagram as the fold builds it for any ballean: each ball's
+    up-set, the AND of its members' ``through`` bitsets along each chain,
+    complemented; the lowest remaining superset is a cover, and it and its
+    supersets are then dropped."""
+    masks, through, n = ballean.masks, ballean.through, len(ballean.bits)
+    folded = []
+    for members, sizes in ballean.chains:
+        folded += map([0, *accumulate(map(through.__getitem__, members), and_)].__getitem__, sizes)
+    ups = [through[t] for t, _ in ballean.witnesses[:n]] + [folded[k] for k in ballean.places]
+    clear = [~up for up in ups]
+    succs, preds = [], [[] for _ in masks]
+    for i, off in enumerate(clear):
+        rest = ~off ^ (1 << i)
+        succs.append([])
+        while rest:
+            k = (rest & -rest).bit_length() - 1
+            succs[i].append(k)
+            preds[k].append(i)
+            rest &= clear[k]
+    return HasseDiagram(masks, succs, preds, ballean)

@@ -10,7 +10,10 @@ order P it returns, with its weights a, must satisfy
 d(P_i, P_j) = max(a_i..a_{j-1}) for all i < j, and each triple it names on
 a rejected matrix must be a violation and the one that a replay of the
 naming rule (``diametrical_oracle.named_triple``) finds. One private pass,
-``umtk.spaces._certify``, gives both answers. The script runs every matrix
+``umtk.spaces._certify``, gives both answers. On each matrix it accepts,
+the ballean and Hasse covers that ``umtk.balls`` reads off the space's
+tree must equal, field for field, those of the prefix loop and the cover
+fold (``ballean_oracle.loop_ballean`` and ``fold_hasse``). The script runs every matrix
 with n = 7 over distances 1..2 and n = 5 over 1..4, prints one line per
 census and exits 1 on any disagreement. Tier-1 runs the smaller censuses
 of n = 5 over 1..3 and n = 6 over 1..2 through ``disagreements``.
@@ -26,9 +29,13 @@ from typing import Iterator
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src")]
 
+from umtk.balls import enumerate_balls, hasse_diagram  # noqa: E402
 from umtk.spaces import FiniteSemimetricSpace, _certify, _rank_rows  # noqa: E402
 
+from ballean_oracle import fold_hasse, loop_ballean  # noqa: E402
 from diametrical_oracle import named_triple  # noqa: E402
+
+FIELDS = ("bits", "masks", "witnesses", "orders", "chains", "places", "profiles")
 
 CENSUSES = ((7, 2), (5, 4))
 
@@ -62,10 +69,21 @@ def names_a_violation(d: tuple[tuple[int, ...], ...], points: tuple[str, ...], t
     return d[x][y] > max(d[x][z], d[z][y])
 
 
+def tree_ballean_agrees(space: FiniteSemimetricSpace) -> bool:
+    """True iff the ballean and covers read off the space's tree are the
+    prefix loop's and the cover fold's."""
+    ballean, reference = enumerate_balls(space), loop_ballean(space)
+    if ballean.covers is None or any(getattr(ballean, f) != getattr(reference, f) for f in FIELDS):
+        return False
+    diagram, folded = hasse_diagram(ballean), fold_hasse(reference)
+    return diagram.succs == folded.succs and diagram.preds == folded.preds
+
+
 def disagreements(n: int, top: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The rank matrices of n points over distances 1..top on which the
     certificate and the triple scan disagree, whose certified order is no
-    path, or whose named triple is no violation or not the replay's. The
+    path, whose named triple is no violation or not the replay's, or whose
+    tree ballean is not the loop's (``tree_ballean_agrees``). The
     spectrum is 0..top whether or not each value occurs: the certificate
     reads it only for its size."""
     points = tuple(f"p{i}" for i in range(n))
@@ -76,11 +94,12 @@ def disagreements(n: int, top: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         for (i, j), v in zip(pairs, values):
             rows[i][j] = rows[j][i] = v
         d = tuple(map(tuple, rows))
-        path, named = _certify(FiniteSemimetricSpace(points, spectrum, _rank_rows(d, len(spectrum))))
+        space = FiniteSemimetricSpace(points, spectrum, _rank_rows(d, len(spectrum)))
+        path, named = _certify(space)
         if violated(d):
             agrees = path is None and names_a_violation(d, points, named) and named == named_triple(d, points)
         else:
-            agrees = path is not None and is_path(d, *path)
+            agrees = path is not None and is_path(d, *path) and tree_ballean_agrees(space)
         if not agrees:
             yield d
 

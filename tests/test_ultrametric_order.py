@@ -7,8 +7,9 @@ The certificate is the T tests alone, on the order that sorts the rank
 rows: a census of every small rank matrix
 (``certificate_census.disagreements``) checks that they pass exactly on
 ultrametrics, that the order they pass is a path and that each rejected
-matrix is named as the replay names it. Every T can pass on an unsorted
-order that is no path."""
+matrix is named as the replay names it, and that each accepted one's
+ballean and Hasse covers, read off its tree, are the prefix loop's and the
+cover fold's. Every T can pass on an unsorted order that is no path."""
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -90,8 +91,9 @@ def test_certificate_on_ultrametrics_with_one_entry_changed(force_class):
 @pytest.mark.parametrize("n, top", [(5, 3), (6, 2)])
 def test_census_of_small_rank_matrices(n, top):
     # every symmetric rank matrix of n points over distances 1..top: the
-    # certificate accepts exactly where no triple is violated, and its order
-    # is a path (tests/certificate_census.py takes n = 7 and n = 5 over 1..4)
+    # certificate accepts exactly where no triple is violated, its order is
+    # a path and the tree's ballean and covers are the loop's and the fold's
+    # (tests/certificate_census.py takes n = 7 and n = 5 over 1..4)
     assert list(disagreements(n, top)) == []
 
 
