@@ -42,7 +42,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError, InvalidTreeError, NotUltrametricError
 from .spaces import (
-    ABSENT,
     FiniteSemimetricSpace,
     _certify,
     check_point_names,
@@ -346,17 +345,19 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
     when ``labeled``.
 
     One preorder pass over the JSON objects fills the tree's arrays, labels
-    as literals (leaves "0", ``ABSENT`` if none), up to the first structural
-    FormatError; ``read_literals`` ranks the labels read before that error
-    is raised, so the first FormatError in preorder is reported. The pass
-    notes a child list with one entry, and one set over the points finds a
-    repeated one: only then does ``validate_tree`` scan, to name the first
-    structural defect in preorder, before ``_check_labels`` checks labels.
+    as literals ("0" at a leaf and, ranked None, at a node without one), up
+    to the first structural FormatError; ``read_literals`` ranks the labels
+    read before that error is raised, so the first FormatError in preorder
+    is reported. The pass notes a child list with one entry, and one set
+    over the points finds a repeated one: only then does ``validate_tree``
+    scan, to name the first structural defect in preorder, before
+    ``_check_labels`` checks labels.
     Nothing recurses: the walk keeps one iterator per open child list,
     beside the list its positions join, so a leaf is read in place and only
     an internal node opens a list.
     """
     texts: list[object] = []
+    unlabeled: list[int] = []  # the positions of internal nodes without a label
     points: list[str | None] = []
     children: list[Sequence[int]] = []
     stack = [(iter((doc,)), [])]  # (an open child list's iterator, its positions)
@@ -386,7 +387,9 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
                     raise FormatError('"children" must be a non-empty list')
                 if len(kids) == 1:
                     single = True
-                texts.append(obj.get("label", ABSENT))
+                if "label" not in obj:
+                    unlabeled.append(len(texts))
+                texts.append(obj.get("label", "0"))
                 points.append(None)
                 opened: list[int] = []
                 children.append(opened)
@@ -396,11 +399,14 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
                 stack.pop()
     except FormatError as err:
         defect = err
-    spectrum, rank = read_literals((texts,))
+    spectrum, ranks = read_literals((texts,))
     if defect is not None:
         raise defect
     check_point_names(filter(None, points))
-    tree = RepTree(list(map(rank.get, texts)), points, children, spectrum)  # ABSENT: None
+    labels: list[int | None] = list(ranks)
+    for k in unlabeled:
+        labels[k] = None
+    tree = RepTree(labels, points, children, spectrum)
     names = set(points)  # the leaves' points, and None for the internal nodes
     if single or len(names) - (None in names) != children.count(()):  # a leaf's children are ()
         validate_tree(tree, labeled=False)

@@ -22,7 +22,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import NotUltrametricError, VerificationFailedError
 from .reptree import build_tree
@@ -30,6 +30,8 @@ from .search import match
 from .spaces import FiniteSemimetricSpace, _entries, _pair, _quote, format_rational
 
 Scaling = tuple[tuple[Fraction, Fraction], ...]
+# a Fraction's (numerator, denominator), read from its slots in C: no Fraction.__eq__ per value
+_ratio = attrgetter("_numerator", "_denominator")
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,8 @@ def decide_isometry(
     x: FiniteSemimetricSpace, y: FiniteSemimetricSpace
 ) -> IsometryWitness | None:
     """Verified isometry witness, or None: a weak similarity of equal spectra."""
-    witness = decide_weak_similarity(x, y) if x.spectrum == y.spectrum else None
+    equal = list(map(_ratio, x.spectrum)) == list(map(_ratio, y.spectrum))
+    witness = decide_weak_similarity(x, y) if equal else None
     return None if witness is None else IsometryWitness(witness.phi)
 
 

@@ -15,14 +15,17 @@ ranks fix a space up to such a relabeling, and a space hashes only them.
 A rank row is ``bytes`` up to 256 spectrum values, so the axiom tests, the
 hash, ``==`` and the certificate run in C, and a tuple of ints above.
 Every rational literal read -- a space's entries, a tree's labels, a
-generator's pool -- goes through ``read_literals``: the distinct literals are
-checked in one pass and ranked at once, as ints when all are integers and by
-``rank_values`` otherwise; input that fails is scanned for its first bad one.
+generator's pool -- goes through ``read_literals``: one dict probe an entry
+finds the distinct literals, checked in one pass and ranked at once, as ints
+when all are integers and by ``rank_values`` otherwise, and a document's
+rows are cut from the ranks it joins; input that fails is scanned for its
+first bad one.
 """
 from __future__ import annotations
 
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
@@ -45,9 +48,6 @@ from .errors import (
 )
 
 _ZERO = Fraction(0)
-
-# a place with no literal in the rows ``read_literals`` reads: a tree node without a label
-ABSENT = object()
 
 # ASCII digits only: ``\d`` would admit every Unicode decimal digit.
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -162,8 +162,9 @@ class FiniteSemimetricSpace:
 
 def _rank_rows(rows: Iterable[Iterable[int]], size: int) -> tuple[bytes, ...] | tuple[tuple[int, ...], ...]:
     """Rank rows as a space of ``size`` spectrum values holds them: ``bytes``
-    up to 256 values, tuples above. Every space's rows are made here, as a
-    ``bytes`` row never equals a tuple row of the same ranks."""
+    up to 256 values, tuples above. Every space's rows are made here or cut
+    from ``read_literals``' bytes, as a ``bytes`` row never equals a tuple
+    row of the same ranks."""
     return tuple(map(bytes if size <= len(_IDENTITY) else tuple, rows))
 
 
@@ -188,48 +189,57 @@ def rank_values(values: Iterable[Fraction | None]) -> tuple[tuple[Fraction, ...]
     return tuple(map(firsts.__getitem__, order)), list(map(rank.get, keys))
 
 
-def read_literals(rows: Sequence[Iterable[object]]) -> tuple[tuple[Fraction, ...], dict[str, int]]:
-    """The spectrum of rows of rational literals and each distinct literal's
-    rank in it, as ``rank_values`` ranks their values; ``ABSENT`` entries
-    are skipped. One set union over the rows finds the distinct literals and
-    one match checks them all; integers are their own keys, with one
-    Fraction per spectrum value, and a set with a fraction among them goes
-    through ``rank_values``. Failing that, the literals are parsed in row
-    order and the first bad one raises its FormatError."""
+def read_literals(rows: Sequence[Sequence[object]]) -> tuple[tuple[Fraction, ...], bytes | list[int]]:
+    """The spectrum of rows of rational literals, as ``rank_values`` ranks
+    them, and every entry's rank, the rows joined: ``bytes`` when the ids and
+    the spectrum fit a byte, else a list. One dict probe an entry gives each
+    distinct literal a first-sight id; one match checks them, integers are
+    their own keys, a set with a fraction goes through ``rank_values``, and
+    ids that fit a byte become ranks by one ``bytes.translate``. Failing
+    that, the first bad literal in row order raises its FormatError."""
+    ids = defaultdict(count().__next__)
     try:
-        literals = set().union(*rows)
-        literals.discard(ABSENT)
+        try:  # itemgetter of one key returns the entry itself, and of none fails
+            id_rows = [bytes(itemgetter(*row)(ids) if len(row) > 1 else map(ids.__getitem__, row)) for row in rows]
+        except ValueError:  # an id past a byte: more than 256 distinct literals
+            id_rows = [list(map(ids.__getitem__, chain.from_iterable(rows)))]
+        literals = list(ids)
+        del ids  # freed before the ranking, which sets a wide document's peak
         text = "\n".join(literals)
         # one line per literal: then no literal holds a newline
         if text.count("\n") != len(literals) - 1 or _LITERAL_LINES_RE.fullmatch(text) is None:
             raise ValueError("not a set of rational literals")
         if "/" in text:
             spectrum, ranks = rank_values(map(Fraction, literals))
-            return spectrum, dict(zip(literals, ranks))
-        keys = list(map(int, literals))
+        else:
+            keys = list(map(int, literals))
+            order = sorted({0, *keys})
+            rank = dict(zip(order, range(len(order))))
+            spectrum, ranks = tuple(map(Fraction, order)), list(map(rank.__getitem__, keys))
     except (TypeError, ValueError, ZeroDivisionError):
-        values = {lit: parse_rational(lit) for lit in chain.from_iterable(rows) if lit is not ABSENT}
-        spectrum, ranks = rank_values(values.values())
-        return spectrum, dict(zip(values, ranks))
-    order = sorted({0, *keys})
-    rank = dict(zip(order, range(len(order))))
-    return tuple(map(Fraction, order)), dict(zip(literals, map(rank.__getitem__, keys)))
+        values = {lit: parse_rational(lit) for lit in chain.from_iterable(rows)}
+        spectrum, ranks = rank_values(values.values())  # no literal at all: the rows are empty
+        return spectrum, list(map(dict(zip(values, ranks)).__getitem__, chain.from_iterable(rows)))
+    if len(ranks) <= len(_IDENTITY) >= len(spectrum):
+        return spectrum, b"".join(id_rows).translate(bytes(ranks).ljust(len(_IDENTITY), b"\0"))
+    return spectrum, list(map(ranks.__getitem__, chain.from_iterable(id_rows)))
 
 
 def validate_semimetric(
     points: Sequence[str],
     matrix: Sequence[Sequence[object]],
-    ranked: tuple[Sequence[Fraction], Mapping[object, int] | Sequence[int]] | None = None,
+    ranked: tuple[Sequence[Fraction], Mapping[object, int] | range | bytes | list[int]] | None = None,
 ) -> FiniteSemimetricSpace:
     """Check all semimetric axioms and return the immutable space.
 
-    Entries are Fractions or ints, or, when ``ranked`` is a spectrum (the
-    entries' distinct values and 0, increasing) and a lookup from each
-    entry to its rank in it, keys such as a document's literal strings or ranks
-    into another spectrum. Raises EmptySpaceError, DuplicatePointNameError,
-    MatrixShapeError, FormatError (the first entry of another type, in
-    row-major order), NegativeDistanceError, NonZeroDiagonalError,
-    NonSymmetricError or ZeroOffDiagonalError. The input is never mutated.
+    Entries are Fractions or ints; ranks into another spectrum, when
+    ``ranked`` is a spectrum (the entries' values and 0, increasing) and a
+    mapping or range from each entry to its rank; or literals, with ``ranked``
+    their ``read_literals``, whose joined ranks are cut into rows. Raises
+    EmptySpaceError, DuplicatePointNameError, MatrixShapeError, FormatError
+    (the first entry of another type, in row-major order),
+    NegativeDistanceError, NonZeroDiagonalError, NonSymmetricError or
+    ZeroOffDiagonalError. The input is never mutated.
 
     The axioms are tested on ranks (with z the rank of 0, negative means a
     rank below z). A valid matrix passes a few whole-matrix tests, C calls
@@ -260,12 +270,15 @@ def validate_semimetric(
         ranked = spectrum, dict(zip(firsts, key_ranks))
         keys = [map(id, row) for row in rows]
     spectrum, rank = ranked
-    # one C call ranks a whole row; with one key, itemgetter returns the value itself
-    ranks = [itemgetter(*row)(rank) for row in keys]
-    ranks = _rank_rows(ranks if n > 1 else [ranks], len(spectrum))
+    if isinstance(rank, (bytes, list)):  # ``read_literals``' joined ranks: the rows are slices
+        ranks = tuple([rank[k:k + n] for k in range(0, n * n, n)])
+        ranks = ranks if type(rank) is bytes else _rank_rows(ranks, len(spectrum))
+    else:  # one C call ranks a whole row; with one key, itemgetter returns the value itself
+        ranks = [itemgetter(*row)(rank) for row in keys]
+        ranks = _rank_rows(ranks if n > 1 else [ranks], len(spectrum))
     if type(ranks[0]) is bytes:  # with a zero diagonal, n zeros are one a row; m joins the rows
         m = b"".join(ranks)
-        valid = not any(m[:: n + 1]) and m.count(0) == n and m == b"".join(m[j::n] for j in range(n))
+        valid = not any(m[:: n + 1]) and m.count(0) == n and m == b"".join([m[j::n] for j in range(n)])
     else:
         valid = all(ranks[i][i] == 0 for i in range(n)) and all(row.count(0) == 1 for row in ranks)
         valid = valid and all(map(eq, ranks, zip(*ranks)))
@@ -504,7 +517,6 @@ def space_from_json(doc: object) -> FiniteSemimetricSpace:
     check_point_names(points)
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise FormatError('"dist" must be a list of rows')
-    # the union over whole rows also caches each entry's hash for the rank lookups
     return validate_semimetric(tuple(points), dist, read_literals(dist))
 
 

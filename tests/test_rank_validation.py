@@ -9,6 +9,7 @@ indices, or on the distance matrix.
 """
 import random
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import validation_oracle as oracle
@@ -185,11 +186,12 @@ def test_one_pass_literal_ranking_matches_the_literal_scan():
     for diagonal in ("1/2", "1"):
         doc = {"points": ["p", "q"], "dist": [[diagonal, "2"], ["2", diagonal]]}
         assert _outcome(space_from_json, doc) == _outcome(oracle.space_from_json, doc)
-    # the ranking itself, against rank_values of the parsed literals
+    # the ranking itself, against rank_values of the parsed literals: each
+    # entry's rank, in row order, as bytes for these small spectra
     for literals in LITERAL_SETS[:5]:
         ranked = spaces.read_literals([literals])
         spectrum, ranks = rank_values(map(parse_rational, literals))
-        assert ranked == (spectrum, dict(zip(literals, ranks)))
+        assert ranked == (spectrum, bytes(ranks))
 
 
 def test_spaces_trees_and_the_generator_pool_share_one_literal_reader(monkeypatch, tmp_path):
@@ -216,3 +218,97 @@ def test_spaces_trees_and_the_generator_pool_share_one_literal_reader(monkeypatc
     assert tree.labels == [1, 0, None, 0, 0]
     assert cli.main(["gen", "--seed", "1", "--n", "4", "--pool", "1/2,1,3", "--out", str(tmp_path / "g.json")]) == 0
     assert len(calls) == 3 and calls[-1] == (["1/2", "1", "3"],)
+
+
+def _spelled(values, forms):
+    """A document of a matrix of values, each entry spelled by
+    ``forms(value, k)`` for the k-th entry of that value in row order, so
+    an entry and its mirror may differ in text but not in value."""
+    seen = Counter()
+
+    def spell(v):
+        seen[v] += 1
+        return forms(v, seen[v] - 1)
+
+    return {"points": [f"p{i}" for i in range(len(values))], "dist": [list(map(spell, row)) for row in values]}
+
+
+def _pairs(n, count):
+    """An n-point value matrix whose off-diagonal pairs take 1..count in
+    turn (every value used when n(n-1)/2 >= count), with zero diagonal."""
+    values = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
+        values[i][j] = values[j][i] = 1 + k % count
+    return values
+
+
+def _check_against_the_fraction_scan(doc):
+    """The oracle's outcome, and for a valid document the space the Fraction
+    rows build: equal, hash equal and with that space's row type."""
+    want = _outcome(oracle.space_from_json, doc)
+    assert _outcome(space_from_json, doc) == want, doc
+    if len(want) == 2:
+        space, built = space_from_json(doc), validate_semimetric(*want)
+        assert space == built and hash(space) == hash(built)
+        assert {type(row) for row in space.ranks} == {bytes if len(space.spectrum) <= 256 else tuple}
+    return want
+
+
+def test_the_one_probe_reader_at_its_boundaries():
+    # 300 forms ("k" and "2k/2", "3k/3" for some) of 100 values: the row
+    # type follows the spectrum size, never the literal count
+    forms = (lambda v, k: str(v), lambda v, k: f"{2 * v}/2", lambda v, k: f"{3 * v}/3")
+    doc = _spelled(_pairs(25, 99), lambda v, k: forms[k % 3](v, k) if v else "0")
+    assert len({x for row in doc["dist"] for x in row}) == 1 + 3 * 99
+    space = space_from_json(doc)
+    assert len(space.spectrum) == 100 and type(space.ranks[0]) is bytes
+    _check_against_the_fraction_scan(doc)
+    # 256 and 257 values, with a "0" literal (a valid space of 256 or 257
+    # spectrum values) and without one (the diagonal spelled "1/2": 257 or
+    # 258 values, and a nonzero diagonal); each in one form and in two
+    for count in (255, 256):
+        for two_forms in (False, True):
+            spell = (lambda v, k: f"{2 * v}/2" if k % 2 else str(v)) if two_forms else (lambda v, k: str(v))
+            doc = _spelled(_pairs(24, count), spell)
+            assert len(_check_against_the_fraction_scan(doc)[1]) == 24
+            assert len(space_from_json(doc).spectrum) == count + 1
+            zero_free = _spelled(_pairs(24, count), lambda v, k: spell(v, k) if v else "1/2")
+            assert _check_against_the_fraction_scan(zero_free)[0] is spaces.NonZeroDiagonalError
+    # n = 1 and n = 2: itemgetter of one key returns the entry itself
+    for dist in ([["0"]], [["-0"]], [["0/5"]], [["1"]], [["x"]], [[0]]):
+        _check_against_the_fraction_scan({"points": ["a"], "dist": dist})
+    for dist in ([["0", "1/2"], ["2/4", "0"]], [["0", "1"], ["2", "0"]], [["0", "3"], ["3"]], [["0"], ["0"]]):
+        _check_against_the_fraction_scan({"points": ["a", "b"], "dist": dist})
+    # a one-entry row and an empty row in a larger matrix, and a bad
+    # literal after them: literal errors come before shape errors
+    valid = _spelled(_pairs(4, 3), lambda v, k: str(v))["dist"]
+    for short in (["5"], ["0"], []):
+        for tail in ("1", "x"):
+            dist = [list(row) for row in valid]
+            dist[1] = short
+            dist[3][2] = tail
+            _check_against_the_fraction_scan({"points": list("abcd"), "dist": dist})
+    # JSON values that are not strings, beside the literals they equal or
+    # hash like (true == 1, and 1 != "1"), and strings int() takes but the
+    # literal grammar does not
+    for odd in (True, 1, 1.5, None, [], {}, False, 0, "+1", "1_0", " 1"):
+        for place in ((0, 1), (1, 0), (2, 2)):
+            dist = [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]]
+            dist[place[0]][place[1]] = odd
+            _check_against_the_fraction_scan({"points": list("abc"), "dist": dist})
+    _check_against_the_fraction_scan({"points": list("abc"), "dist": [["0", 1, True], [True, "0", 1], ["1", 1, "0"]]})
+
+
+def test_tree_labels_past_256_forms_and_without_labels():
+    # a chain of 450 internal nodes, two in three labeled with one of 150
+    # values in two forms: one reader row of 300 label forms with ABSENT
+    # entries, ranked as rank_values ranks the parsed labels in preorder
+    texts = [(None, str(k // 3 + 1), f"{2 * (k // 3 + 1)}/2")[k % 3] for k in range(450)]
+    assert len(set(texts)) == 301
+    node = {"point": "leaf"}
+    for k in reversed(range(450)):
+        node = {"children": [node, {"point": f"leaf{k}"}], **({} if texts[k] is None else {"label": texts[k]})}
+    tree = tree_from_json(node)
+    spectrum, ranks = rank_values([None if t is None else parse_rational(t) for t in texts] + [F(0)] * 451)
+    assert tree.spectrum == spectrum and len(spectrum) == 151
+    assert tree.labels == ranks
