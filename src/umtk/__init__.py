@@ -3,7 +3,13 @@
 Exact-arithmetic tooling for deciding isometry, weak similarity, and
 ball-preserving bijections between finite spaces, built around diametrical
 graphs, representing trees, canonical tree codes, and ballean Hasse diagrams.
+
+``classify``, ``generators`` and ``suites``, which only the ``classify``,
+``gen`` and ``check`` commands run, load on first use of a name of theirs
+(PEP 562), so a request imports only the modules it runs.
 """
+import importlib
+
 from .balls import (
     Ball,
     Ballean,
@@ -18,14 +24,6 @@ from .balls import (
     hasse_pieces,
     reversed_is_rooted_tree,
     verify_ball_preserving,
-)
-from .classify import (
-    INAPPLICABLE,
-    NOT_ISOMORPHIC_SHAPES,
-    ClassReport,
-    adversarial_relabeling,
-    classify_space,
-    witness_from_unlabeled_iso,
 )
 from .diametrical import (
     DiametricalGraph,
@@ -50,16 +48,6 @@ from .errors import (
     UmtkError,
     UnknownPointError,
     VerificationFailedError,
-)
-from .generators import (
-    GenConfig,
-    oracle_ball_preserving,
-    oracle_isometry,
-    oracle_weak_similarity,
-    random_relabeled,
-    random_semimetric,
-    random_ultrametric,
-    renamed_copy,
 )
 from .reptree import (
     RepNode,
@@ -95,7 +83,6 @@ from .spaces import (
     ultrametric_violation,
     validate_semimetric,
 )
-from .suites import SuiteResult, run_all
 from .treecanon import (
     canon_code_labeled,
     canon_code_unlabeled,
@@ -104,6 +91,22 @@ from .treecanon import (
 )
 
 __version__ = "0.1.0"
+
+# each name of the command-only modules, and the module that holds it
+_LAZY = {
+    **dict.fromkeys(("INAPPLICABLE", "NOT_ISOMORPHIC_SHAPES", "ClassReport", "adversarial_relabeling",
+                     "classify_space", "witness_from_unlabeled_iso"), "classify"),
+    **dict.fromkeys(("GenConfig", "oracle_ball_preserving", "oracle_isometry", "oracle_weak_similarity",
+                     "random_relabeled", "random_semimetric", "random_ultrametric", "renamed_copy"), "generators"),
+    **dict.fromkeys(("SuiteResult", "run_all"), "suites"),
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return value
 
 __all__ = [
     "Ball",

@@ -42,7 +42,6 @@ inner node share every ball).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, compress, groupby, repeat
@@ -51,18 +50,22 @@ from operator import and_, itemgetter, or_
 from .errors import NotABijectionError, VerificationFailedError
 from .reptree import RepTree, _codes, _parents, _preorder, build_tree
 from .search import match
-from .spaces import FiniteSemimetricSpace, _entries, _pair, _quote, dot_string, is_ultrametric
+from .spaces import FiniteSemimetricSpace, _entries, _pair, _quote, _Record, _Value, dot_string, is_ultrametric
 
 
-@dataclass(frozen=True)
-class Ball:
-    members: frozenset[str]
-    center: str = field(compare=False)
-    radius: Fraction = field(compare=False)
+class Ball(_Value):
+    """A member set and the (center, radius) witness, which no ``==`` or hash reads."""
+
+    __slots__ = _fields = ("members", "center", "radius")
+
+    def __init__(self, members: frozenset[str], center: str, radius: Fraction) -> None:
+        self.members, self.center, self.radius = members, center, radius
+
+    def _key(self) -> tuple:
+        return (self.members,)
 
 
-@dataclass(frozen=True, eq=False)
-class Ballean:
+class Ballean(_Record):
     """All distinct balls of a space, sorted by (size, member names): ball i
     is ``masks[i]`` over the point bits ``bits``, witnessed by ``witnesses[i]``
     (centre index, radius rank). Its members are a prefix of its centre's
@@ -74,14 +77,13 @@ class Ballean:
     sizes. Ball n + k is ball ``places[k]`` of the chains in turn. On an
     ultrametric space ball i < B - 1 has one cover, ``covers[i]``; else None."""
 
-    space: FiniteSemimetricSpace
-    bits: tuple[int, ...]
-    masks: tuple[int, ...]
-    witnesses: tuple[tuple[int, int], ...]
-    orders: list[list[int]]
-    chains: list[tuple[list[int], list[int]]]
-    places: list[int]
-    covers: list[int] | None = None
+    _fields = ("space", "bits", "masks", "witnesses", "orders", "chains", "places", "covers")
+
+    def __init__(self, space: FiniteSemimetricSpace, bits: tuple[int, ...], masks: tuple[int, ...],
+                 witnesses: tuple[tuple[int, int], ...], orders: list[list[int]],
+                 chains: list[tuple[list[int], list[int]]], places: list[int], covers: list[int] | None = None) -> None:
+        self.space, self.bits, self.masks, self.witnesses = space, bits, masks, witnesses
+        self.orders, self.chains, self.places, self.covers = orders, chains, places, covers
 
     @cached_property
     def members(self) -> _Members:
@@ -226,8 +228,7 @@ def _tree_balls(space: FiniteSemimetricSpace, tree: RepTree, one: list[int], fou
     return {mask[v]: mask[parent[v]] for v in range(1, len(kids))}
 
 
-@dataclass(frozen=True, eq=False)
-class HasseDiagram:
+class HasseDiagram(_Record):
     """Cover digraph of the inclusion order; arcs are vertex-index pairs.
 
     Vertex v is the mask ``masks[v]``, one bit per point. Vertices are
@@ -237,10 +238,11 @@ class HasseDiagram:
     and the arc set ``arcs`` are made on first read.
     """
 
-    masks: Sequence[int]
-    succs: list[list[int]]
-    preds: list[list[int]]
-    ballean: Ballean | None = None
+    _fields = ("masks", "succs", "preds", "ballean")
+
+    def __init__(self, masks: Sequence[int], succs: list[list[int]], preds: list[list[int]],
+                 ballean: Ballean | None = None) -> None:
+        self.masks, self.succs, self.preds, self.ballean = masks, succs, preds, ballean
 
     @classmethod
     def of_sets(cls, vertices: Sequence[frozenset[str]], arcs: Iterable[tuple[int, int]]) -> HasseDiagram:
@@ -351,15 +353,15 @@ def _joint_refine(h1: HasseDiagram, h2: HasseDiagram) -> tuple[list[int], list[i
         ]
 
 
-@dataclass(frozen=True, eq=False)
-class HasseIso:
+class HasseIso(_Record):
     """Arc-preserving vertex bijection of ``h1`` onto ``h2`` as vertex
     indices, ``assignment``: vertex ``i`` of ``h1`` is the name set
     ``h1.vertices[i]``."""
 
-    h1: HasseDiagram
-    h2: HasseDiagram
-    assignment: dict[int, int]
+    __slots__ = _fields = ("h1", "h2", "assignment")
+
+    def __init__(self, h1: HasseDiagram, h2: HasseDiagram, assignment: dict[int, int]) -> None:
+        self.h1, self.h2, self.assignment = h1, h2, assignment
 
 
 def hasse_digraph_iso(h1: HasseDiagram, h2: HasseDiagram) -> HasseIso | None:

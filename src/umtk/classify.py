@@ -32,12 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InapplicableError, VerificationFailedError
-from .reptree import RepTree, _inner_levels, build_tree, space_from_tree
+from .reptree import CLASS_CODES, RepTree, _inner_levels, build_tree, space_from_tree
 from .similarity import WeakSimWitness, decide_weak_similarity
 from .spaces import FiniteSemimetricSpace, format_rational
 from .treecanon import canon_code_unlabeled
-
-CLASS_CODES = ("R", "Rtilde", "D", "T")
 
 
 @dataclass(frozen=True)

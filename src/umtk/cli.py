@@ -41,7 +41,6 @@ from .balls import (
     hasse_iso_pieces,
     hasse_pieces,
 )
-from .classify import CLASS_CODES, classify_space
 from .diametrical import (
     diametrical_graph,
     graph_to_dot,
@@ -56,8 +55,8 @@ from .errors import (
     UmtkError,
     VerificationFailedError,
 )
-from .generators import GenConfig, random_semimetric, random_ultrametric
 from .reptree import (
+    CLASS_CODES,
     RepTree,
     build_tree,
     tree_from_json,
@@ -74,8 +73,19 @@ from .spaces import (
     space_from_json,
     space_to_json,
 )
-from .suites import run_all
 from .treecanon import check_iso_map, rooted_tree_iso_map
+
+# The calls of ``check``, ``gen`` and ``classify``, loaded on first use through the
+# package (PEP 562); a handler reads each off ``_module`` when it runs, rebound or not.
+_LAZY = ("run_all", "GenConfig", "random_semimetric", "random_ultrametric", "classify_space")
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 def _use_color() -> bool:
@@ -307,7 +317,7 @@ def _cmd_weaksim(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _emit_json(classify_space(_load_space(args.space)).to_json(), args.out)
+    _emit_json(_module.classify_space(_load_space(args.space)).to_json(), args.out)
     return 0
 
 
@@ -336,11 +346,11 @@ def _cmd_ballpreserving(args) -> int:
 def _cmd_gen(args) -> int:
     pool, _ = read_literals((args.pool.split(","),))  # the generator draws from its positive values
     force = None if args.force_class == "any" else args.force_class
-    config = GenConfig(seed=args.seed, n=args.n, spectrum_pool=pool, force_class=force)
+    config = _module.GenConfig(seed=args.seed, n=args.n, spectrum_pool=pool, force_class=force)
     if args.semimetric:
-        space = random_semimetric(config)
+        space = _module.random_semimetric(config)
     else:
-        space = random_ultrametric(config)
+        space = _module.random_ultrametric(config)
     _emit_json(space_to_json(space), args.out)
     return 0
 
@@ -360,7 +370,7 @@ def _cmd_check(args) -> int:
     if args.max_n is not None and args.max_n < 1:
         _diag("--max-n must be positive")
         return 2
-    results = run_all(seed=args.seed, trials=trials, max_n=args.max_n)
+    results = _module.run_all(seed=args.seed, trials=trials, max_n=args.max_n)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]

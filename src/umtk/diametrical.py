@@ -8,13 +8,12 @@ inside a part can break the split.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
 
 from .errors import NotMultipartiteError, SpaceTooSmallError
-from .spaces import FiniteSemimetricSpace, dot_string
+from .spaces import FiniteSemimetricSpace, _Value, dot_string
 
 
 def _members(mask: int) -> list[int]:  # the set bits, ascending
@@ -25,12 +24,13 @@ def _members(mask: int) -> list[int]:  # the set bits, ascending
     return found
 
 
-@dataclass(frozen=True)
-class DiametricalGraph:
+class DiametricalGraph(_Value):
     """Bit j of ``near[i]`` is set iff points i and j realize the diameter."""
 
-    vertices: tuple[str, ...]
-    near: tuple[int, ...]
+    _fields = ("vertices", "near")
+
+    def __init__(self, vertices: tuple[str, ...], near: tuple[int, ...]) -> None:
+        self.vertices, self.near = vertices, near
 
     @cached_property
     def edges(self) -> frozenset[frozenset[str]]:
@@ -45,11 +45,13 @@ class DiametricalGraph:
         return sorted(tuple(sorted(e)) for e in self.edges)
 
 
-@dataclass(frozen=True)
-class MultipartitePartition:
+class MultipartitePartition(_Value):
     """Parts sorted by (size, smallest member name); members sorted by name."""
 
-    parts: tuple[tuple[str, ...], ...]
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[str, ...], ...]) -> None:
+        self.parts = parts
 
 
 def diametrical_graph(space: FiniteSemimetricSpace) -> DiametricalGraph:

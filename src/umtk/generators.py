@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import enumerate_balls, verify_ball_preserving
-from .classify import CLASS_CODES
 from .errors import InfeasibleConstraintsError, TooLargeError, VerificationFailedError
-from .reptree import RepTree, _inner_levels, _parents, build_tree, space_from_tree
+from .reptree import CLASS_CODES, RepTree, _inner_levels, _parents, build_tree, space_from_tree
 from .similarity import (
     IsometryWitness,
     WeakSimWitness,
@@ -50,7 +49,7 @@ class GenConfig:
 
     ``spectrum_pool`` is the set of candidate distance values; only its
     positive members are used for labels. ``force_class`` is None or one of
-    ``classify.CLASS_CODES``.
+    ``reptree.CLASS_CODES``.
     """
 
     seed: int = 0

@@ -51,6 +51,9 @@ from .spaces import (
     validate_semimetric,
 )
 
+# ``classify``'s class codes, here so that ``cli`` builds ``gen --class`` without it
+CLASS_CODES = ("R", "Rtilde", "D", "T")
+
 
 def _preorder(children: Sequence[Sequence[int] | None], root: int) -> list[int]:
     """The nodes under ``root`` depth first: a node, then its children's

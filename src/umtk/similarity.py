@@ -19,32 +19,34 @@ a refuted forced map means no, any other refuted map is a defect.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .errors import NotUltrametricError, VerificationFailedError
 from .reptree import build_tree
 from .search import match
-from .spaces import FiniteSemimetricSpace, _entries, _pair, _quote, format_rational
+from .spaces import FiniteSemimetricSpace, _entries, _pair, _quote, _ratio, _Value, format_rational
 
 Scaling = tuple[tuple[Fraction, Fraction], ...]
-# a Fraction's (numerator, denominator), read from its slots in C: no Fraction.__eq__ per value
-_ratio = attrgetter("_numerator", "_denominator")
 
 
-@dataclass(frozen=True)
-class IsometryWitness:
-    phi: dict[str, str]
+class IsometryWitness(_Value):
+    """The point bijection; witnesses compare by value."""
+
+    __slots__ = _fields = ("phi",)
+
+    def __init__(self, phi: dict[str, str]) -> None:
+        self.phi = phi
 
 
-@dataclass(frozen=True)
-class WeakSimWitness:
+class WeakSimWitness(_Value):
     """Graph of the spectrum scaling plus the point bijection."""
 
-    scaling: Scaling
-    phi: dict[str, str]
+    __slots__ = _fields = ("scaling", "phi")
+
+    def __init__(self, scaling: Scaling, phi: dict[str, str]) -> None:
+        self.scaling, self.phi = scaling, phi
 
 
 def forced_scaling(

@@ -17,19 +17,18 @@ hash, ``==`` and the certificate run in C, and a tuple of ints above.
 Every rational literal read -- a space's entries, a tree's labels, a
 generator's pool -- goes through ``read_literals``: one dict probe an entry
 finds the distinct literals, checked in one pass and ranked at once, as ints
-when all are integers and by ``rank_values`` otherwise, and a document's
-rows are cut from the ranks it joins; input that fails is scanned for its
-first bad one.
+when all are integers and by ``rank_values`` of their halves' ints
+otherwise, and a document's rows are cut from the ranks it joins; input
+that fails is scanned for its first bad one.
 """
 from __future__ import annotations
 
 import json
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
-from operator import eq, floordiv, getitem, itemgetter, lshift, ne
+from operator import attrgetter, eq, floordiv, getitem, itemgetter, lshift, ne
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -120,20 +119,67 @@ def _as_rational(value: object) -> Fraction:
     raise FormatError(f"distances must be Fraction or int, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class FiniteSemimetricSpace:
-    """Immutable point tuple, spectrum and rank matrix. Hashable, so cacheable.
+class _Record:
+    """Base of the request path's plain classes: the repr a dataclass writes,
+    of the attributes ``_fields`` names. It compares by identity."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self._fields)})"
+
+
+class _Value(_Record):
+    """A ``_Record`` that compares and hashes by ``_key()``: its fields, unless a class narrows it."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+# a Fraction's (numerator, denominator), read from its slots in C: no Fraction.__eq__ per value
+_ratio = attrgetter("_numerator", "_denominator")
+
+
+class FiniteSemimetricSpace(_Record):
+    """Read-only point tuple, spectrum and rank matrix. Hashable, so cacheable.
 
     ``ranks[i][j]`` is the index of d(points[i], points[j]) in ``spectrum``;
     a row is ``bytes`` up to 256 spectrum values and a tuple of ints above
     (``_rank_rows``), so equal spectra mean one row type. The hash runs over
     the points and ranks only: spaces that differ only in their spectra
-    share it, and ``==`` tells them apart.
+    share it, and ``==`` tells them apart, comparing the spectra last, as
+    int pairs.
     """
 
-    points: tuple[str, ...]
-    spectrum: tuple[Fraction, ...]
-    ranks: tuple[bytes, ...] | tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("points", "spectrum", "ranks")
+
+    def __init__(self, points: tuple[str, ...], spectrum: tuple[Fraction, ...],
+                 ranks: tuple[bytes, ...] | tuple[tuple[int, ...], ...]) -> None:
+        for name, value in zip(self._fields, (points, spectrum, ranks)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: a space is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:  # pickle and copy rebuild it through __init__
+        return type(self), (self.points, self.spectrum, self.ranks)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.points == other.points and self.ranks == other.ranks
+                and list(map(_ratio, self.spectrum)) == list(map(_ratio, other.spectrum)))
 
     def __hash__(self) -> int:
         return hash((self.points, self.ranks))
@@ -194,9 +240,10 @@ def read_literals(rows: Sequence[Sequence[object]]) -> tuple[tuple[Fraction, ...
     them, and every entry's rank, the rows joined: ``bytes`` when the ids and
     the spectrum fit a byte, else a list. One dict probe an entry gives each
     distinct literal a first-sight id; one match checks them, integers are
-    their own keys, a set with a fraction goes through ``rank_values``, and
-    ids that fit a byte become ranks by one ``bytes.translate``. Failing
-    that, the first bad literal in row order raises its FormatError."""
+    their own keys, a set with a fraction goes through ``rank_values``, each
+    value made from the ints of its text's two halves, and ids that fit a
+    byte become ranks by one ``bytes.translate``. Failing that, the first
+    bad literal in row order raises its FormatError."""
     ids = defaultdict(count().__next__)
     try:
         try:  # itemgetter of one key returns the entry itself, and of none fails
@@ -209,8 +256,9 @@ def read_literals(rows: Sequence[Sequence[object]]) -> tuple[tuple[Fraction, ...
         # one line per literal: then no literal holds a newline
         if text.count("\n") != len(literals) - 1 or _LITERAL_LINES_RE.fullmatch(text) is None:
             raise ValueError("not a set of rational literals")
-        if "/" in text:
-            spectrum, ranks = rank_values(map(Fraction, literals))
+        if "/" in text:  # the match has checked each half
+            halves = (literal.partition("/") for literal in literals)
+            spectrum, ranks = rank_values(Fraction(int(a), int(b)) if b else Fraction(int(a)) for a, _, b in halves)
         else:
             keys = list(map(int, literals))
             order = sorted({0, *keys})

@@ -33,7 +33,6 @@ from .balls import (
     verify_ball_preserving,
 )
 from .classify import (
-    CLASS_CODES,
     WeakSimWitness,
     adversarial_relabeling,
     classify_space,
@@ -51,7 +50,7 @@ from .generators import (
     random_ultrametric,
     renamed_copy,
 )
-from .reptree import build_tree, space_from_tree
+from .reptree import CLASS_CODES, build_tree, space_from_tree
 from .similarity import (
     decide_isometry,
     decide_weak_similarity,

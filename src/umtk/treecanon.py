@@ -50,10 +50,10 @@ def _invariant_apart(tree1: RepTree, tree2: RepTree, respect_labels: bool) -> st
         return None
     if len(tree1) != len(tree2):
         return "node counts differ"
+    if respect_labels and tree1.spectrum != tree2.spectrum:  # one compare, before two Counters
+        return "spectra differ"
     if Counter(map(len, tree1.children)) != Counter(map(len, tree2.children)):
         return "child counts differ"
-    if respect_labels and tree1.spectrum != tree2.spectrum:
-        return "spectra differ"
     if respect_labels and Counter(tree1.labels) != Counter(tree2.labels):
         return "label ranks differ"
     return None

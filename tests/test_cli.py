@@ -1137,6 +1137,17 @@ def _fresh_env(**extra):
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 
+def test_the_import_loads_only_what_a_request_runs():
+    # in a fresh interpreter without bytecode: import umtk.cli loads the six
+    # eager modules and none of dataclasses, inspect or the command-only
+    # modules, whose names then resolve on first use (tests/startup_modules.py)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, str(Path(__file__).with_name("startup_modules.py")), src],
+                          capture_output=True, text=True, env=_fresh_env(PYTHONDONTWRITEBYTECODE="1"))
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "umtk.spaces" in done.stdout.split(), done.stdout
+
+
 def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch, capsys):
     # main reuses one parser for the life of the process: no call may see
     # flags, defaults or output left by an earlier one

@@ -274,6 +274,16 @@ def test_the_one_probe_reader_at_its_boundaries():
             assert len(space_from_json(doc).spectrum) == count + 1
             zero_free = _spelled(_pairs(24, count), lambda v, k: spell(v, k) if v else "1/2")
             assert _check_against_the_fraction_scan(zero_free)[0] is spaces.NonZeroDiagonalError
+    # a fraction literal beside an equal integer literal ("10/5" and "2") or
+    # an equal fraction, each value made from its text's two ints: a
+    # negative value, a leading zero, a reducible fraction, and a zero
+    # denominator, which the row-order scan names
+    for literal, equal in (("-3/6", "-1/2"), ("04/8", "1/2"), ("10/5", "2"), ("1/0", "1/0")):
+        for dist in ([["0", literal, "2"], [equal, "0", "2"], ["2", "2", "0"]],
+                     [["0", "1", literal], ["1", "0", "1"], [equal, "1", "0"]]):
+            want = _check_against_the_fraction_scan({"points": list("abc"), "dist": dist})
+            if literal == "1/0":
+                assert want[:2] == (spaces.FormatError, "zero denominator in '1/0'")
     # n = 1 and n = 2: itemgetter of one key returns the entry itself
     for dist in ([["0"]], [["-0"]], [["0/5"]], [["1"]], [["x"]], [[0]]):
         _check_against_the_fraction_scan({"points": ["a"], "dist": dist})

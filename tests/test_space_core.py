@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -8,12 +9,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from umtk import (
+    Ball,
+    Ballean,
+    DiametricalGraph,
     FiniteSemimetricSpace,
     GenConfig,
+    HasseDiagram,
+    IsometryWitness,
+    MultipartitePartition,
+    WeakSimWitness,
     build_tree,
     diameter,
     enumerate_balls,
     format_rational,
+    hasse_diagram,
     is_ultrametric,
     parse_rational,
     random_semimetric,
@@ -26,6 +35,7 @@ from umtk import (
     ultrametric_violation,
     validate_semimetric,
 )
+from umtk.balls import HasseIso
 from umtk.errors import (
     DuplicatePointNameError,
     EmptySpaceError,
@@ -238,6 +248,44 @@ def test_spaces_apart_only_in_spectrum_share_a_hash(ultra3):
     for space in (ultra3, tripled, ultra3):
         assert build_tree(space).spectrum == space.spectrum
         assert enumerate_balls(space).space.spectrum == space.spectrum
+
+
+def test_the_request_path_classes_keep_their_operations(ultra3):
+    # plain classes, not dataclasses: the constructor by position or keyword,
+    # ==, hash and the repr a dataclass writes, each as it was
+    copy = FiniteSemimetricSpace(points=ultra3.points, spectrum=tuple(map(F, ultra3.spectrum)), ranks=ultra3.ranks)
+    assert copy == ultra3 and hash(copy) == hash(ultra3) and copy != (ultra3.points, ultra3.spectrum, ultra3.ranks)
+    assert repr(copy) == f"FiniteSemimetricSpace(points={ultra3.points!r}, spectrum={ultra3.spectrum!r}, ranks={ultra3.ranks!r})"
+    assert "__hash__" in vars(FiniteSemimetricSpace)  # where the benchmark's span tracer wraps it
+    assert pickle.loads(pickle.dumps(copy)) == copy
+    for attempt in (lambda: setattr(copy, "points", ()), lambda: delattr(copy, "ranks"), lambda: setattr(copy, "x", 1)):
+        with pytest.raises(AttributeError):  # a space is read-only
+            attempt()
+    # a ball is its member set: the (center, radius) witness is neither compared nor hashed
+    ball = Ball(frozenset("pq"), "p", F(2))
+    assert ball == Ball(frozenset("qp"), center="q", radius=F(1)) and hash(ball) == hash(Ball(frozenset("pq"), "r", F(3)))
+    assert ball != Ball(frozenset("p"), "p", F(2)) and ball != frozenset("pq")
+    assert repr(ball) == f"Ball(members={frozenset('pq')!r}, center='p', radius=Fraction(2, 1))"
+    graph = DiametricalGraph(("p", "q"), (2, 1))
+    assert graph == DiametricalGraph(vertices=("p", "q"), near=(2, 1)) != DiametricalGraph(("p", "q"), (0, 0))
+    assert hash(graph) == hash(DiametricalGraph(("p", "q"), (2, 1))) and graph.edges == {frozenset("pq")}
+    assert repr(graph) == "DiametricalGraph(vertices=('p', 'q'), near=(2, 1))"
+    parts = MultipartitePartition((("p",), ("q",)))
+    assert parts == MultipartitePartition(parts=(("p",), ("q",))) and hash(parts) == hash(MultipartitePartition(parts.parts))
+    witness = WeakSimWitness(((F(0), F(0)),), {"p": "q"})
+    assert witness == WeakSimWitness(scaling=((F(0), F(0)),), phi={"p": "q"}) != WeakSimWitness((), {"p": "q"})
+    assert IsometryWitness({"p": "q"}) == IsometryWitness(phi={"p": "q"}) != IsometryWitness({"p": "p"})
+    assert repr(IsometryWitness({"p": "q"})) == "IsometryWitness(phi={'p': 'q'})"
+    with pytest.raises(TypeError):  # a witness holds a dict: it has no hash
+        hash(witness)
+    # a ballean, a Hasse diagram and a Hasse map compare by identity: a copy of the same fields is unequal
+    ballean = enumerate_balls(ultra3)
+    diagram = hasse_diagram(ballean)
+    fields = ("space", "bits", "masks", "witnesses", "orders", "chains", "places", "covers")
+    assert ballean == ballean != Ballean(*(getattr(ballean, k) for k in fields))
+    assert diagram == diagram != HasseDiagram(diagram.masks, diagram.succs, diagram.preds, ballean=ballean)
+    iso = HasseIso(diagram, diagram, {})
+    assert iso == iso != HasseIso(diagram, diagram, {}) and repr(iso).startswith("HasseIso(h1=HasseDiagram(masks=")
 
 
 def _rank_oracle(values):

@@ -327,6 +327,9 @@ def test_each_invariant_names_itself():
             rooted_tree_iso_map(t1, t2, respect_labels=labeled)
         if labeled:  # the same shapes
             assert check_iso_map(t1, t2, rooted_tree_iso_map(t1, t2))
+    # labeled, the child-count pair also differs in its spectra, which are compared first
+    t1, t2 = (tree_from_json(doc, labeled=True) for doc in APART["child counts differ"])
+    assert _invariant_apart(t1, t2, True) == "spectra differ"
     t1, t2 = (tree_from_json(doc, labeled=True) for doc in CODES_ONLY)
     for labeled, message in ((False, "shape codes differ"), (True, "labeled codes differ")):
         assert _invariant_apart(t1, t2, labeled) is None
