@@ -59,7 +59,7 @@ class Ball(_Value):
     __slots__ = _fields = ("members", "center", "radius")
 
     def __init__(self, members: frozenset[str], center: str, radius: Fraction) -> None:
-        self.members, self.center, self.radius = members, center, radius
+        self._set(members, center, radius)
 
     def _key(self) -> tuple:
         return (self.members,)
@@ -82,8 +82,7 @@ class Ballean(_Record):
     def __init__(self, space: FiniteSemimetricSpace, bits: tuple[int, ...], masks: tuple[int, ...],
                  witnesses: tuple[tuple[int, int], ...], orders: list[list[int]],
                  chains: list[tuple[list[int], list[int]]], places: list[int], covers: list[int] | None = None) -> None:
-        self.space, self.bits, self.masks, self.witnesses = space, bits, masks, witnesses
-        self.orders, self.chains, self.places, self.covers = orders, chains, places, covers
+        self._set(space, bits, masks, witnesses, orders, chains, places, covers)
 
     @cached_property
     def members(self) -> _Members:
@@ -242,7 +241,7 @@ class HasseDiagram(_Record):
 
     def __init__(self, masks: Sequence[int], succs: list[list[int]], preds: list[list[int]],
                  ballean: Ballean | None = None) -> None:
-        self.masks, self.succs, self.preds, self.ballean = masks, succs, preds, ballean
+        self._set(masks, succs, preds, ballean)
 
     @classmethod
     def of_sets(cls, vertices: Sequence[frozenset[str]], arcs: Iterable[tuple[int, int]]) -> HasseDiagram:
@@ -361,7 +360,7 @@ class HasseIso(_Record):
     __slots__ = _fields = ("h1", "h2", "assignment")
 
     def __init__(self, h1: HasseDiagram, h2: HasseDiagram, assignment: dict[int, int]) -> None:
-        self.h1, self.h2, self.assignment = h1, h2, assignment
+        self._set(h1, h2, assignment)
 
 
 def hasse_digraph_iso(h1: HasseDiagram, h2: HasseDiagram) -> HasseIso | None:

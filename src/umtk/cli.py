@@ -75,14 +75,13 @@ from .spaces import (
 )
 from .treecanon import check_iso_map, rooted_tree_iso_map
 
-# The calls of ``check``, ``gen`` and ``classify``, loaded on first use through the
-# package (PEP 562); a handler reads each off ``_module`` when it runs, rebound or not.
-_LAZY = ("run_all", "GenConfig", "random_semimetric", "random_ultrametric", "classify_space")
+# ``check``, ``gen`` and ``classify`` call names of the package's lazy table (PEP 562);
+# a handler reads each off ``_module`` when it runs, rebound or not.
 _module = sys.modules[__name__]
 
 
 def __getattr__(name: str) -> object:
-    if name not in _LAZY:
+    if name not in sys.modules[__package__]._LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(sys.modules[__package__], name)
     return value

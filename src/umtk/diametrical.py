@@ -30,7 +30,7 @@ class DiametricalGraph(_Value):
     _fields = ("vertices", "near")
 
     def __init__(self, vertices: tuple[str, ...], near: tuple[int, ...]) -> None:
-        self.vertices, self.near = vertices, near
+        self._set(vertices, near)
 
     @cached_property
     def edges(self) -> frozenset[frozenset[str]]:
@@ -51,7 +51,7 @@ class MultipartitePartition(_Value):
     __slots__ = _fields = ("parts",)
 
     def __init__(self, parts: tuple[tuple[str, ...], ...]) -> None:
-        self.parts = parts
+        self._set(parts)
 
 
 def diametrical_graph(space: FiniteSemimetricSpace) -> DiametricalGraph:

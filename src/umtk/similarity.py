@@ -37,7 +37,7 @@ class IsometryWitness(_Value):
     __slots__ = _fields = ("phi",)
 
     def __init__(self, phi: dict[str, str]) -> None:
-        self.phi = phi
+        self._set(phi)
 
 
 class WeakSimWitness(_Value):
@@ -46,7 +46,7 @@ class WeakSimWitness(_Value):
     __slots__ = _fields = ("scaling", "phi")
 
     def __init__(self, scaling: Scaling, phi: dict[str, str]) -> None:
-        self.scaling, self.phi = scaling, phi
+        self._set(scaling, phi)
 
 
 def forced_scaling(

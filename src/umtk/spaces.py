@@ -120,11 +120,24 @@ def _as_rational(value: object) -> Fraction:
 
 
 class _Record:
-    """Base of the request path's plain classes: the repr a dataclass writes,
-    of the attributes ``_fields`` names. It compares by identity."""
+    """Base of the request path's plain classes: read-only ``_fields``, set once by ``_set``
+    (a ``cached_property`` writes ``__dict__`` itself), and the repr a dataclass writes
+    of them. It compares by identity."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: a {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:  # pickle and copy rebuild it through __init__, then restore its __dict__
+        return type(self), tuple(map(self.__getattribute__, self._fields)), getattr(self, "__dict__", None)
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self._fields)})"
@@ -164,16 +177,7 @@ class FiniteSemimetricSpace(_Record):
 
     def __init__(self, points: tuple[str, ...], spectrum: tuple[Fraction, ...],
                  ranks: tuple[bytes, ...] | tuple[tuple[int, ...], ...]) -> None:
-        for name, value in zip(self._fields, (points, spectrum, ranks)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"cannot set or delete {name!r}: a space is read-only")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self) -> tuple:  # pickle and copy rebuild it through __init__
-        return type(self), (self.points, self.spectrum, self.ranks)
+        self._set(points, spectrum, ranks)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

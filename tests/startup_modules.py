@@ -1,6 +1,6 @@
 """Check which modules ``import umtk.cli`` loads, in this interpreter.
 
-    python tests/startup_modules.py [SRC]
+    python tests/startup_modules.py
 
 Run it in a fresh interpreter. It first imports the stdlib modules that
 ``cli`` and the modules it loads import, read off their source. Then it
@@ -14,9 +14,9 @@ imports ``umtk.cli`` and checks what that loaded:
   name of theirs.
 
 Last it checks that those lazy names resolve, from the package and from
-``cli``, and that every name in the package's ``__all__`` does. With SRC, umtk is imported from that directory; without it, the
-installed umtk is. It prints the modules the import loaded and exits 1 on a
-failed check.
+``cli``, and that every name in the package's ``__all__`` does. umtk is imported as the interpreter finds it (set
+``PYTHONPATH`` to choose a checkout). It prints the modules the import
+loaded and exits 1 on a failed check.
 """
 from __future__ import annotations
 
@@ -46,9 +46,7 @@ def stdlib_imports(package_dir: str) -> set[str]:
     return found
 
 
-def main(argv: list[str]) -> int:
-    if argv:
-        sys.path.insert(0, os.path.abspath(argv[0]))
+def main() -> int:
     package_dir = importlib.util.find_spec("umtk").submodule_search_locations[0]
     for name in sorted(stdlib_imports(package_dir)):
         importlib.import_module(name)
@@ -72,4 +70,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

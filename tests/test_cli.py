@@ -1141,8 +1141,7 @@ def test_the_import_loads_only_what_a_request_runs():
     # in a fresh interpreter without bytecode: import umtk.cli loads the six
     # eager modules and none of dataclasses, inspect or the command-only
     # modules, whose names then resolve on first use (tests/startup_modules.py)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, str(Path(__file__).with_name("startup_modules.py")), src],
+    done = subprocess.run([sys.executable, str(Path(__file__).with_name("startup_modules.py"))],
                           capture_output=True, text=True, env=_fresh_env(PYTHONDONTWRITEBYTECODE="1"))
     assert done.returncode == 0, done.stdout + done.stderr
     assert "umtk.spaces" in done.stdout.split(), done.stdout

@@ -286,6 +286,17 @@ def test_the_request_path_classes_keep_their_operations(ultra3):
     assert diagram == diagram != HasseDiagram(diagram.masks, diagram.succs, diagram.preds, ballean=ballean)
     iso = HasseIso(diagram, diagram, {})
     assert iso == iso != HasseIso(diagram, diagram, {}) and repr(iso).startswith("HasseIso(h1=HasseDiagram(masks=")
+    # every one is read-only, as a frozen dataclass was: a value's hash cannot change under a set that holds it
+    for record, name in ((ball, "members"), (graph, "near"), (parts, "parts"), (witness, "scaling"),
+                         (IsometryWitness({}), "phi"), (ballean, "masks"), (diagram, "succs"), (iso, "assignment")):
+        for attempt in (lambda: setattr(record, name, ()), lambda: delattr(record, name)):
+            with pytest.raises(AttributeError, match="read-only"):
+                attempt()
+    assert ballean.balls and "balls" in vars(ballean)  # a cached property is still written
+    # and each pickles: slotted ones through the constructor, the others with their cached properties
+    assert pickle.loads(pickle.dumps(ball)).center == "p" and pickle.loads(pickle.dumps(parts)) == parts
+    sets = HasseDiagram.of_sets([frozenset("p"), frozenset("pq")], [(0, 1)])
+    assert pickle.loads(pickle.dumps(sets)).vertices == sets.vertices
 
 
 def _rank_oracle(values):
