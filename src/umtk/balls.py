@@ -47,10 +47,10 @@ from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, compress, groupby, repeat
 from operator import and_, itemgetter, or_
 
-from .errors import NotABijectionError, VerificationFailedError
-from .reptree import RepTree, _codes, _parents, _preorder, build_tree
+from .errors import NotABijectionError, NotUltrametricError, VerificationFailedError
+from .reptree import RepTree, _codes, _leaf_runs, _parents, _preorder, build_tree
 from .search import match
-from .spaces import FiniteSemimetricSpace, _entries, _pair, _quote, _Record, _Value, dot_string, is_ultrametric
+from .spaces import FiniteSemimetricSpace, _entries, _pair, _quote, _Record, _Value, dot_string
 
 
 class Ball(_Value):
@@ -159,10 +159,10 @@ def enumerate_balls(space: FiniteSemimetricSpace) -> Ballean:
     orders: list[list[int]] = []
     chains: list[tuple[list[int], list[int]]] = []
     chained: list[int] = []  # the masks of the chains' balls in turn
-    up: dict[int, int] | None = None  # each ball's cover by mask, on the tree route
-    if is_ultrametric(space):
-        up = _tree_balls(space, build_tree(space), one, found, orders, chains, chained)
-    else:
+    try:  # each ball's cover by mask, read off the tree; build_tree's certificate is the only one
+        up: dict[int, int] | None = _tree_balls(space, build_tree(space), one, found, orders, chains, chained)
+    except NotUltrametricError:  # the prefix loop, and no covers
+        up = None
         for t, row in enumerate(space.ranks):
             order = sorted(range(n), key=row.__getitem__)
             mask, start, cut = 0, len(chained), 1
@@ -200,12 +200,10 @@ def _tree_balls(space: FiniteSemimetricSpace, tree: RepTree, one: list[int], fou
     at = dict(zip(space.points, range(len(one))))
     spots = [v for v, c in enumerate(kids) if not c]
     leaf = [at[tree.points[v]] for v in spots]
-    start = list(accumulate([not c for c in kids], initial=0))  # leaves before each position
-    end, low, mask = start[1:], [0] * len(kids), [0] * len(kids)
+    (start, end), low, mask = _leaf_runs(kids), [0] * len(kids), [0] * len(kids)
     for v in range(len(kids) - 1, -1, -1):  # in preorder, a node's subtree follows it
         c = kids[v]
         if c:
-            end[v] = end[c[-1]]
             low[v] = min(map(low.__getitem__, c))
             mask[v] = reduce(or_, map(mask.__getitem__, c))
         else:

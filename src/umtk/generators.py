@@ -30,7 +30,6 @@ from .similarity import (
 )
 from .spaces import (
     FiniteSemimetricSpace,
-    _rank_rows,
     rank_relabel,
     rank_values,
     validate_semimetric,
@@ -275,8 +274,8 @@ def renamed_copy(
     rng.shuffle(order)
     names = {space.points[pi]: f"q{i}" for i, pi in enumerate(order)}
     pts = tuple(f"q{i}" for i in range(len(space)))
-    rows = _rank_rows((map(space.ranks[i].__getitem__, order) for i in order), len(space.spectrum))
-    return FiniteSemimetricSpace(pts, space.spectrum, rows), names
+    rows = [list(map(space.ranks[i].__getitem__, order)) for i in order]
+    return validate_semimetric(pts, rows, (space.spectrum, rows)), names
 
 
 def oracle_isometry(

@@ -15,8 +15,8 @@ arrays, the decoder writes them directly, its labels ranked by
 that makes nodes children first (``build_tree``, the generators) numbers
 them bottom-up and has ``RepTree.bottom_up`` lay them out. ``RepNode`` is
 only a read-only view of values, built on first use, for code that walks
-nodes. The walks every tree consumer shares (``_preorder``,
-``_inner_levels``, ``_parents``) and the code pass ``_codes`` are here; they
+nodes. The walks every tree consumer shares (``_preorder``, ``_inner_levels``,
+``_parents``, ``_leaf_runs``) and the code pass ``_codes`` are here; they
 take any child arrays (empty or None at a leaf) and never recurse.
 
 ``build_tree`` reads the tree off the leaf order that certifies
@@ -89,6 +89,17 @@ def _parents(children: Sequence[Sequence[int]]) -> list[int]:
         for c in kids:
             parent[c] = v
     return parent
+
+
+def _leaf_runs(children: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Each node's leaves as the run ``start[v]:end[v]`` of the leaf order of
+    preorder arrays, where a node's subtree follows it: one reverse pass."""
+    start = list(accumulate([not kids for kids in children], initial=0))  # leaves before each position
+    end = start[1:]  # one past each position's last leaf, set below for internal nodes
+    for v in range(len(children) - 1, -1, -1):
+        if children[v]:
+            end[v] = end[children[v][-1]]
+    return start, end
 
 
 def _codes(
@@ -320,21 +331,17 @@ def space_from_tree(tree: RepTree) -> FiniteSemimetricSpace:
     validate_tree(tree, labeled=True)
     labels, children = tree.labels, tree.children
     points = tree.leaf_points()
-    n = len(points)
-    rows = [[0] * n for _ in range(n)]  # valid labels are positive, so 0 has rank 0
-    start = list(accumulate([not kids for kids in children], initial=0))  # leaves before each position
-    end = start[1:]  # one past each position's last leaf, set below for internal nodes
-    for v in range(len(tree) - 1, -1, -1):
-        kids = children[v]
+    rows = [[0] * len(points) for _ in points]  # valid labels are positive, so 0 has rank 0
+    start, end = _leaf_runs(children)
+    for v, kids in enumerate(children):
         if kids:
-            end[v] = end[kids[-1]]
             s, e = start[v], end[v]
             for c in kids:
                 left, right = [labels[v]] * (start[c] - s), [labels[v]] * (e - end[c])
                 for row in rows[start[c]:end[c]]:
                     row[s:start[c]] = left
                     row[end[c]:e] = right
-    return validate_semimetric(points, rows, (tree.spectrum, range(len(tree.spectrum))))  # a rank is its own rank
+    return validate_semimetric(points, rows, (tree.spectrum, rows))
 
 
 # --- JSON / DOT wire formats -------------------------------------------------
@@ -402,7 +409,7 @@ def tree_from_json(doc: object, labeled: bool = False) -> RepTree:
                 stack.pop()
     except FormatError as err:
         defect = err
-    spectrum, ranks = read_literals((texts,))
+    spectrum, (ranks,) = read_literals((texts,))
     if defect is not None:
         raise defect
     check_point_names(filter(None, points))

@@ -13,13 +13,13 @@ increasing relabeling of the distances swaps the spectrum and keeps the
 ranks: weak similarity is isometry of rank matrices. So the points and
 ranks fix a space up to such a relabeling, and a space hashes only them.
 A rank row is ``bytes`` up to 256 spectrum values, so the axiom tests, the
-hash, ``==`` and the certificate run in C, and a tuple of ints above.
-Every rational literal read -- a space's entries, a tree's labels, a
-generator's pool -- goes through ``read_literals``: one dict probe an entry
-finds the distinct literals, checked in one pass and ranked at once, as ints
-when all are integers and by ``rank_values`` of their halves' ints
-otherwise, and a document's rows are cut from the ranks it joins; input
-that fails is scanned for its first bad one.
+hash, ``==`` and the certificate run in C, and a tuple of ints above: every
+constructor hands ``validate_semimetric`` rank rows, which alone types them.
+Every rational literal -- a space's entries, a tree's labels, a generator's
+pool -- is read by ``read_literals``: one dict probe an entry finds the
+distinct literals, checked in one pass and ranked at once (as ints, or by
+``rank_values`` with a fraction among them), and a row's ids become ranks
+by one ``bytes.translate``; input that fails is scanned for its first bad one.
 """
 from __future__ import annotations
 
@@ -203,18 +203,18 @@ class FiniteSemimetricSpace(_Record):
     def restrict(self, subset: Sequence[str]) -> "FiniteSemimetricSpace":
         """Subspace on ``subset`` in the given order (also used to reorder points)."""
         idx = [self.index(p) for p in subset]
-        pick = itemgetter(*idx) if len(idx) > 1 else lambda row: [row[i] for i in idx]  # one index: no tuple
-        rows = list(map(pick, map(self.ranks.__getitem__, idx)))
-        used = sorted(set(chain(*rows)))
-        spectrum = tuple(map(self.spectrum.__getitem__, used))
-        return validate_semimetric(subset, rows, (spectrum, dict(zip(used, range(len(used))))))
+        rows = [list(map(self.ranks[i].__getitem__, idx)) for i in idx]
+        used = sorted(set(chain(*rows)))  # re-ranked into the values the subset uses
+        rank = dict(zip(used, count())).__getitem__
+        return validate_semimetric(subset, rows, (tuple(map(self.spectrum.__getitem__, used)),
+                                                  [list(map(rank, row)) for row in rows]))
 
 
 def _rank_rows(rows: Iterable[Iterable[int]], size: int) -> tuple[bytes, ...] | tuple[tuple[int, ...], ...]:
     """Rank rows as a space of ``size`` spectrum values holds them: ``bytes``
-    up to 256 values, tuples above. Every space's rows are made here or cut
-    from ``read_literals``' bytes, as a ``bytes`` row never equals a tuple
-    row of the same ranks."""
+    up to 256 values, tuples above. ``validate_semimetric`` alone calls it,
+    on any rows not ``bytes`` yet: a ``bytes`` row never equals a tuple row
+    of the same ranks."""
     return tuple(map(bytes if size <= len(_IDENTITY) else tuple, rows))
 
 
@@ -239,21 +239,21 @@ def rank_values(values: Iterable[Fraction | None]) -> tuple[tuple[Fraction, ...]
     return tuple(map(firsts.__getitem__, order)), list(map(rank.get, keys))
 
 
-def read_literals(rows: Sequence[Sequence[object]]) -> tuple[tuple[Fraction, ...], bytes | list[int]]:
+def read_literals(rows: Sequence[Sequence[object]]) -> tuple[tuple[Fraction, ...], list[bytes] | list[list[int]]]:
     """The spectrum of rows of rational literals, as ``rank_values`` ranks
-    them, and every entry's rank, the rows joined: ``bytes`` when the ids and
-    the spectrum fit a byte, else a list. One dict probe an entry gives each
-    distinct literal a first-sight id; one match checks them, integers are
-    their own keys, a set with a fraction goes through ``rank_values``, each
-    value made from the ints of its text's two halves, and ids that fit a
-    byte become ranks by one ``bytes.translate``. Failing that, the first
-    bad literal in row order raises its FormatError."""
+    them, and each row's ranks: ``bytes`` when the ids and the spectrum fit
+    a byte, else a list. One dict probe an entry gives each distinct literal
+    a first-sight id; one match checks them, integers are their own keys, a
+    set with a fraction goes through ``rank_values``, each value made from
+    the ints of its text's two halves, and ids that fit a byte become ranks
+    by one ``bytes.translate`` a row. Failing that, the first bad literal in
+    row order raises its FormatError."""
     ids = defaultdict(count().__next__)
     try:
         try:  # itemgetter of one key returns the entry itself, and of none fails
             id_rows = [bytes(itemgetter(*row)(ids) if len(row) > 1 else map(ids.__getitem__, row)) for row in rows]
         except ValueError:  # an id past a byte: more than 256 distinct literals
-            id_rows = [list(map(ids.__getitem__, chain.from_iterable(rows)))]
+            id_rows = [list(map(ids.__getitem__, row)) for row in rows]
         literals = list(ids)
         del ids  # freed before the ranking, which sets a wide document's peak
         text = "\n".join(literals)
@@ -271,23 +271,24 @@ def read_literals(rows: Sequence[Sequence[object]]) -> tuple[tuple[Fraction, ...
     except (TypeError, ValueError, ZeroDivisionError):
         values = {lit: parse_rational(lit) for lit in chain.from_iterable(rows)}
         spectrum, ranks = rank_values(values.values())  # no literal at all: the rows are empty
-        return spectrum, list(map(dict(zip(values, ranks)).__getitem__, chain.from_iterable(rows)))
+        rank = dict(zip(values, ranks)).__getitem__
+        return spectrum, [list(map(rank, row)) for row in rows]
     if len(ranks) <= len(_IDENTITY) >= len(spectrum):
-        return spectrum, b"".join(id_rows).translate(bytes(ranks).ljust(len(_IDENTITY), b"\0"))
-    return spectrum, list(map(ranks.__getitem__, chain.from_iterable(id_rows)))
+        return spectrum, list(map(bytes.translate, id_rows, repeat(bytes(ranks).ljust(len(_IDENTITY), b"\0"))))
+    return spectrum, [list(map(ranks.__getitem__, row)) for row in id_rows]
 
 
 def validate_semimetric(
     points: Sequence[str],
     matrix: Sequence[Sequence[object]],
-    ranked: tuple[Sequence[Fraction], Mapping[object, int] | range | bytes | list[int]] | None = None,
+    ranked: tuple[Sequence[Fraction], Sequence[Sequence[int]]] | None = None,
 ) -> FiniteSemimetricSpace:
     """Check all semimetric axioms and return the immutable space.
 
-    Entries are Fractions or ints; ranks into another spectrum, when
-    ``ranked`` is a spectrum (the entries' values and 0, increasing) and a
-    mapping or range from each entry to its rank; or literals, with ``ranked``
-    their ``read_literals``, whose joined ranks are cut into rows. Raises
+    Entries are Fractions or ints; or ``ranked`` is a spectrum (the
+    entries' values and 0, increasing) and the rank rows into it, such as
+    ``read_literals`` of literals. Only here do rows get their type:
+    ``bytes`` rows are kept, any other go through ``_rank_rows``. Raises
     EmptySpaceError, DuplicatePointNameError, MatrixShapeError, FormatError
     (the first entry of another type, in row-major order),
     NegativeDistanceError, NonZeroDiagonalError, NonSymmetricError or
@@ -312,22 +313,16 @@ def validate_semimetric(
     n = len(pts)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise MatrixShapeError(f"distance matrix must be {n}x{n}")
-    keys: Iterable[Iterable[object]] = matrix
     if ranked is None:
         # Entries are keyed by identity (hand-built matrices share their
-        # Fractions, and ids hash fast); ``rows`` keeps them alive meanwhile.
-        rows = [tuple(row) for row in matrix]
-        firsts = dict(zip(map(id, chain.from_iterable(rows)), chain.from_iterable(rows)))
+        # Fractions, and ids hash fast); ``entries`` keeps them alive meanwhile.
+        entries = [tuple(row) for row in matrix]
+        firsts = dict(zip(map(id, chain.from_iterable(entries)), chain.from_iterable(entries)))
         spectrum, key_ranks = rank_values(map(_as_rational, firsts.values()))
-        ranked = spectrum, dict(zip(firsts, key_ranks))
-        keys = [map(id, row) for row in rows]
-    spectrum, rank = ranked
-    if isinstance(rank, (bytes, list)):  # ``read_literals``' joined ranks: the rows are slices
-        ranks = tuple([rank[k:k + n] for k in range(0, n * n, n)])
-        ranks = ranks if type(rank) is bytes else _rank_rows(ranks, len(spectrum))
-    else:  # one C call ranks a whole row; with one key, itemgetter returns the value itself
-        ranks = [itemgetter(*row)(rank) for row in keys]
-        ranks = _rank_rows(ranks if n > 1 else [ranks], len(spectrum))
+        rank = dict(zip(firsts, key_ranks)).__getitem__
+        ranked = spectrum, [list(map(rank, map(id, row))) for row in entries]
+    spectrum, rows = ranked
+    ranks = tuple(rows) if type(rows[0]) is bytes else _rank_rows(rows, len(spectrum))
     if type(ranks[0]) is bytes:  # with a zero diagonal, n zeros are one a row; m joins the rows
         m = b"".join(ranks)
         valid = not any(m[:: n + 1]) and m.count(0) == n and m == b"".join([m[j::n] for j in range(n)])

@@ -187,11 +187,11 @@ def test_one_pass_literal_ranking_matches_the_literal_scan():
         doc = {"points": ["p", "q"], "dist": [[diagonal, "2"], ["2", diagonal]]}
         assert _outcome(space_from_json, doc) == _outcome(oracle.space_from_json, doc)
     # the ranking itself, against rank_values of the parsed literals: each
-    # entry's rank, in row order, as bytes for these small spectra
+    # row's ranks, as bytes for these small spectra
     for literals in LITERAL_SETS[:5]:
-        ranked = spaces.read_literals([literals])
+        ranked = spaces.read_literals([literals, literals[::-1]])
         spectrum, ranks = rank_values(map(parse_rational, literals))
-        assert ranked == (spectrum, bytes(ranks))
+        assert ranked == (spectrum, [bytes(ranks), bytes(ranks[::-1])])
 
 
 def test_spaces_trees_and_the_generator_pool_share_one_literal_reader(monkeypatch, tmp_path):
@@ -307,6 +307,56 @@ def test_the_one_probe_reader_at_its_boundaries():
             dist[place[0]][place[1]] = odd
             _check_against_the_fraction_scan({"points": list("abc"), "dist": dist})
     _check_against_the_fraction_scan({"points": list("abc"), "dist": [["0", 1, True], [True, "0", 1], ["1", 1, "0"]]})
+    # no rows, one empty row and a one-entry row; a bad literal, found by the
+    # fallback scan, alone and past 256 literals; 257 literals over 129 and
+    # over 256 values, read as lists and typed as bytes by the validator
+    assert spaces.read_literals([]) == ((F(0),), [])
+    assert spaces.read_literals([[]]) == ((F(0),), [[]])
+    assert spaces.read_literals([["0"]]) == ((F(0),), [b"\0"])
+    for points, dist in (([], []), ([], [[]]), (["a"], [[]]), (["a"], [["0"]]), (["a"], [["1"]])):
+        _check_both_routes({"points": points, "dist": dist})
+    for bad in ("x", "1/0", "1\n2"):
+        want = _check_both_routes({"points": list("ab"), "dist": [["0", bad], [bad, "0"]]})
+        assert want[0] is spaces.FormatError
+        wide = _spelled(_pairs(24, 255), lambda v, k: f"{2 * v}/2" if k % 2 else str(v))
+        wide["dist"][5][17] = bad
+        assert _check_both_routes(wide)[0] is spaces.FormatError
+    for count, spell in ((128, lambda v, k: f"{2 * v}/2" if v and k % 2 else str(v)),
+                         (255, lambda v, k: "2/2" if (v, k) == (1, 1) else str(v))):
+        doc = _spelled(_pairs(24, count), spell)
+        assert len({x for row in doc["dist"] for x in row}) == 257
+        assert all(type(row) is list for row in spaces.read_literals(doc["dist"])[1])
+        assert len(_check_both_routes(doc)[1]) == 24
+        assert len(space_from_json(doc).spectrum) == count + 1
+    # a restriction re-ranks into the values its points use: to one point,
+    # and to subsets that drop spectrum values, from bytes and tuple rows
+    for count in (20, 300):
+        space = space_from_json(_spelled(_pairs(30, count), lambda v, k: str(v)))
+        for subset in (["p7"], ["p3", "p0", "p9"], [f"p{i}" for i in range(19, -1, -1)]):
+            sub = space.restrict(subset)
+            built = validate_semimetric(subset, [[space.distance(a, b) for b in subset] for a in subset])
+            assert sub == built and hash(sub) == hash(built) and sub.points == tuple(subset)
+            assert {type(row) for row in sub.ranks} == {bytes if len(sub.spectrum) <= 256 else tuple}
+            assert len(sub.spectrum) <= 1 + len(subset) * (len(subset) - 1) // 2
+    # the last: 20 points of 300 values, whose tuple rows restrict to bytes rows
+    assert len(space.spectrum) == 301 and type(space.ranks[0]) is tuple and type(sub.ranks[0]) is bytes
+    assert space.restrict(["p4"]).ranks == (b"\0",)
+
+
+def _check_both_routes(doc):
+    """``_check_against_the_fraction_scan``, and ``validate_semimetric`` of
+    the document's ``read_literals`` rows: the same outcome and, for a valid
+    document, the same space, rows typed by the spectrum size."""
+    def read_and_validate(points, dist):
+        return validate_semimetric(points, dist, spaces.read_literals(dist))
+
+    want = _check_against_the_fraction_scan(doc)
+    assert _outcome(read_and_validate, doc["points"], doc["dist"]) == want
+    if len(want) == 2:
+        space = read_and_validate(doc["points"], doc["dist"])
+        assert space == space_from_json(doc)
+        assert {type(row) for row in space.ranks} == {bytes if len(space.spectrum) <= 256 else tuple}
+    return want
 
 
 def test_tree_labels_past_256_forms_and_without_labels():
